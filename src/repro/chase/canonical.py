@@ -13,10 +13,10 @@ a connected component of ``q`` inside a tree of nulls spans at most
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple, Union
 
-from ..data.abox import ABox, Constant
-from ..ontology.depth import Word, successor_roles
+from ..data.abox import ABox, Constant, individual_concepts
+from ..ontology.depth import Word
 from ..ontology.terms import Atomic, Exists, Role
 
 #: An element of the canonical model: an individual with a (possibly
@@ -51,38 +51,19 @@ class CanonicalModel:
     def __init__(self, tbox, abox: ABox, max_depth: Optional[int] = None):
         self.tbox = tbox
         self.abox = abox
+        self.witnesses = tbox.witnesses
         if max_depth is None:
-            from ..ontology.depth import chase_depth
-
-            depth = chase_depth(tbox)
+            depth = self.witnesses.depth
             if depth is math.inf:
                 raise ValueError(
                     "an explicit max_depth is required for infinite-depth "
                     "ontologies")
             max_depth = int(depth)
         self.max_depth = max_depth
-        self._entailed_concepts: Dict[Constant, Set] = {}
-        self._compute_individual_concepts()
-        self._successor_cache: Dict[Role, List[Role]] = {}
+        self._entailed_concepts = individual_concepts(tbox, abox)
+        self._root_letters: Dict[Constant, Tuple[Role, ...]] = {}
 
     # -- individual-level entailments ------------------------------------
-
-    def _compute_individual_concepts(self) -> None:
-        tbox, abox = self.tbox, self.abox
-        top_supers = tbox.concept_supers(_top())
-        for constant in abox.individuals:
-            self._entailed_concepts[constant] = set(top_supers)
-        for predicate in abox.unary_predicates:
-            supers = tbox.concept_supers(Atomic(predicate))
-            for constant in abox.unary(predicate):
-                self._entailed_concepts[constant].update(supers)
-        for predicate in abox.binary_predicates:
-            role = Role(predicate)
-            forward = tbox.concept_supers(Exists(role))
-            backward = tbox.concept_supers(Exists(role.inverse()))
-            for first, second in abox.binary(predicate):
-                self._entailed_concepts[first].update(forward)
-                self._entailed_concepts[second].update(backward)
 
     def entailed_concepts(self, constant: Constant) -> FrozenSet:
         """Basic concepts ``tau`` with ``T, A |= tau(a)``."""
@@ -97,24 +78,20 @@ class CanonicalModel:
     def is_individual(self, element: Element) -> bool:
         return not element[1]
 
-    def _successors_of_role(self, role: Role) -> List[Role]:
-        if role not in self._successor_cache:
-            self._successor_cache[role] = successor_roles(self.tbox, role)
-        return self._successor_cache[role]
-
     def children(self, element: Element) -> List[Element]:
         """The witnesses ``element . rho`` present in the model."""
         constant, word = element
         if len(word) >= self.max_depth:
             return []
-        tbox = self.tbox
         if word:
-            letters = self._successors_of_role(word[-1])
+            letters = self.witnesses.successors[word[-1]]
         else:
-            concepts = self._entailed_concepts.get(constant, ())
-            letters = [role for role in sorted(tbox.roles)
-                       if not tbox.is_reflexive(role)
-                       and Exists(role) in concepts]
+            letters = self._root_letters.get(constant)
+            if letters is None:
+                concepts = self._entailed_concepts.get(constant, ())
+                letters = self._root_letters[constant] = tuple(
+                    letter for letter in self.witnesses.letters
+                    if Exists(letter) in concepts)
         return [(constant, word + (letter,)) for letter in letters]
 
     def parent(self, element: Element) -> Optional[Element]:
@@ -145,8 +122,7 @@ class CanonicalModel:
         constant, word = element
         if not word:
             return Atomic(name) in self._entailed_concepts.get(constant, ())
-        return self.tbox.entails_concept(Exists(word[-1].inverse()),
-                                         Atomic(name))
+        return name in self.witnesses.names[word[-1]]
 
     def satisfies_role(self, predicate: str, first: Element,
                        second: Element) -> bool:
@@ -160,11 +136,11 @@ class CanonicalModel:
         # child edge: second = first . sigma
         if (second[0] == first[0] and len(second[1]) == len(first[1]) + 1
                 and second[1][:-1] == first[1]):
-            return self.tbox.entails_role(second[1][-1], role)
+            return role in self.witnesses.supers[second[1][-1]]
         # parent edge: first = second . sigma
         if (first[0] == second[0] and len(first[1]) == len(second[1]) + 1
                 and first[1][:-1] == second[1]):
-            return self.tbox.entails_role(first[1][-1].inverse(), role)
+            return role.inverse() in self.witnesses.supers[first[1][-1]]
         return False
 
     def _data_role_holds(self, role: Role, first: Constant,
@@ -175,11 +151,12 @@ class CanonicalModel:
         # data predicates outside the ontology signature
         return self.abox.has_role(role, first, second)
 
-    def role_neighbours(self, predicate: str,
+    def role_neighbours(self, predicate: Union[str, Role],
                         element: Element) -> Iterator[Element]:
-        """All ``v`` with ``C_{T,A} |= predicate(element, v)``."""
-        role = Role(predicate)
-        tbox = self.tbox
+        """All ``v`` with ``C_{T,A} |= predicate(element, v)``; a
+        :class:`Role` may be passed to follow an inverse."""
+        role = predicate if isinstance(predicate, Role) else Role(predicate)
+        tbox, supers = self.tbox, self.witnesses.supers
         seen: Set[Element] = set()
         if self.is_individual(element):
             constant = element[0]
@@ -190,7 +167,7 @@ class CanonicalModel:
                         if candidate not in seen:
                             seen.add(candidate)
                             yield candidate
-            if role.name not in tbox.role_names:
+            if role not in tbox.roles:
                 for first, second in self.abox.role_pairs(role):
                     if first == constant:
                         candidate = individual(second)
@@ -201,20 +178,14 @@ class CanonicalModel:
             seen.add(element)
             yield element
         for child in self.children(element):
-            if tbox.entails_role(child[1][-1], role) and child not in seen:
+            if role in supers[child[1][-1]] and child not in seen:
                 seen.add(child)
                 yield child
         parent = self.parent(element)
         if parent is not None and parent not in seen:
-            if tbox.entails_role(element[1][-1].inverse(), role):
+            if role.inverse() in supers[element[1][-1]]:
                 yield parent
 
     def __repr__(self) -> str:
         return (f"CanonicalModel({len(self.abox.individuals)} individuals, "
                 f"max_depth={self.max_depth})")
-
-
-def _top():
-    from ..ontology.terms import TOP
-
-    return TOP

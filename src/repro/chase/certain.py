@@ -11,22 +11,23 @@ may instead map entirely inside the anonymous tree; its topmost image
 element is then a null whose subtree is homomorphically equivalent to
 the canonical model of ``{A_{rho-}(b)}`` for the null's incoming letter
 ``rho`` — so those matches are decided by per-letter *state checks*
-over fresh single-individual models (again of depth ``|var(q)|``).
+over single-individual models (again of depth ``|var(q)|``), see
+:class:`BooleanMatcher`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from ..data.abox import ABox, Constant
-from ..ontology.depth import chase_depth, successor_graph
+from ..data.abox import ABox, Constant, individual_concepts
+from ..ontology.depth import chase_depth
 from ..ontology.tbox import surrogate_name
 from ..ontology.terms import Exists, Role
 from ..queries.cq import CQ
 from .canonical import CanonicalModel, individual
-from .homomorphism import find_homomorphism, homomorphisms
+from .homomorphism import SearchPlan, find_homomorphism, homomorphisms
 
 
 def depth_bound(tbox, query: CQ) -> int:
@@ -51,40 +52,64 @@ def reachable_letters(tbox, abox: ABox) -> FrozenSet[Role]:
     """The letters that can occur in a null of ``C_{T,A}``: initial
     letters forced at some individual, closed under the successor
     relation of ``W_T``."""
-    graph = successor_graph(tbox)
-    model = CanonicalModel(tbox, abox, max_depth=0)
-    initial: Set[Role] = set()
-    for constant in abox.individuals:
-        for concept in model.entailed_concepts(constant):
-            if isinstance(concept, Exists):
-                role = concept.role
-                if role in graph:
-                    initial.add(role)
-    seen = set(initial)
-    stack = list(initial)
+    table = tbox.witnesses
+    forced = set().union(*individual_concepts(tbox, abox).values())
+    stack = [letter for letter in table.letters if Exists(letter) in forced]
+    seen = set(stack)
     while stack:
-        letter = stack.pop()
-        for succ in graph.get(letter, ()):
+        for succ in table.successors[stack.pop()]:
             if succ not in seen:
                 seen.add(succ)
                 stack.append(succ)
     return frozenset(seen)
 
 
-def _boolean_component_holds(tbox, abox: ABox, query: CQ,
-                             model: CanonicalModel) -> bool:
-    """``T, A |= q`` for a Boolean connected CQ: an anchored match in
-    the depth-bounded model, or a fully anonymous match found through
-    the per-letter state checks."""
-    if find_homomorphism(model, query) is not None:
-        return True
-    bound = max(1, len(query.variables))
-    for letter in sorted(reachable_letters(tbox, abox)):
-        state_abox = ABox([(surrogate_name(letter.inverse()), ("_state",))])
-        state_model = CanonicalModel(tbox, state_abox, max_depth=bound)
-        if find_homomorphism(state_model, query) is not None:
-            return True
-    return False
+class BooleanMatcher:
+    """``T, A |= q`` for one Boolean connected CQ over any number of
+    data instances.
+
+    The image of a match is a connected part of the forest, so some
+    variable lies on its topmost element: an individual, or a null whose
+    incoming letter ``rho`` alone determines its subtree (the root of
+    the state model over ``{A_{rho-}(_state)}``).  Every search is
+    therefore anchored there — one plan per variable, one state model
+    and one verdict per letter — instead of scanning the domain.
+    """
+
+    def __init__(self, tbox, query: CQ):
+        self.tbox = tbox
+        self.bound = max(1, len(query.variables))
+        self.plans = {var: SearchPlan(query, (var,))
+                      for var in sorted(query.variables)}
+        self.unary = {var: frozenset(atom.predicate
+                                     for atom in query.unary_atoms(var))
+                      for var in self.plans}
+        self._below: Dict[Role, bool] = {}
+
+    def _anchored(self, model: CanonicalModel, root, variables) -> bool:
+        """A match into ``model`` with one of ``variables`` on ``root``."""
+        return any(
+            next(self.plans[var].run(model, {var: root}), None) is not None
+            for var in variables)
+
+    def below(self, letter: Role) -> bool:
+        """A fully anonymous match whose topmost element is a null with
+        incoming ``letter``."""
+        if letter not in self._below:
+            names = self.tbox.witnesses.names[letter]
+            state = ABox([(surrogate_name(letter.inverse()), ("_state",))])
+            self._below[letter] = self._anchored(
+                CanonicalModel(self.tbox, state, max_depth=self.bound),
+                individual("_state"),
+                [var for var, unary in self.unary.items() if unary <= names])
+        return self._below[letter]
+
+    def holds(self, model: CanonicalModel) -> bool:
+        """``T, A |= q`` for the data ``model`` is the chase of."""
+        return (any(self._anchored(model, individual(constant), self.plans)
+                    for constant in sorted(model.individuals))
+                or any(self.below(letter) for letter in sorted(
+                    reachable_letters(self.tbox, model.abox))))
 
 
 def is_certain_answer(tbox, abox: ABox, query: CQ,
@@ -105,7 +130,7 @@ def is_certain_answer(tbox, abox: ABox, query: CQ,
                      for var in sub_answers}
             if find_homomorphism(model, sub, fixed) is None:
                 return False
-        elif not _boolean_component_holds(tbox, abox, sub, model):
+        elif not BooleanMatcher(tbox, sub).holds(model):
             return False
     return True
 
@@ -124,7 +149,7 @@ def certain_answers(tbox, abox: ABox, query: CQ,
         sub_answers = tuple(v for v in query.answer_vars if v in component)
         sub = query.restrict_to(component, sub_answers)
         if not sub_answers:
-            if not _boolean_component_holds(tbox, abox, sub, model):
+            if not BooleanMatcher(tbox, sub).holds(model):
                 return frozenset()
             continue
         tuples: Set[Tuple[Constant, ...]] = set()

@@ -16,17 +16,10 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from ..data.abox import ABox, Constant
+from ..data.abox import ABox, Constant, individual_concepts
 from ..datalog.program import Clause, Literal
 from ..ontology.terms import Atomic, Concept, Exists, Role
-from .canonical import CanonicalModel
 from .certain import reachable_letters
-
-
-def _individual_concepts(tbox, abox: ABox) -> Dict[Constant, Set[Concept]]:
-    model = CanonicalModel(tbox, abox, max_depth=0)
-    return {constant: set(model.entailed_concepts(constant))
-            for constant in abox.individuals}
 
 
 def _pair_roles(tbox, abox: ABox) -> Dict[Tuple[Constant, Constant],
@@ -54,7 +47,7 @@ def is_consistent(tbox, abox: ABox) -> bool:
     if reflexive and saturation.loop_clash(reflexive):
         return False
     # concept clashes at individuals
-    for concepts in _individual_concepts(tbox, abox).values():
+    for concepts in individual_concepts(tbox, abox).values():
         if saturation.concepts_clash(concepts):
             return False
     # role clashes on data pairs (loops also trigger irreflexivity)

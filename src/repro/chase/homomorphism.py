@@ -7,10 +7,11 @@ for every rewriting in the library.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
+from ..ontology.terms import Role
 from ..queries.cq import CQ, Atom, Variable
-from .canonical import CanonicalModel, Element, individual
+from .canonical import CanonicalModel, Element
 
 
 def _variable_order(query: CQ,
@@ -39,68 +40,62 @@ def _variable_order(query: CQ,
     return order
 
 
-def _atom_checks(query: CQ, order: Sequence[Variable]):
-    """For each position in the order, the atoms fully assigned there."""
-    position = {var: i for i, var in enumerate(order)}
-    checks: List[List[Atom]] = [[] for _ in order]
-    for atom in query.atoms:
-        latest = max(position[arg] for arg in atom.args)
-        checks[latest].append(atom)
-    return checks
+class SearchPlan:
+    """The backtracking search for one ``(query, fixed variables)``
+    pair: the variable order and, per position, the atoms that become
+    fully assigned there and the *guiding* atom whose already-assigned
+    end supplies the candidates.  Built once, run against any number
+    of models and fixed images."""
 
+    def __init__(self, query: CQ, preassigned: Sequence[Variable] = ()):
+        order = _variable_order(query, preassigned)
+        position = {var: i for i, var in enumerate(order)}
+        checks: List[List[Atom]] = [[] for _ in order]
+        for atom in query.atoms:
+            checks[max(position[arg] for arg in atom.args)].append(atom)
+        binary = query.binary_atoms()
+        self.steps = []
+        for index, var in enumerate(order):
+            guide = None
+            for atom in binary:
+                first, second = atom.args
+                if first != second and var in atom.args:
+                    source = second if first == var else first
+                    if position[source] < index:
+                        # candidates u with predicate(h(source), u), through
+                        # the inverse when ``var`` is the first argument
+                        guide = (Role(atom.predicate, first == var), source)
+                        break
+            self.steps.append((var, guide, checks[index]))
 
-def _candidates(model: CanonicalModel, query: CQ, var: Variable,
-                assignment: Dict[Variable, Element]) -> Iterator[Element]:
-    """Candidate images for ``var``: via an already-assigned neighbour when
-    possible, the whole (bounded) domain otherwise."""
-    for atom in query.binary_atoms():
-        first, second = atom.args
-        if first == second:
-            continue
-        if first == var and second in assignment:
-            # need u with predicate(u, h(second)); enumerate via inverse
-            for candidate in _inverse_neighbours(model, atom.predicate,
-                                                 assignment[second]):
-                yield candidate
-            return
-        if second == var and first in assignment:
-            yield from model.role_neighbours(atom.predicate,
-                                             assignment[first])
-            return
-    yield from model.elements()
+    def run(self, model: CanonicalModel, fixed: Dict[Variable, Element]
+            ) -> Iterator[Dict[Variable, Element]]:
+        """All homomorphisms into ``model`` extending ``fixed``; a
+        variable that is neither fixed nor guided ranges over the whole
+        (bounded) domain."""
+        steps = self.steps
+        assignment: Dict[Variable, Element] = {}
 
+        def extend(position: int) -> Iterator[Dict[Variable, Element]]:
+            if position == len(steps):
+                yield dict(assignment)
+                return
+            var, guide, checks = steps[position]
+            if var in fixed:
+                candidates: Iterable[Element] = (fixed[var],)
+            elif guide is None:
+                candidates = model.elements()
+            else:
+                candidates = model.role_neighbours(guide[0],
+                                                   assignment[guide[1]])
+            for candidate in candidates:
+                assignment[var] = candidate
+                if all(_satisfied(model, atom, assignment)
+                       for atom in checks):
+                    yield from extend(position + 1)
+                del assignment[var]
 
-def _inverse_neighbours(model: CanonicalModel, predicate: str,
-                        element: Element) -> Iterator[Element]:
-    """All ``u`` with ``predicate(u, element)`` in the model."""
-    from ..ontology.terms import Role
-
-    role = Role(predicate, True)
-    tbox = model.tbox
-    seen = set()
-    if model.is_individual(element):
-        constant = element[0]
-        for sub in tbox.role_subs(role):
-            for first, second in model.abox.role_pairs(sub):
-                if first == constant and (cand := individual(second)) not in seen:
-                    seen.add(cand)
-                    yield cand
-        if role.name not in tbox.role_names:
-            for first, second in model.abox.role_pairs(role):
-                if first == constant and (cand := individual(second)) not in seen:
-                    seen.add(cand)
-                    yield cand
-    if tbox.is_reflexive(role) and element not in seen:
-        seen.add(element)
-        yield element
-    for child in model.children(element):
-        if tbox.entails_role(child[1][-1], role) and child not in seen:
-            seen.add(child)
-            yield child
-    parent = model.parent(element)
-    if parent is not None and parent not in seen:
-        if tbox.entails_role(element[1][-1].inverse(), role):
-            yield parent
+        return extend(0)
 
 
 def _satisfied(model: CanonicalModel, atom: Atom,
@@ -117,9 +112,7 @@ def find_homomorphism(
         fixed: Optional[Dict[Variable, Element]] = None
 ) -> Optional[Dict[Variable, Element]]:
     """A homomorphism ``q -> C_{T,A}`` extending ``fixed``, or ``None``."""
-    for hom in homomorphisms(model, query, fixed):
-        return hom
-    return None
+    return next(homomorphisms(model, query, fixed), None)
 
 
 def homomorphisms(
@@ -128,24 +121,4 @@ def homomorphisms(
 ) -> Iterator[Dict[Variable, Element]]:
     """All homomorphisms ``q -> C_{T,A}`` extending ``fixed``."""
     fixed = dict(fixed or {})
-    order = _variable_order(query, list(fixed))
-    checks = _atom_checks(query, order)
-    assignment: Dict[Variable, Element] = {}
-
-    def extend(position: int) -> Iterator[Dict[Variable, Element]]:
-        if position == len(order):
-            yield dict(assignment)
-            return
-        var = order[position]
-        if var in fixed:
-            candidates: Iterator[Element] = iter([fixed[var]])
-        else:
-            candidates = _candidates(model, query, var, assignment)
-        for candidate in candidates:
-            assignment[var] = candidate
-            if all(_satisfied(model, atom, assignment)
-                   for atom in checks[position]):
-                yield from extend(position + 1)
-            del assignment[var]
-
-    yield from extend(0)
+    return SearchPlan(query, list(fixed)).run(model, fixed)

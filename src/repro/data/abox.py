@@ -33,6 +33,27 @@ class FactArrays:
                 + sum(len(codes) // 2 for codes in self.binary.values()))
 
 
+def individual_concepts(tbox, abox: "ABox") -> Dict[Constant, Set]:
+    """The basic concepts ``tau`` with ``T, A |= tau(a)`` for every
+    ``a`` in ``ind(A)``.  OWL 2 QL axioms have single atoms on the left,
+    so this is one pass over the data through the concept hierarchy."""
+    top_supers = tbox.concept_supers(TOP)
+    entailed: Dict[Constant, Set] = {
+        constant: set(top_supers) for constant in abox._occurrences}
+    for predicate, constants in abox._unary.items():
+        supers = tbox.concept_supers(Atomic(predicate))
+        for constant in constants:
+            entailed[constant].update(supers)
+    for predicate, pairs in abox._binary.items():
+        role = Role(predicate)
+        forward = tbox.concept_supers(Exists(role))
+        backward = tbox.concept_supers(Exists(role.inverse()))
+        for first, second in pairs:
+            entailed[first].update(forward)
+            entailed[second].update(backward)
+    return entailed
+
+
 class ABox:
     """A data instance ``A``: unary atoms ``A(a)`` and binary ``P(a, b)``.
 
@@ -264,21 +285,9 @@ class ABox:
         a single pass over the data through the concept/role hierarchies.
         """
         completed = ABox()
-        entailed_concepts: Dict[Constant, Set] = {
-            individual: set() for individual in self._occurrences}
-        for predicate, constants in self._unary.items():
-            supers = tbox.concept_supers(Atomic(predicate))
-            for constant in constants:
-                entailed_concepts[constant].update(supers)
         for predicate, pairs in self._binary.items():
-            role = Role(predicate)
-            forward = tbox.concept_supers(Exists(role))
-            backward = tbox.concept_supers(Exists(role.inverse()))
-            role_supers = tbox.role_supers(role)
-            for first, second in pairs:
-                entailed_concepts[first].update(forward)
-                entailed_concepts[second].update(backward)
-                for sup in role_supers:
+            for sup in tbox.role_supers(Role(predicate)):
+                for first, second in pairs:
                     if sup.inverted:
                         completed.add(sup.name, second, first)
                     else:
@@ -287,9 +296,7 @@ class ABox:
             if tbox.is_reflexive(role) and not role.inverted:
                 for individual in self._occurrences:
                     completed.add(role.name, individual, individual)
-        top_supers = tbox.concept_supers(TOP)
-        for individual, concepts in entailed_concepts.items():
-            concepts.update(top_supers)
+        for individual, concepts in individual_concepts(tbox, self).items():
             for concept in concepts:
                 if isinstance(concept, Atomic):
                     completed.add(concept.name, individual)

@@ -16,10 +16,12 @@ is finite, and infinity otherwise.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterator, List, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Tuple
 
 from .axioms import ConceptInclusion
-from .terms import Concept, Exists, Role
+from .terms import Atomic, Concept, Exists, Role
 
 #: A word of ``W_T`` — a tuple of roles (the empty tuple is ``epsilon``).
 Word = Tuple[Role, ...]
@@ -27,37 +29,84 @@ Word = Tuple[Role, ...]
 EPSILON: Word = ()
 
 
-def is_letter(tbox, role: Role) -> bool:
-    """True if ``role`` may occur in a word of ``W_T`` (not reflexive)."""
-    return not tbox.is_reflexive(role)
+@dataclass(frozen=True)
+class WitnessTable:
+    """The anonymous part of every canonical model of one ``TBox``,
+    indexed by letter and derived once from the saturation.
+
+    A null ``a . w . rho`` is determined up to isomorphism by its last
+    letter: it satisfies the atomic concepts ``names[rho]``, its edge to
+    the parent carries the roles ``supers[rho]`` and its children are
+    ``successors[rho]``; ``initial[tau]`` are the first letters forced
+    at an element satisfying ``tau``.  Roles are kept in sorted order.
+    """
+
+    roles: Tuple[Role, ...]
+    letters: Tuple[Role, ...]
+    initial: Mapping[Concept, Tuple[Role, ...]]
+    successors: Mapping[Role, Tuple[Role, ...]]
+    names: Mapping[Role, FrozenSet[str]]
+    supers: Mapping[Role, FrozenSet[Role]]
+    depth: object  # int or math.inf: the longest word of W_T
+
+    @classmethod
+    def build(cls, tbox) -> "WitnessTable":
+        saturation = tbox.saturation
+        roles = tuple(sorted(tbox.roles))
+        letters = tuple(role for role in roles
+                        if not saturation.is_reflexive(role))
+        forced = [(Exists(letter), letter) for letter in letters]
+        initial = {}
+        for concept in saturation.concepts:
+            supers = saturation.concept_supers(concept)
+            initial[concept] = tuple(letter for concept_of, letter in forced
+                                     if concept_of in supers)
+        successors = {letter: _successors(saturation, initial, letter)
+                      for letter in letters}
+        names = {letter: frozenset(
+            concept.name
+            for concept in saturation.concept_supers(Exists(letter.inverse()))
+            if isinstance(concept, Atomic)) for letter in letters}
+        supers = {letter: saturation.role_supers(letter) for letter in letters}
+        return cls(roles, letters, MappingProxyType(initial),
+                   MappingProxyType(successors), MappingProxyType(names),
+                   MappingProxyType(supers), _longest_word(successors))
 
 
-def successor_roles(tbox, role: Role) -> List[Role]:
-    """Roles that may follow ``role`` inside a word of ``W_T``."""
-    result = []
-    for candidate in sorted(tbox.roles):
-        if not is_letter(tbox, candidate):
-            continue
-        if not tbox.entails_concept(Exists(role.inverse()), Exists(candidate)):
-            continue
-        if tbox.entails_role(role, candidate.inverse()):
-            continue
-        result.append(candidate)
-    return result
+def _successors(saturation, initial, letter: Role) -> Tuple[Role, ...]:
+    """Letters ``sigma`` with ``T |= Exists(letter-) <= Exists(sigma)``
+    but ``T |/= letter <= sigma-`` (the parent is no witness)."""
+    supers = saturation.role_supers(letter)
+    return tuple(candidate
+                 for candidate in initial[Exists(letter.inverse())]
+                 if candidate.inverse() not in supers)
 
 
-def initial_roles(tbox, concept: Concept) -> List[Role]:
+def _longest_word(successors):
+    order, on_cycle = _topological_order(successors)
+    if on_cycle:
+        return math.inf
+    longest: Dict[Role, int] = {}
+    for role in reversed(order):
+        longest[role] = 1 + max(
+            (longest[succ] for succ in successors[role]), default=0)
+    return max(longest.values(), default=0)
+
+
+def successor_roles(tbox, role: Role) -> Tuple[Role, ...]:
+    """Letters that may follow ``role`` inside a word of ``W_T``."""
+    return tbox.witnesses.successors.get(role, ())
+
+
+def initial_roles(tbox, concept: Concept) -> Tuple[Role, ...]:
     """Roles ``rho`` with ``T |= concept <= Exists(rho)`` usable as a
     first letter (``rho`` not entailed reflexive)."""
-    return [role for role in sorted(tbox.roles)
-            if is_letter(tbox, role)
-            and tbox.entails_concept(concept, Exists(role))]
+    return tbox.witnesses.initial.get(concept, ())
 
 
-def successor_graph(tbox) -> Dict[Role, List[Role]]:
+def successor_graph(tbox) -> Mapping[Role, Tuple[Role, ...]]:
     """The one-step successor relation on letters of ``W_T``."""
-    letters = [role for role in sorted(tbox.roles) if is_letter(tbox, role)]
-    return {role: successor_roles(tbox, role) for role in letters}
+    return tbox.witnesses.successors
 
 
 def _has_existential_rhs(tbox) -> bool:
@@ -75,20 +124,12 @@ def chase_depth(tbox):
     ontologies: normalisation axioms ``A_rho <= Exists(rho)`` introduce
     words of length 1, which the canonical model must contain.
     """
-    graph = successor_graph(tbox)
-    order, on_cycle = _topological_order(graph)
-    if on_cycle:
-        return math.inf
-    longest: Dict[Role, int] = {}
-    for role in reversed(order):
-        longest[role] = 1 + max(
-            (longest[succ] for succ in graph[role]), default=0)
-    return max(longest.values(), default=0)
+    return tbox.witnesses.depth
 
 
 def letter_count(tbox) -> int:
     """The number of letters available to ``W_T`` words."""
-    return sum(1 for role in tbox.roles if is_letter(tbox, role))
+    return len(tbox.witnesses.letters)
 
 
 def ontology_depth(tbox):
@@ -104,7 +145,7 @@ def ontology_depth(tbox):
     return chase_depth(tbox)
 
 
-def _topological_order(graph: Dict[Role, List[Role]]):
+def _topological_order(graph: Mapping[Role, Tuple[Role, ...]]):
     """Topological order of ``graph``; also reports whether it has a cycle."""
     state: Dict[Role, int] = {}
     order: List[Role] = []
@@ -152,20 +193,6 @@ def words(tbox, max_length) -> Iterator[Word]:
         if len(word) < max_length:
             for succ in graph[word[-1]]:
                 stack.append(word + (succ,))
-
-
-def extensions(tbox, word: Word, concept_of_root: Concept,
-               max_length: int) -> Iterator[Word]:
-    """Words of ``W_T`` extending ``word`` by one letter, where the empty
-    word is rooted at an element satisfying ``concept_of_root``."""
-    if len(word) >= max_length:
-        return
-    if word:
-        candidates = successor_roles(tbox, word[-1])
-    else:
-        candidates = initial_roles(tbox, concept_of_root)
-    for role in candidates:
-        yield word + (role,)
 
 
 def word_str(word: Word) -> str:

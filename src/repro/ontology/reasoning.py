@@ -47,6 +47,15 @@ def _closure(adjacency: Dict) -> Dict:
     return closed
 
 
+def _inverted(closed: Dict) -> Dict:
+    """The converse of a closure: every node's set of sub-nodes."""
+    subs: Dict = {}
+    for sub, supers in closed.items():
+        for sup in supers:
+            subs.setdefault(sup, set()).add(sub)
+    return {node: frozenset(below) for node, below in subs.items()}
+
+
 class Saturation:
     """Precomputed entailment relations for a set of axioms.
 
@@ -75,6 +84,7 @@ class Saturation:
                 adjacency.setdefault(axiom.rhs, set())
                 adjacency.setdefault(axiom.rhs.inverse(), set())
         self._role_supers = _closure(adjacency)
+        self._role_subs = _inverted(self._role_supers)
 
     def role_supers(self, role: Role) -> FrozenSet[Role]:
         """All roles ``sigma`` with ``T |= role <= sigma``."""
@@ -86,8 +96,7 @@ class Saturation:
 
     def role_subs(self, role: Role) -> FrozenSet[Role]:
         """All roles ``sigma`` with ``T |= sigma <= role``."""
-        return frozenset(
-            sub for sub in self._role_supers if role in self._role_supers[sub])
+        return self._role_subs.get(role, frozenset())
 
     # -- reflexivity ----------------------------------------------------
 
@@ -126,6 +135,7 @@ class Saturation:
         for concept in list(adjacency):
             adjacency[concept].add(TOP)
         self._concept_supers = _closure(adjacency)
+        self._concept_subs = _inverted(self._concept_supers)
         self._concept_universe = frozenset(adjacency)
 
     @property
@@ -145,8 +155,7 @@ class Saturation:
 
     def concept_subs(self, concept: Concept) -> FrozenSet[Concept]:
         """All basic concepts ``tau`` with ``T |= tau <= concept``."""
-        return frozenset(sub for sub in self._concept_supers
-                         if concept in self._concept_supers[sub])
+        return self._concept_subs.get(concept, frozenset())
 
     # -- disjointness ----------------------------------------------------
 
@@ -170,10 +179,6 @@ class Saturation:
         for axiom in self.role_disjointness:
             if axiom.lhs in entailed and axiom.rhs in entailed:
                 return True
-        for axiom in self.irreflexivities:
-            # rho(x, x) -> bottom fires on a pair (u, u); loops carry both
-            # polarities, which is handled by the caller passing them in.
-            pass
         return False
 
     def loop_clash(self, entailed: Set[Role]) -> bool:

@@ -12,7 +12,7 @@ the data, whether an individual has a (possibly anonymous)
 from __future__ import annotations
 
 import re
-from typing import Dict, FrozenSet, Iterable, List, Optional
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .axioms import (
     Axiom,
@@ -23,6 +23,7 @@ from .axioms import (
     RoleDisjointness,
     RoleInclusion,
 )
+from .depth import WitnessTable, initial_roles, ontology_depth, successor_roles
 from .reasoning import Saturation
 from .terms import TOP, Atomic, Concept, Exists, Role
 
@@ -90,7 +91,7 @@ class TBox:
         self.axioms: List[Axiom] = self.user_axioms + normalisation
         atomic_names = {name for ax in self.axioms for name in _atomics_of(ax)}
         self._saturation = Saturation(self.axioms, self.roles, atomic_names)
-        self._depth: Optional[object] = None
+        self._witnesses: Optional[WitnessTable] = None
 
     # -- vocabulary -----------------------------------------------------
 
@@ -142,19 +143,30 @@ class TBox:
 
     # -- witness structure ----------------------------------------------
 
-    def successor_roles(self, role: Role) -> List[Role]:
+    @property
+    def witnesses(self) -> WitnessTable:
+        """The letter-indexed witness table of ``W_T``, built on first
+        use and never changed afterwards."""
+        if self._witnesses is None:
+            self._witnesses = WitnessTable.build(self)
+        return self._witnesses
+
+    def __getstate__(self):
+        # derived and rebuilt on first use: a pickled TBox (a plan sent
+        # to a shard worker) does not carry the table
+        return {**self.__dict__, "_witnesses": None}
+
+    def successor_roles(self, role: Role) -> Tuple[Role, ...]:
         """Roles ``sigma`` that may follow ``role`` in a word of ``W_T``.
 
         ``sigma`` may follow ``rho`` iff ``T |= Exists(rho-) <= Exists(sigma)``
         but not ``T |= rho <= sigma-`` and not ``T |= sigma(x, x)``
         (Section 2, definition of the canonical model).
         """
-        from .depth import successor_roles  # local import to avoid a cycle
         return successor_roles(self, role)
 
-    def initial_roles(self, concept: Concept) -> List[Role]:
+    def initial_roles(self, concept: Concept) -> Tuple[Role, ...]:
         """Roles ``rho`` such that ``concept(a)`` forces a witness ``a.rho``."""
-        from .depth import initial_roles
         return initial_roles(self, concept)
 
     def depth(self):
@@ -163,10 +175,7 @@ class TBox:
         Returns an ``int`` or ``math.inf``; depth 0 means no user axiom
         has an existential quantifier on the right-hand side.
         """
-        from .depth import ontology_depth
-        if self._depth is None:
-            self._depth = ontology_depth(self)
-        return self._depth
+        return ontology_depth(self)
 
     # -- parsing and display ----------------------------------------------
 

@@ -87,6 +87,7 @@ class CQ:
                 f"answer variables {sorted(missing)} do not occur in the "
                 "query body")
         self._variables = frozenset(all_vars)
+        self._gaifman: Optional[nx.Graph] = None
 
     # -- vocabulary -----------------------------------------------------
 
@@ -127,14 +128,17 @@ class CQ:
 
     def gaifman(self) -> nx.Graph:
         """The Gaifman graph of the query (self-loops are ignored, as the
-        paper's graph has edges only between distinct variables)."""
-        graph = nx.Graph()
-        graph.add_nodes_from(self._variables)
-        for atom in self.binary_atoms():
-            first, second = atom.args
-            if first != second:
-                graph.add_edge(first, second)
-        return graph
+        paper's graph has edges only between distinct variables); built
+        once per CQ and frozen."""
+        if self._gaifman is None:
+            graph = nx.Graph()
+            graph.add_nodes_from(self._variables)
+            for atom in self.binary_atoms():
+                first, second = atom.args
+                if first != second:
+                    graph.add_edge(first, second)
+            self._gaifman = nx.freeze(graph)
+        return self._gaifman
 
     @property
     def is_connected(self) -> bool:

@@ -12,10 +12,10 @@ the anonymous part of the canonical model below a single individual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterator, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from ..chase.canonical import CanonicalModel, individual
-from ..chase.homomorphism import homomorphisms
+from ..chase.homomorphism import SearchPlan
 from ..data.abox import ABox
 from ..ontology.tbox import surrogate_name
 from ..ontology.terms import Role
@@ -43,17 +43,17 @@ def witness_atoms(query: CQ, interior: FrozenSet[Variable]) -> FrozenSet[Atom]:
                      if set(atom.args) & interior)
 
 
-def _connected_existential_subsets(query: CQ) -> Iterator[FrozenSet[Variable]]:
-    """All connected sets of existential variables (candidate ``ti``)."""
+def _connected_existential_subsets(
+        query: CQ, containing: Optional[Variable] = None
+) -> Iterator[FrozenSet[Variable]]:
+    """All connected sets of existential variables (candidate ``ti``),
+    or only those with ``containing`` among them."""
     graph = query.gaifman()
-    existential = sorted(query.existential_vars)
-    seen: Set[FrozenSet[Variable]] = set()
-    stack: List[FrozenSet[Variable]] = []
-    for var in existential:
-        singleton = frozenset({var})
-        if singleton not in seen:
-            seen.add(singleton)
-            stack.append(singleton)
+    seeds = query.existential_vars
+    if containing is not None:
+        seeds = seeds & {containing}
+    stack = [frozenset({var}) for var in sorted(seeds)]
+    seen: Set[FrozenSet[Variable]] = set(stack)
     while stack:
         subset = stack.pop()
         yield subset
@@ -66,50 +66,80 @@ def _connected_existential_subsets(query: CQ) -> Iterator[FrozenSet[Variable]]:
                     stack.append(extended)
 
 
-def _generators(tbox, query: CQ, roots: FrozenSet[Variable],
-                interior: FrozenSet[Variable],
-                atoms: FrozenSet[Atom]) -> List[Role]:
-    """The roles ``rho`` generating ``(tr, ti)``: a homomorphism of
-    ``q_t`` into ``C_{T, {A_rho(a)}}`` must send ``tr`` to ``a`` and
-    ``ti`` strictly below it."""
-    generators: List[Role] = []
-    sub_query = CQ(sorted(atoms), tuple(sorted(roots)))
-    for role in sorted(tbox.roles):
-        if tbox.is_reflexive(role):
-            continue
-        abox = ABox([(surrogate_name(role), ("a",))])
-        model = CanonicalModel(tbox, abox,
-                               max_depth=len(interior) + 1)
+class WitnessSearch:
+    """Tree-witness detection for one ``TBox``: the single-individual
+    models ``C_{T, {A_rho(a)}}`` are built once per (letter, depth) and
+    shared by every query searched through this object."""
+
+    def __init__(self, tbox):
+        self.tbox = tbox
+        self._models: Dict[Tuple[Role, int], CanonicalModel] = {}
+
+    def _model(self, role: Role, depth: int) -> CanonicalModel:
+        key = (role, depth)
+        if key not in self._models:
+            self._models[key] = CanonicalModel(
+                self.tbox, ABox([(surrogate_name(role), ("a",))]),
+                max_depth=depth)
+        return self._models[key]
+
+    def _generators(self, roots: FrozenSet[Variable],
+                    interior: FrozenSet[Variable],
+                    atoms: FrozenSet[Atom]) -> List[Role]:
+        """The roles ``rho`` generating ``(tr, ti)``: a homomorphism of
+        ``q_t`` into ``C_{T, {A_rho(a)}}`` must send ``tr`` to ``a`` and
+        ``ti`` strictly below it."""
+        # an atom between a root and an interior variable lands on the
+        # edge (a, a.rho), so rho must be below its role
+        edges = [Role(atom.predicate, atom.args[0] in interior)
+                 for atom in atoms
+                 if atom.is_binary and set(atom.args) & roots]
+        table = self.tbox.witnesses
+        candidates = [role for role in table.letters
+                      if table.supers[role].issuperset(edges)]
+        if not candidates:
+            return []
+        plan = SearchPlan(CQ(sorted(atoms), tuple(sorted(roots))),
+                          sorted(roots))
         fixed = {var: individual("a") for var in roots}
-        for hom in homomorphisms(model, sub_query, fixed):
+        generators: List[Role] = []
+        for role in candidates:
+            model = self._model(role, len(interior) + 1)
             # every interior variable must sit on a labelled null of the
             # branch starting with rho (h^{-1}(a) = tr exactly)
-            if all(hom[var][1] and hom[var][1][0] == role
-                   for var in interior):
+            if any(all(hom[var][1] and hom[var][1][0] == role
+                       for var in interior)
+                   for hom in plan.run(model, fixed)):
                 generators.append(role)
-                break
-    return generators
+        return generators
+
+    def witnesses(self, query: CQ, require_rooted: bool = False,
+                  containing: Optional[Variable] = None
+                  ) -> List[TreeWitness]:
+        """All tree witnesses of ``(T, q)`` (with ``tr != empty`` when
+        ``require_rooted``, with ``containing`` in ``ti`` when given),
+        each carrying its generating roles."""
+        graph = query.gaifman()
+        witnesses: List[TreeWitness] = []
+        for interior in _connected_existential_subsets(query, containing):
+            roots = frozenset(
+                {n for v in interior for n in graph.neighbors(v)} - interior)
+            if require_rooted and not roots:
+                continue
+            atoms = witness_atoms(query, interior)
+            if not atoms:
+                continue
+            generators = self._generators(roots, interior, atoms)
+            if generators:
+                witnesses.append(TreeWitness(roots, interior, atoms,
+                                             tuple(generators)))
+        return witnesses
 
 
 def tree_witnesses(tbox, query: CQ,
                    require_rooted: bool = False) -> List[TreeWitness]:
-    """All tree witnesses of ``(T, q)`` (with ``tr != empty`` when
-    ``require_rooted``), each carrying its generating roles."""
-    graph = query.gaifman()
-    witnesses: List[TreeWitness] = []
-    for interior in _connected_existential_subsets(query):
-        roots = frozenset(
-            {n for v in interior for n in graph.neighbors(v)} - interior)
-        if require_rooted and not roots:
-            continue
-        atoms = witness_atoms(query, interior)
-        if not atoms:
-            continue
-        generators = _generators(tbox, query, roots, interior, atoms)
-        if generators:
-            witnesses.append(TreeWitness(roots, interior, atoms,
-                                         tuple(generators)))
-    return witnesses
+    """All tree witnesses of ``(T, q)``, see :class:`WitnessSearch`."""
+    return WitnessSearch(tbox).witnesses(query, require_rooted)
 
 
 def conflict(first: TreeWitness, second: TreeWitness) -> bool:

@@ -16,13 +16,13 @@ from typing import Dict, List, Set, Tuple
 
 import networkx as nx
 
-from ..chase.certain import is_certain_answer
+from ..chase.certain import BooleanMatcher, canonical_model_for
 from ..data.abox import ABox
 from ..datalog.program import Clause, Equality, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.tbox import surrogate_name
 from ..queries.cq import CQ, Atom, Variable
-from .tree_witness import TreeWitness, tree_witnesses
+from .tree_witness import TreeWitness, WitnessSearch
 
 
 def tw_rewrite(tbox, query: CQ, over: str = "complete",
@@ -79,6 +79,7 @@ class _TwBuilder:
         self.clauses: List[Clause] = []
         self.names: Dict[Tuple, str] = {}
         self.built: Set[str] = set()
+        self.search = WitnessSearch(tbox)
 
     def build(self) -> NDLQuery:
         goal = self._define(self.query)
@@ -141,9 +142,8 @@ class _TwBuilder:
         """One clause per tree witness ``t`` with ``z_q`` interior and
         ``tr`` nonempty, per generating role:
         ``G_q(x) <- A_rho(z_0) & (z = z_0) & G_{q^t_1} & ...``."""
-        for witness in tree_witnesses(self.tbox, query, require_rooted=True):
-            if split not in witness.interior:
-                continue
+        for witness in self.search.witnesses(query, require_rooted=True,
+                                             containing=split):
             anchor = min(witness.roots)
             remaining = [atom for atom in query.atoms
                          if atom not in witness.atoms]
@@ -185,9 +185,11 @@ class _TwBuilder:
         ``T, {A(a)} |= q_0`` (matches entirely in the anonymous part)."""
         names = set(self.tbox.atomic_concept_names)
         names.update(atom.predicate for atom in self.query.unary_atoms())
+        matcher = BooleanMatcher(self.tbox, self.query)
         for name in sorted(names):
             abox = ABox([(name, ("a",))])
-            if is_certain_answer(self.tbox, abox, self.query, ()):
+            if matcher.holds(canonical_model_for(self.tbox, abox,
+                                                 self.query)):
                 self.clauses.append(
                     Clause(Literal(goal, ()), (Literal(name, ("x",)),)))
 
