@@ -108,7 +108,7 @@ def test_async_coalescing_speedup(benchmark, report_writer):
     # -- async coalescing server --------------------------------------------
     async_service = OMQService(max_workers=4)
     async_service.register_dataset("demo", abox)
-    with serve_in_background(async_service, batch_window=0.002,
+    with serve_in_background(async_service,
                              max_pending=4 * CONCURRENCY,
                              workers=4) as handle:
         async_answers = asyncio.run(_drive(handle.url, omqs))  # warm
@@ -167,7 +167,7 @@ def test_async_coalescing_speedup(benchmark, report_writer):
     service = OMQService(max_workers=4)
     service.register_dataset("demo", random_data(
         0, individuals=15, atoms=60))
-    with serve_in_background(service, batch_window=0.002,
+    with serve_in_background(service,
                              max_pending=4 * CONCURRENCY) as handle:
         asyncio.run(_drive(handle.url, omqs))
         benchmark.pedantic(lambda: _bench(handle.url, omqs),

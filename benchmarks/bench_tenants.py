@@ -92,7 +92,12 @@ def _tenant_name(index: int) -> str:
 async def _load_tenant(url: str, index: int):
     """One tenant's mixed workload; returns its recorded state."""
     tenant = _tenant_name(index)
-    client = AsyncClient.connect(url, timeout=60.0, tenant=tenant)
+    async with AsyncClient.connect(url, timeout=60.0,
+                                   tenant=tenant) as client:
+        return await _tenant_workload(client, tenant, index)
+
+
+async def _tenant_workload(client, tenant: str, index: int):
     await client.register_dataset("demo",
                                   random_data(index, atoms=24))
     answers = {}
@@ -159,6 +164,8 @@ async def _fairness_phase(url: str):
     flood_task = asyncio.ensure_future(flood_run())
     during = await calm_latencies(CALM_SAMPLES)
     await flood_task
+    await flood.close()
+    await calm.close()
 
     assert throttled["count"] > 0, "flooding tenant was never throttled"
     assert throttled["retry_after"] is not None and \
@@ -187,9 +194,8 @@ async def _parity_phase(url: str, records):
                 if produced != record["post"][name]:
                     mismatches.append((record["tenant"], name))
             # the re-armed subscription resyncs to the maintained set
-            body = await client._call(
-                "/poll", {"subscription": record["subscription"],
-                          "since_epoch": 0, "timeout": 0.0})
+            body = await client.poll(record["subscription"], 0)
+            await client.close()
             resynced = sorted(list(row)
                               for row in body.get("answers", ()))
             if not body.get("resync") \

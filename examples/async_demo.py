@@ -71,7 +71,7 @@ async def drive(url: str) -> None:
 
 def main() -> None:
     service = OMQService(max_workers=4)
-    with serve_in_background(service, batch_window=0.005) as handle:
+    with serve_in_background(service) as handle:
         print(f"async server on {handle.url}")
         asyncio.run(drive(handle.url))
     service.close()

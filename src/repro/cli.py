@@ -423,6 +423,7 @@ def _cmd_subscribe(args) -> int:
             sub.unsubscribe()
         except Exception:
             pass  # server already gone; nothing to clean up
+        client.close()
     return 0
 
 

@@ -24,22 +24,29 @@ the client); text serialisation for the HTTP transport round-trips
 through the same ``TBox.parse`` / ``CQ.parse`` / ``ABox.parse`` syntax
 the CLI and test suite use.
 
-For asyncio code there are two doors: :class:`AsyncClient` speaks the
-HTTP protocol natively on asyncio streams (the natural mate of the
-coalescing ``repro serve --async-io`` front-end), and every blocking
-``Client`` verb has an ``*_async`` twin that runs it on a thread.
-Server rejections surface as :class:`ServiceError` (a ``ValueError``
-carrying the HTTP status, the server's ``error_type`` tag and, for
-429 backpressure rejections, ``retry_after`` seconds).
+For asyncio code :class:`AsyncClient` speaks the same protocol on the
+event loop (the natural mate of the coalescing ``repro serve
+--async-io`` front-end); a blocking ``Client`` call made from a
+coroutine belongs on a thread (``asyncio.to_thread(client.answer,
+...)``).  Both HTTP clients share one wire core (:class:`_HTTPCore`):
+requests ride a small pool of keep-alive connections, an idle
+connection is probed before reuse, and a request is never sent twice —
+a connection that fails mid-call surfaces the error instead of a
+resend, so no update can be applied twice.  One ``Client`` may be
+shared by threads; a parked ``Subscription.poll`` holds its own
+connection and never delays another call.  Server rejections surface
+as :class:`ServiceError` (a ``ValueError`` carrying the HTTP status,
+the server's ``error_type`` tag and, for 429 backpressure rejections,
+``retry_after`` seconds).
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import threading
 from typing import Dict, Iterable, List, Optional, Tuple
-from urllib import request as urllib_request
-from urllib.error import HTTPError
 from urllib.parse import urlsplit
 
 from .data.abox import ABox
@@ -127,15 +134,9 @@ def abox_to_text(abox: ABox) -> str:
                      for predicate, args in sorted(abox.atoms()))
 
 
-def _atom_texts(atoms: Iterable[GroundAtom]) -> List[str]:
-    return [f"{predicate}({', '.join(args)})" for predicate, args in atoms]
-
-
-def _request_payload(dataset: Optional[str], omq: OMQ,
-                     options: AnswerOptions,
-                     trace: bool = False) -> Dict[str, object]:
-    """One wire-format answer/explain request (shared by the sync and
-    async HTTP transports)."""
+def _omq_payload(dataset: Optional[str], omq: OMQ,
+                 options: AnswerOptions) -> Dict[str, object]:
+    """One wire-format answer/explain/subscribe request."""
     payload: Dict[str, object] = {
         "tbox_text": tbox_to_text(omq.tbox),
         "query": cq_to_text(omq.query),
@@ -144,8 +145,6 @@ def _request_payload(dataset: Optional[str], omq: OMQ,
     }
     if dataset is not None:
         payload["dataset"] = dataset
-    if trace:
-        payload["trace"] = True
     return payload
 
 
@@ -181,6 +180,11 @@ class _SubscriptionState:
         self.answers = frozenset(tuple(row)
                                  for row in snapshot.get("answers", ()))
         self.closed = False
+
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}({self.subscription_id!r}, "
+                f"dataset={self.dataset!r}, epoch={self.epoch}, "
+                f"answers={len(self.answers)})")
 
     def _apply_delta(self, delta: AnswerDelta) -> bool:
         """Advance the local state by one delta; ``False`` means the
@@ -253,11 +257,6 @@ class Subscription(_SubscriptionState):
             self.unsubscribe()
         except Exception:
             pass  # server gone or subscription already dropped
-
-    def __repr__(self) -> str:
-        return (f"Subscription({self.subscription_id!r}, "
-                f"dataset={self.dataset!r}, epoch={self.epoch}, "
-                f"answers={len(self.answers)})")
 
 
 class _ServiceTransport:
@@ -344,90 +343,236 @@ class _ServiceTransport:
             self.service.close()
 
 
-class _HTTPTransport:
-    """The remote transport: speaks the ``repro serve`` JSON protocol.
+#: Idle keep-alive connections a client keeps for reuse.  More
+#: concurrent callers than this each still get a connection of their
+#: own; the surplus is closed after use instead of pooled.
+_POOL_SIZE = 4
 
-    A non-default ``tenant`` rides on every request as the
-    ``X-Repro-Tenant`` header, scoping it server-side.
+
+def _parse_head(head: bytes) -> Tuple[int, Dict[str, str]]:
+    """Status and headers (names title-cased) of a response head."""
+    lines = head.decode("latin-1").rstrip().split("\r\n")
+    parts = lines[0].split(None, 2)
+    if len(parts) < 2 or not parts[1].isdigit():
+        raise ServiceError("malformed HTTP response from server",
+                           status=502, error_type="bad_response")
+    headers: Dict[str, str] = {}
+    for line in lines[1:]:
+        name, _, value = line.partition(":")
+        headers[name.strip().title()] = value.strip()
+    return int(parts[1]), headers
+
+
+def _fill(buffer: bytearray, complete):
+    """Feed received chunks into ``buffer`` until ``complete(buffer)``."""
+    while not complete(buffer):
+        chunk = yield
+        if not chunk:
+            raise ConnectionError("server closed the connection "
+                                  "before completing its response")
+        buffer += chunk
+
+
+def _read_response():
+    """One response, parsed without doing I/O: a generator that is
+    sent each received chunk (``b""`` at end of stream) and returns
+    ``(status, headers, body, reusable)``.
+
+    ``reusable`` says the connection may carry another request: the
+    body was framed by ``Content-Length`` and read to exactly that
+    length, and the server did not announce ``Connection: close``.
+    """
+    buffer = bytearray()
+    yield from _fill(buffer, lambda data: b"\r\n\r\n" in data)
+    head, _, buffer = buffer.partition(b"\r\n\r\n")
+    status, headers = _parse_head(bytes(head))
+    length = headers.get("Content-Length", "")
+    if not length.isdigit():
+        # unframed body: it runs to the end of the stream
+        while True:
+            chunk = yield
+            if not chunk:
+                return status, headers, bytes(buffer), False
+            buffer += chunk
+    size = int(length)
+    yield from _fill(buffer, lambda data: len(data) >= size)
+    reusable = (len(buffer) == size
+                and headers.get("Connection", "").lower() != "close")
+    return status, headers, bytes(buffer[:size]), reusable
+
+
+def _still_open(sock: socket.socket) -> bool:
+    """Zero-timeout readability probe of an idle connection: anything
+    readable is the server's close (or bytes nobody asked for)."""
+    sock.settimeout(0)
+    try:
+        sock.recv(1, socket.MSG_PEEK)
+        return False
+    except OSError as error:
+        return isinstance(error, BlockingIOError)
+
+
+class _HTTPCore:
+    """What the two HTTP clients share: the server's address, request
+    framing, response decoding with the :class:`ServiceError` mapping,
+    the pool of idle keep-alive connections, and the protocol's verbs,
+    each written once.
+
+    A subclass supplies ``_call(path, payload, timeout, finish)``: send
+    one framed request over a pooled connection, return ``finish`` of
+    the decoded body (the body itself without one).  The blocking
+    transport's ``_call`` returns that value, so a verb returns what
+    its annotation says; :class:`AsyncClient`'s is a coroutine
+    function, so the same verb returns an awaitable of it.
+
+    Idle connections are plain sockets holding no event-loop state, so
+    an :class:`AsyncClient` may serve one ``asyncio.run`` after
+    another.  A connection is pooled only when :func:`_read_response`
+    found it reusable and is probed before it is handed out again; a
+    request is sent once, whatever happens to its connection.
     """
 
     def __init__(self, url: str, timeout: float = 30.0, tenant: str = ""):
-        self.url = url.rstrip("/")
+        split = urlsplit(url if "//" in url else f"//{url}")
+        if split.scheme not in ("", "http"):
+            raise ValueError(f"repro clients speak plain http, got {url!r}")
+        self.host = split.hostname or "127.0.0.1"
+        self.port = split.port or 80
         self.timeout = timeout
         self.tenant = tenant
         #: Trace ID echoed by the last response (success or error).
         self.last_trace_id: Optional[str] = None
+        self._idle: List[socket.socket] = []
+        self._closed = False
+        self._lock = threading.Lock()
 
-    # -- wire --------------------------------------------------------------
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
 
-    def _call(self, path: str, payload=None,
-              timeout: Optional[float] = None) -> Dict[str, object]:
-        url = f"{self.url}{path}"
-        headers = {"X-Repro-Tenant": self.tenant} if self.tenant else {}
+    # -- framing -----------------------------------------------------------
+
+    def _frame(self, path: str, payload=None, stream: bool = False) -> bytes:
+        """The request bytes: a ``GET`` without ``payload``, else a
+        JSON ``POST``; ``stream`` asks for an SSE response on a
+        connection of its own."""
+        body = b"" if payload is None else json.dumps(payload).encode()
+        lines = [f"{'GET' if payload is None else 'POST'} {path} HTTP/1.1",
+                 f"Host: {self.host}:{self.port}",
+                 "Content-Type: application/json",
+                 f"Content-Length: {len(body)}"]
+        if self.tenant:
+            lines.append(f"X-Repro-Tenant: {self.tenant}")
         trace_id = current_trace_id()
         if trace_id:
             # propagate the ambient trace so server-side spans and
             # slow-query log lines correlate with this caller
-            headers[TRACE_HEADER] = trace_id
-        if payload is None:
-            req = urllib_request.Request(url, headers=headers)
-        else:
-            headers["Content-Type"] = "application/json"
-            req = urllib_request.Request(
-                url, data=json.dumps(payload).encode(), headers=headers)
+            lines.append(f"{TRACE_HEADER}: {trace_id}")
+        if stream:
+            lines += ["Accept: text/event-stream", "Connection: close"]
+        return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
+
+    def _result(self, status: int, headers: Dict[str, str], raw: bytes,
+                finish=None):
+        """The decoded (and ``finish``-ed) body of a response, or its
+        :class:`ServiceError`."""
+        self.last_trace_id = headers.get(TRACE_HEADER)
         try:
-            with urllib_request.urlopen(
-                    req, timeout=timeout or self.timeout) as reply:
-                self.last_trace_id = reply.headers.get(TRACE_HEADER)
-                body = json.loads(reply.read().decode())
-        except HTTPError as error:
-            self.last_trace_id = error.headers.get(TRACE_HEADER)
-            try:
-                decoded = json.loads(error.read().decode())
-            except Exception:
-                decoded = {"error": str(error)}
-            raise ServiceError.from_body(error.code, decoded,
-                                         error.headers) from None
-        return body
+            decoded = json.loads(raw) if raw else {}
+        except ValueError:
+            decoded = {"error": raw.decode(errors="replace")}
+        if status >= 400:
+            raise ServiceError.from_body(status, decoded, headers)
+        return decoded if finish is None else finish(decoded)
 
-    # -- surface -----------------------------------------------------------
+    # -- the connection pool -----------------------------------------------
 
-    def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False, shards: int = 0) -> None:
-        self._call("/datasets", {"name": name, "data": abox_to_text(abox),
-                                 "replace": replace, "shards": shards})
+    def _checkout(self) -> Optional[socket.socket]:
+        """An idle connection that is still open, if there is one."""
+        while True:
+            with self._lock:
+                if not self._idle:
+                    return None
+                sock = self._idle.pop()
+            if _still_open(sock):
+                return sock
+            sock.close()
 
-    def unregister_dataset(self, name: str) -> None:
-        self._call("/datasets/drop", {"name": name})
+    def _checkin(self, sock: socket.socket, reusable: bool) -> None:
+        """Pool ``sock`` after a completed exchange, or close it."""
+        with self._lock:
+            if (reusable and not self._closed
+                    and len(self._idle) < _POOL_SIZE):
+                self._idle.append(sock)
+                return
+        sock.close()
 
-    def register_tbox(self, name: str, tbox: TBox) -> None:
-        self._call("/tboxes", {"name": name, "tbox": tbox_to_text(tbox)})
+    def _close_idle(self) -> None:
+        """Close every idle connection; one still in use is closed
+        when its call returns."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for sock in idle:
+            sock.close()
+
+    # -- the verbs ---------------------------------------------------------
+
+    def register_dataset(self, name: str, abox: ABox, replace: bool = False,
+                         shards: int = 0) -> Dict[str, object]:
+        return self._call("/datasets",
+                          {"name": name, "data": abox_to_text(abox),
+                           "replace": replace, "shards": shards})
+
+    def unregister_dataset(self, name: str) -> Dict[str, object]:
+        return self._call("/datasets/drop", {"name": name})
+
+    def register_tbox(self, name: str, tbox: TBox) -> Dict[str, object]:
+        return self._call("/tboxes",
+                          {"name": name, "tbox": tbox_to_text(tbox)})
 
     def datasets(self) -> Tuple[str, ...]:
-        return tuple(sorted(self.stats().get("datasets", {})))
+        return self._call("/stats", finish=lambda stats: tuple(
+            sorted(stats.get("datasets", {}))))
 
-    def answer(self, dataset: str, omq: OMQ, options: AnswerOptions,
-               trace: bool = False) -> Answers:
-        body = self._call("/answer",
-                          _request_payload(dataset, omq, options,
-                                           trace=trace))
-        return _answers_from_body(body, options)
+    def answer(self, dataset: str, omq: OMQ, options=None,
+               trace: bool = False, **overrides) -> Answers:
+        options = AnswerOptions.coerce(options, **overrides)
+        payload = _omq_payload(dataset, omq, options)
+        if trace:
+            payload["trace"] = True
+        return self._call(
+            "/answer", payload,
+            finish=lambda body: _answers_from_body(body, options))
 
-    def explain(self, omq: OMQ, options: AnswerOptions,
-                dataset: Optional[str]) -> Dict[str, object]:
-        return self._call("/explain",
-                          _request_payload(dataset, omq, options))
+    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
+                **overrides) -> Dict[str, object]:
+        options = AnswerOptions.coerce(options, **overrides)
+        return self._call("/explain", _omq_payload(dataset, omq, options))
 
-    def update(self, dataset: str, inserts: Iterable[GroundAtom],
-               deletes: Iterable[GroundAtom]) -> Dict[str, object]:
+    def update(self, dataset: str, inserts: Iterable[GroundAtom] = (),
+               deletes: Iterable[GroundAtom] = ()) -> Dict[str, object]:
+        def texts(atoms):
+            return [f"{predicate}({', '.join(args)})"
+                    for predicate, args in atoms]
+
         return self._call("/update", {"dataset": dataset,
-                                      "insert": _atom_texts(inserts),
-                                      "delete": _atom_texts(deletes)})
+                                      "insert": texts(inserts),
+                                      "delete": texts(deletes)})
 
-    def subscribe(self, dataset: str, omq: OMQ,
-                  options: AnswerOptions) -> Dict[str, object]:
-        return self._call("/subscribe",
-                          _request_payload(dataset, omq, options))
+    def insert_facts(self, dataset: str,
+                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
+        return self.update(dataset, inserts=atoms)
+
+    def delete_facts(self, dataset: str,
+                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
+        return self.update(dataset, deletes=atoms)
+
+    def subscribe(self, dataset: str, omq: OMQ, options=None,
+                  **overrides) -> Dict[str, object]:
+        """Register a standing query; the decoded snapshot."""
+        options = AnswerOptions.coerce(options, **overrides)
+        return self._call("/subscribe", _omq_payload(dataset, omq, options))
 
     def poll(self, subscription: str, since_epoch: Optional[int] = None,
              timeout: float = 0.0) -> Dict[str, object]:
@@ -439,14 +584,48 @@ class _HTTPTransport:
         return self._call("/poll", payload,
                           timeout=max(self.timeout, timeout + 5.0))
 
-    def unsubscribe(self, subscription: str) -> None:
-        self._call("/unsubscribe", {"subscription": subscription})
+    def unsubscribe(self, subscription: str) -> Dict[str, object]:
+        return self._call("/unsubscribe", {"subscription": subscription})
 
     def stats(self) -> Dict[str, object]:
         return self._call("/stats")
 
+
+class _HTTPTransport(_HTTPCore):
+    """The remote transport behind :meth:`Client.connect`: the shared
+    core over blocking sockets.  Safe to share between threads: each
+    call checks a connection out of the pool for its own use."""
+
+    def _call(self, path: str, payload=None,
+              timeout: Optional[float] = None, finish=None):
+        request = self._frame(path, payload)
+        timeout = timeout or self.timeout
+        sock = self._checkout()
+        try:
+            if sock is None:
+                sock = socket.create_connection((self.host, self.port),
+                                                timeout)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(timeout)
+            sock.sendall(request)
+            response = _read_response()
+            next(response)
+            try:
+                while True:
+                    response.send(sock.recv(65536))
+            except StopIteration as done:
+                status, headers, raw, reusable = done.value
+        except BaseException:
+            # whatever went wrong, the request may have reached the
+            # server: never resend it, never reuse the connection
+            if sock is not None:
+                sock.close()
+            raise
+        self._checkin(sock, reusable)
+        return self._result(status, headers, raw, finish)
+
     def close(self) -> None:
-        pass
+        self._close_idle()
 
 
 class Client:
@@ -585,43 +764,16 @@ class Client:
     def __repr__(self) -> str:
         return f"Client({self._transport.__class__.__name__[1:]})"
 
-    # -- async bridge ------------------------------------------------------
 
-    # The blocking surface lifted onto a thread, for event-loop code
-    # that holds a regular (embedded or HTTP) client.  A server-side
-    # event loop should prefer :class:`AsyncClient`, which speaks the
-    # wire protocol natively on asyncio streams.
-
-    async def answer_async(self, dataset: str, omq: OMQ, options=None,
-                           trace: bool = False, **overrides) -> Answers:
-        return await asyncio.to_thread(self.answer, dataset, omq,
-                                       options, trace, **overrides)
-
-    async def explain_async(self, omq: OMQ, options=None,
-                            dataset: Optional[str] = None,
-                            **overrides) -> Dict[str, object]:
-        return await asyncio.to_thread(self.explain, omq, options,
-                                       dataset, **overrides)
-
-    async def update_async(self, dataset: str,
-                           inserts: Iterable[GroundAtom] = (),
-                           deletes: Iterable[GroundAtom] = ()
-                           ) -> Dict[str, object]:
-        return await asyncio.to_thread(self.update, dataset, inserts,
-                                       deletes)
-
-    async def stats_async(self) -> Dict[str, object]:
-        return await asyncio.to_thread(self.stats)
-
-
-class AsyncClient:
+class AsyncClient(_HTTPCore):
     """The :class:`Client` surface for asyncio code, over HTTP.
 
-    Speaks the ``repro serve`` JSON protocol on ``asyncio`` streams
-    (stdlib only, one connection per request), so hundreds of requests
-    can be in flight from one event loop — which is exactly what the
-    coalescing server (:mod:`repro.service.aserve`) wants to see.
-    Every method mirrors :class:`Client` but is awaitable::
+    Speaks the ``repro serve`` JSON protocol on the event loop (stdlib
+    only) over the same wire core and keep-alive pool as the blocking
+    client, so hundreds of requests can be in flight from one loop —
+    which is exactly what the coalescing server
+    (:mod:`repro.service.aserve`) wants to see.  Every method mirrors
+    :class:`Client` but is awaitable::
 
         async with AsyncClient.connect("http://host:8081") as client:
             answers = await client.answer("demo", omq, method="tw")
@@ -630,17 +782,6 @@ class AsyncClient:
     rejection carries ``error.retry_after`` seconds.
     """
 
-    def __init__(self, url: str, timeout: float = 30.0, tenant: str = ""):
-        split = urlsplit(url if "//" in url else f"//{url}")
-        if split.scheme not in ("", "http"):
-            raise ValueError(f"AsyncClient speaks plain http, got {url!r}")
-        self._host = split.hostname or "127.0.0.1"
-        self._port = split.port or 80
-        self.timeout = timeout
-        self.tenant = tenant
-        #: Trace ID echoed by the last response (success or error).
-        self.last_trace_id: Optional[str] = None
-
     @classmethod
     def connect(cls, url: str, timeout: float = 30.0,
                 tenant: str = "") -> "AsyncClient":
@@ -648,127 +789,52 @@ class AsyncClient:
         a non-default ``tenant`` rides as ``X-Repro-Tenant``."""
         return cls(url, timeout=timeout, tenant=tenant)
 
-    @property
-    def url(self) -> str:
-        return f"http://{self._host}:{self._port}"
-
-    # -- wire --------------------------------------------------------------
-
     async def _call(self, path: str, payload=None,
-                    timeout: Optional[float] = None) -> Dict[str, object]:
-        return await asyncio.wait_for(self._call_once(path, payload),
-                                      timeout=timeout or self.timeout)
+                    timeout: Optional[float] = None, finish=None):
+        return await asyncio.wait_for(
+            self._call_once(path, payload, finish),
+            timeout=timeout or self.timeout)
 
-    async def _call_once(self, path: str, payload) -> Dict[str, object]:
-        body = b"" if payload is None else json.dumps(payload).encode()
-        method = "GET" if payload is None else "POST"
-        reader, writer = await asyncio.open_connection(self._host,
-                                                       self._port)
+    async def _call_once(self, path: str, payload, finish):
+        request = self._frame(path, payload)
+        loop = asyncio.get_running_loop()
+        sock = self._checkout()
         try:
-            tenant = (f"X-Repro-Tenant: {self.tenant}\r\n"
-                      if self.tenant else "")
-            trace_id = current_trace_id()
-            # propagate the ambient trace so server-side spans and
-            # slow-query log lines correlate with this caller
-            trace = (f"{TRACE_HEADER}: {trace_id}\r\n" if trace_id else "")
-            head = (f"{method} {path} HTTP/1.1\r\n"
-                    f"Host: {self._host}:{self._port}\r\n"
-                    f"{tenant}{trace}"
-                    "Content-Type: application/json\r\n"
-                    f"Content-Length: {len(body)}\r\n"
-                    "Connection: close\r\n\r\n")
-            writer.write(head.encode() + body)
-            await writer.drain()
-            status, headers, raw = await self._read_response(reader)
-            self.last_trace_id = headers.get(TRACE_HEADER)
-        finally:
-            writer.close()
+            if sock is None:
+                sock = await self._connect(loop)
+            await loop.sock_sendall(sock, request)
+            response = _read_response()
+            next(response)
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        try:
-            decoded = json.loads(raw.decode()) if raw else {}
-        except json.JSONDecodeError:
-            decoded = {"error": raw.decode(errors="replace")}
-        if status >= 400:
-            raise ServiceError.from_body(status, decoded, headers)
-        return decoded
+                while True:
+                    response.send(await loop.sock_recv(sock, 65536))
+            except StopIteration as done:
+                status, headers, raw, reusable = done.value
+        except BaseException:
+            # failure or cancellation: the request may have reached the
+            # server, so never resend it, never reuse the connection
+            if sock is not None:
+                sock.close()
+            raise
+        self._checkin(sock, reusable)
+        return self._result(status, headers, raw, finish)
 
-    @staticmethod
-    async def _read_response(reader: asyncio.StreamReader):
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ServiceError("malformed HTTP response from server",
-                               status=502, error_type="bad_response")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().title()] = value.strip()
-        length = headers.get("Content-Length")
-        if length is not None and length.isdigit():
-            raw = await reader.readexactly(int(length))
-        else:
-            raw = await reader.read()
-        return status, headers, raw
-
-    # -- surface -----------------------------------------------------------
-
-    async def register_dataset(self, name: str, abox: ABox,
-                               replace: bool = False,
-                               shards: int = 0) -> None:
-        await self._call("/datasets",
-                         {"name": name, "data": abox_to_text(abox),
-                          "replace": replace, "shards": shards})
-
-    async def unregister_dataset(self, name: str) -> None:
-        await self._call("/datasets/drop", {"name": name})
-
-    async def register_tbox(self, name: str, tbox: TBox) -> None:
-        await self._call("/tboxes",
-                         {"name": name, "tbox": tbox_to_text(tbox)})
-
-    async def datasets(self) -> Tuple[str, ...]:
-        return tuple(sorted((await self.stats()).get("datasets", {})))
-
-    async def answer(self, dataset: str, omq: OMQ, options=None,
-                     trace: bool = False, **overrides) -> Answers:
-        options = AnswerOptions.coerce(options, **overrides)
-        body = await self._call("/answer",
-                                _request_payload(dataset, omq, options,
-                                                 trace=trace))
-        return _answers_from_body(body, options)
-
-    async def explain(self, omq: OMQ, options=None,
-                      dataset: Optional[str] = None,
-                      **overrides) -> Dict[str, object]:
-        options = AnswerOptions.coerce(options, **overrides)
-        return await self._call("/explain",
-                                _request_payload(dataset, omq, options))
-
-    async def update(self, dataset: str,
-                     inserts: Iterable[GroundAtom] = (),
-                     deletes: Iterable[GroundAtom] = ()
-                     ) -> Dict[str, object]:
-        return await self._call("/update",
-                                {"dataset": dataset,
-                                 "insert": _atom_texts(inserts),
-                                 "delete": _atom_texts(deletes)})
-
-    async def insert_facts(self, dataset: str,
-                           atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return await self.update(dataset, inserts=atoms)
-
-    async def delete_facts(self, dataset: str,
-                           atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return await self.update(dataset, deletes=atoms)
-
-    # -- standing queries --------------------------------------------------
+    async def _connect(self, loop) -> socket.socket:
+        """A connected non-blocking socket (first address that works)."""
+        infos = await loop.getaddrinfo(self.host, self.port,
+                                       type=socket.SOCK_STREAM)
+        for family, kind, proto, _, address in infos:
+            sock = socket.socket(family, kind, proto)
+            try:
+                sock.setblocking(False)
+                await loop.sock_connect(sock, address)
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                return sock
+            except BaseException as error:
+                sock.close()
+                if (not isinstance(error, OSError)
+                        or address == infos[-1][4]):
+                    raise
 
     async def subscribe(self, dataset: str, omq: OMQ, options=None,
                         **overrides) -> "AsyncSubscription":
@@ -781,16 +847,11 @@ class AsyncClient:
             async for delta in sub.stream():
                 print(delta.added, delta.removed)
         """
-        options = AnswerOptions.coerce(options, **overrides)
-        snapshot = await self._call(
-            "/subscribe", _request_payload(dataset, omq, options))
-        return AsyncSubscription(self, snapshot)
-
-    async def stats(self) -> Dict[str, object]:
-        return await self._call("/stats")
+        return AsyncSubscription(self, await super().subscribe(
+            dataset, omq, options, **overrides))
 
     async def close(self) -> None:
-        pass
+        self._close_idle()
 
     async def __aenter__(self) -> "AsyncClient":
         return self
@@ -821,17 +882,13 @@ class AsyncSubscription(_SubscriptionState):
     async def poll(self, timeout: float = 0.0) -> List[AnswerDelta]:
         """Deltas since the last seen epoch, applied to
         :attr:`answers` (blocking up to ``timeout`` seconds)."""
-        body = await self._client._call(
-            "/poll", {"subscription": self.subscription_id,
-                      "since_epoch": self.epoch, "timeout": timeout},
-            timeout=max(self._client.timeout, timeout + 5.0))
-        return self._apply_poll(body)
+        return self._apply_poll(await self._client.poll(
+            self.subscription_id, self.epoch, timeout))
 
     async def unsubscribe(self) -> None:
         if not self.closed:
             self.closed = True
-            await self._client._call(
-                "/unsubscribe", {"subscription": self.subscription_id})
+            await self._client.unsubscribe(self.subscription_id)
 
     async def stream(self):
         """Async-iterate answer deltas pushed over SSE.
@@ -839,29 +896,26 @@ class AsyncSubscription(_SubscriptionState):
         Ends when the subscription is closed server-side (an
         ``unsubscribe``, a dataset drop, or service shutdown).  Deltas
         already reflected by the snapshot are skipped by epoch, so no
-        change is ever seen twice.
+        change is ever seen twice.  The stream runs on a connection of
+        its own, outside the client's pool, so it never delays a call.
         """
-        reader, writer = await asyncio.open_connection(
-            self._client._host, self._client._port)
+        wire = self._client
+        reader, writer = await asyncio.open_connection(wire.host, wire.port)
         try:
-            host = f"{self._client._host}:{self._client._port}"
-            tenant = (f"X-Repro-Tenant: {self._client.tenant}\r\n"
-                      if self._client.tenant else "")
-            writer.write(
-                (f"GET /subscribe?subscription={self.subscription_id} "
-                 "HTTP/1.1\r\n"
-                 f"Host: {host}\r\n"
-                 f"{tenant}"
-                 "Accept: text/event-stream\r\n"
-                 "Connection: close\r\n\r\n").encode())
+            writer.write(wire._frame(
+                f"/subscribe?subscription={self.subscription_id}",
+                stream=True))
             await writer.drain()
-            status, headers, err_body = await self._read_stream_head(reader)
+            try:
+                head = await reader.readuntil(b"\r\n\r\n")
+            except asyncio.IncompleteReadError as cut_short:
+                head = cut_short.partial
+            status, headers = _parse_head(head)
             if status >= 400:
-                try:
-                    decoded = json.loads(err_body.decode())
-                except Exception:
-                    decoded = {"error": err_body.decode(errors="replace")}
-                raise ServiceError.from_body(status, decoded, headers)
+                length = headers.get("Content-Length", "")
+                wire._result(status, headers,
+                             await reader.readexactly(int(length))
+                             if length.isdigit() else await reader.read())
             async for event, data in self._sse_frames(reader):
                 delta = self._decode_event(event, data)
                 if delta is None:
@@ -877,31 +931,6 @@ class AsyncSubscription(_SubscriptionState):
                 await writer.wait_closed()
             except (ConnectionError, OSError):
                 pass
-
-    @staticmethod
-    async def _read_stream_head(reader: asyncio.StreamReader):
-        """Status + headers (+ error body for non-200s)."""
-        status_line = await reader.readline()
-        parts = status_line.decode("latin-1").split(None, 2)
-        if len(parts) < 2 or not parts[1].isdigit():
-            raise ServiceError("malformed HTTP response from server",
-                               status=502, error_type="bad_response")
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().title()] = value.strip()
-        body = b""
-        if status >= 400:
-            length = headers.get("Content-Length")
-            if length is not None and length.isdigit():
-                body = await reader.readexactly(int(length))
-            else:
-                body = await reader.read()
-        return status, headers, body
 
     @staticmethod
     async def _sse_frames(reader: asyncio.StreamReader):
@@ -938,7 +967,3 @@ class AsyncSubscription(_SubscriptionState):
             return AnswerDelta(epoch=epoch, resync=True, answers=answers)
         return None
 
-    def __repr__(self) -> str:
-        return (f"AsyncSubscription({self.subscription_id!r}, "
-                f"dataset={self.dataset!r}, epoch={self.epoch}, "
-                f"answers={len(self.answers)})")

@@ -76,14 +76,11 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
     (and discarded afterwards), so repeated calls over one database
     never re-load or re-index the data.
     """
-    program = query.program.restrict_to(query.goal)
-    order = program.topological_order()
-    assert order is not None  # Program construction guarantees this
     pool = _RelationPool(database)
     sizes: Dict[str, int] = {}
-    for predicate in order:
+    for predicate, clauses in query.strata:
         rows: IntRelation = set()
-        for clause in program.clauses_for(predicate):
+        for clause in clauses:
             rows |= _evaluate_clause(clause, pool)
         pool.derived[predicate] = rows
         sizes[predicate] = len(rows)

@@ -11,6 +11,7 @@ with the answer variables ``x`` acting as parameters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 ADOM = "__adom__"  # the active-domain EDB predicate (the paper's ``T(x)``)
@@ -297,6 +298,18 @@ class NDLQuery:
     program: Program
     goal: str
     answer_vars: Tuple[str, ...] = ()
+
+    @cached_property
+    def strata(self) -> Tuple[Tuple[str, Tuple[Clause, ...]], ...]:
+        """``(predicate, its clauses)`` for every IDB predicate the
+        goal depends on, dependencies first — what an evaluator walks.
+
+        Computed once per (immutable) query and kept in the instance
+        ``__dict__``, so it also travels with a pickled plan.
+        """
+        program = self.program.restrict_to(self.goal)
+        return tuple((predicate, tuple(program.clauses_for(predicate)))
+                     for predicate in program.topological_order())
 
     def width(self) -> int:
         """``w(Pi, G)``: maximal number of non-parameter variables in a

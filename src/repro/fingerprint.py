@@ -47,18 +47,6 @@ def tbox_fingerprint(tbox) -> str:
         return cached
 
 
-def intern_tbox(tbox, registry: Dict[str, object]):
-    """One canonical TBox object per fingerprint, via ``registry``.
-
-    Sessions key completions by object identity, so equal-but-distinct
-    TBox objects (re-parsed per HTTP request, unpickled per shard
-    worker call) must collapse to one representative or every request
-    would pay completion again.  The caller owns the registry (and any
-    locking around it).
-    """
-    return registry.setdefault(tbox_fingerprint(tbox), tbox)
-
-
 def _signature(cq: CQ, var: str, answer_codes: Dict[str, int]) -> Tuple:
     """A renaming-invariant local description of ``var``.
 

@@ -246,10 +246,18 @@ class Plan:
     #: method or the ``optimize`` stage with data): the plan is then
     #: specialised to that instance's signature.
     data_bound: bool = False
+    #: A stable hex digest of (OMQ up to renaming, compile options),
+    #: hashed once here — every execute stamps it on its answers.
+    fingerprint: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "timings",
                            MappingProxyType(dict(self.timings)))
+        if not self.fingerprint:
+            text = (f"{self.omq.fingerprint()}\n"
+                    f"{self.options.rewrite_fingerprint()!r}")
+            object.__setattr__(self, "fingerprint",
+                               hashlib.sha256(text.encode()).hexdigest())
 
     # mappingproxy is not picklable, and plans must travel to shard
     # worker processes — pickle the timings as a plain dict and
@@ -264,13 +272,6 @@ class Plan:
             object.__setattr__(self, name, value)
         object.__setattr__(self, "timings",
                            MappingProxyType(dict(state["timings"])))
-
-    @property
-    def fingerprint(self) -> str:
-        """A stable hex digest of (OMQ up to renaming, compile options)."""
-        text = (f"{self.omq.fingerprint()}\n"
-                f"{self.options.rewrite_fingerprint()!r}")
-        return hashlib.sha256(text.encode()).hexdigest()
 
     # -- introspection -----------------------------------------------------
 

@@ -21,8 +21,8 @@ per-request costs *across* requests and sessions:
   (``python -m repro serve``) on the stdlib ``http.server``;
 * :mod:`repro.service.aserve` — the asyncio front-end
   (``python -m repro serve --async-io``): request coalescing of
-  identical in-flight queries, micro-batching into
-  ``answer_batch`` windows, and 429 queue-depth backpressure.
+  identical in-flight queries, micro-batching into ``answer_batch``
+  calls while the workers are busy, and 429 queue-depth backpressure.
 
 Standing queries (:mod:`repro.standing`) plug into the service here:
 ``OMQService.subscribe`` registers a compiled plan for incremental

@@ -15,11 +15,13 @@ buys throughput three ways:
   coalesce.  The data version is a per-dataset epoch bumped whenever
   an update (or re-registration) completes: a request that arrives
   after an update never joins an execution that read the old data.
-* **Micro-batching** — admitted ``/answer`` requests gather for a
-  short window (``batch_window`` seconds, or until ``max_batch`` are
-  queued) and run as one :meth:`OMQService.answer_batch` call on a
-  bounded worker-thread pool, sharing read locks and in-batch
-  deduplication.
+* **Micro-batching** — an admitted ``/answer`` request is handed to
+  the bounded worker-thread pool the moment a worker is free; while
+  every worker is busy, arrivals gather (up to ``max_batch``) and run
+  as one :meth:`OMQService.answer_batch` call when a running batch
+  completes, sharing read locks and in-batch deduplication.  The
+  running batches *are* the gathering window: an idle server adds no
+  wait, a loaded one batches exactly as much as it is behind.
 * **Admission control** — once ``max_pending`` requests are queued or
   executing, new work is rejected with ``429`` and a ``Retry-After``
   header instead of growing an unbounded queue.  Joining an in-flight
@@ -93,9 +95,8 @@ class AsyncServiceServer:
 
     def __init__(self, service: OMQService, host: str = "127.0.0.1",
                  port: int = 8081, *, workers: int = 4,
-                 max_pending: int = 128, batch_window: float = 0.002,
-                 max_batch: int = 16, max_polls: int = 64,
-                 verbose: bool = False):
+                 max_pending: int = 128, max_batch: int = 16,
+                 max_polls: int = 64, verbose: bool = False):
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         if max_batch < 1:
@@ -107,13 +108,9 @@ class AsyncServiceServer:
         self.port = port
         self.workers = max(1, workers)
         self.max_pending = max_pending
-        self.batch_window = max(0.0, batch_window)
         self.max_batch = max_batch
         self.max_polls = max_polls
         self.verbose = verbose
-        # no extra_stats hook: the counters are event-loop-confined, so
-        # /stats snapshots them on the loop and merges after the
-        # service part is fetched on the worker pool
         self.router = Router(service)
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -121,8 +118,9 @@ class AsyncServiceServer:
         # event-loop-confined serving state
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending: List[Tuple[Tuple, BatchRequest]] = []
-        self._flush_handle: Optional[asyncio.TimerHandle] = None
         self._executing = 0
+        #: Micro-batches currently on the worker pool.
+        self._running_batches = 0
         self._active_polls = 0
         #: ``(tenant, dataset)`` -> coalescing epoch.
         self._epochs: Dict[Tuple[str, str], int] = {}
@@ -176,9 +174,6 @@ class AsyncServiceServer:
             await asyncio.gather(*self._connections,
                                  return_exceptions=True)
         self._connections.clear()
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
         for key, _ in self._pending:
             future = self._inflight.pop(key, None)
             if future is not None and not future.done():
@@ -260,11 +255,9 @@ class AsyncServiceServer:
         self._inflight[key] = future
         self._pending.append((key, request))
         self._note_depth()
-        if len(self._pending) >= self.max_batch:
+        if (self._running_batches < self.workers
+                or len(self._pending) >= self.max_batch):
             self._flush()
-        elif self._flush_handle is None:
-            self._flush_handle = self._loop.call_later(self.batch_window,
-                                                       self._flush)
         result = await asyncio.shield(future)
         body = dict(self.router.result_payload(result))
         body["coalesced"] = False
@@ -272,13 +265,9 @@ class AsyncServiceServer:
 
     def _flush(self) -> None:
         """Hand the gathered micro-batch to the worker pool."""
-        if self._flush_handle is not None:
-            self._flush_handle.cancel()
-            self._flush_handle = None
-        if not self._pending:
-            return
         batch, self._pending = self._pending, []
         self._executing += len(batch)
+        self._running_batches += 1
         self._obs.async_batches.inc()
         self._obs.async_batched_requests.inc(len(batch))
         self._loop.create_task(self._run_batch(batch))
@@ -297,7 +286,11 @@ class AsyncServiceServer:
             return
         finally:
             self._executing -= len(batch)
+            self._running_batches -= 1
             self._note_depth()
+            if self._pending:
+                # what gathered while every worker was busy runs now
+                self._flush()
         for (key, _), result in zip(batch, results):
             # pop before resolving: once resolved the result is no
             # longer "in flight" and must not absorb later arrivals
@@ -340,7 +333,6 @@ class AsyncServiceServer:
             "parked_polls": self._active_polls,
             "peak_parked_polls": self._peak_polls,
             "max_polls": self.max_polls,
-            "batch_window": self.batch_window,
             "max_batch": self.max_batch,
             "workers": self.workers,
         }}
@@ -492,7 +484,8 @@ class AsyncServiceServer:
             snapshot = registry.attach(sid, stream.listener)
         except Exception as error:
             status, payload, extra = error_payload(error)
-            self._respond(writer, status, payload, extra)
+            self._respond(writer, status, encode_body(payload),
+                          headers=extra)
             await writer.drain()
             return True
         writer.write(b"HTTP/1.1 200 OK\r\n"
@@ -557,9 +550,9 @@ class AsyncServiceServer:
             return False
         parts = request_line.decode("latin-1").split()
         if len(parts) < 2:
-            self._respond(writer, 400,
-                          {"error": "malformed request line",
-                           "error_type": "bad_request"})
+            self._respond(writer, 400, encode_body(
+                {"error": "malformed request line",
+                 "error_type": "bad_request"}))
             await writer.drain()
             return False
         method, path = parts[0].upper(), parts[1]
@@ -578,36 +571,26 @@ class AsyncServiceServer:
         started = time.perf_counter()
         trace = begin_trace(headers.get(TRACE_HEADER.lower()))
         extra: Dict[str, str] = {TRACE_HEADER: trace.trace_id}
-        if method == "GET" and path.partition("?")[0] == "/metrics":
-            body_bytes, content_type = self.router.metrics_text()
-            self._write_head(writer, 200, len(body_bytes),
-                             content_type, extra)
-            writer.write(body_bytes)
-            await writer.drain()
-            self.router.observe_request(method, path, 200,
-                                        time.perf_counter() - started,
-                                        trace)
-            return keep_alive
+        content_type = "application/json"
         try:
-            length = parse_content_length(headers.get("content-length"))
-        except ProtocolError as error:
-            # framing is broken: the body (whose length we cannot
-            # know) is still on the wire, so answering and keeping the
-            # connection would parse those bytes as the next request
-            status, payload, more = error_payload(error, trace.trace_id)
-            extra.update(more)
-            self._respond(writer, status, payload, extra)
-            await writer.drain()
-            self.router.observe_request(method, path, status,
-                                        time.perf_counter() - started,
-                                        trace)
-            return False
-        try:
-            body = await reader.readexactly(length) if length else b""
-            with tracing(trace):
-                status, payload = await self._dispatch(method, path,
-                                                       body, headers,
-                                                       trace)
+            if method == "GET" and path.partition("?")[0] == "/metrics":
+                status = 200
+                body, content_type = self.router.metrics_text()
+            else:
+                try:
+                    length = parse_content_length(
+                        headers.get("content-length"))
+                except ProtocolError:
+                    # framing is broken: the body (whose length we
+                    # cannot know) is still on the wire, so keeping the
+                    # connection would parse it as the next request
+                    keep_alive = False
+                    raise
+                raw = await reader.readexactly(length) if length else b""
+                with tracing(trace):
+                    status, payload = await self._dispatch(
+                        method, path, raw, headers, trace)
+                body = encode_body(payload, trace)
         except asyncio.IncompleteReadError:
             raise
         except Exception as error:
@@ -615,7 +598,8 @@ class AsyncServiceServer:
             extra.update(more)
             if self.verbose and status >= 500:
                 print(f"repro aserve: {method} {path} -> {status}: {error}")
-        self._respond(writer, status, payload, extra, trace=trace)
+            body = encode_body(payload, trace)
+        self._respond(writer, status, body, content_type, extra)
         await writer.drain()
         self.router.observe_request(method, path, status,
                                     time.perf_counter() - started, trace)
@@ -627,25 +611,16 @@ class AsyncServiceServer:
                 500: "Internal Server Error", 501: "Not Implemented",
                 503: "Service Unavailable"}
 
-    def _write_head(self, writer: asyncio.StreamWriter, status: int,
-                    length: int, content_type: str,
-                    headers: Optional[Dict[str, str]] = None) -> None:
-        reason = self._REASONS.get(status, "OK")
-        head = [f"HTTP/1.1 {status} {reason}",
+    def _respond(self, writer: asyncio.StreamWriter, status: int,
+                 body: bytes, content_type: str = "application/json",
+                 headers: Optional[Dict[str, str]] = None) -> None:
+        """Write one framed response, head and body in a single write."""
+        head = [f"HTTP/1.1 {status} {self._REASONS.get(status, 'OK')}",
                 f"Content-Type: {content_type}",
-                f"Content-Length: {length}"]
+                f"Content-Length: {len(body)}"]
         head.extend(f"{name}: {value}"
                     for name, value in (headers or {}).items())
-        writer.write(("\r\n".join(head) + "\r\n\r\n").encode())
-
-    def _respond(self, writer: asyncio.StreamWriter, status: int,
-                 payload: Dict,
-                 headers: Optional[Dict[str, str]] = None,
-                 trace: Optional[Trace] = None) -> None:
-        body = encode_body(payload, trace)
-        self._write_head(writer, status, len(body), "application/json",
-                         headers)
-        writer.write(body)
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
 
 
 class BackgroundAsyncServer:
@@ -729,13 +704,12 @@ async def _serve_until_signalled(service: OMQService, args) -> None:
 
     server = AsyncServiceServer(
         service, args.host, args.port, workers=args.workers,
-        max_pending=args.max_pending, batch_window=args.batch_window,
-        max_batch=args.max_batch,
+        max_pending=args.max_pending, max_batch=args.max_batch,
         max_polls=getattr(args, "max_polls", 64), verbose=True)
     await server.start()
     print(f"repro async service on {server.url} "
           f"(datasets: {', '.join(service.datasets()) or 'none'}; "
-          f"coalescing on, window={server.batch_window * 1000:g}ms, "
+          f"coalescing on, max_batch={server.max_batch}, "
           f"max_pending={server.max_pending})")
     stop = asyncio.Event()
     loop = asyncio.get_running_loop()

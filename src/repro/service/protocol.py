@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..data.abox import ABox
 from ..engine import ENGINES, available_engines
@@ -257,17 +257,10 @@ def answer_vars(raw) -> List[str]:
 
 
 class Router:
-    """Decode requests against one :class:`OMQService` and dispatch.
+    """Decode requests against one :class:`OMQService` and dispatch."""
 
-    ``extra_stats`` lets a server merge its own counters into the
-    ``/stats`` payload (the async front-end reports coalescing, batch
-    and queue numbers there).
-    """
-
-    def __init__(self, service: OMQService,
-                 extra_stats: Optional[Callable[[], Dict]] = None):
+    def __init__(self, service: OMQService):
         self.service = service
-        self._extra_stats = extra_stats
         self._started = time.time()
 
     # -- observability -------------------------------------------------------
@@ -318,7 +311,7 @@ class Router:
         if text is not None:
             if not isinstance(text, str) or not text.strip():
                 raise ProtocolError("'tbox_text' must be TBox text")
-            return self.service.intern_tbox(TBox.parse(text))
+            return self.service.parse_tbox(text)
         spec = payload.get("tbox")
         if not isinstance(spec, str) or not spec.strip():
             raise ProtocolError("missing 'tbox' (name) or 'tbox_text'")
@@ -327,7 +320,7 @@ class Router:
         except ValueError:
             if "<=" not in spec and "\n" not in spec:
                 raise
-        return self.service.intern_tbox(TBox.parse(spec))
+        return self.service.parse_tbox(spec)
 
     @staticmethod
     def decode_options(payload: Dict) -> AnswerOptions:
@@ -387,12 +380,6 @@ class Router:
 
     # -- dispatch ------------------------------------------------------------
 
-    def stats_payload(self) -> Dict:
-        payload = self.service.stats()
-        if self._extra_stats is not None:
-            payload.update(self._extra_stats())
-        return payload
-
     def health_payload(self) -> Dict:
         """``GET /health``: liveness plus what an orchestrator needs
         to gate on — engines actually available in this process,
@@ -417,7 +404,7 @@ class Router:
             if path == "/health":
                 return 200, self.health_payload()
             if path == "/stats":
-                return 200, self.stats_payload()
+                return 200, self.service.stats()
             if path == "/subscribe" or path.startswith("/subscribe?"):
                 # SSE streaming is the async server's job (it
                 # intercepts this path before dispatch); the threaded

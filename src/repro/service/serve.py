@@ -68,8 +68,9 @@ Responses are ``{"answers": [[...], ...], "seconds": ...,
 back as ``{"error": <message>, "error_type": <kind>}`` with a 4xx
 status — including malformed JSON bodies and bad ``Content-Length``
 headers, which are the client's bugs, not internal errors.  Inline
-TBox texts are interned by fingerprint, so re-sending the same
-ontology per request costs one parse but never a second completion.
+TBox texts are interned by exact text (and by fingerprint behind
+that), so re-sending the same ontology per request costs a dictionary
+lookup, never a second parse or completion.
 
 Request decoding and dispatch live in
 :mod:`repro.service.protocol`, shared with the asyncio front-end
@@ -83,7 +84,7 @@ import argparse
 import time
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..data.abox import ABox
 from ..engine import ENGINES
@@ -132,8 +133,14 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        if self.request_version == "HTTP/0.9":  # headerless protocol
+            self.wfile.write(body)
+            return
+        # one send: wfile is unbuffered and the socket has Nagle on, so
+        # a body written after the head would wait for the client's
+        # delayed ACK of the head (~40 ms per keep-alive request)
+        self._headers_buffer += (b"\r\n", body)
+        self.flush_headers()
 
     def _read_json(self) -> Dict:
         try:
@@ -299,12 +306,10 @@ def add_serve_arguments(parser) -> None:
                         help="reject new long-polls with 429 once this "
                              "many are parked (both front-ends; each "
                              "parked poll holds a thread)")
-    parser.add_argument("--batch-window", type=float, default=0.002,
-                        help="async front-end: micro-batch gathering "
-                             "window in seconds")
     parser.add_argument("--max-batch", type=int, default=16,
-                        help="async front-end: flush a micro-batch at "
-                             "this many queued requests")
+                        help="async front-end: cap on the requests "
+                             "gathered into one micro-batch while "
+                             "every worker is busy")
     parser.add_argument("--data-dir", default=None, metavar="DIR",
                         help="persist datasets, ontologies and "
                              "subscriptions to per-tenant SQLite files "
@@ -432,7 +437,6 @@ def _install_shutdown_handlers(server: "ServiceServer") -> None:
     is handed to a helper thread instead of deadlocking.
     """
     import signal
-    import threading
 
     def stop(signum, _frame):
         if server.verbose:
@@ -448,14 +452,3 @@ def _install_shutdown_handlers(server: "ServiceServer") -> None:
             except ValueError:  # not on the main thread (tests)
                 return
 
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Serve OMQ answering over JSON/HTTP")
-    add_serve_arguments(parser)
-    return run(parser.parse_args(argv), parser)
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

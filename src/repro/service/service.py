@@ -25,14 +25,18 @@ from __future__ import annotations
 import logging
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from ..data.abox import ABox, GroundAtom
 from ..engine import ENGINES
+from ..fingerprint import tbox_fingerprint
 from ..obs import Observability
 from ..obs import trace as _trace
+from ..ontology import TBox
 from ..rewriting.api import OMQ, AnswerSession
 from ..rewriting.plan import AnswerOptions
 from ..standing.maintain import (
@@ -57,6 +61,11 @@ from .cache import RewritingCache
 from .updates import UpdateResult, apply_update
 
 log = logging.getLogger("repro.service")
+
+#: Entries kept by each of the service's two inline-ontology memos (the
+#: exact-text memo in front of ``TBox.parse`` and the fingerprint ->
+#: TBox intern registry behind it); least recently used goes first.
+TBOX_MEMO_SIZE = 64
 
 
 class _RWLock:
@@ -337,7 +346,13 @@ class OMQService:
         self.tenants = TenantManager(quota, obs=self.obs)
         self._storage_errors = self.obs.storage_write_errors
         self._datasets: Dict[str, _Dataset] = {}
-        self._tboxes: Dict[str, object] = {}
+        #: fingerprint -> interned TBox, LRU-bounded
+        self._tboxes: "OrderedDict[str, TBox]" = OrderedDict()
+        #: The interned TBox for inline ontology text, memoised by
+        #: exact text: a client that re-sends the same ontology with
+        #: every request pays ``TBox.parse`` (a saturation) once.
+        self.parse_tbox = lru_cache(maxsize=TBOX_MEMO_SIZE)(
+            lambda text: self.intern_tbox(TBox.parse(text)))
         self._named_tboxes: Dict[str, object] = {}
         self._lock = threading.Lock()
         self._executor: Optional[ThreadPoolExecutor] = None
@@ -516,14 +531,18 @@ class OMQService:
             state.lock.release_read()
 
     def intern_tbox(self, tbox):
-        """One canonical TBox object per fingerprint (see
-        :func:`repro.fingerprint.intern_tbox`): re-parsed-per-request
-        TBoxes must collapse to one representative or every request
-        would pay completion again."""
-        from ..fingerprint import intern_tbox
-
+        """One canonical TBox object per fingerprint: equal-but-
+        distinct TBoxes must collapse to one representative or every
+        request would pay completion again (sessions key completions
+        by object identity).  The registry is a small LRU, so a stream
+        of distinct inline ontologies cannot pin them all forever."""
+        key = tbox_fingerprint(tbox)
         with self._lock:
-            return intern_tbox(tbox, self._tboxes)
+            tbox = self._tboxes.setdefault(key, tbox)
+            self._tboxes.move_to_end(key)
+            if len(self._tboxes) > TBOX_MEMO_SIZE:
+                self._tboxes.popitem(last=False)
+            return tbox
 
     def _canonical_omq(self, omq: OMQ) -> OMQ:
         interned = self.intern_tbox(omq.tbox)

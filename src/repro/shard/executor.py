@@ -126,9 +126,10 @@ class Executor:
 def _intern_plan_tbox(plan, tboxes: Dict[str, object]):
     """One canonical TBox object per fingerprint inside a worker, so a
     session's identity-keyed completion cache hits across calls."""
-    from ..fingerprint import intern_tbox
+    from ..fingerprint import tbox_fingerprint
 
-    interned = intern_tbox(plan.omq.tbox, tboxes)
+    interned = tboxes.setdefault(tbox_fingerprint(plan.omq.tbox),
+                                 plan.omq.tbox)
     if interned is plan.omq.tbox:
         return plan
     omq = dataclasses.replace(plan.omq, tbox=interned)
@@ -610,10 +611,14 @@ class HttpExecutor(Executor):
         clients = {url: AsyncClient.connect(url, timeout=self._timeout)
                    for url in {self._homes[shard][0]
                                for shard in selected}}
-        return await asyncio.gather(
-            *(clients[self._homes[shard][0]].answer(
-                self._homes[shard][1], omq, options)
-              for shard in selected))
+        try:
+            return await asyncio.gather(
+                *(clients[self._homes[shard][0]].answer(
+                    self._homes[shard][1], omq, options)
+                  for shard in selected))
+        finally:
+            for client in clients.values():
+                await client.close()
 
     def apply_deltas(self, deltas: Mapping[int, ShardDelta]
                      ) -> List[Dict[str, int]]:

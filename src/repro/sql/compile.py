@@ -92,13 +92,9 @@ def compile_clause(clause: Clause, idb: frozenset) -> str:
 
 def compile_query_ir(query: NDLQuery, materialised: bool = False) -> QueryIR:
     """Compile ``(Pi, G)`` into a structured :class:`QueryIR`."""
-    program = query.program.restrict_to(query.goal)
-    order = program.topological_order()
-    assert order is not None  # Program construction guarantees acyclicity
     definitions = []
-    for predicate in order:
-        selects = tuple(compile_clause_ir(clause)
-                        for clause in program.clauses_for(predicate))
+    for predicate, clauses in query.strata:
+        selects = tuple(compile_clause_ir(clause) for clause in clauses)
         definitions.append(Definition(predicate=predicate,
                                       relation=TABLE_PREFIX + predicate,
                                       union=Union(selects)))

@@ -22,8 +22,11 @@ import threading
 import pytest
 
 from repro import OMQ, AsyncClient, Client, ServiceError
+from repro.client import cq_to_text, tbox_to_text
 from repro.queries import CQ, chain_cq
 from repro.service import OMQService, serve_in_background
+from repro.service.aserve import AsyncServiceServer
+from repro.service.protocol import ProtocolError
 from repro.service.serve import build_server
 
 from .helpers import example11_tbox, random_data
@@ -43,8 +46,7 @@ def async_stack():
     service.register_dataset("demo", _fresh_data())
     reference = Client.local(max_workers=2)
     reference.register_dataset("demo", _fresh_data())
-    with serve_in_background(service, batch_window=0.01,
-                             max_pending=512) as handle:
+    with serve_in_background(service, max_pending=512) as handle:
         yield handle, reference
     reference.close()
     service.close()
@@ -182,57 +184,202 @@ class TestDifferentialLoad:
         assert ("zz1", "zz3") in after.answers
 
 
+class _Gate:
+    """Holds the service's ``answer_batch`` on its worker thread until
+    the test opens it: "every worker is busy", by count instead of by
+    clock."""
+
+    def __init__(self, service):
+        self.open = threading.Event()
+        self._answer_batch = service.answer_batch
+        service.answer_batch = self  # shadows the bound method
+
+    def __call__(self, requests):
+        assert self.open.wait(timeout=30), "the gate was never opened"
+        return self._answer_batch(requests)
+
+
+@pytest.fixture
+def gated():
+    service = OMQService(max_workers=1)
+    service.register_dataset("demo", _fresh_data())
+    gate = _Gate(service)
+    yield service, gate
+    gate.open.set()
+    service.close()
+
+
+async def _outcome(awaitable):
+    try:
+        return await awaitable
+    except ServiceError as error:
+        return error
+
+
 class TestBackpressure:
-    def test_429_with_retry_after_when_saturated(self):
-        service = OMQService(max_workers=1)
-        service.register_dataset("demo", _fresh_data())
+    def test_429_with_retry_after_when_saturated(self, gated):
+        service, gate = gated
         omqs = [OMQ(TBOX, chain_cq(labels))
                 for labels in ("RS", "RSR", "SR", "RR", "SS", "RSS")]
-        try:
-            # a long gathering window parks admitted work in the queue,
-            # so the over-limit arrivals deterministically see depth 1
-            with serve_in_background(service, batch_window=0.5,
-                                     max_pending=1, workers=1) as handle:
-                async def main():
-                    async with AsyncClient.connect(handle.url) as client:
-                        outcomes = await asyncio.gather(
-                            *[client.answer("demo", omq) for omq in omqs],
-                            return_exceptions=True)
-                        return outcomes, await client.stats()
+        with serve_in_background(service, max_pending=1,
+                                 workers=1) as handle:
+            async def main():
+                async with AsyncClient.connect(handle.url) as client:
+                    finished = asyncio.as_completed(
+                        [_outcome(client.answer("demo", omq))
+                         for omq in omqs], timeout=30)
+                    # one request holds the only slot behind the gate,
+                    # so every other arrival sees depth 1 and bounces
+                    rejected = [await next(finished)
+                                for _ in omqs[1:]]
+                    gate.open.set()
+                    served = await next(finished)
+                    return rejected, served, await client.stats()
 
-                outcomes, stats = asyncio.run(main())
-        finally:
-            service.close()
-        rejected = [error for error in outcomes
-                    if isinstance(error, ServiceError)
-                    and error.status == 429]
-        served = [result for result in outcomes
-                  if not isinstance(result, Exception)]
-        assert served and rejected
+            rejected, served, stats = asyncio.run(main())
+        assert not isinstance(served, Exception) and len(rejected) == 5
+        assert all(error.status == 429 for error in rejected)
         assert all(error.error_type == "overloaded" for error in rejected)
         assert all(error.retry_after is not None for error in rejected)
         assert stats["async_serving"]["rejected"] == len(rejected)
 
-    def test_coalesced_join_admitted_when_saturated(self):
-        service = OMQService(max_workers=1)
-        service.register_dataset("demo", _fresh_data())
-        try:
-            with serve_in_background(service, batch_window=0.5,
-                                     max_pending=1, workers=1) as handle:
-                async def main():
-                    async with AsyncClient.connect(handle.url) as client:
-                        # identical twins: the second joins the first
-                        # in-flight execution instead of being rejected
-                        omq = OMQ(TBOX, chain_cq("RS"))
-                        twin = OMQ(TBOX, chain_cq("RS", prefix="w_"))
-                        return await asyncio.gather(
-                            client.answer("demo", omq),
-                            client.answer("demo", twin))
+    def test_coalesced_join_admitted_when_saturated(self, gated):
+        service, gate = gated
+        joins = service.obs.async_coalesced
+        count_join = joins.inc
 
-                first, second = asyncio.run(main())
-        finally:
-            service.close()
+        def inc(amount=1.0):
+            count_join(amount)
+            gate.open.set()  # the twin has joined: let the work finish
+
+        joins.inc = inc
+        with serve_in_background(service, max_pending=1,
+                                 workers=1) as handle:
+            async def main():
+                async with AsyncClient.connect(handle.url) as client:
+                    # identical twins: the second joins the first
+                    # in-flight execution instead of being rejected
+                    omq = OMQ(TBOX, chain_cq("RS"))
+                    twin = OMQ(TBOX, chain_cq("RS", prefix="w_"))
+                    return await asyncio.wait_for(asyncio.gather(
+                        client.answer("demo", omq),
+                        client.answer("demo", twin)), timeout=30)
+
+            first, second = asyncio.run(main())
         assert first.answers == second.answers
+        assert joins.value == 1
+
+
+class TestAdaptiveBatching:
+    """The occupancy rule, driven on the server's own loop and held to
+    its counters: no sleeps, no wall-clock thresholds."""
+
+    @staticmethod
+    def _run(gated, scenario, **server_kwargs):
+        service, gate = gated
+
+        async def main():
+            server = AsyncServiceServer(service, port=0, workers=1,
+                                        **server_kwargs)
+            await server.start()
+            try:
+                return await scenario(server, gate)
+            finally:
+                gate.open.set()
+                await server.stop()
+
+        return asyncio.run(main())
+
+    @staticmethod
+    def _answer(server, labels):
+        query = chain_cq(labels)
+        body = json.dumps({"dataset": "demo",
+                           "tbox_text": tbox_to_text(TBOX),
+                           "query": cq_to_text(query),
+                           "answers": list(query.answer_vars)}).encode()
+        return asyncio.ensure_future(
+            server._dispatch("POST", "/answer", body))
+
+    @staticmethod
+    def _counters(server):
+        return server._counters_payload()["async_serving"]
+
+    def test_lone_request_is_flushed_at_once_without_a_timer(self, gated):
+        async def scenario(server, gate):
+            gate.open.set()
+            loop = asyncio.get_running_loop()
+            timers = []
+            call_at = loop.call_at  # call_later goes through it too
+            loop.call_at = lambda *args, **kwargs: (
+                timers.append(args), call_at(*args, **kwargs))[1]
+            request = self._answer(server, "RS")
+            await asyncio.sleep(0)  # one turn of the loop, no more
+            admitted = self._counters(server)
+            status, body = await request
+            return admitted, list(server._pending), timers, status, body
+
+        admitted, pending, timers, status, body = self._run(gated, scenario)
+        assert (admitted["batches"], admitted["batched_requests"]) == (1, 1)
+        assert pending == [] and timers == []
+        assert status == 200 and body["coalesced"] is False
+
+    def _hold_then_release(self, gated, **server_kwargs):
+        """One request holds the only worker behind the gate, five
+        distinct ones arrive, the gate opens: the counters while held,
+        the requests left gathering, the replies, the counters after."""
+        async def scenario(server, gate):
+            first = self._answer(server, "RS")
+            await asyncio.sleep(0)  # flushed: it holds the one worker
+            others = [self._answer(server, labels)
+                      for labels in ("RSR", "SR", "RR", "SS", "RSS")]
+            await asyncio.sleep(0)
+            held = self._counters(server)
+            gathered = len(server._pending)
+            gate.open.set()
+            replies = await asyncio.gather(first, *others)
+            return held, gathered, replies, self._counters(server)
+
+        return self._run(gated, scenario, **server_kwargs)
+
+    def test_arrivals_gather_while_the_worker_is_busy(self, gated):
+        held, gathered, replies, after = self._hold_then_release(gated)
+        assert (held["batches"], held["pending"], gathered) == (1, 6, 5)
+        assert all(status == 200 for status, _ in replies)
+        # released together, by the completion of the running batch
+        assert (after["batches"], after["batched_requests"]) == (2, 6)
+        assert after["pending"] == 0
+
+    def test_max_batch_still_splits(self, gated):
+        held, gathered, _, after = self._hold_then_release(gated,
+                                                           max_batch=2)
+        # 1 flushed at once, then 2 + 2 cut at max_batch, 1 left waiting
+        assert (held["batches"], gathered) == (3, 1)
+        assert (after["batches"], after["batched_requests"]) == (4, 6)
+
+    def test_stop_fails_queued_work_with_503(self, gated):
+        async def scenario(server, gate):
+            running = self._answer(server, "RS")
+            await asyncio.sleep(0)
+            queued = self._answer(server, "SR")
+            await asyncio.sleep(0)
+            assert len(server._pending) == 1
+            # stop() joins the worker pool after failing queued work;
+            # the held batch must be let go for that join to return
+            shutdown = server._executor.shutdown
+
+            def release_then_shutdown(wait=True):
+                gate.open.set()
+                shutdown(wait=wait)
+
+            server._executor.shutdown = release_then_shutdown
+            await server.stop()
+            return await asyncio.gather(running, queued,
+                                        return_exceptions=True)
+
+        running, queued = self._run(gated, scenario)
+        assert running[0] == 200  # in-flight work still completes
+        assert isinstance(queued, ProtocolError)
+        assert (queued.status, queued.error_type) == (503, "overloaded")
 
 
 class TestProtocolParity:
@@ -380,14 +527,15 @@ class TestAsyncClientSurface:
         assert stats["datasets"]["demo"]["requests"] >= 1
 
     def test_client_async_bridge_matches_sync(self, async_stack):
+        # a blocking Client inside a coroutine belongs on a thread
         handle, _ = async_stack
         omq = OMQ(TBOX, chain_cq("RS"))
         with Client.connect(handle.url) as client:
             sync_result = client.answer("demo", omq)
 
             async def main():
-                return (await client.answer_async("demo", omq),
-                        await client.stats_async())
+                return (await asyncio.to_thread(client.answer, "demo", omq),
+                        await asyncio.to_thread(client.stats))
 
             async_result, stats = asyncio.run(main())
         assert async_result.answers == sync_result.answers

@@ -1,16 +1,31 @@
 """Tests for the unified :class:`repro.Client` facade: the embedded
 and HTTP transports must expose one surface and agree on answers."""
 
+import asyncio
+import gc
+import socket
+import sys
 import threading
+import warnings
 
 import pytest
 
-from repro import ABox, Client, OMQ, answer, chain_cq
-from repro.client import abox_to_text, cq_to_text, tbox_to_text
+from repro import (
+    ABox,
+    AsyncClient,
+    Client,
+    OMQ,
+    ServiceError,
+    answer,
+    chain_cq,
+)
+from repro.client import _POOL_SIZE, abox_to_text, cq_to_text, tbox_to_text
 from repro.queries import CQ
 from repro.service import OMQService
+from repro.service.aserve import BackgroundAsyncServer
 from repro.service.cache import tbox_fingerprint
 from repro.service.serve import build_server
+from repro.store import TenantQuota
 
 from .helpers import example11_tbox, random_data
 
@@ -139,3 +154,366 @@ class TestHTTPClient:
                             {"method": "log", "magic": True}):
                 assert (http_client.answer("demo", omq, options).answers
                         == local.answer("demo", omq, options).answers)
+
+
+# -- the keep-alive pool (both HTTP clients, both servers) ------------------
+
+
+class _Stack:
+    """One of the two servers over a fresh service, counting the
+    connections it accepts; ``port`` restarts one on a known port."""
+
+    def __init__(self, kind, port=0, **service_kwargs):
+        self.kind = kind
+        self.service = OMQService(max_workers=2, **service_kwargs)
+        self.accepted = 0
+        if kind == "thread":
+            self.server = build_server(self.service, port=port,
+                                       verbose=False)
+            self._sockets = []
+            accept = self.server.get_request
+
+            def get_request():
+                sock, address = accept()
+                self.accepted += 1
+                self._sockets.append(sock)
+                return sock, address
+
+            self.server.get_request = get_request
+            self._thread = threading.Thread(
+                target=self.server.serve_forever,
+                kwargs={"poll_interval": 0.01}, daemon=True)
+            self._thread.start()
+            self.port = self.server.server_address[1]
+        else:
+            self.handle = BackgroundAsyncServer(self.service, port=port)
+            serve = self.handle.server._handle_connection
+
+            async def counted(reader, writer):
+                self.accepted += 1
+                await serve(reader, writer)
+
+            self.handle.server._handle_connection = counted
+            self.handle.start()
+            self.port = self.handle.address[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+
+    def parked_polls(self) -> int:
+        if self.kind == "thread":
+            return self.server._polling
+        return self.handle.server._active_polls
+
+    def stop(self) -> None:
+        if self.kind == "thread":
+            self.server.shutdown()
+            self.server.server_close()
+            self._thread.join(timeout=10)
+            # a stopped process takes its connections with it; here the
+            # handler threads would keep serving theirs
+            for sock in self._sockets:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
+        else:
+            self.handle.stop()
+        self.service.close()
+
+
+class _Blocking:
+    """The blocking transport, driven from a coroutine on threads."""
+
+    def __init__(self, url, **kwargs):
+        self.client = Client.connect(url, **kwargs)
+        self.core = self.client._transport
+
+    async def call(self, verb, *args, **kwargs):
+        return await asyncio.to_thread(getattr(self.core, verb),
+                                       *args, **kwargs)
+
+    async def close(self):
+        self.client.close()
+
+
+class _Asyncio:
+    def __init__(self, url, **kwargs):
+        self.core = AsyncClient.connect(url, **kwargs)
+
+    async def call(self, verb, *args, **kwargs):
+        return await getattr(self.core, verb)(*args, **kwargs)
+
+    async def close(self):
+        await self.core.close()
+
+
+@pytest.fixture(params=[_Blocking, _Asyncio])
+def driver(request):
+    """Either HTTP client behind one awaitable ``call(verb, ...)``: the
+    verbs (and ``_call``) are the shared wire core's, so one scenario
+    holds both clients to the same behaviour."""
+    return request.param
+
+
+@pytest.fixture(params=["thread", "async"])
+def server_kind(request):
+    return request.param
+
+
+async def _until(condition, what: str) -> None:
+    for _ in range(2000):
+        if condition():
+            return
+        await asyncio.sleep(0.005)
+    raise AssertionError(f"timed out waiting for {what}")
+
+
+class TestConnectionPool:
+    def test_update_passes_a_parked_poll(self, driver, server_kind,
+                                         abox, omq):
+        stack = _Stack(server_kind)
+        stack.service.register_dataset("demo", abox)
+        sub = stack.service.subscribe("demo", omq)
+
+        async def scenario():
+            client = driver(stack.url)
+            try:
+                parked = asyncio.ensure_future(client.call(
+                    "poll", sub.subscription_id, sub.epoch, 5.0))
+                await _until(lambda: stack.parked_polls() == 1,
+                             "the poll to park")
+                # same client, while its poll holds a connection
+                done = await client.call(
+                    "update", "demo", [("R", ("n1", "n2")),
+                                       ("S", ("n2", "n3")),
+                                       ("R", ("n3", "n4"))])
+                body = await parked
+                return done, body
+            finally:
+                await client.close()
+
+        try:
+            done, body = asyncio.run(scenario())
+        finally:
+            stack.stop()
+        # the poll was released by the update, not by its timeout
+        assert done["epoch"] == 1
+        assert [delta["epoch"] for delta in body["deltas"]] == [1]
+        assert stack.accepted == 2
+
+    def test_restart_gets_a_fresh_connection_nothing_sent_twice(
+            self, driver, server_kind, abox, omq):
+        def registered(stack, _result):
+            assert stack.service.datasets() == ("demo",)
+
+        def updated(stack, result):
+            assert result["epoch"] == 1
+            stats = stack.service.stats()["datasets"]["demo"]
+            assert (stats["epoch"], stats["updates"]) == (1, 1)
+
+        def subscribed(stack, _result):
+            standing = stack.service.stats()["standing"]
+            assert standing["subscribed_total"] == 1
+
+        steps = (
+            ("register_dataset", ("demo", abox), False, registered),
+            ("update", ("demo", [("R", ("n1", "n2"))]), True, updated),
+            ("subscribe", ("demo", omq), True, subscribed),
+        )
+
+        async def scenario():
+            stack = await asyncio.to_thread(_Stack, server_kind)
+            client = driver(stack.url)
+            try:
+                for verb, args, preload, check in steps:
+                    # pool a connection to the server about to go away
+                    await client.call("stats")
+                    assert len(client.core._idle) == 1
+                    await asyncio.to_thread(stack.stop)
+                    stack = await asyncio.to_thread(_Stack, server_kind,
+                                                    stack.port)
+                    if preload:
+                        stack.service.register_dataset("demo", abox)
+                    result = await client.call(verb, *args)
+                    assert stack.accepted == 1
+                    check(stack, result)
+            finally:
+                await client.close()
+                await asyncio.to_thread(stack.stop)
+
+        asyncio.run(scenario())
+
+    def test_rejections_leave_the_socket_reusable(self, driver,
+                                                  server_kind):
+        stack = _Stack(server_kind, quota=TenantQuota(rate_limit=0.001,
+                                                      rate_burst=2))
+
+        async def scenario():
+            client = driver(stack.url, tenant="t")
+            try:
+                statuses = []
+                for path in ("/nope", "/answer", "/answer"):
+                    with pytest.raises(ServiceError) as excinfo:
+                        await client.call("_call", path, {"query": 1})
+                    statuses.append(excinfo.value.status)
+                    assert len(client.core._idle) == 1
+                assert excinfo.value.retry_after > 0  # the 429's header
+                return statuses, await client.call("stats")
+            finally:
+                await client.close()
+
+        try:
+            statuses, stats = asyncio.run(scenario())
+        finally:
+            stack.stop()
+        assert statuses == [404, 400, 429]  # the bucket held two tokens
+        assert "datasets" in stats
+        assert stack.accepted == 1
+
+    def test_close_closes_every_socket(self, driver, server_kind):
+        stack = _Stack(server_kind)
+
+        async def scenario():
+            client = driver(stack.url)
+            await asyncio.gather(*[client.call("stats")
+                                   for _ in range(6)])
+            pooled = list(client.core._idle)
+            await client.close()
+            return pooled, client.core._idle
+
+        try:
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", ResourceWarning)
+                pooled, idle = asyncio.run(scenario())
+                gc.collect()
+        finally:
+            stack.stop()
+        assert 1 <= len(pooled) <= _POOL_SIZE and idle == []
+        assert all(sock.fileno() == -1 for sock in pooled)
+        assert not [w for w in caught
+                    if issubclass(w.category, ResourceWarning)]
+
+    def test_async_client_serves_successive_event_loops(self,
+                                                        server_kind):
+        stack = _Stack(server_kind)
+        client = AsyncClient.connect(stack.url)
+        try:
+            first = asyncio.run(client.stats())
+            second = asyncio.run(client.stats())  # a new loop
+            asyncio.run(client.close())
+        finally:
+            stack.stop()
+        assert "datasets" in first and "datasets" in second
+        assert client._idle == []
+
+    def test_threads_share_one_client(self, server_kind, abox, omq):
+        stack = _Stack(server_kind)
+        stack.service.register_dataset("demo", abox)
+        expected = answer(omq, abox).answers
+        outcomes = []
+
+        def caller(client):
+            for _ in range(25):
+                outcomes.append(
+                    client.answer("demo", omq).answers == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Client.connect(stack.url) as client:
+                threads = [threading.Thread(target=caller, args=(client,))
+                           for _ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert len(client._transport._idle) <= _POOL_SIZE
+        finally:
+            sys.setswitchinterval(interval)
+            stack.stop()
+        # every call got its own (right) response: none lost, none
+        # crossed with another thread's on a shared connection
+        assert outcomes == [True] * (6 * 25)
+        assert stack.accepted <= 6
+
+
+class _OneShotServer:
+    """A scripted raw server: reads one request per connection, writes
+    ``reply`` (if any) and closes — the server behaviours the real
+    ones never show."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+        self.accepted = 0
+        self.requests = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.url = "http://127.0.0.1:%d" % self._listener.getsockname()[1]
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                return  # closed
+            self.accepted += 1
+            with conn:
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    data += conn.recv(65536)
+                self.requests += 1
+                conn.sendall(self.reply)
+
+    def close(self) -> None:
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept
+        self._listener.close()
+        self._thread.join(timeout=10)
+        assert not self._thread.is_alive()
+
+
+class TestNeverReusedNeverResent:
+    @pytest.mark.parametrize("reply", [
+        b"HTTP/1.1 200 OK\r\nContent-Length: 2\r\n"
+        b"Connection: close\r\n\r\n{}",
+        b"HTTP/1.1 200 OK\r\n\r\n{}",  # unframed: runs to end of stream
+    ], ids=["connection-close", "no-content-length"])
+    def test_spent_connections_are_not_pooled(self, driver, reply):
+        server = _OneShotServer(reply)
+
+        async def scenario():
+            client = driver(server.url)
+            try:
+                bodies = [await client.call("stats") for _ in range(2)]
+                return bodies, list(client.core._idle)
+            finally:
+                await client.close()
+
+        try:
+            bodies, idle = asyncio.run(scenario())
+        finally:
+            server.close()
+        assert bodies == [{}, {}] and idle == []
+        assert server.accepted == 2
+
+    def test_a_dropped_request_is_not_sent_again(self, driver):
+        # the server takes the update and dies before replying: the
+        # client cannot know whether it was applied, so it must raise
+        server = _OneShotServer(b"")
+
+        async def scenario():
+            client = driver(server.url)
+            try:
+                with pytest.raises(ConnectionError):
+                    await client.call("update", "demo",
+                                      [("R", ("a", "b"))])
+                return list(client.core._idle)
+            finally:
+                await client.close()
+
+        try:
+            idle = asyncio.run(scenario())
+        finally:
+            server.close()
+        assert idle == []
+        assert (server.accepted, server.requests) == (1, 1)

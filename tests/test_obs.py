@@ -255,6 +255,7 @@ class _TraceWireContract:
         with pytest.raises(ServiceError) as info:
             client.answer("missing", omq)
         assert info.value.trace_id == client.last_trace_id
+        client.close()
 
     def test_traced_answer_returns_spans(self, server_url):
         url, _ = server_url
@@ -269,6 +270,7 @@ class _TraceWireContract:
                 "encode"} <= names
         untraced = client.answer("demo", omq)
         assert untraced.trace is None
+        client.close()
 
 
 class TestThreadedTraceWire(_TraceWireContract):

@@ -3,8 +3,11 @@ front-end: parity with the one-shot pipeline, batch deduplication,
 concurrency, per-request TBox interning and the JSON protocol.
 """
 
+import http.client
 import json
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -12,8 +15,11 @@ import pytest
 
 from repro import ABox, CQ, OMQ, TBox, answer, chain_cq
 from repro.engine import available_engines
+from repro.client import tbox_to_text
 from repro.service import BatchRequest, OMQService
+from repro.service.protocol import Router
 from repro.service.serve import build_server
+from repro.service.service import TBOX_MEMO_SIZE
 
 from .helpers import example11_tbox, random_data
 
@@ -58,6 +64,26 @@ class TestAnswering:
         for _ in range(2):
             service.answer("demo", OMQ(example11_tbox(), chain_cq("RS")))
         assert len(service._dataset("demo").completions) == 1
+
+    def test_inline_ontology_memos_are_bounded(self, service):
+        # one inline text is parsed once (same interned object back);
+        # a thousand distinct ones leave both memos at their bound, and
+        # an evicted ontology still answers the same when it returns
+        router = Router(service)
+        text = tbox_to_text(example11_tbox())
+        request = {"dataset": "demo", "tbox_text": text,
+                   "query": "R(x, y), S(y, z)", "answers": ["x", "z"]}
+        first = router.decode_tbox(request)
+        assert router.decode_tbox(dict(request)) is first
+        assert service.parse_tbox.cache_info().misses == 1
+        before = router.handle("POST", "/answer", request)[1]["answers"]
+        for index in range(1000):
+            router.decode_tbox({"tbox_text": f"{text}\nA{index} <= B"})
+        assert len(service._tboxes) == TBOX_MEMO_SIZE
+        assert service.parse_tbox.cache_info().currsize == TBOX_MEMO_SIZE
+        assert router.decode_tbox(request) is not first  # was evicted
+        assert router.handle("POST", "/answer", request)[1]["answers"] \
+            == before
 
     def test_unknown_dataset_rejected(self, service):
         with pytest.raises(ValueError, match="unknown dataset"):
@@ -249,3 +275,29 @@ class TestServeHTTP:
     def test_stats_endpoint(self, server):
         stats = self._call(server, "/stats")
         assert "cache" in stats and "datasets" in stats
+
+    def test_keep_alive_round_trips_do_not_stall(self, server):
+        # head and body once left as two unbuffered sends: Nagle held
+        # the body for the client's delayed ACK, ~44 ms per request on
+        # a kept-alive connection (connection-per-request hid it)
+        self._call(server, "/datasets",
+                   {"name": "demo", "data": "R(a,b), A_P(b)"})
+        body = json.dumps({"dataset": "demo",
+                           "tbox_text": "roles: P, R, S\nP <= S\nP <= R-",
+                           "query": "R(x,y), S(y,z)", "answers": ["x"]})
+        conn = http.client.HTTPConnection(*server.server_address[:2],
+                                          timeout=10)
+        trips = []
+        try:
+            for _ in range(20):
+                for method, path, payload in (("GET", "/health", None),
+                                              ("POST", "/answer", body)):
+                    started = time.perf_counter()
+                    conn.request(method, path, body=payload)
+                    reply = conn.getresponse()
+                    reply.read()
+                    trips.append(time.perf_counter() - started)
+                    assert reply.status == 200
+        finally:
+            conn.close()
+        assert statistics.median(trips) < 0.010

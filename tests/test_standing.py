@@ -362,6 +362,7 @@ class TestThreadedServing:
         assert body["epoch"] == 1
         body = client.update("demo", deletes=[("P", ("e1", "e2"))])
         assert body["epoch"] == 2
+        client.close()
 
     def test_subscribe_poll_unsubscribe_round_trip(self, threaded_stack):
         service, url = threaded_stack
@@ -376,6 +377,7 @@ class TestThreadedServing:
         # the context manager unsubscribed
         with pytest.raises(ServiceError):
             client._transport.poll(sub.subscription_id)
+        client.close()
 
     def test_get_subscribe_is_501_here(self, threaded_stack):
         _, url = threaded_stack
@@ -415,6 +417,7 @@ class TestThreadedServing:
             assert not parked.is_alive(), "poll still parked"
             body = client._transport.poll(sub.subscription_id)
             assert body["deltas"] == []
+            client.close()
         finally:
             server.shutdown()
             server.server_close()
@@ -458,6 +461,7 @@ class TestThreadedServing:
             assert error.status == 429
             assert error.error_type == "overloaded"
             assert error.retry_after == 1.0
+            client.close()
         finally:
             release.set()
             server.shutdown()

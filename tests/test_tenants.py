@@ -381,8 +381,10 @@ class TestClientTenancy:
             expected = service.answer("demo", omq, tenant="alice")
             assert got.answers == expected.answers
             # the default-tenant client cannot see alice's dataset
-            with pytest.raises(ServiceError):
-                Client.connect(url).answer("demo", omq)
+            with pytest.raises(ServiceError), \
+                    Client.connect(url) as nobody:
+                nobody.answer("demo", omq)
+            alice.close()
         finally:
             server.shutdown()
             thread.join(timeout=10)
