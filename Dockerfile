@@ -1,5 +1,5 @@
-# The serving image: the asyncio front-end with durable multi-tenant
-# storage on a mounted volume.
+# The serving image: `repro serve` with durable multi-tenant storage on
+# a mounted volume.
 #
 #   docker build -t repro-serve .
 #   docker run -p 8080:8080 -v repro-data:/data repro-serve
@@ -22,5 +22,5 @@ EXPOSE 8080
 # the dataset store is checkpointed before exit (WAL folded away)
 STOPSIGNAL SIGTERM
 
-CMD ["python", "-m", "repro", "serve", "--async-io", \
+CMD ["python", "-m", "repro", "serve", \
      "--host", "0.0.0.0", "--port", "8080", "--data-dir", "/data"]

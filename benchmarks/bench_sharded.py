@@ -8,10 +8,7 @@ worker processes (shared-memory ABox transport, streamed chunked
 gather); the 1-shard session pays the same IPC protocol without
 parallelism, and the plain monolithic
 :class:`~repro.rewriting.api.AnswerSession` is the no-sharding
-baseline.  A second measurement scatter-gathers over **two local
-``aserve`` worker processes** through
-:class:`~repro.shard.executor.HttpExecutor` — the multi-node scale-out
-path, paying real HTTP per round.
+baseline.
 
 The ``BENCH_shard.json`` envelope is always written (before any
 assertion can fail); the >= 1.5x speedup assertion only fires on
@@ -20,11 +17,7 @@ core).
 """
 
 import os
-import socket
-import subprocess
-import sys
 import time
-import urllib.request
 
 from repro import OMQ, AnswerSession, compile_omq
 from repro.data import workload_abox
@@ -39,7 +32,6 @@ QUERIES = ("RS", "RSR", "RSRS")
 ROUNDS = 3
 SHARDS = 4
 MIN_SPEEDUP = 1.5
-WORKERS = 2  # local aserve processes for the multi-node measurement
 
 
 def _time_rounds(execute) -> float:
@@ -47,65 +39,6 @@ def _time_rounds(execute) -> float:
     for _ in range(ROUNDS):
         execute()
     return time.perf_counter() - started
-
-
-def _free_port() -> int:
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
-
-
-def _wait_healthy(url: str, deadline: float) -> None:
-    while True:
-        try:
-            urllib.request.urlopen(f"{url}/health", timeout=2).read()
-            return
-        except Exception:
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"worker at {url} never became healthy")
-            time.sleep(0.1)
-
-
-class _LocalWorkers:
-    """``WORKERS`` stateless ``repro serve --async-io`` subprocesses
-    on free localhost ports — the smallest honest multi-node setup."""
-
-    def __init__(self, count: int):
-        repro_dir = os.path.dirname(os.path.dirname(
-            os.path.abspath(sys.modules["repro"].__file__)))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [repro_dir, env.get("PYTHONPATH", "")]).rstrip(os.pathsep)
-        self.urls = []
-        self._processes = []
-        try:
-            for _ in range(count):
-                port = _free_port()
-                process = subprocess.Popen(
-                    [sys.executable, "-m", "repro", "serve", "--async-io",
-                     "--host", "127.0.0.1", "--port", str(port),
-                     "--workers", "2"],
-                    env=env, stdout=subprocess.DEVNULL,
-                    stderr=subprocess.DEVNULL)
-                self._processes.append(process)
-                self.urls.append(f"http://127.0.0.1:{port}")
-            deadline = time.monotonic() + 30
-            for url in self.urls:
-                _wait_healthy(url, deadline)
-        except Exception:
-            self.close()
-            raise
-
-    def close(self) -> None:
-        for process in self._processes:
-            process.terminate()
-        for process in self._processes:
-            try:
-                process.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                process.kill()
-                process.wait(timeout=5)
-        self._processes = []
 
 
 def test_sharded_speedup(benchmark, report_writer):
@@ -136,34 +69,6 @@ def test_sharded_speedup(benchmark, report_writer):
             timings[label] = _time_rounds(lambda: run_all(session))
             transport = session.stats().get("transport")
 
-    # multi-node: the same plans scatter-gathered over two local
-    # aserve worker processes (real HTTP per round, WORKERS nodes).
-    # A smaller instance keeps the one-time HTTP shard registration
-    # from dominating a smoke run; the per-round numbers are the point
-    multinode_abox = workload_abox("random-large", scale=0.5, seed=0)
-    multinode = {"workers": WORKERS}
-    with AnswerSession(multinode_abox) as session:
-        run_all(session)
-        multinode_expected = run_all(session)
-        multinode["monolithic_seconds"] = round(
-            _time_rounds(lambda: run_all(session)), 4)
-    try:
-        workers = _LocalWorkers(WORKERS)
-    except Exception as error:  # keep the report writable regardless
-        multinode["error"] = str(error)
-        multinode_answers = None
-    else:
-        try:
-            with ShardedSession(multinode_abox, shards=WORKERS,
-                                executor=",".join(workers.urls)) as session:
-                run_all(session)
-                multinode_answers = run_all(session)
-                multinode["seconds"] = round(
-                    _time_rounds(lambda: run_all(session)), 4)
-                multinode["atoms"] = len(multinode_abox)
-        finally:
-            workers.close()
-
     speedup = timings["sharded-1"] / max(timings[f"sharded-{SHARDS}"], 1e-9)
     vs_monolithic = (timings["monolithic"]
                      / max(timings[f"sharded-{SHARDS}"], 1e-9))
@@ -177,11 +82,6 @@ def test_sharded_speedup(benchmark, report_writer):
              f"{timings[f'sharded-{SHARDS}']:.3f}",
              f"{executions / timings[f'sharded-{SHARDS}']:.1f}",
              f"{speedup:.1f}x"]]
-    if "seconds" in multinode:
-        rows.append([f"{WORKERS}-node http ({len(multinode_abox)} atoms)",
-                     f"{multinode['seconds']:.3f}",
-                     f"{executions / multinode['seconds']:.1f}",
-                     "scale-out"])
     print_table(
         f"{SHARDS}-shard scatter-gather vs 1-shard "
         f"({len(plans)} plans x {ROUNDS} rounds, {len(abox)} atoms, "
@@ -190,8 +90,6 @@ def test_sharded_speedup(benchmark, report_writer):
 
     parity = (answers[f"sharded-{SHARDS}"] == answers["monolithic"]
               and answers["sharded-1"] == answers["monolithic"])
-    multinode_parity = (None if multinode_answers is None
-                        else multinode_answers == multinode_expected)
     # the envelope is written before any assertion can fail, so a
     # regression still leaves a report on disk to diagnose
     report = {
@@ -208,13 +106,11 @@ def test_sharded_speedup(benchmark, report_writer):
         "speedup_vs_monolithic": round(vs_monolithic, 2),
         "speedup_asserted": cores >= 4,
         "parity": parity,
-        "multinode": {**multinode, "parity": multinode_parity},
     }
     report_writer("shard", report)
 
     # parity first: speed means nothing if the answers drift
     assert parity
-    assert multinode_parity is not False
 
     if cores >= 4:
         assert speedup >= MIN_SPEEDUP, (

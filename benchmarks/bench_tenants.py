@@ -1,7 +1,7 @@
 """80-tenant durable serving: load, SIGTERM, warm restart, parity.
 
 The deployment story end-to-end, against a real ``repro serve
---async-io --data-dir`` subprocess:
+--data-dir`` subprocess:
 
 1. **Load** — 80 tenants each register a dataset, answer queries,
    subscribe a standing query, push an update and drain the delta,
@@ -56,7 +56,7 @@ def _free_port() -> int:
 
 def _spawn(port: int, data_dir: str) -> subprocess.Popen:
     return subprocess.Popen(
-        [sys.executable, "-m", "repro", "serve", "--async-io",
+        [sys.executable, "-m", "repro", "serve",
          "--host", "127.0.0.1", "--port", str(port),
          "--data-dir", data_dir, "--workers", "4",
          "--rate-limit", str(RATE_LIMIT),

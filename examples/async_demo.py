@@ -1,6 +1,6 @@
 """Async serving demo: coalescing identical in-flight queries.
 
-Starts the asyncio front-end (the ``repro serve --async-io`` server)
+Starts the HTTP server (what ``repro serve`` runs) in-process
 over a small university-style dataset, then fires 40 concurrent
 requests from one event loop via :class:`repro.AsyncClient` — 30 of
 them the *same* query under client-regenerated variable names, which

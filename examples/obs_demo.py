@@ -7,7 +7,7 @@ threshold (so every request lands in the slow-query log), then:
   ``"trace": true``, printing the per-span breakdown of the cached
   repeat (decode / cache-lookup / execute / encode);
 * scrapes ``GET /metrics`` and shows a few of the Prometheus families
-  both servers export;
+  the server exports;
 * reads the slow-query log back from ``/stats`` — each entry carries
   the trace ID and plan fingerprint that make a slow request
   attributable;
@@ -21,12 +21,11 @@ Run with::
 
 import io
 import json
-import threading
 import urllib.request
 
 from repro import ABox, CQ, OMQ, OMQService, TBox
 from repro.obs import configure_logging, get_logger
-from repro.service.serve import build_server
+from repro.service import serve_in_background
 
 ONTOLOGY = """
     roles: P, R, S
@@ -58,10 +57,8 @@ def main() -> None:
     service = OMQService(cache_size=64, max_workers=2)
     service.obs.slow_query_ms = 0.0  # demo: everything is "slow"
     service.register_dataset("people", ABox.parse(DATA))
-    server = build_server(service, port=0, verbose=False)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    host, port = server.server_address[:2]
-    url = f"http://{host}:{port}"
+    server = serve_in_background(service)
+    url = server.url
 
     # -- traced requests ----------------------------------------------
     payload = {"dataset": "people", "tbox_text": ONTOLOGY,
@@ -103,8 +100,7 @@ def main() -> None:
     print("\none structured log line:")
     print(f"  {stream.getvalue().strip()}")
 
-    server.shutdown()
-    server.server_close()
+    server.stop()
     service.close()
 
 

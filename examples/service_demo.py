@@ -14,13 +14,11 @@ Run with::
 """
 
 import json
-import threading
 import urllib.request
 
 from repro import ABox, CQ, OMQ, OMQService, TBox
 from repro.engine import available_engines
-from repro.service import BatchRequest
-from repro.service.serve import build_server
+from repro.service import BatchRequest, serve_in_background
 
 ONTOLOGY = """
     roles: P, R, S
@@ -73,22 +71,17 @@ def main() -> None:
           f"{stats['cache']['misses']} misses")
 
     # -- the HTTP front-end --------------------------------------------
-    server = build_server(service, port=0, verbose=False)
-    host, port = server.server_address[:2]
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    request = urllib.request.Request(
-        f"http://{host}:{port}/answer",
-        json.dumps({"dataset": "people", "tbox": ONTOLOGY,
-                    "query": "R(x, y), S(y, z)",
-                    "answers": ["x"]}).encode(),
-        {"Content-Type": "application/json"})
-    with urllib.request.urlopen(request) as response:
-        payload = json.loads(response.read())
+    with serve_in_background(service) as server:
+        request = urllib.request.Request(
+            f"{server.url}/answer",
+            json.dumps({"dataset": "people", "tbox": ONTOLOGY,
+                        "query": "R(x, y), S(y, z)",
+                        "answers": ["x"]}).encode(),
+            {"Content-Type": "application/json"})
+        with urllib.request.urlopen(request) as response:
+            payload = json.loads(response.read())
     print(f"HTTP /answer:       {payload['answers']} "
           f"(cached_rewriting={payload['cached_rewriting']})")
-    server.shutdown()
-    server.server_close()
     service.close()
 
 

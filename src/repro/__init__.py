@@ -41,7 +41,7 @@ The package implements the paper end to end:
   worker processes for real parallelism), with incremental updates
   routed to the owning shards — ``shards=K`` at every layer
   (``AnswerOptions``, ``OMQService.register_dataset``, the CLI and
-  HTTP front-ends);
+  the HTTP server);
 * standing OMQs (:mod:`repro.standing`): subscriptions over a served
   dataset whose certain answers are maintained *incrementally* on
   every update — only the disjuncts of the rewriting touching the

@@ -13,7 +13,6 @@ Usage (after ``pip install -e .``)::
     python -m repro classify --tbox onto.txt --query "R(x,y), S(y,z)"
     python -m repro landscape
     python -m repro serve --port 8080 --dataset demo=data.txt
-    python -m repro serve --async-io --port 8081   # coalescing asyncio
     python -m repro subscribe --url http://127.0.0.1:8080 \
         --dataset demo --tbox onto.txt --query "R(x,y)" --answers x,y
 

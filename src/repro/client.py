@@ -25,9 +25,8 @@ through the same ``TBox.parse`` / ``CQ.parse`` / ``ABox.parse`` syntax
 the CLI and test suite use.
 
 For asyncio code :class:`AsyncClient` speaks the same protocol on the
-event loop (the natural mate of the coalescing ``repro serve
---async-io`` front-end); a blocking ``Client`` call made from a
-coroutine belongs on a thread (``asyncio.to_thread(client.answer,
+event loop (the natural mate of the coalescing ``repro serve``); a
+blocking ``Client`` call made from a coroutine belongs on a thread (``asyncio.to_thread(client.answer,
 ...)``).  Both HTTP clients share one wire core (:class:`_HTTPCore`):
 requests ride a small pool of keep-alive connections, an idle
 connection is probed before reuse, and a request is never sent twice —
@@ -60,7 +59,7 @@ from .standing.registry import AnswerDelta
 
 GroundAtom = Tuple[str, Tuple[str, ...]]
 
-#: Response header echoing the request's trace ID (both servers).
+#: Response header echoing the request's trace ID.
 TRACE_HEADER = "X-Repro-Trace-Id"
 
 
@@ -840,8 +839,7 @@ class AsyncClient(_HTTPCore):
                         **overrides) -> "AsyncSubscription":
         """Register ``omq`` as a standing query; the returned
         :class:`AsyncSubscription` can :meth:`~AsyncSubscription.poll`
-        (both servers) or :meth:`~AsyncSubscription.stream` deltas
-        over SSE (async server only)::
+        or :meth:`~AsyncSubscription.stream` deltas over SSE::
 
             sub = await client.subscribe("demo", omq)
             async for delta in sub.stream():
@@ -869,10 +867,10 @@ class AsyncSubscription(_SubscriptionState):
     Two consumption styles over the same local state:
 
     * :meth:`stream` — an async iterator of
-      :class:`~repro.standing.registry.AnswerDelta`, fed by the async
+      :class:`~repro.standing.registry.AnswerDelta`, fed by the
       server's SSE endpoint (``GET /subscribe``); resyncs arrive as a
       single ``resync`` delta carrying the full answer set.
-    * :meth:`poll` — one long-poll round trip (works on both servers).
+    * :meth:`poll` — one long-poll round trip.
     """
 
     def __init__(self, client: AsyncClient, snapshot: Dict[str, object]):

@@ -13,8 +13,8 @@ Three pieces:
 
 :class:`Observability` bundles a registry with the *complete* family
 set used anywhere in the stack plus the slow-query log.  Families are
-created eagerly here — not lazily at first increment — so both HTTP
-front-ends expose identical metric families from their first scrape,
+created eagerly here — not lazily at first increment — so ``GET
+/metrics`` exposes the same metric families from its first scrape,
 whether or not a given subsystem has fired yet.
 """
 
@@ -65,7 +65,7 @@ class Observability:
         self._slow: "deque[Dict[str, Any]]" = deque(
             maxlen=self.SLOW_LOG_KEEP)
 
-        # -- HTTP front-ends ---------------------------------------------
+        # -- HTTP requests ------------------------------------------------
         self.http_requests = reg.counter(
             "repro_http_requests_total",
             "HTTP requests handled, by route/method/status.",
@@ -149,7 +149,7 @@ class Observability:
             "repro_storage_write_errors_total",
             "Durable-store write failures (served from memory).")
 
-        # -- asyncio front-end --------------------------------------------
+        # -- admission, coalescing, micro-batching ------------------------
         self.async_requests = reg.counter(
             "repro_async_requests_total",
             "Requests handled by the asyncio front-end.")

@@ -2,7 +2,7 @@
 
 One :class:`MetricsRegistry` per :class:`~repro.service.service.OMQService`
 is the single home for every serving counter — the cache, the standing
-registry, the tenant manager, both HTTP front-ends and the service
+registry, the tenant manager, the HTTP server and the service
 itself all register their families against it instead of keeping
 private ``self._hits``-style integers.  That buys three things at
 once:
@@ -10,9 +10,9 @@ once:
 * ``GET /metrics`` renders the whole registry in the Prometheus text
   exposition format, so the same numbers that back ``/stats`` are
   scrapeable;
-* both servers expose *identical metric families* (families are
-  created centrally, servers only increment the ones they use), so
-  dashboards cannot drift between the threaded and asyncio front-ends;
+* the exposed *metric families* never depend on traffic (families
+  are created centrally, subsystems only increment the ones they
+  use), so a dashboard can rely on every name from the first scrape;
 * latency gets first-class treatment: :class:`Histogram` buckets
   observations logarithmically and answers p50/p95/p99 directly from
   the bucket counts, which is what the hot-path latency program trends.
@@ -448,7 +448,7 @@ class MetricsRegistry:
 
 def parse_prometheus_families(text: str) -> Dict[str, str]:
     """``{family name: type}`` from a text-format exposition — what the
-    parity tests compare between the two servers."""
+    tests pin at the wire level."""
     families: Dict[str, str] = {}
     for line in text.splitlines():
         if line.startswith("# TYPE "):

@@ -15,19 +15,18 @@ per-request costs *across* requests and sessions:
   patches the interned database, the memoised indexes, the SQLite
   tables and the cached completions in place instead of reloading;
 * :mod:`repro.service.protocol` — the JSON protocol itself (request
-  decoding, route dispatch, structured errors), shared by both
-  HTTP front-ends so they parse and fail identically;
-* :mod:`repro.service.serve` — the threaded JSON-over-HTTP front-end
-  (``python -m repro serve``) on the stdlib ``http.server``;
-* :mod:`repro.service.aserve` — the asyncio front-end
-  (``python -m repro serve --async-io``): request coalescing of
-  identical in-flight queries, micro-batching into ``answer_batch``
-  calls while the workers are busy, and 429 queue-depth backpressure.
+  decoding, route dispatch, structured errors);
+* :mod:`repro.service.aserve` — the HTTP server, on asyncio streams:
+  request coalescing of identical in-flight queries, micro-batching
+  into ``answer_batch`` calls while the workers are busy, and 429
+  queue-depth backpressure;
+* :mod:`repro.service.serve` — ``python -m repro serve``: the command's
+  options, the service they build, and the signal-driven run loop.
 
 Standing queries (:mod:`repro.standing`) plug into the service here:
 ``OMQService.subscribe`` registers a compiled plan for incremental
-answer maintenance inside the update path, the threaded server offers
-long-poll (``POST /poll``) and the asyncio server adds SSE streaming
+answer maintenance inside the update path, and the server delivers
+the deltas by long-poll (``POST /poll``) or SSE streaming
 (``GET /subscribe``).
 """
 

@@ -1,11 +1,10 @@
-"""Asyncio front-end: request coalescing, micro-batching, backpressure.
+"""The HTTP server: request coalescing, micro-batching, backpressure.
 
-The threaded server (:mod:`repro.service.serve`) spends one blocking
-thread per connection and evaluates every request, even when dozens of
-clients ask the same question at the same moment — the norm for a hot
-OMQ under heavy traffic.  This front-end serves the same protocol
-(:mod:`repro.service.protocol`) over stdlib ``asyncio`` streams and
-buys throughput three ways:
+Dozens of clients asking the same question at the same moment is the
+norm for a hot OMQ under heavy traffic, and evaluating each request on
+its own thread pays for every one of them.  This server speaks the
+protocol of :mod:`repro.service.protocol` over stdlib ``asyncio``
+streams and buys throughput three ways:
 
 * **Request coalescing** — concurrent ``/answer`` requests with the
   same ``(dataset, data version, engine, timeout, plan-cache key)``
@@ -28,7 +27,7 @@ buys throughput three ways:
   coalesced execution is always admitted: it adds no work.
 
 Standing queries (:mod:`repro.standing`) get their push transport
-here: ``GET /subscribe?subscription=ID`` streams incremental answer
+here too: ``GET /subscribe?subscription=ID`` streams incremental answer
 deltas as Server-Sent Events (``snapshot``, then ``delta`` /
 ``resync`` / ``closed`` frames), and ``POST /poll`` long-polls on a
 dedicated thread so parked pollers never occupy the worker pool.
@@ -37,18 +36,14 @@ thread): past the cap new polls are rejected with 429.
 
 Counters for all three (plus queue depth high-water marks) are served
 under ``"async_serving"`` in ``GET /stats`` and as ``repro_async_*``
-families on ``GET /metrics`` (Prometheus text format, identical
-family set to the threaded server).  Every response echoes the
-request's trace ID as ``X-Repro-Trace-Id``.  Start it with
-``python -m repro serve --async-io`` or embed it in tests via
-:func:`serve_in_background`.
+families on ``GET /metrics`` (Prometheus text format).  Every response
+echoes the request's trace ID as ``X-Repro-Trace-Id``.  Start it with
+``python -m repro serve`` (:mod:`repro.service.serve`) or embed it in
+tests via :func:`serve_in_background`.
 
-The async front-end is also the natural *shard worker* for multi-node
-sharded execution: a front node running an
-:class:`~repro.shard.executor.HttpExecutor` registers one dataset per
-shard on a pool of these servers and scatter-gathers ``/answer``
-requests over them concurrently, trace IDs riding along — see
-``repro serve --shard-executor http://worker1,http://worker2``.
+The request head is bounded: a request or header line past the stream
+reader's 64 KiB limit, or more than :data:`MAX_HEADERS` header lines,
+is refused with a structured ``414``/``431`` and the connection closed.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
-from ..obs.trace import Trace, span, tracing
+from ..obs.trace import Trace, mint_trace_id, span, tracing
 from ..standing.push import RESYNC, SubscriberStream, sse_event
 from .protocol import (
     TENANT_HEADER,
@@ -82,6 +77,9 @@ from .service import BatchRequest, OMQService
 #: Routes whose successful POST changes what a dataset's answers are —
 #: each bumps the touched dataset's coalescing epoch.
 _DATA_ROUTES = ("/update", "/datasets")
+
+#: Cap on the header lines of one request.
+MAX_HEADERS = 100
 
 
 class AsyncServiceServer:
@@ -182,9 +180,8 @@ class AsyncServiceServer:
                                   error_type="overloaded"))
         self._pending.clear()
         if self.service.store is not None and self._executor is not None:
-            # checkpoint before the pool goes away: a graceful async
-            # stop must leave fully-folded store files, same as the
-            # threaded server's shutdown path
+            # checkpoint before the pool goes away: a graceful stop
+            # must leave fully-folded store files
             await self._loop.run_in_executor(self._executor,
                                              self.service.checkpoint)
         if self._executor is not None:
@@ -354,8 +351,8 @@ class AsyncServiceServer:
             trace.wanted = bool(payload.get("trace"))
         tenant = resolve_tenant(
             (headers or {}).get(TENANT_HEADER.lower()), payload)
-        # same enforcement point as the threaded server: per-tenant
-        # token bucket before any work is queued (429 + Retry-After)
+        # per-tenant token bucket before any work is queued (429 +
+        # Retry-After)
         self.router.throttle(tenant, method, path)
         if method == "POST" and path == "/answer":
             return await self._handle_answer(payload, tenant=tenant,
@@ -403,7 +400,6 @@ class AsyncServiceServer:
             return await future
         # every remaining route (register/update/explain/stats) may
         # block on locks or compile, so it runs on the worker pool
-        # through the same Router the threaded server uses
         counters_snapshot = None  # counters are loop-confined
         if method == "GET" and path == "/stats":
             counters_snapshot = self._counters_payload()
@@ -532,7 +528,7 @@ class AsyncServiceServer:
                 if not keep_alive:
                     break
         except (ConnectionError, asyncio.IncompleteReadError,
-                asyncio.LimitOverrunError, asyncio.CancelledError):
+                asyncio.CancelledError):
             pass
         finally:
             self._connections.discard(task)
@@ -545,24 +541,36 @@ class AsyncServiceServer:
     async def _handle_one(self, reader: asyncio.StreamReader,
                           writer: asyncio.StreamWriter) -> bool:
         """Serve one request; returns whether to keep the connection."""
-        request_line = await reader.readline()
-        if not request_line or not request_line.strip():
-            return False
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            self._respond(writer, 400, encode_body(
-                {"error": "malformed request line",
-                 "error_type": "bad_request"}))
-            await writer.drain()
-            return False
-        method, path = parts[0].upper(), parts[1]
+        method = path = "-"  # until the request line has been read
         headers: Dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
+        try:
+            request_line = await _head_line(reader, 414, "request line")
+            if not request_line or not request_line.strip():
+                return False
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 2:
+                raise ProtocolError("malformed request line")
+            method, path = parts[0].upper(), parts[1]
+            for _ in range(MAX_HEADERS + 1):
+                line = await _head_line(reader, 431, "header line")
+                if not line or line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip()
+            else:
+                raise ProtocolError(
+                    f"more than {MAX_HEADERS} header lines", status=431)
+        except ProtocolError as error:
+            # an unreadable head leaves no way to tell where the next
+            # request starts: answer it, then close
+            trace_id = mint_trace_id()
+            status, payload, more = error_payload(error, trace_id)
+            more.update({TRACE_HEADER: trace_id, "Connection": "close"})
+            self._respond(writer, status, encode_body(payload),
+                          headers=more)
+            await writer.drain()
+            self.router.observe_request(method, path, status, 0.0)
+            return False
         keep_alive = headers.get("connection", "").lower() != "close"
         if method == "GET" and path.partition("?")[0] == "/subscribe":
             # SSE: an unframed streaming response, written directly —
@@ -606,10 +614,10 @@ class AsyncServiceServer:
         return keep_alive
 
     _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
-                403: "Forbidden", 404: "Not Found",
+                403: "Forbidden", 404: "Not Found", 414: "URI Too Long",
                 429: "Too Many Requests",
-                500: "Internal Server Error", 501: "Not Implemented",
-                503: "Service Unavailable"}
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error", 503: "Service Unavailable"}
 
     def _respond(self, writer: asyncio.StreamWriter, status: int,
                  body: bytes, content_type: str = "application/json",
@@ -621,6 +629,17 @@ class AsyncServiceServer:
         head.extend(f"{name}: {value}"
                     for name, value in (headers or {}).items())
         writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + body)
+
+
+async def _head_line(reader: asyncio.StreamReader, status: int,
+                     what: str) -> bytes:
+    """One line of the request head.  Past the reader's 64 KiB limit
+    ``readline`` raises ``ValueError`` after dropping what it buffered,
+    so an overlong line is refused with ``status``, never parsed."""
+    try:
+        return await reader.readline()
+    except ValueError:
+        raise ProtocolError(f"{what} too long", status=status) from None
 
 
 class BackgroundAsyncServer:
@@ -676,52 +695,3 @@ def serve_in_background(service: OMQService,
     """Start an async server for ``service`` on a background thread
     (``port=0`` by default) and return the running handle."""
     return BackgroundAsyncServer(service, **kwargs).start()
-
-
-def run_async(args, parser=None) -> int:
-    """Run the asyncio front-end from a parsed ``serve`` namespace
-    (the ``--async-io`` path of ``python -m repro serve``)."""
-    from .serve import build_service
-
-    def error(message: str) -> int:
-        if parser is not None:
-            parser.error(message)
-        raise SystemExit(message)
-
-    service = build_service(args, error)
-    try:
-        asyncio.run(_serve_until_signalled(service, args))
-    except KeyboardInterrupt:
-        pass
-    finally:
-        service.close()
-    print("repro async service stopped")
-    return 0
-
-
-async def _serve_until_signalled(service: OMQService, args) -> None:
-    import signal
-
-    server = AsyncServiceServer(
-        service, args.host, args.port, workers=args.workers,
-        max_pending=args.max_pending, max_batch=args.max_batch,
-        max_polls=getattr(args, "max_polls", 64), verbose=True)
-    await server.start()
-    print(f"repro async service on {server.url} "
-          f"(datasets: {', '.join(service.datasets()) or 'none'}; "
-          f"coalescing on, max_batch={server.max_batch}, "
-          f"max_pending={server.max_pending})")
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for name in ("SIGTERM", "SIGINT"):
-        signum = getattr(signal, name, None)
-        if signum is None:
-            continue
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except (NotImplementedError, RuntimeError):
-            break
-    try:
-        await stop.wait()
-    finally:
-        await server.stop()

@@ -1,10 +1,8 @@
-"""The JSON/HTTP serving protocol, shared by both front-ends.
+"""The JSON/HTTP serving protocol.
 
-:mod:`repro.service.serve` (one thread per request, stdlib
-``http.server``) and :mod:`repro.service.aserve` (asyncio streams with
-request coalescing) speak the same wire protocol.  This module is the
-single definition of that protocol — request decoding, route dispatch
-and error shaping live here so the two servers cannot drift:
+This module is the single definition of the wire protocol that
+:mod:`repro.service.aserve` serves — request decoding, route dispatch
+and error shaping, with no sockets in it:
 
 * :class:`ProtocolError` — a request failure that already knows its
   HTTP status and its structured JSON body (``{"error": <message>,
@@ -15,10 +13,10 @@ and error shaping live here so the two servers cannot drift:
   framing and decoding with those structured errors;
 * :class:`Router` — decodes payloads into service calls
   (``/answer``, ``/batch``, ``/datasets``, ...) and renders results.
-  Both servers delegate every route here; the async server only
-  intercepts ``/answer`` to add coalescing and micro-batching around
-  the same :meth:`Router.decode_answer` / :meth:`Router.result_payload`
-  pair.
+  The server delegates every route here; it only intercepts ``/answer``
+  to add coalescing and micro-batching around the same
+  :meth:`Router.decode_answer` / :meth:`Router.result_payload` pair,
+  and ``GET /subscribe`` to stream.
 """
 
 from __future__ import annotations
@@ -39,8 +37,7 @@ from ..store import DEFAULT_TENANT, QuotaError, RateLimited, TenantManager
 from .service import BatchRequest, OMQService
 
 #: Cap on long-poll blocking (seconds) — a client asking for more gets
-#: this much; both servers share the bound so neither can be held open
-#: indefinitely by one subscriber.
+#: this much, so one subscriber cannot hold a poll open indefinitely.
 MAX_POLL_TIMEOUT = 30.0
 
 #: Request/response header carrying the trace ID.  Honored inbound
@@ -48,7 +45,7 @@ MAX_POLL_TIMEOUT = 30.0
 #: response — including errors — and minted when absent.
 TRACE_HEADER = "X-Repro-Trace-Id"
 
-#: The routes both servers serve; anything else is folded into
+#: The routes the server serves; anything else is folded into
 #: ``"other"`` for metric labels, so hostile paths cannot explode the
 #: ``route`` label's cardinality.
 KNOWN_ROUTES = frozenset({
@@ -127,10 +124,9 @@ class ProtocolError(ValueError):
 
 def overloaded_error(depth: int, max_pending: int,
                      retry_after: float = 1.0) -> ProtocolError:
-    """The one 429 both servers raise when their request queue is
-    full, so ``Retry-After`` and the structured body cannot drift
-    between them (clients surface it as
-    ``ServiceError.retry_after``)."""
+    """The 429 raised when the request queue (or the parked-poll
+    budget) is full; clients surface it as
+    ``ServiceError.retry_after``."""
     return ProtocolError(
         f"server overloaded: {depth} requests pending "
         f"(max {max_pending}); retry later",
@@ -142,7 +138,7 @@ def error_payload(error: Exception,
                   ) -> Tuple[int, Dict[str, object], Dict[str, str]]:
     """Map any handler exception to ``(status, body, extra_headers)``.
 
-    The one error-shaping path for both servers: client mistakes
+    The one error-shaping path: client mistakes
     (``ValueError`` and friends — bad fields, unknown datasets,
     malformed atoms) are 400s, everything else is a 500 that never
     drops the connection.  ``trace_id`` lands in the body (and the
@@ -267,9 +263,7 @@ class Router:
 
     def metrics_text(self) -> Tuple[bytes, str]:
         """``GET /metrics``: the service registry in Prometheus text
-        format, plus its content type.  Both servers serve this from
-        the same shared registry, so the exposed metric families are
-        identical by construction."""
+        format, plus its content type."""
         text = self.service.obs.render_prometheus()
         return text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
 
@@ -277,7 +271,7 @@ class Router:
                         seconds: float,
                         trace: Optional[Trace] = None) -> None:
         """Account one finished request (HTTP metric families + the
-        slow-query log); both servers call this once per response."""
+        slow-query log); the server calls this once per response."""
         self.service.obs.observe_http(metric_route(path), method,
                                       status, seconds, trace)
 
@@ -286,8 +280,8 @@ class Router:
     def throttle(self, tenant: str, method: str, path: str) -> None:
         """Charge one request against the tenant's token bucket
         (raises :class:`~repro.store.tenants.RateLimited` -> 429 +
-        ``Retry-After``).  Both servers call this once per admitted
-        request, before dispatch, so enforcement cannot drift.
+        ``Retry-After``).  The server calls this once per admitted
+        request, before dispatch.
 
         ``GET`` routes (health checks, stats scrapes) and ``/poll``
         (a parked long-poll is idle waiting, not work) are exempt.
@@ -405,14 +399,6 @@ class Router:
                 return 200, self.health_payload()
             if path == "/stats":
                 return 200, self.service.stats()
-            if path == "/subscribe" or path.startswith("/subscribe?"):
-                # SSE streaming is the async server's job (it
-                # intercepts this path before dispatch); the threaded
-                # server serves standing queries via POST /poll only
-                raise ProtocolError(
-                    "GET /subscribe (SSE) requires the async server "
-                    "(serve --async-io); use POST /poll on this one",
-                    status=501, error_type="unsupported")
             raise ProtocolError(f"unknown path {path!r}", status=404,
                                 error_type="not_found")
         if method != "POST":

@@ -255,7 +255,7 @@ class BatchRequest:
     options: Optional[AnswerOptions] = None
     tenant: str = DEFAULT_TENANT
     #: Optional :class:`~repro.obs.trace.Trace` to record this entry's
-    #: spans under — the batching front-ends thread each request's
+    #: spans under — the batching server threads each request's
     #: trace through here (the worker thread running the job activates
     #: it; identity only, so it never partitions the dedup).
     trace: Optional[object] = field(default=None, compare=False)

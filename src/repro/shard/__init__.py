@@ -38,16 +38,11 @@ unions incrementally instead of unpickling one monolithic frozenset
 per shard.  And ``shards="auto"`` sizes the partition from the live
 CPU count and the component-weight skew
 (:func:`~repro.shard.partition.auto_shards`), resharding in place
-when a rebalancing update changes the layout.  Beyond one machine,
-:class:`~repro.shard.executor.HttpExecutor` runs the same
-scatter-gather contract over remote ``repro serve`` instances as
-shard workers (asyncio fan-out, trace-ID propagation), selected by
-passing comma-separated ``http://`` URLs as the executor kind.
+when a rebalancing update changes the layout.
 """
 
 from .executor import (
     Executor,
-    HttpExecutor,
     ProcessExecutor,
     SerialExecutor,
     ShardResult,
@@ -58,7 +53,6 @@ from .session import ShardedSession
 
 __all__ = [
     "Executor",
-    "HttpExecutor",
     "Partition",
     "ProcessExecutor",
     "SerialExecutor",

@@ -1,6 +1,6 @@
 """Scatter-gather executors over per-shard engines.
 
-Three interchangeable implementations of one small contract —
+Two interchangeable implementations of one small contract —
 broadcast a compiled :class:`~repro.rewriting.plan.Plan` to every
 shard and gather the per-shard results, or push per-shard data deltas:
 
@@ -18,11 +18,6 @@ shard and gather the per-shard results, or push per-shard data deltas:
   transport (:mod:`repro.shard.transport`) instead of pickle, and
   answer sets stream back in fixed-size chunks so the parent unions
   incrementally.
-* :class:`HttpExecutor` — multi-node mode: each shard's data lives as
-  a dataset on a remote ``repro serve`` instance and every round
-  scatter-gathers ``/answer`` requests concurrently over asyncio
-  (:class:`~repro.client.AsyncClient`), with the caller's trace ID
-  propagated on ``X-Repro-Trace-Id``.
 
 Workers intern TBoxes by fingerprint: sessions key completions by
 object identity, and every ``execute`` delivers a freshly unpickled
@@ -67,10 +62,6 @@ class Executor:
     """The scatter-gather contract every implementation satisfies."""
 
     kind: str = "?"
-    #: Whether ``execute`` accepts plans whose NDL was substituted
-    #: after compilation (standing-query maintenance); remote
-    #: executors cannot ship a bare NDL over the wire.
-    supports_restricted: bool = True
 
     @property
     def shards(self) -> int:
@@ -524,129 +515,6 @@ class ProcessExecutor(Executor):
             self._segments = []
 
 
-class HttpExecutor(Executor):
-    """Multi-node scatter-gather over remote ``repro serve`` workers.
-
-    Each shard's ABox is registered as a private dataset on one of the
-    worker ``urls`` (round-robin), and every ``execute`` round sends
-    the plan's OMQ + options for the worker to compile and evaluate
-    monolithically over its shard — plans travel as canonical text,
-    so the workers' rewriting caches turn recompilation into a
-    fingerprint lookup after the first round.  Requests fan out
-    concurrently on asyncio streams (:class:`~repro.client
-    .AsyncClient`) and the caller's ambient trace ID rides along on
-    ``X-Repro-Trace-Id``, so worker-side slow-query logs correlate
-    with the front node's request.
-
-    Restricted (substituted-NDL) plans cannot travel this way —
-    :attr:`supports_restricted` is ``False`` and
-    :meth:`~repro.shard.session.ShardedSession.execute_restricted`
-    rejects them with a clear error, so standing-query maintenance
-    needs a local executor.
-
-    ``close`` drops the per-shard datasets from the workers (best
-    effort: an unreachable worker does not fail the close).
-    """
-
-    kind = "http"
-    supports_restricted = False
-
-    def __init__(self, shard_aboxes: Sequence[ABox],
-                 engine: str = "python",
-                 urls: Sequence[str] = (),
-                 timeout: float = 60.0):
-        import uuid
-
-        from ..client import Client
-
-        cleaned = [url.strip().rstrip("/") for url in urls if url.strip()]
-        if not cleaned:
-            raise ValueError("HttpExecutor needs at least one worker URL")
-        for url in cleaned:
-            if not url.startswith("http://"):
-                raise ValueError(
-                    f"HttpExecutor speaks plain http, got {url!r}")
-        self._engine = engine
-        self._timeout = timeout
-        self._closed = False
-        self._shards = len(shard_aboxes)
-        prefix = f"__shard__{uuid.uuid4().hex[:12]}"
-        #: shard -> (worker base URL, dataset name on that worker)
-        self._homes: List[Tuple[str, str]] = []
-        self._clients: Dict[str, Client] = {
-            url: Client.connect(url, timeout=timeout) for url in cleaned}
-        for shard, abox in enumerate(shard_aboxes):
-            url = cleaned[shard % len(cleaned)]
-            name = f"{prefix}-{shard}"
-            self._clients[url].register_dataset(name, abox)
-            self._homes.append((url, name))
-
-    @property
-    def shards(self) -> int:
-        return self._shards
-
-    def execute(self, plan, engine: Optional[str] = None,
-                shards: Optional[Sequence[int]] = None
-                ) -> List[ShardResult]:
-        import asyncio
-
-        self._check_open()
-        selected = self._selected(shards)
-        engine_name = engine or self._engine
-        # each worker evaluates its shard monolithically; knobs that
-        # only steer the front node's orchestration are stripped
-        options = plan.options.replace(engine=engine_name, shards=0,
-                                       start_method=None)
-        results = asyncio.run(
-            self._fan_out(selected, plan.omq, options))
-        return [ShardResult(shard, answers.answers, answers.seconds,
-                            answers.generated_tuples)
-                for shard, answers in zip(selected, results)]
-
-    async def _fan_out(self, selected: Sequence[int], omq, options):
-        import asyncio
-
-        from ..client import AsyncClient
-
-        clients = {url: AsyncClient.connect(url, timeout=self._timeout)
-                   for url in {self._homes[shard][0]
-                               for shard in selected}}
-        try:
-            return await asyncio.gather(
-                *(clients[self._homes[shard][0]].answer(
-                    self._homes[shard][1], omq, options)
-                  for shard in selected))
-        finally:
-            for client in clients.values():
-                await client.close()
-
-    def apply_deltas(self, deltas: Mapping[int, ShardDelta]
-                     ) -> List[Dict[str, int]]:
-        self._check_open()
-        touched = self._selected(sorted(deltas))
-        results = []
-        for shard in touched:
-            url, name = self._homes[shard]
-            inserts, deletes = deltas[shard]
-            results.append(self._clients[url].update(
-                name, inserts=inserts, deletes=deletes))
-        return results
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for url, name in self._homes:
-            try:
-                self._clients[url].unregister_dataset(name)
-            except Exception:
-                pass  # worker gone or dataset already dropped
-        for client in self._clients.values():
-            client.close()
-        self._clients = {}
-        self._homes = []
-
-
 def create_executor(kind: str, shard_aboxes: Sequence[ABox],
                     engine: str = "python",
                     start_method: Optional[str] = None,
@@ -655,16 +523,11 @@ def create_executor(kind: str, shard_aboxes: Sequence[ABox],
 
     ``"auto"`` picks processes on multi-core machines and the serial
     path on single-core ones (where worker processes cost start-up but
-    cannot overlap).  A ``kind`` of comma-separated ``http://`` URLs
-    builds the multi-node :class:`HttpExecutor` over those worker
-    servers.  ``start_method`` and ``transport`` configure the
-    :class:`ProcessExecutor` (ignored by the other kinds).
+    cannot overlap).  ``start_method`` and ``transport`` configure the
+    :class:`ProcessExecutor` (ignored by the serial one).
     """
     import os
 
-    if kind.startswith(("http://", "https://")):
-        return HttpExecutor(shard_aboxes, engine=engine,
-                            urls=kind.split(","))
     if kind == "auto":
         kind = "process" if (os.cpu_count() or 1) > 1 else "serial"
     if kind == "serial":
@@ -674,5 +537,4 @@ def create_executor(kind: str, shard_aboxes: Sequence[ABox],
                                start_method=start_method,
                                transport=transport)
     raise ValueError(f"unknown executor {kind!r}; expected 'auto', "
-                     "'serial', 'process' or comma-separated "
-                     "http:// worker URLs")
+                     "'serial' or 'process'")

@@ -51,11 +51,10 @@ class ShardedSession:
     ``Plan.execute`` dispatches to.
 
     ``executor`` is ``"process"`` (persistent worker processes, true
-    parallelism), ``"serial"`` (in-process reference implementation),
-    ``"auto"`` (processes on multi-core machines) or comma-separated
-    ``http://`` worker URLs (multi-node scatter-gather over remote
-    ``repro serve`` instances).  The session owns the master ABox:
-    updates mutate it in place and route deltas to the owning shards.
+    parallelism), ``"serial"`` (in-process reference implementation)
+    or ``"auto"`` (processes on multi-core machines).  The session owns
+    the master ABox: updates mutate it in place and route deltas to the
+    owning shards.
 
     ``shards`` may be ``"auto"``: the count is picked by
     :func:`~repro.shard.partition.auto_shards` from the usable CPUs
@@ -250,12 +249,6 @@ class ShardedSession:
         exactly when maintenance uses it.
         """
         engine_name = engine or self.engine
-        if not getattr(self._executor, "supports_restricted", True):
-            raise RuntimeError(
-                f"the {self._executor.kind!r} executor cannot evaluate "
-                "restricted (substituted-NDL) plans — standing-query "
-                "maintenance needs a local executor "
-                "('serial'/'process')")
         restricted = dataclasses.replace(plan, ndl=ndl)
         with self._lock:
             self._check_usable()

@@ -32,11 +32,10 @@ Architecture (three modules, wired through the service layer):
   replace, re-union, diff.  Whatever resists decomposition (or any
   evaluation error) falls back to a logged full re-execution.
 
-* :mod:`repro.standing.push` — the plumbing.  SSE streaming over the
-  async server (``GET /subscribe``) with bounded per-subscriber
-  queues that degrade to a ``resync`` snapshot on overflow rather
-  than ever blocking the update path, and long-poll
-  (``POST /poll`` with ``since_epoch``) on both servers.
+* :mod:`repro.standing.push` — the plumbing.  SSE streaming
+  (``GET /subscribe``) with bounded per-subscriber queues that degrade
+  to a ``resync`` snapshot on overflow rather than ever blocking the
+  update path, and long-poll (``POST /poll`` with ``since_epoch``).
 
 Maintenance runs inside the service's writer-lock update path — the
 same critical section that bumps the dataset epoch — so a subscriber

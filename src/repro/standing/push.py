@@ -2,7 +2,7 @@
 
 Two transports, both fed by the same registry listeners:
 
-* **SSE** (async server only): ``GET /subscribe`` streams
+* **SSE**: ``GET /subscribe`` streams
   ``text/event-stream`` — one ``snapshot`` event up front (taken
   atomically with listener registration, so no delta can fall in the
   gap), then a ``delta`` event per maintenance commit.  The bridge
@@ -10,7 +10,7 @@ Two transports, both fed by the same registry listeners:
   :class:`SubscriberStream`: a bounded queue that *drops* and degrades
   to a single ``resync`` event (full snapshot) on overflow instead of
   ever blocking the update path.
-* **long-poll** (both servers): ``POST /poll`` with ``since_epoch``
+* **long-poll**: ``POST /poll`` with ``since_epoch``
   blocks until a newer delta exists and returns the retained deltas —
   or a resync snapshot when the asked-for epoch predates the bounded
   history.

@@ -23,7 +23,7 @@ supplies the two missing production pieces:
 :class:`~repro.service.service.OMQService` grows ``store=`` /
 ``quota=`` constructor knobs, ``snapshot()`` / ``restore()`` /
 ``checkpoint()``, and per-tenant accounting; ``repro serve
---data-dir DIR`` turns it all on for both HTTP front-ends.
+--data-dir DIR`` turns it all on for the server.
 """
 
 from .datastore import DatasetStore, StoredSubscription, TenantSnapshot

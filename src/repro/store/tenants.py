@@ -112,9 +112,8 @@ class TenantManager:
 
     One instance lives on each :class:`~repro.service.service.OMQService`
     (``service.tenants``); the service charges it on registration,
-    update, and subscribe paths, and the shared protocol layer calls
-    :meth:`throttle` per admitted request so both HTTP front-ends
-    enforce identical limits.
+    update, and subscribe paths, and the protocol layer calls
+    :meth:`throttle` per admitted request.
     """
 
     def __init__(self, quota: Optional[TenantQuota] = None,

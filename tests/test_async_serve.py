@@ -1,10 +1,9 @@
-"""The asyncio serving front-end, tested differentially.
+"""The HTTP server, tested differentially.
 
-The contract: ``repro serve --async-io`` must be *invisible* to a
-correct client — same JSON protocol, same parsing, same errors, same
-answers as the threaded server and the embedded service — while
-coalescing identical in-flight requests, micro-batching, and pushing
-back with 429 when saturated.
+The contract: ``repro serve`` must be *invisible* to a correct client —
+same answers as the embedded service, structured errors for every
+malformed request — while coalescing identical in-flight requests,
+micro-batching, and pushing back with 429 when saturated.
 
 The load test drives ~100 concurrent mixed requests (hot repeats,
 renamed-variable repeats, engine variations, cold shapes) through the
@@ -16,6 +15,7 @@ same evolving data.
 
 import asyncio
 import json
+import logging
 import socket
 import threading
 
@@ -25,9 +25,8 @@ from repro import OMQ, AsyncClient, Client, ServiceError
 from repro.client import cq_to_text, tbox_to_text
 from repro.queries import CQ, chain_cq
 from repro.service import OMQService, serve_in_background
-from repro.service.aserve import AsyncServiceServer
+from repro.service.aserve import MAX_HEADERS, AsyncServiceServer
 from repro.service.protocol import ProtocolError
-from repro.service.serve import build_server
 
 from .helpers import example11_tbox, random_data
 
@@ -382,33 +381,34 @@ class TestAdaptiveBatching:
         assert (queued.status, queued.error_type) == (503, "overloaded")
 
 
+def _exchange(address, request: bytes) -> bytes:
+    """Send ``request`` on a fresh connection; everything the server
+    wrote before it closed."""
+    with socket.create_connection(address, timeout=10) as conn:
+        conn.sendall(request)
+        chunks = []
+        try:
+            while True:
+                chunk = conn.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with our unread bytes still in its buffer
+    return b"".join(chunks)
+
+
 class TestProtocolParity:
-    """Both servers must parse and error identically (shared Router)."""
+    """Malformed requests get structured errors, never a dropped
+    connection or a traceback."""
 
     @pytest.fixture
-    def thread_server(self):
-        service = OMQService(max_workers=2)
-        service.register_dataset("demo", _fresh_data())
-        server = build_server(service, port=0, verbose=False)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        yield server.server_address[:2]
-        server.shutdown()
-        server.server_close()
-        service.close()
-
-    @pytest.fixture
-    def async_server(self):
+    def address(self):
         service = OMQService(max_workers=2)
         service.register_dataset("demo", _fresh_data())
         with serve_in_background(service) as handle:
             yield handle.address
         service.close()
-
-    @pytest.fixture(params=["thread", "async"])
-    def address(self, request):
-        return request.getfixturevalue(f"{request.param}_server")
 
     @staticmethod
     def _raw(address, payload: bytes,
@@ -419,16 +419,7 @@ class TestProtocolParity:
         head = (f"POST /answer HTTP/1.1\r\nHost: repro\r\n"
                 f"Content-Type: application/json\r\n"
                 f"Content-Length: {length}\r\nConnection: close\r\n\r\n")
-        with socket.create_connection(address, timeout=10) as conn:
-            conn.sendall(head.encode() + payload)
-            conn.settimeout(10)
-            chunks = []
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        raw = b"".join(chunks)
+        raw = _exchange(address, head.encode() + payload)
         status_line, _, rest = raw.partition(b"\r\n")
         status = int(status_line.split()[1])
         _, _, body = rest.partition(b"\r\n\r\n")
@@ -467,16 +458,7 @@ class TestProtocolParity:
                  b"Content-Length: 12abc\r\n\r\n"
                  b'{"dataset": 1}')
         second = b"GET /health HTTP/1.1\r\nHost: repro\r\n\r\n"
-        with socket.create_connection(address, timeout=10) as conn:
-            conn.sendall(first + second)
-            conn.settimeout(10)
-            chunks = []
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-        raw = b"".join(chunks)
+        raw = _exchange(address, first + second)
         assert raw.split()[1] == b"400"
         # exactly one response: the pipelined GET must NOT have been
         # served from the desynchronized stream
@@ -498,6 +480,39 @@ class TestProtocolParity:
                 client._transport._call(
                     "/answer", {"tbox_text": "P <= S", "query": "S(x,y)",
                                 "answers": "x"})
+
+
+    @pytest.mark.parametrize("request_bytes, status, message", [
+        (b"GET /" + b"a" * 100_000 + b" HTTP/1.1\r\nHost: repro\r\n\r\n",
+         414, "request line too long"),
+        (b"GET /health HTTP/1.1\r\nX-Pad: " + b"a" * 100_000
+         + b"\r\n\r\n", 431, "header line too long"),
+        (b"GET /health HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % index for index in range(5000))
+         + b"\r\n", 431, f"more than {MAX_HEADERS} header lines"),
+    ], ids=["request-line", "header-line", "header-count"])
+    def test_oversized_head_is_structured_4xx(self, address, caplog,
+                                              request_bytes, status,
+                                              message):
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            # a pipelined request behind the refused head must not be
+            # served: where it starts is unknowable, so the server
+            # answers once and closes (recv saw EOF or a reset)
+            raw = _exchange(address, request_bytes + b"GET /health "
+                            b"HTTP/1.1\r\nHost: repro\r\n\r\n")
+            fresh = _exchange(address, b"GET /metrics HTTP/1.1\r\n"
+                              b"Connection: close\r\n\r\n")
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == str(status).encode()
+        assert b"connection: close" in head.lower()
+        assert raw.count(b"HTTP/1.1") == 1
+        assert json.loads(body)["error"] == message
+        assert json.loads(body)["error_type"] == "bad_request"
+        # the server is unharmed — a fresh connection answers — and
+        # it counted the refusal
+        assert fresh.split()[1] == b"200"
+        assert b'status="%d"} 1\n' % status in fresh
+        assert caplog.records == []
 
 
 class TestAsyncClientSurface:

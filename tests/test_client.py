@@ -21,10 +21,9 @@ from repro import (
 )
 from repro.client import _POOL_SIZE, abox_to_text, cq_to_text, tbox_to_text
 from repro.queries import CQ
-from repro.service import OMQService
+from repro.service import OMQService, serve_in_background
 from repro.service.aserve import BackgroundAsyncServer
 from repro.service.cache import tbox_fingerprint
-from repro.service.serve import build_server
 from repro.store import TenantQuota
 
 from .helpers import example11_tbox, random_data
@@ -43,14 +42,9 @@ def omq():
 @pytest.fixture
 def http_client():
     service = OMQService(max_workers=2)
-    server = build_server(service, port=0, verbose=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    with Client.connect(f"http://{host}:{port}") as client:
+    with serve_in_background(service) as handle, \
+            Client.connect(handle.url) as client:
         yield client
-    server.shutdown()
-    server.server_close()
     service.close()
 
 
@@ -160,63 +154,29 @@ class TestHTTPClient:
 
 
 class _Stack:
-    """One of the two servers over a fresh service, counting the
-    connections it accepts; ``port`` restarts one on a known port."""
+    """The server over a fresh service, counting the connections it
+    accepts; ``port`` restarts one on a known port."""
 
-    def __init__(self, kind, port=0, **service_kwargs):
-        self.kind = kind
+    def __init__(self, port=0, **service_kwargs):
         self.service = OMQService(max_workers=2, **service_kwargs)
         self.accepted = 0
-        if kind == "thread":
-            self.server = build_server(self.service, port=port,
-                                       verbose=False)
-            self._sockets = []
-            accept = self.server.get_request
+        self.handle = BackgroundAsyncServer(self.service, port=port)
+        serve = self.handle.server._handle_connection
 
-            def get_request():
-                sock, address = accept()
-                self.accepted += 1
-                self._sockets.append(sock)
-                return sock, address
+        async def counted(reader, writer):
+            self.accepted += 1
+            await serve(reader, writer)
 
-            self.server.get_request = get_request
-            self._thread = threading.Thread(
-                target=self.server.serve_forever,
-                kwargs={"poll_interval": 0.01}, daemon=True)
-            self._thread.start()
-            self.port = self.server.server_address[1]
-        else:
-            self.handle = BackgroundAsyncServer(self.service, port=port)
-            serve = self.handle.server._handle_connection
-
-            async def counted(reader, writer):
-                self.accepted += 1
-                await serve(reader, writer)
-
-            self.handle.server._handle_connection = counted
-            self.handle.start()
-            self.port = self.handle.address[1]
+        self.handle.server._handle_connection = counted
+        self.handle.start()
+        self.port = self.handle.address[1]
         self.url = f"http://127.0.0.1:{self.port}"
 
     def parked_polls(self) -> int:
-        if self.kind == "thread":
-            return self.server._polling
         return self.handle.server._active_polls
 
     def stop(self) -> None:
-        if self.kind == "thread":
-            self.server.shutdown()
-            self.server.server_close()
-            self._thread.join(timeout=10)
-            # a stopped process takes its connections with it; here the
-            # handler threads would keep serving theirs
-            for sock in self._sockets:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-        else:
-            self.handle.stop()
+        self.handle.stop()
         self.service.close()
 
 
@@ -254,11 +214,6 @@ def driver(request):
     return request.param
 
 
-@pytest.fixture(params=["thread", "async"])
-def server_kind(request):
-    return request.param
-
-
 async def _until(condition, what: str) -> None:
     for _ in range(2000):
         if condition():
@@ -268,9 +223,8 @@ async def _until(condition, what: str) -> None:
 
 
 class TestConnectionPool:
-    def test_update_passes_a_parked_poll(self, driver, server_kind,
-                                         abox, omq):
-        stack = _Stack(server_kind)
+    def test_update_passes_a_parked_poll(self, driver, abox, omq):
+        stack = _Stack()
         stack.service.register_dataset("demo", abox)
         sub = stack.service.subscribe("demo", omq)
 
@@ -301,7 +255,7 @@ class TestConnectionPool:
         assert stack.accepted == 2
 
     def test_restart_gets_a_fresh_connection_nothing_sent_twice(
-            self, driver, server_kind, abox, omq):
+            self, driver, abox, omq):
         def registered(stack, _result):
             assert stack.service.datasets() == ("demo",)
 
@@ -321,7 +275,7 @@ class TestConnectionPool:
         )
 
         async def scenario():
-            stack = await asyncio.to_thread(_Stack, server_kind)
+            stack = await asyncio.to_thread(_Stack)
             client = driver(stack.url)
             try:
                 for verb, args, preload, check in steps:
@@ -329,8 +283,7 @@ class TestConnectionPool:
                     await client.call("stats")
                     assert len(client.core._idle) == 1
                     await asyncio.to_thread(stack.stop)
-                    stack = await asyncio.to_thread(_Stack, server_kind,
-                                                    stack.port)
+                    stack = await asyncio.to_thread(_Stack, stack.port)
                     if preload:
                         stack.service.register_dataset("demo", abox)
                     result = await client.call(verb, *args)
@@ -342,10 +295,8 @@ class TestConnectionPool:
 
         asyncio.run(scenario())
 
-    def test_rejections_leave_the_socket_reusable(self, driver,
-                                                  server_kind):
-        stack = _Stack(server_kind, quota=TenantQuota(rate_limit=0.001,
-                                                      rate_burst=2))
+    def test_rejections_leave_the_socket_reusable(self, driver):
+        stack = _Stack(quota=TenantQuota(rate_limit=0.001, rate_burst=2))
 
         async def scenario():
             client = driver(stack.url, tenant="t")
@@ -369,8 +320,8 @@ class TestConnectionPool:
         assert "datasets" in stats
         assert stack.accepted == 1
 
-    def test_close_closes_every_socket(self, driver, server_kind):
-        stack = _Stack(server_kind)
+    def test_close_closes_every_socket(self, driver):
+        stack = _Stack()
 
         async def scenario():
             client = driver(stack.url)
@@ -392,9 +343,8 @@ class TestConnectionPool:
         assert not [w for w in caught
                     if issubclass(w.category, ResourceWarning)]
 
-    def test_async_client_serves_successive_event_loops(self,
-                                                        server_kind):
-        stack = _Stack(server_kind)
+    def test_async_client_serves_successive_event_loops(self):
+        stack = _Stack()
         client = AsyncClient.connect(stack.url)
         try:
             first = asyncio.run(client.stats())
@@ -405,8 +355,8 @@ class TestConnectionPool:
         assert "datasets" in first and "datasets" in second
         assert client._idle == []
 
-    def test_threads_share_one_client(self, server_kind, abox, omq):
-        stack = _Stack(server_kind)
+    def test_threads_share_one_client(self, abox, omq):
+        stack = _Stack()
         stack.service.register_dataset("demo", abox)
         expected = answer(omq, abox).answers
         outcomes = []

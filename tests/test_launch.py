@@ -1,0 +1,110 @@
+"""The launch path: ``python -m repro serve`` as a process.
+
+What only a real process exercises: the argument parser, the run loop,
+the SIGTERM drain with its store checkpoint, and the warm restore on
+the next start.  The child runs with ``-W error::ResourceWarning``, so
+a leaked listening socket or event loop shows on its stderr, which
+must stay empty.
+"""
+
+import contextlib
+import http.client
+import json
+import re
+import subprocess
+import sys
+import urllib.request
+from urllib.parse import urlparse
+
+import pytest
+
+from repro import OMQ, Client, chain_cq
+from repro.standing.push import decode_sse
+
+from .helpers import example11_tbox, random_data
+from .test_examples import _ENV  # the child must see ``src/`` too
+
+STOP_GRACE = 10.0
+OMQ_RS = OMQ(example11_tbox(), chain_cq("RS"))
+
+
+@contextlib.contextmanager
+def launched(*flags):
+    """``repro serve --port 0 *flags``, healthy; yields its URL.  On
+    exit: SIGTERM, exit code 0 inside the grace period, clean stderr."""
+    command = [sys.executable, "-W", "error::ResourceWarning", "-m",
+               "repro", "serve", "--port", "0", "--workers", "2",
+               "--log-level", "warning", *flags]
+    with subprocess.Popen(command, env=_ENV, text=True,
+                          stdin=subprocess.DEVNULL,
+                          stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as process:
+        try:
+            url = None
+            for line in process.stdout:  # ends if the child dies
+                match = re.search(r"repro service on (http://\S+)", line)
+                if match:
+                    url = match.group(1)
+                    break
+            assert url, process.stderr.read()[-2000:]
+            with urllib.request.urlopen(f"{url}/health") as reply:
+                assert json.loads(reply.read())["status"] == "ok"
+            yield url
+            process.terminate()
+            out, err = process.communicate(timeout=STOP_GRACE)
+        finally:
+            process.kill()  # no-op once it has exited
+    assert process.returncode == 0, err[-2000:]
+    assert "repro service stopped" in out
+    assert err == ""
+
+
+def _first_sse_frame(url: str, subscription: str):
+    """``(event, decoded data)`` of the first frame the stream sends."""
+    address = urlparse(url)
+    conn = http.client.HTTPConnection(address.hostname, address.port,
+                                      timeout=10)
+    try:
+        conn.request("GET", f"/subscribe?subscription={subscription}")
+        reply = conn.getresponse()
+        assert reply.status == 200
+        assert reply.getheader("Content-Type") == "text/event-stream"
+        block = ""
+        while not block.endswith("\n\n"):
+            line = reply.readline().decode()
+            assert line, "stream ended before its first frame"
+            block += line
+        event, data = decode_sse(block)
+        return event, json.loads(data)
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize("flags", [(), ("--async-io",)],
+                         ids=["flagless", "async-io"])
+def test_every_launch_is_the_one_server(flags):
+    with launched(*flags) as url, Client.connect(url) as client:
+        client.register_dataset("demo", random_data(1))
+        with client.subscribe("demo", OMQ_RS) as sub:
+            event, snapshot = _first_sse_frame(url, sub.subscription_id)
+        stats = client.stats()
+    assert event == "snapshot"
+    assert snapshot["subscription"] == sub.subscription_id
+    assert {tuple(row) for row in snapshot["answers"]} == sub.answers
+    # coalescing, micro-batching, admission: the asyncio server's block
+    assert stats["async_serving"]["workers"] == 2
+
+
+def test_sigterm_checkpoints_and_relaunch_restores(tmp_path):
+    data_dir = str(tmp_path / "store")
+    with launched("--data-dir", data_dir) as url, \
+            Client.connect(url) as client:
+        client.register_dataset("demo", random_data(1))
+        client.update("demo", inserts=[("R", ("k1", "k2")),
+                                       ("S", ("k2", "k3"))])
+        before = client.answer("demo", OMQ_RS).answers
+    assert ("k1", "k3") in before
+    with launched("--data-dir", data_dir) as url, \
+            Client.connect(url) as client:
+        assert client.datasets() == ("demo",)
+        assert client.answer("demo", OMQ_RS).answers == before

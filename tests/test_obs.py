@@ -4,9 +4,8 @@ Four contracts:
 
 * the metrics registry's histogram percentile math and Prometheus
   text rendering are correct;
-* both HTTP front-ends serve ``GET /metrics`` with an *identical*
-  family set (they share the service registry, so this holds by
-  construction — the test pins it at the wire level);
+* ``GET /metrics`` serves the registry in Prometheus text format, with
+  the family set pinned at the wire level;
 * every response echoes ``X-Repro-Trace-Id`` (honoring a sane inbound
   ID), error bodies carry ``trace_id``, and a traced ``/answer``
   returns a span breakdown that reaches through the micro-batch pool
@@ -18,7 +17,6 @@ Four contracts:
 import io
 import json
 import logging
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -33,7 +31,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import _NULL_SPAN, Trace, span, tracing
 from repro.queries import chain_cq
 from repro.service import OMQService, serve_in_background
-from repro.service.serve import build_server
 
 from .helpers import example11_tbox, random_data
 
@@ -67,22 +64,7 @@ def _http(base, path, payload=None, headers=None):
 
 
 @pytest.fixture
-def threaded_url():
-    service = OMQService(max_workers=2)
-    service.register_dataset("demo", random_data(1))
-    server = build_server(service, port=0, verbose=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield f"http://{host}:{port}", service
-    server.shutdown()
-    thread.join(timeout=10)
-    server.server_close()
-    service.close()
-
-
-@pytest.fixture
-def async_url():
+def server_url():
     service = OMQService(max_workers=2)
     service.register_dataset("demo", random_data(1))
     with serve_in_background(service) as handle:
@@ -168,36 +150,68 @@ class TestPrometheusRendering:
                             "c_seconds": "histogram"}
 
 
-# -- /metrics on both front-ends -------------------------------------------
+# -- GET /metrics -----------------------------------------------------------
+
+#: Every family ``GET /metrics`` exposes, with its Prometheus type.
+METRIC_FAMILIES = {
+    "repro_answer_seconds": "histogram",
+    "repro_async_batched_requests_total": "counter",
+    "repro_async_batches_total": "counter",
+    "repro_async_coalesced_total": "counter",
+    "repro_async_parked_polls": "gauge",
+    "repro_async_peak_pending": "gauge",
+    "repro_async_peak_polls": "gauge",
+    "repro_async_pending": "gauge",
+    "repro_async_rejected_total": "counter",
+    "repro_async_requests_total": "counter",
+    "repro_cache_entries": "gauge",
+    "repro_cache_evictions_total": "counter",
+    "repro_cache_hits_total": "counter",
+    "repro_cache_misses_total": "counter",
+    "repro_http_request_seconds": "histogram",
+    "repro_http_requests_total": "counter",
+    "repro_service_batch_deduped_total": "counter",
+    "repro_service_batch_requests_total": "counter",
+    "repro_service_batches_total": "counter",
+    "repro_service_requests_total": "counter",
+    "repro_service_updates_total": "counter",
+    "repro_slow_queries_total": "counter",
+    "repro_standing_deltas_pushed_total": "counter",
+    "repro_standing_fallbacks_total": "counter",
+    "repro_standing_maintenance_seconds_total": "counter",
+    "repro_standing_polls_total": "counter",
+    "repro_standing_resyncs_total": "counter",
+    "repro_standing_subscribed_total": "counter",
+    "repro_standing_tuples_pushed_total": "counter",
+    "repro_storage_write_errors_total": "counter",
+    "repro_tenant_quota_rejections_total": "counter",
+    "repro_tenant_rate_limited_total": "counter",
+    "repro_tenant_requests_total": "counter",
+}
 
 
 class TestMetricsEndpoint:
-    def test_threaded_metrics(self, threaded_url):
-        url, _ = threaded_url
+    def test_metrics_are_prometheus_text(self, server_url):
+        url, _ = server_url
         status, headers, text = _http(url, "/metrics")
         assert status == 200
         assert headers["Content-Type"].startswith("text/plain")
         assert "version=0.0.4" in headers["Content-Type"]
         assert "repro_http_requests_total" in text
 
-    def test_family_parity_threaded_vs_async(self, threaded_url,
-                                             async_url):
-        threaded, _ = threaded_url
-        asynced, _ = async_url
-        # exercise different routes on each before scraping: families
-        # are created eagerly, so the sets must match anyway
-        _http(threaded, "/answer", QUERY_PAYLOAD)
-        _http(asynced, "/stats")
-        _, _, threaded_text = _http(threaded, "/metrics")
-        _, _, async_text = _http(asynced, "/metrics")
-        threaded_families = parse_prometheus_families(threaded_text)
-        async_families = parse_prometheus_families(async_text)
-        assert threaded_families == async_families
-        assert "repro_answer_seconds" in threaded_families
-        assert "repro_async_requests_total" in threaded_families
+    def test_family_set_is_pinned(self, server_url):
+        url, _ = server_url
+        # families are created eagerly: the set is the same before and
+        # after traffic, and a dashboard can rely on every name in it
+        _, _, idle_text = _http(url, "/metrics")
+        _http(url, "/answer", QUERY_PAYLOAD)
+        _, _, busy_text = _http(url, "/metrics")
+        families = parse_prometheus_families(busy_text)
+        assert families == parse_prometheus_families(idle_text)
+        assert families == METRIC_FAMILIES
 
-    def test_http_counters_move(self, async_url):
-        url, service = async_url
+    def test_http_counters_move(self, server_url):
+        url, service = server_url
         before = int(service.obs.http_requests.labels(
             route="/answer", method="POST", status="200").value)
         status, _, _ = _http(url, "/answer", QUERY_PAYLOAD)
@@ -219,8 +233,8 @@ class TestMetricsEndpoint:
 # -- trace IDs on the wire --------------------------------------------------
 
 
-class _TraceWireContract:
-    """Header echo + error attribution, run against both servers."""
+class TestAsyncTraceWire:
+    """Header echo + error attribution."""
 
     def test_response_echoes_minted_trace_id(self, server_url):
         url, _ = server_url
@@ -273,18 +287,6 @@ class _TraceWireContract:
         client.close()
 
 
-class TestThreadedTraceWire(_TraceWireContract):
-    @pytest.fixture
-    def server_url(self, threaded_url):
-        return threaded_url
-
-
-class TestAsyncTraceWire(_TraceWireContract):
-    @pytest.fixture
-    def server_url(self, async_url):
-        return async_url
-
-
 # -- end-to-end through the sharded process executor ------------------------
 
 
@@ -314,13 +316,8 @@ class TestShardedTrace:
         assert payload["annotations"]["plan_fingerprint"]
 
     def test_http_trace_covers_wall_time(self, sharded_service):
-        server = build_server(sharded_service, port=0, verbose=False)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
-        try:
+        with serve_in_background(sharded_service) as handle:
+            url = handle.url
             _http(url, "/answer", QUERY_PAYLOAD)  # warm plan + workers
             started = time.perf_counter()
             status, headers, body = _http(
@@ -338,18 +335,14 @@ class TestShardedTrace:
             assert total <= wall * 1.2
             assert total >= wall * 0.5 - 0.005, (total, wall, names)
             assert body["cached_rewriting"] is True
-        finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
 
 
 # -- slow-query log ---------------------------------------------------------
 
 
 class TestSlowQueryLog:
-    def test_slow_requests_are_logged_with_trace(self, threaded_url):
-        url, service = threaded_url
+    def test_slow_requests_are_logged_with_trace(self, server_url):
+        url, service = server_url
         service.obs.slow_query_ms = 0.0  # everything is "slow"
         status, headers, _ = _http(
             url, "/answer", QUERY_PAYLOAD,

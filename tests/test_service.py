@@ -16,9 +16,8 @@ import pytest
 from repro import ABox, CQ, OMQ, TBox, answer, chain_cq
 from repro.engine import available_engines
 from repro.client import tbox_to_text
-from repro.service import BatchRequest, OMQService
+from repro.service import BatchRequest, OMQService, serve_in_background
 from repro.service.protocol import Router
-from repro.service.serve import build_server
 from repro.service.service import TBOX_MEMO_SIZE
 
 from .helpers import example11_tbox, random_data
@@ -162,18 +161,13 @@ class TestServeHTTP:
     @pytest.fixture
     def server(self):
         service = OMQService(max_workers=2)
-        server = build_server(service, port=0, verbose=False)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        yield server
-        server.shutdown()
-        server.server_close()
+        with serve_in_background(service) as handle:
+            yield handle
         service.close()
 
     @staticmethod
     def _call(server, path, payload=None):
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}{path}"
+        url = f"{server.url}{path}"
         if payload is None:
             request = urllib.request.Request(url)
         else:
@@ -285,8 +279,7 @@ class TestServeHTTP:
         body = json.dumps({"dataset": "demo",
                            "tbox_text": "roles: P, R, S\nP <= S\nP <= R-",
                            "query": "R(x,y), S(y,z)", "answers": ["x"]})
-        conn = http.client.HTTPConnection(*server.server_address[:2],
-                                          timeout=10)
+        conn = http.client.HTTPConnection(*server.address, timeout=10)
         trips = []
         try:
             for _ in range(20):

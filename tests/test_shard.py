@@ -678,11 +678,13 @@ class TestExecutorGuards:
     def test_create_executor_rejects_https(self):
         from repro.shard.executor import create_executor
 
-        try:
-            create_executor("https://worker", [ABox()])
-            raise AssertionError("https URLs must be rejected")
-        except ValueError as error:
-            assert "http" in str(error)
+        # executors are local: a worker URL is not a kind
+        for kind in ("https://worker", "http://worker"):
+            try:
+                create_executor(kind, [ABox()])
+                raise AssertionError("URL kinds must be rejected")
+            except ValueError as error:
+                assert "unknown executor" in str(error)
 
     def test_session_start_method_reaches_executor(self):
         abox = ABox([("R", ("a", "b")), ("R", ("c", "d"))])
@@ -841,54 +843,6 @@ class TestAutoShards:
             raise AssertionError("bad start_method must be rejected")
         except ValueError:
             pass
-
-
-class TestHttpExecutor:
-    def test_differential_vs_serial_with_updates(self):
-        from repro.service.aserve import serve_in_background
-
-        tbox = example11_tbox()
-        data = random_data(21, individuals=12, atoms=36)
-        omq = OMQ(tbox, chain_cq("RS"))
-        with OMQService() as worker:
-            with serve_in_background(worker) as server:
-                http_session = ShardedSession(
-                    ABox(data.atoms()), shards=2, executor=server.url)
-                reference = sharded(ABox(data.atoms()), shards=2)
-                try:
-                    assert http_session._executor.kind == "http"
-                    assert (http_session.answer(omq).answers
-                            == reference.answer(omq).answers)
-                    victim = next(iter(data.atoms()))
-                    for session in (http_session, reference):
-                        session.insert_facts([("R", ("h1", "h2")),
-                                              ("S", ("h2", "h3"))])
-                        session.delete_facts([victim])
-                    assert (http_session.answer(omq).answers
-                            == reference.answer(omq).answers)
-                finally:
-                    reference.close()
-                    http_session.close()
-                # closing unregisters the per-shard scratch datasets
-                assert not [name for name in worker.datasets()
-                            if "__shard__" in name]
-
-    def test_restricted_plans_refused(self):
-        from repro.service.aserve import serve_in_background
-
-        with OMQService() as worker:
-            with serve_in_background(worker) as server:
-                with ShardedSession(ABox([("R", ("a", "b"))]), shards=1,
-                                    executor=server.url) as session:
-                    plan = compile_omq(OMQ(example11_tbox(),
-                                           chain_cq("RS")),
-                                       method="lin")
-                    try:
-                        session.execute_restricted(plan, plan.ndl)
-                        raise AssertionError("restricted execution on "
-                                             "http must be refused")
-                    except RuntimeError as error:
-                        assert "local executor" in str(error)
 
 
 class TestDatasetDrop:

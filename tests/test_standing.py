@@ -6,16 +6,13 @@ plan after *every* update, and the deltas it receives must be exactly
 the difference between consecutive materializations.  The property
 suites drive random insert/delete sequences through every available
 engine and the sharded path and check both invariants differentially;
-the serving tests cover long-poll and SSE end to end on both HTTP
-front-ends, plus the epoch-in-update-response and unified-429
-satellites.
+the serving tests cover long-poll and SSE end to end over HTTP, plus
+the epoch in the update response and the parked-poll 429.
 """
 
 import asyncio
 import threading
 import time
-import urllib.error
-import urllib.request
 
 import pytest
 from hypothesis import given
@@ -26,7 +23,6 @@ from repro.data import ABox
 from repro.queries import CQ, chain_cq
 from repro.rewriting.plan import AnswerOptions, compile_omq
 from repro.service import OMQService, serve_in_background
-from repro.service.serve import build_server
 from repro.standing import AnswerDelta, decompose
 from repro.standing.push import decode_sse, sse_event
 
@@ -336,27 +332,21 @@ class TestSSEFrames:
 
 
 # ---------------------------------------------------------------------------
-# end-to-end over both HTTP front-ends
+# end-to-end over HTTP
 
 
 @pytest.fixture
-def threaded_stack():
+def served_stack():
     service = OMQService()
     service.register_dataset("demo", random_data(1))
-    server = build_server(service, port=0, verbose=False)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    host, port = server.server_address[:2]
-    yield service, f"http://{host}:{port}"
-    server.shutdown()
-    server.server_close()
+    with serve_in_background(service) as handle:
+        yield service, handle.url
     service.close()
-    thread.join(timeout=5)
 
 
-class TestThreadedServing:
-    def test_update_response_carries_epoch(self, threaded_stack):
-        _, url = threaded_stack
+class TestBlockingClientServing:
+    def test_update_response_carries_epoch(self, served_stack):
+        _, url = served_stack
         client = Client.connect(url)
         body = client.update("demo", inserts=[("P", ("e1", "e2"))])
         assert body["epoch"] == 1
@@ -364,8 +354,8 @@ class TestThreadedServing:
         assert body["epoch"] == 2
         client.close()
 
-    def test_subscribe_poll_unsubscribe_round_trip(self, threaded_stack):
-        service, url = threaded_stack
+    def test_subscribe_poll_unsubscribe_round_trip(self, served_stack):
+        service, url = served_stack
         client = Client.connect(url)
         omq = OMQ(TBOX, chain_cq("RS"))
         with client.subscribe("demo", omq) as sub:
@@ -378,96 +368,6 @@ class TestThreadedServing:
         with pytest.raises(ServiceError):
             client._transport.poll(sub.subscription_id)
         client.close()
-
-    def test_get_subscribe_is_501_here(self, threaded_stack):
-        _, url = threaded_stack
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(f"{url}/subscribe?subscription=x")
-        assert excinfo.value.code == 501
-
-    def test_parked_polls_have_own_budget(self):
-        """Long-polls do not eat the answer/update budget, but they
-        are not unbounded either: past ``max_polls`` parked pollers
-        the threaded server answers the structured 429."""
-        service = OMQService()
-        service.register_dataset("demo", random_data(1))
-        server = build_server(service, port=0, verbose=False,
-                              max_polls=1)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            client = Client.connect(f"http://{host}:{port}")
-            sub = service.subscribe("demo", OMQ(TBOX, chain_cq("RS")))
-            parked = threading.Thread(
-                target=lambda: client._transport.poll(
-                    sub.subscription_id, since_epoch=sub.epoch,
-                    timeout=5.0))
-            parked.start()
-            time.sleep(0.3)
-            with pytest.raises(ServiceError) as excinfo:
-                client._transport.poll(sub.subscription_id, timeout=5.0)
-            assert excinfo.value.status == 429
-            assert excinfo.value.error_type == "overloaded"
-            assert excinfo.value.retry_after == 1.0
-            # the update releases the parked poll and frees the slot
-            service.update("demo", inserts=[("P", ("t1", "t2"))])
-            parked.join(timeout=10)
-            assert not parked.is_alive(), "poll still parked"
-            body = client._transport.poll(sub.subscription_id)
-            assert body["deltas"] == []
-            client.close()
-        finally:
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=5)
-
-    def test_saturation_429_carries_retry_after(self):
-        """The threaded server's backpressure must look exactly like
-        the async server's: 429, structured body, Retry-After."""
-        service = OMQService()
-        service.register_dataset("demo", random_data(1))
-        server = build_server(service, port=0, verbose=False,
-                              max_pending=1)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            release = threading.Event()
-            entered = threading.Event()
-            original = server.router.handle
-
-            def slow_handle(method, path, payload, **kwargs):
-                if path == "/answer":
-                    entered.set()
-                    release.wait(5.0)
-                return original(method, path, payload, **kwargs)
-
-            server.router.handle = slow_handle
-            client = Client.connect(f"http://{host}:{port}")
-            omq = OMQ(TBOX, chain_cq("RS"))
-            worker = threading.Thread(
-                target=lambda: client.answer("demo", omq))
-            worker.start()
-            assert entered.wait(5.0)
-            with pytest.raises(ServiceError) as excinfo:
-                client.answer("demo", omq)
-            release.set()
-            worker.join(timeout=5)
-            error = excinfo.value
-            assert error.status == 429
-            assert error.error_type == "overloaded"
-            assert error.retry_after == 1.0
-            client.close()
-        finally:
-            release.set()
-            server.shutdown()
-            server.server_close()
-            service.close()
-            thread.join(timeout=5)
 
 
 class TestFailedUpdateRecovery:
@@ -531,7 +431,7 @@ class TestFailedUpdateRecovery:
 
 
 class TestAsyncServing:
-    """SSE + long-poll on the asyncio front-end, checked differentially
+    """SSE + long-poll over the async client, checked differentially
     against an embedded client over the same updates (the style of
     ``tests/test_async_serve.py``)."""
 

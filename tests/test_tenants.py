@@ -1,8 +1,6 @@
 """Multi-tenancy: namespaces, quotas and rate limits.
 
-The contract both servers must enforce identically (they share
-:meth:`repro.service.protocol.Router.throttle` and the service-level
-scoping):
+The contract the service and its HTTP server enforce:
 
 * a tenant only ever sees its own datasets, ontologies and
   subscriptions — same names in two tenants never collide, and
@@ -14,7 +12,6 @@ scoping):
 """
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -25,7 +22,6 @@ from repro import OMQ, Client, ServiceError
 from repro.queries import chain_cq
 from repro.service import OMQService, serve_in_background
 from repro.service.protocol import TENANT_HEADER, resolve_tenant
-from repro.service.serve import build_server
 from repro.store import (QuotaError, RateLimited, TenantManager,
                          TenantQuota)
 
@@ -237,11 +233,17 @@ def _http_call(base, path, payload=None, tenant=None):
         return error.code, dict(error.headers), json.loads(error.read())
 
 
-class _ServerContract:
-    """The wire-level tenancy contract, run against both front-ends
-    (subclasses provide ``server_url``)."""
+class TestAsyncServerTenancy:
+    """The wire-level tenancy contract."""
 
     QUOTA = TenantQuota(max_datasets=2, rate_limit=30.0, rate_burst=6.0)
+
+    @pytest.fixture
+    def server_url(self):
+        service = OMQService(max_workers=2, quota=self.QUOTA)
+        with serve_in_background(service) as handle:
+            yield handle.url
+        service.close()
 
     def test_header_scopes_requests(self, server_url):
         for tenant, seed in (("alice", 1), ("bob", 2)):
@@ -325,31 +327,6 @@ class _ServerContract:
         assert tenants["per_tenant"]["grace"]["datasets"] == 1
 
 
-class TestThreadedServerTenancy(_ServerContract):
-    @pytest.fixture
-    def server_url(self):
-        service = OMQService(max_workers=2, quota=self.QUOTA)
-        server = build_server(service, port=0, verbose=False)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        yield f"http://{host}:{port}"
-        server.shutdown()
-        thread.join(timeout=10)
-        server.server_close()
-        service.close()
-
-
-class TestAsyncServerTenancy(_ServerContract):
-    @pytest.fixture
-    def server_url(self):
-        service = OMQService(max_workers=2, quota=self.QUOTA)
-        with serve_in_background(service) as handle:
-            yield handle.url
-        service.close()
-
-
 class TestClientTenancy:
     def test_wrapped_clients_are_isolated(self):
         service = OMQService(max_workers=2)
@@ -367,26 +344,18 @@ class TestClientTenancy:
 
     def test_http_client_sends_tenant_header(self):
         service = OMQService(max_workers=2)
-        server = build_server(service, port=0, verbose=False)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        url = f"http://{host}:{port}"
         try:
-            alice = Client.connect(url, tenant="alice")
-            alice.register_dataset("demo", random_data(1))
-            omq = OMQ(TBOX, chain_cq("RS"))
-            got = alice.answer("demo", omq)
-            expected = service.answer("demo", omq, tenant="alice")
-            assert got.answers == expected.answers
-            # the default-tenant client cannot see alice's dataset
-            with pytest.raises(ServiceError), \
-                    Client.connect(url) as nobody:
-                nobody.answer("demo", omq)
-            alice.close()
+            with serve_in_background(service) as handle:
+                alice = Client.connect(handle.url, tenant="alice")
+                alice.register_dataset("demo", random_data(1))
+                omq = OMQ(TBOX, chain_cq("RS"))
+                got = alice.answer("demo", omq)
+                expected = service.answer("demo", omq, tenant="alice")
+                assert got.answers == expected.answers
+                # the default-tenant client cannot see alice's dataset
+                with pytest.raises(ServiceError), \
+                        Client.connect(handle.url) as nobody:
+                    nobody.answer("demo", omq)
+                alice.close()
         finally:
-            server.shutdown()
-            thread.join(timeout=10)
-            server.server_close()
             service.close()
