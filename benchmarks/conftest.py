@@ -3,35 +3,11 @@
 The datasets of Table 2 are generated once per session (scaled down by
 ``repro.experiments.DEFAULT_SCALE`` — see DESIGN.md's substitution
 table) and shared by the Table 3-5 benches.
-
-``--output DIR`` redirects every ``BENCH_*.json`` report into ``DIR``
-(created if missing); by default reports land in the working
-directory.  Benches write through the ``report_writer`` fixture so
-the option applies uniformly.
 """
 
 import pytest
 
-from _report import write_report
 from repro.experiments import DEFAULT_SCALE, table2
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--output", default=None, metavar="DIR",
-        help="directory for BENCH_*.json reports (default: cwd)")
-
-
-@pytest.fixture
-def report_writer(request):
-    """``write(name, payload) -> path``: the ``BENCH_<name>.json``
-    writer honouring ``--output``."""
-    output = request.config.getoption("--output")
-
-    def write(name, payload):
-        return write_report(name, payload, output=output)
-
-    return write
 
 
 @pytest.fixture(scope="session")

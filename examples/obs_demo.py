@@ -23,7 +23,7 @@ import io
 import json
 import urllib.request
 
-from repro import ABox, CQ, OMQ, OMQService, TBox
+from repro import ABox, OMQService
 from repro.obs import configure_logging, get_logger
 from repro.service import serve_in_background
 

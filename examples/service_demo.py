@@ -51,7 +51,7 @@ def main() -> None:
 
     # -- batch answering with deduplication ----------------------------
     batch = service.answer_batch(
-        [BatchRequest("people", OMQ(tbox, query), engine=engine)
+        [BatchRequest("people", OMQ(tbox, query), {"engine": engine})
          for engine in available_engines()]
         + [BatchRequest("people", OMQ(tbox, renamed))])
     print("batch agreement:    "

@@ -72,8 +72,10 @@ Quickstart (compile once, execute anywhere)::
     print(plan.explain()["rules"], plan.explain()["method"])
     print(plan.execute(data).answers)      # execute: over any data
 
-The legacy one-shot :func:`answer` (and ``AnswerSession.answer``,
-``OMQService.answer``) remain as thin wrappers over the same pipeline.
+The one-shot :func:`answer` (and ``AnswerSession.answer``,
+``OMQService.answer``, ``Client.answer``) are thin wrappers over the
+same pipeline: each takes ``(options=None, **overrides)`` and returns
+the plan's :class:`~repro.rewriting.plan.Answers`.
 """
 
 from .chase import certain_answers, is_certain_answer

@@ -35,6 +35,7 @@ from .ontology import TBox
 from .queries import CQ
 from .engine import ENGINES
 from .rewriting import OMQ, AnswerSession
+from .rewriting.api import compile_data_variant
 from .rewriting.plan import AnswerOptions, compile_omq, format_explain
 from .shard import ShardedSession
 
@@ -94,11 +95,8 @@ def _cmd_explain(args) -> int:
     if args.data:
         with open(args.data) as handle:
             abox = ABox.parse(handle.read())
-        # same variant rule as AnswerSession.compile: arbitrary-
-        # instance rewritings are explained against the raw data
-        raw = (options.method == "perfectref"
-               or options.over == "arbitrary")
-        data = abox if raw else abox.complete(tbox)
+        data = compile_data_variant(options, abox,
+                                    lambda: abox.complete(tbox))
     try:
         plan = compile_omq(OMQ(tbox, query), options, data=data)
     except ValueError as error:

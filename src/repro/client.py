@@ -42,6 +42,7 @@ the server's ``error_type`` tag and, for 429 backpressure rejections,
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import socket
 import threading
@@ -56,6 +57,7 @@ from .rewriting.api import OMQ
 from .rewriting.plan import AnswerOptions, Answers
 from .standing.push import decode_sse
 from .standing.registry import AnswerDelta
+from .store.tenants import TenantManager
 
 GroundAtom = Tuple[str, Tuple[str, ...]]
 
@@ -133,34 +135,18 @@ def abox_to_text(abox: ABox) -> str:
                      for predicate, args in sorted(abox.atoms()))
 
 
-def _omq_payload(dataset: Optional[str], omq: OMQ,
-                 options: AnswerOptions) -> Dict[str, object]:
+def _omq_payload(dataset: Optional[str], omq: OMQ, options,
+                 **overrides) -> Dict[str, object]:
     """One wire-format answer/explain/subscribe request."""
     payload: Dict[str, object] = {
         "tbox_text": tbox_to_text(omq.tbox),
         "query": cq_to_text(omq.query),
         "answers": list(omq.query.answer_vars),
-        "options": options.as_dict(),
+        "options": AnswerOptions.coerce(options, **overrides).as_dict(),
     }
     if dataset is not None:
         payload["dataset"] = dataset
     return payload
-
-
-def _answers_from_body(body: Dict[str, object],
-                       options: AnswerOptions) -> Answers:
-    """Typed :class:`Answers` from a JSON ``/answer`` response."""
-    return Answers(
-        answers=frozenset(tuple(row) for row in body["answers"]),
-        generated_tuples=int(body.get("generated_tuples", 0)),
-        seconds=float(body.get("seconds", 0.0)),
-        engine=body.get("engine") or "python",
-        method=body.get("method", options.method),
-        plan_fingerprint=body.get("plan_fingerprint", ""),
-        cached_rewriting=bool(body.get("cached_rewriting", False)),
-        timed_out=bool(body.get("timed_out", False)),
-        shards=int(body.get("shards", 0)),
-        trace=body.get("trace"))
 
 
 class _SubscriptionState:
@@ -204,10 +190,7 @@ class _SubscriptionState:
         (a resync response becomes a single resync delta)."""
         applied: List[AnswerDelta] = []
         if body.get("resync"):
-            delta = AnswerDelta(
-                epoch=int(body.get("epoch", 0)), resync=True,
-                answers=frozenset(tuple(row)
-                                  for row in body.get("answers", ())))
+            delta = AnswerDelta.from_payload(body)
             if self._apply_delta(delta):
                 applied.append(delta)
         for raw in body.get("deltas", ()):
@@ -284,35 +267,22 @@ class _ServiceTransport:
     def datasets(self) -> Tuple[str, ...]:
         return self.service.datasets(tenant=self.tenant)
 
-    def answer(self, dataset: str, omq: OMQ, options: AnswerOptions,
-               trace: bool = False) -> Answers:
-        active: Optional[Trace] = None
-        if trace:
-            # no HTTP layer here, so the client starts the trace
-            # itself and harvests the span payload directly
-            active = Trace(wanted=True)
-            with tracing(active):
-                result = self.service.answer(dataset, omq,
-                                             options=options,
-                                             tenant=self.tenant)
-        else:
-            result = self.service.answer(dataset, omq, options=options,
-                                         tenant=self.tenant)
-        return Answers(answers=result.answers,
-                       generated_tuples=result.generated_tuples,
-                       relation_sizes=dict(result.relation_sizes),
-                       seconds=result.seconds, engine=result.engine,
-                       method=result.method,
-                       plan_fingerprint=result.plan_fingerprint or "",
-                       cached_rewriting=result.cached_rewriting,
-                       timed_out=result.timed_out,
-                       shards=result.shards,
-                       trace=active.payload() if active else None)
+    def answer(self, dataset: str, omq: OMQ, options=None,
+               trace: bool = False, **overrides) -> Answers:
+        if not trace:
+            return self.service.answer(dataset, omq, options,
+                                       tenant=self.tenant, **overrides)
+        # no HTTP layer here, so the client starts the trace itself
+        # and harvests the span payload directly
+        with tracing(Trace(wanted=True)) as active:
+            result = self.service.answer(dataset, omq, options,
+                                         tenant=self.tenant, **overrides)
+        return dataclasses.replace(result, trace=active.payload())
 
-    def explain(self, omq: OMQ, options: AnswerOptions,
-                dataset: Optional[str]) -> Dict[str, object]:
-        return self.service.explain(omq, options=options, dataset=dataset,
-                                    tenant=self.tenant)
+    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
+                **overrides) -> Dict[str, object]:
+        return self.service.explain(omq, options, dataset=dataset,
+                                    tenant=self.tenant, **overrides)
 
     def update(self, dataset: str, inserts: Iterable[GroundAtom],
                deletes: Iterable[GroundAtom]) -> Dict[str, object]:
@@ -320,10 +290,10 @@ class _ServiceTransport:
                                    deletes=deletes,
                                    tenant=self.tenant).as_dict()
 
-    def subscribe(self, dataset: str, omq: OMQ,
-                  options: AnswerOptions) -> Dict[str, object]:
-        sub = self.service.subscribe(dataset, omq, options=options,
-                                     tenant=self.tenant)
+    def subscribe(self, dataset: str, omq: OMQ, options=None,
+                  **overrides) -> Dict[str, object]:
+        sub = self.service.subscribe(dataset, omq, options,
+                                     tenant=self.tenant, **overrides)
         return self.service.standing.snapshot(sub.subscription_id)
 
     def poll(self, subscription: str, since_epoch: Optional[int] = None,
@@ -531,23 +501,24 @@ class _HTTPCore:
                           {"name": name, "tbox": tbox_to_text(tbox)})
 
     def datasets(self) -> Tuple[str, ...]:
-        return self._call("/stats", finish=lambda stats: tuple(
-            sorted(stats.get("datasets", {}))))
+        """This client's tenant's datasets, under its own names
+        (``/stats`` lists every tenant's scoped registry keys)."""
+        return self._call("/stats", finish=lambda stats: tuple(sorted(
+            name for owner, name in map(TenantManager.split,
+                                        stats.get("datasets", {}))
+            if owner == self.tenant)))
 
     def answer(self, dataset: str, omq: OMQ, options=None,
                trace: bool = False, **overrides) -> Answers:
-        options = AnswerOptions.coerce(options, **overrides)
-        payload = _omq_payload(dataset, omq, options)
+        payload = _omq_payload(dataset, omq, options, **overrides)
         if trace:
             payload["trace"] = True
-        return self._call(
-            "/answer", payload,
-            finish=lambda body: _answers_from_body(body, options))
+        return self._call("/answer", payload, finish=Answers.from_payload)
 
     def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
                 **overrides) -> Dict[str, object]:
-        options = AnswerOptions.coerce(options, **overrides)
-        return self._call("/explain", _omq_payload(dataset, omq, options))
+        return self._call("/explain",
+                          _omq_payload(dataset, omq, options, **overrides))
 
     def update(self, dataset: str, inserts: Iterable[GroundAtom] = (),
                deletes: Iterable[GroundAtom] = ()) -> Dict[str, object]:
@@ -570,8 +541,8 @@ class _HTTPCore:
     def subscribe(self, dataset: str, omq: OMQ, options=None,
                   **overrides) -> Dict[str, object]:
         """Register a standing query; the decoded snapshot."""
-        options = AnswerOptions.coerce(options, **overrides)
-        return self._call("/subscribe", _omq_payload(dataset, omq, options))
+        return self._call("/subscribe",
+                          _omq_payload(dataset, omq, options, **overrides))
 
     def poll(self, subscription: str, since_epoch: Optional[int] = None,
              timeout: float = 0.0) -> Dict[str, object]:
@@ -696,8 +667,8 @@ class Client:
         ``trace=True`` asks for the request's span breakdown, returned
         as ``Answers.trace`` (a nested name/seconds tree).
         """
-        options = AnswerOptions.coerce(options, **overrides)
-        return self._transport.answer(dataset, omq, options, trace=trace)
+        return self._transport.answer(dataset, omq, options, trace=trace,
+                                      **overrides)
 
     def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
                 **overrides) -> Dict[str, object]:
@@ -707,8 +678,7 @@ class Client:
         ``dataset`` is only needed for the data-dependent stages
         (``method="adaptive"`` or ``optimize=True``).
         """
-        options = AnswerOptions.coerce(options, **overrides)
-        return self._transport.explain(omq, options, dataset)
+        return self._transport.explain(omq, options, dataset, **overrides)
 
     # -- updates -----------------------------------------------------------
 
@@ -736,8 +706,8 @@ class Client:
         incrementally, and :meth:`Subscription.poll` fetches the
         resulting deltas.
         """
-        options = AnswerOptions.coerce(options, **overrides)
-        snapshot = self._transport.subscribe(dataset, omq, options)
+        snapshot = self._transport.subscribe(dataset, omq, options,
+                                             **overrides)
         return Subscription(self._transport, snapshot)
 
     # -- stats and lifecycle -----------------------------------------------

@@ -13,7 +13,9 @@ Both are thin wrappers over the compiled pipeline of
 :mod:`repro.rewriting.plan`: :meth:`AnswerSession.compile` (or
 :func:`repro.compile`) produces a reusable
 :class:`~repro.rewriting.plan.Plan`, and ``Plan.execute`` evaluates it
-over any session, ABox or loaded engine.
+over any session, ABox or loaded engine.  Both take the pipeline's
+configuration the one way every entry point does — ``(options=None,
+**overrides)``, resolved by ``AnswerOptions.coerce``.
 """
 
 from __future__ import annotations
@@ -240,9 +242,6 @@ class AnswerSession:
         for ``tbox``.
         """
         name = self.engine if engine is None else engine
-        if name not in ENGINES:
-            raise ValueError(
-                f"unknown engine {name!r}; expected one of {ENGINES}")
         variant = "raw" if tbox is None else ("completed", id(tbox))
         key = (name, variant)
         loaded = self._backends.get(key)
@@ -272,28 +271,22 @@ class AnswerSession:
         return compile_omq(omq, options, data=data,
                            cache=self.rewriting_cache)
 
-    def answer(self, omq: OMQ, method: str = "auto",
-               engine: Optional[str] = None,
-               optimize_program: bool = False,
-               magic: bool = False, options=None) -> "Answers":
+    def answer(self, omq: OMQ, options=None, **overrides) -> "Answers":
         """Certain answers to ``omq``; same pipeline as :func:`answer`.
 
-        A thin wrapper over :meth:`compile` + ``Plan.execute``: pass an
-        :class:`~repro.rewriting.plan.AnswerOptions` via ``options``
-        (the legacy ``method``/``magic``/``optimize_program`` flags
-        build one).  ``engine`` overrides the session default for this
-        call only — every engine keeps its own loaded copy of the
-        data, so cross-engine comparisons also amortise.
+        A thin wrapper over :meth:`compile` + ``Plan.execute``, taking
+        ``options`` / ``overrides`` exactly as :meth:`compile` does.
+        ``engine=`` overrides the session default for this call only —
+        every engine keeps its own loaded copy of the data, so
+        cross-engine comparisons also amortise.
         """
         from .plan import AnswerOptions
 
-        options = AnswerOptions.from_legacy(options, method=method,
-                                            magic=magic,
-                                            optimize=optimize_program)
+        options = AnswerOptions.coerce(options, **overrides)
         plan = self.compile(omq, options)
         # this request's options, not the (possibly cache-shared)
         # plan's: execution knobs must never leak between requests
-        return plan.execute(self, engine=engine, options=options)
+        return plan.execute(self, options=options)
 
     # -- incremental updates -----------------------------------------------
 
@@ -356,9 +349,7 @@ class AnswerSession:
                 f"{self.data_loads} backends loaded)")
 
 
-def answer(omq: OMQ, abox: ABox, method: str = "auto",
-           engine: str = "python", optimize_program: bool = False,
-           magic: bool = False, options=None) -> "Answers":
+def answer(omq: OMQ, abox: ABox, options=None, **overrides) -> "Answers":
     """Certain answers to ``omq`` over ``abox`` via rewriting.
 
     Rewrites over complete data instances and evaluates over the
@@ -366,14 +357,14 @@ def answer(omq: OMQ, abox: ABox, method: str = "auto",
     Section 2's completeness assumption); ``perfectref`` evaluates its
     arbitrary-instance rewriting over the raw data.
 
-    Optional pipeline stages (all answer-preserving), bundled into an
-    :class:`~repro.rewriting.plan.AnswerOptions` (pass one via
-    ``options``, or use the legacy flags):
+    ``options`` / ``overrides`` build one
+    :class:`~repro.rewriting.plan.AnswerOptions`; its optional pipeline
+    stages are all answer-preserving:
 
     * ``method="adaptive"`` picks the cheapest of the Section 3
       rewriters for this data via the Section 6 cost model;
-    * ``optimize_program`` runs the Appendix D.4 optimiser (emptiness
-      pruning, deduplication, Tw*-style inlining) on the rewriting;
+    * ``optimize`` runs the Appendix D.4 optimiser (emptiness pruning,
+      deduplication, Tw*-style inlining) on the rewriting;
     * ``magic`` applies the magic-sets transformation before
       evaluation;
     * ``engine`` selects the evaluator: the native Python engine, SQL
@@ -385,7 +376,5 @@ def answer(omq: OMQ, abox: ABox, method: str = "auto",
     instance, or :func:`repro.compile` + ``Plan.execute`` to reuse one
     compiled plan across many instances.
     """
-    with AnswerSession(abox, engine=engine) as session:
-        return session.answer(omq, method=method,
-                              optimize_program=optimize_program,
-                              magic=magic, options=options)
+    with AnswerSession(abox) as session:
+        return session.answer(omq, options, **overrides)

@@ -8,17 +8,18 @@ separation explicit, the way mature query engines split *prepare* from
 *execute*:
 
 * :class:`AnswerOptions` — the one configuration object threaded
-  through every layer (sessions, service, HTTP, CLI, experiments)
-  instead of per-call ``method``/``magic``/``optimize``/``engine``
-  kwargs;
+  through every layer (sessions, service, HTTP, CLI, experiments):
+  every entry point takes ``(options=None, **overrides)`` and resolves
+  them through :meth:`AnswerOptions.coerce`;
 * :func:`compile_omq` — run the data-independent pipeline (rewrite,
   magic sets, optionally the data optimiser) once and freeze the
   result;
 * :class:`Plan` — the frozen, fingerprintable compiled artifact:
   introspection via :meth:`Plan.explain`, execution via
   :meth:`Plan.execute` against any ABox, session or loaded engine;
-* :class:`Answers` — the typed execution result: answer tuples plus
-  timings and provenance (which plan, which engine, which method).
+* :class:`Answers` — the one result record, from the engine to the
+  wire (:meth:`Answers.payload`): answer tuples plus timings and
+  provenance (which plan, which engine, which method, which dataset).
 
 Plans are reusable across datasets and engines: compile once, execute
 many — the :class:`~repro.service.cache.RewritingCache` stores plans
@@ -113,23 +114,6 @@ class AnswerOptions:
                              f"got {self.start_method!r}")
 
     @classmethod
-    def from_legacy(cls, options=None, method: str = "auto",
-                    magic: bool = False, optimize: bool = False,
-                    engine: Optional[str] = None) -> "AnswerOptions":
-        """The one fallback from legacy per-call flags to options.
-
-        With ``options`` set the flags are ignored except ``engine``,
-        which overrides as the explicit per-call knob it always was;
-        without it the flags build the options.  Shared by
-        ``AnswerSession.answer``, ``OMQService.answer`` and
-        ``BatchRequest`` so the semantics cannot drift.
-        """
-        if options is not None:
-            return cls.coerce(options, engine=engine)
-        return cls(method=method, magic=magic, optimize=optimize,
-                   engine=engine)
-
-    @classmethod
     def coerce(cls, value=None, **overrides) -> "AnswerOptions":
         """An :class:`AnswerOptions` from ``None``, a mapping or an
         existing instance, with keyword overrides applied on top."""
@@ -179,15 +163,21 @@ class AnswerOptions:
         return self.method == "adaptive" or self.optimize
 
 
+#: The :class:`Answers` fields that travel as themselves, in wire order.
+_WIRE_FIELDS = ("dataset", "method", "engine", "seconds", "cached_rewriting",
+                "generated_tuples", "plan_fingerprint", "timed_out", "shards")
+
+
 @dataclass(frozen=True)
 class Answers:
     """The result of executing a :class:`Plan`: certain answers plus
     timings and provenance.
 
-    Field-compatible with the engine layer's
-    :class:`~repro.datalog.evaluate.EvaluationResult` (``answers``,
-    ``generated_tuples``, ``relation_sizes``), so legacy callers keep
-    working; on top it records which plan produced it and how.
+    The engine layer's :class:`~repro.datalog.evaluate.EvaluationResult`
+    fields (``answers``, ``generated_tuples``, ``relation_sizes``) plus
+    which plan produced them and how.  The same record travels from
+    :meth:`Plan.execute` through the service, which stamps ``dataset``,
+    ``cached_rewriting`` and its own ``seconds``, to both clients.
     """
 
     answers: FrozenSet[Tuple[str, ...]]
@@ -203,6 +193,8 @@ class Answers:
     #: (``0`` means monolithic) and each shard's evaluation seconds.
     shards: int = 0
     shard_seconds: Dict[int, float] = field(default_factory=dict)
+    #: The served dataset, as its tenant named it (``""`` off-service).
+    dataset: str = ""
     #: The request's span breakdown (a ``Trace.payload()`` dict) when
     #: the caller asked for it — e.g. ``Client.answer(trace=True)``.
     trace: Optional[Dict[str, object]] = field(default=None,
@@ -220,6 +212,23 @@ class Answers:
     def sorted(self):
         """The answer tuples in sorted order (for stable printing)."""
         return sorted(self.answers)
+
+    def payload(self) -> Dict[str, object]:
+        """The JSON wire shape of an ``/answer`` response (rows as
+        sorted lists)."""
+        body = {"answers": sorted(list(row) for row in self.answers),
+                "count": len(self.answers)}
+        body.update((name, getattr(self, name)) for name in _WIRE_FIELDS)
+        body["seconds"] = round(self.seconds, 6)
+        return body
+
+    @classmethod
+    def from_payload(cls, body: Mapping[str, object]) -> "Answers":
+        """The record a :meth:`payload` (plus a spliced ``"trace"``)
+        describes."""
+        return cls(answers=frozenset(tuple(row) for row in body["answers"]),
+                   trace=body.get("trace"),
+                   **{name: body[name] for name in _WIRE_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -331,15 +340,9 @@ class Plan:
             "fingerprint": self.fingerprint,
             "omq_class": self.omq.omq_class(),
             "method_requested": self.options.method,
+            # every option as asked for; ``method`` as resolved
+            **self.options.as_dict(),
             "method": self.method,
-            "magic": self.options.magic,
-            "optimize": self.options.optimize,
-            "optimize_sql": self.options.optimize_sql,
-            "over": self.options.over,
-            "engine": self.options.engine,
-            "timeout": self.options.timeout,
-            "shards": self.options.shards,
-            "start_method": self.options.start_method,
             "data_bound": self.data_bound,
             "goal": self.ndl.goal,
             "answer_vars": list(self.ndl.answer_vars),
@@ -422,16 +425,7 @@ class Plan:
         started = time.perf_counter()
         with _trace.span("execute") as exec_span:
             exec_span.attrs["engine"] = engine_name
-            if options.optimize_sql:
-                try:
-                    result = evaluate(self.ndl, optimize_sql=True)
-                except TypeError:
-                    # duck-typed evaluators without the knob: the pass
-                    # pipeline is an SQL-layer concern they cannot
-                    # honour
-                    result = evaluate(self.ndl)
-            else:
-                result = evaluate(self.ndl)
+            result = evaluate(self.ndl, optimize_sql=options.optimize_sql)
         elapsed = time.perf_counter() - started
         timeout = options.timeout
         return Answers(answers=result.answers,

@@ -10,7 +10,8 @@ per-request costs *across* requests and sessions:
   so a repeated query never pays compilation again;
 * :mod:`repro.service.service` — :class:`OMQService`, a thread-safe
   front door over named datasets with pooled ``AnswerSession``s,
-  batch answering with in-batch deduplication and a shared cache;
+  batch answering with in-batch deduplication and a shared cache; an
+  answer is the plan's own :class:`~repro.rewriting.plan.Answers`;
 * :mod:`repro.service.updates` — incremental ABox insert/delete that
   patches the interned database, the memoised indexes, the SQLite
   tables and the cached completions in place instead of reloading;
@@ -33,7 +34,7 @@ the deltas by long-poll (``POST /poll``) or SSE streaming
 from .aserve import AsyncServiceServer, BackgroundAsyncServer, serve_in_background
 from .cache import CacheStats, RewritingCache, cq_fingerprint, tbox_fingerprint
 from .protocol import ProtocolError, Router
-from .service import BatchRequest, OMQService, ServiceResult
+from .service import BatchRequest, OMQService
 from .updates import UpdateResult, apply_update
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "ProtocolError",
     "RewritingCache",
     "Router",
-    "ServiceResult",
     "UpdateResult",
     "apply_update",
     "cq_fingerprint",

@@ -200,7 +200,7 @@ class AsyncServiceServer:
         options).  The tenant is part of the identity — two tenants'
         same-named datasets are different data.
         """
-        options = request.answer_options()
+        options = request.options
         engine = options.engine or self.service.default_engine
         scoped = (request.tenant, request.dataset)
         return (scoped, self._epochs.get(scoped, 0),
@@ -239,7 +239,7 @@ class AsyncServiceServer:
             # the execution spans belong to the leader's trace.
             self._obs.async_coalesced.inc()
             result = await asyncio.shield(future)
-            body = dict(self.router.result_payload(result))
+            body = self.router.result_payload(result)
             body["coalesced"] = True
             return 200, body
         self._admit()
@@ -256,7 +256,7 @@ class AsyncServiceServer:
                 or len(self._pending) >= self.max_batch):
             self._flush()
         result = await asyncio.shield(future)
-        body = dict(self.router.result_payload(result))
+        body = self.router.result_payload(result)
         body["coalesced"] = False
         return 200, body
 
@@ -311,7 +311,7 @@ class AsyncServiceServer:
 
     def _answer_one(self, request: BatchRequest):
         return self.service.answer(request.dataset, request.omq,
-                                   options=request.answer_options(),
+                                   options=request.options,
                                    tenant=request.tenant)
 
     # -- other routes --------------------------------------------------------

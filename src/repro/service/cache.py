@@ -79,18 +79,10 @@ class RewritingCache:
         self._evictions = self._obs.cache_evictions
         self._size_gauge = self._obs.cache_entries
 
-    def key(self, omq, options=None, method: str = "auto",
-            magic: bool = False) -> Tuple:
-        """The ``(tbox-fp, cq-fp, options-fp)`` cache key of ``omq``.
-
-        Pass an :class:`~repro.rewriting.plan.AnswerOptions` (or give
-        the legacy ``method``/``magic`` flags, which build one); only
-        the compile-relevant options partition keys.
-        """
-        from ..rewriting.plan import AnswerOptions
-
-        if options is None:
-            options = AnswerOptions(method=method, magic=magic)
+    def key(self, omq, options) -> Tuple:
+        """The ``(tbox-fp, cq-fp, options-fp)`` cache key of ``omq``
+        under an :class:`~repro.rewriting.plan.AnswerOptions`; only the
+        compile-relevant options partition keys."""
         return (tbox_fingerprint(omq.tbox), cq_fingerprint(omq.query),
                 options.rewrite_fingerprint())
 

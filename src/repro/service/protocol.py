@@ -26,19 +26,24 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..data.abox import ABox
-from ..engine import ENGINES, available_engines
+from ..engine import available_engines
 from ..obs import PROMETHEUS_CONTENT_TYPE, Trace
 from ..obs.trace import mint_trace_id, span, valid_trace_id
 from ..ontology import TBox
 from ..queries import CQ
 from ..rewriting.api import OMQ
-from ..rewriting.plan import AnswerOptions
+from ..rewriting.plan import AnswerOptions, Answers
 from ..store import DEFAULT_TENANT, QuotaError, RateLimited, TenantManager
 from .service import BatchRequest, OMQService
 
 #: Cap on long-poll blocking (seconds) — a client asking for more gets
 #: this much, so one subscriber cannot hold a poll open indefinitely.
 MAX_POLL_TIMEOUT = 30.0
+
+#: Option keys that belong inside a request's ``"options"`` object;
+#: beside it they are a 400 (see :meth:`Router.decode_options`).
+FLAT_OPTION_KEYS = frozenset({"method", "engine", "magic", "optimize",
+                              "optimize_sql", "timeout"})
 
 #: Request/response header carrying the trace ID.  Honored inbound
 #: (clients correlate their logs with the server's), echoed on every
@@ -318,26 +323,19 @@ class Router:
 
     @staticmethod
     def decode_options(payload: Dict) -> AnswerOptions:
-        """The request's :class:`AnswerOptions`: an ``"options"``
-        object, with the legacy flat keys (``method``, ``engine``,
-        ``magic``, ``optimize``, ``optimize_sql``) applied on top."""
+        """The request's :class:`AnswerOptions`: its ``"options"``
+        object.  An option key beside it is rejected, not ignored —
+        the request would run under another method or engine than it
+        asked for."""
+        flat = FLAT_OPTION_KEYS.intersection(payload)
+        if flat:
+            raise ProtocolError(
+                f"option key(s) {sorted(flat)} must be sent inside the "
+                "'options' object")
         raw = payload.get("options")
         if raw is not None and not isinstance(raw, dict):
             raise ProtocolError("'options' must be a JSON object")
-        engine = payload.get("engine")
-        if engine is not None and engine not in ENGINES:
-            raise ProtocolError(f"unknown engine {engine!r}; "
-                                f"expected one of {ENGINES}")
-        overrides: Dict[str, object] = {
-            "method": payload.get("method"), "engine": engine,
-            "timeout": payload.get("timeout")}
-        if "magic" in payload:
-            overrides["magic"] = bool(payload["magic"])
-        if "optimize" in payload:
-            overrides["optimize"] = bool(payload["optimize"])
-        if "optimize_sql" in payload:
-            overrides["optimize_sql"] = bool(payload["optimize_sql"])
-        return AnswerOptions.coerce(raw, **overrides)
+        return AnswerOptions.coerce(raw)
 
     def decode_omq(self, payload: Dict,
                    tenant: str = DEFAULT_TENANT) -> OMQ:
@@ -356,21 +354,11 @@ class Router:
         options = self.decode_options(payload)
         return BatchRequest(dataset=dataset,
                             omq=self.decode_omq(payload, tenant=tenant),
-                            engine=options.engine, options=options,
-                            tenant=tenant)
+                            options=options, tenant=tenant)
 
     @staticmethod
-    def result_payload(result) -> Dict:
-        return {"answers": sorted(list(row) for row in result.answers),
-                "count": len(result.answers),
-                "dataset": result.dataset, "method": result.method,
-                "engine": result.engine,
-                "seconds": round(result.seconds, 6),
-                "cached_rewriting": result.cached_rewriting,
-                "generated_tuples": result.generated_tuples,
-                "plan_fingerprint": result.plan_fingerprint,
-                "timed_out": result.timed_out,
-                "shards": result.shards}
+    def result_payload(result: Answers) -> Dict:
+        return result.payload()
 
     # -- dispatch ------------------------------------------------------------
 

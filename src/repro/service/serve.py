@@ -53,13 +53,13 @@ registered name, ``"tbox_text"`` inline TBox text (inline text in
 ``"tbox"`` is also accepted when unambiguous) — and carries the CQ::
 
     {"dataset": "demo", "tbox": "uni", "query": "R(x,y), S(y,z)",
-     "answers": ["x"], "method": "auto", "engine": "python"}
+     "answers": ["x"], "options": {"method": "auto", "engine": "python"}}
 
-Pipeline configuration may also travel as one ``"options"`` object
-(the JSON form of :class:`~repro.rewriting.plan.AnswerOptions` —
+Pipeline configuration travels as that one ``"options"`` object (the
+JSON form of :class:`~repro.rewriting.plan.AnswerOptions` —
 ``{"method": ..., "magic": ..., "optimize": ..., "engine": ...,
-"timeout": ..., "over": ...}``); flat legacy keys override its
-fields.  ``POST /explain`` takes the same request shape and returns
+"timeout": ..., "over": ...}``); an option key beside it is a 400.
+``POST /explain`` takes the same request shape and returns
 the compiled plan's :meth:`~repro.rewriting.plan.Plan.explain` report
 without evaluating it (``dataset`` is only required for the
 data-dependent ``adaptive``/``optimize`` stages).

@@ -22,6 +22,7 @@ fingerprint within the batch and fans the unique work out on a
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import threading
 import time
@@ -38,7 +39,7 @@ from ..obs import Observability
 from ..obs import trace as _trace
 from ..ontology import TBox
 from ..rewriting.api import OMQ, AnswerSession
-from ..rewriting.plan import AnswerOptions
+from ..rewriting.plan import AnswerOptions, Answers, compile_omq
 from ..standing.maintain import (
     full_reexecute,
     initialize,
@@ -241,17 +242,12 @@ class _Dataset:
 class BatchRequest:
     """One entry of :meth:`OMQService.answer_batch`.
 
-    Pass an :class:`~repro.rewriting.plan.AnswerOptions` via
-    ``options``; the legacy ``method``/``magic``/``optimize_program``
-    flags build one when it is absent.
+    ``options`` may be an :class:`~repro.rewriting.plan.AnswerOptions`,
+    a mapping or ``None``; it is coerced once, here.
     """
 
     dataset: str
     omq: OMQ
-    method: str = "auto"
-    engine: Optional[str] = None
-    magic: bool = False
-    optimize_program: bool = False
     options: Optional[AnswerOptions] = None
     tenant: str = DEFAULT_TENANT
     #: Optional :class:`~repro.obs.trace.Trace` to record this entry's
@@ -260,35 +256,9 @@ class BatchRequest:
     #: it; identity only, so it never partitions the dedup).
     trace: Optional[object] = field(default=None, compare=False)
 
-    def answer_options(self) -> AnswerOptions:
-        """The request's options (built from the flags when unset)."""
-        return AnswerOptions.from_legacy(
-            self.options, method=self.method, magic=self.magic,
-            optimize=self.optimize_program, engine=self.engine)
-
-
-@dataclass
-class ServiceResult:
-    """An answered request: the certain answers plus serving metadata."""
-
-    answers: FrozenSet[Tuple[str, ...]]
-    dataset: str
-    method: str
-    engine: str
-    seconds: float
-    cached_rewriting: bool
-    generated_tuples: int = 0
-    relation_sizes: Dict[str, int] = field(default_factory=dict)
-    plan_fingerprint: str = ""
-    timed_out: bool = False
-    #: Shards that served the request (``0`` = monolithic dataset).
-    shards: int = 0
-
-    def __iter__(self):
-        return iter(self.answers)
-
-    def __len__(self) -> int:
-        return len(self.answers)
+    def __post_init__(self):
+        object.__setattr__(self, "options",
+                           AnswerOptions.coerce(self.options))
 
 
 class OMQService:
@@ -552,22 +522,12 @@ class OMQService:
 
     # -- answering -----------------------------------------------------------
 
-    def answer(self, dataset: str, omq: OMQ, method: str = "auto",
-               engine: Optional[str] = None, magic: bool = False,
-               optimize_program: bool = False,
-               options: Optional[AnswerOptions] = None,
-               tenant: str = DEFAULT_TENANT) -> ServiceResult:
-        """Certain answers to ``omq`` over the named dataset.
-
-        Configure the pipeline with one
-        :class:`~repro.rewriting.plan.AnswerOptions` via ``options``
-        (the legacy flags build one when it is absent; an explicit
-        ``engine`` argument overrides ``options.engine``).
-        """
-        options = AnswerOptions.from_legacy(options, method=method,
-                                            magic=magic,
-                                            optimize=optimize_program,
-                                            engine=engine)
+    def answer(self, dataset: str, omq: OMQ, options=None,
+               tenant: str = DEFAULT_TENANT, **overrides) -> Answers:
+        """Certain answers to ``omq`` over the named dataset, under
+        ``options`` / ``overrides`` (one
+        :class:`~repro.rewriting.plan.AnswerOptions`, as everywhere)."""
+        options = AnswerOptions.coerce(options, **overrides)
         state = self._acquire_read(TenantManager.scope(tenant, dataset))
         try:
             return self._answer_locked(state, omq, options)
@@ -575,7 +535,7 @@ class OMQService:
             state.lock.release_read()
 
     def _answer_locked(self, state: _Dataset, omq: OMQ,
-                       options: AnswerOptions) -> ServiceResult:
+                       options: AnswerOptions) -> Answers:
         omq = self._canonical_omq(omq)
         engine_name = options.engine or self.default_engine
         was_cached = (not options.data_dependent
@@ -584,7 +544,7 @@ class OMQService:
         session = pool.checkout()
         start = time.perf_counter()
         try:
-            result = session.answer(omq, options=options)
+            result = session.answer(omq, options)
         finally:
             pool.checkin(session)
         elapsed = time.perf_counter() - start
@@ -594,21 +554,18 @@ class OMQService:
         _trace.annotate("dataset", state.name)
         _trace.annotate("cached_rewriting", was_cached)
         state.requests += 1
-        return ServiceResult(answers=result.answers, dataset=state.name,
-                             method=options.method, engine=engine_name,
-                             seconds=elapsed, cached_rewriting=was_cached,
-                             generated_tuples=result.generated_tuples,
-                             relation_sizes=dict(result.relation_sizes),
-                             plan_fingerprint=result.plan_fingerprint,
-                             timed_out=result.timed_out,
-                             shards=result.shards)
+        # the plan's own record, stamped with what only the service
+        # knows (``seconds`` here includes compilation)
+        return dataclasses.replace(result, dataset=state.base_name,
+                                   seconds=elapsed,
+                                   cached_rewriting=was_cached)
 
     def answer_batch(self, requests: Sequence[BatchRequest]
-                     ) -> List[ServiceResult]:
+                     ) -> List[Answers]:
         """Answer many requests, deduplicating shared rewritings.
 
-        Requests with the same (dataset, engine, rewriting fingerprint,
-        flags) are evaluated once and the result shared; unique work
+        Requests with the same (dataset, engine, timeout, plan-cache
+        key) are evaluated once and the result shared; unique work
         runs concurrently on a thread pool.  Read locks on every
         involved dataset are held for the whole batch, so all requests
         see one consistent data version.
@@ -617,19 +574,18 @@ class OMQService:
                     else BatchRequest(**request) for request in requests]
         canonical = [self._canonical_omq(request.omq)
                      for request in requests]
-        all_options = [request.answer_options() for request in requests]
         scoped = [TenantManager.scope(request.tenant, request.dataset)
                   for request in requests]
         names = sorted(set(scoped))
         unique: Dict[Tuple, List[int]] = {}
-        for position, (omq, options) in enumerate(
-                zip(canonical, all_options)):
-            engine_name = options.engine or self.default_engine
+        for position, (request, omq) in enumerate(zip(requests, canonical)):
+            options = request.options
             # the cache key folds in every compile-relevant option
             # (method, magic, optimize, over); timeout is execution-
             # only but shapes the shared result's timed_out flag, so
             # it must partition the dedup (never the plan cache)
-            key = (scoped[position], engine_name, options.timeout,
+            key = (scoped[position],
+                   options.engine or self.default_engine, options.timeout,
                    self.cache.key(omq, options))
             unique.setdefault(key, []).append(position)
 
@@ -644,23 +600,18 @@ class OMQService:
         try:
             jobs = list(unique.items())
 
-            def run(job) -> ServiceResult:
-                _, positions = job
-                request = requests[positions[0]]
-                if request.trace is not None:
-                    # the job runs on a pool thread with no ambient
-                    # trace: activate the originating request's
-                    # (contexts are per-thread, so concurrent jobs
-                    # record into distinct traces)
-                    with _trace.tracing(request.trace):
-                        return self._answer_locked(
-                            states[scoped[positions[0]]],
-                            canonical[positions[0]],
-                            all_options[positions[0]])
-                return self._answer_locked(
-                    states[scoped[positions[0]]],
-                    canonical[positions[0]],
-                    all_options[positions[0]])
+            def run(job) -> Answers:
+                first = job[1][0]
+                request = requests[first]
+                # a job on a pool thread has no ambient trace:
+                # activate the originating request's (contexts are
+                # per-thread, so concurrent jobs record into distinct
+                # traces); one run inline keeps the caller's
+                with _trace.tracing(request.trace
+                                    or _trace.current_trace()):
+                    return self._answer_locked(states[scoped[first]],
+                                               canonical[first],
+                                               request.options)
 
             if len(jobs) == 1:
                 outcomes = [run(jobs[0])]
@@ -670,7 +621,7 @@ class OMQService:
             for state in states.values():
                 state.lock.release_read()
 
-        results: List[Optional[ServiceResult]] = [None] * len(requests)
+        results: List[Optional[Answers]] = [None] * len(requests)
         for (_, positions), outcome in zip(jobs, outcomes):
             for position in positions:
                 results[position] = outcome
@@ -692,8 +643,6 @@ class OMQService:
         against that dataset's session, exactly as :meth:`answer`
         would.
         """
-        from ..rewriting.plan import compile_omq
-
         options = AnswerOptions.coerce(options, **overrides)
         omq = self._canonical_omq(omq)
         if not options.data_dependent:
@@ -878,7 +827,6 @@ class OMQService:
 
     def subscribe(self, dataset: str, omq: OMQ,
                   options: Optional[AnswerOptions] = None,
-                  engine: Optional[str] = None,
                   tenant: str = DEFAULT_TENANT,
                   subscription_id: Optional[str] = None,
                   _persist: bool = True,
@@ -895,8 +843,7 @@ class OMQService:
         delta a subscriber sees corresponds to exactly the first update
         after its snapshot.
         """
-        options = AnswerOptions.coerce(options, engine=engine,
-                                       **overrides)
+        options = AnswerOptions.coerce(options, **overrides)
         scoped = TenantManager.scope(tenant, dataset)
         # may raise QuotaError; released again if registration fails
         self.tenants.charge_subscription(tenant, enforce=_persist)
@@ -1199,8 +1146,7 @@ class OMQService:
                               CQ.parse(stored.query,
                                        answer_vars=stored.answer_vars))
                     self.subscribe(
-                        stored.dataset, omq,
-                        options=AnswerOptions.coerce(stored.options),
+                        stored.dataset, omq, options=stored.options,
                         tenant=tenant,
                         subscription_id=stored.subscription_id,
                         _persist=False)

@@ -140,17 +140,12 @@ class ShardedSession:
         return compile_omq(omq, options, data=data,
                            cache=self.rewriting_cache)
 
-    def answer(self, omq: OMQ, method: str = "auto",
-               engine: Optional[str] = None,
-               optimize_program: bool = False,
-               magic: bool = False, options=None) -> Answers:
+    def answer(self, omq: OMQ, options=None, **overrides) -> Answers:
         """Certain answers to ``omq``; the ``AnswerSession.answer``
         signature over the sharded execution path."""
-        options = AnswerOptions.from_legacy(options, method=method,
-                                            magic=magic,
-                                            optimize=optimize_program)
+        options = AnswerOptions.coerce(options, **overrides)
         plan = self.compile(omq, options)
-        return self.execute_plan(plan, engine=engine, options=options)
+        return self.execute_plan(plan, options=options)
 
     # -- scatter-gather execution ------------------------------------------
 

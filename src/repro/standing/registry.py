@@ -37,6 +37,7 @@ from typing import (
 )
 
 from ..obs import Observability
+from ..store.tenants import TenantManager
 
 Row = Tuple[str, ...]
 
@@ -111,6 +112,7 @@ class StandingQuery:
     """
 
     subscription_id: str
+    #: Tenant-scoped registry key (wire bodies carry :attr:`base_name`).
     dataset: str
     plan: object
     options: object
@@ -149,11 +151,17 @@ class StandingQuery:
         tbox = self.plan._variant_tbox()
         return None if tbox is None else id(tbox)
 
+    @property
+    def base_name(self) -> str:
+        """The dataset under the name its tenant registered — the only
+        one the tenant may send back (``::`` is reserved)."""
+        return TenantManager.split(self.dataset)[1]
+
     def snapshot_payload(self) -> Dict[str, object]:
         """The JSON shape of ``POST /subscribe`` responses and resyncs
         (caller holds ``condition`` or tolerates a racy read)."""
         return {"subscription": self.subscription_id,
-                "dataset": self.dataset,
+                "dataset": self.base_name,
                 "epoch": self.epoch,
                 "answers": sorted(list(row) for row in self.answers),
                 "count": len(self.answers),
@@ -425,7 +433,7 @@ class StandingRegistry:
                 remaining = deadline - time.monotonic()
                 if deltas or remaining <= 0:
                     return {"subscription": sub.subscription_id,
-                            "dataset": sub.dataset,
+                            "dataset": sub.base_name,
                             "epoch": sub.epoch,
                             "resync": False,
                             "stale": sub.stale,

@@ -28,15 +28,14 @@ def setting():
 
 class TestPipelineCombinations:
     @pytest.mark.parametrize(
-        "engine,optimize_program,magic",
+        "engine,optimize,magic",
         list(itertools.product(available_engines(), (False, True),
                                (False, True))))
     def test_all_stage_combinations_agree(self, setting, engine,
-                                          optimize_program, magic):
+                                          optimize, magic):
         tbox, query, abox, expected = setting
         result = answer(OMQ(tbox, query), abox, method="tw",
-                        engine=engine, optimize_program=optimize_program,
-                        magic=magic)
+                        engine=engine, optimize=optimize, magic=magic)
         assert result.answers == expected
 
     @pytest.mark.parametrize("method", ("lin", "log", "tw", "adaptive"))

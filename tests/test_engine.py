@@ -232,5 +232,5 @@ class TestAnswerSessionReuse:
                         == answer(omq, abox, method=method).answers)
             assert (session.answer(omq, magic=True).answers
                     == answer(omq, abox, magic=True).answers)
-            assert (session.answer(omq, optimize_program=True).answers
-                    == answer(omq, abox, optimize_program=True).answers)
+            assert (session.answer(omq, optimize=True).answers
+                    == answer(omq, abox, optimize=True).answers)

@@ -7,6 +7,7 @@ a leaked listening socket or event loop shows on its stderr, which
 must stay empty.
 """
 
+import asyncio
 import contextlib
 import http.client
 import json
@@ -18,7 +19,7 @@ from urllib.parse import urlparse
 
 import pytest
 
-from repro import OMQ, Client, chain_cq
+from repro import OMQ, AsyncClient, Client, chain_cq
 from repro.standing.push import decode_sse
 
 from .helpers import example11_tbox, random_data
@@ -95,16 +96,38 @@ def test_every_launch_is_the_one_server(flags):
     assert stats["async_serving"]["workers"] == 2
 
 
+async def _poll(url: str, tenant: str, subscription: str, since_epoch: int):
+    async with AsyncClient.connect(url, tenant=tenant) as client:
+        return await client.poll(subscription, since_epoch)
+
+
 def test_sigterm_checkpoints_and_relaunch_restores(tmp_path):
     data_dir = str(tmp_path / "store")
+    inserts = [("R", ("k1", "k2")), ("S", ("k2", "k3"))]
     with launched("--data-dir", data_dir) as url, \
-            Client.connect(url) as client:
+            Client.connect(url) as client, \
+            Client.connect(url, tenant="acme") as acme:
         client.register_dataset("demo", random_data(1))
-        client.update("demo", inserts=[("R", ("k1", "k2")),
-                                       ("S", ("k2", "k3"))])
+        client.update("demo", inserts=inserts)
         before = client.answer("demo", OMQ_RS).answers
+        # a second tenant with a ``demo`` of its own and a standing
+        # query over it, one maintained update in
+        acme.register_dataset("demo", random_data(2))
+        watched = acme.subscribe("demo", OMQ_RS, method="log")
+        acme.update("demo", inserts=inserts)
+        assert watched.poll(timeout=10.0)
+        acme_before = acme.answer("demo", OMQ_RS).answers
     assert ("k1", "k3") in before
+    assert ("k1", "k3") in watched.answers == acme_before != before
     with launched("--data-dir", data_dir) as url, \
-            Client.connect(url) as client:
-        assert client.datasets() == ("demo",)
+            Client.connect(url) as client, \
+            Client.connect(url, tenant="acme") as acme:
+        assert client.datasets() == acme.datasets() == ("demo",)
         assert client.answer("demo", OMQ_RS).answers == before
+        assert acme.answer("demo", OMQ_RS).answers == acme_before
+        # re-armed under its original id, with its stored options: a
+        # poll from before the restart resyncs to the maintained set
+        body = asyncio.run(_poll(url, "acme", watched.subscription_id, 0))
+    assert body["resync"] and body["epoch"] == watched.epoch
+    assert (body["dataset"], body["method"]) == ("demo", "log")
+    assert {tuple(row) for row in body["answers"]} == watched.answers

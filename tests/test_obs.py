@@ -24,7 +24,7 @@ import urllib.request
 import pytest
 
 from repro import OMQ, Client, ServiceError
-from repro.obs import (Observability, configure_logging, get_logger,
+from repro.obs import (configure_logging, get_logger,
                        parse_prometheus_families)
 from repro.obs import logs as obs_logs
 from repro.obs.metrics import MetricsRegistry

@@ -1,17 +1,31 @@
 """Tests for the compiled query pipeline (``repro.rewriting.plan``):
-``AnswerOptions`` validation, ``compile -> Plan -> execute`` parity
-with the legacy entry points, plan reuse, explain reports and the plan
-cache."""
+``AnswerOptions`` validation, parity of every entry point that takes
+them, plan reuse, explain reports and the plan cache."""
 
 import dataclasses
 
 import pytest
 
-from repro import ABox, OMQ, AnswerOptions, Plan, answer, chain_cq
+from repro import (
+    ABox,
+    OMQ,
+    AnswerOptions,
+    Answers,
+    Client,
+    Plan,
+    ShardedSession,
+    answer,
+    chain_cq,
+)
 from repro.engine import available_engines, create_engine
 from repro.rewriting import AnswerSession, METHODS
 from repro.rewriting.plan import compile_omq, format_explain
-from repro.service import OMQService, RewritingCache
+from repro.service import (
+    BatchRequest,
+    OMQService,
+    RewritingCache,
+    serve_in_background,
+)
 
 from .helpers import example11_tbox, random_data
 
@@ -117,39 +131,62 @@ class TestCompileExecuteParity:
                 assert executed.answers == legacy.answers
                 assert executed.engine == engine
 
-    def test_matches_session_answer_with_flags(self, setting):
-        _, abox, omqs = setting
-        with AnswerSession(abox) as session:
-            for omq in omqs:
-                for magic in (False, True):
-                    for optimize in (False, True):
-                        plan = session.compile(
-                            omq, method="log", magic=magic,
-                            optimize=optimize)
-                        assert (plan.execute(session).answers
-                                == session.answer(
-                                    omq, method="log", magic=magic,
-                                    optimize_program=optimize).answers)
-
-    def test_matches_service_answer(self, setting):
-        _, abox, omqs = setting
-        with OMQService() as service:
+    @pytest.fixture(scope="class")
+    def served(self, setting):
+        """One service over the data, behind every front door: itself,
+        an embedded client and an HTTP client."""
+        _, abox, _ = setting
+        with OMQService(max_workers=2) as service:
             service.register_dataset("demo", ABox(abox.atoms()))
-            for omq in omqs:
-                plan = compile_omq(omq, method="tw")
-                assert (plan.execute(abox).answers
-                        == service.answer("demo", omq,
-                                          method="tw").answers)
+            with serve_in_background(service) as handle, \
+                    Client.connect(handle.url) as remote:
+                yield service, Client.wrap(service), remote
 
-    def test_adaptive_parity(self, setting):
+    @pytest.mark.parametrize("overrides", [
+        {}, {"method": "lin"}, {"method": "log"}, {"method": "tw"},
+        {"method": "adaptive"}, {"magic": True}, {"optimize": True},
+        {"engine": "sql"}], ids=lambda o: ",".join(
+            f"{key}={value}" for key, value in o.items()) or "defaults")
+    def test_every_way_in_returns_the_same_answers(self, setting, served,
+                                                   overrides):
+        """One options spelling in, one ``Answers`` record out, through
+        every entry point: same rows, same *resolved* method, same
+        engine, same plan."""
         _, abox, omqs = setting
-        with AnswerSession(abox) as session:
-            for omq in omqs:
-                plan = session.compile(omq, method="adaptive")
-                assert plan.data_bound
-                assert plan.method in METHODS
-                assert (plan.execute(session).answers
-                        == session.answer(omq, method="adaptive").answers)
+        service, embedded, remote = served
+        options = AnswerOptions(**overrides)
+        for omq in omqs:
+            with AnswerSession(abox) as session, \
+                    ShardedSession(ABox(abox.atoms()), 2,
+                                   executor="serial") as sharded:
+                monolithic = {
+                    "repro.answer": answer(omq, abox, **overrides),
+                    "session.answer": session.answer(omq, options),
+                    "compile+execute": session.compile(
+                        omq, **overrides).execute(session),
+                    "service.answer": service.answer("demo", omq,
+                                                     **overrides),
+                    "answer_batch": service.answer_batch(
+                        [BatchRequest("demo", omq, overrides)])[0],
+                    "Client.wrap": embedded.answer("demo", omq, options),
+                    "Client.connect": remote.answer("demo", omq,
+                                                    **overrides),
+                }
+                if not options.data_dependent:
+                    monolithic["repro.compile"] = compile_omq(
+                        omq, options).execute(abox)
+                scattered = sharded.answer(omq, **overrides)
+            expected = monolithic["repro.answer"]
+            assert expected.method in METHODS
+            assert expected.engine == (options.engine or "python")
+            for name, got in [*monolithic.items(), ("sharded", scattered)]:
+                assert isinstance(got, Answers), name
+                assert (got.answers, got.method, got.engine,
+                        got.plan_fingerprint) == (
+                    expected.answers, expected.method, expected.engine,
+                    expected.plan_fingerprint), name
+            for name, got in monolithic.items():
+                assert got.generated_tuples == expected.generated_tuples, name
 
 
 # -- plan reuse -------------------------------------------------------------

@@ -96,6 +96,5 @@ class TestFacadeAgainstOracle:
     @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
     def test_full_pipeline(self, tbox, query, abox):
         result = answer(OMQ(tbox, query), abox, method="tw",
-                        engine="sql-views", optimize_program=True,
-                        magic=True)
+                        engine="sql-views", optimize=True, magic=True)
         assert result.answers == _oracle(tbox, query, abox)

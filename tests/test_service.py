@@ -106,14 +106,15 @@ class TestBatch:
     def test_batch_matches_individual_answers(self, service):
         tbox = example11_tbox()
         requests = [BatchRequest("demo", OMQ(tbox, chain_cq(labels)),
-                                 engine=engine)
+                                 {"engine": engine})
                     for labels in ("RS", "SR")
                     for engine in available_engines()]
         results = service.answer_batch(requests)
         for request, result in zip(requests, results):
             expected = service.answer("demo", request.omq,
-                                      engine=request.engine)
+                                      request.options)
             assert result.answers == expected.answers
+            assert result.engine == request.options.engine
 
     def test_batch_deduplicates_renamed_queries(self, service):
         tbox = example11_tbox()
@@ -129,8 +130,8 @@ class TestBatch:
         results = service.answer_batch([
             {"dataset": "demo", "omq": OMQ(tbox, chain_cq("RS"))},
             {"dataset": "demo", "omq": OMQ(tbox, chain_cq("SR")),
-             "engine": "sql"}])
-        assert len(results) == 2
+             "options": {"engine": "sql"}}])
+        assert [result.engine for result in results] == ["python", "sql"]
 
     def test_concurrent_answers_consistent(self, service):
         tbox = example11_tbox()
@@ -226,12 +227,26 @@ class TestServeHTTP:
                               "delete": ["R(a,b)"]})
         assert updated["inserted"] == 2
         assert updated["deleted"] == 1
+        request = {"dataset": "demo", "tbox": "uni",
+                   "query": "R(x,y), S(y,z)", "answers": ["x"]}
+        engines = available_engines()
         batch = self._call(server, "/batch", {"requests": [
-            {"dataset": "demo", "tbox": "uni",
-             "query": "R(x,y), S(y,z)", "answers": ["x"],
-             "engine": engine} for engine in available_engines()]})
-        for result in batch["results"]:
+            dict(request, options={"engine": engine})
+            for engine in engines]})
+        for engine, result in zip(engines, batch["results"]):
             assert result["answers"] == [["c"]]
+            assert result["engine"] == engine
+        # an option beside "options" is refused, never silently dropped
+        flat = dict(request, engine="sql")
+        for path, body in (("/answer", flat), ("/explain", flat),
+                           ("/subscribe", flat),
+                           ("/batch", {"requests": [request, flat]})):
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                self._call(server, path, body)
+            assert excinfo.value.code == 400
+            error = json.loads(excinfo.value.read())
+            assert error["error_type"] == "bad_request"
+            assert "'options'" in error["error"]
 
     def test_wrong_json_types_return_400(self, server):
         self._call(server, "/datasets", {"name": "demo", "data": "R(a,b)"})

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro import CQ, OMQ, chain_cq
+from repro import CQ, OMQ, AnswerOptions, chain_cq
 from repro.rewriting import AnswerSession, rewrite
 from repro.service.cache import (
     RewritingCache,
@@ -104,7 +104,7 @@ class TestRewritingCache:
             calls.append(1)
             return rewrite(omq, method="lin")
 
-        key = cache.key(omq, method="lin")
+        key = cache.key(omq, AnswerOptions(method="lin"))
         first = cache.get_or_compute(key, compute)
         second = cache.get_or_compute(key, compute)
         assert first is second
@@ -117,14 +117,15 @@ class TestRewritingCache:
         tbox = example11_tbox()
         original = OMQ(tbox, CQ.parse("R(x,y), S(y,z)", answer_vars=["x"]))
         renamed = OMQ(tbox, CQ.parse("R(a,b), S(b,c)", answer_vars=["a"]))
-        assert cache.key(original) == cache.key(renamed)
+        assert (cache.key(original, AnswerOptions())
+                == cache.key(renamed, AnswerOptions()))
 
     def test_method_and_magic_partition_keys(self):
         cache = RewritingCache()
         omq = OMQ(example11_tbox(), chain_cq("RS"))
-        keys = {cache.key(omq, method="lin"),
-                cache.key(omq, method="log"),
-                cache.key(omq, method="lin", magic=True)}
+        keys = {cache.key(omq, AnswerOptions(method="lin")),
+                cache.key(omq, AnswerOptions(method="log")),
+                cache.key(omq, AnswerOptions(method="lin", magic=True))}
         assert len(keys) == 3
 
     def test_lru_eviction(self):
@@ -210,5 +211,5 @@ class TestSessionCacheIntegration:
         omq = OMQ(tbox, chain_cq("RS"))
         with AnswerSession(random_data(6), rewriting_cache=cache) as session:
             session.answer(omq, method="adaptive")
-            session.answer(omq, method="lin", optimize_program=True)
+            session.answer(omq, method="lin", optimize=True)
         assert len(cache) == 0

@@ -20,7 +20,7 @@ from repro.datalog.program import Clause, Literal, NDLQuery, Program
 from repro.engine import ENGINES, SQL_ENGINES, available_engines
 from repro.rewriting import AnswerSession
 from repro.rewriting.plan import AnswerOptions, compile_omq, format_explain
-from repro.service.protocol import Router
+from repro.service.protocol import ProtocolError, Router
 from repro.sql.compile import compile_query, compile_query_ir
 from repro.sql.engine import SQLEngine, evaluate_sql
 from repro.sql.ir import (
@@ -366,9 +366,32 @@ class TestOptionThreading:
         assert "sql" not in compile_omq(omq, engine="python").explain()
 
     def test_protocol_decodes_flat_optimize_sql_key(self):
-        options = Router.decode_options({"optimize_sql": True,
-                                         "engine": "sql-views"})
+        """The knob rides the ``"options"`` object; the flat key earlier
+        protocol versions read is a structured 400."""
+        options = Router.decode_options(
+            {"options": {"optimize_sql": True, "engine": "sql-views"}})
         assert options.optimize_sql is True
+        with pytest.raises(ProtocolError, match="'options'") as excinfo:
+            Router.decode_options({"optimize_sql": True})
+        assert (excinfo.value.status, excinfo.value.error_type) == (
+            400, "bad_request")
+
+    def test_type_error_inside_optimized_evaluation_propagates(
+            self, monkeypatch):
+        """A ``TypeError`` raised while evaluating optimized SQL is the
+        caller's to see — never a silent unoptimized re-run."""
+        calls = []
+
+        def broken(self, query, materialised=True, optimize_sql=False):
+            calls.append(optimize_sql)
+            raise TypeError("raised inside the evaluation")
+
+        monkeypatch.setattr(SQLEngine, "evaluate", broken)
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        with AnswerSession(ABox.parse("R(a,b), S(b,c)")) as session:
+            with pytest.raises(TypeError, match="inside the evaluation"):
+                session.answer(omq, engine="sql", optimize_sql=True)
+        assert calls == [True]
 
     def test_registry_is_open_everywhere(self):
         # every registered engine name must be accepted by the options
@@ -383,7 +406,8 @@ class TestOptionThreading:
             if action.dest == "engine" and action.choices}
         for name in ENGINES:
             assert AnswerOptions(engine=name).engine == name
-            assert Router.decode_options({"engine": name}).engine == name
+            assert Router.decode_options(
+                {"options": {"engine": name}}).engine == name
             assert name in cli_choices["engine"]
 
     def test_sql_engines_is_a_subset_of_engines(self):

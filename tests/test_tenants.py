@@ -352,6 +352,21 @@ class TestClientTenancy:
                 got = alice.answer("demo", omq)
                 expected = service.answer("demo", omq, tenant="alice")
                 assert got.answers == expected.answers
+                # every body alice is shown names the dataset as she
+                # registered it, never the reserved registry key
+                assert got.dataset == expected.dataset == "demo"
+                sub = alice.subscribe("demo", omq)
+                assert sub.dataset == "demo"
+                polled = service.poll(sub.subscription_id, tenant="alice")
+                assert polled["dataset"] == "demo"
+                resync = service.poll(sub.subscription_id, since_epoch=-1,
+                                      tenant="alice")
+                assert resync["resync"] and resync["dataset"] == "demo"
+                # ... and she lists her own datasets only
+                service.register_dataset("other", random_data(2),
+                                         tenant="bob")
+                assert alice.datasets() == ("demo",)
+                assert service.datasets() == ("alice::demo", "bob::other")
                 # the default-tenant client cannot see alice's dataset
                 with pytest.raises(ServiceError), \
                         Client.connect(handle.url) as nobody:
