@@ -11,7 +11,7 @@ must agree on the answers.
 
 import time
 
-from repro.engine import available_engines, create_engine
+from repro.engine import ENGINES, create_engine
 from repro.experiments import SEQUENCES, example11_tbox, print_table
 from repro.queries import chain_cq
 from repro.rewriting import OMQ, rewrite
@@ -44,7 +44,7 @@ def test_engine_ablation(paper_data, benchmark):
     tbox = example11_tbox()
     completed = datasets["2.ttl"].complete(tbox)
     backends = {name: create_engine(name, completed)
-                for name in available_engines()}
+                for name in ENGINES}
 
     def run():
         rows = []
@@ -64,4 +64,4 @@ def test_engine_ablation(paper_data, benchmark):
         [[seq, size, method, engine, f"{seconds:.3f}", answers, tuples]
          for seq, size, method, engine, seconds, answers, tuples in rows])
     # every case produced one row per engine
-    assert len(rows) == len(available_engines()) * len(CASES)
+    assert len(rows) == len(ENGINES) * len(CASES)

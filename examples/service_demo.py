@@ -17,7 +17,7 @@ import json
 import urllib.request
 
 from repro import ABox, CQ, OMQ, OMQService, TBox
-from repro.engine import available_engines
+from repro.engine import ENGINES
 from repro.service import BatchRequest, serve_in_background
 
 ONTOLOGY = """
@@ -52,7 +52,7 @@ def main() -> None:
     # -- batch answering with deduplication ----------------------------
     batch = service.answer_batch(
         [BatchRequest("people", OMQ(tbox, query), {"engine": engine})
-         for engine in available_engines()]
+         for engine in ENGINES]
         + [BatchRequest("people", OMQ(tbox, renamed))])
     print("batch agreement:    "
           f"{len({frozenset(r.answers) for r in batch})} distinct "

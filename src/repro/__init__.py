@@ -24,10 +24,11 @@ The package implements the paper end to end:
   interned, indexed in-memory database and session reuse
   (:mod:`repro.engine`, :class:`repro.rewriting.api.AnswerSession`),
   a SQL backend running rewritings as
-  SQLite views/tables (:mod:`repro.sql`), magic sets
-  (:mod:`repro.datalog.magic`), an NDL optimiser with Tw*-style
-  inlining and emptiness pruning (:mod:`repro.datalog.optimize`) and
-  the cost-based adaptive splitting strategy
+  SQLite views/tables (:mod:`repro.sql`), an NDL optimiser with
+  Tw*-style inlining and emptiness pruning
+  (:mod:`repro.datalog.optimize`) that every ``Plan.execute`` applies
+  for the nonempty signature of the data it runs over, and the
+  cost-based adaptive splitting strategy
   (:mod:`repro.rewriting.adaptive`);
 * a serving layer (:mod:`repro.service`): a concurrent
   :class:`~repro.service.service.OMQService` with an LRU plan cache
@@ -91,18 +92,14 @@ from .datalog import (
     NDLQuery,
     Program,
     evaluate,
-    evaluate_magic,
     evaluate_on,
-    magic_transform,
     optimize,
 )
 from .engine import (
     ENGINES,
     SQL_ENGINES,
     Database,
-    available_engines,
     create_engine,
-    engine_available,
 )
 from .ontology import Role, TBox
 from .queries import CQ, chain_cq
@@ -153,8 +150,6 @@ __all__ = [
     "Database",
     "ENGINES",
     "SQL_ENGINES",
-    "available_engines",
-    "engine_available",
     "METHODS",
     "NDLQuery",
     "OMQ",
@@ -174,10 +169,8 @@ __all__ = [
     "compile_omq",
     "create_engine",
     "evaluate",
-    "evaluate_magic",
     "evaluate_on",
     "evaluate_sql",
-    "magic_transform",
     "optimize",
     "is_certain_answer",
     "lin_rewrite",

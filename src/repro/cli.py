@@ -33,9 +33,8 @@ from .chase.consistency import is_consistent
 from .data import ABox
 from .ontology import TBox
 from .queries import CQ
-from .engine import ENGINES
+from .engine import ENGINES, create_engine
 from .rewriting import OMQ, AnswerSession
-from .rewriting.api import compile_data_variant
 from .rewriting.plan import AnswerOptions, compile_omq, format_explain
 from .shard import ShardedSession
 
@@ -64,8 +63,6 @@ def shard_count(value: str):
 def _options(args, **extra) -> AnswerOptions:
     """One ``AnswerOptions`` from a parsed namespace's pipeline flags."""
     fields = {"method": getattr(args, "method", None),
-              "magic": getattr(args, "magic", None),
-              "optimize": getattr(args, "optimize", None),
               "optimize_sql": getattr(args, "optimize_sql", None),
               "engine": getattr(args, "engine", None),
               "timeout": getattr(args, "timeout", None),
@@ -90,19 +87,25 @@ def _cmd_explain(args) -> int:
 
     tbox = _load_tbox(args.tbox)
     query = _load_query(args.query, args.answers)
-    data = None
+    abox = completed = None
     options = _options(args)
     if args.data:
         with open(args.data) as handle:
             abox = ABox.parse(handle.read())
-        data = compile_data_variant(options, abox,
-                                    lambda: abox.complete(tbox))
+        completed = abox.complete(tbox)
     try:
-        plan = compile_omq(OMQ(tbox, query), options, data=data)
+        plan = compile_omq(OMQ(tbox, query), options, data=completed)
     except ValueError as error:
         print(f"# {error}", file=sys.stderr)
         return 1
-    report = plan.explain()
+    if abox is None:
+        report = plan.explain()
+    else:
+        # with data, also what an answer over it would run
+        raw = plan._variant_tbox() is None
+        with create_engine(options.engine or "python",
+                           abox if raw else completed) as backend:
+            report = plan.explain(backend)
     print(json.dumps(report, indent=2) if args.json
           else format_explain(report))
     return 0
@@ -132,9 +135,8 @@ def _cmd_answer(args) -> int:
     # (--shards >= 2, or 'auto', partitions the data by Gaifman
     # components and scatter-gathers every plan over per-shard engines)
     if args.shards == "auto" or args.shards >= 2:
-        session = ShardedSession(
-            abox, shards=args.shards, engine=args.engine,
-            start_method=getattr(args, "start_method", None))
+        session = ShardedSession(abox, shards=args.shards,
+                                 engine=args.engine)
     else:
         session = AnswerSession(abox, engine=args.engine)
     with session:
@@ -179,8 +181,7 @@ def _cmd_sql(args) -> int:
     query = _load_query(args.query, args.answers)
     plan = compile_omq(OMQ(tbox, query), _options(args))
     compilation = compile_query(plan.ndl, materialised=args.materialised,
-                                optimize=args.optimize_sql,
-                                dialect=args.dialect)
+                                optimize=args.optimize_sql)
     for entry in compilation.passes:
         mark = " *" if entry.get("changed") else ""
         print(f"-- pass {entry['pass']}: {entry['before']} -> "
@@ -256,10 +257,13 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("complete", "arbitrary"))
     rewrite_parser.set_defaults(func=_cmd_rewrite)
 
+    # no prefix matching on the two pipeline subcommands: the removed
+    # --optimize must be a usage error, not a spelling of --optimize-sql
     explain_parser = sub.add_parser(
-        "explain", help="compile the OMQ and print the plan report "
-                        "(method chosen, rewriting size/width/depth, "
-                        "per-stage timings) without evaluating")
+        "explain", allow_abbrev=False,
+        help="compile the OMQ and print the plan report "
+             "(method chosen, rewriting size/width/depth, "
+             "per-stage timings) without evaluating")
     common(explain_parser)
     explain_parser.add_argument("--over", default="complete",
                                 choices=("complete", "arbitrary"))
@@ -272,22 +276,18 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="run the SQL optimizer pass "
                                      "pipeline (reported in the plan's "
                                      "sql section)")
-    explain_parser.add_argument("--magic", action="store_true",
-                                help="apply the magic-sets transformation")
-    explain_parser.add_argument("--optimize", action="store_true",
-                                help="run the Appendix D.4 optimiser")
     explain_parser.add_argument("--timeout", type=float, default=None,
                                 help="soft evaluation budget (seconds) to "
                                      "record in the plan")
     explain_parser.add_argument("--data", default=None,
-                                help="data file for the data-dependent "
-                                     "stages (adaptive / --optimize "
-                                     "pruning)")
+                                help="data file: also report the program "
+                                     "an answer over it would run "
+                                     "(needed by --method adaptive)")
     explain_parser.add_argument("--json", action="store_true",
                                 help="print the report as JSON")
     explain_parser.set_defaults(func=_cmd_explain)
 
-    answer_parser = sub.add_parser("answer",
+    answer_parser = sub.add_parser("answer", allow_abbrev=False,
                                    help="compute certain answers")
     common(answer_parser, with_data=True, multi_query=True)
     answer_parser.add_argument("--engine", default="python",
@@ -303,21 +303,10 @@ def build_parser() -> argparse.ArgumentParser:
                                     "scatter-gather (>= 2 to enable, "
                                     "'auto' to size from CPUs and "
                                     "component skew)")
-    answer_parser.add_argument("--start-method", default=None,
-                               dest="start_method",
-                               choices=("fork", "forkserver", "spawn"),
-                               help="worker start method for process-"
-                                    "backed sharding (default: auto-"
-                                    "select)")
-    answer_parser.add_argument("--optimize", action="store_true",
-                               help="run the Appendix D.4 optimiser on "
-                                    "the rewriting first")
     answer_parser.add_argument("--trace", action="store_true",
                                help="print a per-span timing breakdown "
                                     "(compile stages, cache lookups, "
                                     "per-shard execution) to stderr")
-    answer_parser.add_argument("--magic", action="store_true",
-                               help="apply the magic-sets transformation")
     answer_parser.set_defaults(func=_cmd_answer)
 
     sql_parser = sub.add_parser(
@@ -330,9 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                             dest="optimize_sql",
                             help="run the optimizer pass pipeline first "
                                  "(pass log printed as -- comments)")
-    sql_parser.add_argument("--dialect", default="sqlite",
-                            choices=("sqlite", "duckdb"),
-                            help="SQL dialect to render")
     sql_parser.set_defaults(func=_cmd_sql)
 
     classify_parser = sub.add_parser("classify",

@@ -675,8 +675,8 @@ class Client:
         """The :meth:`~repro.rewriting.plan.Plan.explain` report for
         ``omq`` under the given options, without evaluating it.
 
-        ``dataset`` is only needed for the data-dependent stages
-        (``method="adaptive"`` or ``optimize=True``).
+        With ``dataset`` the report also shows the program an answer
+        over that dataset would run; ``method="adaptive"`` needs one.
         """
         return self._transport.explain(omq, options, dataset, **overrides)
 

@@ -1,5 +1,5 @@
-"""Nonrecursive-datalog substrate: programs, evaluation, transforms,
-magic sets and optimisation."""
+"""Nonrecursive-datalog substrate: programs, evaluation, transforms
+and optimisation."""
 
 from .analysis import (
     is_linear,
@@ -9,7 +9,6 @@ from .analysis import (
     skinny_depth,
 )
 from .evaluate import EvaluationResult, evaluate, evaluate_on
-from .magic import evaluate_magic, is_answer_magic, magic_transform
 from .parser import ProgramParseError, parse_program, parse_query
 from .optimize import (
     inline_single_definition,
@@ -29,14 +28,11 @@ __all__ = [
     "NDLQuery",
     "Program",
     "evaluate",
-    "evaluate_magic",
     "evaluate_on",
     "inline_single_definition",
-    "is_answer_magic",
     "is_linear",
     "is_skinny",
     "linear_star_transform",
-    "magic_transform",
     "max_edb_atoms",
     "minimal_weight_function",
     "optimize",

@@ -1,11 +1,17 @@
 """Bottom-up evaluation of NDL queries over data instances.
 
 This is the library's stand-in for the RDFox engine used in the paper's
-experiments: every IDB predicate is materialised once, in dependence
-order, with no magic sets or program optimisation — exactly the
-behaviour Appendix D.4 attributes to RDFox.  Joins are left-deep hash
-joins ordered by bound-prefix selectivity, with eager projection of
-dead variables.
+experiments: every IDB predicate of the program it is given is
+materialised once, in dependence order, with no magic sets or program
+optimisation — exactly the behaviour Appendix D.4 attributes to RDFox.
+It *is* the unoptimised engine, and it has two kinds of caller: the
+paper's tables and benches (``repro.experiments``,
+``benchmarks/bench_*.py``) and the differential tests hand it a
+rewriting as written, as the reference; ``Plan.execute`` hands it the
+rewriting already specialised to the data's nonempty signature
+(:meth:`repro.rewriting.plan.Plan.specialised`).  Joins are left-deep
+hash joins ordered by bound-prefix selectivity, with eager projection
+of dead variables.
 
 Evaluation runs over a :class:`repro.engine.database.Database`:
 constants are interned to integers and EDB hash indexes are memoised on

@@ -37,10 +37,11 @@ def nonempty_signature(abox: ABox, include_adom: bool = True
     """The predicates with at least one fact in ``abox``.
 
     ``__adom__`` is included whenever the data has any individual at
-    all — it is never empty then, whatever the program.
+    all (any atom names one) — it is never empty then, whatever the
+    program.
     """
     names: Set[str] = set(abox.unary_predicates) | set(abox.binary_predicates)
-    if include_adom and abox.individuals:
+    if include_adom and names:
         names.add(ADOM)
     return frozenset(names)
 
@@ -219,20 +220,24 @@ def inline_single_definition(query: NDLQuery, max_uses: int = 2,
 
 
 def optimize(query: NDLQuery, abox: Optional[ABox] = None,
-             inline: bool = True, max_uses: int = 2) -> NDLQuery:
+             inline: bool = True, max_uses: int = 2,
+             nonempty: Optional[Iterable[str]] = None) -> NDLQuery:
     """The full optimisation pipeline.
 
     1. restrict to the clauses reachable from the goal;
-    2. with ``abox``, prune clauses over predicates empty in the data
-       (answers are then only guaranteed for instances over the same
-       nonempty signature — re-run after data updates);
+    2. with ``abox`` (or its ``nonempty`` signature, when the caller
+       already holds it), prune clauses over predicates empty in the
+       data (answers are then only guaranteed for instances over the
+       same nonempty signature — ``Plan.execute`` re-specialises when
+       the signature changes);
     3. drop duplicate clauses;
     4. with ``inline``, apply the generalised Tw* inlining.
     """
     current = _restrict(query)
     if abox is not None:
-        current = prune_empty_predicates(current,
-                                         nonempty_signature(abox))
+        nonempty = nonempty_signature(abox)
+    if nonempty is not None:
+        current = prune_empty_predicates(current, nonempty)
     current = remove_duplicate_clauses(current)
     if inline:
         current = inline_single_definition(current, max_uses=max_uses)

@@ -141,8 +141,10 @@ class Program:
     def idb_predicates(self) -> FrozenSet[str]:
         return frozenset(self._by_head)
 
-    @property
+    @cached_property
     def edb_predicates(self) -> FrozenSet[str]:
+        # cached (clauses never change after construction): every
+        # ``Plan.execute`` asks the engine about exactly these
         used = {atom.predicate
                 for clause in self.clauses
                 for atom in clause.body_literals}

@@ -7,38 +7,31 @@ The subsystem has two halves:
   indexes memoised by bound-argument positions and shared across
   queries (the native engine's storage);
 * :class:`~repro.engine.backends.Engine` — the common protocol over the
-  native Python evaluator, the two SQLite modes and the optional
-  DuckDB backend, built via
+  native Python evaluator and the two SQLite modes, built via
   :func:`~repro.engine.backends.create_engine`.
 
 :class:`repro.rewriting.api.AnswerSession` sits on top of this layer
-and adds the rewriting pipeline (completion, rewriters, optimiser,
-magic sets).
+and adds the rewriting pipeline (completion, rewriters, the
+per-execute specialisation to the data's nonempty signature).
 """
 
 from .database import Database, build_index
 from .backends import (
     ENGINES,
     SQL_ENGINES,
-    DuckDBBackend,
     Engine,
     PythonEngine,
     SQLiteEngine,
-    available_engines,
     create_engine,
-    engine_available,
 )
 
 __all__ = [
     "Database",
-    "DuckDBBackend",
     "ENGINES",
     "Engine",
     "PythonEngine",
     "SQL_ENGINES",
     "SQLiteEngine",
-    "available_engines",
     "build_index",
     "create_engine",
-    "engine_available",
 ]

@@ -1,4 +1,4 @@
-"""One interface over the Python, SQLite and DuckDB evaluators.
+"""One interface over the Python and SQLite evaluators.
 
 Section 6 compares a materialise-everything datalog engine (the RDFox
 stand-in) with running the rewritings as views in a standard DBMS.
@@ -8,17 +8,20 @@ protocol — build one per data instance, then call
 loaded data across calls and return identical answer sets (the parity
 tests in ``tests/test_engine.py`` enforce this).
 
-:data:`ENGINES` is the closed registry of names; the ``duckdb`` entry
-needs the optional ``duckdb`` package, so callers that enumerate
-engines dynamically should use :func:`available_engines` (or check
-:func:`engine_available`) rather than assume every registered name can
-be constructed.
+``evaluate`` runs exactly the program it is given.  The answering
+pipeline does not hand it the paper's rewriting as is:
+``Plan.execute`` first asks :meth:`Engine.nonempty` which of the
+rewriting's EDB predicates hold a fact right now and evaluates the
+rewriting specialised to that signature (see
+:meth:`repro.rewriting.plan.Plan.specialised`).
+
+:data:`ENGINES` is the closed registry of names; every entry is
+constructible everywhere (SQLite is in the standard library).
 """
 
 from __future__ import annotations
 
-import importlib.util
-from typing import Iterable, Mapping, Optional, Tuple
+from typing import FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..data.abox import ABox
 from ..datalog.evaluate import EvaluationResult, evaluate_on
@@ -26,28 +29,13 @@ from ..datalog.program import NDLQuery
 from .database import Database
 
 #: The evaluation backends, in the order of Appendix D.4's comparison.
-ENGINES = ("python", "sql", "sql-views", "duckdb")
+ENGINES = ("python", "sql", "sql-views")
 
 #: The backends that evaluate by compiling to SQL (and hence accept the
 #: ``optimize_sql`` knob meaningfully).
-SQL_ENGINES = ("sql", "sql-views", "duckdb")
+SQL_ENGINES = ("sql", "sql-views")
 
 ExtraRelations = Optional[Mapping[str, Iterable[Tuple[str, ...]]]]
-
-
-def engine_available(name: str) -> bool:
-    """Whether the named backend can be constructed in this
-    environment (``duckdb`` needs its optional package)."""
-    if name not in ENGINES:
-        return False
-    if name == "duckdb":
-        return importlib.util.find_spec("duckdb") is not None
-    return True
-
-
-def available_engines() -> Tuple[str, ...]:
-    """The subset of :data:`ENGINES` constructible right now."""
-    return tuple(name for name in ENGINES if engine_available(name))
 
 
 class Engine:
@@ -66,6 +54,13 @@ class Engine:
         """Evaluate one query.  ``optimize_sql`` asks SQL-compiling
         backends to run the :mod:`repro.sql.optimize` pass pipeline;
         non-SQL backends ignore it."""
+        raise NotImplementedError
+
+    def nonempty(self, predicates: Iterable[str]) -> FrozenSet[str]:
+        """The ``predicates`` that hold at least one fact in the loaded
+        instance right now (``__adom__`` counts as one of them) — the
+        signature ``Plan.execute`` specialises a rewriting to.  Must
+        not copy a relation: it runs on every execute."""
         raise NotImplementedError
 
     def apply_delta(self, inserts: Mapping[str, Iterable[Tuple[str, ...]]],
@@ -116,6 +111,11 @@ class PythonEngine(Engine):
                  optimize_sql: bool = False) -> EvaluationResult:
         return evaluate_on(query, self.database)
 
+    def nonempty(self, predicates):
+        relation = self.database.relation
+        return frozenset(predicate for predicate in predicates
+                         if relation(predicate))
+
     def apply_delta(self, inserts, deletes, adom_add=(), adom_remove=()):
         self.database.delete_facts(deletes, removed_constants=adom_remove)
         self.database.insert_facts(inserts)
@@ -138,28 +138,8 @@ class SQLiteEngine(Engine):
                                      materialised=self.materialised,
                                      optimize_sql=optimize_sql)
 
-    def apply_delta(self, inserts, deletes, adom_add=(), adom_remove=()):
-        self._engine.apply_delta(inserts, deletes, adom_add, adom_remove)
-
-    def close(self) -> None:
-        self._engine.close()
-
-
-class DuckDBBackend(Engine):
-    """The DuckDB backend: one view per IDB predicate on the columnar
-    executor.  Needs the optional ``duckdb`` package."""
-
-    name = "duckdb"
-
-    def __init__(self, abox: ABox, extra_relations: ExtraRelations = None):
-        from ..sql.engine import DuckDBEngine
-
-        self._engine = DuckDBEngine(abox, extra_relations)
-
-    def evaluate(self, query: NDLQuery,
-                 optimize_sql: bool = False) -> EvaluationResult:
-        return self._engine.evaluate(query, materialised=False,
-                                     optimize_sql=optimize_sql)
+    def nonempty(self, predicates):
+        return self._engine.nonempty(predicates)
 
     def apply_delta(self, inserts, deletes, adom_add=(), adom_remove=()):
         self._engine.apply_delta(inserts, deletes, adom_add, adom_remove)
@@ -173,9 +153,8 @@ def create_engine(name: str, abox: ABox,
     """Load ``abox`` into the backend called ``name``.
 
     ``name`` is one of :data:`ENGINES`: ``"python"`` (interned hash-join
-    engine), ``"sql"`` (SQLite, bottom-up materialisation),
-    ``"sql-views"`` (SQLite, one view per IDB predicate) or ``"duckdb"``
-    (DuckDB views; needs the optional ``duckdb`` package).
+    engine), ``"sql"`` (SQLite, bottom-up materialisation) or
+    ``"sql-views"`` (SQLite, one view per IDB predicate).
     """
     if name == "python":
         return PythonEngine(abox, extra_relations)
@@ -183,10 +162,4 @@ def create_engine(name: str, abox: ABox,
         return SQLiteEngine(abox, extra_relations, materialised=True)
     if name == "sql-views":
         return SQLiteEngine(abox, extra_relations, materialised=False)
-    if name == "duckdb":
-        if not engine_available("duckdb"):
-            raise ValueError(
-                "engine 'duckdb' needs the optional 'duckdb' package "
-                "(pip install duckdb)")
-        return DuckDBBackend(abox, extra_relations)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")

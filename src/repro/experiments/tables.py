@@ -11,11 +11,15 @@ Each dataset is loaded into one
 :class:`~repro.engine.backends.Engine` for the whole table — the
 paper's setting, where the data sits in RDFox/a DBMS once and only the
 rewritings change — so the recorded times are pure evaluation, not
-re-loading.
+re-loading.  The cells time ``Engine.evaluate(plan.ndl)``, the
+rewriting exactly as written: ``Plan.execute`` would run the
+data-specialised program, under which ``tw`` and ``tw_star`` coincide
+and the blow-ups these tables exist to show disappear.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -23,7 +27,7 @@ from ..data.abox import ABox
 from ..engine import create_engine
 from ..queries.cq import chain_cq
 from ..rewriting.api import OMQ
-from ..rewriting.plan import AnswerOptions, compile_omq
+from ..rewriting.plan import compile_omq
 from .figure2 import SEQUENCES, example11_tbox
 
 #: The engines compared in Tables 3-5 (tw_star is the Tw* column of
@@ -73,16 +77,12 @@ def run_evaluation_table(sequence: str, datasets: Dict[str, ABox],
         for atoms in sizes:
             query = chain_cq(labels[:atoms])
             omq = OMQ(tbox, query)
-            # compile once per algorithm, execute over every dataset —
-            # reduction (1)'s prepare/execute split, with the paper's
-            # timeouts carried by the plan itself
+            # compile once per algorithm, evaluate over every dataset —
+            # reduction (1)'s prepare/execute split
             plans = {}
             for algorithm in algorithms:
-                options = AnswerOptions(method=algorithm,
-                                        engine=engine,
-                                        timeout=time_budget)
                 try:
-                    plans[algorithm] = compile_omq(omq, options)
+                    plans[algorithm] = compile_omq(omq, method=algorithm)
                 except RuntimeError:
                     plans[algorithm] = None
             for name, backend in backends.items():
@@ -93,12 +93,14 @@ def run_evaluation_table(sequence: str, datasets: Dict[str, ABox],
                             sequence, name, atoms, algorithm,
                             None, None, None))
                         continue
-                    answers = plan.execute(backend)
-                    if answers.timed_out:
+                    started = time.perf_counter()
+                    result = backend.evaluate(plan.ndl)
+                    seconds = time.perf_counter() - started
+                    if seconds > time_budget:
                         dead.add((name, algorithm))
                     points.append(EvaluationPoint(
-                        sequence, name, atoms, algorithm, answers.seconds,
-                        len(answers.answers), answers.generated_tuples))
+                        sequence, name, atoms, algorithm, seconds,
+                        len(result.answers), result.generated_tuples))
     finally:
         for backend in backends.values():
             backend.close()

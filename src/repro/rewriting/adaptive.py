@@ -175,15 +175,19 @@ def _head_arity(program, predicate: str) -> int:
 class AdaptiveChoice:
     """The outcome of :func:`adaptive_rewrite`.
 
-    ``method``/``query`` are the winning candidate; ``costs`` holds the
-    estimate for every candidate that was applicable (methods whose
-    preconditions fail — e.g. Lin on a non-tree CQ — are skipped and
-    recorded in ``skipped``).
+    ``method``/``query`` are the winning candidate as it was costed
+    (pruned for the data it was costed on, so only valid there);
+    ``rewriting`` is the same candidate as its rewriter produced it,
+    valid over any data.  ``costs`` holds the estimate for every
+    candidate that was applicable (methods whose preconditions fail —
+    e.g. Lin on a non-tree CQ — are skipped and recorded in
+    ``skipped``).
     """
 
     method: str
     query: NDLQuery
     cost: float
+    rewriting: NDLQuery
     costs: Dict[str, float] = field(default_factory=dict)
     skipped: Dict[str, str] = field(default_factory=dict)
 
@@ -211,16 +215,16 @@ def adaptive_rewrite(omq: OMQ, data: ABox | DataStatistics,
     skipped: Dict[str, str] = {}
     for method in candidates:
         try:
-            candidate = rewrite(omq, method=method, over=over)
+            rewriting = rewrite(omq, method=method, over=over)
         except ValueError as error:
             skipped[method] = str(error)
             continue
-        if optimize_programs:
-            candidate = optimize(candidate, abox)
+        candidate = (optimize(rewriting, abox) if optimize_programs
+                     else rewriting)
         cost = estimate_cost(candidate, statistics)
         costs[method] = cost
         if best is None or cost < best.cost:
-            best = AdaptiveChoice(method, candidate, cost)
+            best = AdaptiveChoice(method, candidate, cost, rewriting)
     if best is None:
         raise ValueError(
             f"no candidate rewriter applies to {omq.omq_class()}: "

@@ -149,27 +149,6 @@ def rewrite(omq: OMQ, method: str = "auto",
                      f"expected one of {('auto',) + METHODS}")
 
 
-def compile_data_variant(options, abox, completion_of):
-    """The data instance the data-dependent compile stages consult
-    (``None`` for data-independent compilation).
-
-    One rule for every session flavor — ``adaptive`` costs its
-    candidates against the completion; the optimiser prunes against
-    the raw data exactly when the rewriting targets arbitrary
-    instances (``perfectref`` / ``over="arbitrary"``) and against the
-    completion otherwise.  ``completion_of`` is a zero-argument
-    callable so the (possibly expensive) completion is only computed
-    when a stage actually needs it.
-    """
-    if options.method == "adaptive":
-        return completion_of()
-    if options.optimize:
-        raw = (options.method == "perfectref"
-               or options.over == "arbitrary")
-        return abox if raw else completion_of()
-    return None
-
-
 class AnswerSession:
     """Answer many OMQs over one data instance, loading it once.
 
@@ -205,9 +184,8 @@ class AnswerSession:
         self.engine = engine
         self._extra = extra_relations
         #: Optional :class:`repro.service.cache.RewritingCache`; when
-        #: set, data-independent rewritings are fetched from / stored
-        #: into it (keyed up to variable renaming) instead of being
-        #: recomputed per call.
+        #: set, rewritings are fetched from / stored into it (keyed up
+        #: to variable renaming) instead of being recomputed per call.
         self.rewriting_cache = rewriting_cache
         #: id(tbox) -> (tbox, completion); the tbox reference keeps the
         #: id stable for the session's lifetime.  A service session
@@ -258,16 +236,16 @@ class AnswerSession:
     def compile(self, omq: OMQ, options=None, **overrides):
         """Compile ``omq`` into a :class:`~repro.rewriting.plan.Plan`.
 
-        Data-independent plans go through the session's injected
-        rewriting cache (when set); the data-dependent stages
-        (``adaptive``, ``optimize``) compile against this session's
-        data variant and bypass it.
+        Plans go through the session's injected rewriting cache (when
+        set); only ``method="adaptive"`` looks at data — it costs its
+        candidates against this session's completion and bypasses the
+        cache.
         """
         from .plan import AnswerOptions, compile_omq
 
         options = AnswerOptions.coerce(options, **overrides)
-        data = compile_data_variant(options, self.abox,
-                                    lambda: self.completion(omq.tbox))
+        data = (self.completion(omq.tbox) if options.data_dependent
+                else None)
         return compile_omq(omq, options, data=data,
                            cache=self.rewriting_cache)
 
@@ -358,18 +336,21 @@ def answer(omq: OMQ, abox: ABox, options=None, **overrides) -> "Answers":
     arbitrary-instance rewriting over the raw data.
 
     ``options`` / ``overrides`` build one
-    :class:`~repro.rewriting.plan.AnswerOptions`; its optional pipeline
-    stages are all answer-preserving:
+    :class:`~repro.rewriting.plan.AnswerOptions`; every choice it
+    offers is answer-preserving:
 
-    * ``method="adaptive"`` picks the cheapest of the Section 3
-      rewriters for this data via the Section 6 cost model;
-    * ``optimize`` runs the Appendix D.4 optimiser (emptiness pruning,
-      deduplication, Tw*-style inlining) on the rewriting;
-    * ``magic`` applies the magic-sets transformation before
-      evaluation;
+    * ``method`` picks the rewriter; ``"adaptive"`` picks the cheapest
+      of the Section 3 rewriters for this data via the Section 6 cost
+      model;
     * ``engine`` selects the evaluator: the native Python engine, SQL
       with full materialisation (``"sql"``) or SQL views
       (``"sql-views"``).
+
+    Whatever is chosen, the rewriting is evaluated specialised to the
+    data's nonempty signature (Appendix D.4's emptiness pruning,
+    deduplication and Tw*-style inlining; see
+    :meth:`~repro.rewriting.plan.Plan.specialised`) — that is not an
+    option.
 
     This is a thin wrapper creating a one-shot :class:`AnswerSession`;
     use a session directly to answer several queries over one

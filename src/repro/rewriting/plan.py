@@ -11,12 +11,14 @@ separation explicit, the way mature query engines split *prepare* from
   through every layer (sessions, service, HTTP, CLI, experiments):
   every entry point takes ``(options=None, **overrides)`` and resolves
   them through :meth:`AnswerOptions.coerce`;
-* :func:`compile_omq` — run the data-independent pipeline (rewrite,
-  magic sets, optionally the data optimiser) once and freeze the
-  result;
+* :func:`compile_omq` — run the rewriter once and freeze the result;
 * :class:`Plan` — the frozen, fingerprintable compiled artifact:
   introspection via :meth:`Plan.explain`, execution via
-  :meth:`Plan.execute` against any ABox, session or loaded engine;
+  :meth:`Plan.execute` against any ABox, session or loaded engine.
+  ``Plan.ndl`` is the paper's rewriting; what ``execute`` evaluates is
+  :meth:`Plan.specialised` — that rewriting run through the
+  Appendix D.4 optimiser for the nonempty signature of the data it
+  is executed over, decided per execute, never by the caller;
 * :class:`Answers` — the one result record, from the engine to the
   wire (:meth:`Answers.payload`): answer tuples plus timings and
   provenance (which plan, which engine, which method, which dataset).
@@ -36,6 +38,8 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..data.abox import ABox
+from ..datalog.evaluate import EvaluationResult
+from ..datalog.optimize import optimize
 from ..datalog.program import NDLQuery
 from ..engine import ENGINES, SQL_ENGINES, Engine
 from ..obs import trace as _trace
@@ -53,10 +57,10 @@ class AnswerOptions:
     """Configuration of the answering pipeline, one object for every
     layer.
 
-    ``method``, ``magic``, ``optimize`` and ``over`` select the
-    *compile*-time pipeline (they shape the NDL program and therefore
-    partition plan-cache keys); ``engine`` and ``timeout`` are
-    *execution*-time knobs (they never partition the cache).
+    ``method`` and ``over`` select the *compile*-time pipeline (they
+    shape the NDL program and therefore partition plan-cache keys);
+    ``engine`` and ``timeout`` are *execution*-time knobs (they never
+    partition the cache).
 
     ``timeout`` is a soft per-evaluation budget in seconds, enforced
     the way the paper's experiments enforce theirs: the evaluation
@@ -70,18 +74,14 @@ class AnswerOptions:
     :class:`~repro.shard.session.ShardedSession` and scatter-gathers
     (``0``/``1`` keep the monolithic path).  ``shards="auto"`` sizes
     the partition from the live CPU count and the component-weight
-    skew (:func:`repro.shard.partition.auto_shards`).  ``start_method``
-    picks the worker start method for process-backed sharding
-    (``fork``/``forkserver``/``spawn``; ``None`` auto-selects).
+    skew (:func:`repro.shard.partition.auto_shards`).
 
     ``optimize_sql`` runs the :mod:`repro.sql.optimize` pass pipeline
     over the compiled SQL on SQL-compiling engines (``sql``,
-    ``sql-views``, ``duckdb``); the python engine ignores it.
+    ``sql-views``); the python engine ignores it.
     """
 
     method: str = "auto"
-    magic: bool = False
-    optimize: bool = False
     engine: Optional[str] = None
     timeout: Optional[float] = None
     over: str = "complete"
@@ -90,7 +90,6 @@ class AnswerOptions:
     #: rebalancing updates)
     shards: object = 0
     optimize_sql: bool = False
-    start_method: Optional[str] = None
 
     def __post_init__(self):
         if self.method not in OPTION_METHODS:
@@ -108,10 +107,6 @@ class AnswerOptions:
                 not isinstance(self.shards, int) or self.shards < 0):
             raise ValueError("shards must be a non-negative int or "
                              f"'auto', got {self.shards!r}")
-        if self.start_method not in (None, "fork", "forkserver", "spawn"):
-            raise ValueError("start_method must be None, 'fork', "
-                             "'forkserver' or 'spawn', "
-                             f"got {self.start_method!r}")
 
     @classmethod
     def coerce(cls, value=None, **overrides) -> "AnswerOptions":
@@ -150,17 +145,17 @@ class AnswerOptions:
         must reflect the knob the requester asked for — not the first
         compiler's.
         """
-        return (self.method, bool(self.magic), bool(self.optimize),
-                self.over, bool(self.optimize_sql))
+        return (self.method, self.over, bool(self.optimize_sql))
 
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
 
     @property
     def data_dependent(self) -> bool:
-        """Whether compilation needs a data instance (and the plan is
-        therefore specialised to it and bypasses the shared cache)."""
-        return self.method == "adaptive" or self.optimize
+        """Whether compilation needs a data instance (and the plan
+        therefore bypasses the shared cache): only the ``adaptive``
+        method, which costs its candidates against the data."""
+        return self.method == "adaptive"
 
 
 #: The :class:`Answers` fields that travel as themselves, in wire order.
@@ -231,6 +226,11 @@ class Answers:
                    **{name: body[name] for name in _WIRE_FIELDS})
 
 
+#: Specialisations one plan keeps: one per nonempty signature it has
+#: run under (the shards of a dataset differ, an update can flip one).
+_SPECIALISATIONS_KEPT = 64
+
+
 @dataclass(frozen=True)
 class Plan:
     """A compiled OMQ: the frozen output of :func:`compile_omq`.
@@ -245,19 +245,20 @@ class Plan:
 
     omq: OMQ
     options: AnswerOptions
+    #: The paper's rewriting, exactly as the rewriter produced it: what
+    #: ``rules``/``width``/``depth`` and the class bounds describe.
     ndl: NDLQuery
     #: The concretely chosen rewriter (``auto``/``adaptive`` resolved).
     method: str
-    #: Per-stage compile timings in seconds (``rewrite``, ``magic``,
-    #: ``optimize`` — only the stages that ran).
+    #: Compile timings in seconds, by stage (``rewrite``).
     timings: Mapping[str, float] = field(default_factory=dict)
-    #: True when compilation consulted a data instance (``adaptive``
-    #: method or the ``optimize`` stage with data): the plan is then
-    #: specialised to that instance's signature.
-    data_bound: bool = False
     #: A stable hex digest of (OMQ up to renaming, compile options),
     #: hashed once here — every execute stamps it on its answers.
     fingerprint: str = ""
+    #: nonempty signature -> the program :meth:`specialised` built for
+    #: it; working state of this process, not part of the plan's value
+    _specialisations: Dict[FrozenSet[str], NDLQuery] = field(
+        default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "timings",
@@ -270,10 +271,11 @@ class Plan:
 
     # mappingproxy is not picklable, and plans must travel to shard
     # worker processes — pickle the timings as a plain dict and
-    # re-wrap on load
+    # re-wrap on load; the specialisation memo stays behind
     def __getstate__(self):
         state = dict(self.__dict__)
         state["timings"] = dict(state["timings"])
+        state["_specialisations"] = {}
         return state
 
     def __setstate__(self, state):
@@ -315,8 +317,7 @@ class Plan:
             optimize_sql = self.options.optimize_sql
         compilation = compile_query(
             self.ndl, materialised=(name == "sql"),
-            optimize=bool(optimize_sql),
-            dialect="duckdb" if name == "duckdb" else "sqlite")
+            optimize=bool(optimize_sql))
         return {
             "engine": name,
             "dialect": compilation.dialect,
@@ -327,14 +328,18 @@ class Plan:
             "goal_select": compilation.goal_select,
         }
 
-    def explain(self) -> Dict[str, object]:
+    def explain(self, backend: Optional[Engine] = None
+                ) -> Dict[str, object]:
         """The plan report: what was compiled, how, and how big it is.
 
         JSON-serialisable — the CLI ``explain`` subcommand and the HTTP
         ``/explain`` endpoint return exactly this dict.  When the
         plan's engine compiles to SQL, the report carries a ``"sql"``
         section (see :meth:`sql_report`) with the optimizer pass log
-        and the final SQL.
+        and the final SQL.  With a loaded ``backend`` it also carries
+        ``"specialised"``: the nonempty signature of that data and the
+        size of the program :meth:`execute` would run over it, next to
+        the rewriting's.
         """
         report = {
             "fingerprint": self.fingerprint,
@@ -343,7 +348,7 @@ class Plan:
             # every option as asked for; ``method`` as resolved
             **self.options.as_dict(),
             "method": self.method,
-            "data_bound": self.data_bound,
+            "data_bound": self.options.data_dependent,
             "goal": self.ndl.goal,
             "answer_vars": list(self.ndl.answer_vars),
             "rules": self.rules,
@@ -353,6 +358,13 @@ class Plan:
             "stages": {stage: round(seconds, 6)
                        for stage, seconds in self.timings.items()},
         }
+        if backend is not None:
+            ndl = self.specialised(backend)
+            report["specialised"] = {
+                "nonempty": sorted(
+                    backend.nonempty(self.ndl.program.edb_predicates)),
+                "rules": len(ndl), "width": ndl.width(),
+                "depth": ndl.depth()}
         if self.options.engine in SQL_ENGINES:
             report["sql"] = self.sql_report()
         active = _trace.current_trace()
@@ -401,31 +413,58 @@ class Plan:
         if isinstance(data, ABox):
             name = engine or effective.engine or "python"
             if effective.shards == "auto" or effective.shards >= 2:
-                with ShardedSession(
-                        data, shards=effective.shards, engine=name,
-                        start_method=effective.start_method) as session:
+                with ShardedSession(data, shards=effective.shards,
+                                    engine=name) as session:
                     return session.execute_plan(self, engine=name,
                                                 options=options)
             with AnswerSession(data, engine=name) as session:
                 return self.execute(session, engine=name, options=options)
         if isinstance(data, Engine):
-            return self._finish(data.evaluate, data.name, effective)
+            return self._finish(data, data.name, effective)
         if isinstance(data, AnswerSession):
             name = engine or effective.engine or data.engine
             backend = data.backend(name, self._variant_tbox())
-            return self._finish(backend.evaluate, name, effective)
+            return self._finish(backend, name, effective)
         if isinstance(data, ShardedSession):
             return data.execute_plan(self, engine=engine, options=options)
         raise TypeError("Plan.execute expects an ABox, AnswerSession, "
                         "ShardedSession or Engine, "
                         f"got {type(data).__name__}")
 
-    def _finish(self, evaluate, engine_name: str,
+    def specialised(self, backend: Engine) -> NDLQuery:
+        """The program :meth:`execute` evaluates over ``backend``: the
+        rewriting restricted, pruned of every clause over a predicate
+        that holds no fact in the backend *now*, deduplicated and
+        ``Tw*``-inlined (:func:`repro.datalog.optimize.optimize`).
+
+        Built once per nonempty signature and memoised on the plan: a
+        data update that flips no predicate's emptiness costs the
+        signature lookup, one that does re-specialises — so a plan
+        held across updates never answers from a stale pruning.
+        """
+        signature = backend.nonempty(self.ndl.program.edb_predicates)
+        ndl = self._specialisations.get(signature)
+        if ndl is None:
+            if len(self._specialisations) >= _SPECIALISATIONS_KEPT:
+                self._specialisations.clear()
+            ndl = optimize(self.ndl, nonempty=signature)
+            self._specialisations[signature] = ndl
+        return ndl
+
+    def _finish(self, backend: Engine, engine_name: str,
                 options: AnswerOptions) -> Answers:
         started = time.perf_counter()
         with _trace.span("execute") as exec_span:
             exec_span.attrs["engine"] = engine_name
-            result = evaluate(self.ndl, optimize_sql=options.optimize_sql)
+            ndl = self.specialised(backend)
+            if len(ndl) or not self.rules:
+                result = backend.evaluate(
+                    ndl, optimize_sql=options.optimize_sql)
+            else:
+                # every goal clause was pruned: provably no answer, and
+                # the engine must not be asked — with no clause left
+                # the goal would read as a data predicate of that name
+                result = EvaluationResult(frozenset(), 0)
         elapsed = time.perf_counter() - started
         timeout = options.timeout
         return Answers(answers=result.answers,
@@ -446,23 +485,20 @@ def compile_omq(omq: OMQ, options=None, *, data=None, cache=None,
                 **overrides) -> Plan:
     """Compile an OMQ into a reusable :class:`Plan`.
 
-    The prepare half of the pipeline: rewrite (per
-    ``options.method``), then magic sets (``options.magic``), then the
-    Appendix D.4 optimiser (``options.optimize``).  ``options`` may be
-    an :class:`AnswerOptions`, a mapping or ``None``; field overrides
-    can be given directly (``compile_omq(omq, method="lin")``).
-
-    ``data`` (an ABox) is only consulted by the data-dependent stages:
-    the ``adaptive`` method costs its candidates against it (pass the
-    *completion* the plan will run over — sessions do) and the
-    optimiser prunes empty predicates with it.  ``adaptive`` without
-    data is an error; ``optimize`` without data still deduplicates and
-    inlines, it just cannot prune.
+    The prepare half of the pipeline: rewrite per ``options.method``.
+    ``options`` may be an :class:`AnswerOptions`, a mapping or
+    ``None``; field overrides can be given directly
+    (``compile_omq(omq, method="lin")``).  Nothing here looks at the
+    data the plan will run over — that happens per execute, in
+    :meth:`Plan.specialised` — with one exception: ``data`` (an ABox)
+    is what the ``adaptive`` method costs its candidates against (pass
+    the *completion* the plan will run over — sessions do), and
+    ``adaptive`` without it is an error.
 
     ``cache`` is an optional :class:`~repro.service.cache.RewritingCache`;
-    data-independent plans are fetched from / stored into it keyed by
-    canonical ``(tbox, cq, options)`` fingerprints.  Data-dependent
-    plans bypass it (they are specialised to one instance).
+    plans are fetched from / stored into it keyed by canonical
+    ``(tbox, cq, options)`` fingerprints.  ``adaptive`` plans bypass it
+    (the method they resolve to depends on one instance).
     """
     options = AnswerOptions.coerce(options, **overrides)
     if cache is not None and not options.data_dependent:
@@ -473,8 +509,6 @@ def compile_omq(omq: OMQ, options=None, *, data=None, cache=None,
 
 
 def _compile(omq: OMQ, options: AnswerOptions, data) -> Plan:
-    timings: Dict[str, float] = {}
-    data_bound = False
     started = time.perf_counter()
     if options.method == "adaptive":
         if data is None:
@@ -484,44 +518,26 @@ def _compile(omq: OMQ, options: AnswerOptions, data) -> Plan:
         from .adaptive import adaptive_rewrite
 
         choice = adaptive_rewrite(omq, data, over=options.over)
-        method, ndl = choice.method, choice.query
-        data_bound = True
+        # the candidate as rewritten, not as costed: the costed one is
+        # pruned for today's data, and execute specialises per run
+        method, ndl = choice.method, choice.rewriting
     else:
         method = resolve_method(omq, options.method)
         ndl = rewrite(omq, method=method, over=options.over)
-    timings["rewrite"] = time.perf_counter() - started
-
-    if options.optimize and options.method != "adaptive":
-        # adaptive already optimises its candidates before costing them
-        from ..datalog.optimize import optimize
-
-        started = time.perf_counter()
-        ndl = optimize(ndl, data)
-        timings["optimize"] = time.perf_counter() - started
-        data_bound = data_bound or data is not None
-
-    if options.magic:
-        from ..datalog.magic import magic_transform
-
-        started = time.perf_counter()
-        ndl = magic_transform(ndl).query
-        timings["magic"] = time.perf_counter() - started
-
-    for stage, seconds in timings.items():
-        _trace.record(stage, seconds)
+    seconds = time.perf_counter() - started
+    _trace.record("rewrite", seconds)
     return Plan(omq=omq, options=options, ndl=ndl, method=method,
-                timings=timings, data_bound=data_bound)
+                timings={"rewrite": seconds})
 
 
 def format_explain(report: Mapping[str, object]) -> str:
     """Render a :meth:`Plan.explain` report as aligned text (the CLI's
     non-JSON output)."""
     lines = []
-    order = ("omq_class", "method_requested", "method", "magic",
-             "optimize", "optimize_sql", "over", "engine", "timeout",
-             "shards", "start_method", "data_bound", "goal",
-             "answer_vars", "rules",
-             "width", "depth", "compile_seconds", "fingerprint")
+    order = ("omq_class", "method_requested", "method", "optimize_sql",
+             "over", "engine", "timeout", "shards", "data_bound", "goal",
+             "answer_vars", "rules", "width", "depth", "compile_seconds",
+             "fingerprint")
     for key in order:
         if key not in report:
             continue
@@ -529,6 +545,13 @@ def format_explain(report: Mapping[str, object]) -> str:
         if key == "answer_vars":
             value = ", ".join(value) if value else "(boolean)"
         lines.append(f"{key.replace('_', ' '):17} {value}")
+    specialised = report.get("specialised")
+    if specialised:
+        lines.append(f"{'specialised to':17} "
+                     f"{', '.join(specialised['nonempty']) or '(no data)'}")
+        lines.append(
+            f"{'  runs as':17} {specialised['rules']} rules, width "
+            f"{specialised['width']}, depth {specialised['depth']}")
     stages = report.get("stages") or {}
     for stage, seconds in stages.items():
         lines.append(f"{'  stage ' + stage:17} {seconds}s")

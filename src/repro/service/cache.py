@@ -1,6 +1,6 @@
 """An LRU cache of compiled plans keyed by canonical OMQ fingerprints.
 
-Compilation (rewriting + magic sets) dominates the cost of a repeat
+Compilation (the rewriting) dominates the cost of a repeat
 query (the data side is already amortised by
 :class:`~repro.rewriting.api.AnswerSession`), and a serving workload
 repeats queries constantly — often under different variable names,
@@ -13,11 +13,12 @@ evaluation returns constant tuples positioned by the answer tuple,
 which renaming does not move.
 
 Keys take an :class:`~repro.rewriting.plan.AnswerOptions` and use only
-its compile-relevant subset (method, magic, optimize, over) — the
+its compile-relevant subset (method, over, optimize_sql) — the
 execution knobs (engine, timeout) never partition the cache, so the
 hit-rate is independent of how clients evaluate.  Cached plans are
-data-independent, so data updates never invalidate the cache; the
-data-dependent stages (``optimize``, ``adaptive``) bypass it.
+data-independent (each execute specialises the plan to the data it
+runs over, memoised on the plan), so data updates never invalidate
+the cache; only ``method="adaptive"`` bypasses it.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import time
 from typing import Dict, List, Optional, Tuple
 
 from ..data.abox import ABox
-from ..engine import available_engines
+from ..engine import ENGINES
 from ..obs import PROMETHEUS_CONTENT_TYPE, Trace
 from ..obs.trace import mint_trace_id, span, valid_trace_id
 from ..ontology import TBox
@@ -42,8 +42,8 @@ MAX_POLL_TIMEOUT = 30.0
 
 #: Option keys that belong inside a request's ``"options"`` object;
 #: beside it they are a 400 (see :meth:`Router.decode_options`).
-FLAT_OPTION_KEYS = frozenset({"method", "engine", "magic", "optimize",
-                              "optimize_sql", "timeout"})
+FLAT_OPTION_KEYS = frozenset({"method", "engine", "optimize_sql",
+                              "timeout"})
 
 #: Request/response header carrying the trace ID.  Honored inbound
 #: (clients correlate their logs with the server's), echoed on every
@@ -364,10 +364,10 @@ class Router:
 
     def health_payload(self) -> Dict:
         """``GET /health``: liveness plus what an orchestrator needs
-        to gate on — engines actually available in this process,
-        storage state, uptime."""
+        to gate on — the engines this process answers with, storage
+        state, uptime."""
         return {"status": "ok",
-                "engines": list(available_engines()),
+                "engines": list(ENGINES),
                 "datasets": len(self.service.datasets()),
                 "uptime_seconds": round(time.time() - self._started, 3),
                 "storage": self.service.storage_status()}

@@ -57,12 +57,14 @@ registered name, ``"tbox_text"`` inline TBox text (inline text in
 
 Pipeline configuration travels as that one ``"options"`` object (the
 JSON form of :class:`~repro.rewriting.plan.AnswerOptions` —
-``{"method": ..., "magic": ..., "optimize": ..., "engine": ...,
-"timeout": ..., "over": ...}``); an option key beside it is a 400.
+``{"method": ..., "engine": ..., "timeout": ..., "over": ...,
+"shards": ..., "optimize_sql": ...}``); an option key beside it, or a
+key inside it that is not an option, is a 400.
 ``POST /explain`` takes the same request shape and returns
 the compiled plan's :meth:`~repro.rewriting.plan.Plan.explain` report
-without evaluating it (``dataset`` is only required for the
-data-dependent ``adaptive``/``optimize`` stages).
+without evaluating it; with a ``dataset`` the report also shows the
+program an answer over that dataset would run (``method="adaptive"``
+requires one).
 
 Responses are ``{"answers": [[...], ...], "seconds": ...,
 "cached_rewriting": ...}`` with the answer tuples sorted.  Errors come

@@ -581,9 +581,9 @@ class OMQService:
         for position, (request, omq) in enumerate(zip(requests, canonical)):
             options = request.options
             # the cache key folds in every compile-relevant option
-            # (method, magic, optimize, over); timeout is execution-
-            # only but shapes the shared result's timed_out flag, so
-            # it must partition the dedup (never the plan cache)
+            # (method, over); timeout is execution-only but shapes
+            # the shared result's timed_out flag, so it must
+            # partition the dedup (never the plan cache)
             key = (scoped[position],
                    options.engine or self.default_engine, options.timeout,
                    self.cache.key(omq, options))
@@ -637,20 +637,22 @@ class OMQService:
         """The compiled plan's :meth:`~repro.rewriting.plan.Plan.explain`
         report, without evaluating anything.
 
-        Data-independent compilations go through (and warm) the shared
-        rewriting cache.  The data-dependent stages (``adaptive``,
-        ``optimize``) need ``dataset``: the plan is then compiled
-        against that dataset's session, exactly as :meth:`answer`
-        would.
+        Compilations go through (and warm) the shared rewriting cache.
+        With ``dataset`` the report also shows what :meth:`answer`
+        would run there — the plan specialised to that dataset's
+        nonempty signature (monolithic datasets; each shard of a
+        sharded one specialises to its own data at execute).
+        ``method="adaptive"`` needs ``dataset``: it costs its
+        candidates against that dataset's completion.
         """
         options = AnswerOptions.coerce(options, **overrides)
         omq = self._canonical_omq(omq)
-        if not options.data_dependent:
-            return compile_omq(omq, options, cache=self.cache).explain()
         if dataset is None:
-            raise ValueError(
-                f"options {options.rewrite_fingerprint()} are "
-                "data-dependent: explain needs a dataset")
+            if options.data_dependent:
+                raise ValueError(
+                    f"options {options.rewrite_fingerprint()} are "
+                    "data-dependent: explain needs a dataset")
+            return compile_omq(omq, options, cache=self.cache).explain()
         state = self._acquire_read(TenantManager.scope(tenant, dataset))
         try:
             if state.sharded:
@@ -658,26 +660,24 @@ class OMQService:
                 # boot the K-worker executor just to explain.  The
                 # per-TBox master completion is cached on the dataset
                 # (and cleared by update()).
-                from ..rewriting.api import compile_data_variant
-
-                def completion_of():
+                data = None
+                if options.data_dependent:
                     key = id(omq.tbox)
                     entry = state.completions.get(key)
                     if entry is None:
                         entry = state.completions.setdefault(
                             key, (omq.tbox,
                                   state.abox.complete(omq.tbox)))
-                    return entry[1]
-
-                data = compile_data_variant(options, state.abox,
-                                            completion_of)
+                    data = entry[1]
                 return compile_omq(omq, options, data=data,
                                    cache=self.cache).explain()
             engine_name = options.engine or self.default_engine
             pool = state.pool(engine_name)
             session = pool.checkout()
             try:
-                return session.compile(omq, options).explain()
+                plan = session.compile(omq, options)
+                return plan.explain(
+                    session.backend(engine_name, plan._variant_tbox()))
             finally:
                 pool.checkin(session)
         finally:
@@ -1119,6 +1119,12 @@ class OMQService:
         from ..ontology import TBox
         from ..queries import CQ
 
+        # a store written by an earlier version may carry option keys
+        # this one no longer has; the store is not outside input (a
+        # typo cannot arrive through it), so they are dropped here
+        # rather than failing every standing query in ``coerce``
+        known = {f.name for f in dataclasses.fields(AnswerOptions)}
+        retired = set()
         for tenant, snap in sorted(self.store.load_all().items()):
             counts["tenants"] += 1
             for name, text in snap.tboxes.items():
@@ -1145,8 +1151,12 @@ class OMQService:
                     omq = OMQ(TBox.parse(stored.tbox_text),
                               CQ.parse(stored.query,
                                        answer_vars=stored.answer_vars))
+                    retired.update(set(stored.options) - known)
                     self.subscribe(
-                        stored.dataset, omq, options=stored.options,
+                        stored.dataset, omq,
+                        options={key: value
+                                 for key, value in stored.options.items()
+                                 if key in known},
                         tenant=tenant,
                         subscription_id=stored.subscription_id,
                         _persist=False)
@@ -1155,6 +1165,9 @@ class OMQService:
                     log.error("restore of subscription %r failed: "
                               "%s: %s", stored.subscription_id,
                               type(error).__name__, error)
+        if retired:
+            log.warning("restore dropped stored option key(s) this "
+                        "version no longer has: %s", sorted(retired))
         return counts
 
     def storage_status(self) -> Dict[str, object]:

@@ -32,7 +32,7 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from ..data.abox import ABox, GroundAtom
 from ..datalog.program import NDLQuery
 from ..obs import trace as _trace
-from ..rewriting.api import OMQ, AnswerSession, compile_data_variant
+from ..rewriting.api import OMQ, AnswerSession
 from ..rewriting.plan import AnswerOptions, Answers, Plan, compile_omq
 from ..service.updates import UpdateDelta, UpdateResult, _dedup
 from .executor import create_executor
@@ -96,7 +96,7 @@ class ShardedSession:
         #: lazily for plans that do not decompose (dropped on update)
         self._fallback: Optional[AnswerSession] = None
         #: tbox fingerprint -> (tbox, completion of the master ABox);
-        #: only the data-dependent compile stages need it
+        #: only ``adaptive`` compilation needs it
         self._completions: Dict[str, Tuple[object, ABox]] = {}
         #: memoised component sub-plans of disconnected-CQ plans,
         #: keyed by (plan fingerprint, concrete CQ) — the concrete CQ
@@ -125,18 +125,16 @@ class ShardedSession:
     def compile(self, omq: OMQ, options=None, **overrides) -> Plan:
         """Compile ``omq`` exactly as a monolithic session would.
 
-        Compilation is data-independent for the common options and the
-        plan is shared with every shard.  The data-dependent stages
-        (``adaptive``, ``optimize`` pruning) consult a completion of
-        the *master* ABox — global statistics, computed once per TBox;
-        the resulting plan is still sound per shard (a predicate empty
-        globally is empty in every shard, and an adaptively chosen
-        method is a correct rewriting everywhere).
+        Compilation never looks at the data and the plan is shared
+        with every shard; each shard's engine then specialises it to
+        its own nonempty signature at execute.  Only ``adaptive``
+        consults a completion of the *master* ABox — global statistics,
+        computed once per TBox — and the method it picks is a correct
+        rewriting on every shard.
         """
         options = AnswerOptions.coerce(options, **overrides)
-        data = compile_data_variant(
-            options, self.abox,
-            lambda: self._master_completion(omq.tbox))
+        data = (self._master_completion(omq.tbox)
+                if options.data_dependent else None)
         return compile_omq(omq, options, data=data,
                            cache=self.rewriting_cache)
 
@@ -209,7 +207,7 @@ class ShardedSession:
 
         Memoised per (plan, concrete CQ) so a disconnected plan keeps
         the compile-once/execute-many contract across repeated
-        ``execute_plan`` calls; updates clear the memo (data-dependent
+        ``execute_plan`` calls; updates clear the memo (``adaptive``
         sub-compilations consult the master completion).
         """
         key = (plan.fingerprint, plan.omq.query)

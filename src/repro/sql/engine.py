@@ -1,4 +1,4 @@
-"""Evaluating NDL queries on SQL engines (SQLite, DuckDB).
+"""Evaluating NDL queries on a SQL engine (SQLite).
 
 :func:`evaluate_sql` is a drop-in alternative to
 :func:`repro.datalog.evaluate.evaluate`: same inputs, same
@@ -12,10 +12,8 @@
   Section 6) — ``generated_tuples`` then counts only the goal relation,
   as nothing else is materialised.
 
-:class:`SQLEngine` runs on the stdlib SQLite; :class:`DuckDBEngine`
-subclasses it to target DuckDB's columnar executor (the ``duckdb``
-package is imported lazily, so the module works without it).  Both
-accept ``optimize_sql=True`` to run the :mod:`repro.sql.optimize` pass
+:class:`SQLEngine` runs on the stdlib SQLite and accepts
+``optimize_sql=True`` to run the :mod:`repro.sql.optimize` pass
 pipeline before rendering.
 """
 
@@ -23,10 +21,11 @@ from __future__ import annotations
 
 import sqlite3
 from collections import OrderedDict
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..data.abox import ABox
 from ..datalog.evaluate import EvaluationResult
+from ..datalog.optimize import nonempty_signature
 from ..datalog.program import ADOM, NDLQuery
 from ..obs.trace import span as _span
 from .compile import SQLCompilation, compile_query
@@ -51,13 +50,15 @@ class SQLEngine:
     compilation and the optimizer entirely.
     """
 
-    #: The SQL dialect this engine renders (see :mod:`repro.sql.ir`).
-    dialect = "sqlite"
-
     def __init__(self, abox: ABox,
                  extra_relations: Optional[Mapping[str, Iterable[Tuple[str, ...]]]] = None,
                  edb_arities: Optional[Mapping[str, int]] = None):
-        self.connection = self._connect()
+        # check_same_thread=False lets a service session pool hand the
+        # engine from one worker thread to another; access is still
+        # serialised by the pool (SQLite objects are never used from
+        # two threads at once).
+        self.connection = sqlite3.connect(":memory:",
+                                          check_same_thread=False)
         self._abox = abox
         self._extra = extra_relations
         self._loaded: Dict[str, int] = {}
@@ -65,14 +66,6 @@ class SQLEngine:
             OrderedDict()
         if edb_arities:
             self._ensure_loaded(dict(edb_arities))
-
-    def _connect(self):
-        """Open this engine's DBMS connection (dialect hook)."""
-        # check_same_thread=False lets a service session pool hand the
-        # engine from one worker thread to another; access is still
-        # serialised by the pool (SQLite objects are never used from
-        # two threads at once).
-        return sqlite3.connect(":memory:", check_same_thread=False)
 
     def close(self) -> None:
         self.connection.close()
@@ -101,6 +94,16 @@ class SQLEngine:
         create_schema(self.connection, missing)
         load_abox(self.connection, self._abox, missing, self._extra)
         self._loaded.update(missing)
+
+    def nonempty(self, predicates: Iterable[str]) -> FrozenSet[str]:
+        """The ``predicates`` holding a fact right now, read off the
+        backing ABox and ``extra_relations`` (which lazy loading keeps
+        authoritative), ``__adom__`` included."""
+        held = set(nonempty_signature(self._abox))
+        for name, rows in (self._extra or {}).items():
+            if any(True for _ in rows):
+                held.update((name, ADOM))
+        return frozenset(held.intersection(predicates))
 
     # -- incremental updates -------------------------------------------------
 
@@ -176,8 +179,7 @@ class SQLEngine:
             return cached
         with _span("sql-compile"):
             compilation = compile_query(query, materialised=materialised,
-                                        optimize=optimize_sql,
-                                        dialect=self.dialect)
+                                        optimize=optimize_sql)
         self._compilations[key] = compilation
         while len(self._compilations) > _COMPILATION_CACHE_SIZE:
             self._compilations.popitem(last=False)
@@ -238,82 +240,6 @@ class SQLEngine:
             cursor.execute(
                 f"DROP {kind} IF EXISTS {table_name(predicate)}")
         self.connection.commit()
-
-
-class _DuckDBCursor:
-    """A DB-API-shaped cursor over a DuckDB cursor.
-
-    Smooths the two differences the engine relies on: ``execute``
-    returns the cursor (for ``.execute(...).fetchone()`` chaining) and
-    ``executemany`` tolerates empty row batches.
-    """
-
-    def __init__(self, raw):
-        self._raw = raw
-
-    def execute(self, sql, parameters=None):
-        if parameters is None:
-            self._raw.execute(sql)
-        else:
-            self._raw.execute(sql, parameters)
-        return self
-
-    def executemany(self, sql, rows):
-        rows = list(rows)
-        if rows:
-            self._raw.executemany(sql, rows)
-        return self
-
-    def fetchone(self):
-        return self._raw.fetchone()
-
-    def fetchall(self):
-        return self._raw.fetchall()
-
-
-class _DuckDBConnection:
-    """A DB-API-shaped wrapper over a DuckDB connection.
-
-    DuckDB autocommits; ``commit``/``rollback`` outside an explicit
-    transaction raise, so they are no-ops when the engine calls them
-    at its usual transaction boundaries.
-    """
-
-    def __init__(self, raw):
-        self._raw = raw
-
-    def cursor(self) -> _DuckDBCursor:
-        return _DuckDBCursor(self._raw.cursor())
-
-    def commit(self) -> None:
-        try:
-            self._raw.commit()
-        except Exception:
-            pass
-
-    def rollback(self) -> None:
-        try:
-            self._raw.rollback()
-        except Exception:
-            pass
-
-    def close(self) -> None:
-        self._raw.close()
-
-
-class DuckDBEngine(SQLEngine):
-    """The same evaluation strategy on DuckDB's columnar executor."""
-
-    dialect = "duckdb"
-
-    def _connect(self):
-        try:
-            import duckdb
-        except ImportError as error:  # pragma: no cover - env dependent
-            raise RuntimeError(
-                "the DuckDB engine needs the optional 'duckdb' package "
-                "(pip install duckdb)") from error
-        return _DuckDBConnection(duckdb.connect(":memory:"))
 
 
 def evaluate_sql(query: NDLQuery, abox: ABox,

@@ -13,8 +13,7 @@ replaces the strings with a small algebra of frozen dataclass nodes —
   query) —
 
 over which the :mod:`repro.sql.optimize` passes rewrite, and which
-per-dialect renderers (:class:`SQLiteDialect`, :class:`DuckDBDialect`)
-turn into text.  Identifier quoting and string-literal escaping happen
+a dialect renderer (:class:`SQLiteDialect`) turns into text.  Identifier quoting and string-literal escaping happen
 in exactly one place each (:meth:`Dialect.quote_identifier`,
 :meth:`Dialect.quote_literal`), so hostile predicate names — embedded
 quotes, ``" AS\\n"`` substrings, SQL keywords — are safe by
@@ -27,7 +26,7 @@ from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 #: The renderable dialects, keyed by :attr:`Dialect.name`.
-DIALECT_NAMES = ("sqlite", "duckdb")
+DIALECT_NAMES = ("sqlite",)
 
 
 # -- expressions -----------------------------------------------------------
@@ -296,17 +295,8 @@ class SQLiteDialect(Dialect):
     name = "sqlite"
 
 
-class DuckDBDialect(Dialect):
-    """DuckDB's columnar engine accepts the same portable core; kept
-    as its own class so dialect-specific rendering has a home (and so
-    ``dialect=`` is an explicit, validated choice)."""
-
-    name = "duckdb"
-
-
 _DIALECTS: Dict[str, Dialect] = {dialect.name: dialect
-                                 for dialect in (SQLiteDialect(),
-                                                 DuckDBDialect())}
+                                 for dialect in (SQLiteDialect(),)}
 
 
 def get_dialect(name: str) -> Dialect:

@@ -5,31 +5,16 @@ import hashlib
 import os
 import random
 
-import pytest
 from hypothesis import HealthCheck, settings
 
 from repro.data import ABox
 from repro.datalog.program import Clause, Literal
-from repro.engine import ENGINES, engine_available
 from repro.ontology import TBox
 from repro.ontology.tbox import surrogate_name
 from repro.ontology.terms import TOP, Atomic, Exists, Role
 from repro.queries import CQ
 from repro.rewriting.tree_witness import TreeWitness
 from repro.rewriting.tw import _TwBuilder
-
-
-def engine_params(names=ENGINES):
-    """``pytest.param`` entries for every registered engine, skipping
-    the ones this environment cannot construct (``duckdb`` without its
-    optional package).  Keeps parametrised suites iterating the full
-    :data:`~repro.engine.ENGINES` registry instead of hard-coding it.
-    """
-    return [pytest.param(name,
-                         marks=pytest.mark.skipif(
-                             not engine_available(name),
-                             reason=f"engine {name!r} unavailable"))
-            for name in names]
 
 
 def hypothesis_settings(max_examples: int) -> settings:

@@ -1,16 +1,14 @@
-"""End-to-end tests of the extended ``answer`` pipeline: engines,
-optimiser, magic sets and the adaptive method, in every combination.
+"""End-to-end tests of the extended ``answer`` pipeline: engines and
+the adaptive method, in every combination.
 
-The invariant: whatever pipeline stages are enabled, the certain
+The invariant: whatever engine and method are chosen, the certain
 answers must equal the chase-based reference semantics.
 """
-
-import itertools
 
 import pytest
 
 from repro import ABox, CQ, OMQ, answer, certain_answers, chain_cq
-from repro.engine import available_engines
+from repro.engine import ENGINES
 
 from .helpers import example11_tbox
 
@@ -27,15 +25,11 @@ def setting():
 
 
 class TestPipelineCombinations:
-    @pytest.mark.parametrize(
-        "engine,optimize,magic",
-        list(itertools.product(available_engines(), (False, True),
-                               (False, True))))
-    def test_all_stage_combinations_agree(self, setting, engine,
-                                          optimize, magic):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_all_stage_combinations_agree(self, setting, engine):
         tbox, query, abox, expected = setting
         result = answer(OMQ(tbox, query), abox, method="tw",
-                        engine=engine, optimize=optimize, magic=magic)
+                        engine=engine)
         assert result.answers == expected
 
     @pytest.mark.parametrize("method", ("lin", "log", "tw", "adaptive"))
@@ -48,12 +42,6 @@ class TestPipelineCombinations:
     def test_adaptive_method(self, setting):
         tbox, query, abox, expected = setting
         result = answer(OMQ(tbox, query), abox, method="adaptive")
-        assert result.answers == expected
-
-    def test_adaptive_with_magic(self, setting):
-        tbox, query, abox, expected = setting
-        result = answer(OMQ(tbox, query), abox, method="adaptive",
-                        magic=True)
         assert result.answers == expected
 
     def test_unknown_engine_is_rejected(self, setting):
@@ -72,7 +60,7 @@ class TestPipelineOnBooleanQueries:
         tbox = example11_tbox()
         query = CQ.parse("R(x, y), S(y, z)")
         abox = ABox.parse("R(a, b), A_P(b)")
-        for engine in available_engines():
+        for engine in ENGINES:
             result = answer(OMQ(tbox, query), abox, engine=engine)
             assert result.answers == {()}
 
@@ -80,9 +68,8 @@ class TestPipelineOnBooleanQueries:
         tbox = example11_tbox()
         query = CQ.parse("S(x, y), S(y, z)")
         abox = ABox.parse("R(a, b)")
-        for engine in available_engines():
-            result = answer(OMQ(tbox, query), abox, engine=engine,
-                            magic=True)
+        for engine in ENGINES:
+            result = answer(OMQ(tbox, query), abox, engine=engine)
             assert result.answers == frozenset()
 
 
@@ -93,8 +80,6 @@ class TestPipelineOnAnonymousWitnesses:
         tbox = example11_tbox()
         query = chain_cq("RSR")
         abox = ABox.parse("A_P-(d0), R(d0, d3)")
-        for engine in available_engines():
-            for magic in (False, True):
-                result = answer(OMQ(tbox, query), abox, engine=engine,
-                                magic=magic)
-                assert ("d0", "d3") in result.answers
+        for engine in ENGINES:
+            result = answer(OMQ(tbox, query), abox, engine=engine)
+            assert ("d0", "d3") in result.answers

@@ -115,9 +115,8 @@ class TestHTTPClient:
         assert got.plan_fingerprint  # provenance survives the wire
 
     def test_explain_over_http(self, http_client, omq):
-        report = http_client.explain(omq, method="log", magic=True)
+        report = http_client.explain(omq, method="log")
         assert report["method"] == "log"
-        assert report["magic"] is True
         assert report["rules"] > 0
 
     def test_update_and_stats(self, http_client, abox, omq):
@@ -145,7 +144,7 @@ class TestHTTPClient:
         with Client.local() as local:
             local.register_dataset("demo", ABox(abox.atoms()))
             for options in ({"method": "lin"}, {"method": "tw_star"},
-                            {"method": "log", "magic": True}):
+                            {"method": "log", "over": "arbitrary"}):
                 assert (http_client.answer("demo", omq, options).answers
                         == local.answer("demo", omq, options).answers)
 

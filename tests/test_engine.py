@@ -8,10 +8,10 @@ import pytest
 from repro import ABox, CQ, OMQ, certain_answers, chain_cq, evaluate
 from repro.data.abox import ABox as ABoxClass
 from repro.datalog import Clause, Literal, NDLQuery, Program, evaluate_on
-from repro.engine import Database, PythonEngine, available_engines, create_engine
+from repro.engine import ENGINES, Database, PythonEngine, create_engine
 from repro.rewriting import METHODS, AnswerSession
 
-from .helpers import deep_tbox, engine_params, example11_tbox, random_data
+from .helpers import deep_tbox, example11_tbox, random_data
 
 
 # -- Database ---------------------------------------------------------------
@@ -103,7 +103,7 @@ class TestCreateEngine:
         with pytest.raises(ValueError, match="unknown engine"):
             create_engine("mysql", ABox())
 
-    @pytest.mark.parametrize("name", engine_params())
+    @pytest.mark.parametrize("name", ENGINES)
     def test_backends_agree_on_plain_ndl(self, name):
         abox = ABox.parse("R(a,b), R(b,c), R(c,d)")
         expected = evaluate(_chain_query(), abox).answers
@@ -142,7 +142,7 @@ class TestCrossEngineParity:
         with AnswerSession(abox) as session:
             results = {engine: session.answer(omq, method=method,
                                               engine=engine).answers
-                       for engine in available_engines()}
+                       for engine in ENGINES}
         for engine, answers in results.items():
             assert answers == expected, (
                 f"engine {engine} disagrees for method {method}")
@@ -208,9 +208,9 @@ class TestAnswerSessionReuse:
         omq = OMQ(tbox, chain_cq("RS"))
         with AnswerSession(abox) as session:
             for _ in range(2):
-                for engine in available_engines():
+                for engine in ENGINES:
                     session.answer(omq, engine=engine)
-            assert session.data_loads == len(available_engines())
+            assert session.data_loads == len(ENGINES)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -230,7 +230,3 @@ class TestAnswerSessionReuse:
             for method in ("lin", "tw", "adaptive"):
                 assert (session.answer(omq, method=method).answers
                         == answer(omq, abox, method=method).answers)
-            assert (session.answer(omq, magic=True).answers
-                    == answer(omq, abox, magic=True).answers)
-            assert (session.answer(omq, optimize=True).answers
-                    == answer(omq, abox, optimize=True).answers)

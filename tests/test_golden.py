@@ -17,7 +17,7 @@ import pathlib
 
 import pytest
 
-from repro import OMQ, AnswerSession, available_engines
+from repro import ENGINES, OMQ, AnswerSession
 from repro.data import ABox
 from repro.queries import CQ, chain_cq
 from repro.service import OMQService
@@ -129,7 +129,7 @@ def test_golden_answers(case, update_golden):
     assert post_produced == expected_post
 
     # every engine must reproduce the snapshot exactly
-    for engine in available_engines():
+    for engine in ENGINES:
         if engine == "python":
             continue
         assert _snapshot(tbox, abox, queries, engine) == expected, engine

@@ -17,7 +17,7 @@ from repro import (
     answer,
     chain_cq,
 )
-from repro.engine import available_engines, create_engine
+from repro.engine import ENGINES, create_engine
 from repro.rewriting import AnswerSession, METHODS
 from repro.rewriting.plan import compile_omq, format_explain
 from repro.service import (
@@ -37,9 +37,10 @@ class TestAnswerOptions:
     def test_defaults(self):
         options = AnswerOptions()
         assert options.method == "auto"
-        assert not options.magic and not options.optimize
         assert options.engine is None and options.timeout is None
         assert options.over == "complete"
+        assert [f.name for f in dataclasses.fields(AnswerOptions)] == [
+            "method", "engine", "timeout", "over", "shards", "optimize_sql"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):
@@ -53,10 +54,11 @@ class TestAnswerOptions:
 
     def test_coerce_forms(self):
         from_none = AnswerOptions.coerce(None)
-        from_dict = AnswerOptions.coerce({"method": "lin", "magic": True})
+        from_dict = AnswerOptions.coerce({"method": "lin",
+                                          "over": "arbitrary"})
         from_self = AnswerOptions.coerce(from_dict)
         assert from_none == AnswerOptions()
-        assert from_dict.method == "lin" and from_dict.magic
+        assert from_dict.method == "lin" and from_dict.over == "arbitrary"
         assert from_self == from_dict
         with pytest.raises(ValueError, match="unknown answer option"):
             AnswerOptions.coerce({"metod": "lin"})
@@ -75,14 +77,14 @@ class TestAnswerOptions:
                 == base.replace(engine="sql").rewrite_fingerprint()
                 == base.replace(timeout=5.0).rewrite_fingerprint())
         assert (base.rewrite_fingerprint()
-                != base.replace(magic=True).rewrite_fingerprint())
+                != base.replace(over="arbitrary").rewrite_fingerprint())
         assert (base.rewrite_fingerprint()
                 != base.replace(method="log").rewrite_fingerprint())
 
     def test_data_dependent(self):
         assert AnswerOptions(method="adaptive").data_dependent
-        assert AnswerOptions(optimize=True).data_dependent
-        assert not AnswerOptions(method="lin", magic=True).data_dependent
+        assert not AnswerOptions(method="lin").data_dependent
+        assert not AnswerOptions().data_dependent
 
 
 # -- OMQ fingerprints -------------------------------------------------------
@@ -125,7 +127,7 @@ class TestCompileExecuteParity:
         _, abox, omqs = setting
         for omq in omqs:
             plan = compile_omq(omq, method=method)
-            for engine in available_engines():
+            for engine in ENGINES:
                 executed = plan.execute(abox, engine=engine)
                 legacy = answer(omq, abox, method=method, engine=engine)
                 assert executed.answers == legacy.answers
@@ -144,14 +146,14 @@ class TestCompileExecuteParity:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"method": "lin"}, {"method": "log"}, {"method": "tw"},
-        {"method": "adaptive"}, {"magic": True}, {"optimize": True},
-        {"engine": "sql"}], ids=lambda o: ",".join(
+        {"method": "adaptive"}, {"engine": "sql"}], ids=lambda o: ",".join(
             f"{key}={value}" for key, value in o.items()) or "defaults")
     def test_every_way_in_returns_the_same_answers(self, setting, served,
                                                    overrides):
         """One options spelling in, one ``Answers`` record out, through
         every entry point: same rows, same *resolved* method, same
-        engine, same plan."""
+        engine, same plan — and every one of them ran the plan
+        specialised to the data, never the rewriting as written."""
         _, abox, omqs = setting
         service, embedded, remote = served
         options = AnswerOptions(**overrides)
@@ -187,6 +189,12 @@ class TestCompileExecuteParity:
                     expected.plan_fingerprint), name
             for name, got in monolithic.items():
                 assert got.generated_tuples == expected.generated_tuples, name
+            with AnswerSession(abox) as session:
+                plan = session.compile(omq, options)
+                backend = session.backend(expected.engine,
+                                          plan._variant_tbox())
+                assert expected.generated_tuples == backend.evaluate(
+                    plan.specialised(backend)).generated_tuples
 
 
 # -- plan reuse -------------------------------------------------------------
@@ -208,7 +216,7 @@ class TestPlanReuse:
         abox = random_data(11)
         with AnswerSession(abox) as session:
             results = {engine: plan.execute(session, engine=engine).answers
-                       for engine in available_engines()}
+                       for engine in ENGINES}
         assert len(set(results.values())) == 1
 
     def test_execute_on_loaded_engine(self):
@@ -219,6 +227,39 @@ class TestPlanReuse:
         with create_engine("python", abox.complete(tbox)) as backend:
             assert (plan.execute(backend).answers
                     == answer(omq, abox, method="lin").answers)
+
+    def test_specialised_once_per_nonempty_signature(self):
+        """``execute`` evaluates the plan specialised to the live data:
+        built once per signature however often it runs, rebuilt when an
+        update flips a predicate's emptiness, the rewriting itself
+        untouched."""
+        tbox = example11_tbox()
+        omq = OMQ(tbox, chain_cq("RS"))
+        plan = compile_omq(omq, method="lin")
+        rules = plan.rules
+        with AnswerSession(ABox.parse("R(a,b), R(b,c)")) as session:
+            backend = session.backend("python", tbox)
+            for _ in range(100):
+                assert plan.execute(session).answers == frozenset()
+            assert len(plan._specialisations) == 1
+            assert len(plan.specialised(backend)) == 0  # no S, no A_P-
+            session.apply_update(inserts=[("S", ("b", "d"))])
+            assert plan.execute(session).answers == {("a", "d")}
+            assert len(plan._specialisations) == 2
+            assert 0 < len(plan.specialised(backend)) < rules
+            session.apply_update(deletes=[("S", ("b", "d"))])
+            assert plan.execute(session).answers == frozenset()
+            assert len(plan._specialisations) == 2
+        assert plan.rules == rules
+
+    def test_fully_pruned_goal_never_reads_a_data_predicate(self):
+        # the rewriters name their goal G; with every goal clause pruned
+        # the engine must not fall back to the data's own G relation
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        abox = ABox.parse("R(a,b), G(a,b), G(c,c)")
+        for engine in ENGINES:
+            assert answer(omq, abox, method="lin",
+                          engine=engine).answers == frozenset()
 
     def test_plan_is_frozen(self):
         plan = compile_omq(OMQ(example11_tbox(), chain_cq("RS")))
@@ -240,15 +281,15 @@ class TestPlanReuse:
 class TestExplain:
     def test_report_matches_ndl_stats(self):
         omq = OMQ(example11_tbox(), chain_cq("RSRS"))
-        plan = compile_omq(omq, method="log", magic=True)
+        plan = compile_omq(omq, method="log")
         report = plan.explain()
         assert report["rules"] == len(plan.ndl)
         assert report["width"] == plan.ndl.width()
         assert report["depth"] == plan.ndl.depth()
         assert report["method"] == "log"
-        assert report["magic"] is True
         assert report["omq_class"] == omq.omq_class()
-        assert set(report["stages"]) == {"rewrite", "magic"}
+        assert set(report["stages"]) == {"rewrite"}
+        assert "specialised" not in report
         assert report["compile_seconds"] >= 0
         assert report["fingerprint"] == plan.fingerprint
 
@@ -293,6 +334,22 @@ class TestExplain:
             assert report["data_bound"] is True
             assert report["method"] in METHODS
 
+    def test_explain_with_a_dataset_shows_what_runs(self):
+        """Next to the rewriting's size, the program an answer over the
+        named dataset would evaluate: its nonempty signature and the
+        specialised rules/width/depth."""
+        omq = OMQ(example11_tbox(), chain_cq("RSRS"))
+        with OMQService() as service:
+            service.register_dataset("demo", ABox.parse("R(a,b), R(b,c)"))
+            report = service.explain(omq, method="lin", dataset="demo")
+            assert report["specialised"] == {
+                "nonempty": ["R"], "rules": 0, "width": 0, "depth": 0}
+            service.update("demo", inserts=[("S", ("c", "d"))])
+            report = service.explain(omq, method="lin", dataset="demo")
+        assert report["specialised"]["nonempty"] == ["R", "S"]
+        assert 0 < report["specialised"]["rules"] < report["rules"]
+        assert "specialised to    R, S" in format_explain(report)
+
 
 # -- fingerprints and the plan cache ----------------------------------------
 
@@ -331,8 +388,11 @@ class TestPlanCache:
         omq = OMQ(example11_tbox(), chain_cq("RS"))
         with AnswerSession(abox, rewriting_cache=cache) as session:
             session.compile(omq, method="adaptive")
-            session.compile(omq, method="lin", optimize=True)
-        assert len(cache) == 0
+            assert len(cache) == 0
+            # ...and nothing else does: what a plan runs as is decided
+            # per execute, so the plan itself stays shareable
+            session.compile(omq, method="lin")
+        assert len(cache) == 1
 
     def test_plan_fingerprint_stable_and_discriminating(self):
         tbox = example11_tbox()

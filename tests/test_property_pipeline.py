@@ -2,21 +2,39 @@
 
 Random OWL 2 QL TBoxes, tree-shaped CQs and data instances (the
 strategies of ``test_property_based``) are pushed through the SQL
-backend, magic sets, the optimiser and the adaptive planner; every path
-must agree with the chase-based certain-answer oracle.
+backend, the optimiser, the adaptive planner and — across update
+sequences that flip predicates between empty and nonempty — the
+per-execute specialisation; every path must agree with the chase-based
+certain-answer oracle.
 """
 
 from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.chase import certain_answers
+from repro.data import ABox
 from repro.datalog import evaluate
-from repro.datalog.magic import evaluate_magic
 from repro.datalog.optimize import optimize
-from repro.rewriting import OMQ, adaptive_rewrite, answer, tw_rewrite
+from repro.engine import ENGINES
+from repro.rewriting import (
+    OMQ,
+    AnswerSession,
+    adaptive_rewrite,
+    answer,
+    tw_rewrite,
+)
+from repro.rewriting.plan import compile_omq
+from repro.shard import ShardedSession
 from repro.sql import evaluate_sql
 
 from .helpers import hypothesis_settings
-from .test_property_based import aboxes, tboxes, tree_queries
+from .test_property_based import (
+    CONCEPT_NAMES,
+    ROLE_NAMES,
+    aboxes,
+    tboxes,
+    tree_queries,
+)
 
 SETTINGS = hypothesis_settings(20)
 
@@ -43,31 +61,50 @@ class TestSqlBackendAgainstOracle:
                 == _oracle(tbox, query, abox))
 
 
-class TestMagicAgainstOracle:
-    @SETTINGS
-    @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
-    def test_magic_all_answers(self, tbox, query, abox):
-        ndl = tw_rewrite(tbox, query)
-        completed = abox.complete(tbox)
-        assert (evaluate_magic(ndl, completed).answers
-                == _oracle(tbox, query, abox))
+@st.composite
+def update_sequences(draw):
+    """1-4 steps of ``(atoms to insert, predicates to empty)``: a step
+    deletes *every* fact of the predicates it names, so it can empty
+    one, and inserts a drawn instance, so it can give one its first
+    fact — the two flips a data-specialised plan must follow."""
+    predicates = ROLE_NAMES + CONCEPT_NAMES + ("A_P", "A_Q")
+    return [(list(draw(aboxes()).atoms()) if draw(st.booleans()) else [],
+             draw(st.lists(st.sampled_from(predicates), max_size=3,
+                           unique=True)))
+            for _ in range(draw(st.integers(1, 4)))]
 
+
+class TestSpecialisationAgainstOracle:
     @SETTINGS
-    @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
-    def test_magic_candidate_checks(self, tbox, query, abox):
-        if not query.answer_vars:
-            return
-        ndl = tw_rewrite(tbox, query)
-        completed = abox.complete(tbox)
-        expected = _oracle(tbox, query, abox)
-        individuals = sorted(abox.individuals)
-        # check one known answer and one arbitrary candidate
-        candidates = list(expected)[:1]
-        if individuals:
-            candidates.append(tuple(individuals[:1] * len(query.answer_vars)))
-        for candidate in candidates:
-            result = evaluate_magic(ndl, completed, candidate=candidate)
-            assert (candidate in result.answers) == (candidate in expected)
+    @given(tbox=tboxes(), query=tree_queries(), abox=aboxes(),
+           steps=update_sequences())
+    def test_held_plan_follows_every_update(self, tbox, query, abox, steps):
+        """One plan compiled up front, first run over no data at all
+        (everything pruned) and held across the updates: after every
+        step what ``execute`` runs (the specialised program) answers
+        like the rewriting as written and like the oracle, on every
+        engine and scatter-gathered."""
+        plan = compile_omq(OMQ(tbox, query), method="tw")
+        reference = ABox()
+        with AnswerSession(ABox()) as session, \
+                ShardedSession(ABox(), 2, executor="serial") as sharded:
+            for inserts, emptied in [([], []),
+                                     (list(abox.atoms()), [])] + steps:
+                deletes = [atom for atom in reference.atoms()
+                           if atom[0] in emptied]
+                for target in (session, sharded):
+                    target.apply_update(inserts=inserts, deletes=deletes)
+                for predicate, args in deletes:
+                    reference.discard(predicate, *args)
+                for predicate, args in inserts:
+                    reference.add(predicate, *args)
+                expected = _oracle(tbox, query, reference)
+                for engine in ENGINES:
+                    backend = session.backend(engine, tbox)
+                    assert (plan.execute(session, engine=engine).answers
+                            == backend.evaluate(plan.ndl).answers
+                            == expected), engine
+                assert plan.execute(sharded).answers == expected
 
 
 class TestOptimizerAgainstOracle:
@@ -96,5 +133,5 @@ class TestFacadeAgainstOracle:
     @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
     def test_full_pipeline(self, tbox, query, abox):
         result = answer(OMQ(tbox, query), abox, method="tw",
-                        engine="sql-views", optimize=True, magic=True)
+                        engine="sql-views")
         assert result.answers == _oracle(tbox, query, abox)

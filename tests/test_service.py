@@ -14,7 +14,7 @@ import urllib.request
 import pytest
 
 from repro import ABox, CQ, OMQ, TBox, answer, chain_cq
-from repro.engine import available_engines
+from repro.engine import ENGINES
 from repro.client import tbox_to_text
 from repro.service import BatchRequest, OMQService, serve_in_background
 from repro.service.protocol import Router
@@ -40,7 +40,7 @@ class TestAnswering:
         data = _snapshot(service._dataset("demo").abox)
         for labels in ("RS", "RSR"):
             omq = OMQ(tbox, chain_cq(labels))
-            for engine in available_engines():
+            for engine in ENGINES:
                 expected = answer(omq, data, engine=engine).answers
                 got = service.answer("demo", omq, engine=engine)
                 assert got.answers == expected
@@ -108,7 +108,7 @@ class TestBatch:
         requests = [BatchRequest("demo", OMQ(tbox, chain_cq(labels)),
                                  {"engine": engine})
                     for labels in ("RS", "SR")
-                    for engine in available_engines()]
+                    for engine in ENGINES]
         results = service.answer_batch(requests)
         for request, result in zip(requests, results):
             expected = service.answer("demo", request.omq,
@@ -229,7 +229,7 @@ class TestServeHTTP:
         assert updated["deleted"] == 1
         request = {"dataset": "demo", "tbox": "uni",
                    "query": "R(x,y), S(y,z)", "answers": ["x"]}
-        engines = available_engines()
+        engines = ENGINES
         batch = self._call(server, "/batch", {"requests": [
             dict(request, options={"engine": engine})
             for engine in engines]})

@@ -125,7 +125,8 @@ class TestRewritingCache:
         omq = OMQ(example11_tbox(), chain_cq("RS"))
         keys = {cache.key(omq, AnswerOptions(method="lin")),
                 cache.key(omq, AnswerOptions(method="log")),
-                cache.key(omq, AnswerOptions(method="lin", magic=True))}
+                cache.key(omq, AnswerOptions(method="lin",
+                                             over="arbitrary"))}
         assert len(keys) == 3
 
     def test_lru_eviction(self):
@@ -201,8 +202,9 @@ class TestSessionCacheIntegration:
         omq = OMQ(tbox, chain_cq("RS"))
         with AnswerSession(random_data(5), rewriting_cache=cache) as session:
             plain = session.answer(omq, method="lin")
-            with_magic = session.answer(omq, method="lin", magic=True)
-        assert plain.answers == with_magic.answers
+            arbitrary = session.answer(omq, method="lin",
+                                       over="arbitrary")
+        assert plain.answers == arbitrary.answers
         assert len(cache) == 2
 
     def test_data_dependent_stages_bypass_cache(self):
@@ -211,5 +213,4 @@ class TestSessionCacheIntegration:
         omq = OMQ(tbox, chain_cq("RS"))
         with AnswerSession(random_data(6), rewriting_cache=cache) as session:
             session.answer(omq, method="adaptive")
-            session.answer(omq, method="lin", optimize=True)
         assert len(cache) == 0

@@ -16,7 +16,7 @@ import pytest
 
 from repro import ABox, CQ, OMQ, TBox, chain_cq
 from repro.datalog.program import ADOM
-from repro.engine import Database, available_engines
+from repro.engine import ENGINES, Database
 from repro.rewriting import AnswerSession
 from repro.service import OMQService
 from repro.service.updates import (
@@ -24,7 +24,7 @@ from repro.service.updates import (
     completed_insert_delta,
 )
 
-from .helpers import engine_params, example11_tbox, random_data
+from .helpers import example11_tbox, random_data
 
 
 def _snapshot(abox: ABox) -> ABox:
@@ -182,7 +182,7 @@ class TestCompletionDeltas:
 
 
 class TestSessionUpdate:
-    @pytest.mark.parametrize("engine", engine_params())
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_update_matches_fresh_session(self, engine):
         tbox = example11_tbox()
         omq = OMQ(tbox, chain_cq("RS"))
@@ -271,7 +271,7 @@ class TestServicePropertyUpdates:
             service.register_dataset("data", abox)
             # touch every engine so all backends are loaded and must be
             # patched (not rebuilt) by the updates below
-            for engine in available_engines():
+            for engine in ENGINES:
                 service.answer("data", OMQ(tbox, queries[0]),
                                engine=engine)
             for _ in range(10):
@@ -296,7 +296,7 @@ class TestServicePropertyUpdates:
                 for query in queries:
                     omq = OMQ(tbox, query)
                     expected = fresh.answer(omq).answers
-                    for engine in available_engines():
+                    for engine in ENGINES:
                         got = service.answer("data", omq, engine=engine)
                         assert got.answers == expected, (
                             f"engine {engine} diverged after updates "

@@ -211,9 +211,8 @@ class TestShardedParityAcrossEngines:
                             AnswerOptions(method="tw"),
                             AnswerOptions(method="ucq"),
                             AnswerOptions(method="perfectref"),
-                            AnswerOptions(method="lin", magic=True),
                             AnswerOptions(method="adaptive"),
-                            AnswerOptions(method="log", optimize=True)):
+                            AnswerOptions(method="log")):
                 expected = answer(omq, abox, options=options).answers
                 got = session.answer(omq, options=options)
                 assert got.answers == expected, options
@@ -832,17 +831,8 @@ class TestAutoShards:
             except ValueError:
                 pass
         # orchestration knobs never partition the plan cache
-        assert (AnswerOptions(shards="auto",
-                              start_method="spawn").rewrite_fingerprint()
+        assert (AnswerOptions(shards="auto").rewrite_fingerprint()
                 == AnswerOptions().rewrite_fingerprint())
-
-    def test_options_validate_start_method(self):
-        assert AnswerOptions(start_method="spawn").start_method == "spawn"
-        try:
-            AnswerOptions(start_method="threads")
-            raise AssertionError("bad start_method must be rejected")
-        except ValueError:
-            pass
 
 
 class TestDatasetDrop:

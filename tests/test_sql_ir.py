@@ -17,10 +17,12 @@ from repro import ABox, OMQ, chain_cq, rewrite
 from repro.cli import build_parser
 from repro.datalog.evaluate import evaluate
 from repro.datalog.program import Clause, Literal, NDLQuery, Program
-from repro.engine import ENGINES, SQL_ENGINES, available_engines
+from repro.engine import ENGINES, SQL_ENGINES
 from repro.rewriting import AnswerSession
 from repro.rewriting.plan import AnswerOptions, compile_omq, format_explain
-from repro.service.protocol import ProtocolError, Router
+from repro.client import tbox_to_text
+from repro.service import OMQService
+from repro.service.protocol import ProtocolError, Router, error_payload
 from repro.sql.compile import compile_query, compile_query_ir
 from repro.sql.engine import SQLEngine, evaluate_sql
 from repro.sql.ir import (
@@ -90,9 +92,8 @@ class TestDialects:
     def test_core_sql_is_dialect_portable(self):
         ndl = rewrite(OMQ(example11_tbox(), chain_cq("RS")), method="ucq")
         sqlite_form = compile_query(ndl, dialect="sqlite")
-        duckdb_form = compile_query(ndl, dialect="duckdb")
-        assert sqlite_form.script() == duckdb_form.script()
-        assert duckdb_form.dialect == "duckdb"
+        assert sqlite_form.script() == compile_query(ndl).script()
+        assert sqlite_form.dialect == "sqlite"
 
 
 class TestHostileNames:
@@ -375,6 +376,29 @@ class TestOptionThreading:
             Router.decode_options({"optimize_sql": True})
         assert (excinfo.value.status, excinfo.value.error_type) == (
             400, "bad_request")
+        # and a key that is no longer an option is a 400 naming it, on
+        # every route that decodes options
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        body = {"dataset": "demo", "query": str(omq.query),
+                "answers": list(omq.query.answer_vars),
+                "tbox_text": tbox_to_text(omq.tbox)}
+        with OMQService() as service:
+            service.register_dataset("demo", ABox.parse("R(a,b), S(b,c)"))
+            router = Router(service)
+            for retired in ({"magic": True}, {"optimize": True},
+                            {"start_method": "spawn"}):
+                for path, payload in (
+                        ("/answer", {**body, "options": retired}),
+                        ("/explain", {**body, "options": retired}),
+                        ("/subscribe", {**body, "options": retired}),
+                        ("/batch", {"requests": [
+                            {**body, "options": retired}]})):
+                    with pytest.raises(ValueError) as excinfo:
+                        router.handle("POST", path, payload)
+                    status, error, _ = error_payload(excinfo.value)
+                    assert (status, error["error_type"]) == (
+                        400, "bad_request"), (path, retired)
+                    assert next(iter(retired)) in error["error"]
 
     def test_type_error_inside_optimized_evaluation_propagates(
             self, monkeypatch):
@@ -489,7 +513,7 @@ class TestDeltaSequences:
             ("delete", [("R", ("a", "b"))]),
             ("insert", [("R", ("a", "b")), ("R", ("e", "e"))]),
         ]
-        for engine in available_engines():
+        for engine in ENGINES:
             state = {("R", ("a", "b")), ("S", ("b", "c")),
                      ("A_P", ("b",))}
             abox = ABox()

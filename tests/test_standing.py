@@ -18,16 +18,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import OMQ, AsyncClient, Client, ServiceError, available_engines
+from repro import ENGINES, OMQ, AsyncClient, Client, ServiceError
 from repro.data import ABox
+from repro.ontology import TBox
 from repro.queries import CQ, chain_cq
+from repro.rewriting import AnswerSession
 from repro.rewriting.plan import AnswerOptions, compile_omq
 from repro.service import OMQService, serve_in_background
 from repro.standing import AnswerDelta, decompose
 from repro.standing.push import decode_sse, sse_event
 
 from .helpers import (
-    engine_params,
     example11_tbox,
     hypothesis_settings,
     random_data,
@@ -160,7 +161,7 @@ def _subscribe_all(service, dataset, engine=None):
 
 
 class TestMaintenanceDifferential:
-    @pytest.mark.parametrize("engine", engine_params(available_engines()))
+    @pytest.mark.parametrize("engine", ENGINES)
     @SETTINGS
     @given(script=update_scripts(), seed=st.integers(0, 5))
     def test_monolithic_matches_from_scratch(self, engine, script, seed):
@@ -405,6 +406,42 @@ class TestFailedUpdateRecovery:
             assert sub.answers == service.answer("d", omq).answers
         finally:
             service.close()
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_emptiness_flip_reaches_subscription_and_held_plan(self,
+                                                               engine):
+        """``A`` holds no fact when the query is subscribed and the
+        plan compiled, so every clause over it is pruned from what
+        runs; its first fact (and its last one going) must still reach
+        the standing query and a plan held across the update."""
+        tbox = TBox.parse("roles: R\nB <= A")
+        omq = OMQ(tbox, CQ.parse("A(x), R(x,y)", answer_vars=["x", "y"]))
+
+        def polled(service, sub, since):
+            body = service.poll(sub.subscription_id, since_epoch=since)
+            assert not body["stale"]
+            return [AnswerDelta.from_payload(raw)
+                    for raw in body["deltas"]]
+
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse("R(a,b)"))
+            sub = service.subscribe("d", omq, engine=engine)
+            assert sub.answers == frozenset()
+            service.update("d", inserts=[("A", ("a",))])
+            assert [delta.added for delta in polled(service, sub, 0)] == [
+                {("a", "b")}]
+            assert service.answer("d", omq, engine=engine).answers == {
+                ("a", "b")}
+            service.update("d", deletes=[("A", ("a",))])
+            assert [delta.removed for delta in polled(service, sub, 1)] == [
+                {("a", "b")}]
+        with AnswerSession(ABox.parse("R(a,b)"), engine=engine) as session:
+            plan = session.compile(omq)
+            assert plan.execute(session).answers == frozenset()
+            session.apply_update(inserts=[("A", ("a",))])
+            assert plan.execute(session).answers == {("a", "b")}
+            session.apply_update(deletes=[("A", ("a",))])
+            assert plan.execute(session).answers == frozenset()
 
     def test_unrecoverable_subscription_surfaces_stale(self, monkeypatch):
         service = OMQService()

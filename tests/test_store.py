@@ -17,13 +17,15 @@ the post-update snapshots there were blessed from scratch, so a
 warm-restarted service must reproduce them byte-for-byte.
 """
 
+import dataclasses
 import json
+import logging
 import pathlib
 import sqlite3
 
 from hypothesis import given, strategies as st
 
-from repro import OMQ, AnswerSession, available_engines
+from repro import ENGINES, OMQ, AnswerSession
 from repro.data import ABox
 from repro.queries import chain_cq
 from repro.service import OMQService
@@ -158,7 +160,7 @@ class TestWarmRestart:
         return sorted(list(row) for row in result.answers)
 
     def test_restart_restores_answers_epochs_and_subscriptions(
-            self, tmp_path):
+            self, tmp_path, caplog):
         service = OMQService(max_workers=2, data_dir=str(tmp_path))
         sub = self._populate(service)
         before = {
@@ -171,12 +173,25 @@ class TestWarmRestart:
         sub_id, sub_epoch = sub.subscription_id, sub.epoch
         sub_answers = set(sub.answers)
         service.close()
+        # the row as the previous version wrote it: nine option keys,
+        # three of which no longer exist — an upgrade must not cost the
+        # tenant its standing queries
+        with DatasetStore(str(tmp_path)) as store:
+            (stored,) = store.load_tenant("alice").subscriptions
+            store.delete_subscription("alice", sub_id)
+            store.save_subscription("alice", dataclasses.replace(
+                stored, options={**stored.options, "magic": True,
+                                 "optimize": False, "start_method": None}))
 
         restarted = OMQService(max_workers=2, data_dir=str(tmp_path))
-        counts = restarted.restore()
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            counts = restarted.restore()
         try:
             assert counts == {"tenants": 3, "datasets": 3, "tboxes": 1,
                               "subscriptions": 1}
+            assert [record.getMessage() for record in caplog.records] == [
+                "restore dropped stored option key(s) this version no "
+                "longer has: ['magic', 'optimize', 'start_method']"]
             for (dataset, tenant), answers in before.items():
                 assert self._answers(restarted, dataset, tenant) \
                     == answers, (dataset, tenant)
@@ -235,7 +250,7 @@ class TestWarmRestart:
             try:
                 for name, query in sorted(queries.items()):
                     expected = golden["queries"][name]["post_update"]
-                    for engine in available_engines():
+                    for engine in ENGINES:
                         result = restarted.answer(
                             "g", OMQ(tbox, query), engine=engine)
                         produced = sorted(list(row)
@@ -307,7 +322,7 @@ class TestCrashRecovery:
             scratch = ABox()
             for predicate, args in sorted(expected_atoms):
                 scratch.add(predicate, *args)
-            for engine in available_engines():
+            for engine in ENGINES:
                 with AnswerSession(scratch, engine=engine) as session:
                     expected = sorted(
                         list(row)
