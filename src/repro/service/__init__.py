@@ -12,9 +12,14 @@ per-request costs *across* requests and sessions:
   front door over named datasets with pooled ``AnswerSession``s,
   batch answering with in-batch deduplication and a shared cache; an
   answer is the plan's own :class:`~repro.rewriting.plan.Answers`;
-* :mod:`repro.service.updates` — incremental ABox insert/delete that
-  patches the interned database, the memoised indexes, the SQLite
-  tables and the cached completions in place instead of reloading;
+* :mod:`repro.service.dataset` — :class:`~repro.service.dataset
+  .Dataset`, one registered data instance: its session pools, lock,
+  epoch and store rows, and the update sequence (patch -> epoch ->
+  store -> standing) with what each stage's failure costs;
+* :mod:`repro.service.updates` — the ``patch`` stage's math:
+  incremental ABox insert/delete that patches the interned database,
+  the memoised indexes, the SQLite tables and the cached completions
+  in place instead of reloading;
 * :mod:`repro.service.protocol` — the JSON protocol itself (request
   decoding, route dispatch, structured errors);
 * :mod:`repro.service.aserve` — the HTTP server, on asyncio streams:
@@ -26,7 +31,8 @@ per-request costs *across* requests and sessions:
 
 Standing queries (:mod:`repro.standing`) plug into the service here:
 ``OMQService.subscribe`` registers a compiled plan for incremental
-answer maintenance inside the update path, and the server delivers
+answer maintenance inside the update path (the ``standing`` stage of
+``Dataset.apply``), and the server delivers
 the deltas by long-poll (``POST /poll``) or SSE streaming
 (``GET /subscribe``).
 """

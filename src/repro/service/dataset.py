@@ -1,0 +1,420 @@
+"""`Dataset`: one registered data instance and its update sequence.
+
+A dataset owns its ABox, the completions and session pools built over
+it, its readers/writer lock, its epoch and counters, its rows in the
+backing store (:meth:`Dataset.save`) and the refresh of its standing
+subscriptions.  What an update does to all of that, in what order, and
+what each step's failure costs is decided here and nowhere else:
+:meth:`Dataset.apply` runs :attr:`Dataset.STAGES`, one method and one
+trace span per stage, and each stage's docstring states its failure's
+cost.  The rule (README, "Standing queries", has it as a table and
+``tests/test_service_faults.py`` asserts it row by row): a fault costs
+a disposable part — this update, a subscription's freshness, a store
+write — never the dataset, which keeps answering from whatever its
+ABox holds.
+"""
+
+from __future__ import annotations
+
+import logging
+import threading
+import time
+from contextlib import contextmanager
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+
+from ..data.abox import ABox, GroundAtom
+from ..obs.trace import span
+from ..rewriting.api import AnswerSession
+from ..standing.maintain import (
+    full_reexecute,
+    refresh,
+    variant_changed_predicates,
+)
+from ..standing.registry import AnswerDelta, StandingRegistry
+from .cache import RewritingCache
+from .updates import UpdateResult, apply_update
+
+log = logging.getLogger("repro.service")
+
+
+class RWLock:
+    """A readers/writer lock (writer-preferring enough for our use)."""
+
+    def __init__(self):
+        self._condition = threading.Condition()
+        self._readers = 0
+        self._writer = False
+        self._waiting_writers = 0
+
+    @contextmanager
+    def reading(self) -> Iterator[None]:
+        with self._condition:
+            while self._writer or self._waiting_writers:
+                self._condition.wait()
+            self._readers += 1
+        try:
+            yield
+        finally:
+            with self._condition:
+                self._readers -= 1
+                if not self._readers:
+                    self._condition.notify_all()
+
+    @contextmanager
+    def writing(self) -> Iterator[None]:
+        with self._condition:
+            self._waiting_writers += 1
+            try:
+                while self._writer or self._readers:
+                    self._condition.wait()
+            finally:
+                self._waiting_writers -= 1
+            self._writer = True
+        try:
+            yield
+        finally:
+            with self._condition:
+                self._writer = False
+                self._condition.notify_all()
+
+
+class SessionPool:
+    """Bounded pool of ``AnswerSession``s for one (dataset, engine)."""
+
+    def __init__(self, factory, capacity: int):
+        self._factory = factory
+        self._capacity = max(1, capacity)
+        self._condition = threading.Condition()
+        self._free: List[AnswerSession] = []
+        self._all: List[AnswerSession] = []
+
+    @contextmanager
+    def session(self) -> Iterator[AnswerSession]:
+        """One session, checked out for the block (built on demand up
+        to the capacity; past it the caller waits for a checkin)."""
+        with self._condition:
+            while not self._free and len(self._all) >= self._capacity:
+                self._condition.wait()
+            if self._free:
+                session = self._free.pop()
+            else:
+                session = self._factory()
+                self._all.append(session)
+        try:
+            yield session
+        finally:
+            with self._condition:
+                self._free.append(session)
+                self._condition.notify()
+
+    @property
+    def sessions(self) -> Tuple[AnswerSession, ...]:
+        with self._condition:
+            return tuple(self._all)
+
+    def close(self) -> None:
+        with self._condition:
+            for session in self._all:
+                session.close()
+            self._all.clear()
+            self._free.clear()
+
+
+@dataclass
+class _Update:
+    """One update on its way through the stages: the requested atoms,
+    and what ``patch`` found they changed."""
+
+    inserts: List[GroundAtom]
+    deletes: List[GroundAtom]
+    result: Optional[UpdateResult] = None
+
+
+class Dataset:
+    """A registered data instance: ABox, sessions, lock, epoch, store
+    rows and standing subscriptions."""
+
+    #: What :meth:`apply` runs, in order: stage ``name`` is the method
+    #: ``_name`` and the span ``name`` of a traced ``/update``.
+    STAGES = ("patch", "epoch", "store", "standing")
+
+    def __init__(self, name: str, abox: ABox, cache: RewritingCache,
+                 standing: StandingRegistry,
+                 store_write: Callable[[str, Callable], bool],
+                 pool_capacity: int, tenant: str, base_name: str,
+                 shards: int = 0, shard_executor: str = "auto",
+                 default_engine: str = "python", epoch: int = 0):
+        #: The tenant-scoped registry key, the owning tenant and the
+        #: un-scoped name it registered.
+        self.name = name
+        self.tenant = tenant
+        self.base_name = base_name
+        self.abox = abox
+        self.shards = shards
+        self.lock = RWLock()
+        #: Shared by every pooled session so the per-TBox completion is
+        #: computed once per dataset and patched once per update.
+        self.completions: Dict[int, Tuple[object, ABox]] = {}
+        #: The service's registry (this dataset's subscriptions are the
+        #: ones under ``name``) and its failure-absorbing store writer.
+        self._registry = standing
+        self._store_write = store_write
+        self._cache = cache
+        self._pool_capacity = pool_capacity
+        self._shard_executor = shard_executor
+        self._default_engine = default_engine
+        self._pools: Dict[str, SessionPool] = {}
+        self._pool_lock = threading.Lock()
+        self.requests = 0
+        self.updates = 0
+        #: Bumped under the write lock on every update attempt; the
+        #: version standing-query watermarks and ``since_epoch`` polls
+        #: speak in.  A restored dataset starts at its persisted epoch.
+        self.epoch = epoch
+
+    # -- sessions ------------------------------------------------------------
+
+    @property
+    def sharded(self) -> bool:
+        return self.shards == "auto" or self.shards >= 2
+
+    def session(self, engine: str):
+        """``with dataset.session(engine) as session``: a pooled session
+        for the block (the caller holds the dataset lock, either side)."""
+        # one ShardedSession serves every engine (workers load
+        # per-engine backends on demand); its executor already owns the
+        # per-shard parallelism, so the pool holds a single session and
+        # requests queue per scatter round.  The label shows up in
+        # stats() next to real engine names, so keep it dunder-free and
+        # self-describing
+        label = "sharded" if self.sharded else engine
+        with self._pool_lock:
+            pool = self._pools.get(label)
+            if pool is None:
+                if self.sharded:
+                    from ..shard.session import ShardedSession
+
+                    pool = SessionPool(
+                        lambda: ShardedSession(
+                            self.abox, shards=self.shards,
+                            engine=self._default_engine,
+                            executor=self._shard_executor,
+                            rewriting_cache=self._cache),
+                        1)
+                else:
+                    # one session is enough for the Python engine: its
+                    # backends share one interned Database and
+                    # evaluation is GIL-bound anyway.  The SQLite
+                    # engines pool up to ``pool_capacity`` independent
+                    # connections.
+                    capacity = (1 if engine == "python"
+                                else self._pool_capacity)
+                    pool = SessionPool(
+                        lambda: AnswerSession(
+                            self.abox, engine=engine,
+                            rewriting_cache=self._cache,
+                            shared_completions=self.completions),
+                        capacity)
+                self._pools[label] = pool
+        return pool.session()
+
+    def all_sessions(self) -> List[AnswerSession]:
+        with self._pool_lock:
+            pools = list(self._pools.values())
+        return [session for pool in pools for session in pool.sessions]
+
+    def close(self) -> None:
+        with self._pool_lock:
+            for pool in self._pools.values():
+                pool.close()
+            self._pools.clear()
+
+    def stats(self) -> Dict[str, object]:
+        """This dataset's block of ``stats()["datasets"]``."""
+        # the read lock keeps apply() from mutating the ABox while its
+        # relations are being counted
+        with self.lock.reading(), self._pool_lock:
+            return {"facts": len(self.abox),
+                    "requests": self.requests,
+                    "updates": self.updates,
+                    "epoch": self.epoch,
+                    "sessions": {label: len(pool.sessions)
+                                 for label, pool in self._pools.items()},
+                    "completions": len(self.completions),
+                    "shards": self.shards}
+
+    def save(self, why: str) -> bool:
+        """Rewrite this dataset's store rows wholesale from the ABox at
+        the current epoch (caller holds the dataset lock, either side,
+        so the write sees one consistent version).  ``False`` when the
+        write failed: absorbed, counted and logged by the service."""
+        return self._store_write(
+            f"{why} {self.name!r}",
+            lambda store: store.save_dataset(
+                self.tenant, self.base_name, list(self.abox.atoms()),
+                shards=self.shards, epoch=self.epoch))
+
+    # -- the update sequence -------------------------------------------------
+
+    def apply(self, inserts: List[GroundAtom],
+              deletes: List[GroundAtom]) -> UpdateResult:
+        """Run one update through :attr:`STAGES` (deletions apply
+        first).  The caller holds the write lock — taken, and
+        re-validated against the registry, by ``OMQService._acquire`` —
+        so pooled sessions are quiescent and nothing observes the
+        dataset between two stages: no subscriber sees a torn epoch.
+        A stage that raises costs this update, never the dataset
+        (:meth:`_recover`); ``store`` and ``standing`` absorb the
+        failures they expect, so in practice only ``patch`` raises."""
+        update = _Update(inserts, deletes)
+        try:
+            for stage in self.STAGES:
+                with span(stage):
+                    getattr(self, "_" + stage)(update)
+        except Exception:
+            self._recover()
+            raise
+        self.updates += 1
+        return update.result
+
+    def _patch(self, update: _Update) -> None:
+        """Patch the raw ABox, the shared completions and every pooled
+        session's loaded backends in place (:mod:`repro.service
+        .updates`), so the next answer reflects the update without any
+        reload.  Fails when a backend or shard worker rejects its
+        delta, leaving the data partially applied: the update fails."""
+        from ..shard.session import ShardedSession
+
+        sessions = self.all_sessions()
+        owner = next((session for session in sessions
+                      if isinstance(session, ShardedSession)), None)
+        if owner is None:
+            # with no session loaded yet this patches the ABox (and any
+            # completion explain() cached); the first answer builds its
+            # backends, or its partition, over the result
+            update.result = apply_update(
+                self.abox, self.completions, sessions,
+                inserts=update.inserts, deletes=update.deletes)
+            return
+        # a live sharded session owns the master ABox and the component
+        # partition: it routes the deltas to the owning shards itself
+        # (at most one exists — the single-slot sharded pool)
+        update.result = owner.apply_update(inserts=update.inserts,
+                                           deletes=update.deletes)
+        # explain()'s master-completion cache is not the session's to
+        # patch: stale now
+        self.completions.clear()
+
+    def _epoch(self, update: _Update) -> None:
+        """Version the new data.  Cannot fail."""
+        self.epoch += 1
+        update.result.epoch = self.epoch
+
+    def _store(self, update: _Update) -> None:
+        """Append the requested delta to the store rows: ``DELETE``
+        then ``INSERT OR IGNORE`` in one transaction reproduces the
+        in-memory deletes-first semantics idempotently, so a crash
+        between the in-memory commit and the durable write loses at
+        most this update, never tears the file.  A failed write is
+        counted and rolled back, and the rows are rewritten from the
+        committed ABox instead; the update succeeds either way."""
+        if not self._store_write(
+                f"delta {self.name!r}",
+                lambda store: store.apply_delta(
+                    self.tenant, self.base_name, inserts=update.inserts,
+                    deletes=update.deletes, epoch=self.epoch)):
+            self.save("fallback save")
+
+    def _standing(self, update: Optional[_Update]) -> None:
+        """Bring the subscriptions to the current epoch and commit
+        their deltas before the lock drops (sessions are quiescent and
+        already patched).  After an update the ones it can have moved
+        are delta-maintained and the rest just advance; with ``None``
+        (recovery) each is re-executed from scratch and sent a
+        ``resync`` carrying its full answer set.
+
+        Never raises — it also runs on :meth:`apply`'s exception path.
+        A failed refresh costs its subscription's freshness: it is
+        marked ``stale``, which poll and snapshot bodies expose so the
+        consumer knows to re-subscribe or retry, until a later pass
+        succeeds for it.  A pass that fails as a whole marks them all.
+        """
+        subs = self._registry.for_dataset(self.name)
+        if not subs:
+            return
+        delta = update.result.delta if update is not None else None
+        epoch = self.epoch
+        started = time.perf_counter()
+        try:
+            # map the delta into each data variant once, not per sub
+            changed: Dict[object, FrozenSet[str]] = {}
+            if delta is None:
+                affected = subs
+            else:
+                for sub in subs:
+                    key = sub.variant_key()
+                    if key not in changed:
+                        changed[key] = variant_changed_predicates(
+                            sub.plan._variant_tbox(), delta)
+                affected = self._registry.affected(self.name, changed)
+                affected_ids = {sub.subscription_id for sub in affected}
+                for sub in subs:
+                    if sub.subscription_id not in affected_ids:
+                        self._registry.advance(sub, epoch)
+            # shared across this pass's subscriptions: N subscribers of
+            # one plan cost one evaluation per affected disjunct
+            memo: Dict = {}
+            for sub in affected:
+                try:
+                    with self.session(sub.engine) as session:
+                        if delta is None:
+                            answers = full_reexecute(sub, session)
+                            # per-disjunct sets are rebuilt by the next
+                            # successful maintenance pass
+                            sub.disjunct_answers = None
+                            step = AnswerDelta(epoch=epoch, resync=True,
+                                               answers=answers)
+                            self._registry.record_resync()
+                        else:
+                            answers, fallback = refresh(
+                                sub, session, delta,
+                                changed[sub.variant_key()], memo)
+                            step = AnswerDelta(
+                                epoch=epoch,
+                                added=frozenset(answers - sub.answers),
+                                removed=frozenset(sub.answers - answers))
+                            if fallback:
+                                self._registry.record_fallback()
+                    self._registry.commit(sub, step, answers)
+                    sub.stale = False
+                except Exception as error:
+                    log.error("standing refresh failed for %s (%s: %s); "
+                              "marked stale", sub.subscription_id,
+                              type(error).__name__, error)
+                    sub.stale = True
+        except Exception as error:
+            log.error("standing pass failed for %r (%s: %s); its "
+                      "subscriptions are marked stale", self.name,
+                      type(error).__name__, error)
+            self._registry.invalidate_dataset(self.name)
+        finally:
+            self._registry.record_maintenance(
+                time.perf_counter() - started)
+
+    def _recover(self) -> None:
+        """What a failed update costs.  The ABox is the truth and may
+        hold part of the delta; sessions and completions are caches of
+        it that may have missed that part (a sharded session whose
+        worker rejected a delta poisons itself), so they are dropped
+        and the next answer rebuilds them.  Then the data is versioned,
+        every subscription re-materialized against whatever it now
+        holds — subscribers are not left on answers from before the
+        partial application until a next update that may never come —
+        and the store rows rewritten wholesale to mirror it."""
+        self.close()
+        self.completions.clear()
+        self.epoch += 1
+        self._registry.invalidate_dataset(self.name)
+        self._standing(None)
+        self.save("post-failure save")

@@ -15,6 +15,10 @@ owns
   :meth:`update` a write lock, so incremental updates only run against
   quiescent sessions.
 
+The pools, the lock and the update sequence with its failure story
+live on each :class:`~repro.service.dataset.Dataset`; this module is
+the registry around them.
+
 :meth:`answer_batch` deduplicates requests that share a rewriting
 fingerprint within the batch and fans the unique work out on a
 ``ThreadPoolExecutor``.
@@ -28,9 +32,10 @@ import threading
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..data.abox import ABox, GroundAtom
 from ..engine import ENGINES
@@ -38,19 +43,10 @@ from ..fingerprint import tbox_fingerprint
 from ..obs import Observability
 from ..obs import trace as _trace
 from ..ontology import TBox
-from ..rewriting.api import OMQ, AnswerSession
+from ..rewriting.api import OMQ
 from ..rewriting.plan import AnswerOptions, Answers, compile_omq
-from ..standing.maintain import (
-    full_reexecute,
-    initialize,
-    refresh,
-    variant_changed_predicates,
-)
-from ..standing.registry import (
-    AnswerDelta,
-    StandingQuery,
-    StandingRegistry,
-)
+from ..standing.maintain import initialize
+from ..standing.registry import StandingQuery, StandingRegistry
 from ..store import (
     DEFAULT_TENANT,
     DatasetStore,
@@ -59,7 +55,8 @@ from ..store import (
     TenantQuota,
 )
 from .cache import RewritingCache
-from .updates import UpdateResult, apply_update
+from .dataset import Dataset
+from .updates import UpdateResult
 
 log = logging.getLogger("repro.service")
 
@@ -67,175 +64,6 @@ log = logging.getLogger("repro.service")
 #: exact-text memo in front of ``TBox.parse`` and the fingerprint ->
 #: TBox intern registry behind it); least recently used goes first.
 TBOX_MEMO_SIZE = 64
-
-
-class _RWLock:
-    """A readers/writer lock (writer-preferring enough for our use)."""
-
-    def __init__(self):
-        self._condition = threading.Condition()
-        self._readers = 0
-        self._writer = False
-        self._waiting_writers = 0
-
-    def acquire_read(self) -> None:
-        with self._condition:
-            while self._writer or self._waiting_writers:
-                self._condition.wait()
-            self._readers += 1
-
-    def release_read(self) -> None:
-        with self._condition:
-            self._readers -= 1
-            if not self._readers:
-                self._condition.notify_all()
-
-    def acquire_write(self) -> None:
-        with self._condition:
-            self._waiting_writers += 1
-            try:
-                while self._writer or self._readers:
-                    self._condition.wait()
-            finally:
-                self._waiting_writers -= 1
-            self._writer = True
-
-    def release_write(self) -> None:
-        with self._condition:
-            self._writer = False
-            self._condition.notify_all()
-
-
-class _SessionPool:
-    """Bounded pool of ``AnswerSession``s for one (dataset, engine)."""
-
-    def __init__(self, factory, capacity: int):
-        self._factory = factory
-        self._capacity = max(1, capacity)
-        self._condition = threading.Condition()
-        self._free: List[AnswerSession] = []
-        self._all: List[AnswerSession] = []
-
-    def checkout(self) -> AnswerSession:
-        with self._condition:
-            while True:
-                if self._free:
-                    return self._free.pop()
-                if len(self._all) < self._capacity:
-                    session = self._factory()
-                    self._all.append(session)
-                    return session
-                self._condition.wait()
-
-    def checkin(self, session: AnswerSession) -> None:
-        with self._condition:
-            self._free.append(session)
-            self._condition.notify()
-
-    @property
-    def sessions(self) -> Tuple[AnswerSession, ...]:
-        with self._condition:
-            return tuple(self._all)
-
-    def close(self) -> None:
-        with self._condition:
-            for session in self._all:
-                session.close()
-            self._all.clear()
-            self._free.clear()
-
-
-class _Dataset:
-    """A registered data instance plus its session pools."""
-
-    def __init__(self, name: str, abox: ABox, cache: RewritingCache,
-                 pool_capacity: int, shards: int = 0,
-                 shard_executor: str = "auto",
-                 default_engine: str = "python",
-                 tenant: str = DEFAULT_TENANT,
-                 base_name: Optional[str] = None):
-        self.name = name
-        #: Owning tenant and the un-scoped name it registered
-        #: (``name`` is the tenant-scoped registry key).
-        self.tenant = tenant
-        self.base_name = base_name if base_name is not None else name
-        self.abox = abox
-        self.shards = shards
-        self.lock = _RWLock()
-        #: Shared by every pooled session so the per-TBox completion is
-        #: computed once per dataset and patched once per update.
-        self.completions: Dict[int, Tuple[object, ABox]] = {}
-        self._cache = cache
-        self._pool_capacity = pool_capacity
-        self._shard_executor = shard_executor
-        self._default_engine = default_engine
-        self._pools: Dict[str, _SessionPool] = {}
-        self._pool_lock = threading.Lock()
-        self.requests = 0
-        self.updates = 0
-        #: Bumped under the write lock on every update attempt; the
-        #: version standing-query watermarks and ``since_epoch`` polls
-        #: speak in.
-        self.epoch = 0
-
-    @property
-    def sharded(self) -> bool:
-        return self.shards == "auto" or self.shards >= 2
-
-    def pool(self, engine: str) -> _SessionPool:
-        with self._pool_lock:
-            if self.sharded:
-                # one ShardedSession serves every engine (workers load
-                # per-engine backends on demand); its executor already
-                # owns the per-shard parallelism, so the pool holds a
-                # single session and requests queue per scatter round.
-                # The label shows up in stats() next to real engine
-                # names, so keep it dunder-free and self-describing
-                engine = "sharded"
-            pool = self._pools.get(engine)
-            if pool is None:
-                if self.sharded:
-                    from ..shard.session import ShardedSession
-
-                    pool = _SessionPool(
-                        lambda: ShardedSession(
-                            self.abox, shards=self.shards,
-                            engine=self._default_engine,
-                            executor=self._shard_executor,
-                            rewriting_cache=self._cache),
-                        1)
-                else:
-                    # one session is enough for the Python engine: its
-                    # backends share one interned Database and
-                    # evaluation is GIL-bound anyway.  The SQLite
-                    # engines pool up to ``pool_capacity`` independent
-                    # connections.
-                    capacity = (1 if engine == "python"
-                                else self._pool_capacity)
-                    pool = _SessionPool(
-                        lambda: AnswerSession(
-                            self.abox, engine=engine,
-                            rewriting_cache=self._cache,
-                            shared_completions=self.completions),
-                        capacity)
-                self._pools[engine] = pool
-            return pool
-
-    def all_sessions(self) -> List[AnswerSession]:
-        with self._pool_lock:
-            pools = list(self._pools.values())
-        return [session for pool in pools for session in pool.sessions]
-
-    def pool_sizes(self) -> Dict[str, int]:
-        with self._pool_lock:
-            return {engine: len(pool.sessions)
-                    for engine, pool in self._pools.items()}
-
-    def close(self) -> None:
-        with self._pool_lock:
-            for pool in self._pools.values():
-                pool.close()
-            self._pools.clear()
 
 
 @dataclass(frozen=True)
@@ -315,7 +143,7 @@ class OMQService:
         #: Per-tenant namespaces, quotas and rate limits.
         self.tenants = TenantManager(quota, obs=self.obs)
         self._storage_errors = self.obs.storage_write_errors
-        self._datasets: Dict[str, _Dataset] = {}
+        self._datasets: Dict[str, Dataset] = {}
         #: fingerprint -> interned TBox, LRU-bounded
         self._tboxes: "OrderedDict[str, TBox]" = OrderedDict()
         #: The interned TBox for inline ontology text, memoised by
@@ -338,7 +166,7 @@ class OMQService:
     def register_dataset(self, name: str, abox: ABox,
                          replace: bool = False, shards: int = 0,
                          tenant: str = DEFAULT_TENANT,
-                         _persist: bool = True) -> None:
+                         _persist: bool = True, _epoch: int = 0) -> None:
         """Register ``abox`` under ``name`` (the service owns it: it is
         mutated in place by :meth:`update`).
 
@@ -350,7 +178,8 @@ class OMQService:
 
         ``tenant`` scopes the name into that tenant's namespace and
         charges its quota; ``_persist=False`` is the :meth:`restore`
-        path (already durable, quotas accounted but not enforced).
+        path (already durable, at ``_epoch``; quotas accounted but not
+        enforced).
         ``shards="auto"`` sizes the partition adaptively from live
         CPUs and component skew.
         """
@@ -359,6 +188,11 @@ class OMQService:
             raise ValueError(
                 f"shards must be >= 0 or 'auto', got {shards!r}")
         scoped = TenantManager.scope(tenant, name)
+        dataset = Dataset(
+            scoped, abox, self.cache, self.standing, self._store_write,
+            self.max_workers, tenant, name, shards=shards,
+            shard_executor=self.shard_executor,
+            default_engine=self.default_engine, epoch=_epoch)
         with self._lock:
             existing = self._datasets.get(scoped)
             if existing is not None and not replace:
@@ -369,23 +203,12 @@ class OMQService:
                 replacing_facts=(len(existing.abox)
                                  if existing is not None else None),
                 enforce=_persist)
-            self._datasets[scoped] = _Dataset(
-                scoped, abox, self.cache, self.max_workers,
-                shards=shards, shard_executor=self.shard_executor,
-                default_engine=self.default_engine, tenant=tenant,
-                base_name=name)
+            self._datasets[scoped] = dataset
         if existing is not None:
-            # subscriptions materialized the *old* data: close them
-            # (their pollers/streams get an end-of-stream, clients
-            # re-subscribe against the replacement)
-            self._drop_subscriptions(scoped)
-            self._drain_and_close(existing)
-        if self.store is not None and _persist:
-            self._store_write(
-                f"register {scoped!r}",
-                lambda: self.store.save_dataset(
-                    tenant, name, list(abox.atoms()), shards=shards,
-                    epoch=0))
+            self._retire(existing)
+        if _persist:
+            with dataset.lock.reading():
+                dataset.save("register")
 
     def unregister_dataset(self, name: str,
                            tenant: str = DEFAULT_TENANT) -> None:
@@ -393,52 +216,44 @@ class OMQService:
         with self._lock:
             dataset = self._datasets.pop(scoped)
         self.tenants.release_dataset(tenant, len(dataset.abox))
-        self._drop_subscriptions(scoped)
-        self._drain_and_close(dataset)
-        if self.store is not None:
-            self._store_write(
-                f"unregister {scoped!r}",
-                lambda: self.store.delete_dataset(tenant, name))
+        self._retire(dataset)
+        self._store_write(
+            f"unregister {scoped!r}",
+            lambda store: store.delete_dataset(tenant, name))
 
-    def _drop_subscriptions(self, scoped: str) -> None:
-        """Close every subscription of a (replaced or unregistered)
-        dataset, releasing quota and durable rows."""
-        for sub in self.standing.drop_dataset(scoped):
+    def _retire(self, dataset: Dataset) -> None:
+        """Close a replaced or unregistered dataset, already out of the
+        registry.  Its subscriptions materialized data that is gone:
+        they are closed (pollers and streams get an end-of-stream,
+        clients re-subscribe against a replacement), releasing quota
+        and durable rows.  No new request can check a session out
+        (:meth:`_acquire` re-validates), so the write lock drains the
+        ones still holding one before the pools close."""
+        for sub in self.standing.drop_dataset(dataset.name):
             self.tenants.release_subscription(sub.tenant)
-            if self.store is not None:
-                self._store_write(
-                    f"drop subscription {sub.subscription_id!r}",
-                    lambda sub=sub: self.store.delete_subscription(
-                        sub.tenant, sub.subscription_id))
+            self._store_write(
+                f"drop subscription {sub.subscription_id!r}",
+                lambda store, sub=sub: store.delete_subscription(
+                    sub.tenant, sub.subscription_id))
+        with dataset.lock.writing():
+            dataset.close()
 
     def _store_write(self, description: str, write) -> bool:
-        """Run one durable write, absorbing failures: serving state is
-        already committed when these run, so a broken disk degrades
-        durability (counted, logged) instead of failing requests."""
+        """Run one durable write, ``write(store)``, absorbing failures:
+        serving state is already committed when these run, so a broken
+        disk degrades durability (counted, logged) instead of failing
+        requests.  ``False`` means the write failed; an in-memory
+        service has nothing to fail."""
         if self.store is None:
-            return False
+            return True
         try:
-            write()
+            write(self.store)
         except Exception as error:
             self._storage_errors.inc()
             log.error("dataset store write failed (%s): %s: %s",
                       description, type(error).__name__, error)
             return False
         return True
-
-    @staticmethod
-    def _drain_and_close(dataset: "_Dataset") -> None:
-        """Close a dataset's pools after in-flight answers finish.
-
-        The dataset is already out of the registry, so no new request
-        can check a session out; the write lock drains the readers
-        that are still holding one.
-        """
-        dataset.lock.acquire_write()
-        try:
-            dataset.close()
-        finally:
-            dataset.lock.release_write()
 
     def datasets(self, tenant: Optional[str] = None) -> Tuple[str, ...]:
         """All registered (tenant-scoped) names, or one tenant's
@@ -460,13 +275,13 @@ class OMQService:
         interned = self.intern_tbox(tbox)
         with self._lock:
             self._named_tboxes[scoped] = interned
-        if self.store is not None and _persist:
+        if _persist:
             from ..client import tbox_to_text
 
             self._store_write(
                 f"tbox {scoped!r}",
-                lambda: self.store.save_tbox(tenant, name,
-                                             tbox_to_text(interned)))
+                lambda store: store.save_tbox(tenant, name,
+                                              tbox_to_text(interned)))
 
     def named_tbox(self, name: str, tenant: str = DEFAULT_TENANT):
         scoped = TenantManager.scope(tenant, name)
@@ -476,29 +291,36 @@ class OMQService:
             except KeyError:
                 raise ValueError(f"unknown tbox {name!r}") from None
 
-    def _dataset(self, name: str) -> _Dataset:
+    def _dataset(self, name: str) -> Dataset:
         with self._lock:
             try:
                 return self._datasets[name]
             except KeyError:
                 raise ValueError(f"unknown dataset {name!r}") from None
 
-    def _acquire_read(self, name: str) -> _Dataset:
-        """The registered dataset with its read lock held.
+    @contextmanager
+    def _acquire(self, name: str, write: bool = False
+                 ) -> Iterator[Dataset]:
+        """The registered dataset, with its read (or write) lock held
+        for the block — the one way in for answers and updates alike.
 
         Re-validated after acquisition: between the registry lookup and
         the lock, ``unregister_dataset``/``register_dataset(replace=
         True)`` may have swapped the entry and closed the old pools —
-        answering from that state would serve unregistered data.
+        answering from that state would serve unregistered data, and
+        updating it would rebuild sessions on the orphan and commit its
+        answers and epoch to the replacement's subscribers and store
+        rows.
         """
         while True:
-            state = self._dataset(name)
-            state.lock.acquire_read()
-            with self._lock:
-                current = self._datasets.get(name)
-            if current is state:
-                return state
-            state.lock.release_read()
+            dataset = self._dataset(name)
+            lock = dataset.lock
+            with lock.writing() if write else lock.reading():
+                with self._lock:
+                    current = self._datasets.get(name)
+                if current is dataset:
+                    yield dataset
+                    return
 
     def intern_tbox(self, tbox):
         """One canonical TBox object per fingerprint: equal-but-
@@ -528,26 +350,19 @@ class OMQService:
         ``options`` / ``overrides`` (one
         :class:`~repro.rewriting.plan.AnswerOptions`, as everywhere)."""
         options = AnswerOptions.coerce(options, **overrides)
-        state = self._acquire_read(TenantManager.scope(tenant, dataset))
-        try:
+        with self._acquire(TenantManager.scope(tenant, dataset)) as state:
             return self._answer_locked(state, omq, options)
-        finally:
-            state.lock.release_read()
 
-    def _answer_locked(self, state: _Dataset, omq: OMQ,
+    def _answer_locked(self, state: Dataset, omq: OMQ,
                        options: AnswerOptions) -> Answers:
         omq = self._canonical_omq(omq)
         engine_name = options.engine or self.default_engine
         was_cached = (not options.data_dependent
                       and self.cache.contains(self.cache.key(omq, options)))
-        pool = state.pool(engine_name)
-        session = pool.checkout()
-        start = time.perf_counter()
-        try:
+        with state.session(engine_name) as session:
+            start = time.perf_counter()
             result = session.answer(omq, options)
-        finally:
-            pool.checkin(session)
-        elapsed = time.perf_counter() - start
+            elapsed = time.perf_counter() - start
         self._requests.inc()
         self.obs.answer_seconds.labels(engine=engine_name).observe(elapsed)
         _trace.annotate("plan_fingerprint", result.plan_fingerprint)
@@ -589,16 +404,10 @@ class OMQService:
                    self.cache.key(omq, options))
             unique.setdefault(key, []).append(position)
 
-        states: Dict[str, _Dataset] = {}
-        try:
-            for name in names:
-                states[name] = self._acquire_read(name)
-        except Exception:
-            for state in states.values():
-                state.lock.release_read()
-            raise
-        try:
-            jobs = list(unique.items())
+        jobs = list(unique.items())
+        with ExitStack() as held:
+            states = {name: held.enter_context(self._acquire(name))
+                      for name in names}
 
             def run(job) -> Answers:
                 first = job[1][0]
@@ -617,9 +426,6 @@ class OMQService:
                 outcomes = [run(jobs[0])]
             else:
                 outcomes = list(self._pool().map(run, jobs))
-        finally:
-            for state in states.values():
-                state.lock.release_read()
 
         results: List[Optional[Answers]] = [None] * len(requests)
         for (_, positions), outcome in zip(jobs, outcomes):
@@ -653,13 +459,12 @@ class OMQService:
                     f"options {options.rewrite_fingerprint()} are "
                     "data-dependent: explain needs a dataset")
             return compile_omq(omq, options, cache=self.cache).explain()
-        state = self._acquire_read(TenantManager.scope(tenant, dataset))
-        try:
+        with self._acquire(TenantManager.scope(tenant, dataset)) as state:
             if state.sharded:
                 # compilation only consults the master data — don't
                 # boot the K-worker executor just to explain.  The
                 # per-TBox master completion is cached on the dataset
-                # (and cleared by update()).
+                # (patched, or cleared, by its next update).
                 data = None
                 if options.data_dependent:
                     key = id(omq.tbox)
@@ -672,16 +477,10 @@ class OMQService:
                 return compile_omq(omq, options, data=data,
                                    cache=self.cache).explain()
             engine_name = options.engine or self.default_engine
-            pool = state.pool(engine_name)
-            session = pool.checkout()
-            try:
+            with state.session(engine_name) as session:
                 plan = session.compile(omq, options)
                 return plan.explain(
                     session.backend(engine_name, plan._variant_tbox()))
-            finally:
-                pool.checkin(session)
-        finally:
-            state.lock.release_read()
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:
@@ -699,120 +498,28 @@ class OMQService:
                tenant: str = DEFAULT_TENANT) -> UpdateResult:
         """Incrementally mutate a dataset (deletions apply first).
 
-        Holds the dataset's write lock: in-flight answers finish first,
-        then the raw ABox, the shared completions and every pooled
-        session's loaded backends are patched in place (see
-        :mod:`repro.service.updates`), so the next answer reflects the
-        update without any reload.
-
-        Standing-query maintenance runs inside the same critical
-        section (see :mod:`repro.standing`): the dataset epoch is
-        bumped, affected subscriptions are delta-maintained and their
-        :class:`~repro.standing.registry.AnswerDelta`\\ s committed
-        before the lock drops, so subscribers can never observe a torn
-        epoch.  The returned result carries the new epoch.
-
-        With a backing store the requested delta is appended inside
-        the same critical section — ``DELETE`` then ``INSERT OR
-        IGNORE`` in one transaction reproduces the in-memory
-        deletes-first semantics idempotently, so a crash between the
-        in-memory commit and the durable write loses at most this
-        update, never tears the file.
+        Holds the dataset's write lock — in-flight answers finish
+        first — while :meth:`Dataset.apply <repro.service.dataset
+        .Dataset.apply>` runs the update sequence (patch in place,
+        epoch, store, standing queries; what each step's failure costs
+        is stated there).  The returned result carries the new epoch.
         """
         inserts = list(inserts)
         deletes = list(deletes)
-        scoped = TenantManager.scope(tenant, dataset)
         # conservative pre-admission: an update can grow the tenant by
         # at most len(inserts) facts (duplicates make it smaller)
         self.tenants.charge_facts(tenant, len(inserts))
-        state = self._dataset(scoped)
-        state.lock.acquire_write()
-        try:
+        with _trace.span("update"), self._acquire(
+                TenantManager.scope(tenant, dataset), write=True) as state:
+            facts = len(state.abox)
             try:
-                result = self._apply_update_locked(state, inserts,
-                                                   deletes)
-            except Exception:
-                # the data may have partially changed: version it,
-                # then re-materialize every subscription against
-                # whatever the dataset now holds and push resync
-                # deltas, so subscribers are not left serving answers
-                # that may not reflect the partial application until
-                # a next update that may never come.  Anything the
-                # resync cannot refresh stays stale, which poll and
-                # snapshot bodies surface to the consumer.
-                state.epoch += 1
-                self.standing.invalidate_dataset(scoped)
-                self._resync_standing(state)
-                # re-save wholesale: the store must mirror whatever
-                # the partially-applied master ABox now serves
-                self._store_write(
-                    f"post-failure save {scoped!r}",
-                    lambda: self.store.save_dataset(
-                        state.tenant, state.base_name,
-                        list(state.abox.atoms()), shards=state.shards,
-                        epoch=state.epoch))
-                raise
-            state.epoch += 1
-            result.epoch = state.epoch
-            if self.store is not None:
-                if not self._store_write(
-                        f"delta {scoped!r}",
-                        lambda: self.store.apply_delta(
-                            state.tenant, state.base_name,
-                            inserts=inserts, deletes=deletes,
-                            epoch=state.epoch)):
-                    # delta failed partway (rolled back): fall back to
-                    # rewriting the dataset from the committed ABox
-                    self._store_write(
-                        f"fallback save {scoped!r}",
-                        lambda: self.store.save_dataset(
-                            state.tenant, state.base_name,
-                            list(state.abox.atoms()),
-                            shards=state.shards, epoch=state.epoch))
-            self._maintain_standing(state, result)
-        finally:
-            state.lock.release_write()
-        self.tenants.adjust_facts(tenant,
-                                  result.inserted - result.deleted)
-        self._updates.inc()
-        state.updates += 1
-        return result
-
-    def _apply_update_locked(self, state: _Dataset,
-                             inserts: Iterable[GroundAtom],
-                             deletes: Iterable[GroundAtom]
-                             ) -> UpdateResult:
-        if state.sharded:
-            # the sharded session owns the master ABox and the
-            # component partition: it routes the deltas to the
-            # owning shards itself (at most one session exists —
-            # the single-slot sharded pool)
-            sessions = state.all_sessions()
-            if sessions:
-                try:
-                    result = sessions[0].apply_update(
-                        inserts=inserts, deletes=deletes)
-                except Exception:
-                    # the session poisoned itself (some shard may
-                    # have missed its delta) but the master ABox is
-                    # correct — drop the pools so the next answer
-                    # rebuilds a fresh partition over the master
-                    # instead of the dataset staying bricked
-                    state.close()
-                    state.completions.clear()
-                    raise
-            else:
-                # nothing loaded yet: patch the raw ABox only; the
-                # first answer builds a fresh partition over it
-                result = apply_update(state.abox, {}, [],
-                                      inserts=inserts,
-                                      deletes=deletes)
-            # explain()'s master-completion cache is stale now
-            state.completions.clear()
-        else:
-            result = apply_update(state.abox, state.completions,
-                                  state.all_sessions(),
-                                  inserts=inserts, deletes=deletes)
+                result = state.apply(inserts, deletes)
+            finally:
+                # the account follows the ABox, not the happy path: a
+                # failed update may have kept part (a poisoned sharded
+                # one, all) of its delta
+                self.tenants.adjust_facts(tenant, len(state.abox) - facts)
+            self._updates.inc()
         return result
 
     def insert_facts(self, dataset: str, atoms: Iterable[GroundAtom],
@@ -848,48 +555,37 @@ class OMQService:
         # may raise QuotaError; released again if registration fails
         self.tenants.charge_subscription(tenant, enforce=_persist)
         try:
-            state = self._acquire_read(scoped)
-        except Exception:
-            self.tenants.release_subscription(tenant)
-            raise
-        try:
-            omq = self._canonical_omq(omq)
-            engine_name = options.engine or self.default_engine
-            pool = state.pool(engine_name)
-            session = pool.checkout()
-            try:
-                plan = session.compile(omq, options)
-                sub = StandingQuery(
-                    subscription_id=(subscription_id
-                                     or self.standing.new_id()),
-                    dataset=scoped, plan=plan, options=options,
-                    engine=engine_name, tenant=tenant,
-                    epoch=state.epoch, oldest_epoch=state.epoch)
-                initialize(sub, session)
-            finally:
-                pool.checkin(session)
-            self.standing.add(sub)
-            if self.store is not None and _persist:
-                from ..client import cq_to_text, tbox_to_text
+            with self._acquire(scoped) as state:
+                omq = self._canonical_omq(omq)
+                engine_name = options.engine or self.default_engine
+                with state.session(engine_name) as session:
+                    plan = session.compile(omq, options)
+                    sub = StandingQuery(
+                        subscription_id=(subscription_id
+                                         or self.standing.new_id()),
+                        dataset=scoped, plan=plan, options=options,
+                        engine=engine_name, tenant=tenant,
+                        epoch=state.epoch, oldest_epoch=state.epoch)
+                    initialize(sub, session)
+                self.standing.add(sub)
+                if _persist:
+                    from ..client import cq_to_text, tbox_to_text
 
-                stored = StoredSubscription(
-                    subscription_id=sub.subscription_id,
-                    dataset=state.base_name,
-                    tbox_text=tbox_to_text(omq.tbox),
-                    query=cq_to_text(omq.query),
-                    answer_vars=tuple(omq.query.answer_vars),
-                    options=options.as_dict(), engine=engine_name,
-                    epoch=state.epoch)
-                self._store_write(
-                    f"subscription {sub.subscription_id!r}",
-                    lambda: self.store.save_subscription(tenant,
-                                                         stored))
-            return sub
+                    self._store_write(
+                        f"subscription {sub.subscription_id!r}",
+                        lambda store: store.save_subscription(
+                            tenant, StoredSubscription(
+                                subscription_id=sub.subscription_id,
+                                dataset=state.base_name,
+                                tbox_text=tbox_to_text(omq.tbox),
+                                query=cq_to_text(omq.query),
+                                answer_vars=tuple(omq.query.answer_vars),
+                                options=options.as_dict(),
+                                engine=engine_name, epoch=state.epoch)))
+                return sub
         except Exception:
             self.tenants.release_subscription(tenant)
             raise
-        finally:
-            state.lock.release_read()
 
     def _owned_subscription(self, subscription_id: str,
                             tenant: str) -> StandingQuery:
@@ -909,11 +605,10 @@ class OMQService:
         self._owned_subscription(subscription_id, tenant)
         self.standing.remove(subscription_id)
         self.tenants.release_subscription(tenant)
-        if self.store is not None:
-            self._store_write(
-                f"unsubscribe {subscription_id!r}",
-                lambda: self.store.delete_subscription(
-                    tenant, subscription_id))
+        self._store_write(
+            f"unsubscribe {subscription_id!r}",
+            lambda store: store.delete_subscription(
+                tenant, subscription_id))
 
     def poll(self, subscription_id: str,
              since_epoch: Optional[int] = None,
@@ -926,142 +621,6 @@ class OMQService:
         return self.standing.poll(subscription_id,
                                   since_epoch=since_epoch,
                                   timeout=timeout)
-
-    def _maintain_standing(self, state: _Dataset,
-                           result: UpdateResult) -> None:
-        """Delta-maintain this dataset's subscriptions after an update
-        (caller holds the write lock; pooled sessions are quiescent and
-        already patched).
-
-        Never raises: a failed refresh marks its subscription stale
-        (healed by the next update) instead of failing the update.
-        """
-        subs = self.standing.for_dataset(state.name)
-        if not subs:
-            return
-        epoch = state.epoch
-        delta = result.delta
-        started = time.perf_counter()
-        try:
-            if delta is None:
-                from .updates import UpdateDelta
-
-                delta = UpdateDelta()
-            # map the delta into each data variant once, not per sub
-            changed_by_variant: Dict[object, FrozenSet[str]] = {}
-            for sub in subs:
-                key = sub.variant_key()
-                if key not in changed_by_variant:
-                    changed_by_variant[key] = variant_changed_predicates(
-                        sub.plan._variant_tbox(), delta)
-            affected = self.standing.affected(state.name,
-                                              changed_by_variant)
-            affected_ids = {sub.subscription_id for sub in affected}
-            for sub in subs:
-                if sub.subscription_id not in affected_ids:
-                    self.standing.advance(sub, epoch)
-            if not affected:
-                return
-            # shared across this update's subscriptions: N subscribers
-            # of one plan cost one evaluation per affected disjunct
-            memo: Dict = {}
-            checked: Dict[int, Tuple[_SessionPool, object]] = {}
-            try:
-                for sub in affected:
-                    try:
-                        pool = state.pool(sub.engine)
-                        entry = checked.get(id(pool))
-                        if entry is None:
-                            entry = (pool, pool.checkout())
-                            checked[id(pool)] = entry
-                        session = entry[1]
-                        changed = changed_by_variant[sub.variant_key()]
-                        old = sub.answers
-                        new_answers, fallback = refresh(
-                            sub, session, delta, changed, memo)
-                        self.standing.commit(
-                            sub,
-                            AnswerDelta(
-                                epoch=epoch,
-                                added=frozenset(new_answers - old),
-                                removed=frozenset(old - new_answers)),
-                            new_answers)
-                        sub.stale = False
-                        if fallback:
-                            self.standing.record_fallback()
-                    except Exception as error:
-                        log.error(
-                            "standing maintenance failed for %s "
-                            "(%s: %s); marked stale",
-                            sub.subscription_id,
-                            type(error).__name__, error)
-                        sub.stale = True
-            finally:
-                for pool, session in checked.values():
-                    pool.checkin(session)
-        except Exception as error:  # pragma: no cover - defensive
-            log.error("standing maintenance pass failed (%s: %s)",
-                      type(error).__name__, error)
-            self.standing.invalidate_dataset(state.name)
-        finally:
-            self.standing.record_maintenance(
-                time.perf_counter() - started)
-
-    def _resync_standing(self, state: _Dataset) -> None:
-        """Recover this dataset's subscribers after a *failed* update
-        (caller holds the write lock): re-execute each subscription's
-        plan from scratch against whatever the data now holds and
-        commit a ``resync`` delta carrying the full answer set.
-
-        Never raises — it runs on the exception path of
-        :meth:`update`.  A subscription whose re-execution also fails
-        keeps its ``stale`` flag (set by ``invalidate_dataset``
-        before this runs), which poll and snapshot bodies expose so
-        its consumer knows to re-subscribe or retry.
-        """
-        subs = self.standing.for_dataset(state.name)
-        if not subs:
-            return
-        epoch = state.epoch
-        started = time.perf_counter()
-        checked: Dict[int, Tuple[_SessionPool, object]] = {}
-        try:
-            for sub in subs:
-                try:
-                    pool = state.pool(sub.engine)
-                    entry = checked.get(id(pool))
-                    if entry is None:
-                        entry = (pool, pool.checkout())
-                        checked[id(pool)] = entry
-                    session = entry[1]
-                    new_answers = full_reexecute(sub, session)
-                    # per-disjunct sets are rebuilt by the next
-                    # successful maintenance pass
-                    sub.disjunct_answers = None
-                    self.standing.commit(
-                        sub,
-                        AnswerDelta(epoch=epoch, resync=True,
-                                    answers=new_answers),
-                        new_answers)
-                    self.standing.record_resync()
-                    sub.stale = False
-                except Exception as error:
-                    log.error(
-                        "post-failure resync failed for %s (%s: %s); "
-                        "left stale", sub.subscription_id,
-                        type(error).__name__, error)
-                    sub.stale = True
-        except Exception as error:  # pragma: no cover - defensive
-            log.error("post-failure resync pass failed (%s: %s)",
-                      type(error).__name__, error)
-        finally:
-            for pool, session in checked.values():
-                try:
-                    pool.checkin(session)
-                except Exception:  # pragma: no cover - defensive
-                    log.exception("session checkin failed after resync")
-            self.standing.record_maintenance(
-                time.perf_counter() - started)
 
     # -- durability ----------------------------------------------------------
 
@@ -1077,18 +636,9 @@ class OMQService:
             datasets = list(self._datasets.values())
         saved = 0
         for state in datasets:
-            state.lock.acquire_read()
-            try:
-                atoms = list(state.abox.atoms())
-                shards, epoch = state.shards, state.epoch
-            finally:
-                state.lock.release_read()
-            if self._store_write(
-                    f"snapshot {state.name!r}",
-                    lambda: self.store.save_dataset(
-                        state.tenant, state.base_name, atoms,
-                        shards=shards, epoch=epoch)):
-                saved += 1
+            with state.lock.reading():
+                if state.save("snapshot"):
+                    saved += 1
         return {"enabled": True, "datasets": saved}
 
     def checkpoint(self) -> Dict[str, object]:
@@ -1096,13 +646,8 @@ class OMQService:
         the servers run on graceful shutdown, so a clean stop leaves
         fully-folded database files with no tail to replay."""
         summary = self.snapshot()
-        if self.store is not None:
-            try:
-                summary.update(self.store.checkpoint())
-            except Exception as error:
-                self._storage_errors.inc()
-                log.error("store checkpoint failed: %s: %s",
-                          type(error).__name__, error)
+        self._store_write(
+            "checkpoint", lambda store: summary.update(store.checkpoint()))
         return summary
 
     def restore(self) -> Dict[str, object]:
@@ -1139,9 +684,8 @@ class OMQService:
                 try:
                     self.register_dataset(name, ABox(atoms),
                                           replace=True, shards=shards,
-                                          tenant=tenant, _persist=False)
-                    scoped = TenantManager.scope(tenant, name)
-                    self._dataset(scoped).epoch = epoch
+                                          tenant=tenant, _persist=False,
+                                          _epoch=epoch)
                     counts["datasets"] += 1
                 except Exception as error:
                     log.error("restore of dataset %r/%r failed: %s: %s",
@@ -1198,23 +742,8 @@ class OMQService:
         counters["tenants"] = self.tenants.stats()
         counters["storage"] = self.storage_status()
         counters["observability"] = self.obs.stats()
-        per_dataset: Dict[str, object] = {}
-        for name, state in sorted(datasets.items()):
-            # the read lock keeps update() from mutating the ABox while
-            # its relations are being counted
-            state.lock.acquire_read()
-            try:
-                per_dataset[name] = {
-                    "facts": len(state.abox),
-                    "requests": state.requests,
-                    "updates": state.updates,
-                    "epoch": state.epoch,
-                    "sessions": state.pool_sizes(),
-                    "completions": len(state.completions),
-                    "shards": state.shards}
-            finally:
-                state.lock.release_read()
-        counters["datasets"] = per_dataset
+        counters["datasets"] = {name: state.stats() for name, state
+                                in sorted(datasets.items())}
         return counters
 
     def close(self) -> None:

@@ -24,6 +24,10 @@ Deletions are applied before insertions throughout.  The correctness
 contract — answers after an update equal a from-scratch load of the
 final ABox, on every engine — is enforced by
 ``tests/test_service_updates.py``.
+
+This module is the ``patch`` stage of a served update and nothing
+more: the sequence around it (epoch, store, standing queries, and what
+a failure of each costs) is :meth:`repro.service.dataset.Dataset.apply`.
 """
 
 from __future__ import annotations

@@ -37,10 +37,14 @@ Architecture (three modules, wired through the service layer):
   to a ``resync`` snapshot on overflow rather than ever blocking the
   update path, and long-poll (``POST /poll`` with ``since_epoch``).
 
-Maintenance runs inside the service's writer-lock update path — the
-same critical section that bumps the dataset epoch — so a subscriber
-can never observe a torn epoch: every delta it receives corresponds
-to exactly one applied update.
+Maintenance is the ``standing`` stage of the update sequence
+(:meth:`repro.service.dataset.Dataset.apply`): it runs inside the
+dataset's writer-lock critical section — the same one that bumps the
+epoch — so a subscriber can never observe a torn epoch: every delta it
+receives corresponds to exactly one applied update.  That method also
+owns the failure story: a refresh that fails marks its subscription
+``stale``, a failed update resyncs every subscription to the data as
+it now is.
 """
 
 from .maintain import Disjunct, decompose, variant_changed_predicates

@@ -31,6 +31,7 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import _NULL_SPAN, Trace, span, tracing
 from repro.queries import chain_cq
 from repro.service import OMQService, serve_in_background
+from repro.service.dataset import Dataset
 
 from .helpers import example11_tbox, random_data
 
@@ -335,6 +336,80 @@ class TestShardedTrace:
             assert total <= wall * 1.2
             assert total >= wall * 0.5 - 0.005, (total, wall, names)
             assert body["cached_rewriting"] is True
+
+
+# -- /update explains itself -------------------------------------------------
+
+
+class TestUpdateTrace:
+    """``POST /update {"trace": true}`` returns the update sequence as
+    a tree: one ``update`` span whose children are the stages of
+    ``Dataset.STAGES``, in order, tiling it."""
+
+    @staticmethod
+    def _traced_update(url, dataset, serial):
+        atoms = [f"R(t{serial}, u{serial})", f"S(u{serial}, v{serial})"]
+        status, _, body = _http(url, "/update", {
+            "dataset": dataset, "insert": atoms, "trace": True})
+        assert status == 200 and body["inserted"] == 2
+        (update,) = [entry for entry in body["trace"]["spans"]
+                     if entry["name"] == "update"]
+        assert [stage["name"] for stage in update["children"]] \
+            == list(Dataset.STAGES)
+        return update
+
+    def _fastest(self, url, dataset, serials):
+        """Per stage, the fastest of a few traced updates: one noisy
+        neighbour must not read as a stall."""
+        runs = [self._traced_update(url, dataset, serial)
+                for serial in serials]
+        return {name: min(run["children"][index]["seconds"]
+                          for run in runs)
+                for index, name in enumerate(Dataset.STAGES)}
+
+    def test_stages_tile_the_update_and_localise_a_stall(
+            self, tmp_path, monkeypatch):
+        service = OMQService(max_workers=2, data_dir=str(tmp_path))
+        # "wide": large enough that the stages, not the span
+        # bookkeeping between them, are what an update spends its time
+        # on; "small": stages far below the stall, so a slow spell of
+        # the host cannot pass for one
+        service.register_dataset(
+            "wide", random_data(3, individuals=150, atoms=1500))
+        service.register_dataset("small", random_data(1))
+        for name in ("wide", "small"):
+            service.subscribe(name, OMQ(TBOX, chain_cq("RS")))
+        try:
+            with serve_in_background(service) as handle:
+                url = handle.url
+                self._traced_update(url, "wide", 0)  # load the engines
+                covered = 0.0
+                for serial in (1, 2, 3):
+                    update = self._traced_update(url, "wide", serial)
+                    covered = max(covered, sum(
+                        stage["seconds"] for stage in update["children"])
+                        / update["seconds"])
+                assert covered >= 0.9
+
+                self._traced_update(url, "small", 0)
+                quiet = self._fastest(url, "small", (1, 2, 3))
+                dataset = service._dataset("small")
+                store = dataset._store
+
+                def stalled(update):
+                    time.sleep(0.005)
+                    store(update)
+
+                monkeypatch.setattr(dataset, "_store", stalled)
+                seconds = self._fastest(url, "small", (4, 5, 6))
+                assert seconds["store"] >= 0.005
+                assert seconds["store"] >= quiet["store"] + 0.004
+                # ...and in no other span: the rest is as fast as it was
+                for name in set(Dataset.STAGES) - {"store"}:
+                    assert seconds[name] < quiet[name] + 0.0025, (
+                        name, seconds, quiet)
+        finally:
+            service.close()
 
 
 # -- slow-query log ---------------------------------------------------------

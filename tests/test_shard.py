@@ -468,6 +468,11 @@ class TestServiceIntegration:
             # the master kept the update and the next answer serves it
             # from a freshly built session instead of staying bricked
             assert ("a", "c") in service.answer("d", omq).answers
+            # ...so the tenant is charged for it: the account follows
+            # the ABox, not the happy path
+            stats = service.stats()
+            assert stats["datasets"]["d"]["facts"] == 2
+            assert stats["tenants"]["per_tenant"]["default"]["facts"] == 2
 
     def test_sharded_explain_does_not_boot_workers(self):
         tbox = example11_tbox()

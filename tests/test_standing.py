@@ -374,38 +374,10 @@ class TestBlockingClientServing:
 class TestFailedUpdateRecovery:
     """A failed update may leave the data partially applied; the
     subscribers must not be left serving a materialization that no
-    longer reflects it (there may never be a next update)."""
-
-    def test_failed_update_pushes_resync(self, monkeypatch):
-        service = OMQService()
-        try:
-            service.register_dataset("d", random_data(1))
-            omq = OMQ(TBOX, chain_cq("RS"))
-            sub = service.subscribe("d", omq)
-
-            def boom(state, inserts, deletes):
-                raise RuntimeError("update exploded")
-
-            monkeypatch.setattr(service, "_apply_update_locked", boom)
-            with pytest.raises(RuntimeError):
-                service.update("d", inserts=[("P", ("x1", "x2"))])
-            # the failure epoch carried a proactive resync delta…
-            body = service.poll(sub.subscription_id, since_epoch=0)
-            deltas = [AnswerDelta.from_payload(raw)
-                      for raw in body["deltas"]]
-            assert any(delta.resync for delta in deltas)
-            assert sub.epoch == 1 and not sub.stale
-            assert not body["stale"]
-            # …and the materialization matches the data as it now is
-            assert sub.answers == service.answer("d", omq).answers
-            assert service.stats()["standing"]["resyncs"] >= 1
-            # the next (successful) update maintains normally again
-            monkeypatch.undo()
-            service.update("d", inserts=[("R", ("y1", "y2")),
-                                         ("S", ("y2", "y3"))])
-            assert sub.answers == service.answer("d", omq).answers
-        finally:
-            service.close()
+    longer reflects it (there may never be a next update) — the
+    resync and ``stale`` rows of ``tests/test_service_faults.py``.
+    What stays here is the other way a materialization can silently
+    go wrong: a predicate's emptiness flipping under a pruned plan."""
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_emptiness_flip_reaches_subscription_and_held_plan(self,
@@ -442,29 +414,6 @@ class TestFailedUpdateRecovery:
             assert plan.execute(session).answers == {("a", "b")}
             session.apply_update(deletes=[("A", ("a",))])
             assert plan.execute(session).answers == frozenset()
-
-    def test_unrecoverable_subscription_surfaces_stale(self, monkeypatch):
-        service = OMQService()
-        try:
-            service.register_dataset("d", random_data(1))
-            sub = service.subscribe("d", OMQ(TBOX, chain_cq("RS")))
-
-            def boom(state, inserts, deletes):
-                raise RuntimeError("update exploded")
-
-            monkeypatch.setattr(service, "_apply_update_locked", boom)
-            monkeypatch.setattr(
-                "repro.service.service.full_reexecute",
-                lambda sub, session: (_ for _ in ()).throw(
-                    RuntimeError("resync exploded")))
-            with pytest.raises(RuntimeError):
-                service.update("d", inserts=[("P", ("x1", "x2"))])
-            assert sub.stale
-            assert service.poll(sub.subscription_id)["stale"]
-            assert service.standing.snapshot(
-                sub.subscription_id)["stale"]
-        finally:
-            service.close()
 
 
 class TestAsyncServing:
