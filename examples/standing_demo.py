@@ -4,9 +4,9 @@ A monitoring dashboard should not re-run its query on a timer: it
 should say once "tell me when the certain answers to this OMQ change"
 and receive exactly the tuples that appeared and disappeared.  That
 is ``Client.subscribe`` (see ``repro.standing``): the service keeps
-every subscription's answers maintained *incrementally* inside its
-update path — only the disjuncts of the rewriting that touch the
-changed predicates are re-evaluated — and delivers
+every subscription's answers maintained inside its update path —
+only the subscriptions whose rewriting mentions a changed predicate
+are re-executed, once per distinct plan — and delivers
 ``AnswerDelta(added, removed, epoch)`` objects over long-poll or,
 on the asyncio server, as a Server-Sent-Events stream.
 

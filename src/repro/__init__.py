@@ -44,10 +44,9 @@ The package implements the paper end to end:
   (``AnswerOptions``, ``OMQService.register_dataset``, the CLI and
   the HTTP server);
 * standing OMQs (:mod:`repro.standing`): subscriptions over a served
-  dataset whose certain answers are maintained *incrementally* on
-  every update — only the disjuncts of the rewriting touching the
-  changed predicates (and, sharded, only the touched shards) are
-  re-evaluated — with exact answer deltas pushed to clients over SSE
+  dataset whose certain answers are maintained on every update —
+  only the plans whose rewriting mentions a changed predicate are
+  re-executed — with exact answer deltas pushed to clients over SSE
   or long-poll (``Client.subscribe`` / ``AsyncClient.subscribe``,
   ``python -m repro subscribe``);
 * one compiled query pipeline (:mod:`repro.rewriting.plan`):

@@ -123,9 +123,6 @@ class Observability:
         self.standing_resyncs = reg.counter(
             "repro_standing_resyncs_total",
             "Full standing-query resynchronisations.")
-        self.standing_fallbacks = reg.counter(
-            "repro_standing_fallbacks_total",
-            "Standing maintenance fallbacks to re-execution.")
         self.standing_polls = reg.counter(
             "repro_standing_polls_total", "Standing-query polls.")
         self.standing_maintenance_seconds = reg.counter(

@@ -31,7 +31,11 @@ from ..standing.maintain import (
     refresh,
     variant_changed_predicates,
 )
-from ..standing.registry import AnswerDelta, StandingRegistry
+from ..standing.registry import (
+    AnswerDelta,
+    StandingQuery,
+    StandingRegistry,
+)
 from .cache import RewritingCache
 from .updates import UpdateResult, apply_update
 
@@ -156,8 +160,8 @@ class Dataset:
         #: Shared by every pooled session so the per-TBox completion is
         #: computed once per dataset and patched once per update.
         self.completions: Dict[int, Tuple[object, ABox]] = {}
-        #: The service's registry (this dataset's subscriptions are the
-        #: ones under ``name``) and its failure-absorbing store writer.
+        #: The service's registry (this dataset's subscriptions are
+        #: :meth:`_subscriptions`) and its failure-absorbing store writer.
         self._registry = standing
         self._store_write = store_write
         self._cache = cache
@@ -326,13 +330,22 @@ class Dataset:
                     deletes=update.deletes, epoch=self.epoch)):
             self.save("fallback save")
 
+    def _subscriptions(self) -> List[StandingQuery]:
+        """The subscriptions materialized against *this* object.  The
+        registry files them under the name, which after a
+        ``register_dataset(replace=True)`` is the replacement's too:
+        an update still running here must not evaluate the
+        replacement's subscribers on this data."""
+        return [sub for sub in self._registry.for_dataset(self.name)
+                if sub.owner is self]
+
     def _standing(self, update: Optional[_Update]) -> None:
         """Bring the subscriptions to the current epoch and commit
         their deltas before the lock drops (sessions are quiescent and
         already patched).  After an update the ones it can have moved
-        are delta-maintained and the rest just advance; with ``None``
-        (recovery) each is re-executed from scratch and sent a
-        ``resync`` carrying its full answer set.
+        are refreshed and diffed and the rest just advance; with
+        ``None`` (recovery) each is re-executed and sent a ``resync``
+        carrying its full answer set.
 
         Never raises — it also runs on :meth:`apply`'s exception path.
         A failed refresh costs its subscription's freshness: it is
@@ -340,7 +353,7 @@ class Dataset:
         consumer knows to re-subscribe or retry, until a later pass
         succeeds for it.  A pass that fails as a whole marks them all.
         """
-        subs = self._registry.for_dataset(self.name)
+        subs = self._subscriptions()
         if not subs:
             return
         delta = update.result.delta if update is not None else None
@@ -357,35 +370,32 @@ class Dataset:
                     if key not in changed:
                         changed[key] = variant_changed_predicates(
                             sub.plan._variant_tbox(), delta)
-                affected = self._registry.affected(self.name, changed)
-                affected_ids = {sub.subscription_id for sub in affected}
+                moved = {sub.subscription_id for sub in
+                         self._registry.affected(self.name, changed)}
+                affected = [sub for sub in subs
+                            if sub.subscription_id in moved]
                 for sub in subs:
-                    if sub.subscription_id not in affected_ids:
+                    if sub.subscription_id not in moved:
                         self._registry.advance(sub, epoch)
             # shared across this pass's subscriptions: N subscribers of
-            # one plan cost one evaluation per affected disjunct
+            # one plan cost one execution
             memo: Dict = {}
             for sub in affected:
                 try:
                     with self.session(sub.engine) as session:
                         if delta is None:
                             answers = full_reexecute(sub, session)
-                            # per-disjunct sets are rebuilt by the next
-                            # successful maintenance pass
-                            sub.disjunct_answers = None
                             step = AnswerDelta(epoch=epoch, resync=True,
                                                answers=answers)
                             self._registry.record_resync()
                         else:
-                            answers, fallback = refresh(
+                            answers = refresh(
                                 sub, session, delta,
                                 changed[sub.variant_key()], memo)
                             step = AnswerDelta(
                                 epoch=epoch,
                                 added=frozenset(answers - sub.answers),
                                 removed=frozenset(sub.answers - answers))
-                            if fallback:
-                                self._registry.record_fallback()
                     self._registry.commit(sub, step, answers)
                     sub.stale = False
                 except Exception as error:
@@ -397,7 +407,7 @@ class Dataset:
             log.error("standing pass failed for %r (%s: %s); its "
                       "subscriptions are marked stale", self.name,
                       type(error).__name__, error)
-            self._registry.invalidate_dataset(self.name)
+            self._registry.invalidate(subs)
         finally:
             self._registry.record_maintenance(
                 time.perf_counter() - started)
@@ -415,6 +425,6 @@ class Dataset:
         self.close()
         self.completions.clear()
         self.epoch += 1
-        self._registry.invalidate_dataset(self.name)
+        self._registry.invalidate(self._subscriptions())
         self._standing(None)
         self.save("post-failure save")

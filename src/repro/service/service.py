@@ -223,20 +223,23 @@ class OMQService:
 
     def _retire(self, dataset: Dataset) -> None:
         """Close a replaced or unregistered dataset, already out of the
-        registry.  Its subscriptions materialized data that is gone:
-        they are closed (pollers and streams get an end-of-stream,
-        clients re-subscribe against a replacement), releasing quota
-        and durable rows.  No new request can check a session out
+        registry.  No new request can check a session out or subscribe
         (:meth:`_acquire` re-validates), so the write lock drains the
-        ones still holding one before the pools close."""
-        for sub in self.standing.drop_dataset(dataset.name):
+        ones still in flight before the pools close.  Its subscriptions
+        materialized data that is gone: they are closed (pollers and
+        streams get an end-of-stream, clients re-subscribe against a
+        replacement), releasing quota and durable rows — once the lock
+        is held, so a subscribe that was in flight is among them, and
+        by owner, so one to the replacement is not."""
+        with dataset.lock.writing():
+            dataset.close()
+            dropped = self.standing.drop_dataset(dataset.name, dataset)
+        for sub in dropped:
             self.tenants.release_subscription(sub.tenant)
             self._store_write(
                 f"drop subscription {sub.subscription_id!r}",
                 lambda store, sub=sub: store.delete_subscription(
                     sub.tenant, sub.subscription_id))
-        with dataset.lock.writing():
-            dataset.close()
 
     def _store_write(self, description: str, write) -> bool:
         """Run one durable write, ``write(store)``, absorbing failures:
@@ -565,7 +568,8 @@ class OMQService:
                                          or self.standing.new_id()),
                         dataset=scoped, plan=plan, options=options,
                         engine=engine_name, tenant=tenant,
-                        epoch=state.epoch, oldest_epoch=state.epoch)
+                        epoch=state.epoch, oldest_epoch=state.epoch,
+                        owner=state)
                     initialize(sub, session)
                 self.standing.add(sub)
                 if _persist:

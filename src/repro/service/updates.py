@@ -65,8 +65,6 @@ class UpdateDelta:
         default_factory=dict)
     #: Whether the active domain gained or lost individuals.
     adom_changed: bool = False
-    #: Shards whose local data changed (sharded datasets only).
-    touched_shards: Optional[FrozenSet[int]] = None
 
     @property
     def raw_changed(self) -> FrozenSet[str]:

@@ -19,9 +19,11 @@ shard and gather the per-shard results, or push per-shard data deltas:
   answer sets stream back in fixed-size chunks so the parent unions
   incrementally.
 
-Workers intern TBoxes by fingerprint: sessions key completions by
-object identity, and every ``execute`` delivers a freshly unpickled
-plan, so without interning each call would recomplete the shard.
+Workers intern plans, and the TBoxes of new ones, by fingerprint
+(:class:`_PlanTable`): every ``execute`` delivers a freshly unpickled
+plan, sessions key completions by TBox identity and a plan's
+specialisation memo does not travel, so without interning each call
+would recomplete the shard and re-specialise the plan.
 """
 
 from __future__ import annotations
@@ -67,26 +69,19 @@ class Executor:
     def shards(self) -> int:
         raise NotImplementedError
 
-    def execute(self, plan, engine: Optional[str] = None,
-                shards: Optional[Sequence[int]] = None
+    def execute(self, plan, engine: Optional[str] = None
                 ) -> List[ShardResult]:
-        """Broadcast ``plan`` and gather per-shard results.
-
-        ``shards`` restricts the round to a subset (standing-query
-        maintenance evaluates restricted plans only on the shards an
-        update touched); ``None`` means every shard.
-        """
+        """Broadcast ``plan`` and gather every shard's result."""
         raise NotImplementedError
 
-    def _selected(self, shards: Optional[Sequence[int]]) -> List[int]:
-        if shards is None:
-            return list(range(self.shards))
+    def _selected(self, shards: Sequence[int]) -> List[int]:
+        """The shards a delta round addresses, sorted and checked."""
         requested = set(shards)
         invalid = sorted(s for s in requested
                          if not 0 <= s < self.shards)
         if invalid:
-            # silently dropping these would skip evaluation — e.g.
-            # maintenance routed to a stale shard id after a rebalance
+            # silently dropping these would lose their deltas — e.g.
+            # an update routed to a stale shard id after a reshard
             raise ValueError(
                 f"shard index(es) {invalid} out of range for "
                 f"{self.shards} shard(s)")
@@ -114,17 +109,46 @@ class Executor:
         self.close()
 
 
-def _intern_plan_tbox(plan, tboxes: Dict[str, object]):
-    """One canonical TBox object per fingerprint inside a worker, so a
-    session's identity-keyed completion cache hits across calls."""
-    from ..fingerprint import tbox_fingerprint
+#: Plans a worker keeps (:class:`_PlanTable`): as many as the
+#: service's plan cache, the usual sender, holds by default.
+PLANS_KEPT = 256
 
-    interned = tboxes.setdefault(tbox_fingerprint(plan.omq.tbox),
-                                 plan.omq.tbox)
-    if interned is plan.omq.tbox:
-        return plan
-    omq = dataclasses.replace(plan.omq, tbox=interned)
-    return dataclasses.replace(plan, omq=omq)
+
+class _PlanTable:
+    """A worker's canonical plan per ``(fingerprint, method)`` and
+    canonical TBox per fingerprint, so what a session and a plan
+    memoise by identity — completions, specialisations — hits across
+    calls that each deliver a fresh unpickled copy."""
+
+    def __init__(self):
+        self._plans: Dict[Tuple[str, str], object] = {}
+        self._tboxes: Dict[str, object] = {}
+
+    def resolve(self, plan):
+        """The kept plan equal to ``plan``, else ``plan`` itself over
+        the canonical TBox object."""
+        from ..fingerprint import tbox_fingerprint
+
+        kept = self._plans.get((plan.fingerprint, plan.method))
+        if kept is not None:
+            return kept
+        interned = self._tboxes.setdefault(
+            tbox_fingerprint(plan.omq.tbox), plan.omq.tbox)
+        if interned is plan.omq.tbox:
+            return plan
+        omq = dataclasses.replace(plan.omq, tbox=interned)
+        return dataclasses.replace(plan, omq=omq)
+
+    def keep(self, plan) -> None:
+        """Make ``plan`` (a :meth:`resolve` result that has executed
+        without raising — a fingerprint is a claim the sender makes,
+        and a plan that fails must not be served to later senders of
+        it) the canonical copy; forget everything at the bound."""
+        key = (plan.fingerprint, plan.method)
+        if key not in self._plans:
+            if len(self._plans) >= PLANS_KEPT:
+                self._plans.clear()
+            self._plans[key] = plan
 
 
 def _shard_execute(session: AnswerSession, plan,
@@ -161,15 +185,14 @@ class SerialExecutor(Executor):
     def shards(self) -> int:
         return len(self._sessions)
 
-    def execute(self, plan, engine: Optional[str] = None,
-                shards: Optional[Sequence[int]] = None
+    def execute(self, plan, engine: Optional[str] = None
                 ) -> List[ShardResult]:
         self._check_open()
         trace_id = current_trace_id()
         results = []
-        for shard in self._selected(shards):
+        for shard, session in enumerate(self._sessions):
             answers, seconds, generated, sizes, spans = _shard_execute(
-                self._sessions[shard], plan, engine, trace_id)
+                session, plan, engine, trace_id)
             results.append(ShardResult(shard, answers, seconds,
                                        generated, sizes, tuple(spans)))
         return results
@@ -217,7 +240,7 @@ def _worker_main(connection, payload, engine: str) -> None:
         finally:
             connection.close()
         return
-    tboxes: Dict[str, object] = {}
+    plans = _PlanTable()
     try:
         while True:
             message = connection.recv()
@@ -227,10 +250,11 @@ def _worker_main(connection, payload, engine: str) -> None:
             try:
                 if command == "execute":
                     _, plan, engine_name, trace_id = message
-                    plan = _intern_plan_tbox(plan, tboxes)
+                    plan = plans.resolve(plan)
                     answers, seconds, generated, sizes, spans = \
                         _shard_execute(session, plan, engine_name,
                                        trace_id)
+                    plans.keep(plan)
                     rows = tuple(answers)
                     for start in range(0, len(rows), CHUNK_ROWS):
                         connection.send(
@@ -419,13 +443,13 @@ class ProcessExecutor(Executor):
                                + "; ".join(errors))
         return payloads
 
-    def _gather_execute(self, shards: Sequence[int]) -> List[Tuple]:
+    def _gather_execute(self) -> List[Tuple]:
         """Drain one streamed ``execute`` reply per shard: chunks are
         unioned incrementally until the terminal ``ok``/``error``; the
         full-drain and breakage semantics of :meth:`_gather_all`."""
         payloads: List[Tuple] = []
         errors: List[str] = []
-        for shard in shards:
+        for shard in range(self.shards):
             rows: List[tuple] = []
             while True:
                 try:
@@ -456,25 +480,17 @@ class ProcessExecutor(Executor):
                                + "; ".join(errors))
         return payloads
 
-    def execute(self, plan, engine: Optional[str] = None,
-                shards: Optional[Sequence[int]] = None
+    def execute(self, plan, engine: Optional[str] = None
                 ) -> List[ShardResult]:
         trace_id = current_trace_id()
         with self._lock:
             self._check_usable()
-            if shards is None:
-                selected = list(range(self.shards))
-                self._broadcast(("execute", plan, engine, trace_id))
-            else:
-                selected = self._selected(shards)
-                message = ("execute", plan, engine, trace_id)
-                self._scatter(selected,
-                              (message for _ in selected))
-            payloads = self._gather_execute(selected)
+            self._broadcast(("execute", plan, engine, trace_id))
+            payloads = self._gather_execute()
         return [ShardResult(shard, answers, seconds, generated, sizes,
                             tuple(spans))
                 for shard, (answers, seconds, generated, sizes, spans)
-                in zip(selected, payloads)]
+                in enumerate(payloads)]
 
     def apply_deltas(self, deltas: Mapping[int, ShardDelta]
                      ) -> List[Dict[str, int]]:

@@ -4,7 +4,7 @@ surface over a component-sharded data instance.
 Scatter-gather evaluation rests on the component-locality argument
 (see :mod:`repro.shard`): for a *connected* CQ the compiled plan is
 broadcast unchanged to every shard and the per-shard certain answers
-are unioned.  A *disconnected* CQ does not decompose that way — an
+are unioned.  A *disconnected* CQ does not split that way — an
 answer may combine constants from different shards — so it is split
 into its connected components, each component sub-OMQ is compiled and
 scattered independently, and the per-component answer sets are
@@ -22,15 +22,13 @@ update round.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import logging
 import threading
 import time
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..data.abox import ABox, GroundAtom
-from ..datalog.program import NDLQuery
 from ..obs import trace as _trace
 from ..rewriting.api import OMQ, AnswerSession
 from ..rewriting.plan import AnswerOptions, Answers, Plan, compile_omq
@@ -93,7 +91,7 @@ class ShardedSession:
         #: from the master, so the session refuses to answer
         self._poisoned: Optional[str] = None
         #: the documented fallback path: a monolithic session built
-        #: lazily for plans that do not decompose (dropped on update)
+        #: lazily for plans that do not split (dropped on update)
         self._fallback: Optional[AnswerSession] = None
         #: tbox fingerprint -> (tbox, completion of the master ABox);
         #: only ``adaptive`` compilation needs it
@@ -173,7 +171,7 @@ class ShardedSession:
                         sub_plans = self._component_plans(plan)
                     except Exception as error:
                         log.warning(
-                            "disconnected CQ %s does not decompose (%s); "
+                            "disconnected CQ %s does not split (%s); "
                             "falling back to monolithic execution",
                             cq, error)
                         return self._execute_fallback(plan, engine_name,
@@ -225,31 +223,6 @@ class ShardedSession:
                  self.compile(OMQ(plan.omq.tbox, sub_cq), plan.options)))
         self._sub_plans[key] = sub_plans
         return sub_plans
-
-    def execute_restricted(self, plan: Plan, ndl: NDLQuery,
-                           engine: Optional[str] = None,
-                           shards: Optional[Sequence[int]] = None
-                           ) -> Dict[int, FrozenSet[Tuple[str, ...]]]:
-        """Scatter a *substituted* NDL query under ``plan``'s identity
-        and return the raw per-shard answer sets (no union).
-
-        Standing-query maintenance evaluates single disjuncts of the
-        plan's rewriting this way, restricted to the shards an update
-        touched (``shards=None`` hits all).  The substituted plan
-        keeps the original's method/options, so each worker picks the
-        same data variant (raw vs completed) the full plan would.
-        Sound for broadcastable plans only — connected CQs — which is
-        exactly when maintenance uses it.
-        """
-        engine_name = engine or self.engine
-        restricted = dataclasses.replace(plan, ndl=ndl)
-        with self._lock:
-            self._check_usable()
-            results = self._executor.execute(restricted,
-                                             engine=engine_name,
-                                             shards=shards)
-        return {result.shard: frozenset(result.answers)
-                for result in results}
 
     def _execute_fallback(self, plan: Plan, engine_name: str,
                           options: Optional[AnswerOptions]) -> Answers:
@@ -336,8 +309,7 @@ class ShardedSession:
             result.delta = UpdateDelta(
                 atoms=_dedup(delta_atoms),
                 deletes=bool(effective_deletes or moved_atoms),
-                adom_changed=bool(delta_atoms),
-                touched_shards=frozenset(deltas))
+                adom_changed=bool(delta_atoms))
             try:
                 if deltas:
                     for outcome in self._executor.apply_deltas(deltas):
@@ -368,15 +340,10 @@ class ShardedSession:
                 self._sub_plans.clear()
             if self.adaptive_shards and moved:
                 # a rebalancing update changed the component layout:
-                # re-evaluate the adaptive count and reshard if it
-                # moved.  Old shard indexes are meaningless afterwards,
-                # so the delta conservatively touches every new shard.
+                # re-evaluate the adaptive count and reshard if it moved
                 wanted = auto_shards(self.abox)
                 if wanted != self.shards:
                     self._reshard(wanted)
-                    result.delta = dataclasses.replace(
-                        result.delta,
-                        touched_shards=frozenset(range(self.shards)))
             return result
 
     def _reshard(self, shards: int) -> None:

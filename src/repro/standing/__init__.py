@@ -1,5 +1,5 @@
-"""``repro.standing`` — standing OMQs with incremental answer
-maintenance and push delivery.
+"""``repro.standing`` — standing OMQs: answers maintained across
+updates, and push delivery of their deltas.
 
 The paper's compile-once rewriting makes an OMQ a persistent object;
 this package makes its *answers* persistent too.  A subscriber
@@ -20,17 +20,17 @@ Architecture (three modules, wired through the service layer):
   :class:`~repro.standing.registry.AnswerDelta` history for long-poll
   catch-up; polls asking past the history get a full-snapshot resync.
 
-* :mod:`repro.standing.maintain` — the math.  The rewriting's goal
-  clauses split into independently evaluable *disjuncts* (goal clause
-  + its cone of IDB definitions); after an update, only the disjuncts
-  mentioning a changed predicate — mapped through the plan's data
-  variant: raw, completed (exact delta or per-atom-closure
-  over-approximation), plus ``__adom__`` — are re-evaluated, and on
-  sharded datasets only against the shards the update actually
-  touched (PR 4's delta routing).  Per-(disjunct, shard) answer sets
-  are materialized so deletions need no special casing: re-evaluate,
-  replace, re-union, diff.  Whatever resists decomposition (or any
-  evaluation error) falls back to a logged full re-execution.
+* :mod:`repro.standing.maintain` — the math.  After an update, each
+  subscription whose rewriting mentions a changed predicate — mapped
+  through the plan's data variant: raw, completed (exact delta or
+  per-atom-closure over-approximation), plus ``__adom__`` — has its
+  plan re-executed through :meth:`Plan.execute
+  <repro.rewriting.plan.Plan.execute>`, the route that serves
+  ``/answer``: specialised to the live data's nonempty signature,
+  scatter-gather on a sharded dataset.  One pass executes a plan once
+  however many subscribers share it, and the new answers are diffed
+  against the materialization, so inserts and deletes need no separate
+  cases.
 
 * :mod:`repro.standing.push` — the plumbing.  SSE streaming
   (``GET /subscribe``) with bounded per-subscriber queues that degrade
@@ -47,18 +47,16 @@ owns the failure story: a refresh that fails marks its subscription
 it now is.
 """
 
-from .maintain import Disjunct, decompose, variant_changed_predicates
+from .maintain import variant_changed_predicates
 from .registry import AnswerDelta, StandingQuery, StandingRegistry
 from .push import SubscriberStream, decode_sse, sse_event
 
 __all__ = [
     "AnswerDelta",
-    "Disjunct",
     "StandingQuery",
     "StandingRegistry",
     "SubscriberStream",
     "decode_sse",
-    "decompose",
     "sse_event",
     "variant_changed_predicates",
 ]

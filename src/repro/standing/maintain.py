@@ -1,101 +1,31 @@
-"""Incremental maintenance of standing-query answers.
+"""Maintenance of standing-query answers: re-execute, then diff.
 
-The compiled rewriting of an OMQ is a union-like NDL query: the goal
-predicate has one clause per "disjunct", and each disjunct only
-depends on its own cone of IDB predicates.  :func:`decompose` splits
-the plan's program along those goal clauses into independently
-evaluable :class:`Disjunct` sub-queries — the union of their answers
-is exactly the full plan's answer set.
-
-After an update, only the disjuncts containing at least one atom whose
-predicate appears in the fact delta can change
+A subscription's answers after an update are what
+:meth:`Plan.execute <repro.rewriting.plan.Plan.execute>` returns over
+the patched session — the same route, at the live data's nonempty
+signature, that serves ``/answer`` — and the caller diffs them against
+the materialization to get the exact
+:class:`~repro.standing.registry.AnswerDelta`.  What keeps a pass
+cheap sits around that call, not inside it: the registry only hands
+over the subscriptions whose rewriting mentions a changed predicate
 (:func:`variant_changed_predicates` maps the raw delta into each data
 variant: the raw predicates for arbitrary-instance rewritings, the
 exact or over-approximated completed predicates otherwise, plus the
-active-domain pseudo-predicate when individuals came or went).  Those
-disjuncts are re-evaluated against the *updated* database — inserts
-and deletes alike, since per-disjunct answer sets are materialized per
-shard and simply replaced — and the new union is diffed against the
-old materialization to produce the
-:class:`~repro.standing.registry.AnswerDelta`.
+active-domain pseudo-predicate when individuals came or went), and one
+pass executes a plan once however many subscribers share it.
 
-Sharded datasets reuse PR 4's delta routing: only the shards that
-received facts (including rebalance moves) are consulted, via
-:meth:`~repro.shard.session.ShardedSession.execute_restricted`.
-Anything that resists decomposition — or any evaluation error —
-falls back to re-executing the full plan, logged and counted.
+:func:`refresh` is the one function a delta-rule evaluator would
+replace; :func:`full_reexecute` is then the oracle and the resync.
 """
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from ..data.abox import ABox
-from ..datalog.program import ADOM, NDLQuery, Program
-
-log = logging.getLogger("repro.standing")
+from ..datalog.program import ADOM
 
 Row = Tuple[str, ...]
-
-#: Pseudo-shard key monolithic datasets use in per-disjunct answer maps.
-MONOLITH = -1
-
-
-@dataclass(frozen=True)
-class Disjunct:
-    """One goal clause plus its cone of IDB definitions, as a
-    self-contained NDL query.  ``edb_predicates`` are the only base
-    relations whose change can move this disjunct's answers."""
-
-    index: int
-    query: NDLQuery
-    edb_predicates: FrozenSet[str]
-
-
-def decompose(ndl: NDLQuery) -> Optional[List[Disjunct]]:
-    """Split a rewriting into independently evaluable disjuncts, one
-    per goal clause, or ``None`` when it does not decompose.
-
-    Soundness: the goal relation is the union of each goal clause's
-    derivations, and a clause's derivations depend only on the IDB
-    predicates reachable from its body — all of whose clauses the
-    disjunct's subprogram contains.  Hence ``answers(ndl) = union of
-    answers(disjunct)`` on every database.
-    """
-    program = ndl.program
-    goal_clauses = program.clauses_for(ndl.goal)
-    if not goal_clauses:
-        return None
-    graph = program.dependence_graph()
-    disjuncts: List[Disjunct] = []
-    for index, clause in enumerate(goal_clauses):
-        roots = {atom.predicate for atom in clause.body_literals
-                 if atom.predicate in graph}
-        reachable = set(roots)
-        stack = list(roots)
-        while stack:
-            node = stack.pop()
-            for successor in graph.get(node, ()):
-                if successor not in reachable:
-                    reachable.add(successor)
-                    stack.append(successor)
-        if ndl.goal in reachable:
-            # cannot happen in a nonrecursive program, but a goal
-            # reachable from its own body would break the split
-            return None
-        cone = [c for c in program.clauses
-                if c.head.predicate != ndl.goal
-                and c.head.predicate in reachable]
-        try:
-            sub_program = Program([clause] + cone)
-        except ValueError:  # pragma: no cover - defensive
-            return None
-        query = NDLQuery(sub_program, ndl.goal, ndl.answer_vars)
-        disjuncts.append(Disjunct(index, query,
-                                  sub_program.edb_predicates))
-    return disjuncts
 
 
 def variant_changed_predicates(tbox, delta) -> FrozenSet[str]:
@@ -122,138 +52,34 @@ def variant_changed_predicates(tbox, delta) -> FrozenSet[str]:
     return frozenset(changed)
 
 
-def evaluate_disjunct(session, plan, query: NDLQuery, engine: str,
-                      shards=None) -> Dict[int, FrozenSet[Row]]:
-    """One disjunct's answers, per shard (monolithic sessions return
-    the single pseudo-shard :data:`MONOLITH`).
-
-    ``shards`` restricts a sharded evaluation to the shards an update
-    touched; monolithic sessions ignore it.
-    """
-    from ..shard.session import ShardedSession
-
-    if isinstance(session, ShardedSession):
-        return session.execute_restricted(plan, query, engine=engine,
-                                          shards=shards)
-    backend = session.backend(engine, plan._variant_tbox())
-    result = backend.evaluate(query)
-    return {MONOLITH: frozenset(result.answers)}
-
-
-def union_answers(answer_sets) -> FrozenSet[Row]:
-    """The full answer set: union over disjuncts and shards."""
-    rows = set()
-    for by_shard in answer_sets:
-        for answers in by_shard.values():
-            rows.update(answers)
-    return frozenset(rows)
-
-
 def full_reexecute(sub, session) -> FrozenSet[Row]:
-    """The correctness fallback: run the whole plan from scratch."""
+    """The subscription's answers over ``session`` as it is now, under
+    the engine and options it subscribed with."""
     result = sub.plan.execute(session, engine=sub.engine,
                               options=sub.options)
     return frozenset(result.answers)
 
 
 def initialize(sub, session) -> None:
-    """Materialize a fresh subscription's answers and maintenance
-    state against ``session`` (which must hold the current data).
-
-    Disconnected CQs on sharded datasets do not decompose into
-    broadcastable disjuncts (their sharded execution recombines
-    per-component answer sets by cross product), so they pin the
-    subscription to full-re-execution mode — as does any rewriting
-    :func:`decompose` cannot split.
-    """
-    from ..shard.session import ShardedSession
-
-    plan = sub.plan
-    disjuncts = None
-    sharded_disconnected = (isinstance(session, ShardedSession)
-                            and not plan.omq.query.is_connected)
-    if not sharded_disconnected:
-        disjuncts = decompose(plan.ndl)
-    if disjuncts is None:
-        log.info("subscription %s does not decompose; every relevant "
-                 "update will re-execute the full plan",
-                 sub.subscription_id)
-        sub.answers = full_reexecute(sub, session)
-        sub.disjuncts = None
-        sub.disjunct_answers = None
-        return
-    answer_sets = [evaluate_disjunct(session, plan, disjunct.query,
-                                     sub.engine)
-                   for disjunct in disjuncts]
-    sub.disjuncts = disjuncts
-    sub.disjunct_answers = answer_sets
-    sub.answers = union_answers(answer_sets)
+    """Materialize a fresh subscription's answers against ``session``
+    (which must hold the current data)."""
+    sub.answers = full_reexecute(sub, session)
 
 
 def refresh(sub, session, delta, changed: FrozenSet[str],
-            memo: Optional[Dict] = None
-            ) -> Tuple[FrozenSet[Row], bool]:
+            memo: Dict) -> FrozenSet[Row]:
     """The subscription's new full answer set after an update whose
     variant-mapped changed predicates are ``changed``.
 
-    Returns ``(answers, fallback_used)``.  Incremental path:
-    re-evaluate only the disjuncts whose EDB predicates intersect
-    ``changed``, only on the shards the update touched, and union with
-    the untouched materialized sets.  ``memo`` (shared across the
-    subscriptions of one update) deduplicates disjunct evaluations, so
-    N subscribers of one plan cost one evaluation per affected
-    disjunct.  Any error — or a subscription pinned to full mode —
-    re-executes the whole plan instead (logged, counted by the
-    caller).
+    ``memo`` is shared by the subscriptions of one pass and keyed by
+    plan fingerprint and engine: renamings of one query shape — whose
+    answer rows agree column for column, which is what lets the plan
+    cache serve them one plan — and an equal plan compiled twice cost
+    one execution.  ``delta`` and ``changed`` are what an incremental
+    evaluator would start from; re-execution needs neither.
     """
-    if sub.disjuncts is not None:
-        try:
-            return _refresh_incremental(sub, session, delta, changed,
-                                        memo), False
-        except Exception as error:
-            log.warning(
-                "incremental maintenance failed for %s (%s: %s); "
-                "re-executing the full plan", sub.subscription_id,
-                type(error).__name__, error)
-            sub.disjunct_answers = None
-    return full_reexecute(sub, session), True
-
-
-def _refresh_incremental(sub, session, delta,
-                         changed: FrozenSet[str],
-                         memo: Optional[Dict]) -> FrozenSet[Row]:
-    plan = sub.plan
-    if sub.disjunct_answers is None:
-        # a previous fallback invalidated the per-disjunct sets:
-        # rebuild them in full (all disjuncts, all shards).  Copy out
-        # of the (shared) memo — later updates patch these dicts.
-        sub.disjunct_answers = [
-            dict(_evaluate(session, plan, disjunct, sub.engine, None,
-                           memo))
-            for disjunct in sub.disjuncts]
-    else:
-        shards = delta.touched_shards
-        for disjunct in sub.disjuncts:
-            if not disjunct.edb_predicates & changed:
-                continue
-            shard_sets = _evaluate(session, plan, disjunct,
-                                   sub.engine, shards, memo)
-            merged = dict(sub.disjunct_answers[disjunct.index])
-            merged.update(shard_sets)
-            sub.disjunct_answers[disjunct.index] = merged
-    return union_answers(sub.disjunct_answers)
-
-
-def _evaluate(session, plan, disjunct: Disjunct, engine: str, shards,
-              memo: Optional[Dict]) -> Dict[int, FrozenSet[Row]]:
-    if memo is None:
-        return evaluate_disjunct(session, plan, disjunct.query,
-                                 engine, shards)
-    key = (id(plan), disjunct.index, engine,
-           None if shards is None else frozenset(shards))
-    found = memo.get(key)
-    if found is None:
-        found = evaluate_disjunct(session, plan, disjunct.query,
-                                  engine, shards)
-        memo[key] = found
-    return found
+    key = (sub.plan.fingerprint, sub.engine)
+    answers = memo.get(key)
+    if answers is None:
+        answers = memo[key] = full_reexecute(sub, session)
+    return answers

@@ -95,21 +95,11 @@ class AnswerDelta:
 
 @dataclass
 class StandingQuery:
-    """One live subscription (mutable state guarded by ``condition``).
-
-    ``disjuncts``/``disjunct_answers`` are the incremental-maintenance
-    state managed by :mod:`repro.standing.maintain`:
-
-    * ``disjuncts is None`` — the rewriting did not decompose (or the
-      CQ is disconnected on a sharded dataset): every relevant update
-      re-executes the full plan (the logged fallback);
-    * ``disjunct_answers is None`` — the per-disjunct sets are invalid
-      (a fallback or error ran): the next maintenance rebuilds them.
-
-    ``disjunct_answers[i]`` maps shard id to that disjunct's answers on
-    that shard (monolithic datasets use the single pseudo-shard ``-1``);
-    the materialized :attr:`answers` is the union over everything.
-    """
+    """One live subscription (mutable state guarded by ``condition``):
+    the plan, the engine and options it subscribed with, and the
+    materialized :attr:`answers` as of :attr:`epoch` — all the state
+    maintenance keeps (:mod:`repro.standing.maintain` re-executes the
+    plan and the update path diffs)."""
 
     subscription_id: str
     #: Tenant-scoped registry key (wire bodies carry :attr:`base_name`).
@@ -125,8 +115,12 @@ class StandingQuery:
     epoch: int = 0
     #: Epoch at/below which deltas are no longer retained in history.
     oldest_epoch: int = 0
-    disjuncts: Optional[Sequence] = None
-    disjunct_answers: Optional[List[Dict[int, FrozenSet[Row]]]] = None
+    #: The ``Dataset`` object the answers were materialized against.
+    #: :attr:`dataset` names whatever is registered now; an update
+    #: still running on a replaced dataset must not reach the
+    #: replacement's subscribers, so the update path checks identity.
+    #: Never on the wire.
+    owner: object = field(default=None, repr=False, compare=False)
     #: Set when an update failed partway: the materialization may not
     #: reflect the data, so the next update must refresh regardless of
     #: which predicates it touches.
@@ -197,7 +191,6 @@ class StandingRegistry:
         self._deltas_pushed = self._obs.standing_deltas
         self._tuples_pushed = self._obs.standing_tuples
         self._resyncs = self._obs.standing_resyncs
-        self._fallbacks = self._obs.standing_fallbacks
         self._polls = self._obs.standing_polls
         self._maintenance_seconds = self._obs.standing_maintenance_seconds
 
@@ -234,14 +227,17 @@ class StandingRegistry:
         self._close(sub)
         return sub
 
-    def drop_dataset(self, dataset: str) -> List[StandingQuery]:
-        """Remove (and close) every subscription of a dataset — called
-        when the dataset is unregistered or replaced wholesale."""
+    def drop_dataset(self, dataset: str, owner) -> List[StandingQuery]:
+        """Remove (and close) every subscription ``owner`` holds under
+        ``dataset`` — called when that dataset object is unregistered
+        or replaced wholesale.  A subscription to the replacement,
+        filed under the same name, is not its to drop."""
         with self._lock:
-            ids = self._by_dataset.pop(dataset, set())
-            self._index.pop(dataset, None)
-            dropped = [self._subs.pop(sid) for sid in ids
-                       if sid in self._subs]
+            dropped = [sub for sub in self.for_dataset(dataset)
+                       if sub.owner is owner]
+            for sub in dropped:
+                del self._subs[sub.subscription_id]
+                self._unindex(sub)
         for sub in dropped:
             self._close(sub)
         return dropped
@@ -293,8 +289,8 @@ class StandingRegistry:
                  ) -> List[StandingQuery]:
         """Subscriptions one update may have moved: looked up through
         the per-predicate index with each data variant's own changed
-        set, plus any subscription whose maintenance state needs a
-        rebuild (its epoch is behind regardless of predicates)."""
+        set, plus any ``stale`` subscription (its materialization is
+        behind regardless of predicates)."""
         with self._lock:
             index = self._index.get(dataset, {})
             ids: Set[str] = set()
@@ -306,24 +302,21 @@ class StandingRegistry:
                             ids.add(sid)
             for sid in self._by_dataset.get(dataset, ()):
                 sub = self._subs.get(sid)
-                if sub is not None and (
-                        sub.stale
-                        or (sub.disjuncts is not None
-                            and sub.disjunct_answers is None)):
+                if sub is not None and sub.stale:
                     ids.add(sid)
             return [self._subs[sid] for sid in sorted(ids)
                     if sid in self._subs]
 
-    def invalidate_dataset(self, dataset: str) -> None:
-        """Mark every subscription of a dataset stale (an update
-        failed partway).  The service follows up with a proactive
-        resync; any subscription that resists it stays stale —
-        surfaced in poll/snapshot bodies — until a later update's
-        maintenance pass succeeds for it."""
-        for sub in self.for_dataset(dataset):
+    @staticmethod
+    def invalidate(subs: Sequence[StandingQuery]) -> None:
+        """Mark subscriptions stale (an update failed partway).  The
+        dataset follows up with a proactive resync; any subscription
+        that resists it stays stale — surfaced in poll/snapshot
+        bodies — until a later update's maintenance pass succeeds for
+        it."""
+        for sub in subs:
             with sub.condition:
                 sub.stale = True
-                sub.disjunct_answers = None
 
     def count(self) -> int:
         with self._lock:
@@ -360,9 +353,6 @@ class StandingRegistry:
         """Move an unaffected subscription's watermark forward."""
         with sub.condition:
             sub.epoch = max(sub.epoch, epoch)
-
-    def record_fallback(self) -> None:
-        self._fallbacks.inc()
 
     def record_resync(self) -> None:
         self._resyncs.inc()
@@ -453,7 +443,9 @@ class StandingRegistry:
                     "deltas_pushed": int(self._deltas_pushed.value),
                     "tuples_pushed": int(self._tuples_pushed.value),
                     "resyncs": int(self._resyncs.value),
-                    "fallback_reexecutions": int(self._fallbacks.value),
+                    # nothing can fall back any more; the frozen
+                    # benchmarks/omq/update_standing.py reads the key
+                    "fallback_reexecutions": 0,
                     "polls": int(self._polls.value),
                     "maintenance_seconds": round(
                         self._maintenance_seconds.value, 6)}

@@ -383,7 +383,16 @@ class TestConnectionPool:
         # every call got its own (right) response: none lost, none
         # crossed with another thread's on a shared connection
         assert outcomes == [True] * (6 * 25)
-        assert stack.accepted <= 6
+        # ...and connections were reused.  Not ``<= 6``: six threads
+        # share a 4-socket idle pool, and ``_checkin`` closes a socket
+        # that comes back to a full pool by design, so a thread that
+        # next finds the pool empty dials again — how often is up to
+        # the scheduler.  What the pool guarantees: a dial needs it
+        # empty and a close needs it full, so between the two each of
+        # its sockets served a call — at most the two surplus threads
+        # dial per four pooled calls, on top of one dial per thread
+        surplus = 6 - _POOL_SIZE
+        assert stack.accepted <= 6 + surplus * (6 * 25) // _POOL_SIZE
 
 
 class _OneShotServer:

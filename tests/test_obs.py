@@ -29,7 +29,7 @@ from repro.obs import (configure_logging, get_logger,
 from repro.obs import logs as obs_logs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import _NULL_SPAN, Trace, span, tracing
-from repro.queries import chain_cq
+from repro.queries import CQ, chain_cq
 from repro.service import OMQService, serve_in_background
 from repro.service.dataset import Dataset
 
@@ -178,7 +178,6 @@ METRIC_FAMILIES = {
     "repro_service_updates_total": "counter",
     "repro_slow_queries_total": "counter",
     "repro_standing_deltas_pushed_total": "counter",
-    "repro_standing_fallbacks_total": "counter",
     "repro_standing_maintenance_seconds_total": "counter",
     "repro_standing_polls_total": "counter",
     "repro_standing_resyncs_total": "counter",
@@ -379,6 +378,11 @@ class TestUpdateTrace:
         service.register_dataset("small", random_data(1))
         for name in ("wide", "small"):
             service.subscribe(name, OMQ(TBOX, chain_cq("RS")))
+        # a renaming of that query and one other shape: three watchers,
+        # two plans
+        service.subscribe("wide", OMQ(TBOX, CQ.parse(
+            "R(u, v), S(v, w)", answer_vars=["u", "w"])))
+        service.subscribe("wide", OMQ(TBOX, chain_cq("SR")))
         try:
             with serve_in_background(service) as handle:
                 url = handle.url
@@ -390,6 +394,12 @@ class TestUpdateTrace:
                         stage["seconds"] for stage in update["children"])
                         / update["seconds"])
                 assert covered >= 0.9
+                # maintenance is the answer route: each plan the update
+                # re-executed is an ``execute`` span under ``standing``,
+                # as it would be under an ``/answer``
+                standing = update["children"][-1]
+                assert [child["name"] for child in standing["children"]] \
+                    == ["execute"] * 2
 
                 self._traced_update(url, "small", 0)
                 quiet = self._fastest(url, "small", (1, 2, 3))

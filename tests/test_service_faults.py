@@ -9,11 +9,14 @@ the store / maintain call inside it, *is* the injection point) and
 on monolithic and sharded datasets, with and without a store.
 
 Beside the matrix: an update that raced ``register_dataset(replace=
-True)`` lands on the live dataset, not the orphan; and tenant fact
-accounting follows the ABox when an update fails halfway.
+True)`` lands on the live dataset, not the orphan, and one already
+running on the orphan does not reach the replacement's subscribers;
+and tenant fact accounting follows the ABox when an update fails
+halfway.
 """
 
 import contextlib
+import threading
 from typing import Callable, NamedTuple
 
 import pytest
@@ -21,6 +24,7 @@ import pytest
 from repro import ABox, AnswerSession, OMQ
 from repro.queries import chain_cq
 from repro.service import OMQService
+from repro.service import service as service_module
 from repro.service.dataset import Dataset
 from repro.standing import AnswerDelta
 
@@ -281,6 +285,96 @@ def test_update_that_looked_up_a_replaced_dataset_lands_on_the_live_one(
                     == service.answer("d", omq).answers)
     finally:
         service.close()
+
+
+def test_update_on_a_replaced_dataset_leaves_the_new_subscriber_alone():
+    """The other half of the race: the update validated, *then* the
+    dataset was replaced and a client subscribed to the replacement
+    while the update was still running on the orphan.  The registry
+    files both under the name; the subscription belongs to the object
+    it was materialized against."""
+    omq = OMQS[0]
+    with OMQService(max_workers=2) as service:
+        service.register_dataset("d", ABox([("R", ("a", "b"))]))
+        gone = service.subscribe("d", omq)
+        old = service._dataset("d")
+        service.register_dataset("d", random_data(1), replace=True)
+        assert gone.closed
+        sub = service.subscribe("d", omq)
+        answers, history = sub.answers, list(sub.history)
+
+        with old.lock.writing():
+            result = old.apply([("R", ("x1", "x2")),
+                                ("S", ("x2", "x3"))], [])
+
+        assert result.inserted == 2 and old.epoch == 1
+        assert (sub.answers, sub.epoch, list(sub.history), sub.stale) \
+            == (answers, 0, history, False)
+        assert answers == _fresh_answers(service._dataset("d").abox, omq)
+        # nothing was evaluated, so no session pool was built, on the
+        # orphan: nobody is left to close one
+        assert old.all_sessions() == []
+        # ...and a failing update on it does not mark the live ones
+        old._patch = _boom
+        with old.lock.writing(), pytest.raises(RuntimeError):
+            old.apply([("R", ("x5", "x6"))], [])
+        assert not sub.stale and sub.epoch == 0
+        assert old.all_sessions() == []
+
+
+def test_retiring_a_dataset_drops_its_subscriptions_and_no_others(
+        monkeypatch):
+    """``register_dataset(replace=True)`` swaps the registry entry and
+    then retires the old object.  A subscription to the replacement
+    made in between is not the old object's to close; one that was
+    being materialized on the old object when the swap happened is."""
+    omq = OMQS[0]
+    with OMQService(max_workers=2) as service:
+        service.register_dataset("d", ABox([("R", ("a", "b"))]))
+        old_sub = service.subscribe("d", omq)
+        early = []
+        retire = service._retire
+
+        def subscribe_then_retire(dataset):
+            early.append(service.subscribe("d", omq))
+            retire(dataset)
+
+        monkeypatch.setattr(service, "_retire", subscribe_then_retire)
+        service.register_dataset("d", random_data(1), replace=True)
+        monkeypatch.undo()
+        (new_sub,) = early
+        assert old_sub.closed and not new_sub.closed
+        assert service.poll(new_sub.subscription_id)["epoch"] == 0
+        service.update("d", inserts=FAULTED)
+        assert new_sub.epoch == 1 and ("x1", "x3") in new_sub.answers
+
+        # a subscribe in flight on the object being replaced: it holds
+        # the read lock, the swap happens, the retire waits for it
+        replace = threading.Thread(
+            target=service.register_dataset,
+            args=("d", random_data(2)), kwargs={"replace": True})
+        initialize = service_module.initialize
+
+        def initialize_then_replace(sub, session):
+            initialize(sub, session)
+            live = service._dataset("d")
+            replace.start()
+            while service._dataset("d") is live:
+                replace.join(0.01)
+                assert replace.is_alive()
+
+        monkeypatch.setattr(service_module, "initialize",
+                            initialize_then_replace)
+        late = service.subscribe("d", omq)
+        monkeypatch.undo()
+        replace.join(10)
+        assert not replace.is_alive()
+        # it materialized data that is gone: closed with it, not left
+        # in the registry where no update would ever reach it
+        assert late.closed and new_sub.closed
+        assert service.standing.count() == 0
+        assert (service.stats()["tenants"]["per_tenant"]["default"]
+                ["subscriptions"] == 0)
 
 
 # -- tenant accounting on a failed update ------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given
 from repro import (
     OMQ,
     AnswerOptions,
+    AnswerSession,
     Client,
     OMQService,
     answer,
@@ -20,7 +21,8 @@ from repro import (
 from repro.data import ABox, multi_component_abox, workload_abox
 from repro.queries import CQ, Atom, chain_cq
 from repro.shard import Partition, ShardedSession
-from repro.shard.executor import SerialExecutor
+from repro.shard import executor as shard_executor
+from repro.shard.executor import SerialExecutor, _PlanTable
 
 from .helpers import example11_tbox, hypothesis_settings, random_data
 from .test_property_based import aboxes, tboxes, tree_queries
@@ -610,6 +612,66 @@ class TestSerialExecutorContract:
             executor.close()
 
 
+class TestWorkerPlanTable:
+    """A process worker gets a fresh unpickled copy of the plan with
+    every ``execute``; its table makes the first copy that ran the
+    canonical one, so the specialisation memo survives the pickle."""
+
+    @staticmethod
+    def _copy(plan):
+        return pickle.loads(pickle.dumps(plan))
+
+    def test_copies_resolve_to_the_first_that_executed(self):
+        plan = compile_omq(OMQ(example11_tbox(), chain_cq("RS")),
+                           method="lin")
+        table = _PlanTable()
+        with AnswerSession(ABox([("R", ("a", "b")),
+                                 ("S", ("b", "c"))])) as session:
+            first = table.resolve(self._copy(plan))
+            assert not first._specialisations
+            assert ("a", "c") in first.execute(session).answers
+            # not kept until told it ran: an equal copy is still new
+            assert table.resolve(self._copy(plan)) is not first
+            table.keep(first)
+            second = table.resolve(self._copy(plan))
+            assert second is first and second._specialisations
+            # a new plan over an equal TBox shares the first's object
+            other = table.resolve(self._copy(compile_omq(
+                OMQ(example11_tbox(), chain_cq("SR")), method="lin")))
+            assert other.omq.tbox is first.omq.tbox
+
+    def test_a_plan_that_raised_is_not_kept(self):
+        # what the worker loop does with a broken plan sent under a
+        # good plan's fingerprint: resolve, execute raises, no keep
+        plan = compile_omq(OMQ(example11_tbox(), chain_cq("RS")),
+                           method="lin")
+        broken = dataclasses.replace(plan, ndl=None)
+        assert broken.fingerprint == plan.fingerprint
+        table = _PlanTable()
+        table.resolve(self._copy(broken))
+        good = table.resolve(self._copy(plan))
+        assert good.ndl is not None
+        table.keep(good)
+        assert table.resolve(self._copy(broken)) is good
+
+    def test_table_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(shard_executor, "PLANS_KEPT", 3)
+        table = _PlanTable()
+        tbox = example11_tbox()
+        for length in range(1, 9):
+            table.keep(table.resolve(compile_omq(
+                OMQ(tbox, chain_cq("RS" * length)), method="lin")))
+            assert len(table._plans) <= 3
+        # re-keeping a kept plan at the bound evicts nothing
+        table = _PlanTable()
+        plans = [compile_omq(OMQ(tbox, chain_cq("RS" * length)),
+                             method="lin") for length in (1, 2, 3)]
+        for _ in range(2):
+            for plan in plans:
+                table.keep(table.resolve(plan))
+        assert len(table._plans) == 3
+
+
 class TestExecutorGuards:
     """Regression coverage for satellite fixes: out-of-range shard
     selection must raise, closed executors must refuse clearly, and
@@ -620,16 +682,18 @@ class TestExecutorGuards:
         partition = Partition.build(abox, 2)
         executor = SerialExecutor(partition.shard_aboxes(abox))
         try:
-            plan = compile_omq(OMQ(example11_tbox(), chain_cq("RS")),
-                               method="lin")
-            for bad in ([2], [-1], [0, 5]):
+            fact = [("R", ("p", "q"))]
+            for bad in ({2: (fact, [])}, {-1: (fact, [])},
+                        {0: (fact, []), 5: (fact, [])}):
                 try:
-                    executor.execute(plan, shards=bad)
+                    executor.apply_deltas(bad)
                     raise AssertionError(f"{bad} must be rejected")
                 except ValueError as error:
                     assert "out of range" in str(error)
-            # in-range restriction still works
-            assert len(executor.execute(plan, shards=[1])) == 1
+            # ...before any shard took its share: shard 0 is unpatched
+            assert fact[0] not in executor._sessions[0].abox
+            # in-range routing still works
+            assert len(executor.apply_deltas({1: (fact, [])})) == 1
         finally:
             executor.close()
 

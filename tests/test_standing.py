@@ -1,11 +1,13 @@
-"""Standing queries: incremental answer maintenance and push delivery.
+"""Standing queries: answer maintenance and push delivery.
 
 The contract under test (see :mod:`repro.standing`): a subscriber's
-maintained answer set must equal a from-scratch execution of the same
-plan after *every* update, and the deltas it receives must be exactly
+maintained answer set must equal the certain answers over the data as
+it is after *every* update, and the deltas it receives must be exactly
 the difference between consecutive materializations.  The property
 suites drive random insert/delete sequences through every available
-engine and the sharded path and check both invariants differentially;
+engine, every rewriter and the sharded path and check both invariants
+against oracles that share nothing with the maintained route — the
+chase, and a session loaded from scratch over a copy of the atoms;
 the serving tests cover long-poll and SSE end to end over HTTP, plus
 the epoch in the update response and the parked-poll 429.
 """
@@ -18,14 +20,21 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro import ENGINES, OMQ, AsyncClient, Client, ServiceError
+from repro import (
+    ENGINES,
+    OMQ,
+    AsyncClient,
+    Client,
+    ServiceError,
+    certain_answers,
+)
 from repro.data import ABox
 from repro.ontology import TBox
 from repro.queries import CQ, chain_cq
 from repro.rewriting import AnswerSession
-from repro.rewriting.plan import AnswerOptions, compile_omq
+from repro.rewriting.plan import Plan
 from repro.service import OMQService, serve_in_background
-from repro.standing import AnswerDelta, decompose
+from repro.standing import AnswerDelta
 from repro.standing.push import decode_sse, sse_event
 
 from .helpers import (
@@ -40,44 +49,6 @@ SETTINGS = hypothesis_settings(20)
 NAMES = tuple(f"n{i}" for i in range(6))
 BINARY = ("P", "R", "S")
 UNARY = ("A_P", "A_P-")
-
-
-# ---------------------------------------------------------------------------
-# decomposition units
-
-
-class TestDecompose:
-    def test_one_disjunct_per_goal_clause(self):
-        plan = compile_omq(OMQ(TBOX, chain_cq("RS")),
-                           AnswerOptions.coerce({"method": "ucq"}))
-        disjuncts = decompose(plan.ndl)
-        goal = plan.ndl.goal
-        goal_clauses = [clause for clause in plan.ndl.program.clauses
-                        if clause.head.predicate == goal]
-        assert disjuncts is not None
-        assert len(disjuncts) == len(goal_clauses)
-
-    def test_disjunct_union_equals_full_evaluation(self):
-        from repro.datalog import evaluate
-
-        abox = random_data(5)
-        plan = compile_omq(OMQ(TBOX, chain_cq("RS")),
-                           AnswerOptions.coerce({"method": "ucq"}))
-        disjuncts = decompose(plan.ndl)
-        completed = abox.complete(TBOX)
-        full = evaluate(plan.ndl, completed).answers
-        union = frozenset().union(
-            *(evaluate(d.query, completed).answers for d in disjuncts))
-        assert union == full
-
-    def test_disjunct_edb_predicates_cover_program(self):
-        plan = compile_omq(OMQ(TBOX, chain_cq("RSR")),
-                           AnswerOptions.coerce({"method": "lin"}))
-        disjuncts = decompose(plan.ndl)
-        if disjuncts is None:
-            pytest.skip("rewriting did not decompose")
-        covered = frozenset().union(*(d.edb_predicates for d in disjuncts))
-        assert covered <= plan.ndl.program.edb_predicates
 
 
 # ---------------------------------------------------------------------------
@@ -120,17 +91,36 @@ QUERIES = (
 )
 
 
+#: the rewriters whose plans the monolithic suite maintains
+METHODS = ("lin", "log", "tw", "ucq")
+
+
+def _oracle(abox, query):
+    """The certain answers over ``abox`` as it is now, by two routes
+    that share nothing with maintenance: the chase, and a session that
+    loads a copy of the atoms from scratch (``service.answer`` would
+    not do — it is ``Plan.execute`` over the same patched session the
+    subscriptions were refreshed on)."""
+    atoms = ABox(abox.atoms())
+    expected = certain_answers(TBOX, atoms, query)
+    with AnswerSession(atoms) as session:
+        assert session.answer(OMQ(TBOX, query)).answers == expected
+    return expected
+
+
 def _drive_and_check(service, dataset, subs, script):
     """Apply the script; after each step every subscription's
-    maintained answers must equal a from-scratch answer, and its
-    polled deltas must replay to the same set."""
-    replayed = {sid: set(sub.answers) for sid, sub in subs.items()}
-    epochs = {sid: sub.epoch for sid, sub in subs.items()}
+    maintained answers must equal the oracle's, and its polled deltas
+    must replay to the same set."""
+    replayed = {sid: set(sub.answers) for sid, (sub, _) in subs.items()}
+    epochs = {sid: sub.epoch for sid, (sub, _) in subs.items()}
+    abox = service._dataset(dataset).abox
+    for sub, query in subs.values():
+        assert sub.answers == _oracle(abox, query)
     for inserts, deletes in script:
         service.update(dataset, inserts=inserts, deletes=deletes)
-        for sid, sub in subs.items():
-            expected = service.answer(
-                dataset, sub_omq(sub), options=sub.options).answers
+        for sid, (sub, query) in subs.items():
+            expected = _oracle(abox, query)
             assert sub.answers == expected, (
                 f"maintained != from-scratch after "
                 f"+{inserts} -{deletes}")
@@ -146,29 +136,31 @@ def _drive_and_check(service, dataset, subs, script):
             assert replayed[sid] == expected, "deltas do not replay"
 
 
-def sub_omq(sub):
-    return sub._omq
-
-
-def _subscribe_all(service, dataset, engine=None):
+def _subscribe_all(service, dataset, engine=None, method=None):
+    """``{id: (subscription, query)}``, one per query of
+    :data:`QUERIES` (the disconnected one keeps the default rewriter:
+    ``lin`` and ``tw`` need a tree)."""
     subs = {}
     for query in QUERIES:
-        omq = OMQ(TBOX, query)
-        sub = service.subscribe(dataset, omq, engine=engine)
-        sub._omq = omq  # test-side backpointer for the oracle
-        subs[sub.subscription_id] = sub
+        sub = service.subscribe(
+            dataset, OMQ(TBOX, query), engine=engine,
+            method=method if query.is_connected else None)
+        subs[sub.subscription_id] = (sub, query)
     return subs
 
 
 class TestMaintenanceDifferential:
     @pytest.mark.parametrize("engine", ENGINES)
     @SETTINGS
-    @given(script=update_scripts(), seed=st.integers(0, 5))
-    def test_monolithic_matches_from_scratch(self, engine, script, seed):
+    @given(script=update_scripts(), seed=st.integers(0, 5),
+           method=st.sampled_from(METHODS))
+    def test_monolithic_matches_from_scratch(self, engine, script, seed,
+                                             method):
         service = OMQService(default_engine=engine)
         try:
             service.register_dataset("d", random_data(seed, atoms=14))
-            subs = _subscribe_all(service, "d", engine=engine)
+            subs = _subscribe_all(service, "d", engine=engine,
+                                  method=method)
             _drive_and_check(service, "d", subs, script)
         finally:
             service.close()
@@ -200,8 +192,7 @@ class TestMaintenanceDifferential:
             # bridge two components, then grow the merged one
             service.update("d", inserts=[("R", ("c0", "b3"))])
             service.update("d", inserts=[("S", ("b3", "zz"))])
-            expected = service.answer("d", omq).answers
-            assert sub.answers == expected
+            assert sub.answers == _oracle(abox, omq.query)
         finally:
             service.close()
 
@@ -414,6 +405,101 @@ class TestFailedUpdateRecovery:
             assert plan.execute(session).answers == {("a", "b")}
             session.apply_update(deletes=[("A", ("a",))])
             assert plan.execute(session).answers == frozenset()
+
+
+class TestOneRoute:
+    """Maintenance is ``Plan.execute`` over the patched session — the
+    route that serves ``/answer`` — once per distinct plan per pass."""
+
+    @pytest.mark.parametrize("engine", ["sql", "sql-views"])
+    def test_subscriber_options_reach_maintenance(self, engine,
+                                                  monkeypatch):
+        """``optimize_sql=True`` at subscribe is what the snapshot and
+        every later refresh compile with, as ``/answer`` would."""
+        from repro.sql import engine as sql_engine
+
+        compiled = []
+        compile_query = sql_engine.compile_query
+
+        def spy(query, **kwargs):
+            compiled.append(kwargs["optimize"])
+            return compile_query(query, **kwargs)
+
+        monkeypatch.setattr(sql_engine, "compile_query", spy)
+        omq = OMQ(TBOX, chain_cq("RS"))
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse("R(a,b), S(b,c)"))
+            sub = service.subscribe("d", omq, engine=engine,
+                                    optimize_sql=True)
+            assert compiled == [True]
+            # P's first fact puts A_P- in the nonempty signature: the
+            # plan is re-specialised, so the refresh compiles again
+            service.update("d", inserts=[("P", ("c", "d"))])
+            assert sub.answers == {("a", "c"), ("d", "d")}
+            assert compiled == [True, True]
+
+    def test_one_execute_per_distinct_plan(self, monkeypatch):
+        """Five renamings of one shape and one other shape: a watched
+        update runs two plans, not six subscriptions."""
+        executed = []
+        execute = Plan.execute
+
+        def spy(plan, *args, **kwargs):
+            executed.append(plan.fingerprint)
+            return execute(plan, *args, **kwargs)
+
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            subs = [service.subscribe("d", OMQ(TBOX, CQ.parse(
+                        f"R(x{i}, y{i}), S(y{i}, z{i})",
+                        answer_vars=[f"x{i}", f"z{i}"])))
+                    for i in range(5)]
+            subs.append(service.subscribe("d", OMQ(TBOX, chain_cq("SR"))))
+            monkeypatch.setattr(Plan, "execute", spy)
+            service.update("d", inserts=[("R", ("o1", "o2")),
+                                         ("S", ("o2", "o3")),
+                                         ("R", ("o3", "o4"))])
+            monkeypatch.undo()
+            assert len(executed) == len(set(executed)) == 2
+            assert set(executed) == {sub.plan.fingerprint for sub in subs}
+            abox = service._dataset("d").abox
+            for sub in subs[:5]:
+                assert sub.epoch == 1 and ("o1", "o3") in sub.answers
+                assert sub.answers == _oracle(abox, chain_cq("RS"))
+            assert subs[5].answers == _oracle(abox, chain_cq("SR"))
+
+    @pytest.mark.parametrize(
+        "engine, shards", [(engine, 0) for engine in ENGINES]
+        + [("python", 2)])
+    def test_two_predicate_emptiness_flip(self, engine, shards):
+        """``B`` and ``R`` hold no fact at subscribe, so the program
+        that runs then mentions neither; the subscription is indexed
+        by its *rewriting's* predicates, so the first fact of each, in
+        its own update, still wakes it, and each delta is exact."""
+        tbox = TBox.parse("roles: R\nB <= A")
+        omq = OMQ(tbox, CQ.parse("A(x), R(x,y)", answer_vars=["x", "y"]))
+        script = (
+            ({"inserts": [("R", ("a", "b")), ("R", ("c", "d"))]},
+             {("a", "b")}, set()),
+            ({"inserts": [("B", ("c",))]}, {("c", "d")}, set()),
+            ({"deletes": [("B", ("c",))]}, set(), {("c", "d")}),
+            ({"deletes": [("R", ("a", "b")), ("R", ("c", "d"))]},
+             set(), {("a", "b")}),
+        )
+        with OMQService(shard_executor="serial") as service:
+            service.register_dataset("d", ABox.parse("A(a)"),
+                                     shards=shards)
+            sub = service.subscribe("d", omq, engine=engine)
+            assert sub.answers == frozenset()
+            for epoch, (step, added, removed) in enumerate(script):
+                service.update("d", **step)
+                body = service.poll(sub.subscription_id,
+                                    since_epoch=epoch)
+                assert not body["stale"] and not body["resync"]
+                (delta,) = [AnswerDelta.from_payload(raw)
+                            for raw in body["deltas"]]
+                assert (delta.added, delta.removed) == (added, removed)
+            assert sub.answers == frozenset()
 
 
 class TestAsyncServing:
