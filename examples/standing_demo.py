@@ -7,8 +7,8 @@ is ``Client.subscribe`` (see ``repro.standing``): the service keeps
 every subscription's answers maintained inside its update path —
 only the subscriptions whose rewriting mentions a changed predicate
 are re-executed, once per distinct plan — and delivers
-``AnswerDelta(added, removed, epoch)`` objects over long-poll or,
-on the asyncio server, as a Server-Sent-Events stream.
+``AnswerDelta(added, removed, epoch)`` objects by long-poll, embedded
+or over HTTP.
 
 Run with ``python examples/standing_demo.py``.
 """
@@ -86,10 +86,10 @@ def embedded_long_poll() -> None:
         sub.unsubscribe()
 
 
-def sse_stream() -> None:
-    """The same subscription pushed over the asyncio server's SSE
-    endpoint — no polling at all."""
-    print("\n== asyncio server, Server-Sent Events ==")
+def async_long_poll() -> None:
+    """The same subscription over the asyncio server: a consumer task
+    long-polls while the main coroutine sends the updates."""
+    print("\n== asyncio server, long-poll ==")
     service = OMQService()
     service.register_dataset("org", fresh_data())
 
@@ -97,21 +97,18 @@ def sse_stream() -> None:
         with serve_in_background(service) as handle:
             async with AsyncClient.connect(handle.url) as client:
                 sub = await client.subscribe("org", QUERY)
-                print(f"streaming from epoch {sub.epoch} ...")
+                print(f"polling from epoch {sub.epoch} ...")
 
                 async def consume():
-                    # exit on the epoch watermark, not a frame count: if
-                    # an update lands before the stream attaches, its
-                    # delta arrives folded into the snapshot/resync
-                    # frame rather than individually
-                    async for delta in sub.stream():
-                        print(f"epoch {delta.epoch}:")
-                        show(delta)
-                        if sub.epoch >= len(UPDATES):
-                            return
+                    # each poll asks for what came after the epoch it
+                    # last saw, so an update that lands between two
+                    # polls is replayed from the history, not missed
+                    while sub.epoch < len(UPDATES):
+                        for delta in await sub.poll(timeout=5.0):
+                            print(f"epoch {delta.epoch}:")
+                            show(delta)
 
                 task = asyncio.create_task(consume())
-                await asyncio.sleep(0.2)  # let the stream attach
                 for step in UPDATES:
                     await client.update(
                         "org",
@@ -127,4 +124,4 @@ def sse_stream() -> None:
 
 if __name__ == "__main__":
     embedded_long_poll()
-    sse_stream()
+    async_long_poll()

@@ -46,8 +46,8 @@ The package implements the paper end to end:
 * standing OMQs (:mod:`repro.standing`): subscriptions over a served
   dataset whose certain answers are maintained on every update —
   only the plans whose rewriting mentions a changed predicate are
-  re-executed — with exact answer deltas pushed to clients over SSE
-  or long-poll (``Client.subscribe`` / ``AsyncClient.subscribe``,
+  re-executed — with exact answer deltas delivered to clients by
+  long-poll (``Client.subscribe`` / ``AsyncClient.subscribe``,
   ``python -m repro subscribe``);
 * one compiled query pipeline (:mod:`repro.rewriting.plan`):
   :func:`compile` turns an OMQ plus one

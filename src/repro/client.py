@@ -55,7 +55,6 @@ from .ontology.tbox import TBox
 from .queries.cq import CQ
 from .rewriting.api import OMQ
 from .rewriting.plan import AnswerOptions, Answers
-from .standing.push import decode_sse
 from .standing.registry import AnswerDelta
 from .store.tenants import TenantManager
 
@@ -153,9 +152,9 @@ class _SubscriptionState:
     """Shared client-side bookkeeping for one standing query: the live
     answer set and the epoch watermark, advanced by applying deltas.
 
-    Both the blocking :class:`Subscription` (long-poll) and the
-    asyncio :class:`AsyncSubscription` (SSE or long-poll) mix this in,
-    so resync and duplicate-delta handling cannot drift between them.
+    Both the blocking :class:`Subscription` and the asyncio
+    :class:`AsyncSubscription` mix this in, so resync and
+    duplicate-delta handling cannot drift between them.
     """
 
     def _init_state(self, snapshot: Dict[str, object]) -> None:
@@ -173,8 +172,8 @@ class _SubscriptionState:
 
     def _apply_delta(self, delta: AnswerDelta) -> bool:
         """Advance the local state by one delta; ``False`` means the
-        delta was already reflected (e.g. delivered twice around an
-        attach) and should not be surfaced."""
+        delta was already reflected (e.g. by a concurrent poll from
+        the same watermark) and should not be surfaced."""
         if delta.resync:
             self.answers = delta.answers or frozenset()
             self.epoch = max(self.epoch, delta.epoch)
@@ -421,10 +420,9 @@ class _HTTPCore:
 
     # -- framing -----------------------------------------------------------
 
-    def _frame(self, path: str, payload=None, stream: bool = False) -> bytes:
+    def _frame(self, path: str, payload=None) -> bytes:
         """The request bytes: a ``GET`` without ``payload``, else a
-        JSON ``POST``; ``stream`` asks for an SSE response on a
-        connection of its own."""
+        JSON ``POST``."""
         body = b"" if payload is None else json.dumps(payload).encode()
         lines = [f"{'GET' if payload is None else 'POST'} {path} HTTP/1.1",
                  f"Host: {self.host}:{self.port}",
@@ -437,8 +435,6 @@ class _HTTPCore:
             # propagate the ambient trace so server-side spans and
             # slow-query log lines correlate with this caller
             lines.append(f"{TRACE_HEADER}: {trace_id}")
-        if stream:
-            lines += ["Accept: text/event-stream", "Connection: close"]
         return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
 
     def _result(self, status: int, headers: Dict[str, str], raw: bytes,
@@ -808,11 +804,10 @@ class AsyncClient(_HTTPCore):
     async def subscribe(self, dataset: str, omq: OMQ, options=None,
                         **overrides) -> "AsyncSubscription":
         """Register ``omq`` as a standing query; the returned
-        :class:`AsyncSubscription` can :meth:`~AsyncSubscription.poll`
-        or :meth:`~AsyncSubscription.stream` deltas over SSE::
+        :class:`AsyncSubscription` long-polls for its deltas::
 
             sub = await client.subscribe("demo", omq)
-            async for delta in sub.stream():
+            for delta in await sub.poll(timeout=5.0):
                 print(delta.added, delta.removed)
         """
         return AsyncSubscription(self, await super().subscribe(
@@ -832,16 +827,8 @@ class AsyncClient(_HTTPCore):
 
 
 class AsyncSubscription(_SubscriptionState):
-    """The asyncio standing-query handle (see :meth:`AsyncClient.subscribe`).
-
-    Two consumption styles over the same local state:
-
-    * :meth:`stream` — an async iterator of
-      :class:`~repro.standing.registry.AnswerDelta`, fed by the
-      server's SSE endpoint (``GET /subscribe``); resyncs arrive as a
-      single ``resync`` delta carrying the full answer set.
-    * :meth:`poll` — one long-poll round trip.
-    """
+    """The asyncio standing-query handle (see :meth:`AsyncClient.subscribe`):
+    the awaitable twin of :class:`Subscription`."""
 
     def __init__(self, client: AsyncClient, snapshot: Dict[str, object]):
         self._client = client
@@ -857,81 +844,3 @@ class AsyncSubscription(_SubscriptionState):
         if not self.closed:
             self.closed = True
             await self._client.unsubscribe(self.subscription_id)
-
-    async def stream(self):
-        """Async-iterate answer deltas pushed over SSE.
-
-        Ends when the subscription is closed server-side (an
-        ``unsubscribe``, a dataset drop, or service shutdown).  Deltas
-        already reflected by the snapshot are skipped by epoch, so no
-        change is ever seen twice.  The stream runs on a connection of
-        its own, outside the client's pool, so it never delays a call.
-        """
-        wire = self._client
-        reader, writer = await asyncio.open_connection(wire.host, wire.port)
-        try:
-            writer.write(wire._frame(
-                f"/subscribe?subscription={self.subscription_id}",
-                stream=True))
-            await writer.drain()
-            try:
-                head = await reader.readuntil(b"\r\n\r\n")
-            except asyncio.IncompleteReadError as cut_short:
-                head = cut_short.partial
-            status, headers = _parse_head(head)
-            if status >= 400:
-                length = headers.get("Content-Length", "")
-                wire._result(status, headers,
-                             await reader.readexactly(int(length))
-                             if length.isdigit() else await reader.read())
-            async for event, data in self._sse_frames(reader):
-                delta = self._decode_event(event, data)
-                if delta is None:
-                    if event == "closed":
-                        self.closed = True
-                        return
-                    continue
-                if self._apply_delta(delta):
-                    yield delta
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _sse_frames(reader: asyncio.StreamReader):
-        """``(event, data)`` pairs until the server closes the stream."""
-        buffer: List[str] = []
-        while True:
-            line = await reader.readline()
-            if not line:
-                return
-            text = line.decode().rstrip("\r\n")
-            if text:
-                buffer.append(text)
-                continue
-            if buffer:
-                yield decode_sse("\n".join(buffer))
-                buffer = []
-
-    def _decode_event(self, event: str, data: str) -> Optional[AnswerDelta]:
-        """One SSE frame as an :class:`AnswerDelta` (or ``None`` for
-        frames that carry no answer change to surface)."""
-        try:
-            body = json.loads(data) if data else {}
-        except json.JSONDecodeError:
-            return None
-        if event == "delta":
-            return AnswerDelta.from_payload(body)
-        if event in ("snapshot", "resync"):
-            answers = frozenset(tuple(row)
-                                for row in body.get("answers", ()))
-            epoch = int(body.get("epoch", 0))
-            if event == "snapshot" and (epoch <= self.epoch
-                                        and answers == self.answers):
-                return None  # nothing moved since we subscribed
-            return AnswerDelta(epoch=epoch, resync=True, answers=answers)
-        return None
-

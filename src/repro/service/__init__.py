@@ -33,8 +33,7 @@ Standing queries (:mod:`repro.standing`) plug into the service here:
 ``OMQService.subscribe`` registers a compiled plan for incremental
 answer maintenance inside the update path (the ``standing`` stage of
 ``Dataset.apply``), and the server delivers
-the deltas by long-poll (``POST /poll``) or SSE streaming
-(``GET /subscribe``).
+the deltas by long-poll (``POST /poll``).
 """
 
 from .aserve import AsyncServiceServer, BackgroundAsyncServer, serve_in_background

@@ -26,13 +26,11 @@ streams and buys throughput three ways:
   header instead of growing an unbounded queue.  Joining an in-flight
   coalesced execution is always admitted: it adds no work.
 
-Standing queries (:mod:`repro.standing`) get their push transport
-here too: ``GET /subscribe?subscription=ID`` streams incremental answer
-deltas as Server-Sent Events (``snapshot``, then ``delta`` /
-``resync`` / ``closed`` frames), and ``POST /poll`` long-polls on a
-dedicated thread so parked pollers never occupy the worker pool.
-Parked polls are bounded separately (``max_polls``, each costs an OS
-thread): past the cap new polls are rejected with 429.
+Standing queries (:mod:`repro.standing`) deliver their answer deltas
+by long-poll: ``POST /poll`` runs on a dedicated thread so parked
+pollers never occupy the worker pool.  Parked polls are bounded
+separately (``max_polls``, each costs an OS thread): past the cap new
+polls are rejected with 429.
 
 Counters for all three (plus queue depth high-water marks) are served
 under ``"async_serving"`` in ``GET /stats`` and as ``repro_async_*``
@@ -58,7 +56,6 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple
 
 from ..obs.trace import Trace, mint_trace_id, span, tracing
-from ..standing.push import RESYNC, SubscriberStream, sse_event
 from .protocol import (
     TENANT_HEADER,
     TRACE_HEADER,
@@ -455,67 +452,6 @@ class AsyncServiceServer:
                          daemon=True).start()
         return future
 
-    # -- standing-query push (SSE) -------------------------------------------
-
-    async def _handle_subscribe_stream(self, writer: asyncio.StreamWriter,
-                                       path: str) -> bool:
-        """Stream one subscription's deltas as Server-Sent Events.
-
-        The response has no Content-Length, so the connection is
-        single-use: the return value is always ``False`` once the
-        stream head has been written.
-        """
-        self._obs.async_requests.inc()
-        query = path.partition("?")[2]
-        params = dict(pair.split("=", 1)
-                      for pair in query.split("&") if "=" in pair)
-        sid = params.get("subscription", "")
-        registry = self.service.standing
-        stream = SubscriberStream(self._loop)
-        try:
-            if not sid:
-                raise ProtocolError(
-                    "GET /subscribe needs ?subscription=<id> "
-                    "(create one with POST /subscribe)")
-            snapshot = registry.attach(sid, stream.listener)
-        except Exception as error:
-            status, payload, extra = error_payload(error)
-            self._respond(writer, status, encode_body(payload),
-                          headers=extra)
-            await writer.drain()
-            return True
-        writer.write(b"HTTP/1.1 200 OK\r\n"
-                     b"Content-Type: text/event-stream\r\n"
-                     b"Cache-Control: no-cache\r\n"
-                     b"Connection: close\r\n\r\n")
-        writer.write(sse_event("snapshot", snapshot))
-        try:
-            await writer.drain()
-            while True:
-                event = await stream.next_event()
-                if event is None:  # subscription closed
-                    writer.write(sse_event("closed",
-                                           {"subscription": sid}))
-                    await writer.drain()
-                    return False
-                if event is RESYNC:
-                    # re-admit deltas *before* snapshotting so nothing
-                    # committed after the snapshot is lost
-                    stream.begin_resync()
-                    registry.record_resync()
-                    body = registry.snapshot(sid)
-                    body["resync"] = True
-                    writer.write(sse_event("resync", body))
-                else:
-                    writer.write(sse_event("delta", event))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            raise
-        except Exception:
-            return False  # e.g. the subscription vanished mid-resync
-        finally:
-            registry.detach(sid, stream.listener)
-
     # -- HTTP plumbing -------------------------------------------------------
 
     async def _handle_connection(self, reader: asyncio.StreamReader,
@@ -572,10 +508,6 @@ class AsyncServiceServer:
             self.router.observe_request(method, path, status, 0.0)
             return False
         keep_alive = headers.get("connection", "").lower() != "close"
-        if method == "GET" and path.partition("?")[0] == "/subscribe":
-            # SSE: an unframed streaming response, written directly —
-            # _respond's fixed Content-Length cannot carry it
-            return await self._handle_subscribe_stream(writer, path)
         started = time.perf_counter()
         trace = begin_trace(headers.get(TRACE_HEADER.lower()))
         extra: Dict[str, str] = {TRACE_HEADER: trace.trace_id}

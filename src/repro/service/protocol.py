@@ -16,7 +16,7 @@ and error shaping, with no sockets in it:
   The server delegates every route here; it only intercepts ``/answer``
   to add coalescing and micro-batching around the same
   :meth:`Router.decode_answer` / :meth:`Router.result_payload` pair,
-  and ``GET /subscribe`` to stream.
+  and ``/poll`` to park it on a thread of its own.
 """
 
 from __future__ import annotations

@@ -24,9 +24,7 @@ data use the same surface syntax as the CLI and test suite:
 ``POST /subscribe``          an answer request: register a standing
                              query, returns the snapshot + ``epoch``
                              + ``subscription`` id
-``GET  /subscribe?subscription=ID``  the subscription's deltas as
-                             Server-Sent Events
-``POST /poll``               ``{"subscription": ..., "since_epoch":
+``POST /poll``             ``{"subscription": ..., "since_epoch":
                              N, "timeout": S}`` — long-poll for
                              answer deltas
 ``POST /unsubscribe``        ``{"subscription": ...}``
@@ -158,9 +156,10 @@ def add_serve_arguments(parser) -> None:
                              "--rate-limit")
     parser.add_argument("--slow-query-ms", type=float, default=None,
                         metavar="MS",
-                        help="log requests slower than MS milliseconds "
-                             "(trace ID, plan fingerprint and per-span "
-                             "timings; also kept in /stats under "
+                        help="log requests slower than MS milliseconds, "
+                             "parked /poll excepted (trace ID, plan "
+                             "fingerprint and per-span timings; also "
+                             "kept in /stats under "
                              "observability.slow_query_log)")
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"],

@@ -226,8 +226,8 @@ class OMQService:
         registry.  No new request can check a session out or subscribe
         (:meth:`_acquire` re-validates), so the write lock drains the
         ones still in flight before the pools close.  Its subscriptions
-        materialized data that is gone: they are closed (pollers and
-        streams get an end-of-stream, clients re-subscribe against a
+        materialized data that is gone: they are closed (pollers get a
+        closed-subscription error, clients re-subscribe against a
         replacement), releasing quota and durable rows — once the lock
         is held, so a subscribe that was in flight is among them, and
         by owner, so one to the replacement is not."""
@@ -546,8 +546,8 @@ class OMQService:
         :meth:`update`.
 
         Returns the live :class:`~repro.standing.registry.StandingQuery`
-        — consume it via :meth:`poll` (or the servers' SSE/long-poll
-        transports) and release it with :meth:`unsubscribe`.  The
+        — consume it via :meth:`poll` (or the server's ``POST /poll``)
+        and release it with :meth:`unsubscribe`.  The
         materialization happens under the dataset's read lock, so the
         snapshot and its epoch watermark are consistent: the first
         delta a subscriber sees corresponds to exactly the first update
@@ -604,8 +604,8 @@ class OMQService:
 
     def unsubscribe(self, subscription_id: str,
                     tenant: str = DEFAULT_TENANT) -> None:
-        """Drop a subscription; blocked pollers and attached streams
-        see end-of-stream."""
+        """Drop a subscription; blocked pollers wake with a
+        closed-subscription error."""
         self._owned_subscription(subscription_id, tenant)
         self.standing.remove(subscription_id)
         self.tenants.release_subscription(tenant)
@@ -755,8 +755,9 @@ class OMQService:
         # graceful stop leaves fully-folded store files behind
         if self.store is not None:
             self.checkpoint()
-        # close subscriptions first: blocked pollers wake with
-        # end-of-stream instead of waiting out their timeouts
+        # close subscriptions first: blocked pollers wake with a
+        # closed-subscription error instead of waiting out their
+        # timeouts
         self.standing.close_all()
         with self._lock:
             datasets = list(self._datasets.values())

@@ -1,5 +1,5 @@
 """``repro.standing`` — standing OMQs: answers maintained across
-updates, and push delivery of their deltas.
+updates, and long-poll delivery of their deltas.
 
 The paper's compile-once rewriting makes an OMQ a persistent object;
 this package makes its *answers* persistent too.  A subscriber
@@ -7,7 +7,7 @@ registers ``(dataset, OMQ, options)`` once and thereafter receives
 exactly the answer tuples each data update added or removed — N
 subscribers cost one maintenance pass per update, not N re-queries.
 
-Architecture (three modules, wired through the service layer):
+Architecture (two modules, wired through the service layer):
 
 * :mod:`repro.standing.registry` — the state.  A
   :class:`~repro.standing.registry.StandingQuery` holds the compiled
@@ -17,8 +17,10 @@ Architecture (three modules, wired through the service layer):
   subscriptions per dataset *and* per EDB predicate of the rewriting,
   so an update only visits the subscriptions it can affect.  Each
   subscription keeps a bounded
-  :class:`~repro.standing.registry.AnswerDelta` history for long-poll
-  catch-up; polls asking past the history get a full-snapshot resync.
+  :class:`~repro.standing.registry.AnswerDelta` history, and delivery
+  is a long-poll over it (``POST /poll`` with ``since_epoch``): a poll
+  replays exactly the deltas after its watermark, or gets a
+  full-snapshot resync when it asks past the history.
 
 * :mod:`repro.standing.maintain` — the math.  After an update, each
   subscription whose rewriting mentions a changed predicate — mapped
@@ -32,11 +34,6 @@ Architecture (three modules, wired through the service layer):
   against the materialization, so inserts and deletes need no separate
   cases.
 
-* :mod:`repro.standing.push` — the plumbing.  SSE streaming
-  (``GET /subscribe``) with bounded per-subscriber queues that degrade
-  to a ``resync`` snapshot on overflow rather than ever blocking the
-  update path, and long-poll (``POST /poll`` with ``since_epoch``).
-
 Maintenance is the ``standing`` stage of the update sequence
 (:meth:`repro.service.dataset.Dataset.apply`): it runs inside the
 dataset's writer-lock critical section — the same one that bumps the
@@ -49,14 +46,10 @@ it now is.
 
 from .maintain import variant_changed_predicates
 from .registry import AnswerDelta, StandingQuery, StandingRegistry
-from .push import SubscriberStream, decode_sse, sse_event
 
 __all__ = [
     "AnswerDelta",
     "StandingQuery",
     "StandingRegistry",
-    "SubscriberStream",
-    "decode_sse",
-    "sse_event",
     "variant_changed_predicates",
 ]

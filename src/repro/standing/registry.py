@@ -12,9 +12,7 @@ Maintenance (see :mod:`repro.standing.maintain`) runs inside the
 service's writer-lock update path and commits an
 :class:`AnswerDelta` per affected subscription; unaffected
 subscriptions just advance their watermark.  Consumers read the state
-through :meth:`StandingRegistry.poll` (long-poll with ``since_epoch``)
-or through push listeners (the SSE bridge of
-:mod:`repro.standing.push`).
+through :meth:`StandingRegistry.poll` (long-poll with ``since_epoch``).
 """
 
 from __future__ import annotations
@@ -24,17 +22,7 @@ import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Deque,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..obs import Observability
 from ..store.tenants import TenantManager
@@ -52,8 +40,8 @@ class AnswerDelta:
     ``added``/``removed`` are exact (diffed against the materialized
     set, so an update that re-derives an existing answer emits
     nothing).  A ``resync`` delta replaces the subscriber's state with
-    ``answers`` wholesale — emitted when a push queue overflowed or a
-    poll asked for epochs older than the retained history.
+    ``answers`` wholesale — emitted when a poll asked for epochs older
+    than the retained history.
     """
 
     epoch: int
@@ -129,8 +117,6 @@ class StandingQuery:
     condition: threading.Condition = field(
         default_factory=threading.Condition)
     history: Deque[AnswerDelta] = field(default_factory=deque)
-    listeners: List[Callable[[Optional[Dict]], None]] = field(
-        default_factory=list)
 
     @property
     def predicates(self) -> FrozenSet[str]:
@@ -272,11 +258,7 @@ class StandingRegistry:
     def _close(sub: StandingQuery) -> None:
         with sub.condition:
             sub.closed = True
-            listeners = list(sub.listeners)
-            sub.listeners.clear()
             sub.condition.notify_all()
-        for listener in listeners:
-            listener(None)  # None = stream closed
 
     def for_dataset(self, dataset: str) -> List[StandingQuery]:
         with self._lock:
@@ -327,8 +309,7 @@ class StandingRegistry:
     def commit(self, sub: StandingQuery, delta: AnswerDelta,
                new_answers: FrozenSet[Row]) -> None:
         """Apply one maintenance outcome: update the materialization
-        and watermark, record the delta, wake pollers, push to
-        listeners."""
+        and watermark, record the delta, wake pollers."""
         with sub.condition:
             sub.answers = new_answers
             sub.epoch = delta.epoch
@@ -338,16 +319,10 @@ class StandingRegistry:
                     dropped = sub.history.popleft()
                     sub.oldest_epoch = max(sub.oldest_epoch,
                                            dropped.epoch)
-                listeners = list(sub.listeners)
-            else:
-                listeners = []
             sub.condition.notify_all()
         if not delta.empty:
-            payload = delta.payload()
             self._deltas_pushed.inc()
             self._tuples_pushed.inc(len(delta.added) + len(delta.removed))
-            for listener in listeners:
-                listener(payload)
 
     def advance(self, sub: StandingQuery, epoch: int) -> None:
         """Move an unaffected subscription's watermark forward."""
@@ -361,32 +336,6 @@ class StandingRegistry:
         self._maintenance_seconds.inc(seconds)
 
     # -- consumption ---------------------------------------------------------
-
-    def attach(self, subscription_id: str,
-               listener: Callable[[Optional[Dict]], None]
-               ) -> Dict[str, object]:
-        """Register a push listener and return the current snapshot,
-        atomically — no delta between snapshot and registration can be
-        missed (a delta committed concurrently is at worst delivered
-        twice; its epoch tells the consumer to skip it)."""
-        sub = self.get(subscription_id)
-        with sub.condition:
-            if sub.closed:
-                raise ValueError(
-                    f"subscription {subscription_id!r} is closed")
-            sub.listeners.append(listener)
-            return sub.snapshot_payload()
-
-    def detach(self, subscription_id: str, listener) -> None:
-        with self._lock:
-            sub = self._subs.get(subscription_id)
-        if sub is None:
-            return
-        with sub.condition:
-            try:
-                sub.listeners.remove(listener)
-            except ValueError:
-                pass
 
     def snapshot(self, subscription_id: str) -> Dict[str, object]:
         sub = self.get(subscription_id)

@@ -9,18 +9,15 @@ must stay empty.
 
 import asyncio
 import contextlib
-import http.client
 import json
 import re
 import subprocess
 import sys
 import urllib.request
-from urllib.parse import urlparse
 
 import pytest
 
 from repro import OMQ, AsyncClient, Client, chain_cq
-from repro.standing.push import decode_sse
 
 from .helpers import example11_tbox, random_data
 from .test_examples import _ENV  # the child must see ``src/`` too
@@ -60,38 +57,20 @@ def launched(*flags):
     assert err == ""
 
 
-def _first_sse_frame(url: str, subscription: str):
-    """``(event, decoded data)`` of the first frame the stream sends."""
-    address = urlparse(url)
-    conn = http.client.HTTPConnection(address.hostname, address.port,
-                                      timeout=10)
-    try:
-        conn.request("GET", f"/subscribe?subscription={subscription}")
-        reply = conn.getresponse()
-        assert reply.status == 200
-        assert reply.getheader("Content-Type") == "text/event-stream"
-        block = ""
-        while not block.endswith("\n\n"):
-            line = reply.readline().decode()
-            assert line, "stream ended before its first frame"
-            block += line
-        event, data = decode_sse(block)
-        return event, json.loads(data)
-    finally:
-        conn.close()
-
-
 @pytest.mark.parametrize("flags", [(), ("--async-io",)],
                          ids=["flagless", "async-io"])
 def test_every_launch_is_the_one_server(flags):
     with launched(*flags) as url, Client.connect(url) as client:
         client.register_dataset("demo", random_data(1))
         with client.subscribe("demo", OMQ_RS) as sub:
-            event, snapshot = _first_sse_frame(url, sub.subscription_id)
+            client.update("demo", inserts=[("R", ("k1", "k2")),
+                                           ("S", ("k2", "k3"))])
+            deltas = sub.poll(timeout=10.0)
+            expected = client.answer("demo", OMQ_RS).answers
         stats = client.stats()
-    assert event == "snapshot"
-    assert snapshot["subscription"] == sub.subscription_id
-    assert {tuple(row) for row in snapshot["answers"]} == sub.answers
+    # the update reached the standing query in the launched process
+    assert [delta.added for delta in deltas] == [{("k1", "k3")}]
+    assert sub.epoch == 1 and sub.answers == expected
     # coalescing, micro-batching, admission: the asyncio server's block
     assert stats["async_serving"]["workers"] == 2
 

@@ -456,6 +456,31 @@ class TestSlowQueryLog:
                    for item in obs_stats["slow_query_log"])
         assert "/answer" in obs_stats["latency"]
 
+    def test_parked_poll_is_not_a_slow_query(self, server_url):
+        """A ``/poll``'s wall time is the timeout its client asked for:
+        it is timed in the route histogram, never logged as slow."""
+        url, service = server_url
+        service.obs.slow_query_ms = 100.0
+        try:
+            with Client.connect(url) as client:
+                sub = client.subscribe("demo", OMQ(TBOX, chain_cq("RS")))
+                assert sub.poll(timeout=0.5) == []
+                latency = {}
+                deadline = time.perf_counter() + 5.0
+                while ("/poll" not in latency
+                       and time.perf_counter() < deadline):
+                    time.sleep(0.01)
+                    latency = service.obs.latency_summary()
+                sub.unsubscribe()
+        finally:
+            service.obs.slow_query_ms = None
+        assert latency["/poll"]["count"] == 1
+        assert latency["/poll"]["mean"] >= 0.4
+        # only a slow /subscribe compile on a loaded host may be logged
+        slow = service.obs.slow_query_log()
+        assert all(entry["route"] == "/subscribe" for entry in slow)
+        assert service.obs.stats()["slow_queries"] == len(slow)
+
 
 # -- overhead guard ---------------------------------------------------------
 

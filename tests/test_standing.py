@@ -8,13 +8,17 @@ suites drive random insert/delete sequences through every available
 engine, every rewriter and the sharded path and check both invariants
 against oracles that share nothing with the maintained route — the
 chase, and a session loaded from scratch over a copy of the atoms;
-the serving tests cover long-poll and SSE end to end over HTTP, plus
-the epoch in the update response and the parked-poll 429.
+the serving tests cover long-poll end to end over HTTP on both
+clients, plus the epoch in the update response and the parked-poll
+429.
 """
 
 import asyncio
+import http.client
+import json
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 from hypothesis import given
@@ -35,7 +39,6 @@ from repro.rewriting import AnswerSession
 from repro.rewriting.plan import Plan
 from repro.service import OMQService, serve_in_background
 from repro.standing import AnswerDelta
-from repro.standing.push import decode_sse, sse_event
 
 from .helpers import (
     example11_tbox,
@@ -305,25 +308,6 @@ class TestPollSemantics:
 
 
 # ---------------------------------------------------------------------------
-# wire helpers
-
-
-class TestSSEFrames:
-    def test_event_round_trip(self):
-        frame = sse_event("delta", {"epoch": 3, "added": [["a"]]})
-        event, data = decode_sse(frame.decode().strip("\n"))
-        assert event == "delta"
-        import json
-
-        assert json.loads(data) == {"epoch": 3, "added": [["a"]]}
-
-    def test_multiline_data(self):
-        frame = sse_event("note", "line one\nline two")
-        event, data = decode_sse(frame.decode().strip("\n"))
-        assert (event, data) == ("note", "line one\nline two")
-
-
-# ---------------------------------------------------------------------------
 # end-to-end over HTTP
 
 
@@ -360,6 +344,34 @@ class TestBlockingClientServing:
         with pytest.raises(ServiceError):
             client._transport.poll(sub.subscription_id)
         client.close()
+
+    def test_poll_past_history_resyncs_both_clients(self, served_stack):
+        """A watermark older than the retained history comes back as
+        one ``resync`` delta carrying the whole answer set, on the
+        blocking and the asyncio subscription alike."""
+        service, url = served_stack
+        service.standing.history_limit = 1
+        omq = OMQ(TBOX, chain_cq("RS"))
+        # an AsyncClient's pool holds no loop state: one client may
+        # serve one asyncio.run after another
+        client, aclient = Client.connect(url), AsyncClient.connect(url)
+        try:
+            blocking = client.subscribe("demo", omq)
+            asynchronous = asyncio.run(aclient.subscribe("demo", omq))
+            for i in range(3):
+                client.update("demo", inserts=[("P", (f"h{i}", f"h{i+1}"))])
+            expected = client.answer("demo", omq).answers
+            epoch = client.stats()["datasets"]["demo"]["epoch"]
+            assert epoch == 3
+            for sub, deltas in ((blocking, blocking.poll()),
+                                (asynchronous,
+                                 asyncio.run(asynchronous.poll()))):
+                assert [delta.resync for delta in deltas] == [True]
+                assert deltas[0].answers == sub.answers == expected
+                assert sub.epoch == epoch
+        finally:
+            client.close()
+            asyncio.run(aclient.close())
 
 
 class TestFailedUpdateRecovery:
@@ -502,12 +514,24 @@ class TestOneRoute:
             assert sub.answers == frozenset()
 
 
+def _replay(before, deltas):
+    """``before`` advanced by ``deltas``, each checked exact: no
+    resync, nothing added that was there, nothing removed that was
+    not."""
+    answers = set(before)
+    for delta in deltas:
+        assert not delta.resync
+        assert not delta.added & answers and delta.removed <= answers
+        answers = (answers | delta.added) - delta.removed
+    return answers
+
+
 class TestAsyncServing:
-    """SSE + long-poll over the async client, checked differentially
+    """Long-poll over both HTTP clients, checked differentially
     against an embedded client over the same updates (the style of
     ``tests/test_async_serve.py``)."""
 
-    def test_sse_stream_matches_embedded_reference(self):
+    def test_polled_deltas_match_embedded_reference(self):
         service = OMQService()
         service.register_dataset("demo", random_data(1))
         reference = Client.local()
@@ -519,20 +543,15 @@ class TestAsyncServing:
             {"deletes": [("P", ("s1", "s2"))]},
         )
         try:
-            with serve_in_background(service) as handle:
+            with serve_in_background(service) as handle, \
+                    Client.connect(handle.url) as blocking_client, \
+                    blocking_client.subscribe("demo", omq) as blocking_sub:
                 async def main():
                     async with AsyncClient.connect(handle.url) as client:
-                        sub = await client.subscribe("demo", omq)
-                        assert sub.answers \
-                            == reference.answer("demo", omq).answers
-                        received = []
-
-                        async def consume():
-                            async for delta in sub.stream():
-                                received.append(delta)
-
-                        task = asyncio.create_task(consume())
-                        await asyncio.sleep(0.2)
+                        async_sub = await client.subscribe("demo", omq)
+                        subs = (async_sub, blocking_sub)
+                        expected = reference.answer("demo", omq).answers
+                        assert all(sub.answers == expected for sub in subs)
                         for step in script:
                             await client.update(
                                 "demo",
@@ -542,21 +561,20 @@ class TestAsyncServing:
                                 "demo",
                                 inserts=step.get("inserts", ()),
                                 deletes=step.get("deletes", ()))
-                            # the maintained set must converge to the
-                            # reference after every step
+                            # after every step both maintained sets
+                            # converge to the reference, by exact deltas
                             expected = reference.answer(
                                 "demo", omq).answers
-                            for _ in range(100):
-                                if sub.answers == expected:
-                                    break
-                                await asyncio.sleep(0.05)
-                            assert sub.answers == expected
-                        await sub.unsubscribe()
-                        await asyncio.wait_for(task, timeout=10)
-                        assert sub.closed
-                        # deltas were exact: non-overlapping, replayable
-                        assert all(not delta.resync
-                                   for delta in received)
+                            before = [sub.answers for sub in subs]
+                            polled = [
+                                await async_sub.poll(timeout=5.0),
+                                await asyncio.to_thread(blocking_sub.poll,
+                                                        5.0)]
+                            for sub, start, deltas in zip(subs, before,
+                                                          polled):
+                                assert _replay(start, deltas) \
+                                    == sub.answers == expected
+                        await async_sub.unsubscribe()
 
                 asyncio.run(main())
         finally:
@@ -644,22 +662,26 @@ class TestAsyncServing:
         finally:
             service.close()
 
-    def test_sse_unknown_subscription_is_structured_error(self):
-        service = OMQService()
-        service.register_dataset("demo", random_data(1))
+    def test_get_subscribe_is_a_structured_404(self, served_stack):
+        """Subscriptions are created by ``POST /subscribe`` and read by
+        ``POST /poll``; a ``GET`` there is an unknown route like any
+        other — traced, framed, and the connection stays usable."""
+        _, url = served_stack
+        address = urlparse(url)
+        conn = http.client.HTTPConnection(address.hostname, address.port,
+                                          timeout=10)
         try:
-            with serve_in_background(service) as handle:
-                async def main():
-                    async with AsyncClient.connect(handle.url) as client:
-                        sub = await client.subscribe(
-                            "demo", OMQ(TBOX, chain_cq("RS")))
-                        await sub.unsubscribe()
-
-                        with pytest.raises(ServiceError) as excinfo:
-                            async for _ in sub.stream():
-                                pass
-                        assert excinfo.value.status == 400
-
-                asyncio.run(main())
+            conn.request("GET", "/subscribe?subscription=x")
+            reply = conn.getresponse()
+            body = json.loads(reply.read())
+            sock = conn.sock
+            assert reply.status == 404
+            assert body["error_type"] == "not_found"
+            assert body["trace_id"] == reply.getheader("X-Repro-Trace-Id")
+            conn.request("GET", "/health")
+            reply = conn.getresponse()
+            assert reply.status == 200
+            assert json.loads(reply.read())["status"] == "ok"
+            assert conn.sock is sock, "the keep-alive connection was dropped"
         finally:
-            service.close()
+            conn.close()
