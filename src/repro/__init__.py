@@ -35,14 +35,6 @@ The package implements the paper end to end:
   keyed up to variable renaming, batch answering with in-batch
   deduplication, incremental ABox updates that patch loaded engines in
   place, and a JSON/HTTP front-end (``python -m repro serve``);
-* component-based data sharding (:mod:`repro.shard`): a
-  :class:`~repro.shard.session.ShardedSession` partitions an ABox by
-  connected components of its Gaifman graph into balanced shards and
-  scatter-gathers compiled plans over per-shard engines (persistent
-  worker processes for real parallelism), with incremental updates
-  routed to the owning shards — ``shards=K`` at every layer
-  (``AnswerOptions``, ``OMQService.register_dataset``, the CLI and
-  the HTTP server);
 * standing OMQs (:mod:`repro.standing`): subscriptions over a served
   dataset whose certain answers are maintained on every update —
   only the plans whose rewriting mentions a changed predicate are
@@ -120,7 +112,6 @@ from .rewriting import (
     ucq_rewrite,
 )
 from .service import OMQService, RewritingCache
-from .shard import ShardedSession
 from .sql import evaluate_sql
 from .standing import AnswerDelta, StandingQuery, StandingRegistry
 
@@ -157,7 +148,6 @@ __all__ = [
     "Program",
     "RewritingCache",
     "Role",
-    "ShardedSession",
     "TBox",
     "adaptive_rewrite",
     "answer",

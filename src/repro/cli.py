@@ -36,7 +36,6 @@ from .queries import CQ
 from .engine import ENGINES, create_engine
 from .rewriting import OMQ, AnswerSession
 from .rewriting.plan import AnswerOptions, compile_omq, format_explain
-from .shard import ShardedSession
 
 
 def _load_tbox(path: str) -> TBox:
@@ -47,17 +46,6 @@ def _load_tbox(path: str) -> TBox:
 def _load_query(text: str, answers: Optional[str]) -> CQ:
     answer_vars = [v.strip() for v in answers.split(",")] if answers else []
     return CQ.parse(text, answer_vars=answer_vars)
-
-
-def shard_count(value: str):
-    """``--shards`` values: a non-negative int or the string 'auto'."""
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'auto', got {value!r}") from None
 
 
 def _options(args, **extra) -> AnswerOptions:
@@ -132,14 +120,7 @@ def _cmd_answer(args) -> int:
     options = _options(args)
     # one session for all queries: the data is completed, loaded and
     # indexed once, each --query only pays compilation + evaluation
-    # (--shards >= 2, or 'auto', partitions the data by Gaifman
-    # components and scatter-gathers every plan over per-shard engines)
-    if args.shards == "auto" or args.shards >= 2:
-        session = ShardedSession(abox, shards=args.shards,
-                                 engine=args.engine)
-    else:
-        session = AnswerSession(abox, engine=args.engine)
-    with session:
+    with AnswerSession(abox, engine=args.engine) as session:
         for position, query in enumerate(queries):
             active = None
             if getattr(args, "trace", False):
@@ -297,16 +278,10 @@ def build_parser() -> argparse.ArgumentParser:
                                dest="optimize_sql",
                                help="run the SQL optimizer pass "
                                     "pipeline on SQL engines")
-    answer_parser.add_argument("--shards", type=shard_count, default=0,
-                               help="partition the data into this many "
-                                    "component shards and evaluate "
-                                    "scatter-gather (>= 2 to enable, "
-                                    "'auto' to size from CPUs and "
-                                    "component skew)")
     answer_parser.add_argument("--trace", action="store_true",
                                help="print a per-span timing breakdown "
                                     "(compile stages, cache lookups, "
-                                    "per-shard execution) to stderr")
+                                    "execution) to stderr")
     answer_parser.set_defaults(func=_cmd_answer)
 
     sql_parser = sub.add_parser(

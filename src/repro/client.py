@@ -253,9 +253,9 @@ class _ServiceTransport:
         self.tenant = tenant
 
     def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False, shards: int = 0) -> None:
+                         replace: bool = False) -> None:
         self.service.register_dataset(name, abox, replace=replace,
-                                      shards=shards, tenant=self.tenant)
+                                      tenant=self.tenant)
 
     def unregister_dataset(self, name: str) -> None:
         self.service.unregister_dataset(name, tenant=self.tenant)
@@ -483,11 +483,11 @@ class _HTTPCore:
 
     # -- the verbs ---------------------------------------------------------
 
-    def register_dataset(self, name: str, abox: ABox, replace: bool = False,
-                         shards: int = 0) -> Dict[str, object]:
+    def register_dataset(self, name: str, abox: ABox, replace: bool = False
+                         ) -> Dict[str, object]:
         return self._call("/datasets",
                           {"name": name, "data": abox_to_text(abox),
-                           "replace": replace, "shards": shards})
+                           "replace": replace})
 
     def unregister_dataset(self, name: str) -> Dict[str, object]:
         return self._call("/datasets/drop", {"name": name})
@@ -633,13 +633,10 @@ class Client:
     # -- registration ------------------------------------------------------
 
     def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False, shards: int = 0) -> None:
-        """Register a dataset; ``shards >= 2`` serves it scatter-gather
-        over a component partition (see :mod:`repro.shard`), and
-        ``shards="auto"`` sizes the partition from the live CPU count
-        and component skew, resharding as updates rebalance."""
-        self._transport.register_dataset(name, abox, replace=replace,
-                                         shards=shards)
+                         replace: bool = False) -> None:
+        """Register a dataset (``replace`` swaps out one already
+        registered under ``name``)."""
+        self._transport.register_dataset(name, abox, replace=replace)
 
     def unregister_dataset(self, name: str) -> None:
         """Drop a registered dataset (and its subscriptions)."""

@@ -2,35 +2,12 @@
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
 
 from ..ontology.terms import TOP, Atomic, Exists, Role
 
 Constant = str
 GroundAtom = Tuple[str, Tuple[Constant, ...]]
-
-
-@dataclass
-class FactArrays:
-    """An ABox flattened to interned fact arrays.
-
-    ``names`` maps dense integer codes back to constants; every
-    relation is one flat ``array('I')`` of codes — one code per row
-    for unary predicates, two for binary.  This is the payload of the
-    shared-memory shard transport (:mod:`repro.shard.transport`) and
-    the fast-construction input of
-    :meth:`repro.engine.database.Database.from_arrays`.
-    """
-
-    names: List[str]
-    unary: Dict[str, array] = field(default_factory=dict)
-    binary: Dict[str, array] = field(default_factory=dict)
-
-    def atom_count(self) -> int:
-        return (sum(len(codes) for codes in self.unary.values())
-                + sum(len(codes) // 2 for codes in self.binary.values()))
 
 
 def individual_concepts(tbox, abox: "ABox") -> Dict[Constant, Set]:
@@ -68,10 +45,6 @@ class ABox:
         #: constant -> number of argument positions it fills; the keys
         #: are ``ind(A)``, and counting makes removal O(1) per atom
         self._occurrences: Dict[Constant, int] = {}
-        #: bumped on every effective mutation; lets decoded instances
-        #: prove their cached :class:`FactArrays` are still current
-        self._version = 0
-        self._decoded_arrays: Optional[Tuple[int, FactArrays]] = None
         for predicate, args in atoms:
             self.add(predicate, *args)
 
@@ -91,7 +64,6 @@ class ABox:
             relation.add(tuple(args))
         else:
             raise ValueError("ABox atoms must be unary or binary")
-        self._version += 1
         for constant in args:
             self._occurrences[constant] = \
                 self._occurrences.get(constant, 0) + 1
@@ -122,7 +94,6 @@ class ABox:
         else:
             raise ValueError("ABox atoms must be unary or binary")
         if present:
-            self._version += 1
             for constant in args:
                 remaining = self._occurrences[constant] - 1
                 if remaining:
@@ -146,71 +117,6 @@ class ABox:
             else:
                 abox.add(predicate, first, second)
         return abox
-
-    # -- interned fact arrays ----------------------------------------------
-
-    def to_fact_arrays(self) -> FactArrays:
-        """Flatten to :class:`FactArrays` (constants interned to dense
-        codes, relations as flat code arrays); deterministic order."""
-        codes: Dict[Constant, int] = {}
-        names: List[Constant] = []
-
-        def intern(constant: Constant) -> int:
-            code = codes.get(constant)
-            if code is None:
-                code = len(names)
-                codes[constant] = code
-                names.append(constant)
-            return code
-
-        arrays = FactArrays(names)
-        for predicate in sorted(self._unary):
-            arrays.unary[predicate] = array(
-                "I", (intern(c) for c in sorted(self._unary[predicate])))
-        for predicate in sorted(self._binary):
-            flat = array("I")
-            for first, second in sorted(self._binary[predicate]):
-                flat.append(intern(first))
-                flat.append(intern(second))
-            arrays.binary[predicate] = flat
-        return arrays
-
-    @classmethod
-    def from_fact_arrays(cls, arrays: FactArrays) -> "ABox":
-        """Rebuild an instance from :class:`FactArrays` in bulk — the
-        relations are materialised set-at-a-time instead of atom-by-
-        atom ``add`` calls (the shard-worker attach path).  The source
-        arrays are cached so an unmutated instance can hand them to
-        array-backed consumers (:meth:`cached_fact_arrays`)."""
-        abox = cls()
-        names = arrays.names
-        occurrences = abox._occurrences
-        for predicate, codes in arrays.unary.items():
-            relation = {names[code] for code in codes}
-            if not relation:
-                continue
-            abox._unary[predicate] = relation
-            for constant in relation:
-                occurrences[constant] = occurrences.get(constant, 0) + 1
-        for predicate, codes in arrays.binary.items():
-            paired = iter(codes)
-            relation = {(names[a], names[b]) for a, b in zip(paired, paired)}
-            if not relation:
-                continue
-            abox._binary[predicate] = relation
-            for first, second in relation:
-                occurrences[first] = occurrences.get(first, 0) + 1
-                occurrences[second] = occurrences.get(second, 0) + 1
-        abox._decoded_arrays = (abox._version, arrays)
-        return abox
-
-    def cached_fact_arrays(self) -> Optional[FactArrays]:
-        """The :class:`FactArrays` this instance was decoded from, if
-        it has not been mutated since (else ``None``)."""
-        cached = self._decoded_arrays
-        if cached is not None and cached[0] == self._version:
-            return cached[1]
-        return None
 
     # -- access -----------------------------------------------------------
 

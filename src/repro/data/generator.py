@@ -128,7 +128,7 @@ def multi_component_abox(components: int, component_size: int,
                          seed: int = 0) -> ABox:
     """A seedable instance of ``components`` disjoint Gaifman components.
 
-    The workload the sharding layer is built for: every component has
+    A workload of many small disconnected pieces: every component has
     ``component_size`` vertices (named ``g<i>_<j>``, so components
     never share constants) wired as a *chain*, a *star*, a *random*
     connected graph (a random spanning tree plus a few chords), or a
@@ -188,10 +188,10 @@ class WorkloadSpec:
             seed=seed)
 
 
-#: Reproducible workloads for the sharding benchmarks and tests:
-#: ``scale`` multiplies the component count (keeping component sizes),
-#: so bigger scales mean more shards' worth of parallel work, not
-#: bigger components.
+#: Reproducible multi-component workloads (the ledger's ``eval-tables``
+#: reads ``random-large``): ``scale`` multiplies the component count
+#: (keeping component sizes), so bigger scales mean more components,
+#: not bigger ones.
 WORKLOAD_PRESETS: Dict[str, WorkloadSpec] = {
     spec.name: spec for spec in (
         WorkloadSpec("chain-small", components=24, component_size=8,

@@ -307,7 +307,7 @@ class NDLQuery:
         goal depends on, dependencies first — what an evaluator walks.
 
         Computed once per (immutable) query and kept in the instance
-        ``__dict__``, so it also travels with a pickled plan.
+        ``__dict__``.
         """
         program = self.program.restrict_to(self.goal)
         return tuple((predicate, tuple(program.clauses_for(predicate)))

@@ -98,14 +98,7 @@ class PythonEngine(Engine):
     name = "python"
 
     def __init__(self, abox: ABox, extra_relations: ExtraRelations = None):
-        # an instance decoded from the shared-memory shard transport
-        # still carries its interned fact arrays: adopt the codes
-        # wholesale instead of re-interning every constant
-        arrays = abox.cached_fact_arrays()
-        if arrays is not None:
-            self.database = Database.from_arrays(arrays, extra_relations)
-        else:
-            self.database = Database(abox, extra_relations)
+        self.database = Database(abox, extra_relations)
 
     def evaluate(self, query: NDLQuery,
                  optimize_sql: bool = False) -> EvaluationResult:

@@ -83,44 +83,6 @@ class Database:
                     adom.update(row)
         self._relations[ADOM] = {(code,) for code in adom}
 
-    @classmethod
-    def from_arrays(cls, arrays,
-                    extra_relations: Optional[
-                        Mapping[str, Iterable[Tuple[str, ...]]]] = None
-                    ) -> "Database":
-        """Array-backed construction from interned
-        :class:`~repro.data.abox.FactArrays`.
-
-        The codes are adopted as-is — no constant is re-hashed or
-        re-interned — so a shard worker that decoded its data from the
-        shared-memory transport rebuilds its database by bulk set
-        construction over integers.  Observationally identical to
-        ``Database(ABox.from_fact_arrays(arrays))``.
-        """
-        database = cls.__new__(cls)
-        database._names = list(arrays.names)
-        database._codes = {name: code
-                           for code, name in enumerate(database._names)}
-        database._relations = {}
-        database._indexes = {}
-        adom: Set[int] = set()
-        for predicate, codes in arrays.unary.items():
-            database._relations[predicate] = {(code,) for code in codes}
-            adom.update(codes)
-        for predicate, codes in arrays.binary.items():
-            paired = iter(codes)
-            database._relations[predicate] = set(zip(paired, paired))
-            adom.update(codes)
-        if extra_relations:
-            intern = database.intern
-            for name, rows in extra_relations.items():
-                stored = {tuple(intern(c) for c in row) for row in rows}
-                database._relations[name] = stored
-                for row in stored:
-                    adom.update(row)
-        database._relations[ADOM] = {(code,) for code in adom}
-        return database
-
     # -- constants ---------------------------------------------------------
 
     def intern(self, constant: str) -> int:

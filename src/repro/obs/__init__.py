@@ -6,8 +6,7 @@ Three pieces:
   counters, gauges, and log-bucketed latency histograms, rendered on
   demand in the Prometheus text exposition format;
 * :mod:`repro.obs.trace` — per-request trace IDs and nested timing
-  spans carried through :mod:`contextvars` (and, by ID, across the
-  pickle boundary into shard workers);
+  spans carried through :mod:`contextvars`;
 * :mod:`repro.obs.logs` — the ``repro.*`` logger hierarchy behind one
   ``configure_logging(level, json)`` entry point.
 

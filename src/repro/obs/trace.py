@@ -14,11 +14,9 @@ code (``Plan.execute``, the SQL engine, the cache) can be instrumented
 unconditionally without taxing embedded users who never start a trace.
 
 Spans nest: a span opened while another is running becomes its child,
-so the trace payload is a tree (``execute`` holding per-shard children
-holding ``sql-compile``...).  Crossing the pickle boundary into shard
-workers only the trace *ID* travels; the worker records spans under a
-fresh local trace and ships them back inside its result payload, and
-the parent grafts them in with :func:`record`.
+so the trace payload is a tree (``update`` holding ``patch``, ``epoch``,
+``store`` and ``standing``...).  A region timed elsewhere is attached
+with :func:`record`.
 """
 
 from __future__ import annotations
@@ -27,7 +25,7 @@ import contextvars
 import time
 import uuid
 from contextlib import contextmanager
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 __all__ = ["Trace", "Span", "current_trace", "start_trace", "tracing",
            "span", "record", "annotate", "current_trace_id",
@@ -109,14 +107,10 @@ class Trace:
             if self._stack and self._stack[-1] is entry:
                 self._stack.pop()
 
-    def record(self, name: str, seconds: float,
-               children: Sequence[Dict[str, Any]] = ()) -> Span:
-        """Attach an externally-timed span (e.g. measured in a shard
-        worker and shipped back as payload dicts)."""
+    def record(self, name: str, seconds: float) -> Span:
+        """Attach an externally-timed span."""
         entry = Span(name)
         entry.seconds = float(seconds)
-        entry.children = [_span_from_payload(child)
-                          for child in children]
         parent = self._stack[-1] if self._stack else None
         (parent.children if parent else self._roots).append(entry)
         return entry
@@ -161,15 +155,6 @@ class Trace:
         for root in self._roots:
             walk(root, "")
         return flat
-
-
-def _span_from_payload(payload: Dict[str, Any]) -> Span:
-    entry = Span(str(payload.get("name", "?")))
-    entry.seconds = float(payload.get("seconds", 0.0))
-    entry.attrs = dict(payload.get("attrs", ()) or {})
-    entry.children = [_span_from_payload(child)
-                      for child in payload.get("children", ())]
-    return entry
 
 
 # -- ambient trace plumbing ----------------------------------------------
@@ -234,12 +219,11 @@ def span(name: str):
     return trace.span(name)
 
 
-def record(name: str, seconds: float,
-           children: Sequence[Dict[str, Any]] = ()) -> None:
+def record(name: str, seconds: float) -> None:
     """``Trace.record`` against the active trace; no-op when inactive."""
     trace = _current.get()
     if trace is not None:
-        trace.record(name, seconds, children)
+        trace.record(name, seconds)
 
 
 def annotate(key: str, value: Any) -> None:

@@ -151,11 +151,6 @@ class TBox:
             self._witnesses = WitnessTable.build(self)
         return self._witnesses
 
-    def __getstate__(self):
-        # derived and rebuilt on first use: a pickled TBox (a plan sent
-        # to a shard worker) does not carry the table
-        return {**self.__dict__, "_witnesses": None}
-
     def successor_roles(self, role: Role) -> Tuple[Role, ...]:
         """Roles ``sigma`` that may follow ``role`` in a word of ``W_T``.
 

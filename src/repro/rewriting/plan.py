@@ -68,14 +68,6 @@ class AnswerOptions:
     :attr:`Answers.timed_out` when it overran (callers like the
     Tables 3-5 harness then skip larger instances).
 
-    ``shards`` (another execution-time knob) asks for component-based
-    sharded execution: ``Plan.execute`` over a bare ABox with
-    ``shards >= 2`` partitions it through a
-    :class:`~repro.shard.session.ShardedSession` and scatter-gathers
-    (``0``/``1`` keep the monolithic path).  ``shards="auto"`` sizes
-    the partition from the live CPU count and the component-weight
-    skew (:func:`repro.shard.partition.auto_shards`).
-
     ``optimize_sql`` runs the :mod:`repro.sql.optimize` pass pipeline
     over the compiled SQL on SQL-compiling engines (``sql``,
     ``sql-views``); the python engine ignores it.
@@ -85,10 +77,6 @@ class AnswerOptions:
     engine: Optional[str] = None
     timeout: Optional[float] = None
     over: str = "complete"
-    #: ``0``/``1`` monolithic, ``>= 2`` that many shards, ``"auto"``
-    #: adaptive (sized from CPUs and component skew, resharding on
-    #: rebalancing updates)
-    shards: object = 0
     optimize_sql: bool = False
 
     def __post_init__(self):
@@ -103,10 +91,6 @@ class AnswerOptions:
                              f"got {self.over!r}")
         if self.timeout is not None and self.timeout < 0:
             raise ValueError("timeout must be non-negative")
-        if self.shards != "auto" and (
-                not isinstance(self.shards, int) or self.shards < 0):
-            raise ValueError("shards must be a non-negative int or "
-                             f"'auto', got {self.shards!r}")
 
     @classmethod
     def coerce(cls, value=None, **overrides) -> "AnswerOptions":
@@ -136,10 +120,9 @@ class AnswerOptions:
     def rewrite_fingerprint(self) -> Tuple:
         """The compile-relevant subset, as hashed into plan-cache keys.
 
-        ``engine``, ``timeout`` and ``shards`` are deliberately
-        excluded: they do not change the compiled program, and
-        including them would fragment the cache (one compiled plan
-        serves every engine and any shard count).  ``optimize_sql``
+        ``engine`` and ``timeout`` are deliberately excluded: they do
+        not change the compiled program, and including them would
+        fragment the cache (one compiled plan serves every engine).  ``optimize_sql``
         *is* included: it does not change the NDL either, but a cached
         plan's :meth:`Plan.explain` reports the SQL pass log, which
         must reflect the knob the requester asked for — not the first
@@ -160,7 +143,7 @@ class AnswerOptions:
 
 #: The :class:`Answers` fields that travel as themselves, in wire order.
 _WIRE_FIELDS = ("dataset", "method", "engine", "seconds", "cached_rewriting",
-                "generated_tuples", "plan_fingerprint", "timed_out", "shards")
+                "generated_tuples", "plan_fingerprint", "timed_out")
 
 
 @dataclass(frozen=True)
@@ -184,10 +167,6 @@ class Answers:
     plan_fingerprint: str = ""
     cached_rewriting: bool = False
     timed_out: bool = False
-    #: Sharded-execution provenance: how many shards participated
-    #: (``0`` means monolithic) and each shard's evaluation seconds.
-    shards: int = 0
-    shard_seconds: Dict[int, float] = field(default_factory=dict)
     #: The served dataset, as its tenant named it (``""`` off-service).
     dataset: str = ""
     #: The request's span breakdown (a ``Trace.payload()`` dict) when
@@ -227,7 +206,7 @@ class Answers:
 
 
 #: Specialisations one plan keeps: one per nonempty signature it has
-#: run under (the shards of a dataset differ, an update can flip one).
+#: run under (an update can flip one).
 _SPECIALISATIONS_KEPT = 64
 
 
@@ -268,21 +247,6 @@ class Plan:
                     f"{self.options.rewrite_fingerprint()!r}")
             object.__setattr__(self, "fingerprint",
                                hashlib.sha256(text.encode()).hexdigest())
-
-    # mappingproxy is not picklable, and plans must travel to shard
-    # worker processes — pickle the timings as a plain dict and
-    # re-wrap on load; the specialisation memo stays behind
-    def __getstate__(self):
-        state = dict(self.__dict__)
-        state["timings"] = dict(state["timings"])
-        state["_specialisations"] = {}
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "timings",
-                           MappingProxyType(dict(state["timings"])))
 
     # -- introspection -----------------------------------------------------
 
@@ -393,30 +357,19 @@ class Plan:
           (the caller owns the completion, as the experiment harnesses
           do);
         * an :class:`~repro.data.abox.ABox` — a one-shot session is
-          created and closed around the call (a
-          :class:`~repro.shard.session.ShardedSession` when the
-          effective options ask for ``shards >= 2``);
-        * a :class:`~repro.shard.session.ShardedSession` — the plan is
-          broadcast scatter-gather over the per-shard engines.
+          created and closed around the call.
 
         Execution knobs resolve caller-first: ``engine`` beats
         ``options.engine`` beats the plan's own compile-time options.
         ``options`` matters when the plan came out of a shared cache —
-        cache keys deliberately ignore engine/timeout/shards, so the
-        *first* compiler's knobs must never leak into later requests;
+        cache keys deliberately ignore engine/timeout, so the *first*
+        compiler's knobs must never leak into later requests;
         callers holding a request-level :class:`AnswerOptions`
         (sessions, the service) pass it here.
         """
-        from ..shard.session import ShardedSession
-
         effective = self.options if options is None else options
         if isinstance(data, ABox):
             name = engine or effective.engine or "python"
-            if effective.shards == "auto" or effective.shards >= 2:
-                with ShardedSession(data, shards=effective.shards,
-                                    engine=name) as session:
-                    return session.execute_plan(self, engine=name,
-                                                options=options)
             with AnswerSession(data, engine=name) as session:
                 return self.execute(session, engine=name, options=options)
         if isinstance(data, Engine):
@@ -425,11 +378,8 @@ class Plan:
             name = engine or effective.engine or data.engine
             backend = data.backend(name, self._variant_tbox())
             return self._finish(backend, name, effective)
-        if isinstance(data, ShardedSession):
-            return data.execute_plan(self, engine=engine, options=options)
-        raise TypeError("Plan.execute expects an ABox, AnswerSession, "
-                        "ShardedSession or Engine, "
-                        f"got {type(data).__name__}")
+        raise TypeError("Plan.execute expects an ABox, AnswerSession "
+                        f"or Engine, got {type(data).__name__}")
 
     def specialised(self, backend: Engine) -> NDLQuery:
         """The program :meth:`execute` evaluates over ``backend``: the
@@ -535,7 +485,7 @@ def format_explain(report: Mapping[str, object]) -> str:
     non-JSON output)."""
     lines = []
     order = ("omq_class", "method_requested", "method", "optimize_sql",
-             "over", "engine", "timeout", "shards", "data_bound", "goal",
+             "over", "engine", "timeout", "data_bound", "goal",
              "answer_vars", "rules", "width", "depth", "compile_seconds",
              "fingerprint")
     for key in order:

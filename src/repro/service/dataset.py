@@ -147,15 +147,13 @@ class Dataset:
                  standing: StandingRegistry,
                  store_write: Callable[[str, Callable], bool],
                  pool_capacity: int, tenant: str, base_name: str,
-                 shards: int = 0, shard_executor: str = "auto",
-                 default_engine: str = "python", epoch: int = 0):
+                 epoch: int = 0):
         #: The tenant-scoped registry key, the owning tenant and the
         #: un-scoped name it registered.
         self.name = name
         self.tenant = tenant
         self.base_name = base_name
         self.abox = abox
-        self.shards = shards
         self.lock = RWLock()
         #: Shared by every pooled session so the per-TBox completion is
         #: computed once per dataset and patched once per update.
@@ -166,8 +164,6 @@ class Dataset:
         self._store_write = store_write
         self._cache = cache
         self._pool_capacity = pool_capacity
-        self._shard_executor = shard_executor
-        self._default_engine = default_engine
         self._pools: Dict[str, SessionPool] = {}
         self._pool_lock = threading.Lock()
         self.requests = 0
@@ -179,48 +175,24 @@ class Dataset:
 
     # -- sessions ------------------------------------------------------------
 
-    @property
-    def sharded(self) -> bool:
-        return self.shards == "auto" or self.shards >= 2
-
     def session(self, engine: str):
         """``with dataset.session(engine) as session``: a pooled session
         for the block (the caller holds the dataset lock, either side)."""
-        # one ShardedSession serves every engine (workers load
-        # per-engine backends on demand); its executor already owns the
-        # per-shard parallelism, so the pool holds a single session and
-        # requests queue per scatter round.  The label shows up in
-        # stats() next to real engine names, so keep it dunder-free and
-        # self-describing
-        label = "sharded" if self.sharded else engine
         with self._pool_lock:
-            pool = self._pools.get(label)
+            pool = self._pools.get(engine)
             if pool is None:
-                if self.sharded:
-                    from ..shard.session import ShardedSession
-
-                    pool = SessionPool(
-                        lambda: ShardedSession(
-                            self.abox, shards=self.shards,
-                            engine=self._default_engine,
-                            executor=self._shard_executor,
-                            rewriting_cache=self._cache),
-                        1)
-                else:
-                    # one session is enough for the Python engine: its
-                    # backends share one interned Database and
-                    # evaluation is GIL-bound anyway.  The SQLite
-                    # engines pool up to ``pool_capacity`` independent
-                    # connections.
-                    capacity = (1 if engine == "python"
-                                else self._pool_capacity)
-                    pool = SessionPool(
-                        lambda: AnswerSession(
-                            self.abox, engine=engine,
-                            rewriting_cache=self._cache,
-                            shared_completions=self.completions),
-                        capacity)
-                self._pools[label] = pool
+                # one session is enough for the Python engine: its
+                # backends share one interned Database and evaluation
+                # is GIL-bound anyway.  The SQLite engines pool up to
+                # ``pool_capacity`` independent connections.
+                capacity = 1 if engine == "python" else self._pool_capacity
+                pool = SessionPool(
+                    lambda: AnswerSession(
+                        self.abox, engine=engine,
+                        rewriting_cache=self._cache,
+                        shared_completions=self.completions),
+                    capacity)
+                self._pools[engine] = pool
         return pool.session()
 
     def all_sessions(self) -> List[AnswerSession]:
@@ -243,10 +215,9 @@ class Dataset:
                     "requests": self.requests,
                     "updates": self.updates,
                     "epoch": self.epoch,
-                    "sessions": {label: len(pool.sessions)
-                                 for label, pool in self._pools.items()},
-                    "completions": len(self.completions),
-                    "shards": self.shards}
+                    "sessions": {engine: len(pool.sessions)
+                                 for engine, pool in self._pools.items()},
+                    "completions": len(self.completions)}
 
     def save(self, why: str) -> bool:
         """Rewrite this dataset's store rows wholesale from the ABox at
@@ -257,7 +228,7 @@ class Dataset:
             f"{why} {self.name!r}",
             lambda store: store.save_dataset(
                 self.tenant, self.base_name, list(self.abox.atoms()),
-                shards=self.shards, epoch=self.epoch))
+                epoch=self.epoch))
 
     # -- the update sequence -------------------------------------------------
 
@@ -286,29 +257,11 @@ class Dataset:
         """Patch the raw ABox, the shared completions and every pooled
         session's loaded backends in place (:mod:`repro.service
         .updates`), so the next answer reflects the update without any
-        reload.  Fails when a backend or shard worker rejects its
-        delta, leaving the data partially applied: the update fails."""
-        from ..shard.session import ShardedSession
-
-        sessions = self.all_sessions()
-        owner = next((session for session in sessions
-                      if isinstance(session, ShardedSession)), None)
-        if owner is None:
-            # with no session loaded yet this patches the ABox (and any
-            # completion explain() cached); the first answer builds its
-            # backends, or its partition, over the result
-            update.result = apply_update(
-                self.abox, self.completions, sessions,
-                inserts=update.inserts, deletes=update.deletes)
-            return
-        # a live sharded session owns the master ABox and the component
-        # partition: it routes the deltas to the owning shards itself
-        # (at most one exists — the single-slot sharded pool)
-        update.result = owner.apply_update(inserts=update.inserts,
-                                           deletes=update.deletes)
-        # explain()'s master-completion cache is not the session's to
-        # patch: stale now
-        self.completions.clear()
+        reload.  Fails when a backend rejects its delta, leaving the
+        data partially applied: the update fails."""
+        update.result = apply_update(
+            self.abox, self.completions, self.all_sessions(),
+            inserts=update.inserts, deletes=update.deletes)
 
     def _epoch(self, update: _Update) -> None:
         """Version the new data.  Cannot fail."""
@@ -415,8 +368,7 @@ class Dataset:
     def _recover(self) -> None:
         """What a failed update costs.  The ABox is the truth and may
         hold part of the delta; sessions and completions are caches of
-        it that may have missed that part (a sharded session whose
-        worker rejected a delta poisons itself), so they are dropped
+        it that may have missed that part, so they are dropped
         and the next answer rebuilds them.  Then the data is versioned,
         every subscription re-materialized against whatever it now
         holds — subscribers are not left on answers from before the

@@ -45,6 +45,10 @@ MAX_POLL_TIMEOUT = 30.0
 FLAT_OPTION_KEYS = frozenset({"method", "engine", "optimize_sql",
                               "timeout"})
 
+#: The keys a ``POST /datasets`` body may carry; any other is a 400
+#: rather than a setting silently ignored.
+DATASET_KEYS = frozenset({"name", "data", "replace", "tenant", "trace"})
+
 #: Request/response header carrying the trace ID.  Honored inbound
 #: (clients correlate their logs with the server's), echoed on every
 #: response — including errors — and minted when absent.
@@ -393,15 +397,20 @@ class Router:
             raise ProtocolError(f"unsupported method {method!r}",
                                 status=404, error_type="not_found")
         if path == "/datasets":
+            unknown = set(payload) - DATASET_KEYS
+            if unknown:
+                raise ProtocolError(
+                    f"unknown /datasets key(s) {sorted(unknown)}")
             name = payload.get("name")
             if not name:
                 raise ProtocolError("missing 'name'")
-            raw_shards = payload.get("shards", 0)
+            replace = payload.get("replace", False)
+            if not isinstance(replace, bool):
+                raise ProtocolError("'replace' must be a JSON boolean, "
+                                    f"got {replace!r}")
             service.register_dataset(
                 name, ABox.parse(payload.get("data", "")),
-                replace=bool(payload.get("replace", False)),
-                shards="auto" if raw_shards == "auto" else int(raw_shards),
-                tenant=tenant)
+                replace=replace, tenant=tenant)
             return 201, {"registered": name}
         if path == "/datasets/drop":
             name = payload.get("name")

@@ -10,9 +10,7 @@ data use the same surface syntax as the CLI and test suite:
 ``GET  /health``             liveness probe
 ``GET  /stats``              :meth:`OMQService.stats` as JSON
 ``POST /datasets``           ``{"name": ..., "data": "<ABox text>",
-                             "shards": K}`` (``shards >= 2`` serves
-                             the dataset scatter-gather over a
-                             component partition)
+                             "replace": false}``
 ``POST /tboxes``             ``{"name": ..., "tbox": "<TBox text>"}``
 ``POST /answer``             one request (see below)
 ``POST /explain``            a request minus ``dataset`` (optional):
@@ -56,8 +54,8 @@ registered name, ``"tbox_text"`` inline TBox text (inline text in
 Pipeline configuration travels as that one ``"options"`` object (the
 JSON form of :class:`~repro.rewriting.plan.AnswerOptions` —
 ``{"method": ..., "engine": ..., "timeout": ..., "over": ...,
-"shards": ..., "optimize_sql": ...}``); an option key beside it, or a
-key inside it that is not an option, is a 400.
+"optimize_sql": ...}``); an option key beside it, or a key inside it
+that is not an option, is a 400.
 ``POST /explain`` takes the same request shape and returns
 the compiled plan's :meth:`~repro.rewriting.plan.Plan.explain` report
 without evaluating it; with a ``dataset`` the report also shows the
@@ -102,17 +100,6 @@ def add_serve_arguments(parser) -> None:
                         help="rewriting cache entries")
     parser.add_argument("--workers", type=int, default=4,
                         help="batch threads / SQLite sessions per dataset")
-    from ..cli import shard_count
-
-    parser.add_argument("--shards", type=shard_count, default=0,
-                        help="serve preloaded --dataset instances over "
-                             "this many component shards (>= 2 enables "
-                             "scatter-gather execution, 'auto' sizes "
-                             "from CPUs and component skew)")
-    parser.add_argument("--shard-executor", default="auto",
-                        dest="shard_executor",
-                        choices=("auto", "serial", "process"),
-                        help="executor for sharded datasets")
     parser.add_argument("--dataset", action="append", default=[],
                         metavar="NAME=PATH",
                         help="preload a dataset from an ABox file")
@@ -183,9 +170,7 @@ def build_service(args, error) -> OMQService:
                          max_workers=args.workers,
                          default_engine=args.engine,
                          data_dir=getattr(args, "data_dir", None),
-                         quota=quota,
-                         shard_executor=getattr(args, "shard_executor",
-                                                "auto"))
+                         quota=quota)
     if service.store is not None:
         restored = service.restore()
         if restored["datasets"] or restored["subscriptions"]:
@@ -201,7 +186,6 @@ def build_service(args, error) -> OMQService:
             # an explicit preload wins over a restored copy of the
             # same name (the file is the operator's source of truth)
             service.register_dataset(name, ABox.parse(handle.read()),
-                                     shards=args.shards,
                                      replace=service.store is not None)
     for spec in args.tbox:
         name, _, path = spec.partition("=")

@@ -117,7 +117,6 @@ class OMQService:
 
     def __init__(self, cache_size: int = 256, max_workers: int = 4,
                  default_engine: str = "python",
-                 shard_executor: str = "auto",
                  store: Optional[DatasetStore] = None,
                  data_dir: Optional[str] = None,
                  quota: Optional[TenantQuota] = None,
@@ -127,9 +126,6 @@ class OMQService:
                              f"expected one of {ENGINES}")
         self.default_engine = default_engine
         self.max_workers = max(1, max_workers)
-        #: Executor kind for datasets registered with ``shards >= 2``
-        #: (``"auto"`` / ``"process"`` / ``"serial"``).
-        self.shard_executor = shard_executor
         #: The service-wide metrics registry + slow-query log (see
         #: :mod:`repro.obs`); every subsystem below shares it.
         self.obs = obs or Observability()
@@ -164,35 +160,21 @@ class OMQService:
     # -- registration --------------------------------------------------------
 
     def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False, shards: int = 0,
+                         replace: bool = False,
                          tenant: str = DEFAULT_TENANT,
                          _persist: bool = True, _epoch: int = 0) -> None:
         """Register ``abox`` under ``name`` (the service owns it: it is
         mutated in place by :meth:`update`).
 
-        ``shards >= 2`` serves the dataset through a
-        :class:`~repro.shard.session.ShardedSession`: the data is
-        partitioned by Gaifman components and every answer runs
-        scatter-gather over per-shard engines (updates route their
-        deltas to the owning shards, rebalancing on component merges).
-
         ``tenant`` scopes the name into that tenant's namespace and
         charges its quota; ``_persist=False`` is the :meth:`restore`
         path (already durable, at ``_epoch``; quotas accounted but not
         enforced).
-        ``shards="auto"`` sizes the partition adaptively from live
-        CPUs and component skew.
         """
-        if shards != "auto" and (not isinstance(shards, int)
-                                 or shards < 0):
-            raise ValueError(
-                f"shards must be >= 0 or 'auto', got {shards!r}")
         scoped = TenantManager.scope(tenant, name)
         dataset = Dataset(
             scoped, abox, self.cache, self.standing, self._store_write,
-            self.max_workers, tenant, name, shards=shards,
-            shard_executor=self.shard_executor,
-            default_engine=self.default_engine, epoch=_epoch)
+            self.max_workers, tenant, name, epoch=_epoch)
         with self._lock:
             existing = self._datasets.get(scoped)
             if existing is not None and not replace:
@@ -449,8 +431,7 @@ class OMQService:
         Compilations go through (and warm) the shared rewriting cache.
         With ``dataset`` the report also shows what :meth:`answer`
         would run there — the plan specialised to that dataset's
-        nonempty signature (monolithic datasets; each shard of a
-        sharded one specialises to its own data at execute).
+        nonempty signature.
         ``method="adaptive"`` needs ``dataset``: it costs its
         candidates against that dataset's completion.
         """
@@ -463,22 +444,6 @@ class OMQService:
                     "data-dependent: explain needs a dataset")
             return compile_omq(omq, options, cache=self.cache).explain()
         with self._acquire(TenantManager.scope(tenant, dataset)) as state:
-            if state.sharded:
-                # compilation only consults the master data — don't
-                # boot the K-worker executor just to explain.  The
-                # per-TBox master completion is cached on the dataset
-                # (patched, or cleared, by its next update).
-                data = None
-                if options.data_dependent:
-                    key = id(omq.tbox)
-                    entry = state.completions.get(key)
-                    if entry is None:
-                        entry = state.completions.setdefault(
-                            key, (omq.tbox,
-                                  state.abox.complete(omq.tbox)))
-                    data = entry[1]
-                return compile_omq(omq, options, data=data,
-                                   cache=self.cache).explain()
             engine_name = options.engine or self.default_engine
             with state.session(engine_name) as session:
                 plan = session.compile(omq, options)
@@ -519,8 +484,7 @@ class OMQService:
                 result = state.apply(inserts, deletes)
             finally:
                 # the account follows the ABox, not the happy path: a
-                # failed update may have kept part (a poisoned sharded
-                # one, all) of its delta
+                # failed update may have kept part of its delta
                 self.tenants.adjust_facts(tenant, len(state.abox) - facts)
             self._updates.inc()
         return result
@@ -668,10 +632,11 @@ class OMQService:
         from ..ontology import TBox
         from ..queries import CQ
 
-        # a store written by an earlier version may carry option keys
-        # this one no longer has; the store is not outside input (a
-        # typo cannot arrive through it), so they are dropped here
-        # rather than failing every standing query in ``coerce``
+        # a store written by an earlier version may carry settings this
+        # one no longer has (option keys, a dataset's shard count); the
+        # store is not outside input (a typo cannot arrive through it),
+        # so they are dropped here, with one warning, rather than
+        # failing every standing query in ``coerce``
         known = {f.name for f in dataclasses.fields(AnswerOptions)}
         retired = set()
         for tenant, snap in sorted(self.store.load_all().items()):
@@ -685,9 +650,10 @@ class OMQService:
                     log.error("restore of tbox %r/%r failed: %s: %s",
                               tenant, name, type(error).__name__, error)
             for name, (atoms, shards, epoch) in snap.datasets.items():
+                if shards:
+                    retired.add("shards")
                 try:
-                    self.register_dataset(name, ABox(atoms),
-                                          replace=True, shards=shards,
+                    self.register_dataset(name, ABox(atoms), replace=True,
                                           tenant=tenant, _persist=False,
                                           _epoch=epoch)
                     counts["datasets"] += 1
@@ -714,7 +680,7 @@ class OMQService:
                               "%s: %s", stored.subscription_id,
                               type(error).__name__, error)
         if retired:
-            log.warning("restore dropped stored option key(s) this "
+            log.warning("restore dropped stored setting(s) this "
                         "version no longer has: %s", sorted(retired))
         return counts
 

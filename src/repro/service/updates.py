@@ -45,10 +45,7 @@ class UpdateDelta:
     """The shape of one update, as standing-query maintenance needs it.
 
     ``atoms`` are every effective base atom the update touched —
-    inserts and deletes together, and for sharded datasets also the
-    atoms a rebalance moved between shards (a move changes two shards'
-    local extensions even though the global data is unchanged).
-    ``completed_changed`` maps ``id(tbox)`` to the *exact* set of
+    inserts and deletes together.  ``completed_changed`` maps ``id(tbox)`` to the *exact* set of
     predicates whose extension changed in that cached completion;
     variants without an entry fall back to a sound over-approximation
     (the completion of the touched atoms).

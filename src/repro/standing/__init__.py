@@ -28,8 +28,8 @@ Architecture (two modules, wired through the service layer):
   per-atom-closure over-approximation), plus ``__adom__`` — has its
   plan re-executed through :meth:`Plan.execute
   <repro.rewriting.plan.Plan.execute>`, the route that serves
-  ``/answer``: specialised to the live data's nonempty signature,
-  scatter-gather on a sharded dataset.  One pass executes a plan once
+  ``/answer``, specialised to the live data's nonempty signature.
+  One pass executes a plan once
   however many subscribers share it, and the new answers are diffed
   against the materialization, so inserts and deletes need no separate
   cases.

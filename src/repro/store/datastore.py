@@ -4,7 +4,9 @@ One SQLite file per tenant (see :mod:`repro.store.sqlite` for the WAL
 and pooling recipe) holding everything a restarted server needs to
 warm-start that tenant:
 
-* ``datasets`` — name, shard configuration and the current epoch;
+* ``datasets`` — name and the current epoch (plus a ``shards`` column
+  earlier versions wrote; it is read only so a restore can warn that
+  the setting is gone, and a wholesale save resets it);
 * ``facts`` — the ABox atoms, one row per ground atom (unary atoms
   store an empty second argument; constants never parse to the empty
   string, so the encoding is unambiguous);
@@ -97,8 +99,8 @@ class TenantSnapshot:
     """Everything one tenant file holds, decoded for restore."""
 
     tenant: str
-    #: name -> (atoms, shards, epoch)
-    datasets: Dict[str, Tuple[List[GroundAtom], int, int]] = field(
+    #: name -> (atoms, stored ``shards`` column, epoch)
+    datasets: Dict[str, Tuple[List[GroundAtom], object, int]] = field(
         default_factory=dict)
     tboxes: Dict[str, str] = field(default_factory=dict)
     subscriptions: List[StoredSubscription] = field(default_factory=list)
@@ -170,12 +172,9 @@ class DatasetStore:
     # -- writes --------------------------------------------------------------
 
     def save_dataset(self, tenant: str, name: str,
-                     atoms: Iterable[GroundAtom], shards=0,
-                     epoch: int = 0) -> None:
+                     atoms: Iterable[GroundAtom], epoch: int = 0) -> None:
         """Persist a dataset wholesale (registration and checkpoints);
-        one transaction replaces any previous facts and metadata.
-        ``shards`` may be the string ``"auto"`` (SQLite's dynamic
-        typing stores it in the integer column as-is)."""
+        one transaction replaces any previous facts and metadata."""
         rows = list(_atom_rows(name, atoms))
         with self._pool(tenant).connection() as connection:
             with connection:
@@ -186,10 +185,8 @@ class DatasetStore:
                     "(dataset, predicate, arity, arg0, arg1) "
                     "VALUES (?, ?, ?, ?, ?)", rows)
                 connection.execute(
-                    "INSERT INTO datasets (name, shards, epoch) "
-                    "VALUES (?, ?, ?) ON CONFLICT(name) DO UPDATE SET "
-                    "shards = excluded.shards, epoch = excluded.epoch",
-                    (name, shards, epoch))
+                    "INSERT OR REPLACE INTO datasets (name, epoch) "
+                    "VALUES (?, ?)", (name, epoch))
         self._count_write()
 
     def apply_delta(self, tenant: str, name: str,
@@ -277,8 +274,7 @@ class DatasetStore:
             for name, shards, epoch in connection.execute(
                     "SELECT name, shards, epoch FROM datasets "
                     "ORDER BY name"):
-                decoded = "auto" if shards == "auto" else int(shards)
-                snapshot.datasets[name] = ([], decoded, int(epoch))
+                snapshot.datasets[name] = ([], shards, int(epoch))
             for dataset, predicate, arity, arg0, arg1 in connection.execute(
                     "SELECT dataset, predicate, arity, arg0, arg1 "
                     "FROM facts"):

@@ -121,6 +121,19 @@ class TestAnswerPipelineFlags:
             assert excinfo.value.code == 2, (command, flag)
         capsys.readouterr()
 
+    def test_shard_flags(self, onto_file, data_file, capsys):
+        """Every dataset is served monolithic: the flags that asked for
+        a partition are usage errors, on both commands that had them."""
+        answer = ["answer", "--tbox", onto_file, "--data", data_file,
+                  "--query", "R(x,y)", "--answers", "x,y"]
+        for argv in ([*answer, "--shards", "2"],
+                     ["serve", "--port", "0", "--shards", "2"],
+                     ["serve", "--port", "0", "--shard-executor", "serial"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2, argv
+            assert "--shard" in capsys.readouterr().err, argv
+
     def test_adaptive_method(self, onto_file, data_file, capsys):
         assert main(["answer", "--tbox", onto_file, "--data", data_file,
                      "--query", "R(x,y), S(y,z), R(z,w)",

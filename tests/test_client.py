@@ -149,6 +149,37 @@ class TestHTTPClient:
                         == local.answer("demo", omq, options).answers)
 
 
+class TestDatasetDrop:
+    def test_local_unregister(self):
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        with Client.local() as client:
+            client.register_dataset("d", ABox([("R", ("a", "b")),
+                                               ("S", ("b", "c"))]))
+            assert ("a", "c") in client.answer("d", omq).answers
+            client.unregister_dataset("d")
+            try:
+                client.answer("d", omq)
+                raise AssertionError("dropped dataset must be unknown")
+            except (KeyError, ValueError) as error:
+                assert "d" in str(error)
+
+    def test_http_unregister(self):
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        with OMQService() as service:
+            with serve_in_background(service) as server:
+                with Client.connect(server.url) as client:
+                    client.register_dataset(
+                        "d", ABox([("R", ("a", "b")), ("S", ("b", "c"))]))
+                    assert ("a", "c") in client.answer("d", omq).answers
+                    client.unregister_dataset("d")
+                    assert "d" not in service.datasets()
+                    try:
+                        client.unregister_dataset("d")
+                        raise AssertionError("double drop must 404")
+                    except Exception as error:
+                        assert "unknown dataset" in str(error)
+
+
 # -- the keep-alive pool (both HTTP clients, both servers) ------------------
 
 

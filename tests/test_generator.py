@@ -4,8 +4,10 @@ from repro.data import (
     TABLE2_SPECS,
     chain_abox,
     erdos_renyi_abox,
+    multi_component_abox,
     paper_datasets,
     random_abox,
+    workload_abox,
 )
 
 
@@ -69,3 +71,45 @@ class TestOtherGenerators:
         abox = random_abox(5, 20, ["A"], ["P"], seed=9)
         assert len(abox.individuals) <= 5
         assert len(abox) <= 20
+
+
+def _component_count(abox):
+    """Connected components of the Gaifman graph, by union-find."""
+    parent = {constant: constant for constant in abox.individuals}
+
+    def root(constant):
+        while parent[constant] != constant:
+            parent[constant] = parent[parent[constant]]
+            constant = parent[constant]
+        return constant
+
+    for _, args in abox.atoms():
+        for other in args[1:]:
+            parent[root(other)] = root(args[0])
+    return len({root(constant) for constant in parent})
+
+
+class TestWorkloadPresets:
+    def test_deterministic_and_scaled(self):
+        first = workload_abox("chain-small", seed=5)
+        second = workload_abox("chain-small", seed=5)
+        assert set(first.atoms()) == set(second.atoms())
+        assert set(first.atoms()) != set(
+            workload_abox("chain-small", seed=6).atoms())
+        small = workload_abox("chain-large", scale=0.1, seed=5)
+        assert len(small) < len(workload_abox("chain-large", seed=5))
+
+    def test_component_structure(self):
+        abox = multi_component_abox(8, 5, shape="star", seed=1)
+        assert _component_count(abox) == 8
+        chain = multi_component_abox(3, 4, shape="chain", seed=1,
+                                     mark_probability=0.0)
+        # a chain of n vertices has n-1 edges
+        assert len(chain) == 3 * 3
+
+    def test_unknown_preset(self):
+        try:
+            workload_abox("nope")
+            raise AssertionError("unknown preset must raise")
+        except ValueError as error:
+            assert "nope" in str(error)

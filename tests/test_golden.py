@@ -3,9 +3,9 @@
 Each case is a (TBox, ABox, queries) triple drawn from the suite's
 example ontologies; its sorted certain answers are snapshotted in
 ``tests/golden/<case>.json``.  The tests assert that every engine
-(``python``, ``sql``, ``sql-views``) and the sharded scatter-gather
-path reproduce the snapshots byte-for-byte — the broadest cheap
-tripwire against a rewriting or evaluation regression.
+(``python``, ``sql``, ``sql-views``) reproduces the snapshots
+byte-for-byte — the broadest cheap tripwire against a rewriting or
+evaluation regression.
 
 Regenerate deliberately with ``pytest tests/test_golden.py
 --update-golden`` after a change that legitimately alters answers
@@ -21,7 +21,6 @@ from repro import ENGINES, OMQ, AnswerSession
 from repro.data import ABox
 from repro.queries import CQ, chain_cq
 from repro.service import OMQService
-from repro.shard import ShardedSession
 
 from .helpers import deep_tbox, example11_tbox, infinite_tbox, random_data
 
@@ -133,14 +132,6 @@ def test_golden_answers(case, update_golden):
         if engine == "python":
             continue
         assert _snapshot(tbox, abox, queries, engine) == expected, engine
-
-    # ... and so must the sharded scatter-gather path
-    with ShardedSession(abox, shards=2, executor="serial") as session:
-        for name, query in sorted(queries.items()):
-            plan = session.compile(OMQ(tbox, query))
-            result = plan.execute(session)
-            assert sorted(list(row) for row in result.answers) \
-                == expected[name], name
 
     # incremental maintenance must land on the same post-update
     # snapshot: subscribe every query, replay the script as live

@@ -13,7 +13,6 @@ from repro import (
     Answers,
     Client,
     Plan,
-    ShardedSession,
     answer,
     chain_cq,
 )
@@ -40,7 +39,7 @@ class TestAnswerOptions:
         assert options.engine is None and options.timeout is None
         assert options.over == "complete"
         assert [f.name for f in dataclasses.fields(AnswerOptions)] == [
-            "method", "engine", "timeout", "over", "shards", "optimize_sql"]
+            "method", "engine", "timeout", "over", "optimize_sql"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):
@@ -158,10 +157,8 @@ class TestCompileExecuteParity:
         service, embedded, remote = served
         options = AnswerOptions(**overrides)
         for omq in omqs:
-            with AnswerSession(abox) as session, \
-                    ShardedSession(ABox(abox.atoms()), 2,
-                                   executor="serial") as sharded:
-                monolithic = {
+            with AnswerSession(abox) as session:
+                ways = {
                     "repro.answer": answer(omq, abox, **overrides),
                     "session.answer": session.answer(omq, options),
                     "compile+execute": session.compile(
@@ -175,20 +172,18 @@ class TestCompileExecuteParity:
                                                     **overrides),
                 }
                 if not options.data_dependent:
-                    monolithic["repro.compile"] = compile_omq(
+                    ways["repro.compile"] = compile_omq(
                         omq, options).execute(abox)
-                scattered = sharded.answer(omq, **overrides)
-            expected = monolithic["repro.answer"]
+            expected = ways["repro.answer"]
             assert expected.method in METHODS
             assert expected.engine == (options.engine or "python")
-            for name, got in [*monolithic.items(), ("sharded", scattered)]:
+            for name, got in ways.items():
                 assert isinstance(got, Answers), name
                 assert (got.answers, got.method, got.engine,
-                        got.plan_fingerprint) == (
+                        got.plan_fingerprint, got.generated_tuples) == (
                     expected.answers, expected.method, expected.engine,
-                    expected.plan_fingerprint), name
-            for name, got in monolithic.items():
-                assert got.generated_tuples == expected.generated_tuples, name
+                    expected.plan_fingerprint,
+                    expected.generated_tuples), name
             with AnswerSession(abox) as session:
                 plan = session.compile(omq, options)
                 backend = session.backend(expected.engine,
@@ -271,7 +266,7 @@ class TestPlanReuse:
     def test_execute_rejects_unknown_target(self):
         plan = compile_omq(OMQ(example11_tbox(), chain_cq("RS")))
         with pytest.raises(TypeError,
-                           match="ABox, AnswerSession, ShardedSession"):
+                           match="ABox, AnswerSession or Engine"):
             plan.execute({"not": "data"})
 
 

@@ -24,7 +24,6 @@ from repro.rewriting import (
     tw_rewrite,
 )
 from repro.rewriting.plan import compile_omq
-from repro.shard import ShardedSession
 from repro.sql import evaluate_sql
 
 from .helpers import hypothesis_settings
@@ -83,17 +82,15 @@ class TestSpecialisationAgainstOracle:
         (everything pruned) and held across the updates: after every
         step what ``execute`` runs (the specialised program) answers
         like the rewriting as written and like the oracle, on every
-        engine and scatter-gathered."""
+        engine."""
         plan = compile_omq(OMQ(tbox, query), method="tw")
         reference = ABox()
-        with AnswerSession(ABox()) as session, \
-                ShardedSession(ABox(), 2, executor="serial") as sharded:
+        with AnswerSession(ABox()) as session:
             for inserts, emptied in [([], []),
                                      (list(abox.atoms()), [])] + steps:
                 deletes = [atom for atom in reference.atoms()
                            if atom[0] in emptied]
-                for target in (session, sharded):
-                    target.apply_update(inserts=inserts, deletes=deletes)
+                session.apply_update(inserts=inserts, deletes=deletes)
                 for predicate, args in deletes:
                     reference.discard(predicate, *args)
                 for predicate, args in inserts:
@@ -104,7 +101,6 @@ class TestSpecialisationAgainstOracle:
                     assert (plan.execute(session, engine=engine).answers
                             == backend.evaluate(plan.ndl).answers
                             == expected), engine
-                assert plan.execute(sharded).answers == expected
 
 
 class TestOptimizerAgainstOracle:

@@ -17,7 +17,7 @@ from repro import ABox, CQ, OMQ, TBox, answer, chain_cq
 from repro.engine import ENGINES
 from repro.client import tbox_to_text
 from repro.service import BatchRequest, OMQService, serve_in_background
-from repro.service.protocol import Router
+from repro.service.protocol import Router, error_payload
 from repro.service.service import TBOX_MEMO_SIZE
 
 from .helpers import example11_tbox, random_data
@@ -100,6 +100,43 @@ class TestAnswering:
         assert stats["cache"]["misses"] >= 1
         assert stats["datasets"]["demo"]["requests"] == 1
         assert stats["datasets"]["demo"]["sessions"] == {"python": 1}
+
+
+class TestDatasetsRoute:
+    """``POST /datasets`` decodes its body strictly: a setting it does
+    not understand, or one of the wrong JSON type, is a 400 naming the
+    key, never a registration under other terms than asked for."""
+
+    @staticmethod
+    def _rejected(router, payload):
+        with pytest.raises(ValueError) as excinfo:
+            router.handle("POST", "/datasets", payload)
+        status, body, _ = error_payload(excinfo.value)
+        assert (status, body["error_type"]) == (400, "bad_request")
+        return body["error"]
+
+    def test_replace_must_be_a_json_boolean(self):
+        with OMQService() as service:
+            router = Router(service)
+            router.handle("POST", "/datasets", {"name": "d", "data": "A(b)"})
+            for wrong in ("false", "true", 0, 1, None):
+                assert "replace" in self._rejected(router, {
+                    "name": "d", "data": "A(b), A(c)", "replace": wrong})
+                assert service.stats()["datasets"]["d"]["facts"] == 1
+            with pytest.raises(ValueError, match="already registered"):
+                router.handle("POST", "/datasets", {
+                    "name": "d", "data": "A(b), A(c)", "replace": False})
+            router.handle("POST", "/datasets", {
+                "name": "d", "data": "A(b), A(c)", "replace": True})
+            assert service.stats()["datasets"]["d"]["facts"] == 2
+
+    def test_unknown_key_is_rejected(self):
+        with OMQService() as service:
+            router = Router(service)
+            for retired in ({"shards": 2}, {"shards": "two"}):
+                assert "shards" in self._rejected(
+                    router, {"name": "d", "data": "A(b)", **retired})
+            assert service.datasets() == ()
 
 
 class TestBatch:

@@ -6,7 +6,7 @@ subscription's freshness, a store write — never the dataset.  Each row
 of :data:`FAULTS` injects one failure (patching the stage method, or
 the store / maintain call inside it, *is* the injection point) and
 :func:`check_blast_radius` asserts what README's table says it costs,
-on monolithic and sharded datasets, with and without a store.
+with and without a store.
 
 Beside the matrix: an update that raced ``register_dataset(replace=
 True)`` lands on the live dataset, not the orphan, and one already
@@ -133,8 +133,7 @@ def _fresh_answers(abox, omq):
 def _restored(data_dir):
     """A second service warm-loaded from the store as it is on disk
     right now; stopped abruptly so it writes nothing back."""
-    service = OMQService(max_workers=1, shard_executor="serial",
-                         data_dir=data_dir)
+    service = OMQService(max_workers=1, data_dir=data_dir)
     service.restore()
 
     @contextlib.contextmanager
@@ -178,26 +177,22 @@ def check_blast_radius(service, subs, data_dir, expect_stale):
                         == service.answer("d", omq).answers)
 
 
-#: fault x {monolithic, sharded} x {memory, durable}; a store write can
+#: fault x {memory, durable} on a monolithic dataset; a store write can
 #: only fail on a durable service
-MATRIX = [pytest.param(fault, shards, durable,
-                       id=f"{fault}-{layout}-{kind}")
+MATRIX = [pytest.param(fault, durable, id=f"{fault}-monolithic-{kind}")
           for fault, row in sorted(FAULTS.items())
-          for shards, layout in ((0, "monolithic"), (2, "sharded"))
           for durable, kind in ((False, "memory"), (True, "durable"))
           if durable or not row.write_errors]
 
 
-@pytest.mark.parametrize("fault, shards, durable", MATRIX)
-def test_stage_failure_matrix(fault, shards, durable, tmp_path,
-                              monkeypatch):
+@pytest.mark.parametrize("fault, durable", MATRIX)
+def test_stage_failure_matrix(fault, durable, tmp_path, monkeypatch):
     row = FAULTS[fault]
     assert row.stage in Dataset.STAGES
     data_dir = str(tmp_path) if durable else None
-    service = OMQService(max_workers=2, shard_executor="serial",
-                         data_dir=data_dir)
+    service = OMQService(max_workers=2, data_dir=data_dir)
     try:
-        service.register_dataset("d", random_data(1), shards=shards)
+        service.register_dataset("d", random_data(1))
         subs = [service.subscribe("d", omq) for omq in OMQS]
         # a warm update first: sessions loaded, epoch 1, store rows live
         service.update("d", inserts=[("P", ("w1", "w2"))])
@@ -381,9 +376,8 @@ def test_retiring_a_dataset_drops_its_subscriptions_and_no_others(
 
 
 def test_tenant_facts_follow_the_abox_when_a_backend_rejects_its_delta():
-    """The monolithic twin of ``test_shard.py``'s poisoned sharded
-    update: the ABox took the whole delta before a loaded backend
-    refused its share."""
+    """The ABox took the whole delta before a loaded backend refused
+    its share."""
     omq = OMQS[0]
     with OMQService() as service:
         service.register_dataset("d", ABox([("R", ("a", "b"))]))

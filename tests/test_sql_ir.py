@@ -386,7 +386,7 @@ class TestOptionThreading:
             service.register_dataset("demo", ABox.parse("R(a,b), S(b,c)"))
             router = Router(service)
             for retired in ({"magic": True}, {"optimize": True},
-                            {"start_method": "spawn"}):
+                            {"start_method": "spawn"}, {"shards": 2}):
                 for path, payload in (
                         ("/answer", {**body, "options": retired}),
                         ("/explain", {**body, "options": retired}),

@@ -5,7 +5,7 @@ maintained answer set must equal the certain answers over the data as
 it is after *every* update, and the deltas it receives must be exactly
 the difference between consecutive materializations.  The property
 suites drive random insert/delete sequences through every available
-engine, every rewriter and the sharded path and check both invariants
+engine and every rewriter and check both invariants
 against oracles that share nothing with the maintained route — the
 chase, and a session loaded from scratch over a copy of the atoms;
 the serving tests cover long-poll end to end over HTTP on both
@@ -165,37 +165,6 @@ class TestMaintenanceDifferential:
             subs = _subscribe_all(service, "d", engine=engine,
                                   method=method)
             _drive_and_check(service, "d", subs, script)
-        finally:
-            service.close()
-
-    @SETTINGS
-    @given(script=update_scripts(), seed=st.integers(0, 5))
-    def test_sharded_matches_from_scratch(self, script, seed):
-        service = OMQService(shard_executor="serial")
-        try:
-            service.register_dataset("d", random_data(seed, atoms=20),
-                                     shards=3)
-            subs = _subscribe_all(service, "d")
-            _drive_and_check(service, "d", subs, script)
-        finally:
-            service.close()
-
-    def test_sharded_rebalance_keeps_subscription_exact(self):
-        """A component-merging insert moves atoms between shards; the
-        maintained set must still match from-scratch."""
-        service = OMQService(shard_executor="serial")
-        try:
-            abox = ABox()
-            for i in range(6):
-                abox.add("R", f"a{i}", f"b{i}")
-                abox.add("S", f"b{i}", f"c{i}")
-            service.register_dataset("d", abox, shards=3)
-            omq = OMQ(TBOX, chain_cq("RS"))
-            sub = service.subscribe("d", omq)
-            # bridge two components, then grow the merged one
-            service.update("d", inserts=[("R", ("c0", "b3"))])
-            service.update("d", inserts=[("S", ("b3", "zz"))])
-            assert sub.answers == _oracle(abox, omq.query)
         finally:
             service.close()
 
@@ -480,10 +449,8 @@ class TestOneRoute:
                 assert sub.answers == _oracle(abox, chain_cq("RS"))
             assert subs[5].answers == _oracle(abox, chain_cq("SR"))
 
-    @pytest.mark.parametrize(
-        "engine, shards", [(engine, 0) for engine in ENGINES]
-        + [("python", 2)])
-    def test_two_predicate_emptiness_flip(self, engine, shards):
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_two_predicate_emptiness_flip(self, engine):
         """``B`` and ``R`` hold no fact at subscribe, so the program
         that runs then mentions neither; the subscription is indexed
         by its *rewriting's* predicates, so the first fact of each, in
@@ -498,9 +465,8 @@ class TestOneRoute:
             ({"deletes": [("R", ("a", "b")), ("R", ("c", "d"))]},
              set(), {("a", "b")}),
         )
-        with OMQService(shard_executor="serial") as service:
-            service.register_dataset("d", ABox.parse("A(a)"),
-                                     shards=shards)
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse("A(a)"))
             sub = service.subscribe("d", omq, engine=engine)
             assert sub.answers == frozenset()
             for epoch, (step, added, removed) in enumerate(script):

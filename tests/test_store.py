@@ -45,13 +45,12 @@ class TestDatasetStore:
     def test_dataset_round_trip(self, tmp_path):
         with DatasetStore(str(tmp_path)) as store:
             abox = random_data(1)
-            store.save_dataset("alice", "demo", abox.atoms(),
-                               shards=2, epoch=7)
+            store.save_dataset("alice", "demo", abox.atoms(), epoch=7)
             snap = store.load_tenant("alice")
         assert sorted(snap.datasets) == ["demo"]
-        atoms, shards, epoch = snap.datasets["demo"]
+        atoms, _, epoch = snap.datasets["demo"]
         assert sorted(atoms) == _atoms(abox)
-        assert (shards, epoch) == (2, 7)
+        assert epoch == 7
 
     def test_save_dataset_replaces_wholesale(self, tmp_path):
         with DatasetStore(str(tmp_path)) as store:
@@ -173,15 +172,21 @@ class TestWarmRestart:
         sub_id, sub_epoch = sub.subscription_id, sub.epoch
         sub_answers = set(sub.answers)
         service.close()
-        # the row as the previous version wrote it: nine option keys,
-        # three of which no longer exist — an upgrade must not cost the
-        # tenant its standing queries
+        # the rows as earlier versions wrote them: option keys that no
+        # longer exist, and a dataset served over two shards — an
+        # upgrade must cost the tenant neither its standing queries nor
+        # its data, and restores every dataset monolithic
         with DatasetStore(str(tmp_path)) as store:
             (stored,) = store.load_tenant("alice").subscriptions
             store.delete_subscription("alice", sub_id)
             store.save_subscription("alice", dataclasses.replace(
                 stored, options={**stored.options, "magic": True,
-                                 "optimize": False, "start_method": None}))
+                                 "optimize": False, "start_method": None,
+                                 "shards": 0}))
+        raw = sqlite3.connect(str(tmp_path / "alice.db"))
+        with raw:
+            raw.execute("UPDATE datasets SET shards = 2")
+        raw.close()
 
         restarted = OMQService(max_workers=2, data_dir=str(tmp_path))
         with caplog.at_level(logging.WARNING, logger="repro.service"):
@@ -190,8 +195,9 @@ class TestWarmRestart:
             assert counts == {"tenants": 3, "datasets": 3, "tboxes": 1,
                               "subscriptions": 1}
             assert [record.getMessage() for record in caplog.records] == [
-                "restore dropped stored option key(s) this version no "
-                "longer has: ['magic', 'optimize', 'start_method']"]
+                "restore dropped stored setting(s) this version no "
+                "longer has: ['magic', 'optimize', 'shards', "
+                "'start_method']"]
             for (dataset, tenant), answers in before.items():
                 assert self._answers(restarted, dataset, tenant) \
                     == answers, (dataset, tenant)
@@ -216,6 +222,12 @@ class TestWarmRestart:
                        for delta in polled["deltas"])
         finally:
             restarted.close()
+        # the checkpoint on close rewrote the row without the setting,
+        # so the next restart has nothing to warn about
+        raw = sqlite3.connect(str(tmp_path / "alice.db"))
+        assert raw.execute("SELECT shards FROM datasets").fetchall() \
+            == [(0,)]
+        raw.close()
 
     def test_restart_is_idempotent(self, tmp_path):
         """close() checkpoints; a second restart round-trips the same
