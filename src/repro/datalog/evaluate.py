@@ -5,13 +5,19 @@ experiments: every IDB predicate of the program it is given is
 materialised once, in dependence order, with no magic sets or program
 optimisation — exactly the behaviour Appendix D.4 attributes to RDFox.
 It *is* the unoptimised engine, and it has two kinds of caller: the
-paper's tables and benches (``repro.experiments``,
-``benchmarks/bench_*.py``) and the differential tests hand it a
-rewriting as written, as the reference; ``Plan.execute`` hands it the
-rewriting already specialised to the data's nonempty signature
-(:meth:`repro.rewriting.plan.Plan.specialised`).  Joins are left-deep
-hash joins ordered by bound-prefix selectivity, with eager projection
-of dead variables.
+paper's tables (``repro.experiments``) and the differential tests hand
+it a rewriting as written, as the reference; ``Plan.execute`` hands it
+the rewriting already specialised to the data's nonempty signature
+(:meth:`repro.rewriting.plan.Plan.specialised`).
+
+Joins are left-deep hash joins ordered by bound-prefix selectivity,
+with eager projection of dead variables, and no step runs generic
+per-row Python.  The first atom is a scan: the stored relation itself
+when the clause keeps all of its columns in order, else a projection
+in C (``set(map(itemgetter, ...))``).  Every later atom is a join
+kernel (:func:`_kernel`): a straight-line loop compiled once per step
+shape (probe columns, repeated-variable checks, output columns) and
+shared by every clause, query and thread with that shape.
 
 Evaluation runs over a :class:`repro.engine.database.Database`:
 constants are interned to integers and EDB hash indexes are memoised on
@@ -25,6 +31,7 @@ database across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
@@ -90,8 +97,7 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
             rows |= _evaluate_clause(clause, pool)
         pool.derived[predicate] = rows
         sizes[predicate] = len(rows)
-    goal_rows = pool.relation(query.goal)
-    return EvaluationResult(frozenset(database.decode_rows(goal_rows)),
+    return EvaluationResult(database.decode_rows(pool.relation(query.goal)),
                             sum(sizes.values()), sizes)
 
 
@@ -163,23 +169,53 @@ def _equality_mapping(clause: Clause) -> Dict[str, str]:
     return {v: find(v) for v in parent}
 
 
-def _tuple_getter(positions: List[int]) -> Callable:
-    """A function projecting a row onto ``positions`` (always a tuple)."""
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        position = positions[0]
-        return lambda row: (row[position],)
-    return itemgetter(*positions)
+def _scan(relation: IntRelation, arity: int,
+          picks: Tuple[int, ...]) -> IntRelation:
+    """The columns ``picks`` of a nonempty ``relation``, projected in C;
+    the relation itself (not a copy) when that keeps every column in
+    order, so callers must never write to what a scan returns."""
+    if picks == tuple(range(arity)):
+        return relation
+    if len(picks) == 1:
+        return set(zip(map(itemgetter(picks[0]), relation)))
+    return set(map(itemgetter(*picks), relation)) if picks else {()}
 
 
-def _key_getter(positions: List[int]) -> Callable:
-    """A function building an index-probe key from a row: the bare value
-    for a single position, a tuple otherwise (the
-    :func:`repro.engine.database.build_index` key convention)."""
-    if len(positions) == 1:
-        return itemgetter(positions[0])
-    return itemgetter(*positions)
+@lru_cache(maxsize=256)
+def _kernel(width: int, arity: int, probe: Tuple[int, ...],
+            repeats: Tuple[Tuple[int, int], ...],
+            picks: Tuple[int, ...]) -> Callable:
+    """A straight-line join step, compiled once per shape.
+
+    ``kernel(rows, get, add)`` probes ``get`` with the ``probe`` columns
+    of every ``width``-wide row (the :func:`~repro.engine.database.
+    build_index` key convention: a bare code for one column, ``()`` for
+    none, which makes a cross product), keeps the ``arity``-wide matches
+    whose ``repeats`` column pairs agree, and adds the ``picks`` of the
+    row and match side by side.  The source holds integer positions
+    only, never a predicate or constant name, and the cache is bounded
+    because shapes come from the queries callers send.
+    """
+    row_vars = [f"r{i}" for i in range(width)]
+    match_vars = [f"m{i}" for i in range(arity)]
+    names = row_vars + match_vars
+
+    def tuple_of(items):  # "a, b, " is a tuple display, "" an empty one
+        return "".join(item + ", " for item in items)
+
+    key = ", ".join(names[p] for p in probe)
+    test = " and ".join(f"m{i} == m{j}" for i, j in repeats) or "True"
+    namespace: Dict[str, Callable] = {}
+    exec("\n".join([
+        "def kernel(rows, get, add):",
+        f"    for {tuple_of(row_vars) or '_'} in rows:",
+        f"        matches = get({key if len(probe) == 1 else f'({key})'})",
+        "        if matches:",
+        f"            for {tuple_of(match_vars) or '_'} in matches:",
+        f"                if {test}:",
+        f"                    add(({tuple_of(names[p] for p in picks)}))"]),
+        namespace)
+    return namespace["kernel"]
 
 
 #: Multiplier applied to the estimated output of a cross product so the
@@ -212,6 +248,8 @@ def _fanout(atom: Literal, bound: Set[str],
 
 
 def _evaluate_clause(clause: Clause, pool: _RelationPool) -> IntRelation:
+    """The clause's head rows; possibly a stored relation itself (see
+    :func:`_scan`), so callers union it and never write to it."""
     mapping = _equality_mapping(clause)
     head = clause.head.rename(mapping)
     atoms = [atom.rename(mapping) for atom in clause.body_literals]
@@ -222,67 +260,50 @@ def _evaluate_clause(clause: Clause, pool: _RelationPool) -> IntRelation:
 
     remaining = list(atoms)
     schema: List[str] = []
-    rows: List[IntRow] = [()]
+    rows: IntRelation = {()}
     while remaining:
         bound = set(schema)
         atom = min(remaining, key=lambda a: _fanout(a, bound, pool))
         remaining.remove(atom)
-        if not pool.size(atom.predicate):
+        relation = pool.relation(atom.predicate)
+        if not relation:
             return set()
         positions = {v: i for i, v in enumerate(schema)}
+        first_seen: Dict[str, int] = {}
+        for i, arg in enumerate(atom.args):
+            first_seen.setdefault(arg, i)
         bound_positions = tuple(i for i, arg in enumerate(atom.args)
                                 if arg in positions)
-        # detect repeated variables inside the atom, e.g. P(x, x)
-        first_seen: Dict[str, int] = {}
-        same_as: List[Optional[int]] = []
-        for i, arg in enumerate(atom.args):
-            same_as.append(first_seen.get(arg))
-            first_seen.setdefault(arg, i)
-        repeats = [(i, j) for i, j in enumerate(same_as) if j is not None]
-        new_vars = [arg for i, arg in enumerate(atom.args)
-                    if arg not in positions and first_seen[arg] == i]
-        # project away variables that neither the head nor any remaining
-        # body atom will ever look at again
-        keep = set(head.args)
-        for later in remaining:
-            keep.update(later.args)
-        out_schema = [v for v in schema + new_vars if v in keep]
-        # the output tuple is a projection of row + match concatenated
-        width = len(schema)
-        project = _tuple_getter([
-            positions[v] if v in positions else width + first_seen[v]
-            for v in out_schema])
-        out_rows: Set[IntRow] = set()
-        add = out_rows.add
-        if bound_positions:
-            index = pool.index(atom.predicate, bound_positions)
-            probe = _key_getter([positions[atom.args[i]]
-                                 for i in bound_positions])
-            lookup = index.get
-            if repeats:
-                for row in rows:
-                    for match in lookup(probe(row), ()):
-                        if any(match[i] != match[j] for i, j in repeats):
-                            continue
-                        add(project(row + match))
-            else:
-                for row in rows:
-                    matches = lookup(probe(row))
-                    if matches:
-                        for match in matches:
-                            add(project(row + match))
+        # a repeated free variable, e.g. P(x, x), filters the matches (a
+        # repeated bound one already agrees through the probe key)
+        repeats = tuple((i, first_seen[arg])
+                        for i, arg in enumerate(atom.args)
+                        if first_seen[arg] != i and arg not in positions)
+        if remaining:
+            # project away variables that neither the head nor any
+            # remaining body atom will ever look at again
+            keep = set(head.args)
+            for later in remaining:
+                keep.update(later.args)
+            new_vars = [v for v in first_seen if v not in positions]
+            out_schema = [v for v in schema + new_vars if v in keep]
         else:
-            matches = [match for match in pool.relation(atom.predicate)
-                       if not any(match[i] != match[j]
-                                  for i, j in repeats)]
-            for row in rows:
-                for match in matches:
-                    add(project(row + match))
+            out_schema = list(head.args)  # the last step emits the head
+        width = len(schema)
+        picks = tuple(positions[v] if v in positions
+                      else width + first_seen[v] for v in out_schema)
+        if not schema and not repeats:
+            # rows is {()}: the step is a scan of the relation
+            rows = _scan(relation, len(atom.args), picks)
+        else:
+            get = (pool.index(atom.predicate, bound_positions).get
+                   if bound_positions else {(): relation}.get)
+            probe = tuple(positions[atom.args[i]] for i in bound_positions)
+            out: IntRelation = set()
+            _kernel(width, len(atom.args), probe, repeats, picks)(
+                rows, get, out.add)
+            rows = out
         schema = out_schema
-        rows = list(out_rows)
         if not rows:
             return set()
-
-    positions = {v: i for i, v in enumerate(schema)}
-    head_project = _tuple_getter([positions[arg] for arg in head.args])
-    return {head_project(row) for row in rows}
+    return rows

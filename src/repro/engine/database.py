@@ -12,7 +12,7 @@ pays the loading cost.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..data.abox import ABox
 from ..datalog.program import ADOM
@@ -101,9 +101,9 @@ class Database:
         names = self._names
         return tuple(names[code] for code in row)
 
-    def decode_rows(self, rows: Iterable[IntRow]) -> Set[Tuple[str, ...]]:
-        names = self._names
-        return {tuple(names[code] for code in row) for row in rows}
+    def decode_rows(self, rows: Iterable[IntRow]) -> FrozenSet[Tuple[str, ...]]:
+        name = self._names.__getitem__
+        return frozenset(tuple(map(name, row)) for row in rows)
 
     @property
     def constants(self) -> int:

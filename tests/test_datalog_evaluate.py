@@ -1,8 +1,14 @@
 """Tests for repro.datalog.evaluate (the bottom-up engine)."""
 
+import sys
+import threading
+from itertools import combinations
 
 from repro.data import ABox
 from repro.datalog import Clause, Equality, Literal, NDLQuery, Program, evaluate
+from repro.datalog.evaluate import _kernel, evaluate_on
+from repro.engine import create_engine
+from repro.engine.database import Database
 
 
 def clause(head, *body):
@@ -31,11 +37,15 @@ class TestBasicEvaluation:
         assert result.answers == {("a",)}
 
     def test_union_of_clauses(self):
-        result = run([
+        # the first clause's rows are A's stored relation itself, not a
+        # copy: the union must not write B's rows into it
+        database = Database(ABox.parse("A(a), B(b)"))
+        result = evaluate_on(NDLQuery(Program([
             clause(Literal("G", ("x",)), Literal("A", ("x",))),
             clause(Literal("G", ("x",)), Literal("B", ("x",))),
-        ], "G", ("x",), "A(a), B(b)")
+        ]), "G", ("x",)), database)
         assert result.answers == {("a",), ("b",)}
+        assert database.decode_rows(database.relation("A")) == {("a",)}
 
     def test_boolean_goal(self):
         result = run([clause(Literal("G", ()), Literal("A", ("x",)))],
@@ -117,3 +127,47 @@ class TestCartesianAndProjection:
         data = ", ".join(f"R(n{i}, n{i+1})" for i in range(5))
         result = run(clauses, "G", ("x0", "x5"), data)
         assert result.answers == {("n0", "n5")}
+
+
+class TestKernelCache:
+    def test_threads_compiling_distinct_shapes(self):
+        # G(x, picked ys) <- A(x), T(x, y1..y9): the T step's kernel
+        # shape is its pick of columns, so the 2^9 picks are 512 shapes,
+        # more than the cache holds
+        ys = [f"y{i}" for i in range(1, 10)]
+        queries = []
+        for size in range(len(ys) + 1):
+            for picked in combinations(ys, size):
+                head = Literal("G", ("x",) + picked)
+                queries.append(NDLQuery(Program([clause(
+                    head, Literal("A", ("x",)),
+                    Literal("T", ("x",) + tuple(ys)))]),
+                    "G", head.args))
+        wide = [tuple(f"c{row + col}" for col in range(10))
+                for row in range(4)]
+        engine = create_engine("python", ABox.parse("A(c0), A(c1)"),
+                               extra_relations={"T": wide})
+        serial = [engine.evaluate(query).answers for query in queries]
+        assert serial[-1] == {wide[0], wide[1]}
+        _kernel.cache_clear()
+        threaded = [None] * len(queries)
+
+        def worker(first):
+            for i in range(first, len(queries), 8):
+                threaded[i] = engine.evaluate(queries[i]).answers
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(first,))
+                       for first in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+        info = _kernel.cache_info()
+        assert info.misses >= len(queries) > info.maxsize >= info.currsize

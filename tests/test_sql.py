@@ -13,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ABox, OMQ, chain_cq, rewrite
-from repro.datalog.evaluate import evaluate
+from repro.datalog.evaluate import evaluate, evaluate_on
 from repro.datalog.program import ADOM, Clause, Equality, Literal, NDLQuery, Program
+from repro.engine.database import Database
 from repro.sql import (
     SQLEngine,
     compile_clause,
@@ -322,33 +323,58 @@ def _random_body(draw):
             predicate = draw(st.sampled_from(_EDB_UNARY))
             atoms.append(Literal(predicate, (draw(st.sampled_from(_VARS)),)))
         else:
-            predicate = draw(st.sampled_from(_EDB_BINARY))
-            atoms.append(Literal(predicate,
-                                 (draw(st.sampled_from(_VARS)),
-                                  draw(st.sampled_from(_VARS)))))
+            # R(x, x) now and then: a repeated variable, unbound when
+            # the atom is the one the join starts from
+            first = draw(st.sampled_from(_VARS))
+            second = first if draw(st.booleans()) else draw(
+                st.sampled_from(_VARS))
+            atoms.append(Literal(draw(st.sampled_from(_EDB_BINARY)),
+                                 (first, second)))
+    if draw(st.booleans()):
+        atoms.append(Equality(draw(st.sampled_from(_VARS)),
+                              draw(st.sampled_from(_VARS))))
     return atoms
+
+
+def _head_vars(draw, body, nullary_ok=False):
+    variables = sorted({v for a in body for v in a.variables})
+    if nullary_ok and draw(st.booleans()):
+        return ()
+    return tuple(variables[:2]) or ("x",)
+
+
+def _idb_atom(draw, clause):
+    return Literal(clause.head.predicate,
+                   tuple(draw(st.sampled_from(_VARS))
+                         for _ in clause.head.args))
 
 
 @st.composite
 def _random_query(draw):
-    # a two-layer NDL program: Q_i over EDBs, G over Q_i and EDBs
+    # a three-stratum NDL program: Q_i over EDBs; P over the Q_i alone,
+    # so an IDB relation is the atom a join starts from; G over P, the
+    # Q_i and EDBs, possibly nullary, sometimes a union of two clauses.
+    # Atoms that share no variable make cross products.
     layer = []
-    names = []
     for i in range(draw(st.integers(min_value=1, max_value=2))):
-        name = f"Q{i}"
-        names.append(name)
         body = _random_body(draw)
-        head_vars = tuple(sorted({v for a in body for v in a.args}))[:2]
-        if not head_vars:
-            head_vars = ("x",)
-        layer.append(Clause(Literal(name, head_vars), tuple(body)))
-    goal_body = _random_body(draw)
-    for name in names:
-        arity = len(layer[names.index(name)].head.args)
-        goal_body.append(Literal(
-            name, tuple(draw(st.sampled_from(_VARS)) for _ in range(arity))))
-    goal_vars = tuple(sorted({v for a in goal_body for v in a.args}))[:2]
+        layer.append(Clause(Literal(f"Q{i}", _head_vars(draw, body)),
+                            tuple(body)))
+    middle = [_idb_atom(draw, clause) for clause in layer]
+    layer.append(Clause(Literal("P", _head_vars(draw, middle, True)),
+                        tuple(middle)))
+    goal_body = _random_body(draw) + [
+        _idb_atom(draw, clause) for clause in layer
+        if draw(st.booleans())]
+    goal_vars = _head_vars(draw, goal_body, True)
     clauses = layer + [Clause(Literal("G", goal_vars), tuple(goal_body))]
+    if goal_vars and draw(st.booleans()):
+        # a union whose first clause copies a stored relation verbatim,
+        # so the join reads that relation itself and the union meets it
+        edb = _EDB_UNARY if len(goal_vars) == 1 else _EDB_BINARY
+        clauses.insert(len(layer), Clause(
+            Literal("G", goal_vars),
+            (Literal(draw(st.sampled_from(edb)), goal_vars),)))
     return NDLQuery(Program(clauses), "G", goal_vars)
 
 
@@ -371,8 +397,18 @@ class TestPropertyEngineEquivalence:
     @settings(max_examples=40, deadline=None)
     @given(query=_random_query(), abox=_random_abox())
     def test_sql_agrees_with_python_engine(self, query, abox):
-        expected = evaluate(query, abox).answers
-        assert evaluate_sql(query, abox).answers == expected
+        database = Database(abox)
+        expected = evaluate_on(query, database)
+        got = evaluate_sql(query, abox)
+        assert got.answers == expected.answers
+        assert got.relation_sizes == expected.relation_sizes
+        # the python engine joins straight from the stored relations,
+        # without copying them: none may have been written through
+        fresh = Database(abox)
+        assert database.predicates == fresh.predicates
+        for predicate in fresh.predicates:
+            assert (database.decode_rows(database.relation(predicate))
+                    == fresh.decode_rows(fresh.relation(predicate)))
 
     @settings(max_examples=25, deadline=None)
     @given(query=_random_query(), abox=_random_abox())
