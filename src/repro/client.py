@@ -54,7 +54,7 @@ from .obs.trace import Trace, current_trace_id, tracing
 from .ontology.tbox import TBox
 from .queries.cq import CQ
 from .rewriting.api import OMQ
-from .rewriting.plan import AnswerOptions, Answers
+from .rewriting.plan import ROWS_TYPE, AnswerOptions, Answers
 from .standing.registry import AnswerDelta
 from .store.tenants import TenantManager
 
@@ -422,12 +422,14 @@ class _HTTPCore:
 
     def _frame(self, path: str, payload=None) -> bytes:
         """The request bytes: a ``GET`` without ``payload``, else a
-        JSON ``POST``."""
+        JSON ``POST``; ``/answer`` asks for the coded body."""
         body = b"" if payload is None else json.dumps(payload).encode()
         lines = [f"{'GET' if payload is None else 'POST'} {path} HTTP/1.1",
                  f"Host: {self.host}:{self.port}",
                  "Content-Type: application/json",
                  f"Content-Length: {len(body)}"]
+        if path == "/answer":
+            lines.append(f"Accept: {ROWS_TYPE}, application/json")
         if self.tenant:
             lines.append(f"X-Repro-Tenant: {self.tenant}")
         trace_id = current_trace_id()
@@ -437,11 +439,24 @@ class _HTTPCore:
             lines.append(f"{TRACE_HEADER}: {trace_id}")
         return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
 
-    def _result(self, status: int, headers: Dict[str, str], raw: bytes,
-                finish=None):
-        """The decoded (and ``finish``-ed) body of a response, or its
-        :class:`ServiceError`."""
+    def _result(self, sock: socket.socket, reusable: bool, status: int,
+                headers: Dict[str, str], raw: bytes, finish=None):
+        """Pool ``sock`` and return the decoded (and ``finish``-ed) body
+        of its response, or its :class:`ServiceError`.  A
+        :data:`ROWS_TYPE` body is an :class:`Answers` whatever
+        ``finish`` says; one that does not decode closes ``sock``."""
         self.last_trace_id = headers.get(TRACE_HEADER)
+        if status < 400 and headers.get("Content-Type") == ROWS_TYPE:
+            try:
+                answers = Answers.from_wire(raw)
+            except (ValueError, LookupError, TypeError) as error:
+                sock.close()
+                raise ServiceError(f"undecodable answer body: {error}",
+                                   502, "bad_response",
+                                   trace_id=self.last_trace_id) from None
+            self._checkin(sock, reusable)
+            return answers
+        self._checkin(sock, reusable)
         try:
             decoded = json.loads(raw) if raw else {}
         except ValueError:
@@ -587,8 +602,7 @@ class _HTTPTransport(_HTTPCore):
             if sock is not None:
                 sock.close()
             raise
-        self._checkin(sock, reusable)
-        return self._result(status, headers, raw, finish)
+        return self._result(sock, reusable, status, headers, raw, finish)
 
     def close(self) -> None:
         self._close_idle()
@@ -778,8 +792,7 @@ class AsyncClient(_HTTPCore):
             if sock is not None:
                 sock.close()
             raise
-        self._checkin(sock, reusable)
-        return self._result(status, headers, raw, finish)
+        return self._result(sock, reusable, status, headers, raw, finish)
 
     async def _connect(self, loop) -> socket.socket:
         """A connected non-blocking socket (first address that works)."""

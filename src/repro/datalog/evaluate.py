@@ -30,10 +30,13 @@ database across queries.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
-from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+                    Optional, Sequence, Set, Tuple)
 
 from ..data.abox import ABox
 from .program import Clause, Literal, NDLQuery
@@ -46,6 +49,34 @@ IntRow = Tuple[int, ...]
 IntRelation = Set[IntRow]
 
 
+class CodedRows(NamedTuple):
+    """A relation still in dictionary codes: ``count`` rows of
+    ``arity`` codes, flattened row after row; ``names[code]`` is the
+    constant a code stands for, or ``None`` when the codes are the
+    constants themselves (rows from an engine that returns strings)."""
+
+    codes: Sequence
+    arity: int
+    count: int
+    names: Optional[Sequence[str]]
+
+    def decode(self) -> FrozenSet[Row]:
+        """The rows as constant tuples, decoded and regrouped in C."""
+        if not self.arity:
+            return frozenset({()}) if self.count else frozenset()
+        constants = list(map(self.names.__getitem__, self.codes))
+        arity = self.arity
+        return frozenset(zip(*[constants[i::arity] for i in range(arity)]))
+
+    def dense(self) -> Tuple[array, List[str]]:
+        """The codes renumbered ``0..k-1`` over the ``k`` distinct
+        constants the rows use, and those constants in id order."""
+        local = dict(zip(set(self.codes), count()))
+        constants = list(local) if self.names is None else list(
+            map(self.names.__getitem__, local))
+        return array("I", map(local.__getitem__, self.codes)), constants
+
+
 @dataclass
 class EvaluationResult:
     """Answers plus the statistics reported in Tables 3-5."""
@@ -53,6 +84,9 @@ class EvaluationResult:
     answers: FrozenSet[Row]
     generated_tuples: int
     relation_sizes: Dict[str, int] = field(default_factory=dict)
+    #: The goal relation before decoding (``None`` from SQL engines).
+    _codes: Optional[CodedRows] = field(default=None, compare=False,
+                                        repr=False)
 
     def __iter__(self):
         return iter(self.answers)
@@ -97,8 +131,9 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
             rows |= _evaluate_clause(clause, pool)
         pool.derived[predicate] = rows
         sizes[predicate] = len(rows)
-    return EvaluationResult(database.decode_rows(pool.relation(query.goal)),
-                            sum(sizes.values()), sizes)
+    goal = database.coded(pool.relation(query.goal))
+    return EvaluationResult(goal.decode(), sum(sizes.values()), sizes,
+                            _codes=goal)
 
 
 class _RelationPool:

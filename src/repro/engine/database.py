@@ -11,10 +11,13 @@ pays the loading cost.
 
 from __future__ import annotations
 
+from array import array
+from itertools import chain
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..data.abox import ABox
+from ..datalog.evaluate import CodedRows
 from ..datalog.program import ADOM
 
 #: A stored fact: constants interned to dense integer codes.
@@ -97,13 +100,13 @@ class Database:
     def decode(self, code: int) -> str:
         return self._names[code]
 
-    def decode_row(self, row: IntRow) -> Tuple[str, ...]:
-        names = self._names
-        return tuple(names[code] for code in row)
+    def coded(self, rows: IntRelation) -> CodedRows:
+        """``rows`` flattened in C, with the live (append-only) names."""
+        return CodedRows(array("I", chain.from_iterable(rows)),
+                         len(next(iter(rows), ())), len(rows), self._names)
 
-    def decode_rows(self, rows: Iterable[IntRow]) -> FrozenSet[Tuple[str, ...]]:
-        name = self._names.__getitem__
-        return frozenset(tuple(map(name, row)) for row in rows)
+    def decode_rows(self, rows: IntRelation) -> FrozenSet[Tuple[str, ...]]:
+        return self.coded(rows).decode()
 
     @property
     def constants(self) -> int:

@@ -32,13 +32,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
+import sys
 import time
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ..data.abox import ABox
-from ..datalog.evaluate import EvaluationResult
+from ..datalog.evaluate import CodedRows, EvaluationResult
 from ..datalog.optimize import optimize
 from ..datalog.program import NDLQuery
 from ..engine import ENGINES, SQL_ENGINES, Engine
@@ -145,6 +149,9 @@ class AnswerOptions:
 _WIRE_FIELDS = ("dataset", "method", "engine", "seconds", "cached_rewriting",
                 "generated_tuples", "plan_fingerprint", "timed_out")
 
+#: The ``Accept``-negotiated ``/answer`` body type (:meth:`Answers.wire`).
+ROWS_TYPE = "application/x-repro-rows"
+
 
 @dataclass(frozen=True)
 class Answers:
@@ -173,6 +180,9 @@ class Answers:
     #: the caller asked for it — e.g. ``Client.answer(trace=True)``.
     trace: Optional[Dict[str, object]] = field(default=None,
                                                compare=False, repr=False)
+    #: ``answers`` still in the engine's codes, for :meth:`wire`.
+    _codes: Optional[CodedRows] = field(default=None, compare=False,
+                                        repr=False)
 
     def __iter__(self):
         return iter(self.answers)
@@ -187,22 +197,64 @@ class Answers:
         """The answer tuples in sorted order (for stable printing)."""
         return sorted(self.answers)
 
+    def _fields(self) -> Dict[str, object]:
+        fields = {name: getattr(self, name) for name in _WIRE_FIELDS}
+        fields["seconds"] = round(self.seconds, 6)
+        return fields
+
     def payload(self) -> Dict[str, object]:
         """The JSON wire shape of an ``/answer`` response (rows as
         sorted lists)."""
-        body = {"answers": sorted(list(row) for row in self.answers),
-                "count": len(self.answers)}
-        body.update((name, getattr(self, name)) for name in _WIRE_FIELDS)
-        body["seconds"] = round(self.seconds, 6)
-        return body
+        return {"answers": list(map(list, sorted(self.answers))),
+                "count": len(self.answers), **self._fields()}
 
     @classmethod
     def from_payload(cls, body: Mapping[str, object]) -> "Answers":
         """The record a :meth:`payload` (plus a spliced ``"trace"``)
         describes."""
-        return cls(answers=frozenset(tuple(row) for row in body["answers"]),
+        return cls(answers=frozenset(map(tuple, body["answers"])),
                    trace=body.get("trace"),
                    **{name: body[name] for name in _WIRE_FIELDS})
+
+    def wire(self, extra: Optional[Mapping[str, object]] = None) -> bytes:
+        """The dictionary-coded ``/answer`` body (:data:`ROWS_TYPE`).
+
+        A 4-byte big-endian header length; a JSON header with every
+        :meth:`payload` field but ``answers``, plus ``arity``, the
+        ``extra`` fields and ``constants`` (the answer's distinct
+        constants); then ``count * arity`` little-endian uint32 cells,
+        row after row, each an index into ``constants``.  Rows come in
+        no particular order: an answer is a set.
+        """
+        coded = self._codes or CodedRows(
+            list(chain.from_iterable(self.answers)),
+            len(next(iter(self.answers), ())), len(self.answers), None)
+        ids, constants = coded.dense()
+        if sys.byteorder == "big":
+            ids.byteswap()
+        head = json.dumps({"count": len(self.answers), "arity": coded.arity,
+                           **self._fields(), **(extra or {}),
+                           "constants": constants}).encode()
+        return len(head).to_bytes(4, "big") + head + ids.tobytes()
+
+    @classmethod
+    def from_wire(cls, body: bytes) -> "Answers":
+        """The record a :meth:`wire` body describes.  A body that does
+        not hold together raises (``ValueError``, ``LookupError`` or
+        ``TypeError``), never decodes to other rows."""
+        size = int.from_bytes(body[:4], "big")
+        header = json.loads(body[4:4 + size])
+        ids = array("I", body[4 + size:])
+        if sys.byteorder == "big":
+            ids.byteswap()
+        count, arity = header["count"], header["arity"]
+        if len(ids) != count * arity:
+            raise ValueError(f"{len(ids)} cells for {count} x {arity}")
+        answers = CodedRows(ids, arity, count, header["constants"]).decode()
+        if len(answers) != count:
+            raise ValueError(f"{len(answers)} distinct rows, not {count}")
+        return cls(answers=answers, trace=header.get("trace"),
+                   **{name: header[name] for name in _WIRE_FIELDS})
 
 
 #: Specialisations one plan keeps: one per nonempty signature it has
@@ -423,7 +475,8 @@ class Plan:
                        seconds=elapsed, engine=engine_name,
                        method=self.method,
                        plan_fingerprint=self.fingerprint,
-                       timed_out=timeout is not None and elapsed > timeout)
+                       timed_out=timeout is not None and elapsed > timeout,
+                       _codes=result._codes)
 
     def __repr__(self) -> str:
         return (f"Plan(method={self.method!r}, rules={self.rules}, "

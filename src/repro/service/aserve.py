@@ -53,9 +53,10 @@ import functools
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs.trace import Trace, mint_trace_id, span, tracing
+from ..rewriting.plan import ROWS_TYPE
 from .protocol import (
     TENANT_HEADER,
     TRACE_HEADER,
@@ -224,37 +225,40 @@ class AsyncServiceServer:
             raise overloaded_error(depth, self.max_pending)
 
     async def _handle_answer(self, payload: Dict, tenant: str = "",
-                             trace: Optional[Trace] = None
-                             ) -> Tuple[int, Dict]:
+                             trace: Optional[Trace] = None,
+                             coded: bool = False
+                             ) -> Tuple[int, Union[Dict, bytes]]:
         with span("decode"):
             request = self.router.decode_answer(payload, tenant=tenant)
         key = self._coalesce_key(request)
         future = self._inflight.get(key)
-        if future is not None:
+        coalesced = future is not None
+        if coalesced:
             # joining in-flight identical work is free: no admission.
             # The joiner's trace stays shallow (decode + encode only);
             # the execution spans belong to the leader's trace.
             self._obs.async_coalesced.inc()
-            result = await asyncio.shield(future)
-            body = self.router.result_payload(result)
-            body["coalesced"] = True
-            return 200, body
-        self._admit()
-        # the worker thread that runs the micro-batch activates this
-        # trace around the leader's job, so execute/cache spans and
-        # plan-fingerprint annotations land on the originating request
-        if trace is not None:
-            request = dataclasses.replace(request, trace=trace)
-        future = self._loop.create_future()
-        self._inflight[key] = future
-        self._pending.append((key, request))
-        self._note_depth()
-        if (self._running_batches < self.workers
-                or len(self._pending) >= self.max_batch):
-            self._flush()
+        else:
+            self._admit()
+            # the worker thread that runs the micro-batch activates
+            # this trace around the leader's job, so execute/cache
+            # spans and plan-fingerprint annotations land on the
+            # originating request
+            if trace is not None:
+                request = dataclasses.replace(request, trace=trace)
+            future = self._loop.create_future()
+            self._inflight[key] = future
+            self._pending.append((key, request))
+            self._note_depth()
+            if (self._running_batches < self.workers
+                    or len(self._pending) >= self.max_batch):
+                self._flush()
         result = await asyncio.shield(future)
+        if coded:  # the request's Accept named ROWS_TYPE
+            return 200, encode_body({"coalesced": coalesced}, trace,
+                                    result.wire)
         body = self.router.result_payload(result)
-        body["coalesced"] = False
+        body["coalesced"] = coalesced
         return 200, body
 
     def _flush(self) -> None:
@@ -341,19 +345,21 @@ class AsyncServiceServer:
 
     async def _dispatch(self, method: str, path: str, body: bytes,
                         headers: Optional[Dict[str, str]] = None,
-                        trace: Optional[Trace] = None) -> Tuple[int, Dict]:
+                        trace: Optional[Trace] = None
+                        ) -> Tuple[int, Union[Dict, bytes]]:
         self._obs.async_requests.inc()
         payload = decode_json_body(body)
+        headers = headers or {}
         if trace is not None:
             trace.wanted = bool(payload.get("trace"))
-        tenant = resolve_tenant(
-            (headers or {}).get(TENANT_HEADER.lower()), payload)
+        tenant = resolve_tenant(headers.get(TENANT_HEADER.lower()), payload)
         # per-tenant token bucket before any work is queued (429 +
         # Retry-After)
         self.router.throttle(tenant, method, path)
         if method == "POST" and path == "/answer":
-            return await self._handle_answer(payload, tenant=tenant,
-                                             trace=trace)
+            return await self._handle_answer(
+                payload, tenant=tenant, trace=trace,
+                coded=ROWS_TYPE in headers.get("accept", ""))
         if method == "GET" and path == "/health":
             return 200, self.router.health_payload()
         if method == "POST" and path == "/batch":
@@ -530,7 +536,10 @@ class AsyncServiceServer:
                 with tracing(trace):
                     status, payload = await self._dispatch(
                         method, path, raw, headers, trace)
-                body = encode_body(payload, trace)
+                if isinstance(payload, bytes):  # a coded /answer body
+                    body, content_type = payload, ROWS_TYPE
+                else:
+                    body = encode_body(payload, trace)
         except asyncio.IncompleteReadError:
             raise
         except Exception as error:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..data.abox import ABox
 from ..engine import ENGINES
@@ -80,24 +80,28 @@ def metric_route(path: str) -> str:
     return base if base in KNOWN_ROUTES else "other"
 
 
-def encode_body(payload: Dict, trace: Optional[Trace] = None) -> bytes:
+def _json_bytes(payload: Dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
+def encode_body(payload: Dict, trace: Optional[Trace] = None,
+                encode: Callable[[Dict], bytes] = _json_bytes) -> bytes:
     """Serialize a response body, timing it as the ``encode`` span.
 
     When the client asked for the trace (``"trace": true`` in the
     request payload), the trace payload — including this encode span —
     is spliced into the body, at the cost of serialising twice; the
-    common untraced path serialises once.
+    common untraced path serialises once.  ``encode`` turns the fields
+    into bytes: JSON, or :meth:`Answers.wire` for a coded ``/answer``.
     """
     if trace is None:
-        return json.dumps(payload).encode("utf-8")
+        return encode(payload)
     if trace.wanted:
         with trace.span("encode"):
-            json.dumps(payload)
-        enriched = dict(payload)
-        enriched["trace"] = trace.payload()
-        return json.dumps(enriched).encode("utf-8")
+            encode(payload)
+        return encode({**payload, "trace": trace.payload()})
     with trace.span("encode"):
-        return json.dumps(payload).encode("utf-8")
+        return encode(payload)
 
 
 class ProtocolError(ValueError):

@@ -63,7 +63,10 @@ program an answer over that dataset would run (``method="adaptive"``
 requires one).
 
 Responses are ``{"answers": [[...], ...], "seconds": ...,
-"cached_rewriting": ...}`` with the answer tuples sorted.  Errors come
+"cached_rewriting": ...}`` with the answer tuples sorted; an
+``/answer`` whose ``Accept`` names ``application/x-repro-rows`` (as
+:class:`~repro.client.Client` sends) gets the same fields with the rows
+as uint32 ids into a constant list (:meth:`Answers.wire`).  Errors come
 back as ``{"error": <message>, "error_type": <kind>}`` with a 4xx
 status — including malformed JSON bodies and bad ``Content-Length``
 headers, which are the client's bugs, not internal errors.  Inline

@@ -3,6 +3,8 @@ and HTTP transports must expose one surface and agree on answers."""
 
 import asyncio
 import gc
+import http.client
+import json
 import socket
 import sys
 import threading
@@ -19,8 +21,15 @@ from repro import (
     answer,
     chain_cq,
 )
-from repro.client import _POOL_SIZE, abox_to_text, cq_to_text, tbox_to_text
+from repro.client import (
+    _POOL_SIZE,
+    _omq_payload,
+    abox_to_text,
+    cq_to_text,
+    tbox_to_text,
+)
 from repro.queries import CQ
+from repro.rewriting.plan import ROWS_TYPE, Answers
 from repro.service import OMQService, serve_in_background
 from repro.service.aserve import BackgroundAsyncServer
 from repro.service.cache import tbox_fingerprint
@@ -506,3 +515,76 @@ class TestNeverReusedNeverResent:
             server.close()
         assert idle == []
         assert (server.accepted, server.requests) == (1, 1)
+
+
+# -- the coded /answer body -------------------------------------------------
+
+_ROWS = frozenset({("a", "b"), ("c", "a"), ("b", "b")})
+_GOOD = Answers(_ROWS).wire()
+_HEAD = 4 + int.from_bytes(_GOOD[:4], "big")
+
+
+def _rows_reply(body: bytes) -> bytes:
+    """A framed keep-alive 200 carrying ``body`` as the coded type."""
+    return (b"HTTP/1.1 200 OK\r\nContent-Type: " + ROWS_TYPE.encode()
+            + b"\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
+
+
+class TestCodedAnswerBody:
+    @pytest.mark.parametrize("body", [
+        _GOOD[:-6],
+        _GOOD[:_HEAD - 3],
+        (len(_GOOD)).to_bytes(4, "big") + _GOOD[4:],
+        _GOOD[:-4] + (3).to_bytes(4, "little"),  # 3 constants: ids 0-2
+        _GOOD + bytes(4),
+        _GOOD[:-4],
+    ], ids=["truncated-cells", "truncated-header", "header-past-end",
+            "id-past-constants", "extra-cell", "missing-cell"])
+    def test_damaged_body_is_a_structured_error(self, driver, omq, body):
+        """A body that does not decode is a ``bad_response`` error, its
+        connection leaves the pool, and no rows come back at all; the
+        intact body over the same framing is an answer and pooled."""
+        assert len(json.loads(_GOOD[4:_HEAD])["constants"]) == 3
+        outcomes = []
+        for reply in (_GOOD, body):
+            server = _OneShotServer(_rows_reply(reply))
+
+            async def scenario():
+                client = driver(server.url)
+                try:
+                    try:
+                        got = await client.call("answer", "demo", omq)
+                    except ServiceError as error:
+                        got = error
+                    return got, list(client.core._idle)
+                finally:
+                    await client.close()
+
+            try:
+                outcomes.append(asyncio.run(scenario()))
+            finally:
+                server.close()
+        (good, good_idle), (bad, bad_idle) = outcomes
+        assert good.answers == _ROWS and len(good_idle) == 1
+        assert isinstance(bad, ServiceError), bad
+        assert (bad.status, bad.error_type) == (502, "bad_response")
+        assert bad_idle == []
+
+    def test_errors_stay_json_when_coded_is_accepted(self, http_client, omq):
+        """``Accept`` picks the body of an answer, never of an error."""
+        split = http_client._transport
+        wire = http.client.HTTPConnection(split.host, split.port, timeout=30)
+        try:
+            wire.request("POST", "/answer",
+                         body=json.dumps(_omq_payload("nope", omq, None)),
+                         headers={"Accept": ROWS_TYPE})
+            reply = wire.getresponse()
+            body = json.loads(reply.read())
+        finally:
+            wire.close()
+        assert reply.status == 400
+        assert reply.getheader("Content-Type") == "application/json"
+        assert body["error_type"] == "bad_request"
+        with pytest.raises(ServiceError) as raised:
+            http_client.answer("nope", omq)
+        assert raised.value.error_type == "bad_request"

@@ -3,8 +3,16 @@
 them, plan reuse, explain reports and the plan cache."""
 
 import dataclasses
+import http.client
+import json
+import threading
+from array import array
+from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import urlsplit
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     ABox,
@@ -16,9 +24,16 @@ from repro import (
     answer,
     chain_cq,
 )
+from repro.client import _omq_payload
+from repro.datalog.evaluate import CodedRows
 from repro.engine import ENGINES, create_engine
 from repro.rewriting import AnswerSession, METHODS
-from repro.rewriting.plan import compile_omq, format_explain
+from repro.rewriting.plan import (
+    _WIRE_FIELDS,
+    ROWS_TYPE,
+    compile_omq,
+    format_explain,
+)
 from repro.service import (
     BatchRequest,
     OMQService,
@@ -113,6 +128,57 @@ class TestOMQFingerprint:
 # -- compile/execute parity -------------------------------------------------
 
 
+def _raw_answer(url, payload, coded):
+    """One ``POST /answer`` over a bare connection, in the body the
+    ``Accept`` header picks, decoded by the record's own decoder."""
+    split = urlsplit(url)
+    headers = {"Content-Type": "application/json"}
+    if coded:
+        headers["Accept"] = ROWS_TYPE
+    wire = http.client.HTTPConnection(split.hostname, split.port,
+                                      timeout=30)
+    try:
+        wire.request("POST", "/answer", body=json.dumps(payload),
+                     headers=headers)
+        reply = wire.getresponse()
+        raw = reply.read()
+    finally:
+        wire.close()
+    assert reply.status == 200, raw
+    if coded:
+        assert reply.getheader("Content-Type") == ROWS_TYPE
+        return Answers.from_wire(raw)
+    assert reply.getheader("Content-Type") == "application/json"
+    return Answers.from_payload(json.loads(raw))
+
+
+def _coalesced(service, url, payload, monkeypatch):
+    """A coded leader and, once its execution is held in flight, a
+    coded and a JSON request that join it; returns all three."""
+    running, joined = threading.Event(), threading.Semaphore(0)
+    answer_batch = service.answer_batch
+    count_join = service.obs.async_coalesced.inc
+
+    def held(requests):
+        running.set()
+        for _ in range(2):
+            assert joined.acquire(timeout=30), "nobody joined"
+        return answer_batch(requests)
+
+    def join(amount=1.0):
+        count_join(amount)
+        joined.release()
+
+    monkeypatch.setattr(service, "answer_batch", held)
+    monkeypatch.setattr(service.obs.async_coalesced, "inc", join)
+    with ThreadPoolExecutor(3) as pool:
+        leader = pool.submit(_raw_answer, url, payload, True)
+        assert running.wait(timeout=30)
+        joiners = [pool.submit(_raw_answer, url, payload, coded)
+                   for coded in (True, False)]
+        return [call.result(timeout=60) for call in [leader] + joiners]
+
+
 class TestCompileExecuteParity:
     @pytest.fixture(scope="class")
     def setting(self):
@@ -141,22 +207,27 @@ class TestCompileExecuteParity:
             service.register_dataset("demo", ABox(abox.atoms()))
             with serve_in_background(service) as handle, \
                     Client.connect(handle.url) as remote:
-                yield service, Client.wrap(service), remote
+                yield service, Client.wrap(service), remote, handle.url
 
     @pytest.mark.parametrize("overrides", [
         {}, {"method": "lin"}, {"method": "log"}, {"method": "tw"},
-        {"method": "adaptive"}, {"engine": "sql"}], ids=lambda o: ",".join(
+        {"method": "adaptive"}, {"engine": "sql"}, {"engine": "sql-views"}],
+        ids=lambda o: ",".join(
             f"{key}={value}" for key, value in o.items()) or "defaults")
     def test_every_way_in_returns_the_same_answers(self, setting, served,
-                                                   overrides):
+                                                   overrides, monkeypatch):
         """One options spelling in, one ``Answers`` record out, through
         every entry point: same rows, same *resolved* method, same
         engine, same plan — and every one of them ran the plan
-        specialised to the data, never the rewriting as written."""
+        specialised to the data, never the rewriting as written.  Over
+        HTTP that holds for both ``/answer`` bodies, traced or not, and
+        for the joiners of one coalesced execution."""
         _, abox, omqs = setting
-        service, embedded, remote = served
+        service, embedded, remote, url = served
         options = AnswerOptions(**overrides)
         for omq in omqs:
+            payload = _omq_payload("demo", omq, options)
+            traced = dict(payload, trace=True)
             with AnswerSession(abox) as session:
                 ways = {
                     "repro.answer": answer(omq, abox, **overrides),
@@ -170,7 +241,23 @@ class TestCompileExecuteParity:
                     "Client.wrap": embedded.answer("demo", omq, options),
                     "Client.connect": remote.answer("demo", omq,
                                                     **overrides),
+                    "Client.connect, traced": remote.answer(
+                        "demo", omq, trace=True, **overrides),
+                    "HTTP JSON": _raw_answer(url, payload, coded=False),
+                    "HTTP coded": _raw_answer(url, payload, coded=True),
+                    "HTTP JSON, traced": _raw_answer(url, traced,
+                                                     coded=False),
+                    "HTTP coded, traced": _raw_answer(url, traced,
+                                                      coded=True),
                 }
+                leader, coded, as_json = _coalesced(
+                    service, url, payload, monkeypatch)
+                monkeypatch.undo()
+                # one execution behind all three bodies: the whole
+                # record survives either encoding
+                assert leader == coded == as_json
+                ways["coalesced joiner, coded"] = coded
+                ways["coalesced joiner, JSON"] = as_json
                 if not options.data_dependent:
                     ways["repro.compile"] = compile_omq(
                         omq, options).execute(abox)
@@ -184,6 +271,9 @@ class TestCompileExecuteParity:
                     expected.answers, expected.method, expected.engine,
                     expected.plan_fingerprint,
                     expected.generated_tuples), name
+                if "traced" in name:
+                    assert "encode" in [span["name"]
+                                        for span in got.trace["spans"]], name
             with AnswerSession(abox) as session:
                 plan = session.compile(omq, options)
                 backend = session.backend(expected.engine,
@@ -481,6 +571,83 @@ class TestSoftTimeout:
 
 
 # -- the Answers type -------------------------------------------------------
+
+#: Constants with the characters a text format would trip on.
+_CONSTANTS = st.one_of(
+    st.sampled_from(['a', 'b"c', 'd,e', 'f\ng', '', 'ü→字', "'", '\\']),
+    st.text(max_size=4))
+
+
+@st.composite
+def _answer_records(draw):
+    """Records as an SQL engine returns them (strings only) or as the
+    python engine does (also coded, over a name list holding constants
+    the rows do not use)."""
+    arity = draw(st.integers(0, 3))
+    rows = draw(st.frozensets(st.tuples(*[_CONSTANTS] * arity),
+                              max_size=12))
+    codes = None
+    if draw(st.booleans()):
+        names = draw(st.permutations(list(dict.fromkeys(
+            draw(st.lists(_CONSTANTS, max_size=4))
+            + [constant for row in rows for constant in row]))))
+        codes = CodedRows(array("I", [names.index(constant)
+                                      for row in rows for constant in row]),
+                          arity, len(rows), names)
+    return Answers(
+        answers=rows, _codes=codes,
+        generated_tuples=draw(st.integers(0, 2 ** 40)),
+        seconds=round(draw(st.floats(0, 1e4)), 6),
+        engine=draw(st.sampled_from(ENGINES)),
+        method=draw(st.sampled_from(METHODS)),
+        plan_fingerprint=draw(st.text(max_size=8)),
+        cached_rewriting=draw(st.booleans()),
+        timed_out=draw(st.booleans()),
+        dataset=draw(_CONSTANTS))
+
+
+class TestAnswersWire:
+    """Both ``/answer`` bodies describe the record they came from."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_answer_records())
+    def test_both_bodies_round_trip(self, record):
+        coded = Answers.from_wire(record.wire())
+        parsed = Answers.from_payload(json.loads(json.dumps(
+            record.payload())))
+        for got in (coded, parsed):
+            assert got == record
+            assert got.answers == record.answers
+            for name in _WIRE_FIELDS:
+                assert getattr(got, name) == getattr(record, name), name
+        # the JSON body is the one it always was
+        assert record.payload()["answers"] == sorted(
+            list(row) for row in record.answers)
+
+    @pytest.mark.parametrize("rows", [frozenset(), frozenset({()})],
+                             ids=["empty", "nullary-true"])
+    def test_nullary_and_empty(self, rows):
+        body = Answers(rows).wire()
+        assert Answers.from_wire(body).answers == rows
+        assert len(body) == 4 + int.from_bytes(body[:4], "big")  # no cells
+
+    def test_engine_codes_and_strings_encode_alike(self):
+        """The python engine's coded rows and an SQL engine's strings
+        make bodies that decode to the same answers, each naming only
+        the constants its rows use."""
+        omq = OMQ(example11_tbox(), chain_cq("RSR"))
+        abox = random_data(5, individuals=12, atoms=60)
+        plan = compile_omq(omq, method="tw")
+        coded, strings = (plan.execute(abox, engine=engine)
+                          for engine in ("python", "sql"))
+        assert coded.answers and coded._codes is not None
+        assert strings._codes is None
+        for result in (coded, strings):
+            body = result.wire()
+            header = json.loads(body[4:4 + int.from_bytes(body[:4], "big")])
+            assert sorted(header["constants"]) == sorted(
+                {c for row in coded.answers for c in row})
+            assert Answers.from_wire(body).answers == coded.answers
 
 
 class TestAnswers:
