@@ -30,10 +30,8 @@ database across queries.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import count
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple)
@@ -52,13 +50,12 @@ IntRelation = Set[IntRow]
 class CodedRows(NamedTuple):
     """A relation still in dictionary codes: ``count`` rows of
     ``arity`` codes, flattened row after row; ``names[code]`` is the
-    constant a code stands for, or ``None`` when the codes are the
-    constants themselves (rows from an engine that returns strings)."""
+    constant a code stands for."""
 
-    codes: Sequence
+    codes: Sequence[int]
     arity: int
     count: int
-    names: Optional[Sequence[str]]
+    names: Sequence[str]
 
     def decode(self) -> FrozenSet[Row]:
         """The rows as constant tuples, decoded and regrouped in C."""
@@ -68,14 +65,6 @@ class CodedRows(NamedTuple):
         arity = self.arity
         return frozenset(zip(*[constants[i::arity] for i in range(arity)]))
 
-    def dense(self) -> Tuple[array, List[str]]:
-        """The codes renumbered ``0..k-1`` over the ``k`` distinct
-        constants the rows use, and those constants in id order."""
-        local = dict(zip(set(self.codes), count()))
-        constants = list(local) if self.names is None else list(
-            map(self.names.__getitem__, local))
-        return array("I", map(local.__getitem__, self.codes)), constants
-
 
 @dataclass
 class EvaluationResult:
@@ -84,9 +73,6 @@ class EvaluationResult:
     answers: FrozenSet[Row]
     generated_tuples: int
     relation_sizes: Dict[str, int] = field(default_factory=dict)
-    #: The goal relation before decoding (``None`` from SQL engines).
-    _codes: Optional[CodedRows] = field(default=None, compare=False,
-                                        repr=False)
 
     def __iter__(self):
         return iter(self.answers)
@@ -131,9 +117,8 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
             rows |= _evaluate_clause(clause, pool)
         pool.derived[predicate] = rows
         sizes[predicate] = len(rows)
-    goal = database.coded(pool.relation(query.goal))
-    return EvaluationResult(goal.decode(), sum(sizes.values()), sizes,
-                            _codes=goal)
+    return EvaluationResult(database.decode_rows(pool.relation(query.goal)),
+                            sum(sizes.values()), sizes)
 
 
 class _RelationPool:

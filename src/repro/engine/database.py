@@ -11,7 +11,6 @@ pays the loading cost.
 
 from __future__ import annotations
 
-from array import array
 from itertools import chain
 from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
@@ -100,13 +99,11 @@ class Database:
     def decode(self, code: int) -> str:
         return self._names[code]
 
-    def coded(self, rows: IntRelation) -> CodedRows:
-        """``rows`` flattened in C, with the live (append-only) names."""
-        return CodedRows(array("I", chain.from_iterable(rows)),
-                         len(next(iter(rows), ())), len(rows), self._names)
-
     def decode_rows(self, rows: IntRelation) -> FrozenSet[Tuple[str, ...]]:
-        return self.coded(rows).decode()
+        """``rows`` as constants, flattened and regrouped in C."""
+        return CodedRows(list(chain.from_iterable(rows)),
+                         len(next(iter(rows), ())), len(rows),
+                         self._names).decode()
 
     @property
     def constants(self) -> int:

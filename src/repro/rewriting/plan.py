@@ -37,7 +37,7 @@ import sys
 import time
 from array import array
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, count
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Mapping, Optional, Tuple
 
@@ -180,9 +180,6 @@ class Answers:
     #: the caller asked for it — e.g. ``Client.answer(trace=True)``.
     trace: Optional[Dict[str, object]] = field(default=None,
                                                compare=False, repr=False)
-    #: ``answers`` still in the engine's codes, for :meth:`wire`.
-    _codes: Optional[CodedRows] = field(default=None, compare=False,
-                                        repr=False)
 
     def __iter__(self):
         return iter(self.answers)
@@ -226,15 +223,15 @@ class Answers:
         row after row, each an index into ``constants``.  Rows come in
         no particular order: an answer is a set.
         """
-        coded = self._codes or CodedRows(
-            list(chain.from_iterable(self.answers)),
-            len(next(iter(self.answers), ())), len(self.answers), None)
-        ids, constants = coded.dense()
+        cells = list(chain.from_iterable(self.answers))
+        local = dict(zip(set(cells), count()))
+        ids = array("I", map(local.__getitem__, cells))
         if sys.byteorder == "big":
             ids.byteswap()
-        head = json.dumps({"count": len(self.answers), "arity": coded.arity,
+        head = json.dumps({"count": len(self.answers),
+                           "arity": len(next(iter(self.answers), ())),
                            **self._fields(), **(extra or {}),
-                           "constants": constants}).encode()
+                           "constants": list(local)}).encode()
         return len(head).to_bytes(4, "big") + head + ids.tobytes()
 
     @classmethod
@@ -247,12 +244,16 @@ class Answers:
         ids = array("I", body[4 + size:])
         if sys.byteorder == "big":
             ids.byteswap()
-        count, arity = header["count"], header["arity"]
-        if len(ids) != count * arity:
-            raise ValueError(f"{len(ids)} cells for {count} x {arity}")
-        answers = CodedRows(ids, arity, count, header["constants"]).decode()
-        if len(answers) != count:
-            raise ValueError(f"{len(answers)} distinct rows, not {count}")
+        rows, arity = header["count"], header["arity"]
+        if len(ids) != rows * arity:
+            raise ValueError(f"{len(ids)} cells for {rows} x {arity}")
+        constants = header["constants"]
+        if not (type(constants) is list
+                and set(map(type, constants)) <= {str}):
+            raise ValueError("constants are not a list of strings")
+        answers = CodedRows(ids, arity, rows, constants).decode()
+        if len(answers) != rows:
+            raise ValueError(f"{len(answers)} distinct rows, not {rows}")
         return cls(answers=answers, trace=header.get("trace"),
                    **{name: header[name] for name in _WIRE_FIELDS})
 
@@ -475,8 +476,7 @@ class Plan:
                        seconds=elapsed, engine=engine_name,
                        method=self.method,
                        plan_fingerprint=self.fingerprint,
-                       timed_out=timeout is not None and elapsed > timeout,
-                       _codes=result._codes)
+                       timed_out=timeout is not None and elapsed > timeout)
 
     def __repr__(self) -> str:
         return (f"Plan(method={self.method!r}, rules={self.rules}, "

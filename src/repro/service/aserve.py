@@ -62,6 +62,7 @@ from .protocol import (
     TRACE_HEADER,
     ProtocolError,
     Router,
+    accepts,
     begin_trace,
     decode_json_body,
     encode_body,
@@ -359,7 +360,7 @@ class AsyncServiceServer:
         if method == "POST" and path == "/answer":
             return await self._handle_answer(
                 payload, tenant=tenant, trace=trace,
-                coded=ROWS_TYPE in headers.get("accept", ""))
+                coded=accepts(headers.get("accept", ""), ROWS_TYPE))
         if method == "GET" and path == "/health":
             return 200, self.router.health_payload()
         if method == "POST" and path == "/batch":

@@ -22,6 +22,7 @@ and error shaping, with no sockets in it:
 from __future__ import annotations
 
 import json
+import re
 import time
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -63,6 +64,9 @@ KNOWN_ROUTES = frozenset({
     "/explain", "/batch", "/update", "/subscribe", "/unsubscribe",
     "/poll"})
 
+#: An ``Accept`` parameter that refuses its media type.
+_Q_ZERO = re.compile(r"\s*q\s*=\s*0(\.0{0,3})?\s*", re.IGNORECASE)
+
 
 def begin_trace(header: Optional[str]) -> Trace:
     """The request's :class:`~repro.obs.trace.Trace`: the inbound
@@ -78,6 +82,17 @@ def metric_route(path: str) -> str:
     """``path`` reduced to a bounded metric label."""
     base = path.split("?", 1)[0]
     return base if base in KNOWN_ROUTES else "other"
+
+
+def accepts(accept: str, media_type: str) -> bool:
+    """Whether an ``Accept`` value names ``media_type`` itself and does
+    not refuse it with ``q=0`` (a wildcard never names it: JSON is the
+    default)."""
+    for item in accept.split(","):
+        name, *params = item.split(";")
+        if name.strip().lower() == media_type:
+            return not any(map(_Q_ZERO.fullmatch, params))
+    return False
 
 
 def _json_bytes(payload: Dict) -> bytes:

@@ -64,8 +64,8 @@ requires one).
 
 Responses are ``{"answers": [[...], ...], "seconds": ...,
 "cached_rewriting": ...}`` with the answer tuples sorted; an
-``/answer`` whose ``Accept`` names ``application/x-repro-rows`` (as
-:class:`~repro.client.Client` sends) gets the same fields with the rows
+``/answer`` whose ``Accept`` names ``application/x-repro-rows`` with
+a nonzero ``q`` (as :class:`~repro.client.Client` sends) gets the same fields with the rows
 as uint32 ids into a constant list (:meth:`Answers.wire`).  Errors come
 back as ``{"error": <message>, "error_type": <kind>}`` with a 4xx
 status — including malformed JSON bodies and bad ``Content-Length``

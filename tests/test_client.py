@@ -530,6 +530,12 @@ def _rows_reply(body: bytes) -> bytes:
             + b"\r\nContent-Length: %d\r\n\r\n" % len(body) + body)
 
 
+def _reheaded(**fields) -> bytes:
+    """``_GOOD`` with some header fields replaced and the same cells."""
+    head = json.dumps({**json.loads(_GOOD[4:_HEAD]), **fields}).encode()
+    return len(head).to_bytes(4, "big") + head + _GOOD[_HEAD:]
+
+
 class TestCodedAnswerBody:
     @pytest.mark.parametrize("body", [
         _GOOD[:-6],
@@ -538,8 +544,11 @@ class TestCodedAnswerBody:
         _GOOD[:-4] + (3).to_bytes(4, "little"),  # 3 constants: ids 0-2
         _GOOD + bytes(4),
         _GOOD[:-4],
+        _reheaded(constants="abc"),  # the ids would pick its characters
+        _reheaded(constants=[0, 1, 2]),
     ], ids=["truncated-cells", "truncated-header", "header-past-end",
-            "id-past-constants", "extra-cell", "missing-cell"])
+            "id-past-constants", "extra-cell", "missing-cell",
+            "constants-a-string", "constants-not-strings"])
     def test_damaged_body_is_a_structured_error(self, driver, omq, body):
         """A body that does not decode is a ``bad_response`` error, its
         connection leaves the pool, and no rows come back at all; the
@@ -588,3 +597,33 @@ class TestCodedAnswerBody:
         with pytest.raises(ServiceError) as raised:
             http_client.answer("nope", omq)
         assert raised.value.error_type == "bad_request"
+
+    @pytest.mark.parametrize("accept, content_type", [
+        (f"{ROWS_TYPE}, application/json", ROWS_TYPE),
+        (f"application/json;q=0.9, {ROWS_TYPE} ; Q=0.5", ROWS_TYPE),
+        (f"{ROWS_TYPE};q=0", "application/json"),
+        (f"{ROWS_TYPE};q=0.000, application/json", "application/json"),
+        (f"{ROWS_TYPE}-v2", "application/json"),
+        ("*/*", "application/json"),
+    ])
+    def test_accept_names_the_coded_type_exactly(self, http_client, abox,
+                                                 omq, accept, content_type):
+        """Only an ``Accept`` that names the coded type itself, and
+        does not refuse it with ``q=0``, gets it; both bodies carry the
+        same rows."""
+        http_client.register_dataset("demo", abox)
+        split = http_client._transport
+        wire = http.client.HTTPConnection(split.host, split.port, timeout=30)
+        try:
+            wire.request("POST", "/answer",
+                         body=json.dumps(_omq_payload("demo", omq, None)),
+                         headers={"Accept": accept})
+            reply = wire.getresponse()
+            raw = reply.read()
+        finally:
+            wire.close()
+        assert reply.status == 200
+        assert reply.getheader("Content-Type") == content_type
+        got = (Answers.from_wire(raw) if content_type == ROWS_TYPE
+               else Answers.from_payload(json.loads(raw)))
+        assert got.answers == answer(omq, abox).answers

@@ -6,7 +6,6 @@ import dataclasses
 import http.client
 import json
 import threading
-from array import array
 from concurrent.futures import ThreadPoolExecutor
 from urllib.parse import urlsplit
 
@@ -25,7 +24,6 @@ from repro import (
     chain_cq,
 )
 from repro.client import _omq_payload
-from repro.datalog.evaluate import CodedRows
 from repro.engine import ENGINES, create_engine
 from repro.rewriting import AnswerSession, METHODS
 from repro.rewriting.plan import (
@@ -580,22 +578,11 @@ _CONSTANTS = st.one_of(
 
 @st.composite
 def _answer_records(draw):
-    """Records as an SQL engine returns them (strings only) or as the
-    python engine does (also coded, over a name list holding constants
-    the rows do not use)."""
     arity = draw(st.integers(0, 3))
     rows = draw(st.frozensets(st.tuples(*[_CONSTANTS] * arity),
                               max_size=12))
-    codes = None
-    if draw(st.booleans()):
-        names = draw(st.permutations(list(dict.fromkeys(
-            draw(st.lists(_CONSTANTS, max_size=4))
-            + [constant for row in rows for constant in row]))))
-        codes = CodedRows(array("I", [names.index(constant)
-                                      for row in rows for constant in row]),
-                          arity, len(rows), names)
     return Answers(
-        answers=rows, _codes=codes,
+        answers=rows,
         generated_tuples=draw(st.integers(0, 2 ** 40)),
         seconds=round(draw(st.floats(0, 1e4)), 6),
         engine=draw(st.sampled_from(ENGINES)),
@@ -631,23 +618,23 @@ class TestAnswersWire:
         assert Answers.from_wire(body).answers == rows
         assert len(body) == 4 + int.from_bytes(body[:4], "big")  # no cells
 
-    def test_engine_codes_and_strings_encode_alike(self):
-        """The python engine's coded rows and an SQL engine's strings
-        make bodies that decode to the same answers, each naming only
-        the constants its rows use."""
+    def test_python_and_sql_results_encode_alike(self):
+        """The python and an SQL engine's results make bodies that
+        decode to the same answers, each naming only the constants its
+        rows use, once each."""
         omq = OMQ(example11_tbox(), chain_cq("RSR"))
         abox = random_data(5, individuals=12, atoms=60)
         plan = compile_omq(omq, method="tw")
-        coded, strings = (plan.execute(abox, engine=engine)
-                          for engine in ("python", "sql"))
-        assert coded.answers and coded._codes is not None
-        assert strings._codes is None
-        for result in (coded, strings):
+        results = [plan.execute(abox, engine=engine)
+                   for engine in ("python", "sql")]
+        expected = results[0].answers
+        assert expected
+        for result in results:
             body = result.wire()
             header = json.loads(body[4:4 + int.from_bytes(body[:4], "big")])
             assert sorted(header["constants"]) == sorted(
-                {c for row in coded.answers for c in row})
-            assert Answers.from_wire(body).answers == coded.answers
+                {c for row in expected for c in row})
+            assert Answers.from_wire(body).answers == expected
 
 
 class TestAnswers:
