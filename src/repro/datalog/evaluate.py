@@ -26,17 +26,24 @@ Tables 3-5 workload) only loads and indexes the data once.  Use
 :func:`evaluate` for one-shot calls and :func:`evaluate_on` (or the
 higher-level :class:`repro.rewriting.api.AnswerSession`) to share a
 database across queries.
+
+The goal relation leaves :func:`evaluate_on` in the database's codes
+(:class:`CodedRows`), decoded on the first read of ``answers`` (a
+``decode-rows`` span) and not before.  The codes stay valid for good: a
+database only appends names and never reassigns a code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import count
 from operator import itemgetter
 from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
-                    Optional, Sequence, Set, Tuple)
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..data.abox import ABox
+from ..obs import trace as _trace
 from .program import Clause, Literal, NDLQuery
 
 Row = Tuple[str, ...]
@@ -65,20 +72,57 @@ class CodedRows(NamedTuple):
         arity = self.arity
         return frozenset(zip(*[constants[i::arity] for i in range(arity)]))
 
+    def dense(self) -> "CodedRows":
+        """The same rows coded ``0..k-1`` over only the ``k`` constants
+        they use, numbered in no particular order."""
+        local = dict(zip(set(self.codes), count()))
+        return CodedRows(list(map(local.__getitem__, self.codes)),
+                         self.arity, self.count,
+                         list(map(self.names.__getitem__, local)))
 
-@dataclass
-class EvaluationResult:
-    """Answers plus the statistics reported in Tables 3-5."""
 
-    answers: FrozenSet[Row]
-    generated_tuples: int
-    relation_sizes: Dict[str, int] = field(default_factory=dict)
+class RowsRecord:
+    """A record over ``rows``: a frozenset of constant tuples, or
+    :class:`CodedRows` that the first read of ``answers`` decodes and
+    replaces by the frozenset (two threads racing on it build equal
+    frozensets; either is kept).  Counting the rows never decodes.  A
+    dataclass declares ``answers`` a ``field(init=False)`` so that its
+    ``==`` and repr read them, and ``dataclasses.replace`` does not."""
+
+    rows: Union[FrozenSet[Row], CodedRows]
+
+    @property
+    def answers(self) -> FrozenSet[Row]:
+        rows = self.rows
+        if type(rows) is CodedRows:
+            with _trace.span("decode-rows"):
+                rows = rows.decode()
+            self.__dict__["rows"] = rows  # the same rows, frozen or not
+        return rows
+
+    def __getstate__(self):  # pickles the rows, not a database's names
+        return {**self.__dict__, "rows": self.answers}
 
     def __iter__(self):
         return iter(self.answers)
 
     def __len__(self) -> int:
-        return len(self.answers)
+        rows = self.rows
+        return rows.count if type(rows) is CodedRows else len(rows)
+
+    def __contains__(self, row) -> bool:
+        return row in self.answers
+
+
+@dataclass
+class EvaluationResult(RowsRecord):
+    """Answers plus the statistics reported in Tables 3-5; the python
+    engine's ``rows`` stay coded until ``answers`` is read."""
+
+    answers: FrozenSet[Row] = field(init=False)
+    rows: Union[FrozenSet[Row], CodedRows] = field(repr=False, compare=False)
+    generated_tuples: int
+    relation_sizes: Dict[str, int] = field(default_factory=dict)
 
 
 def evaluate(query: NDLQuery, abox: ABox,
@@ -117,7 +161,7 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
             rows |= _evaluate_clause(clause, pool)
         pool.derived[predicate] = rows
         sizes[predicate] = len(rows)
-    return EvaluationResult(database.decode_rows(pool.relation(query.goal)),
+    return EvaluationResult(database.coded(pool.relation(query.goal)),
                             sum(sizes.values()), sizes)
 
 

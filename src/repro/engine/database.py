@@ -99,11 +99,16 @@ class Database:
     def decode(self, code: int) -> str:
         return self._names[code]
 
+    def coded(self, rows: IntRelation) -> CodedRows:
+        """``rows`` flattened in C, still in this database's codes.  They
+        decode to the same constants after any later update: names are
+        only ever appended, and a code is never reassigned."""
+        return CodedRows(list(chain.from_iterable(rows)),
+                         len(next(iter(rows), ())), len(rows), self._names)
+
     def decode_rows(self, rows: IntRelation) -> FrozenSet[Tuple[str, ...]]:
         """``rows`` as constants, flattened and regrouped in C."""
-        return CodedRows(list(chain.from_iterable(rows)),
-                         len(next(iter(rows), ())), len(rows),
-                         self._names).decode()
+        return self.coded(rows).decode()
 
     @property
     def constants(self) -> int:

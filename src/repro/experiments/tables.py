@@ -100,7 +100,7 @@ def run_evaluation_table(sequence: str, datasets: Dict[str, ABox],
                         dead.add((name, algorithm))
                     points.append(EvaluationPoint(
                         sequence, name, atoms, algorithm, seconds,
-                        len(result.answers), result.generated_tuples))
+                        len(result), result.generated_tuples))
     finally:
         for backend in backends.values():
             backend.close()

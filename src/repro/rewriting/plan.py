@@ -39,10 +39,10 @@ from array import array
 from dataclasses import dataclass, field
 from itertools import chain, count
 from types import MappingProxyType
-from typing import Dict, FrozenSet, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Mapping, Optional, Tuple, Union
 
 from ..data.abox import ABox
-from ..datalog.evaluate import CodedRows, EvaluationResult
+from ..datalog.evaluate import CodedRows, EvaluationResult, RowsRecord
 from ..datalog.optimize import optimize
 from ..datalog.program import NDLQuery
 from ..engine import ENGINES, SQL_ENGINES, Engine
@@ -154,18 +154,26 @@ ROWS_TYPE = "application/x-repro-rows"
 
 
 @dataclass(frozen=True)
-class Answers:
+class Answers(RowsRecord):
     """The result of executing a :class:`Plan`: certain answers plus
     timings and provenance.
 
     The engine layer's :class:`~repro.datalog.evaluate.EvaluationResult`
-    fields (``answers``, ``generated_tuples``, ``relation_sizes``) plus
+    fields (``rows``, ``generated_tuples``, ``relation_sizes``) plus
     which plan produced them and how.  The same record travels from
     :meth:`Plan.execute` through the service, which stamps ``dataset``,
-    ``cached_rewriting`` and its own ``seconds``, to both clients.
+    ``cached_rewriting`` and its own ``seconds`` (``dataclasses.replace``
+    carries ``rows`` as they are), to both clients.
+
+    ``rows`` are the python engine's codes (valid after any update: a
+    code is never reassigned), else a frozenset; the read-only
+    ``answers`` decodes codes once, on first read
+    (:class:`~repro.datalog.evaluate.RowsRecord`); :meth:`wire` never.
     """
 
-    answers: FrozenSet[Tuple[str, ...]]
+    answers: FrozenSet[Tuple[str, ...]] = field(init=False)
+    rows: Union[FrozenSet[Tuple[str, ...]], CodedRows] = field(
+        repr=False, compare=False)
     generated_tuples: int = 0
     relation_sizes: Dict[str, int] = field(default_factory=dict)
     seconds: float = 0.0
@@ -181,15 +189,6 @@ class Answers:
     trace: Optional[Dict[str, object]] = field(default=None,
                                                compare=False, repr=False)
 
-    def __iter__(self):
-        return iter(self.answers)
-
-    def __len__(self) -> int:
-        return len(self.answers)
-
-    def __contains__(self, row) -> bool:
-        return row in self.answers
-
     def sorted(self):
         """The answer tuples in sorted order (for stable printing)."""
         return sorted(self.answers)
@@ -203,13 +202,13 @@ class Answers:
         """The JSON wire shape of an ``/answer`` response (rows as
         sorted lists)."""
         return {"answers": list(map(list, sorted(self.answers))),
-                "count": len(self.answers), **self._fields()}
+                "count": len(self), **self._fields()}
 
     @classmethod
     def from_payload(cls, body: Mapping[str, object]) -> "Answers":
         """The record a :meth:`payload` (plus a spliced ``"trace"``)
         describes."""
-        return cls(answers=frozenset(map(tuple, body["answers"])),
+        return cls(frozenset(map(tuple, body["answers"])),
                    trace=body.get("trace"),
                    **{name: body[name] for name in _WIRE_FIELDS})
 
@@ -221,17 +220,25 @@ class Answers:
         ``extra`` fields and ``constants`` (the answer's distinct
         constants); then ``count * arity`` little-endian uint32 cells,
         row after row, each an index into ``constants``.  Rows come in
-        no particular order: an answer is a set.
+        no particular order: an answer is a set.  Engine codes are
+        renumbered, never decoded; string rows are numbered over their
+        own distinct constants.
         """
-        cells = list(chain.from_iterable(self.answers))
-        local = dict(zip(set(cells), count()))
-        ids = array("I", map(local.__getitem__, cells))
+        rows = self.rows
+        if type(rows) is CodedRows:
+            rows = rows.dense()
+        else:
+            cells = list(chain.from_iterable(rows))
+            local = dict(zip(set(cells), count()))
+            rows = CodedRows(list(map(local.__getitem__, cells)),
+                             len(next(iter(rows), ())), len(rows),
+                             list(local))
+        ids = array("I", rows.codes)
         if sys.byteorder == "big":
             ids.byteswap()
-        head = json.dumps({"count": len(self.answers),
-                           "arity": len(next(iter(self.answers), ())),
+        head = json.dumps({"count": rows.count, "arity": rows.arity,
                            **self._fields(), **(extra or {}),
-                           "constants": list(local)}).encode()
+                           "constants": rows.names}).encode()
         return len(head).to_bytes(4, "big") + head + ids.tobytes()
 
     @classmethod
@@ -254,7 +261,7 @@ class Answers:
         answers = CodedRows(ids, arity, rows, constants).decode()
         if len(answers) != rows:
             raise ValueError(f"{len(answers)} distinct rows, not {rows}")
-        return cls(answers=answers, trace=header.get("trace"),
+        return cls(answers, trace=header.get("trace"),
                    **{name: header[name] for name in _WIRE_FIELDS})
 
 
@@ -470,7 +477,7 @@ class Plan:
                 result = EvaluationResult(frozenset(), 0)
         elapsed = time.perf_counter() - started
         timeout = options.timeout
-        return Answers(answers=result.answers,
+        return Answers(result.rows,
                        generated_tuples=result.generated_tuples,
                        relation_sizes=dict(result.relation_sizes),
                        seconds=elapsed, engine=engine_name,

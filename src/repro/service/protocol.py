@@ -381,7 +381,10 @@ class Router:
 
     @staticmethod
     def result_payload(result: Answers) -> Dict:
-        return result.payload()
+        """The JSON fields of ``result``, built under a ``payload`` span
+        (the rows' first decode, ``decode-rows``, and their sort)."""
+        with span("payload"):
+            return result.payload()
 
     # -- dispatch ------------------------------------------------------------
 

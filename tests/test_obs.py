@@ -382,10 +382,11 @@ class TestUpdateTrace:
                 assert covered >= 0.9
                 # maintenance is the answer route: each plan the update
                 # re-executed is an ``execute`` span under ``standing``,
-                # as it would be under an ``/answer``
+                # as it would be under an ``/answer``, then the decode of
+                # its rows for the diff
                 standing = update["children"][-1]
                 assert [child["name"] for child in standing["children"]] \
-                    == ["execute"] * 2
+                    == ["execute", "decode-rows"] * 2
 
                 self._traced_update(url, "small", 0)
                 quiet = self._fastest(url, "small", (1, 2, 3))

@@ -3,10 +3,15 @@
 them, plan reuse, explain reports and the plan cache."""
 
 import dataclasses
+import functools
 import http.client
 import json
+import pickle
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
+from unittest import mock
 from urllib.parse import urlsplit
 
 import pytest
@@ -15,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import (
     ABox,
+    CQ,
     OMQ,
     AnswerOptions,
     Answers,
@@ -24,6 +30,7 @@ from repro import (
     chain_cq,
 )
 from repro.client import _omq_payload
+from repro.datalog.evaluate import CodedRows
 from repro.engine import ENGINES, create_engine
 from repro.rewriting import AnswerSession, METHODS
 from repro.rewriting.plan import (
@@ -278,6 +285,79 @@ class TestCompileExecuteParity:
                                           plan._variant_tbox())
                 assert expected.generated_tuples == backend.evaluate(
                     plan.specialised(backend)).generated_tuples
+
+    def test_first_reads_of_one_shared_record_agree(self, setting, served,
+                                                    monkeypatch):
+        """Threads reading a coded record's ``answers`` at one moment
+        (more of them than cores, switching often) all get the rows,
+        and the record keeps them.  Over HTTP, the record a coded leader
+        and two joiners share is decoded once, for the JSON joiner
+        alone, and every body carries the same rows."""
+        _, abox, omqs = setting
+        service, _, _, url = served
+        omq = omqs[1]
+        with AnswerSession(abox) as session:
+            expected = session.answer(omq).answers
+        assert expected
+        readers = 8
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                record = service.answer("demo", omq)
+                assert type(record.rows) is CodedRows
+                start = threading.Barrier(readers)
+
+                def read():
+                    start.wait(timeout=30)
+                    return len(record), record.answers, len(record)
+
+                with ThreadPoolExecutor(readers) as pool:
+                    calls = [pool.submit(read) for _ in range(readers)]
+                    reads = [call.result(timeout=30) for call in calls]
+                size = len(expected)
+                assert reads == [(size, expected, size)] * readers
+                assert record.rows == expected and len(record) == size
+        finally:
+            sys.setswitchinterval(interval)
+
+        sources = []
+        answer_batch = service.answer_batch
+
+        def noted(requests):
+            results = answer_batch(requests)
+            sources.extend(result.rows for result in results)
+            return results
+
+        monkeypatch.setattr(service, "answer_batch", noted)
+        with _decodes() as decoded:
+            bodies = _coalesced(service, url, _omq_payload(
+                "demo", omq, AnswerOptions()), monkeypatch)
+        (source,) = sources  # one execution behind all three bodies
+        assert type(source) is CodedRows
+        assert [rows for rows in decoded if rows is source] == [source]
+        assert [body.answers for body in bodies] == [expected] * 3
+
+    def test_a_json_trace_shows_the_decode_a_coded_one_none(self, setting,
+                                                            served):
+        """The rows are decoded on the way out of a JSON ``/answer``,
+        inside its ``payload`` span; a coded one never decodes them."""
+        _, _, omqs = setting
+        _, _, _, url = served
+        payload = dict(_omq_payload("demo", omqs[0], AnswerOptions()),
+                       trace=True)
+
+        def spans(entries, parent=None):
+            for entry in entries:
+                yield parent, entry["name"]
+                yield from spans(entry.get("children", ()), entry["name"])
+
+        as_json = list(spans(_raw_answer(url, payload, False).trace["spans"]))
+        coded = list(spans(_raw_answer(url, payload, True).trace["spans"]))
+        assert ("payload", "decode-rows") in as_json
+        assert [name for _, name in as_json].count("decode-rows") == 1
+        assert "decode-rows" not in [name for _, name in coded]
+        assert (None, "encode") in coded and (None, "encode") in as_json
 
 
 # -- plan reuse -------------------------------------------------------------
@@ -582,7 +662,7 @@ def _answer_records(draw):
     rows = draw(st.frozensets(st.tuples(*[_CONSTANTS] * arity),
                               max_size=12))
     return Answers(
-        answers=rows,
+        rows,
         generated_tuples=draw(st.integers(0, 2 ** 40)),
         seconds=round(draw(st.floats(0, 1e4)), 6),
         engine=draw(st.sampled_from(ENGINES)),
@@ -591,6 +671,32 @@ def _answer_records(draw):
         cached_rewriting=draw(st.booleans()),
         timed_out=draw(st.booleans()),
         dataset=draw(_CONSTANTS))
+
+
+#: Answer shapes over Example 11's signature: binary, unary, boolean.
+_SHAPES = {"RSR": chain_cq("RSR"),
+           "RS, x": CQ.parse("R(x, y), S(y, z)", answer_vars=["x"]),
+           "SR, boolean": chain_cq("SR", answer_ends=False)}
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(shape, method):
+    """The compiled plan of one shape, shared by every example."""
+    return compile_omq(OMQ(example11_tbox(), _SHAPES[shape]), method=method)
+
+
+@contextmanager
+def _decodes():
+    """The :class:`CodedRows` decoded inside the block, in call order."""
+    decoded = []
+    decode = CodedRows.decode
+
+    def counted(rows):
+        decoded.append(rows)
+        return decode(rows)
+
+    with mock.patch.object(CodedRows, "decode", counted):
+        yield decoded
 
 
 class TestAnswersWire:
@@ -635,6 +741,81 @@ class TestAnswersWire:
             assert sorted(header["constants"]) == sorted(
                 {c for row in expected for c in row})
             assert Answers.from_wire(body).answers == expected
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from(sorted(_SHAPES)),
+           method=st.sampled_from(("lin", "log", "tw")),
+           seed=st.integers(0, 10 ** 6), atoms=st.integers(0, 60))
+    def test_coded_and_decoded_records_agree(self, shape, method, seed,
+                                             atoms):
+        """A python-engine record still in the engine's codes is, to
+        every reader, the record over the same rows as strings (here
+        the SQL engine's); counting it, sending it as codes and
+        restamping it never decode it."""
+        abox = random_data(seed, individuals=8, atoms=atoms)
+        plan = _plan(shape, method)
+        record = plan.execute(abox)
+        strings = plan.execute(abox, engine="sql").answers
+        source = record.rows
+        coded = type(source) is CodedRows
+        assert coded or not strings  # a pruned-empty plan runs no engine
+        stamp = {"dataset": "d", "seconds": 1.5, "cached_rewriting": True}
+        with _decodes() as decoded:
+            size, body = len(record), record.wire()
+            moved = dataclasses.replace(record, **stamp)
+            assert decoded == [] and moved.rows is source
+            twin = dataclasses.replace(record, rows=strings)
+            assert record == twin and record.answers == strings
+            assert decoded == ([source] if coded else [])
+            assert type(record.rows) is frozenset  # decoded once, kept
+            assert record.answers is record.answers
+        assert size == len(record) == len(twin) == len(strings)
+        assert bool(record) == bool(strings)
+        assert all(row in record for row in strings)
+        probe = ("absent",) * len(_SHAPES[shape].answer_vars)
+        assert (probe in record) == (probe in strings)
+        assert moved == dataclasses.replace(twin, **stamp)
+        assert json.dumps(record.payload()) == json.dumps(twin.payload())
+        assert json.dumps(moved.payload()) == json.dumps(
+            dataclasses.replace(twin, **stamp).payload())
+        assert Answers.from_wire(body) == Answers.from_wire(twin.wire())
+        assert Answers.from_wire(body).answers == strings
+        assert pickle.loads(pickle.dumps(moved)) == moved
+        assert repr(record) == repr(dataclasses.replace(
+            twin, rows=record.answers))
+
+    def test_pickle_carries_rows_not_the_name_list(self):
+        abox = random_data(5, individuals=40, atoms=200)
+        record = _plan("RS, x", "tw").execute(abox)
+        assert type(record.rows) is CodedRows
+        assert len(record.rows.names) > len(record)
+        copy = pickle.loads(pickle.dumps(record))
+        assert type(copy.rows) is frozenset and copy == record
+
+    def test_codes_outlive_updates(self):
+        """A coded record decodes, and sends, the rows of its own
+        execute after an update that interns new constants and deletes
+        every atom those rows came from."""
+        abox = ABox()
+        for i in range(4):
+            abox.add("R", f"a{i}", f"b{i}")
+            abox.add("S", f"b{i}", f"c{i}")
+        before = {(f"a{i}", f"c{i}") for i in range(4)}
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        with AnswerSession(abox) as session:
+            record = session.answer(omq, method="tw")
+            assert type(record.rows) is CodedRows and len(record) == 4
+            known = len(record.rows.names)
+            session.apply_update(
+                inserts=[("R", (f"new{i}", f"b{i}")) for i in range(40)]
+                + [("S", ("b0", f"fresh{i}")) for i in range(40)],
+                deletes=list(abox.atoms()))
+            assert len(record.rows.names) > known  # names were appended
+            now = session.answer(omq, method="tw").answers
+            assert now and now.isdisjoint(before)
+            assert Answers.from_wire(record.wire()).answers == before
+            assert record.answers == before
 
 
 class TestAnswers:
