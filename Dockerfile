@@ -4,16 +4,17 @@
 #   docker build -t repro-serve .
 #   docker run -p 8080:8080 -v repro-data:/data repro-serve
 #
-# The package has no hard dependencies, so the image is just the
-# source tree on a slim Python base — no pip round trip to break the
-# build offline.
+# The package is installed from its own metadata, which pulls in its
+# one runtime dependency (networkx, declared in pyproject.toml); the
+# build therefore needs access to a package index.
 
 FROM python:3.12-slim
 
 WORKDIR /app
+COPY pyproject.toml setup.py README.md /app/
 COPY src/ /app/src/
-ENV PYTHONPATH=/app/src \
-    PYTHONUNBUFFERED=1
+RUN pip install --no-cache-dir /app
+ENV PYTHONUNBUFFERED=1
 
 VOLUME /data
 EXPOSE 8080

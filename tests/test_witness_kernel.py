@@ -18,6 +18,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.chase import CanonicalModel, certain_answers, is_certain_answer
+from repro.chase.homomorphism import SearchPlan
 from repro.data import ABox
 from repro.hardness import (
     dagger_tbox,
@@ -29,7 +30,7 @@ from repro.hardness import (
 from repro.ontology import TBox, depth
 from repro.ontology.axioms import ConceptInclusion, Reflexivity, RoleInclusion
 from repro.ontology.terms import Atomic, Exists, Role
-from repro.queries import CQ, Atom
+from repro.queries import CQ, Atom, chain_cq
 from repro.rewriting import tree_witnesses, tw_rewrite
 from repro.rewriting.tree_witness import WitnessSearch
 from repro.rewriting.tw import _TwBuilder
@@ -40,6 +41,7 @@ from .helpers import (
     brute_tree_witnesses,
     brute_tw_rewrite,
     canonical_program,
+    example11_tbox,
     hypothesis_settings,
 )
 
@@ -138,6 +140,91 @@ HANDPICKED = [
     ("roles: P, Q\nA <= EP\nEP- <= EQ", "P(x, y), Q(y, z), P(z, x)",
      "A(c), P(c, d), Q(d, e), P(e, c)"),
 ]
+
+
+@st.composite
+def larger_queries(draw, cyclic=False):
+    """A connected CQ on 5-7 variables with 1-2 answer variables: a
+    tree, or (``cyclic``) a cycle of 3-5 variables with a pendant path
+    (treewidth 2)."""
+    size = draw(st.integers(5, 7))
+    variables = [f"v{i}" for i in range(size)]
+    if cyclic:
+        # the path ends in an answer variable, so the whole cycle can
+        # be interior
+        length = draw(st.integers(3, min(5, size - 1)))
+        pairs = [(variables[i], variables[(i + 1) % length])
+                 for i in range(length)]
+        pairs += [(variables[i - 1], variables[i])
+                  for i in range(length, size)]
+        answers = {variables[-1]}
+    else:
+        pairs = [(variables[draw(st.integers(0, i - 1))], variables[i])
+                 for i in range(1, size)]
+        answers = {draw(st.sampled_from(variables))}
+    atoms = [Atom(draw(st.sampled_from(ROLE_NAMES)),
+                  pair[::-1] if draw(st.booleans()) else pair)
+             for pair in pairs]
+    # a cycle of one predicate in one direction is what a pass that
+    # checks only a spanning tree folds onto a chain of nulls
+    if cyclic and draw(st.booleans()):
+        atoms[:length] = [Atom(atoms[0].predicate, pair)
+                          for pair in pairs[:length]]
+    for var in variables:
+        if draw(st.integers(0, 3)) == 0:
+            atoms.append(Atom(draw(st.sampled_from(CONCEPT_NAMES)), (var,)))
+    answers.add(draw(st.sampled_from(variables)))
+    return CQ(atoms, sorted(answers))
+
+
+def assert_witnesses_are_brute(tbox, query):
+    """Every variant of the search equals the brute force: all tree
+    witnesses, the rooted ones, and those containing each variable."""
+    brute = brute_tree_witnesses(tbox, query)
+    assert as_parts(tree_witnesses(tbox, query)) == brute
+    assert as_parts(tree_witnesses(tbox, query, require_rooted=True)) == {
+        parts for parts in brute if parts[0]}
+    search = WitnessSearch(tbox)
+    for var in sorted(query.existential_vars):
+        assert as_parts(search.witnesses(query, containing=var)) == {
+            parts for parts in brute if var in parts[1]}
+        assert as_parts(search.witnesses(query, require_rooted=True,
+                                         containing=var)) == {
+            parts for parts in brute if parts[0] and var in parts[1]}
+
+
+#: a P-chain of nulls under every P-null: a pass that checks only a
+#: spanning tree of q_t folds the cycle onto the chain and reports a
+#: false P-generator
+CYCLES = ["P(x, y), P(y, z), P(x, z)",
+          "P(u, x), P(x, y), P(y, z), P(x, z)"]
+
+
+@pytest.mark.parametrize("body", CYCLES)
+def test_cycles_match_the_brute_force(body):
+    tbox = TBox.parse("roles: P\nA <= EP\nEP- <= EP")
+    first = min(CQ.parse(body).variables)
+    for answers in ([], [first]):
+        assert_witnesses_are_brute(tbox, CQ.parse(body, answer_vars=answers))
+
+
+class TestLargerQueries:
+    """Tree-shaped and treewidth-2 queries of 5-7 variables: the one
+    pass over the restricted tree decomposition against the brute
+    force, on TBoxes with a nonempty anonymous part (finite or infinite
+    depth, reflexive roles among them)."""
+
+    @hypothesis_settings(20)
+    @given(tbox=tboxes().filter(lambda tbox: tbox.witnesses.depth),
+           query=larger_queries())
+    def test_tree_shaped(self, tbox, query):
+        assert_witnesses_are_brute(tbox, query)
+
+    @hypothesis_settings(20)
+    @given(tbox=tboxes().filter(lambda tbox: tbox.witnesses.depth),
+           query=larger_queries(cyclic=True))
+    def test_treewidth_two(self, tbox, query):
+        assert_witnesses_are_brute(tbox, query)
 
 
 class TestAgainstBruteForce:
@@ -240,6 +327,38 @@ def test_gadget_programs_are_pinned(label):
         (digest, clauses)
 
 
+#: compile-cold's nine Example 11 chains under ``tw`` (the Section 6
+#: sequences at prefixes 5, 9, 15): the digest of the unsimplified Tw
+#: program and its size, as produced by the per-role model search the
+#: one-pass witness kernel replaced
+CHAINS = {
+    "sequence1[:5]": ("RRSRS", "1ecd8dfe18c4db2c", 12),
+    "sequence1[:9]": ("RRSRSRSRR", "754aefaf52d4ddb5", 30),
+    "sequence1[:15]": ("RRSRSRSRRSRRSSR", "f44ad043aa2735f2", 53),
+    "sequence2[:5]": ("SRRRR", "87c4d0715b2ad565", 10),
+    "sequence2[:9]": ("SRRRRRSRS", "238ca8994b289710", 21),
+    "sequence2[:15]": ("SRRRRRSRSRRRRRR", "094174e40711c851", 41),
+    "sequence3[:5]": ("SRRSS", "69d9c455977f5232", 11),
+    "sequence3[:9]": ("SRRSSRSRS", "37e7ca3e7c0c71b8", 23),
+    "sequence3[:15]": ("SRRSSRSRSRRSRRS", "56871983988b0f53", 56),
+}
+
+
+def pinned_omq(label):
+    """The ``(tbox, query)`` of a ``GADGETS`` or ``CHAINS`` entry."""
+    if label in GADGETS:
+        return GADGETS[label][0]()
+    return example11_tbox(), chain_cq(CHAINS[label][0])
+
+
+@pytest.mark.parametrize("label", sorted(CHAINS))
+def test_chain_programs_are_pinned(label):
+    _, digest, clauses = CHAINS[label]
+    ndl = tw_rewrite(*pinned_omq(label), simplify=False)
+    assert (canonical_program(ndl), len(ndl.program.clauses)) == \
+        (digest, clauses)
+
+
 class TestHowTheKernelWorks:
     """Counts, not clocks: what a cold gadget compile may derive."""
 
@@ -286,6 +405,37 @@ class TestHowTheKernelWorks:
         tbox, query = GADGETS[label][0]()
         tw_rewrite(tbox, query)
         assert scans == []
+
+    @pytest.mark.parametrize("label", sorted(GADGETS) + ["sequence1[:15]"])
+    def test_witness_search_builds_no_model_and_no_search(self, label,
+                                                          monkeypatch):
+        built = Counter()
+        searches = []
+        inside = []
+        original_witnesses = WitnessSearch.witnesses
+
+        def witnesses(search, *args, **kwargs):
+            searches.append(search)
+            inside.append(search)
+            try:
+                return original_witnesses(search, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                if inside:
+                    built[cls.__name__] += 1
+                original(self, *args, **kwargs)
+            return init
+
+        for cls in (CanonicalModel, SearchPlan):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        monkeypatch.setattr(WitnessSearch, "witnesses", witnesses)
+        tw_rewrite(*pinned_omq(label))
+        assert searches and built == Counter()
 
     def test_table_is_per_tbox(self):
         first, second = dagger_tbox(), dagger_tbox()
