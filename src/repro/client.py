@@ -20,23 +20,24 @@ Usage::
         client.answer("demo", omq)                  # same surface
 
 ``Client.wrap(service)`` borrows an existing service (not closed with
-the client); text serialisation for the HTTP transport round-trips
-through the same ``TBox.parse`` / ``CQ.parse`` / ``ABox.parse`` syntax
-the CLI and test suite use.
+the client).  :class:`AsyncClient` has the same verbs for asyncio
+code, over HTTP; a blocking ``Client`` call made from a coroutine
+belongs on a thread (``asyncio.to_thread(client.answer, ...)``).
 
-For asyncio code :class:`AsyncClient` speaks the same protocol on the
-event loop (the natural mate of the coalescing ``repro serve``); a
-blocking ``Client`` call made from a coroutine belongs on a thread (``asyncio.to_thread(client.answer,
-...)``).  Both HTTP clients share one wire core (:class:`_HTTPCore`):
-requests ride a small pool of keep-alive connections, an idle
-connection is probed before reuse, and a request is never sent twice —
-a connection that fails mid-call surfaces the error instead of a
-resend, so no update can be applied twice.  One ``Client`` may be
-shared by threads; a parked ``Subscription.poll`` holds its own
-connection and never delays another call.  Server rejections surface
-as :class:`ServiceError` (a ``ValueError`` carrying the HTTP status,
-the server's ``error_type`` tag and, for 429 backpressure rejections,
-``retry_after`` seconds).
+The verbs are written once (:class:`_Verbs`): each builds its route's
+request type (:data:`~repro.service.protocol.ENDPOINTS`) and hands it
+to ``call(verb, request)``.  In process, the route's
+:class:`OMQService` callable gets the request as it is — no JSON, no
+text; over HTTP, ``request.payload()`` travels in the
+``TBox.parse`` / ``CQ.parse`` / ``ABox.parse`` syntax the CLI uses.
+Both HTTP clients share one wire core (:class:`_HTTPCore`): a small
+pool of keep-alive connections, an idle one probed before reuse, and
+no request ever sent twice — a connection that fails mid-call surfaces
+the error instead of a resend, so no update can be applied twice.  One
+``Client`` may be shared by threads; a parked ``Subscription.poll``
+holds its own connection.  Server rejections surface as
+:class:`ServiceError` (a ``ValueError`` carrying the HTTP status, the
+server's ``error_type`` tag and, for a 429, ``retry_after`` seconds).
 """
 
 from __future__ import annotations
@@ -49,19 +50,32 @@ import threading
 from typing import Dict, Iterable, List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .data.abox import ABox
+from .data.abox import ABox, GroundAtom
 from .obs.trace import Trace, current_trace_id, tracing
 from .ontology.tbox import TBox
-from .queries.cq import CQ
 from .rewriting.api import OMQ
 from .rewriting.plan import ROWS_TYPE, AnswerOptions, Answers
+from .service.protocol import (
+    PARKED,
+    TRACE_HEADER,
+    VERBS,
+    BatchRequest,
+    DropDataset,
+    Explain,
+    Poll,
+    RegisterDataset,
+    RegisterTBox,
+    Unsubscribe,
+    Update,
+    abox_to_text,
+    cq_to_text,
+    tbox_to_text,
+)
 from .standing.registry import AnswerDelta
 from .store.tenants import TenantManager
 
-GroundAtom = Tuple[str, Tuple[str, ...]]
-
-#: Response header echoing the request's trace ID.
-TRACE_HEADER = "X-Repro-Trace-Id"
+__all__ = ["AsyncClient", "AsyncSubscription", "Client", "ServiceError",
+           "Subscription", "abox_to_text", "cq_to_text", "tbox_to_text"]
 
 
 class ServiceError(ValueError):
@@ -111,53 +125,30 @@ class ServiceError(ValueError):
                    trace_id=str(trace_id) if trace_id else None)
 
 
-def tbox_to_text(tbox: TBox) -> str:
-    """``tbox`` in the ``TBox.parse`` surface syntax (round-trips:
-    the re-parsed ontology has the same fingerprint)."""
-    roles = sorted({role.name for role in tbox.roles})
-    lines = []
-    if roles:
-        lines.append("roles: " + ", ".join(roles))
-    lines.extend(str(axiom) for axiom in tbox.user_axioms)
-    return "\n".join(lines)
-
-
-def cq_to_text(cq: CQ) -> str:
-    """The CQ body in the ``CQ.parse`` surface syntax (answer
-    variables travel separately)."""
-    return ", ".join(str(atom) for atom in cq.atoms)
-
-
-def abox_to_text(abox: ABox) -> str:
-    """``abox`` in the ``ABox.parse`` surface syntax."""
-    return "\n".join(f"{predicate}({', '.join(args)})"
-                     for predicate, args in sorted(abox.atoms()))
-
-
 def _omq_payload(dataset: Optional[str], omq: OMQ, options,
                  **overrides) -> Dict[str, object]:
-    """One wire-format answer/explain/subscribe request."""
-    payload: Dict[str, object] = {
-        "tbox_text": tbox_to_text(omq.tbox),
-        "query": cq_to_text(omq.query),
-        "answers": list(omq.query.answer_vars),
-        "options": AnswerOptions.coerce(options, **overrides).as_dict(),
-    }
-    if dataset is not None:
-        payload["dataset"] = dataset
-    return payload
+    """One wire-format answer request body."""
+    return BatchRequest(dataset, omq,
+                        AnswerOptions.coerce(options, **overrides)).payload()
 
 
-class _SubscriptionState:
-    """Shared client-side bookkeeping for one standing query: the live
-    answer set and the epoch watermark, advanced by applying deltas.
+class Subscription:
+    """A blocking standing-query handle (see :mod:`repro.standing`).
 
-    Both the blocking :class:`Subscription` and the asyncio
-    :class:`AsyncSubscription` mix this in, so resync and
-    duplicate-delta handling cannot drift between them.
+    Created by :meth:`Client.subscribe`; tracks the maintained answer
+    set and the epoch watermark locally, advanced by applying deltas.
+    :meth:`poll` long-polls the service for deltas newer than the
+    watermark and applies them::
+
+        sub = client.subscribe("demo", omq)
+        client.update("demo", inserts=[("R", ("a", "b"))])
+        for delta in sub.poll(timeout=5.0):
+            print(delta.added, delta.removed)
+        sub.unsubscribe()
     """
 
-    def _init_state(self, snapshot: Dict[str, object]) -> None:
+    def __init__(self, client, snapshot: Dict[str, object]):
+        self._client = client
         self.subscription_id = str(snapshot["subscription"])
         self.dataset = str(snapshot["dataset"])
         self.epoch = int(snapshot.get("epoch", 0))
@@ -169,6 +160,27 @@ class _SubscriptionState:
         return (f"{type(self).__name__}({self.subscription_id!r}, "
                 f"dataset={self.dataset!r}, epoch={self.epoch}, "
                 f"answers={len(self.answers)})")
+
+    def poll(self, timeout: float = 0.0) -> List[AnswerDelta]:
+        """Deltas since the last seen epoch (blocking up to
+        ``timeout`` seconds for one), applied to :attr:`answers`."""
+        return self._client.call(
+            "poll", Poll(self.subscription_id, self.epoch, timeout),
+            self._apply_poll)
+
+    def unsubscribe(self) -> None:
+        if not self.closed:
+            self.closed = True
+            self._client.unsubscribe(self.subscription_id)
+
+    def __enter__(self) -> "Subscription":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            self.unsubscribe()
+        except Exception:
+            pass  # server gone or subscription already dropped
 
     def _apply_delta(self, delta: AnswerDelta) -> bool:
         """Advance the local state by one delta; ``False`` means the
@@ -199,49 +211,132 @@ class _SubscriptionState:
         return applied
 
 
-class Subscription(_SubscriptionState):
-    """A blocking standing-query handle (see :mod:`repro.standing`).
+class AsyncSubscription(Subscription):
+    """The asyncio standing-query handle (see
+    :meth:`AsyncClient.subscribe`): the awaitable twin of
+    :class:`Subscription`, whose :meth:`poll` returns what its client's
+    ``call`` does — here a coroutine."""
 
-    Created by :meth:`Client.subscribe`; tracks the maintained answer
-    set locally.  :meth:`poll` long-polls the service for deltas newer
-    than the watermark and applies them::
-
-        sub = client.subscribe("demo", omq)
-        client.update("demo", inserts=[("R", ("a", "b"))])
-        for delta in sub.poll(timeout=5.0):
-            print(delta.added, delta.removed)
-        sub.unsubscribe()
-    """
-
-    def __init__(self, transport, snapshot: Dict[str, object]):
-        self._transport = transport
-        self._init_state(snapshot)
-
-    def poll(self, timeout: float = 0.0) -> List[AnswerDelta]:
-        """Deltas since the last seen epoch (blocking up to
-        ``timeout`` seconds for one), applied to :attr:`answers`."""
-        body = self._transport.poll(self.subscription_id,
-                                    since_epoch=self.epoch,
-                                    timeout=timeout)
-        return self._apply_poll(body)
-
-    def unsubscribe(self) -> None:
+    async def unsubscribe(self) -> None:
         if not self.closed:
             self.closed = True
-            self._transport.unsubscribe(self.subscription_id)
+            await self._client.unsubscribe(self.subscription_id)
 
-    def __enter__(self) -> "Subscription":
-        return self
 
-    def __exit__(self, *exc_info) -> None:
-        try:
-            self.unsubscribe()
-        except Exception:
-            pass  # server gone or subscription already dropped
+def _atoms(atoms: Iterable[GroundAtom]) -> Tuple[GroundAtom, ...]:
+    return tuple((predicate, tuple(args)) for predicate, args in atoms)
+
+
+class _Verbs:
+    """The protocol's verbs, each written once: build the route's
+    request type and hand it to ``call(verb, request, finish=None)``,
+    which returns ``finish`` of the response (the response without
+    one).
+
+    :class:`Client` forwards ``call`` to its transport; the blocking
+    transports return the value, so a verb returns what its annotation
+    says; :class:`AsyncClient`'s ``call`` returns a coroutine, so the
+    same verb returns an awaitable of it.
+    """
+
+    #: What :meth:`subscribe` wraps the snapshot in.
+    _subscription = Subscription
+
+    def register_dataset(self, name: str, abox: ABox,
+                         replace: bool = False) -> Dict[str, object]:
+        """Register a dataset (``replace`` swaps out one already
+        registered under ``name``)."""
+        return self.call("register_dataset",
+                         RegisterDataset(name, abox, replace))
+
+    def unregister_dataset(self, name: str) -> Dict[str, object]:
+        """Drop a registered dataset (and its subscriptions)."""
+        return self.call("unregister_dataset", DropDataset(name))
+
+    def register_tbox(self, name: str, tbox: TBox) -> Dict[str, object]:
+        return self.call("register_tbox", RegisterTBox(name, tbox))
+
+    def datasets(self) -> Tuple[str, ...]:
+        """This client's tenant's datasets, under its own names
+        (``stats`` lists every tenant's scoped registry keys)."""
+        return self.call("stats", None, lambda stats: tuple(sorted(
+            name for owner, name in map(TenantManager.split,
+                                        stats.get("datasets", {}))
+            if owner == self.tenant)))
+
+    def answer(self, dataset: str, omq: OMQ, options=None,
+               trace: bool = False, **overrides) -> Answers:
+        """Certain answers to ``omq`` over the named dataset.
+
+        ``options`` / ``overrides`` build one
+        :class:`~repro.rewriting.plan.AnswerOptions` (e.g.
+        ``client.answer("demo", omq, method="tw", engine="sql")``).
+        ``trace=True`` asks for the request's span breakdown, returned
+        as ``Answers.trace`` (a nested name/seconds tree).
+        """
+        return self.call("answer", BatchRequest(
+            dataset, omq, AnswerOptions.coerce(options, **overrides),
+            trace=Trace(wanted=True) if trace else None))
+
+    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
+                **overrides) -> Dict[str, object]:
+        """The :meth:`~repro.rewriting.plan.Plan.explain` report for
+        ``omq`` under the given options, without evaluating it.
+
+        With ``dataset`` the report also shows the program an answer
+        over that dataset would run; ``method="adaptive"`` needs one.
+        """
+        return self.call("explain", Explain(
+            dataset, omq, AnswerOptions.coerce(options, **overrides)))
+
+    def update(self, dataset: str, inserts: Iterable[GroundAtom] = (),
+               deletes: Iterable[GroundAtom] = ()) -> Dict[str, object]:
+        """Incrementally mutate a dataset (deletions apply first)."""
+        return self.call("update", Update(dataset, _atoms(inserts),
+                                          _atoms(deletes)))
+
+    def insert_facts(self, dataset: str,
+                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
+        return self.update(dataset, inserts=atoms)
+
+    def delete_facts(self, dataset: str,
+                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
+        return self.update(dataset, deletes=atoms)
+
+    def subscribe(self, dataset: str, omq: OMQ, options=None,
+                  **overrides) -> Subscription:
+        """Register ``omq`` as a standing query over the dataset.
+
+        The returned :class:`Subscription` (an
+        :class:`AsyncSubscription` from :class:`AsyncClient`) holds the
+        initial answer set; each update the service applies maintains
+        it incrementally, and its ``poll`` fetches the resulting
+        deltas::
+
+            sub = client.subscribe("demo", omq)
+            for delta in sub.poll(timeout=5.0):
+                print(delta.added, delta.removed)
+        """
+        request = BatchRequest(dataset, omq,
+                               AnswerOptions.coerce(options, **overrides))
+        return self.call("subscribe", request,
+                         lambda snapshot: self._subscription(self, snapshot))
+
+    def poll(self, subscription: str, since_epoch: Optional[int] = None,
+             timeout: float = 0.0) -> Dict[str, object]:
+        """One raw long-poll response (see :meth:`Subscription.poll`)."""
+        return self.call("poll", Poll(subscription, since_epoch, timeout))
+
+    def unsubscribe(self, subscription: str) -> Dict[str, object]:
+        return self.call("unsubscribe", Unsubscribe(subscription))
+
+    def stats(self) -> Dict[str, object]:
+        return self.call("stats", None)
 
 
 class _ServiceTransport:
-    """The in-process transport: delegates to an ``OMQService``.
+    """The in-process transport: the endpoint table's callables on an
+    ``OMQService``, the requests passed as they are.
 
     ``tenant`` scopes every call into that tenant's namespace (the
     default ``""`` keeps the historical single-tenant behaviour).
@@ -252,59 +347,18 @@ class _ServiceTransport:
         self._owned = owned
         self.tenant = tenant
 
-    def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False) -> None:
-        self.service.register_dataset(name, abox, replace=replace,
-                                      tenant=self.tenant)
-
-    def unregister_dataset(self, name: str) -> None:
-        self.service.unregister_dataset(name, tenant=self.tenant)
-
-    def register_tbox(self, name: str, tbox: TBox) -> None:
-        self.service.register_tbox(name, tbox, tenant=self.tenant)
-
-    def datasets(self) -> Tuple[str, ...]:
-        return self.service.datasets(tenant=self.tenant)
-
-    def answer(self, dataset: str, omq: OMQ, options=None,
-               trace: bool = False, **overrides) -> Answers:
-        if not trace:
-            return self.service.answer(dataset, omq, options,
-                                       tenant=self.tenant, **overrides)
-        # no HTTP layer here, so the client starts the trace itself
-        # and harvests the span payload directly
-        with tracing(Trace(wanted=True)) as active:
-            result = self.service.answer(dataset, omq, options,
-                                         tenant=self.tenant, **overrides)
-        return dataclasses.replace(result, trace=active.payload())
-
-    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
-                **overrides) -> Dict[str, object]:
-        return self.service.explain(omq, options, dataset=dataset,
-                                    tenant=self.tenant, **overrides)
-
-    def update(self, dataset: str, inserts: Iterable[GroundAtom],
-               deletes: Iterable[GroundAtom]) -> Dict[str, object]:
-        return self.service.update(dataset, inserts=inserts,
-                                   deletes=deletes,
-                                   tenant=self.tenant).as_dict()
-
-    def subscribe(self, dataset: str, omq: OMQ, options=None,
-                  **overrides) -> Dict[str, object]:
-        sub = self.service.subscribe(dataset, omq, options,
-                                     tenant=self.tenant, **overrides)
-        return self.service.standing.snapshot(sub.subscription_id)
-
-    def poll(self, subscription: str, since_epoch: Optional[int] = None,
-             timeout: float = 0.0) -> Dict[str, object]:
-        return self.service.poll(subscription, since_epoch=since_epoch,
-                                 timeout=timeout, tenant=self.tenant)
-
-    def unsubscribe(self, subscription: str) -> None:
-        self.service.unsubscribe(subscription, tenant=self.tenant)
-
-    def stats(self) -> Dict[str, object]:
-        return self.service.stats()
+    def call(self, verb: str, request, finish=None):
+        endpoint = VERBS[verb]
+        trace = getattr(request, "trace", None)
+        if trace is None:
+            response = endpoint.call(self.service, request, self.tenant)
+        else:
+            # no HTTP layer here, so the client starts the trace itself
+            # and harvests the span payload directly
+            with tracing(trace):
+                response = endpoint.call(self.service, request, self.tenant)
+            response = dataclasses.replace(response, trace=trace.payload())
+        return response if finish is None else finish(response)
 
     def close(self) -> None:
         if self._owned:
@@ -380,18 +434,18 @@ def _still_open(sock: socket.socket) -> bool:
         return isinstance(error, BlockingIOError)
 
 
-class _HTTPCore:
-    """What the two HTTP clients share: the server's address, request
-    framing, response decoding with the :class:`ServiceError` mapping,
-    the pool of idle keep-alive connections, and the protocol's verbs,
-    each written once.
+class _HTTPCore(_Verbs):
+    """What the two HTTP clients share: the server's address, ``call``
+    as an HTTP exchange with the route the endpoint table names,
+    request framing, response decoding with the :class:`ServiceError`
+    mapping, and the pool of idle keep-alive connections.
 
-    A subclass supplies ``_call(path, payload, timeout, finish)``: send
-    one framed request over a pooled connection, return ``finish`` of
-    the decoded body (the body itself without one).  The blocking
-    transport's ``_call`` returns that value, so a verb returns what
-    its annotation says; :class:`AsyncClient`'s is a coroutine
-    function, so the same verb returns an awaitable of it.
+    A subclass supplies ``_call(path, payload, timeout, finish,
+    answers)``: send one framed request over a pooled connection,
+    return ``finish`` of the decoded body (the body itself without
+    one; an :class:`Answers` when ``answers`` says the route answers
+    with rows).  The blocking transport's ``_call`` returns that value;
+    :class:`AsyncClient`'s is a coroutine function.
 
     Idle connections are plain sockets holding no event-loop state, so
     an :class:`AsyncClient` may serve one ``asyncio.run`` after
@@ -418,17 +472,31 @@ class _HTTPCore:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    def call(self, verb: str, request, finish=None):
+        """Send ``request`` to the route of ``verb``; ``finish`` of its
+        decoded response."""
+        endpoint = VERBS[verb]
+        timeout = None
+        if endpoint.runs == PARKED:
+            # the HTTP deadline must outlive the server-side park
+            timeout = max(self.timeout, request.timeout + 5.0)
+        payload = None if request is None else request.payload()
+        return self._call(endpoint.path, payload, timeout, finish,
+                          endpoint.answers)
+
     # -- framing -----------------------------------------------------------
 
-    def _frame(self, path: str, payload=None) -> bytes:
+    def _frame(self, path: str, payload=None, answers: bool = False
+               ) -> bytes:
         """The request bytes: a ``GET`` without ``payload``, else a
-        JSON ``POST``; ``/answer`` asks for the coded body."""
+        JSON ``POST``; a route that ``answers`` asks for the coded
+        body."""
         body = b"" if payload is None else json.dumps(payload).encode()
         lines = [f"{'GET' if payload is None else 'POST'} {path} HTTP/1.1",
                  f"Host: {self.host}:{self.port}",
                  "Content-Type: application/json",
                  f"Content-Length: {len(body)}"]
-        if path == "/answer":
+        if answers:
             lines.append(f"Accept: {ROWS_TYPE}, application/json")
         if self.tenant:
             lines.append(f"X-Repro-Tenant: {self.tenant}")
@@ -440,29 +508,32 @@ class _HTTPCore:
         return "\r\n".join(lines).encode("latin-1") + b"\r\n\r\n" + body
 
     def _result(self, sock: socket.socket, reusable: bool, status: int,
-                headers: Dict[str, str], raw: bytes, finish=None):
+                headers: Dict[str, str], raw: bytes, finish=None,
+                answers: bool = False):
         """Pool ``sock`` and return the decoded (and ``finish``-ed) body
         of its response, or its :class:`ServiceError`.  A
-        :data:`ROWS_TYPE` body is an :class:`Answers` whatever
-        ``finish`` says; one that does not decode closes ``sock``."""
+        :data:`ROWS_TYPE` body, or a JSON one when ``answers``, is an
+        :class:`Answers`; one that does not decode closes ``sock``."""
         self.last_trace_id = headers.get(TRACE_HEADER)
         if status < 400 and headers.get("Content-Type") == ROWS_TYPE:
             try:
-                answers = Answers.from_wire(raw)
+                decoded = Answers.from_wire(raw)
             except (ValueError, LookupError, TypeError) as error:
                 sock.close()
                 raise ServiceError(f"undecodable answer body: {error}",
                                    502, "bad_response",
                                    trace_id=self.last_trace_id) from None
             self._checkin(sock, reusable)
-            return answers
-        self._checkin(sock, reusable)
-        try:
-            decoded = json.loads(raw) if raw else {}
-        except ValueError:
-            decoded = {"error": raw.decode(errors="replace")}
-        if status >= 400:
-            raise ServiceError.from_body(status, decoded, headers)
+        else:
+            self._checkin(sock, reusable)
+            try:
+                decoded = json.loads(raw) if raw else {}
+            except ValueError:
+                decoded = {"error": raw.decode(errors="replace")}
+            if status >= 400:
+                raise ServiceError.from_body(status, decoded, headers)
+            if answers:
+                decoded = Answers.from_payload(decoded)
         return decoded if finish is None else finish(decoded)
 
     # -- the connection pool -----------------------------------------------
@@ -496,81 +567,6 @@ class _HTTPCore:
         for sock in idle:
             sock.close()
 
-    # -- the verbs ---------------------------------------------------------
-
-    def register_dataset(self, name: str, abox: ABox, replace: bool = False
-                         ) -> Dict[str, object]:
-        return self._call("/datasets",
-                          {"name": name, "data": abox_to_text(abox),
-                           "replace": replace})
-
-    def unregister_dataset(self, name: str) -> Dict[str, object]:
-        return self._call("/datasets/drop", {"name": name})
-
-    def register_tbox(self, name: str, tbox: TBox) -> Dict[str, object]:
-        return self._call("/tboxes",
-                          {"name": name, "tbox": tbox_to_text(tbox)})
-
-    def datasets(self) -> Tuple[str, ...]:
-        """This client's tenant's datasets, under its own names
-        (``/stats`` lists every tenant's scoped registry keys)."""
-        return self._call("/stats", finish=lambda stats: tuple(sorted(
-            name for owner, name in map(TenantManager.split,
-                                        stats.get("datasets", {}))
-            if owner == self.tenant)))
-
-    def answer(self, dataset: str, omq: OMQ, options=None,
-               trace: bool = False, **overrides) -> Answers:
-        payload = _omq_payload(dataset, omq, options, **overrides)
-        if trace:
-            payload["trace"] = True
-        return self._call("/answer", payload, finish=Answers.from_payload)
-
-    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
-                **overrides) -> Dict[str, object]:
-        return self._call("/explain",
-                          _omq_payload(dataset, omq, options, **overrides))
-
-    def update(self, dataset: str, inserts: Iterable[GroundAtom] = (),
-               deletes: Iterable[GroundAtom] = ()) -> Dict[str, object]:
-        def texts(atoms):
-            return [f"{predicate}({', '.join(args)})"
-                    for predicate, args in atoms]
-
-        return self._call("/update", {"dataset": dataset,
-                                      "insert": texts(inserts),
-                                      "delete": texts(deletes)})
-
-    def insert_facts(self, dataset: str,
-                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return self.update(dataset, inserts=atoms)
-
-    def delete_facts(self, dataset: str,
-                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return self.update(dataset, deletes=atoms)
-
-    def subscribe(self, dataset: str, omq: OMQ, options=None,
-                  **overrides) -> Dict[str, object]:
-        """Register a standing query; the decoded snapshot."""
-        return self._call("/subscribe",
-                          _omq_payload(dataset, omq, options, **overrides))
-
-    def poll(self, subscription: str, since_epoch: Optional[int] = None,
-             timeout: float = 0.0) -> Dict[str, object]:
-        payload: Dict[str, object] = {"subscription": subscription,
-                                      "timeout": timeout}
-        if since_epoch is not None:
-            payload["since_epoch"] = since_epoch
-        # the HTTP deadline must outlive the server-side park
-        return self._call("/poll", payload,
-                          timeout=max(self.timeout, timeout + 5.0))
-
-    def unsubscribe(self, subscription: str) -> Dict[str, object]:
-        return self._call("/unsubscribe", {"subscription": subscription})
-
-    def stats(self) -> Dict[str, object]:
-        return self._call("/stats")
-
 
 class _HTTPTransport(_HTTPCore):
     """The remote transport behind :meth:`Client.connect`: the shared
@@ -578,8 +574,9 @@ class _HTTPTransport(_HTTPCore):
     call checks a connection out of the pool for its own use."""
 
     def _call(self, path: str, payload=None,
-              timeout: Optional[float] = None, finish=None):
-        request = self._frame(path, payload)
+              timeout: Optional[float] = None, finish=None,
+              answers: bool = False):
+        request = self._frame(path, payload, answers)
         timeout = timeout or self.timeout
         sock = self._checkout()
         try:
@@ -602,22 +599,26 @@ class _HTTPTransport(_HTTPCore):
             if sock is not None:
                 sock.close()
             raise
-        return self._result(sock, reusable, status, headers, raw, finish)
+        return self._result(sock, reusable, status, headers, raw, finish,
+                            answers)
 
     def close(self) -> None:
         self._close_idle()
 
 
-class Client:
+class Client(_Verbs):
     """The unified front door; see the module docstring.
 
     Build one with :meth:`local` (embedded service, owned),
     :meth:`wrap` (existing service, borrowed) or :meth:`connect`
-    (remote HTTP server).
+    (remote HTTP server).  Its verbs are :class:`_Verbs`'; each hands
+    its request to the transport's ``call``.
     """
 
     def __init__(self, transport):
         self._transport = transport
+        #: The tenant whose namespace every call is scoped to.
+        self.tenant = transport.tenant
 
     @classmethod
     def local(cls, tenant: str = "", **service_kwargs) -> "Client":
@@ -644,83 +645,8 @@ class Client:
         non-default ``tenant`` is sent as ``X-Repro-Tenant``."""
         return cls(_HTTPTransport(url, timeout=timeout, tenant=tenant))
 
-    # -- registration ------------------------------------------------------
-
-    def register_dataset(self, name: str, abox: ABox,
-                         replace: bool = False) -> None:
-        """Register a dataset (``replace`` swaps out one already
-        registered under ``name``)."""
-        self._transport.register_dataset(name, abox, replace=replace)
-
-    def unregister_dataset(self, name: str) -> None:
-        """Drop a registered dataset (and its subscriptions)."""
-        self._transport.unregister_dataset(name)
-
-    def register_tbox(self, name: str, tbox: TBox) -> None:
-        self._transport.register_tbox(name, tbox)
-
-    def datasets(self) -> Tuple[str, ...]:
-        return self._transport.datasets()
-
-    # -- the pipeline ------------------------------------------------------
-
-    def answer(self, dataset: str, omq: OMQ, options=None,
-               trace: bool = False, **overrides) -> Answers:
-        """Certain answers to ``omq`` over the named dataset.
-
-        ``options`` / ``overrides`` build one
-        :class:`~repro.rewriting.plan.AnswerOptions` (e.g.
-        ``client.answer("demo", omq, method="tw", engine="sql")``).
-        ``trace=True`` asks for the request's span breakdown, returned
-        as ``Answers.trace`` (a nested name/seconds tree).
-        """
-        return self._transport.answer(dataset, omq, options, trace=trace,
-                                      **overrides)
-
-    def explain(self, omq: OMQ, options=None, dataset: Optional[str] = None,
-                **overrides) -> Dict[str, object]:
-        """The :meth:`~repro.rewriting.plan.Plan.explain` report for
-        ``omq`` under the given options, without evaluating it.
-
-        With ``dataset`` the report also shows the program an answer
-        over that dataset would run; ``method="adaptive"`` needs one.
-        """
-        return self._transport.explain(omq, options, dataset, **overrides)
-
-    # -- updates -----------------------------------------------------------
-
-    def update(self, dataset: str, inserts: Iterable[GroundAtom] = (),
-               deletes: Iterable[GroundAtom] = ()) -> Dict[str, object]:
-        """Incrementally mutate a dataset (deletions apply first)."""
-        return self._transport.update(dataset, inserts, deletes)
-
-    def insert_facts(self, dataset: str,
-                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return self.update(dataset, inserts=atoms)
-
-    def delete_facts(self, dataset: str,
-                     atoms: Iterable[GroundAtom]) -> Dict[str, object]:
-        return self.update(dataset, deletes=atoms)
-
-    # -- standing queries --------------------------------------------------
-
-    def subscribe(self, dataset: str, omq: OMQ, options=None,
-                  **overrides) -> Subscription:
-        """Register ``omq`` as a standing query over the dataset.
-
-        The returned :class:`Subscription` holds the initial answer
-        set; each update the service applies maintains it
-        incrementally, and :meth:`Subscription.poll` fetches the
-        resulting deltas.
-        """
-        snapshot = self._transport.subscribe(dataset, omq, options,
-                                             **overrides)
-        return Subscription(self._transport, snapshot)
-
-    # -- stats and lifecycle -----------------------------------------------
-
-    def stats(self) -> Dict[str, object]:
-        return self._transport.stats()
+    def call(self, verb: str, request, finish=None):
+        return self._transport.call(verb, request, finish)
 
     @property
     def last_trace_id(self) -> Optional[str]:
@@ -748,8 +674,8 @@ class AsyncClient(_HTTPCore):
     only) over the same wire core and keep-alive pool as the blocking
     client, so hundreds of requests can be in flight from one loop —
     which is exactly what the coalescing server
-    (:mod:`repro.service.aserve`) wants to see.  Every method mirrors
-    :class:`Client` but is awaitable::
+    (:mod:`repro.service.aserve`) wants to see.  Every verb is
+    :class:`Client`'s, awaitable::
 
         async with AsyncClient.connect("http://host:8081") as client:
             answers = await client.answer("demo", omq, method="tw")
@@ -757,6 +683,8 @@ class AsyncClient(_HTTPCore):
     Server rejections raise :class:`ServiceError`; a 429 backpressure
     rejection carries ``error.retry_after`` seconds.
     """
+
+    _subscription = AsyncSubscription
 
     @classmethod
     def connect(cls, url: str, timeout: float = 30.0,
@@ -766,13 +694,14 @@ class AsyncClient(_HTTPCore):
         return cls(url, timeout=timeout, tenant=tenant)
 
     async def _call(self, path: str, payload=None,
-                    timeout: Optional[float] = None, finish=None):
+                    timeout: Optional[float] = None, finish=None,
+                    answers: bool = False):
         return await asyncio.wait_for(
-            self._call_once(path, payload, finish),
+            self._call_once(path, payload, finish, answers),
             timeout=timeout or self.timeout)
 
-    async def _call_once(self, path: str, payload, finish):
-        request = self._frame(path, payload)
+    async def _call_once(self, path: str, payload, finish, answers):
+        request = self._frame(path, payload, answers)
         loop = asyncio.get_running_loop()
         sock = self._checkout()
         try:
@@ -792,7 +721,8 @@ class AsyncClient(_HTTPCore):
             if sock is not None:
                 sock.close()
             raise
-        return self._result(sock, reusable, status, headers, raw, finish)
+        return self._result(sock, reusable, status, headers, raw, finish,
+                            answers)
 
     async def _connect(self, loop) -> socket.socket:
         """A connected non-blocking socket (first address that works)."""
@@ -811,18 +741,6 @@ class AsyncClient(_HTTPCore):
                         or address == infos[-1][4]):
                     raise
 
-    async def subscribe(self, dataset: str, omq: OMQ, options=None,
-                        **overrides) -> "AsyncSubscription":
-        """Register ``omq`` as a standing query; the returned
-        :class:`AsyncSubscription` long-polls for its deltas::
-
-            sub = await client.subscribe("demo", omq)
-            for delta in await sub.poll(timeout=5.0):
-                print(delta.added, delta.removed)
-        """
-        return AsyncSubscription(self, await super().subscribe(
-            dataset, omq, options, **overrides))
-
     async def close(self) -> None:
         self._close_idle()
 
@@ -834,23 +752,3 @@ class AsyncClient(_HTTPCore):
 
     def __repr__(self) -> str:
         return f"AsyncClient({self.url!r})"
-
-
-class AsyncSubscription(_SubscriptionState):
-    """The asyncio standing-query handle (see :meth:`AsyncClient.subscribe`):
-    the awaitable twin of :class:`Subscription`."""
-
-    def __init__(self, client: AsyncClient, snapshot: Dict[str, object]):
-        self._client = client
-        self._init_state(snapshot)
-
-    async def poll(self, timeout: float = 0.0) -> List[AnswerDelta]:
-        """Deltas since the last seen epoch, applied to
-        :attr:`answers` (blocking up to ``timeout`` seconds)."""
-        return self._apply_poll(await self._client.poll(
-            self.subscription_id, self.epoch, timeout))
-
-    async def unsubscribe(self) -> None:
-        if not self.closed:
-            self.closed = True
-            await self._client.unsubscribe(self.subscription_id)

@@ -177,19 +177,19 @@ class Observability:
 
     def observe_http(self, route: str, method: str, status: int,
                      seconds: float,
-                     trace: Optional[Trace] = None) -> None:
+                     trace: Optional[Trace] = None,
+                     parked: bool = False) -> None:
         """Record one finished HTTP request; feed the slow-query log
         when it crossed the threshold.
 
-        ``/poll`` never counts as slow: a parked long-poll's wall time
-        is the timeout its client asked for, not work.
+        A ``parked`` request (a long-poll) never counts as slow: its
+        wall time is the timeout its client asked for, not work.
         """
         self.http_requests.labels(route=route, method=method,
                                   status=str(status)).inc()
         self.http_seconds.labels(route=route).observe(seconds)
         threshold = self.slow_query_ms
-        if (threshold is None or route == "/poll"
-                or seconds * 1000.0 < threshold):
+        if threshold is None or parked or seconds * 1000.0 < threshold:
             return
         self.slow_queries.inc()
         entry: Dict[str, Any] = {

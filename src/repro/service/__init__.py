@@ -20,8 +20,9 @@ per-request costs *across* requests and sessions:
   incremental ABox insert/delete that patches the interned database,
   the memoised indexes, the SQLite tables and the cached completions
   in place instead of reloading;
-* :mod:`repro.service.protocol` — the JSON protocol itself (request
-  decoding, route dispatch, structured errors);
+* :mod:`repro.service.protocol` — the JSON protocol itself: the
+  request types, the endpoint table every route is declared in once,
+  and structured errors;
 * :mod:`repro.service.aserve` — the HTTP server, on asyncio streams:
   request coalescing of identical in-flight queries, micro-batching
   into ``answer_batch`` calls while the workers are busy, and 429
@@ -38,8 +39,8 @@ the deltas by long-poll (``POST /poll``).
 
 from .aserve import AsyncServiceServer, BackgroundAsyncServer, serve_in_background
 from .cache import CacheStats, RewritingCache, cq_fingerprint, tbox_fingerprint
-from .protocol import ProtocolError, Router
-from .service import BatchRequest, OMQService
+from .protocol import BatchRequest, ProtocolError, Router
+from .service import OMQService
 from .updates import UpdateResult, apply_update
 
 __all__ = [

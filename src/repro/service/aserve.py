@@ -55,11 +55,18 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..obs.trace import Trace, mint_trace_id, span, tracing
+from ..obs.trace import Trace, mint_trace_id, tracing
 from ..rewriting.plan import ROWS_TYPE
+from ..store import DEFAULT_TENANT
 from .protocol import (
+    BATCH,
+    ENDPOINTS,
+    LOOP,
+    PARKED,
     TENANT_HEADER,
     TRACE_HEADER,
+    BatchRequest,
+    Endpoint,
     ProtocolError,
     Router,
     accepts,
@@ -70,12 +77,9 @@ from .protocol import (
     overloaded_error,
     parse_content_length,
     resolve_tenant,
+    route,
 )
-from .service import BatchRequest, OMQService
-
-#: Routes whose successful POST changes what a dataset's answers are —
-#: each bumps the touched dataset's coalescing epoch.
-_DATA_ROUTES = ("/update", "/datasets")
+from .service import OMQService
 
 #: Cap on the header lines of one request.
 MAX_HEADERS = 100
@@ -218,19 +222,16 @@ class AsyncServiceServer:
             self._peak_pending = depth
             self._obs.async_peak_pending.set(depth)
 
-    def _admit(self, units: int = 1) -> None:
+    def _admit(self, units: int) -> None:
         """Reject new work with 429 once the queue is saturated."""
         depth = self._queue_depth()
         if depth + units > self.max_pending:
             self._obs.async_rejected.inc(units)
             raise overloaded_error(depth, self.max_pending)
 
-    async def _handle_answer(self, payload: Dict, tenant: str = "",
+    async def _handle_answer(self, request: BatchRequest, units: int,
                              trace: Optional[Trace] = None,
-                             coded: bool = False
-                             ) -> Tuple[int, Union[Dict, bytes]]:
-        with span("decode"):
-            request = self.router.decode_answer(payload, tenant=tenant)
+                             coded: bool = False) -> Union[Dict, bytes]:
         key = self._coalesce_key(request)
         future = self._inflight.get(key)
         coalesced = future is not None
@@ -240,7 +241,7 @@ class AsyncServiceServer:
             # the execution spans belong to the leader's trace.
             self._obs.async_coalesced.inc()
         else:
-            self._admit()
+            self._admit(units)
             # the worker thread that runs the micro-batch activates
             # this trace around the leader's job, so execute/cache
             # spans and plan-fingerprint annotations land on the
@@ -256,11 +257,10 @@ class AsyncServiceServer:
                 self._flush()
         result = await asyncio.shield(future)
         if coded:  # the request's Accept named ROWS_TYPE
-            return 200, encode_body({"coalesced": coalesced}, trace,
-                                    result.wire)
+            return encode_body({"coalesced": coalesced}, trace, result.wire)
         body = self.router.result_payload(result)
         body["coalesced"] = coalesced
-        return 200, body
+        return body
 
     def _flush(self) -> None:
         """Hand the gathered micro-batch to the worker pool."""
@@ -348,6 +348,12 @@ class AsyncServiceServer:
                         headers: Optional[Dict[str, str]] = None,
                         trace: Optional[Trace] = None
                         ) -> Tuple[int, Union[Dict, bytes]]:
+        """Serve one request from :data:`ENDPOINTS`: run its call where
+        the table says.  The request is decoded on the loop only when
+        the loop needs it — to coalesce it or to admit it by its size;
+        otherwise where its call runs, since decoding on the loop
+        delays the responses the loop is writing (measured on
+        ``update-standing``)."""
         self._obs.async_requests.inc()
         payload = decode_json_body(body)
         headers = headers or {}
@@ -357,35 +363,23 @@ class AsyncServiceServer:
         # per-tenant token bucket before any work is queued (429 +
         # Retry-After)
         self.router.throttle(tenant, method, path)
-        if method == "POST" and path == "/answer":
-            return await self._handle_answer(
-                payload, tenant=tenant, trace=trace,
+        endpoint = route(method, path)
+        request, cost = None, 0
+        if endpoint.cost is not None:
+            request = endpoint.decode(payload, self.service, tenant)
+            cost = endpoint.cost(request)
+        if endpoint.runs == BATCH:
+            return endpoint.status, await self._handle_answer(
+                request, cost, trace,
                 coded=accepts(headers.get("accept", ""), ROWS_TYPE))
-        if method == "GET" and path == "/health":
-            return 200, self.router.health_payload()
-        if method == "POST" and path == "/batch":
-            # decode on the loop (cheap), admit by batch size, run on
-            # the pool; entries coalesce among themselves through
-            # answer_batch's own in-batch deduplication
-            with span("decode"):
-                requests = self.router.decode_batch(payload, tenant=tenant)
-            self._admit(len(requests))
-            self._executing += len(requests)
-            self._note_depth()
-            try:
-                results = await self._loop.run_in_executor(
-                    self._executor,
-                    self._traced(functools.partial(
-                        self.service.answer_batch, requests)))
-            finally:
-                self._executing -= len(requests)
-                self._note_depth()
-            return 200, {"results": [self.router.result_payload(result)
-                                     for result in results]}
-        if method == "POST" and path == "/poll":
+        if endpoint.runs == LOOP:
+            return endpoint.status, self._run(endpoint, payload, tenant)[1]
+        run = self._traced(functools.partial(self._run, endpoint, payload,
+                                             tenant, request))
+        if endpoint.runs == PARKED:
             # a long-poll may park for up to MAX_POLL_TIMEOUT seconds;
-            # a dedicated thread per poll keeps the bounded worker pool
-            # free for answer/update work.  Parked polls have their own
+            # a thread of its own keeps the bounded worker pool free
+            # for answer/update work.  Parked polls have their own
             # (generous) cap separate from max_pending — each costs an
             # OS thread, so past max_polls new ones get 429 instead of
             # growing the thread count without bound
@@ -396,29 +390,39 @@ class AsyncServiceServer:
             self._peak_polls = max(self._peak_polls, self._active_polls)
             self._obs.async_parked_polls.set(self._active_polls)
             self._obs.async_peak_polls.set(self._peak_polls)
-            future = self._call_in_thread(
-                self._traced(functools.partial(self.router.handle,
-                                               method, path, payload,
-                                               tenant=tenant)))
+            future = self._call_in_thread(run)
             future.add_done_callback(self._poll_finished)
-            return await future
-        # every remaining route (register/update/explain/stats) may
-        # block on locks or compile, so it runs on the worker pool
-        counters_snapshot = None  # counters are loop-confined
-        if method == "GET" and path == "/stats":
-            counters_snapshot = self._counters_payload()
-        status, body_payload = await self._loop.run_in_executor(
-            self._executor,
-            self._traced(functools.partial(self.router.handle, method,
-                                           path, payload,
-                                           tenant=tenant)))
-        if counters_snapshot is not None:
-            body_payload = {**body_payload, **counters_snapshot}
-        if method == "POST" and path in _DATA_ROUTES and status < 400:
-            dataset = payload.get("dataset") or payload.get("name")
-            if dataset:
-                self._bump_epoch((tenant, str(dataset)))
-        return status, body_payload
+            return endpoint.status, (await future)[1]
+        # every other route may block on locks or compile, so it runs
+        # on the worker pool; a batch is admitted by its size and its
+        # entries coalesce among themselves through answer_batch's own
+        # in-batch deduplication
+        self._admit(cost)
+        self._executing += cost
+        self._note_depth()
+        counters = None  # counters are loop-confined
+        if endpoint.verb == "stats":
+            counters = self._counters_payload()
+        try:
+            request, response = await self._loop.run_in_executor(
+                self._executor, run)
+        finally:
+            self._executing -= cost
+            self._note_depth()
+        if counters is not None:
+            response = {**response, **counters}
+        if endpoint.bumps:
+            self._bump_epoch((tenant, str(request.dataset)))
+        return endpoint.status, response
+
+    def _run(self, endpoint: Endpoint, payload: Dict, tenant: str,
+             request=None) -> Tuple[object, object]:
+        """``endpoint``'s call on the request ``payload`` holds (decoded
+        here unless the loop already did): the request and the
+        response."""
+        if request is None:
+            request = endpoint.decode(payload, self.service, tenant)
+        return request, endpoint.call(self.service, request, tenant)
 
     def _poll_finished(self, _future: asyncio.Future) -> None:
         """Release a parked poll's slot (runs on the loop)."""
@@ -430,7 +434,7 @@ class AsyncServiceServer:
         data changed."""
         self._epochs[scoped] = self._epochs.get(scoped, 0) + 1
 
-    def _call_in_thread(self, fn, *args) -> asyncio.Future:
+    def _call_in_thread(self, fn) -> asyncio.Future:
         """Run ``fn`` on a fresh daemon thread, resolving an asyncio
         future on the loop — for calls that may block far longer than
         a bounded pool slot should be held."""
@@ -447,7 +451,7 @@ class AsyncServiceServer:
             # the implicit del at block exit — a NameError race that
             # leaves the future unresolved and the poller hanging
             try:
-                result = fn(*args)
+                result = fn()
             except BaseException as error:  # delivered to the awaiter
                 loop.call_soon_threadsafe(
                     settle, functools.partial(future.set_exception, error))
@@ -519,10 +523,13 @@ class AsyncServiceServer:
         trace = begin_trace(headers.get(TRACE_HEADER.lower()))
         extra: Dict[str, str] = {TRACE_HEADER: trace.trace_id}
         content_type = "application/json"
+        scrape = ENDPOINTS.get((method, path.partition("?")[0]))
         try:
-            if method == "GET" and path.partition("?")[0] == "/metrics":
-                status = 200
-                body, content_type = self.router.metrics_text()
+            if scrape is not None and scrape.content_type != content_type:
+                # a scrape (``/metrics``): no body, tenant or trace
+                status, content_type = scrape.status, scrape.content_type
+                body = scrape.call(self.service, None,
+                                   DEFAULT_TENANT).encode("utf-8")
             else:
                 try:
                     length = parse_content_length(

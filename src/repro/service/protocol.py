@@ -1,8 +1,9 @@
 """The JSON/HTTP serving protocol.
 
 This module is the single definition of the wire protocol that
-:mod:`repro.service.aserve` serves — request decoding, route dispatch
-and error shaping, with no sockets in it:
+:mod:`repro.service.aserve` serves and :mod:`repro.client` speaks —
+request types, the endpoint table and error shaping, with no sockets
+in it:
 
 * :class:`ProtocolError` — a request failure that already knows its
   HTTP status and its structured JSON body (``{"error": <message>,
@@ -11,23 +12,25 @@ and error shaping, with no sockets in it:
   raw parser messages (or worse, a generic 500) to clients;
 * :func:`parse_content_length` / :func:`decode_json_body` — body
   framing and decoding with those structured errors;
-* :class:`Router` — decodes payloads into service calls
-  (``/answer``, ``/batch``, ``/datasets``, ...) and renders results.
-  The server delegates every route here; it only intercepts ``/answer``
-  to add coalescing and micro-batching around the same
-  :meth:`Router.decode_answer` / :meth:`Router.result_payload` pair,
-  and ``/poll`` to park it on a thread of its own.
+* the request types, one per kind of body: ``from_payload`` validates
+  a decoded body at the edge, before anything runs, and ``payload()``
+  is the body a client sends;
+* :data:`ENDPOINTS` — every route, declared once: ``(method, path)``
+  -> :class:`Endpoint` (request type, :class:`OMQService` callable,
+  status, and where the server runs the call).  The server's
+  dispatch, both clients and :class:`Router` all read it;
+* :class:`Router` — the table against one service, with no sockets
+  (tests and the benchmark drive requests through it).
 """
 
 from __future__ import annotations
 
 import json
 import re
-import time
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
-from ..data.abox import ABox
-from ..engine import ENGINES
+from ..data.abox import ABox, GroundAtom
 from ..obs import PROMETHEUS_CONTENT_TYPE, Trace
 from ..obs.trace import mint_trace_id, span, valid_trace_id
 from ..ontology import TBox
@@ -35,14 +38,13 @@ from ..queries import CQ
 from ..rewriting.api import OMQ
 from ..rewriting.plan import AnswerOptions, Answers
 from ..store import DEFAULT_TENANT, QuotaError, RateLimited, TenantManager
-from .service import BatchRequest, OMQService
 
 #: Cap on long-poll blocking (seconds) — a client asking for more gets
 #: this much, so one subscriber cannot hold a poll open indefinitely.
 MAX_POLL_TIMEOUT = 30.0
 
 #: Option keys that belong inside a request's ``"options"`` object;
-#: beside it they are a 400 (see :meth:`Router.decode_options`).
+#: beside it they are a 400 (see :func:`decode_options`).
 FLAT_OPTION_KEYS = frozenset({"method", "engine", "optimize_sql",
                               "timeout"})
 
@@ -54,15 +56,6 @@ DATASET_KEYS = frozenset({"name", "data", "replace", "tenant", "trace"})
 #: (clients correlate their logs with the server's), echoed on every
 #: response — including errors — and minted when absent.
 TRACE_HEADER = "X-Repro-Trace-Id"
-
-#: The routes the server serves; anything else is folded into
-#: ``"other"`` for metric labels, so hostile paths cannot explode the
-#: ``route`` label's cardinality.
-KNOWN_ROUTES = frozenset({
-    "/health", "/stats", "/metrics", "/datasets", "/datasets/drop",
-    "/tboxes", "/answer",
-    "/explain", "/batch", "/update", "/subscribe", "/unsubscribe",
-    "/poll"})
 
 #: An ``Accept`` parameter that refuses its media type.
 _Q_ZERO = re.compile(r"\s*q\s*=\s*0(\.0{0,3})?\s*", re.IGNORECASE)
@@ -76,12 +69,6 @@ def begin_trace(header: Optional[str]) -> Trace:
     if header is not None and valid_trace_id(header.strip()):
         trace_id = header.strip()
     return Trace(trace_id or mint_trace_id())
-
-
-def metric_route(path: str) -> str:
-    """``path`` reduced to a bounded metric label."""
-    base = path.split("?", 1)[0]
-    return base if base in KNOWN_ROUTES else "other"
 
 
 def accepts(accept: str, media_type: str) -> bool:
@@ -259,15 +246,59 @@ def decode_json_body(body: bytes) -> Dict:
     return payload
 
 
-def parse_atoms(texts) -> List[Tuple[str, Tuple[str, ...]]]:
-    """Ground atoms from strings like ``"R(a, b)"``."""
-    atoms: List[Tuple[str, Tuple[str, ...]]] = []
+# -- the text forms a client sends -------------------------------------------
+
+
+def tbox_to_text(tbox: TBox) -> str:
+    """``tbox`` in the ``TBox.parse`` surface syntax (round-trips:
+    the re-parsed ontology has the same fingerprint)."""
+    roles = sorted({role.name for role in tbox.roles})
+    lines = []
+    if roles:
+        lines.append("roles: " + ", ".join(roles))
+    lines.extend(str(axiom) for axiom in tbox.user_axioms)
+    return "\n".join(lines)
+
+
+def cq_to_text(cq: CQ) -> str:
+    """The CQ body in the ``CQ.parse`` surface syntax (answer
+    variables travel separately)."""
+    return ", ".join(str(atom) for atom in cq.atoms)
+
+
+def atom_text(atom: GroundAtom) -> str:
+    """One ground atom in the ``ABox.parse`` surface syntax."""
+    predicate, args = atom
+    return f"{predicate}({', '.join(args)})"
+
+
+def abox_to_text(abox: ABox) -> str:
+    """``abox`` in the ``ABox.parse`` surface syntax."""
+    return "\n".join(map(atom_text, sorted(abox.atoms())))
+
+
+# -- field decoding ----------------------------------------------------------
+
+
+def _required(payload: Dict, key: str):
+    value = payload.get(key)
+    if not value:
+        raise ProtocolError(f"missing {key!r}")
+    return value
+
+
+def parse_atoms(texts, key: str) -> Tuple[GroundAtom, ...]:
+    """Ground atoms from the list of strings like ``"R(a, b)"`` sent
+    as ``key``."""
+    if not isinstance(texts, list):
+        raise ProtocolError(f"{key!r} must be a list of atom strings")
+    atoms = []
     for text in texts:
         parsed = list(ABox.parse(text).atoms())
         if not parsed:
             raise ProtocolError(f"no ground atom found in {text!r}")
         atoms.extend(parsed)
-    return atoms
+    return tuple(atoms)
 
 
 def answer_vars(raw) -> List[str]:
@@ -280,20 +311,445 @@ def answer_vars(raw) -> List[str]:
     return [str(v) for v in raw]
 
 
+def decode_tbox(service, payload: Dict,
+                tenant: str = DEFAULT_TENANT) -> TBox:
+    """The request ontology: ``tbox_text`` (inline) beats ``tbox``.
+
+    ``tbox`` is a registered name (looked up in the requesting
+    tenant's namespace); as a convenience an inline text is also
+    accepted there when it is unambiguous (contains ``<=`` or a
+    newline — impossible in a registered name).
+    """
+    text = payload.get("tbox_text")
+    if text is not None:
+        if not isinstance(text, str) or not text.strip():
+            raise ProtocolError("'tbox_text' must be TBox text")
+        return service.parse_tbox(text)
+    spec = payload.get("tbox")
+    if not isinstance(spec, str) or not spec.strip():
+        raise ProtocolError("missing 'tbox' (name) or 'tbox_text'")
+    try:
+        return service.named_tbox(spec, tenant=tenant)
+    except ValueError:
+        if "<=" not in spec and "\n" not in spec:
+            raise
+    return service.parse_tbox(spec)
+
+
+def decode_options(payload: Dict) -> AnswerOptions:
+    """The request's :class:`AnswerOptions`: its ``"options"`` object.
+    An option key beside it is rejected, not ignored — the request
+    would run under another method or engine than it asked for."""
+    flat = FLAT_OPTION_KEYS.intersection(payload)
+    if flat:
+        raise ProtocolError(
+            f"option key(s) {sorted(flat)} must be sent inside the "
+            "'options' object")
+    raw = payload.get("options")
+    if raw is not None and not isinstance(raw, dict):
+        raise ProtocolError("'options' must be a JSON object")
+    return AnswerOptions.coerce(raw)
+
+
+def decode_omq(service, payload: Dict, tenant: str = DEFAULT_TENANT) -> OMQ:
+    query = payload.get("query")
+    if not query or not isinstance(query, str):
+        raise ProtocolError("'query' must be a non-empty string")
+    cq = CQ.parse(query, answer_vars=answer_vars(payload.get("answers")))
+    return OMQ(decode_tbox(service, payload, tenant=tenant), cq)
+
+
+def _subscription(payload: Dict) -> str:
+    sid = payload.get("subscription")
+    if not sid or not isinstance(sid, str):
+        raise ProtocolError("missing 'subscription'")
+    return sid
+
+
+# -- the request types -------------------------------------------------------
+#
+# ``from_payload(payload, service, tenant)`` turns a decoded JSON body
+# into the request, or raises a structured 400; ``payload()`` is the
+# body a client sends for it.  An ontology or an ABox has no value
+# equality, so those fields are left out of ``==``.  A ``GET`` route
+# has no request type: its request is ``None``.
+
+
+@dataclass(frozen=True)
+class RegisterDataset:
+    """``{"name", "data": "<ABox text>", "replace"?: bool}``."""
+
+    dataset: str
+    abox: ABox = field(compare=False)
+    replace: bool = False
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        name = _required(payload, "name")
+        replace = payload.get("replace", False)
+        if not isinstance(replace, bool):
+            raise ProtocolError("'replace' must be a JSON boolean, "
+                                f"got {replace!r}")
+        return cls(name, ABox.parse(payload.get("data", "")), replace)
+
+    def payload(self):
+        return {"name": self.dataset, "data": abox_to_text(self.abox),
+                "replace": self.replace}
+
+
+@dataclass(frozen=True)
+class DropDataset:
+    """``{"name"}``."""
+
+    dataset: str
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        return cls(_required(payload, "name"))
+
+    def payload(self):
+        return {"name": self.dataset}
+
+
+@dataclass(frozen=True)
+class RegisterTBox:
+    """``{"name", "tbox": "<TBox text>"}``."""
+
+    name: str
+    tbox: TBox = field(compare=False)
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        name = _required(payload, "name")
+        text = payload.get("tbox", "")
+        if not isinstance(text, str):
+            raise ProtocolError("'tbox' must be TBox text")
+        return cls(name, TBox.parse(text))
+
+    def payload(self):
+        return {"name": self.name, "tbox": tbox_to_text(self.tbox)}
+
+
+@dataclass(frozen=True)
+class BatchRequest:
+    """An answer request, ``{"dataset", "tbox": <name or inline text>
+    | "tbox_text", "query", "answers"?, "options"?}``: the body of
+    ``/answer`` and ``/subscribe``, an entry of ``/batch`` and of
+    :meth:`OMQService.answer_batch`.
+
+    ``options`` may be an :class:`~repro.rewriting.plan.AnswerOptions`,
+    a mapping or ``None``; it is coerced once, here.
+    """
+
+    dataset: Optional[str]
+    omq: OMQ
+    options: Optional[AnswerOptions] = None
+    tenant: str = DEFAULT_TENANT
+    #: Optional :class:`~repro.obs.trace.Trace` to record this entry's
+    #: spans under — the batching server threads each request's
+    #: trace through here (the worker thread running the job activates
+    #: it; identity only, so it never partitions the dedup).  A client
+    #: sets one to ask for the trace.
+    trace: Optional[object] = field(default=None, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "options",
+                           AnswerOptions.coerce(self.options))
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        dataset = _required(payload, "dataset")
+        options = decode_options(payload)
+        return cls(dataset, decode_omq(service, payload, tenant=tenant),
+                   options, tenant)
+
+    def payload(self):
+        body = {"tbox_text": tbox_to_text(self.omq.tbox),
+                "query": cq_to_text(self.omq.query),
+                "answers": list(self.omq.query.answer_vars),
+                "options": self.options.as_dict()}
+        if self.dataset is not None:
+            body["dataset"] = self.dataset
+        if self.trace is not None:
+            body["trace"] = True
+        return body
+
+
+@dataclass(frozen=True)
+class Explain(BatchRequest):
+    """An answer request whose ``dataset`` is optional."""
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        omq = decode_omq(service, payload, tenant=tenant)
+        return cls(payload.get("dataset"), omq, decode_options(payload),
+                   tenant)
+
+
+@dataclass(frozen=True)
+class Batch:
+    """``{"requests": [<answer request>, ...]}``."""
+
+    requests: Tuple[BatchRequest, ...]
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        raw = payload.get("requests")
+        if not isinstance(raw, list) or not raw:
+            raise ProtocolError("'requests' must be a non-empty list")
+        if not all(isinstance(entry, dict) for entry in raw):
+            raise ProtocolError("'requests' entries must be JSON objects")
+        return cls(tuple(BatchRequest.from_payload(entry, service, tenant)
+                         for entry in raw))
+
+    def payload(self):
+        return {"requests": [request.payload()
+                             for request in self.requests]}
+
+
+@dataclass(frozen=True)
+class Update:
+    """``{"dataset", "insert": ["R(a,b)", ...], "delete": [...]}``."""
+
+    dataset: str
+    inserts: Tuple[GroundAtom, ...] = ()
+    deletes: Tuple[GroundAtom, ...] = ()
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        dataset = _required(payload, "dataset")
+        return cls(dataset,
+                   parse_atoms(payload.get("insert", []), "insert"),
+                   parse_atoms(payload.get("delete", []), "delete"))
+
+    def payload(self):
+        return {"dataset": self.dataset,
+                "insert": list(map(atom_text, self.inserts)),
+                "delete": list(map(atom_text, self.deletes))}
+
+
+@dataclass(frozen=True)
+class Unsubscribe:
+    """``{"subscription"}``."""
+
+    subscription: str
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        return cls(_subscription(payload))
+
+    def payload(self):
+        return {"subscription": self.subscription}
+
+
+@dataclass(frozen=True)
+class Poll:
+    """``{"subscription", "since_epoch"?, "timeout"?}``; the timeout
+    is capped at :data:`MAX_POLL_TIMEOUT` seconds."""
+
+    subscription: str
+    since_epoch: Optional[int] = None
+    timeout: float = 0.0
+
+    @classmethod
+    def from_payload(cls, payload, service=None, tenant=DEFAULT_TENANT):
+        since = payload.get("since_epoch")
+        if since is not None and (isinstance(since, bool)
+                                  or not isinstance(since, int)):
+            raise ProtocolError("'since_epoch' must be an integer")
+        timeout = payload.get("timeout", 0.0)
+        if (isinstance(timeout, bool) or not isinstance(timeout, (int, float))
+                or not timeout >= 0):
+            raise ProtocolError("'timeout' must be a non-negative number")
+        return cls(_subscription(payload), since,
+                   float(min(timeout, MAX_POLL_TIMEOUT)))
+
+    def payload(self):
+        return {"subscription": self.subscription,
+                "since_epoch": self.since_epoch, "timeout": self.timeout}
+
+
+# -- the endpoint table ------------------------------------------------------
+
+#: Where the server runs an endpoint's call: on the event loop, in the
+#: coalescing micro-batch, on the bounded worker pool, or on a thread
+#: of its own that may park.
+LOOP, BATCH, POOL, PARKED = "loop", "batch", "pool", "parked"
+
+
+@dataclass(frozen=True)
+class Endpoint:
+    """One route of the protocol.
+
+    ``call(service, request, tenant)`` runs a decoded ``request``
+    against an :class:`OMQService` and returns the response: a JSON
+    object, or for ``/answer`` the :class:`Answers` record (rendered
+    as JSON or coded by whoever holds the socket).  The in-process
+    client calls it directly; the server calls it where ``runs`` says.
+    """
+
+    method: str
+    path: str
+    #: The client verb that sends this request.
+    verb: str
+    #: The request type (``None``: a ``GET`` without a body).
+    request: Optional[type]
+    call: Callable[[Any, Any, str], Any]
+    status: int = 200
+    runs: str = POOL
+    #: Admission units a request costs against ``max_pending``
+    #: (``None``: not admission-controlled).
+    cost: Optional[Callable[[Any], int]] = None
+    #: Success changes the named dataset's answers: the server bumps
+    #: its coalescing epoch.
+    bumps: bool = False
+    #: The keys a body may carry (``None``: any; others are ignored).
+    keys: Optional[FrozenSet[str]] = None
+    content_type: str = "application/json"
+
+    @property
+    def answers(self) -> bool:
+        """Whether the response is an :class:`Answers` record: the
+        micro-batched route's is."""
+        return self.runs == BATCH
+
+    def decode(self, payload: Dict, service,
+               tenant: str = DEFAULT_TENANT):
+        """``payload`` as this route's request, validated at the edge
+        (timed as the ``decode`` span)."""
+        if self.request is None:
+            return None
+        with span("decode"):
+            if self.keys is not None and not self.keys.issuperset(payload):
+                raise ProtocolError(
+                    f"unknown {self.path} key(s) "
+                    f"{sorted(set(payload) - self.keys)}")
+            return self.request.from_payload(payload, service, tenant)
+
+
+def _register_dataset(service, request: RegisterDataset, tenant: str):
+    service.register_dataset(request.dataset, request.abox,
+                             replace=request.replace, tenant=tenant)
+    return {"registered": request.dataset}
+
+
+def _unregister_dataset(service, request: DropDataset, tenant: str):
+    try:
+        service.unregister_dataset(request.dataset, tenant=tenant)
+    except KeyError:
+        raise ProtocolError(f"unknown dataset {request.dataset!r}",
+                            status=404, error_type="not_found") from None
+    return {"unregistered": request.dataset}
+
+
+def _register_tbox(service, request: RegisterTBox, tenant: str):
+    service.register_tbox(request.name, request.tbox, tenant=tenant)
+    return {"registered": request.name}
+
+
+def _batch(service, request: Batch, tenant: str):
+    results = service.answer_batch(list(request.requests))
+    return {"results": [Router.result_payload(result)
+                        for result in results]}
+
+
+def _subscribe(service, request: BatchRequest, tenant: str):
+    sub = service.subscribe(request.dataset, request.omq,
+                            options=request.options, tenant=tenant)
+    return service.standing.snapshot(sub.subscription_id)
+
+
+def _unsubscribe(service, request: Unsubscribe, tenant: str):
+    service.unsubscribe(request.subscription, tenant=tenant)
+    return {"unsubscribed": request.subscription}
+
+
+#: Every route the server serves, keyed by ``(method, path)``.
+ENDPOINTS: Dict[Tuple[str, str], Endpoint] = {
+    (endpoint.method, endpoint.path): endpoint for endpoint in (
+        Endpoint("GET", "/health", "health", None,
+                 lambda service, request, tenant: service.health(),
+                 runs=LOOP),
+        Endpoint("GET", "/stats", "stats", None,
+                 lambda service, request, tenant: service.stats()),
+        Endpoint("GET", "/metrics", "metrics", None,
+                 lambda service, request, tenant:
+                 service.obs.render_prometheus(),
+                 runs=LOOP, content_type=PROMETHEUS_CONTENT_TYPE),
+        Endpoint("POST", "/datasets", "register_dataset", RegisterDataset,
+                 _register_dataset, status=201, bumps=True,
+                 keys=DATASET_KEYS),
+        Endpoint("POST", "/datasets/drop", "unregister_dataset",
+                 DropDataset, _unregister_dataset),
+        Endpoint("POST", "/tboxes", "register_tbox", RegisterTBox,
+                 _register_tbox, status=201),
+        Endpoint("POST", "/answer", "answer", BatchRequest,
+                 lambda service, request, tenant: service.answer(
+                     request.dataset, request.omq, options=request.options,
+                     tenant=tenant),
+                 runs=BATCH, cost=lambda request: 1),
+        Endpoint("POST", "/explain", "explain", Explain,
+                 lambda service, request, tenant: service.explain(
+                     request.omq, options=request.options,
+                     dataset=request.dataset, tenant=tenant)),
+        Endpoint("POST", "/batch", "batch", Batch, _batch,
+                 cost=lambda batch: len(batch.requests)),
+        Endpoint("POST", "/update", "update", Update,
+                 lambda service, request, tenant: service.update(
+                     request.dataset, inserts=request.inserts,
+                     deletes=request.deletes, tenant=tenant).as_dict(),
+                 bumps=True),
+        Endpoint("POST", "/subscribe", "subscribe", BatchRequest,
+                 _subscribe, status=201),
+        Endpoint("POST", "/unsubscribe", "unsubscribe", Unsubscribe,
+                 _unsubscribe),
+        Endpoint("POST", "/poll", "poll", Poll,
+                 lambda service, request, tenant: service.poll(
+                     request.subscription, since_epoch=request.since_epoch,
+                     timeout=request.timeout, tenant=tenant),
+                 runs=PARKED),
+    )}
+
+#: The endpoints by client verb.
+VERBS: Dict[str, Endpoint] = {endpoint.verb: endpoint
+                              for endpoint in ENDPOINTS.values()}
+
+_PATHS = frozenset(path for _, path in ENDPOINTS)
+_METHODS = frozenset(method for method, _ in ENDPOINTS)
+
+
+def route(method: str, path: str) -> Endpoint:
+    """The endpoint serving ``method path``, or a structured 404."""
+    endpoint = ENDPOINTS.get((method, path))
+    if endpoint is not None:
+        return endpoint
+    if method in _METHODS:
+        raise ProtocolError(f"unknown path {path!r}", status=404,
+                            error_type="not_found")
+    raise ProtocolError(f"unsupported method {method!r}", status=404,
+                        error_type="not_found")
+
+
+def metric_route(path: str) -> str:
+    """``path`` reduced to a bounded metric label: a route's path, or
+    ``"other"``, so hostile paths cannot explode the ``route`` label's
+    cardinality."""
+    base = path.split("?", 1)[0]
+    return base if base in _PATHS else "other"
+
+
+def parks(method: str, path: str) -> bool:
+    """Whether ``method path`` is a route whose call may park."""
+    endpoint = ENDPOINTS.get((method, path))
+    return endpoint is not None and endpoint.runs == PARKED
+
+
 class Router:
-    """Decode requests against one :class:`OMQService` and dispatch."""
+    """The endpoint table against one :class:`OMQService`, with no
+    sockets: decode, call, render."""
 
-    def __init__(self, service: OMQService):
+    def __init__(self, service):
         self.service = service
-        self._started = time.time()
-
-    # -- observability -------------------------------------------------------
-
-    def metrics_text(self) -> Tuple[bytes, str]:
-        """``GET /metrics``: the service registry in Prometheus text
-        format, plus its content type."""
-        text = self.service.obs.render_prometheus()
-        return text.encode("utf-8"), PROMETHEUS_CONTENT_TYPE
 
     def observe_request(self, method: str, path: str, status: int,
                         seconds: float,
@@ -301,9 +757,8 @@ class Router:
         """Account one finished request (HTTP metric families + the
         slow-query log); the server calls this once per response."""
         self.service.obs.observe_http(metric_route(path), method,
-                                      status, seconds, trace)
-
-    # -- admission -----------------------------------------------------------
+                                      status, seconds, trace,
+                                      parked=parks(method, path))
 
     def throttle(self, tenant: str, method: str, path: str) -> None:
         """Charge one request against the tenant's token bucket
@@ -311,73 +766,24 @@ class Router:
         ``Retry-After``).  The server calls this once per admitted
         request, before dispatch.
 
-        ``GET`` routes (health checks, stats scrapes) and ``/poll``
-        (a parked long-poll is idle waiting, not work) are exempt.
+        ``GET`` routes (health checks, stats scrapes) and a parked
+        route (a long-poll is idle waiting, not work) are exempt.
         """
-        if method != "POST" or path == "/poll":
+        if method != "POST" or parks(method, path):
             return
         self.service.tenants.throttle(tenant)
 
-    # -- request decoding ----------------------------------------------------
-
     def decode_tbox(self, payload: Dict,
                     tenant: str = DEFAULT_TENANT) -> TBox:
-        """The request ontology: ``tbox_text`` (inline) beats ``tbox``.
+        """:func:`decode_tbox` against this router's service."""
+        return decode_tbox(self.service, payload, tenant=tenant)
 
-        ``tbox`` is a registered name (looked up in the requesting
-        tenant's namespace); as a convenience an inline text is also
-        accepted there when it is unambiguous (contains ``<=`` or a
-        newline — impossible in a registered name).
-        """
-        text = payload.get("tbox_text")
-        if text is not None:
-            if not isinstance(text, str) or not text.strip():
-                raise ProtocolError("'tbox_text' must be TBox text")
-            return self.service.parse_tbox(text)
-        spec = payload.get("tbox")
-        if not isinstance(spec, str) or not spec.strip():
-            raise ProtocolError("missing 'tbox' (name) or 'tbox_text'")
-        try:
-            return self.service.named_tbox(spec, tenant=tenant)
-        except ValueError:
-            if "<=" not in spec and "\n" not in spec:
-                raise
-        return self.service.parse_tbox(spec)
-
-    @staticmethod
-    def decode_options(payload: Dict) -> AnswerOptions:
-        """The request's :class:`AnswerOptions`: its ``"options"``
-        object.  An option key beside it is rejected, not ignored —
-        the request would run under another method or engine than it
-        asked for."""
-        flat = FLAT_OPTION_KEYS.intersection(payload)
-        if flat:
-            raise ProtocolError(
-                f"option key(s) {sorted(flat)} must be sent inside the "
-                "'options' object")
-        raw = payload.get("options")
-        if raw is not None and not isinstance(raw, dict):
-            raise ProtocolError("'options' must be a JSON object")
-        return AnswerOptions.coerce(raw)
-
-    def decode_omq(self, payload: Dict,
-                   tenant: str = DEFAULT_TENANT) -> OMQ:
-        query = payload.get("query")
-        if not query or not isinstance(query, str):
-            raise ProtocolError("'query' must be a non-empty string")
-        cq = CQ.parse(query, answer_vars=answer_vars(payload.get("answers")))
-        return OMQ(self.decode_tbox(payload, tenant=tenant), cq)
+    decode_options = staticmethod(decode_options)
 
     def decode_answer(self, payload: Dict,
                       tenant: str = DEFAULT_TENANT) -> BatchRequest:
         """One ``/answer`` (or ``/batch`` entry) as a ``BatchRequest``."""
-        dataset = payload.get("dataset")
-        if not dataset:
-            raise ProtocolError("missing 'dataset'")
-        options = self.decode_options(payload)
-        return BatchRequest(dataset=dataset,
-                            omq=self.decode_omq(payload, tenant=tenant),
-                            options=options, tenant=tenant)
+        return BatchRequest.from_payload(payload, self.service, tenant)
 
     @staticmethod
     def result_payload(result: Answers) -> Dict:
@@ -386,141 +792,19 @@ class Router:
         with span("payload"):
             return result.payload()
 
-    # -- dispatch ------------------------------------------------------------
-
-    def health_payload(self) -> Dict:
-        """``GET /health``: liveness plus what an orchestrator needs
-        to gate on — the engines this process answers with, storage
-        state, uptime."""
-        return {"status": "ok",
-                "engines": list(ENGINES),
-                "datasets": len(self.service.datasets()),
-                "uptime_seconds": round(time.time() - self._started, 3),
-                "storage": self.service.storage_status()}
-
     def handle(self, method: str, path: str, payload: Dict,
                tenant: str = DEFAULT_TENANT) -> Tuple[int, Dict]:
-        """Dispatch one decoded request; raises on failure (callers
-        shape errors through :func:`error_payload`).
+        """Dispatch one decoded request through :data:`ENDPOINTS`;
+        raises on failure (callers shape errors through
+        :func:`error_payload`).
 
         ``tenant`` (resolved by the server from the ``X-Repro-Tenant``
         header / ``tenant`` field via :func:`resolve_tenant`) scopes
         every dataset, ontology and subscription the request names.
         """
-        service = self.service
-        if method == "GET":
-            if path == "/health":
-                return 200, self.health_payload()
-            if path == "/stats":
-                return 200, self.service.stats()
-            raise ProtocolError(f"unknown path {path!r}", status=404,
-                                error_type="not_found")
-        if method != "POST":
-            raise ProtocolError(f"unsupported method {method!r}",
-                                status=404, error_type="not_found")
-        if path == "/datasets":
-            unknown = set(payload) - DATASET_KEYS
-            if unknown:
-                raise ProtocolError(
-                    f"unknown /datasets key(s) {sorted(unknown)}")
-            name = payload.get("name")
-            if not name:
-                raise ProtocolError("missing 'name'")
-            replace = payload.get("replace", False)
-            if not isinstance(replace, bool):
-                raise ProtocolError("'replace' must be a JSON boolean, "
-                                    f"got {replace!r}")
-            service.register_dataset(
-                name, ABox.parse(payload.get("data", "")),
-                replace=replace, tenant=tenant)
-            return 201, {"registered": name}
-        if path == "/datasets/drop":
-            name = payload.get("name")
-            if not name:
-                raise ProtocolError("missing 'name'")
-            try:
-                service.unregister_dataset(name, tenant=tenant)
-            except KeyError:
-                raise ProtocolError(f"unknown dataset {name!r}",
-                                    status=404, error_type="not_found")
-            return 200, {"unregistered": name}
-        if path == "/tboxes":
-            name = payload.get("name")
-            if not name:
-                raise ProtocolError("missing 'name'")
-            service.register_tbox(name, TBox.parse(payload.get("tbox", "")),
-                                  tenant=tenant)
-            return 201, {"registered": name}
-        if path == "/answer":
-            with span("decode"):
-                request = self.decode_answer(payload, tenant=tenant)
-            result = service.answer(request.dataset, request.omq,
-                                    options=request.options,
-                                    tenant=tenant)
-            return 200, self.result_payload(result)
-        if path == "/explain":
-            with span("decode"):
-                omq = self.decode_omq(payload, tenant=tenant)
-                options = self.decode_options(payload)
-            report = service.explain(omq, options=options,
-                                     dataset=payload.get("dataset"),
-                                     tenant=tenant)
-            return 200, report
-        if path == "/batch":
-            with span("decode"):
-                requests = self.decode_batch(payload, tenant=tenant)
-            results = service.answer_batch(requests)
-            return 200, {"results": [self.result_payload(result)
-                                     for result in results]}
-        if path == "/update":
-            dataset = payload.get("dataset")
-            if not dataset:
-                raise ProtocolError("missing 'dataset'")
-            result = service.update(
-                dataset,
-                inserts=parse_atoms(payload.get("insert", ())),
-                deletes=parse_atoms(payload.get("delete", ())),
-                tenant=tenant)
-            return 200, result.as_dict()
-        if path == "/subscribe":
-            dataset = payload.get("dataset")
-            if not dataset:
-                raise ProtocolError("missing 'dataset'")
-            sub = service.subscribe(dataset,
-                                    self.decode_omq(payload, tenant=tenant),
-                                    options=self.decode_options(payload),
-                                    tenant=tenant)
-            return 201, service.standing.snapshot(sub.subscription_id)
-        if path == "/unsubscribe":
-            service.unsubscribe(self._subscription_id(payload),
-                                tenant=tenant)
-            return 200, {"unsubscribed": payload["subscription"]}
-        if path == "/poll":
-            since = payload.get("since_epoch")
-            if since is not None and not isinstance(since, int):
-                raise ProtocolError("'since_epoch' must be an integer")
-            timeout = payload.get("timeout", 0.0)
-            if not isinstance(timeout, (int, float)) or timeout < 0:
-                raise ProtocolError(
-                    "'timeout' must be a non-negative number")
-            return 200, service.poll(
-                self._subscription_id(payload), since_epoch=since,
-                timeout=min(float(timeout), MAX_POLL_TIMEOUT),
-                tenant=tenant)
-        raise ProtocolError(f"unknown path {path!r}", status=404,
-                            error_type="not_found")
-
-    @staticmethod
-    def _subscription_id(payload: Dict) -> str:
-        sid = payload.get("subscription")
-        if not sid or not isinstance(sid, str):
-            raise ProtocolError("missing 'subscription'")
-        return sid
-
-    def decode_batch(self, payload: Dict,
-                     tenant: str = DEFAULT_TENANT) -> List[BatchRequest]:
-        raw = payload.get("requests")
-        if not isinstance(raw, list) or not raw:
-            raise ProtocolError("'requests' must be a non-empty list")
-        return [self.decode_answer(entry, tenant=tenant)
-                for entry in raw]
+        endpoint = route(method, path)
+        request = endpoint.decode(payload, self.service, tenant)
+        response = endpoint.call(self.service, request, tenant)
+        if isinstance(response, Answers):
+            response = self.result_payload(response)
+        return endpoint.status, response

@@ -4,29 +4,11 @@ This module is the command's plumbing — its options, the service they
 build, and the run loop that serves until SIGTERM/SIGINT; the HTTP
 server itself is :class:`repro.service.aserve.AsyncServiceServer`.  The
 protocol is deliberately small and text-based — TBoxes, queries and
-data use the same surface syntax as the CLI and test suite:
-
-===========================  ============================================
-``GET  /health``             liveness probe
-``GET  /stats``              :meth:`OMQService.stats` as JSON
-``POST /datasets``           ``{"name": ..., "data": "<ABox text>",
-                             "replace": false}``
-``POST /tboxes``             ``{"name": ..., "tbox": "<TBox text>"}``
-``POST /answer``             one request (see below)
-``POST /explain``            a request minus ``dataset`` (optional):
-                             the compiled plan's report
-``POST /batch``              ``{"requests": [<request>, ...]}``
-``POST /update``             ``{"dataset": ..., "insert": ["R(a,b)",
-                             ...], "delete": [...]}`` — the response
-                             carries the dataset's new ``epoch``
-``POST /subscribe``          an answer request: register a standing
-                             query, returns the snapshot + ``epoch``
-                             + ``subscription`` id
-``POST /poll``             ``{"subscription": ..., "since_epoch":
-                             N, "timeout": S}`` — long-poll for
-                             answer deltas
-``POST /unsubscribe``        ``{"subscription": ...}``
-===========================  ============================================
+data use the same surface syntax as the CLI and test suite.  Its
+routes are declared once, in
+:data:`repro.service.protocol.ENDPOINTS`; each route's request type
+there documents its body, and the README's "HTTP server" table lists
+them (a test keeps the two equal).
 
 Every route is tenant-aware: the ``X-Repro-Tenant`` header (or a
 ``tenant`` payload field, which wins) scopes dataset/ontology/
@@ -44,37 +26,20 @@ executing requests the server answers 429 with ``Retry-After``
 against its own ``--max-polls`` budget instead, so parked long-pollers
 neither starve answer/update work nor park in unbounded numbers.
 
-An answer request names a dataset and an ontology — ``"tbox"`` is a
-registered name, ``"tbox_text"`` inline TBox text (inline text in
-``"tbox"`` is also accepted when unambiguous) — and carries the CQ::
-
-    {"dataset": "demo", "tbox": "uni", "query": "R(x,y), S(y,z)",
-     "answers": ["x"], "options": {"method": "auto", "engine": "python"}}
-
-Pipeline configuration travels as that one ``"options"`` object (the
-JSON form of :class:`~repro.rewriting.plan.AnswerOptions` —
-``{"method": ..., "engine": ..., "timeout": ..., "over": ...,
-"optimize_sql": ...}``); an option key beside it, or a key inside it
-that is not an option, is a 400.
-``POST /explain`` takes the same request shape and returns
-the compiled plan's :meth:`~repro.rewriting.plan.Plan.explain` report
-without evaluating it; with a ``dataset`` the report also shows the
-program an answer over that dataset would run (``method="adaptive"``
-requires one).
-
-Responses are ``{"answers": [[...], ...], "seconds": ...,
-"cached_rewriting": ...}`` with the answer tuples sorted; an
-``/answer`` whose ``Accept`` names ``application/x-repro-rows`` with
-a nonzero ``q`` (as :class:`~repro.client.Client` sends) gets the same fields with the rows
-as uint32 ids into a constant list (:meth:`Answers.wire`).  Errors come
-back as ``{"error": <message>, "error_type": <kind>}`` with a 4xx
-status — including malformed JSON bodies and bad ``Content-Length``
-headers, which are the client's bugs, not internal errors.  Inline
-TBox texts are interned by exact text (and by fingerprint behind
-that), so re-sending the same ontology per request costs a dictionary
-lookup, never a second parse or completion.
-
-Request decoding and dispatch live in :mod:`repro.service.protocol`.
+Pipeline configuration travels as one ``"options"`` object (the JSON
+form of :class:`~repro.rewriting.plan.AnswerOptions`); an option key
+beside it, or a key inside it that is not an option, is a 400.
+Answers come back as ``{"answers": [[...], ...], "seconds": ...,
+"cached_rewriting": ...}`` with the answer tuples sorted, or, to an
+``Accept`` naming ``application/x-repro-rows`` with a nonzero ``q`` (as
+:class:`~repro.client.Client` sends), dictionary-coded
+(:meth:`Answers.wire`).  Errors come back as ``{"error": <message>,
+"error_type": <kind>}`` with a 4xx status — including malformed JSON
+bodies and bad ``Content-Length`` headers, which are the client's
+bugs, not internal errors.  Inline TBox texts are interned by exact
+text (and by fingerprint behind that), so re-sending the same ontology
+per request costs a dictionary lookup, never a second parse or
+completion.
 """
 
 from __future__ import annotations

@@ -33,7 +33,6 @@ import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,6 +55,7 @@ from ..store import (
 )
 from .cache import RewritingCache
 from .dataset import Dataset
+from .protocol import BatchRequest, cq_to_text, tbox_to_text
 from .updates import UpdateResult
 
 log = logging.getLogger("repro.service")
@@ -64,29 +64,6 @@ log = logging.getLogger("repro.service")
 #: exact-text memo in front of ``TBox.parse`` and the fingerprint ->
 #: TBox intern registry behind it); least recently used goes first.
 TBOX_MEMO_SIZE = 64
-
-
-@dataclass(frozen=True)
-class BatchRequest:
-    """One entry of :meth:`OMQService.answer_batch`.
-
-    ``options`` may be an :class:`~repro.rewriting.plan.AnswerOptions`,
-    a mapping or ``None``; it is coerced once, here.
-    """
-
-    dataset: str
-    omq: OMQ
-    options: Optional[AnswerOptions] = None
-    tenant: str = DEFAULT_TENANT
-    #: Optional :class:`~repro.obs.trace.Trace` to record this entry's
-    #: spans under — the batching server threads each request's
-    #: trace through here (the worker thread running the job activates
-    #: it; identity only, so it never partitions the dedup).
-    trace: Optional[object] = field(default=None, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "options",
-                           AnswerOptions.coerce(self.options))
 
 
 class OMQService:
@@ -261,8 +238,6 @@ class OMQService:
         with self._lock:
             self._named_tboxes[scoped] = interned
         if _persist:
-            from ..client import tbox_to_text
-
             self._store_write(
                 f"tbox {scoped!r}",
                 lambda store: store.save_tbox(tenant, name,
@@ -537,8 +512,6 @@ class OMQService:
                     initialize(sub, session)
                 self.standing.add(sub)
                 if _persist:
-                    from ..client import cq_to_text, tbox_to_text
-
                     self._store_write(
                         f"subscription {sub.subscription_id!r}",
                         lambda store: store.save_subscription(
@@ -683,6 +656,16 @@ class OMQService:
             log.warning("restore dropped stored setting(s) this "
                         "version no longer has: %s", sorted(retired))
         return counts
+
+    def health(self) -> Dict[str, object]:
+        """``GET /health``: liveness plus what an orchestrator needs to
+        gate on — the engines this process answers with, storage state,
+        uptime."""
+        return {"status": "ok",
+                "engines": list(ENGINES),
+                "datasets": len(self.datasets()),
+                "uptime_seconds": round(time.time() - self._started, 3),
+                "storage": self.storage_status()}
 
     def storage_status(self) -> Dict[str, object]:
         """The ``storage`` block of ``/health`` and ``/stats``."""

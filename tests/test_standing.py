@@ -311,7 +311,7 @@ class TestBlockingClientServing:
             assert sub.answers == client.answer("demo", omq).answers
         # the context manager unsubscribed
         with pytest.raises(ServiceError):
-            client._transport.poll(sub.subscription_id)
+            sub.poll()
         client.close()
 
     def test_poll_past_history_resyncs_both_clients(self, served_stack):
