@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, Optional, Set, Tuple
 
 from ..ontology.terms import TOP, Atomic, Exists, Role
 
@@ -45,6 +45,8 @@ class ABox:
         #: constant -> number of argument positions it fills; the keys
         #: are ``ind(A)``, and counting makes removal O(1) per atom
         self._occurrences: Dict[Constant, int] = {}
+        #: constant -> the atoms mentioning it; see :meth:`around`
+        self._around: Optional[Dict[Constant, Set[GroundAtom]]] = None
         for predicate, args in atoms:
             self.add(predicate, *args)
 
@@ -67,6 +69,8 @@ class ABox:
         for constant in args:
             self._occurrences[constant] = \
                 self._occurrences.get(constant, 0) + 1
+        if self._around is not None:
+            self._link((predicate, tuple(args)))
 
     def discard(self, predicate: str, *args: Constant) -> bool:
         """Remove a ground atom; ``True`` if it was present.
@@ -100,6 +104,13 @@ class ABox:
                     self._occurrences[constant] = remaining
                 else:
                     del self._occurrences[constant]
+            if self._around is not None:
+                atom = (predicate, tuple(args))
+                for constant in set(args):
+                    atoms = self._around[constant]
+                    atoms.discard(atom)
+                    if not atoms:
+                        del self._around[constant]
         return present
 
     @classmethod
@@ -124,6 +135,27 @@ class ABox:
     def individuals(self) -> FrozenSet[Constant]:
         """``ind(A)``."""
         return frozenset(self._occurrences)
+
+    def has_individual(self, constant: Constant) -> bool:
+        return constant in self._occurrences
+
+    def around(self, constant: Constant) -> FrozenSet[GroundAtom]:
+        """The atoms mentioning ``constant``.  The adjacency behind it is
+        built by the first call, so only an ABox that is updated pays
+        for it, and ``add``/``discard`` keep it from then on."""
+        if self._around is None:
+            self._around = {}
+            for predicate, constants in self._unary.items():
+                for member in constants:
+                    self._link((predicate, (member,)))
+            for predicate, pairs in self._binary.items():
+                for pair in pairs:
+                    self._link((predicate, pair))
+        return frozenset(self._around.get(constant, ()))
+
+    def _link(self, atom: GroundAtom) -> None:
+        for constant in set(atom[1]):
+            self._around.setdefault(constant, set()).add(atom)
 
     @property
     def unary_predicates(self) -> FrozenSet[str]:

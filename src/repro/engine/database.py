@@ -156,9 +156,7 @@ class Database:
 
         The delta path of :mod:`repro.service.updates`: new constants
         are interned, previously unseen ones join ``__adom__``, and
-        every memoised index of a touched predicate is maintained
-        *incrementally* (new rows are appended to their buckets) — no
-        index is dropped or rebuilt on insertion.
+        the memoised indexes are patched (:meth:`_patch_indexes`).
         """
         intern = self.intern
         added = 0
@@ -179,24 +177,21 @@ class Database:
                             new_adom.add(code)
             if fresh:
                 added += len(fresh)
-                self._extend_indexes(predicate, fresh)
+                self._patch_indexes(predicate, fresh)
         if new_adom:
             adom_rows = [(code,) for code in new_adom]
             adom.update(adom_rows)
-            self._extend_indexes(ADOM, adom_rows)
+            self._patch_indexes(ADOM, adom_rows)
         return added
 
     def delete_facts(self, facts: Mapping[str, Iterable[Tuple[str, ...]]],
                      removed_constants: Iterable[str] = ()) -> int:
         """Remove named rows in place; returns the number removed.
 
-        Deletion falls back to *index invalidation*: memoised indexes
-        of the touched predicates are dropped and rebuilt lazily on the
-        next probe (untouched predicates keep theirs).
-        ``removed_constants`` names constants that left the data
-        instance entirely — they are removed from ``__adom__`` (their
-        interned codes remain allocated, which is unobservable through
-        the relations).
+        The mirror of :meth:`insert_facts`.  ``removed_constants``
+        names constants that left the data instance entirely: they
+        leave ``__adom__`` (their interned codes remain allocated,
+        which is unobservable through the relations).
         """
         codes = self._codes
         removed = 0
@@ -204,7 +199,7 @@ class Database:
             relation = self._relations.get(predicate)
             if not relation:
                 continue
-            touched = False
+            gone = []
             for row in rows:
                 try:
                     coded = tuple(codes[c] for c in row)
@@ -212,44 +207,47 @@ class Database:
                     continue
                 if coded in relation:
                     relation.discard(coded)
-                    removed += 1
-                    touched = True
-            if touched:
-                self._drop_indexes(predicate)
-        gone = [codes[c] for c in removed_constants if c in codes]
+                    gone.append(coded)
+            if gone:
+                removed += len(gone)
+                self._patch_indexes(predicate, gone, removed=True)
+        adom = self._relations.setdefault(ADOM, set())
+        gone = [(codes[c],) for c in removed_constants
+                if c in codes and (codes[c],) in adom]
         if gone:
-            adom = self._relations.setdefault(ADOM, set())
-            for code in gone:
-                adom.discard((code,))
-            self._drop_indexes(ADOM)
+            adom.difference_update(gone)
+            self._patch_indexes(ADOM, gone, removed=True)
         return removed
 
-    def _extend_indexes(self, predicate: str,
-                        rows: Iterable[IntRow]) -> None:
-        """Append ``rows`` to every memoised index of ``predicate``.
+    def _patch_indexes(self, predicate: str, rows: Iterable[IntRow],
+                       removed: bool = False) -> None:
+        """Add ``rows`` to (``removed``: take them out of) their buckets
+        in every memoised index of ``predicate``; nothing is rebuilt.
 
-        Rows are grouped per bucket key first so every bucket is
-        extended with one concatenation, keeping bulk insertion linear.
+        Rows are grouped per key first, so each touched bucket is
+        replaced by one new tuple, and an emptied bucket loses its key
+        (:meth:`distinct_keys` stays exact).
         """
         rows = tuple(rows)
         for (name, positions), index in self._indexes.items():
             if name != predicate:
                 continue
-            fresh: Dict[object, List[IntRow]] = {}
+            grouped: Dict[object, List[IntRow]] = {}
             for row in rows:
-                if not positions:
-                    key: object = ()
-                elif len(positions) == 1:
-                    key = row[positions[0]]
+                key = (row[positions[0]] if len(positions) == 1
+                       else tuple(row[p] for p in positions))
+                grouped.setdefault(key, []).append(row)
+            for key, changed in grouped.items():
+                if removed:
+                    gone = set(changed)
+                    bucket = tuple(row for row in index[key]
+                                   if row not in gone)
                 else:
-                    key = tuple(row[p] for p in positions)
-                fresh.setdefault(key, []).append(row)
-            for key, bucket in fresh.items():
-                index[key] = index.get(key, ()) + tuple(bucket)
-
-    def _drop_indexes(self, predicate: str) -> None:
-        for key in [key for key in self._indexes if key[0] == predicate]:
-            del self._indexes[key]
+                    bucket = index.get(key, ()) + tuple(changed)
+                if bucket:
+                    index[key] = bucket
+                else:
+                    del index[key]
 
     def __repr__(self) -> str:
         facts = sum(len(rows) for name, rows in self._relations.items()

@@ -12,13 +12,13 @@ level deltas* once and pushes them everywhere:
   completion is a per-atom closure (axioms have single atoms on the
   left), so ``complete(A ∪ Δ) = complete(A) ∪ complete(Δ)`` and the
   insert delta is just the completion of the inserted atoms.  For
-  deletion, an entailed atom survives iff it is re-derivable from the
-  remaining atoms that mention an affected individual — only that
-  *support set* is re-completed, never the whole instance;
+  deletion, an entailed atom survives iff a remaining atom at its own
+  individuals re-derives it, so only those are looked at, never the
+  whole instance;
 * each loaded :class:`~repro.engine.backends.Engine` receives the
   per-variant delta via :meth:`~repro.engine.backends.Engine.apply_delta`
-  (insertions maintain the memoised hash indexes incrementally;
-  deletions invalidate only the touched predicates' indexes).
+  (insertions and deletions patch the touched buckets of the memoised
+  hash indexes in place).
 
 Deletions are applied before insertions throughout.  The correctness
 contract — answers after an update equal a from-scratch load of the
@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from ..data.abox import ABox, GroundAtom
+from ..data.abox import ABox, Constant, GroundAtom
+from ..ontology.terms import TOP, Atomic, Exists, Role
 
 RowsByPredicate = Dict[str, List[Tuple[str, ...]]]
 
@@ -140,19 +141,52 @@ def completed_delete_delta(tbox, abox_after: ABox, completed: ABox,
     """Atoms the completion loses when ``deleted`` leaves the data.
 
     ``abox_after`` is the raw ABox *after* the base deletions.  Every
-    candidate casualty lies in the completion of the deleted atoms (all
-    of whose atoms mention only affected individuals); it survives iff
-    the remaining atoms mentioning an affected individual still derive
-    it, which only requires completing that support set.
+    candidate casualty lies in the completion of the deleted atoms.  It
+    survives iff a remaining atom at its own individuals derives it: a
+    unary ``A(c)`` needs a basic concept ``c`` still has, a binary
+    ``P(a, b)`` an atom on the pair, or ``a = b`` still an individual
+    and ``P`` reflexive.  Nothing else is scanned or completed.
     """
-    deleted = list(deleted)
-    affected = {constant for _, args in deleted for constant in args}
-    candidates = ABox(deleted).complete(tbox)
-    support = ABox(atom for atom in abox_after.atoms()
-                   if affected.intersection(atom[1]))
-    still_entailed = support.complete(tbox)
-    return [atom for atom in candidates.atoms()
-            if atom not in still_entailed and atom in completed]
+    concepts: Dict[Constant, FrozenSet] = {}
+    lost = []
+    for atom in ABox(deleted).complete(tbox).atoms():
+        if atom not in completed or atom in abox_after:
+            continue
+        predicate, args = atom
+        if len(args) == 1:
+            if args[0] not in concepts:
+                concepts[args[0]] = _concepts_at(tbox, abox_after, args[0])
+            survives = Atomic(predicate) in concepts[args[0]]
+        else:
+            role = Role(predicate)
+            survives = any(abox_after.has_role(sub, *args)
+                           for sub in tbox.role_subs(role)) or (
+                args[0] == args[1] and abox_after.has_individual(args[0])
+                and tbox.is_reflexive(role))
+        if not survives:
+            lost.append(atom)
+    return lost
+
+
+def _concepts_at(tbox, abox: ABox, constant: Constant) -> FrozenSet:
+    """The basic concepts ``tau`` with ``T, A |= tau(constant)``, each
+    distinct one looked up once (none once ``constant`` left ind(A))."""
+    around = abox.around(constant)
+    names, roles = set(), set()
+    for predicate, args in around:
+        if len(args) == 1:
+            names.add(predicate)
+            continue
+        if args[0] == constant:
+            roles.add((predicate, False))
+        if args[1] == constant:
+            roles.add((predicate, True))
+    entailed = set(tbox.concept_supers(TOP)) if around else set()
+    for name in names:
+        entailed.update(tbox.concept_supers(Atomic(name)))
+    for name, inverted in roles:
+        entailed.update(tbox.concept_supers(Exists(Role(name, inverted))))
+    return frozenset(entailed)
 
 
 def apply_update(abox: ABox, completions: Dict[int, Tuple[object, ABox]],
@@ -173,9 +207,12 @@ def apply_update(abox: ABox, completions: Dict[int, Tuple[object, ABox]],
     raw_inserts: RowsByPredicate = {}
     completed_deletes: Dict[int, RowsByPredicate] = {}
     completed_inserts: Dict[int, RowsByPredicate] = {}
-    individuals_before = set(abox.individuals)
+    deletes, inserts = _dedup(deletes), _dedup(inserts)
+    # the active domain can change only at the update's constants
+    was_individual = {constant: abox.has_individual(constant)
+                      for _, args in deletes + inserts for constant in args}
 
-    effective_deletes = [atom for atom in _dedup(deletes) if atom in abox]
+    effective_deletes = [atom for atom in deletes if atom in abox]
     if effective_deletes:
         for predicate, args in effective_deletes:
             abox.discard(predicate, *args)
@@ -189,8 +226,7 @@ def apply_update(abox: ABox, completions: Dict[int, Tuple[object, ABox]],
             completed_deletes[key] = rows_by_predicate(delta)
             result.completion_deleted += len(delta)
 
-    effective_inserts = [atom for atom in _dedup(inserts)
-                         if atom not in abox]
+    effective_inserts = [atom for atom in inserts if atom not in abox]
     if effective_inserts:
         for predicate, args in effective_inserts:
             abox.add(predicate, *args)
@@ -204,9 +240,10 @@ def apply_update(abox: ABox, completions: Dict[int, Tuple[object, ABox]],
             completed_inserts[key] = rows_by_predicate(delta)
             result.completion_inserted += len(delta)
 
-    individuals_after = set(abox.individuals)
-    adom_add = sorted(individuals_after - individuals_before)
-    adom_remove = sorted(individuals_before - individuals_after)
+    adom_add = sorted(constant for constant, was in was_individual.items()
+                      if not was and abox.has_individual(constant))
+    adom_remove = sorted(constant for constant, was in was_individual.items()
+                         if was and not abox.has_individual(constant))
 
     result.delta.atoms = effective_deletes + effective_inserts
     result.delta.deletes = bool(effective_deletes)

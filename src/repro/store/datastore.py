@@ -211,14 +211,6 @@ class DatasetStore:
                     (epoch, name))
         self._count_write()
 
-    def set_epoch(self, tenant: str, name: str, epoch: int) -> None:
-        with self._pool(tenant).connection() as connection:
-            with connection:
-                connection.execute(
-                    "UPDATE datasets SET epoch = ? WHERE name = ?",
-                    (epoch, name))
-        self._count_write()
-
     def delete_dataset(self, tenant: str, name: str) -> None:
         """Drop a dataset, its facts and its subscriptions."""
         with self._pool(tenant).connection() as connection:

@@ -1,5 +1,6 @@
-"""Shared fixtures/utilities for the rewriting tests, and the
-brute-force oracle the witness kernel is held to."""
+"""Shared fixtures/utilities for the rewriting tests, the brute-force
+oracle the witness kernel is held to, and the full-scan delete delta
+the incremental one is held to."""
 
 import hashlib
 import os
@@ -77,6 +78,21 @@ def random_data(seed: int, individuals: int = 6, atoms: int = 18,
             abox.add(rng.choice(list(binary)), rng.choice(names),
                      rng.choice(names))
     return abox
+
+
+def full_scan_delete_delta(tbox, abox_after, completed, deleted):
+    """``repro.service.updates.completed_delete_delta`` as it was before
+    the per-individual adjacency: the support set is every atom of the
+    whole ABox that mentions an affected individual, and it is completed
+    outright.  The reference the narrowed version is held to."""
+    deleted = list(deleted)
+    affected = {constant for _, args in deleted for constant in args}
+    candidates = ABox(deleted).complete(tbox)
+    support = ABox(atom for atom in abox_after.atoms()
+                   if affected.intersection(atom[1]))
+    still_entailed = support.complete(tbox)
+    return [atom for atom in candidates.atoms()
+            if atom not in still_entailed and atom in completed]
 
 
 # -- the brute-force witness oracle ------------------------------------------

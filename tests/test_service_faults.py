@@ -10,9 +10,9 @@ with and without a store.
 
 Beside the matrix: an update that raced ``register_dataset(replace=
 True)`` lands on the live dataset, not the orphan, and one already
-running on the orphan does not reach the replacement's subscribers;
-and tenant fact accounting follows the ABox when an update fails
-halfway.
+running on the orphan reaches neither the replacement's subscribers
+nor, in the end, its store rows; and tenant fact accounting follows
+the ABox when an update fails halfway.
 """
 
 import contextlib
@@ -315,6 +315,59 @@ def test_update_on_a_replaced_dataset_leaves_the_new_subscriber_alone():
             old.apply([("R", ("x5", "x6"))], [])
         assert not sub.stale and sub.epoch == 0
         assert old.all_sessions() == []
+
+
+def test_an_update_parked_on_a_replaced_dataset_leaves_no_store_residue(
+        tmp_path, monkeypatch):
+    """The store rows are keyed by name, so the orphan's ``store``
+    delta and the replacement's first save write the same rows.  The
+    replace retires the orphan, draining its write lock, before it
+    saves: the update parked in the orphan's ``patch`` writes first and
+    is overwritten, and the rows on disk are the replacement's."""
+    service = OMQService(max_workers=2, data_dir=str(tmp_path))
+    try:
+        service.register_dataset("d", ABox([("R", ("a", "b"))]))
+        orphan = service._dataset("d")
+        parked, release = threading.Event(), threading.Event()
+        patch = orphan._patch
+
+        def park(update):
+            parked.set()
+            release.wait(10)
+            patch(update)
+
+        monkeypatch.setattr(orphan, "_patch", park)
+        results = []
+        updater = threading.Thread(target=lambda: results.append(
+            service.update("d", inserts=[("R", ("x1", "x2"))])))
+        updater.start()
+        assert parked.wait(10)
+        replacement = random_data(1)
+        replace = threading.Thread(
+            target=service.register_dataset, args=("d", replacement),
+            kwargs={"replace": True})
+        replace.start()
+        while service._dataset("d") is orphan:
+            replace.join(0.01)
+        # swapped in the registry, and the retire is waiting on the
+        # parked update's write lock
+        replace.join(0.1)
+        assert replace.is_alive()
+        release.set()
+        updater.join(10)
+        replace.join(10)
+        assert not updater.is_alive() and not replace.is_alive()
+        (result,) = results
+        assert result.inserted == 1 and orphan.epoch == 1
+
+        live = service._dataset("d")
+        assert set(live.abox.atoms()) == set(replacement.atoms())
+        with _restored(str(tmp_path)) as restored:
+            assert (set(restored._dataset("d").abox.atoms())
+                    == set(replacement.atoms()))
+            assert restored.stats()["datasets"]["d"]["epoch"] == live.epoch
+    finally:
+        service.close()
 
 
 def test_retiring_a_dataset_drops_its_subscriptions_and_no_others(

@@ -7,16 +7,20 @@ maintenance (indexes, interning, ``__adom__``),
 patching), and the property-style random-sequence test over
 :class:`OMQService` demanded by the PR issue — random insert/delete
 sequences, answers compared against a fresh session on the final ABox,
-across all three engines.
+across all three engines.  Hypothesis properties hold the incremental
+structures underneath (``ABox.around``, the patched ``Database``
+indexes, the narrowed delete delta) to from-scratch references.
 """
 
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import ABox, CQ, OMQ, TBox, chain_cq
 from repro.datalog.program import ADOM
-from repro.engine import ENGINES, Database
+from repro.engine import ENGINES, Database, build_index
 from repro.rewriting import AnswerSession
 from repro.service import OMQService
 from repro.service.updates import (
@@ -24,7 +28,16 @@ from repro.service.updates import (
     completed_insert_delta,
 )
 
-from .helpers import example11_tbox, random_data
+from repro.ontology.axioms import Reflexivity
+from repro.ontology.terms import Role
+
+from .helpers import (
+    example11_tbox,
+    full_scan_delete_delta,
+    hypothesis_settings,
+    random_data,
+)
+from .test_property_based import ROLE_NAMES, tboxes
 
 
 def _snapshot(abox: ABox) -> ABox:
@@ -87,14 +100,14 @@ class TestDatabaseDeltas:
         assert db.insert_facts({"R": [("a", "b")]}) == 0
         assert len(db.relation("R")) == 1
 
-    def test_delete_invalidates_only_touched_indexes(self):
+    def test_delete_patches_only_touched_indexes(self):
         db = Database(ABox.parse("R(a,b), S(a,c)"))
-        r_index = db.index("R", (0,))
+        db.index("R", (0,))
         s_index = db.index("S", (0,))
         removed = db.delete_facts({"R": [("a", "b")]})
         assert removed == 1
         assert db.index("S", (0,)) is s_index
-        assert db.index("R", (0,)) is not r_index
+        assert db.index("R", (0,)) == build_index(db.relation("R"), (0,))
         assert db.index("R", (0,)) == {}
 
     def test_delete_unknown_rows_ignored(self):
@@ -317,3 +330,110 @@ class TestServicePropertyUpdates:
             assert result.backends_updated >= 1
             result = service.delete_facts("data", [("P", ("a", "c"))])
             assert result.deleted == 1
+
+
+# -- properties of the incremental structures --------------------------------
+
+_NAMES = ("c0", "c1", "c2", "c3")
+_SETTINGS = hypothesis_settings(100)
+
+#: one ABox atom over a small universe: unary, binary, and ``R(c, c)``
+_atoms = st.one_of(
+    st.tuples(st.sampled_from(("A", "B", "A_P", "A_P-")),
+              st.tuples(st.sampled_from(_NAMES))),
+    st.tuples(st.sampled_from(("P", "Q", "R")),
+              st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES))))
+
+
+#: the memoisable indexes over those atoms: ``(predicate, positions)``
+_INDEXES = ([(name, positions) for name in ("A", ADOM)
+             for positions in ((), (0,))]
+            + [(name, positions) for name in ("P", "R")
+               for positions in ((), (0,), (1,), (0, 1))])
+
+
+def _scan_around(abox, constant):
+    return {atom for atom in abox.atoms() if constant in atom[1]}
+
+
+class TestIncrementalStructureProperties:
+    @_SETTINGS
+    @given(ops=st.lists(st.tuples(st.booleans(), _atoms), max_size=30),
+           first_probe=st.integers(0, 30))
+    def test_around_equals_a_scan(self, ops, first_probe):
+        """Before the adjacency exists, when it is first built, and
+        after ``add``/``discard`` have maintained it."""
+        abox = ABox()
+        for step, (add, (predicate, args)) in enumerate(ops):
+            if step == first_probe:
+                for constant in _NAMES:
+                    assert abox.around(constant) == _scan_around(
+                        abox, constant)
+            if add:
+                abox.add(predicate, *args)
+            else:
+                abox.discard(predicate, *args)
+        for constant in _NAMES + ("absent",):
+            assert abox.around(constant) == _scan_around(abox, constant)
+            assert abox.has_individual(constant) == (
+                constant in abox.individuals)
+
+    @_SETTINGS
+    @given(start=st.lists(_atoms, max_size=12),
+           ops=st.lists(st.one_of(
+               st.tuples(st.just("index"), st.sampled_from(_INDEXES)),
+               st.tuples(st.just("insert"), st.lists(_atoms, max_size=4)),
+               st.tuples(st.just("delete"), st.lists(_atoms, max_size=4),
+                         st.lists(st.sampled_from(_NAMES), max_size=2))),
+               max_size=16))
+    def test_patched_indexes_equal_fresh_builds(self, start, ops):
+        """Every memoised index, ``__adom__``'s and the ``()`` one
+        included, has the keys and per-key rows of a fresh
+        ``build_index`` over the relation, and no empty bucket."""
+        db = Database(ABox(start))
+        memoised = set()
+        for kind, *args in ops:
+            if kind == "index":
+                db.index(*args[0])
+                memoised.add(args[0])
+                continue
+            facts = {}
+            for predicate, row in args[0]:
+                facts.setdefault(predicate, []).append(row)
+            if kind == "insert":
+                db.insert_facts(facts)
+            else:
+                db.delete_facts(facts, removed_constants=args[1])
+            for predicate, positions in memoised:
+                index = db.index(predicate, positions)
+                fresh = build_index(db.relation(predicate), positions)
+                assert index.keys() == fresh.keys()
+                for key, rows in index.items():
+                    assert rows and set(rows) == set(fresh[key])
+
+    @_SETTINGS
+    @given(tbox=tboxes(), reflexive=st.sets(st.sampled_from(ROLE_NAMES)),
+           start=st.lists(st.one_of(
+               _atoms, st.tuples(st.sampled_from(("A_Q", "A_Q-")),
+                                 st.tuples(st.sampled_from(_NAMES)))),
+               min_size=1, max_size=14),
+           data=st.data())
+    def test_delete_delta_equals_the_full_scan(self, tbox, reflexive,
+                                                start, data):
+        """Over random ontologies with role and concept hierarchies, plus
+        reflexive roles (``tboxes()`` draws none), and data that also
+        uses a role outside the signature (``R``)."""
+        tbox = TBox(tbox.user_axioms
+                    + [Reflexivity(Role(name)) for name in sorted(reflexive)])
+        raw = ABox(start)
+        completed = raw.complete(tbox)
+        atoms = sorted(raw.atoms())
+        deleted = data.draw(st.lists(st.sampled_from(atoms), min_size=1,
+                                     unique=True))
+        for predicate, args in deleted:
+            raw.discard(predicate, *args)
+        delta = completed_delete_delta(tbox, raw, completed, deleted)
+        assert delta == full_scan_delete_delta(tbox, raw, completed, deleted)
+        for predicate, args in delta:
+            completed.discard(predicate, *args)
+        assert set(completed.atoms()) == set(raw.complete(tbox).atoms())
