@@ -65,10 +65,6 @@ class CanonicalModel:
 
     # -- individual-level entailments ------------------------------------
 
-    def entailed_concepts(self, constant: Constant) -> FrozenSet:
-        """Basic concepts ``tau`` with ``T, A |= tau(a)``."""
-        return frozenset(self._entailed_concepts.get(constant, ()))
-
     # -- elements ----------------------------------------------------------
 
     @property

@@ -77,16 +77,3 @@ def skinny_depth(query: NDLQuery) -> float:
     edb = max(1, max_edb_atoms(program))
     return (2 * program.depth(query.goal) + math.log2(goal_weight)
             + math.log2(edb))
-
-
-def is_skinny_reducible_witness(query: NDLQuery, constant: float,
-                                width_bound: int) -> bool:
-    """Check the Theorem 6 side conditions for one concrete query:
-    ``sd(Pi, G) <= constant * log2 |Pi|`` and ``w(Pi, G) <= width_bound``.
-
-    Used by the tests to confirm that the Log and Tw rewriters produce
-    families within a LOGCFL-evaluable fragment.
-    """
-    size = max(2, query.program.symbol_size())
-    return (skinny_depth(query) <= constant * math.log2(size)
-            and query.width() <= width_bound)

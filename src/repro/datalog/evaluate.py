@@ -4,33 +4,28 @@ This is the library's stand-in for the RDFox engine used in the paper's
 experiments: every IDB predicate of the program it is given is
 materialised once, in dependence order, with no magic sets or program
 optimisation — exactly the behaviour Appendix D.4 attributes to RDFox.
-It *is* the unoptimised engine, and it has two kinds of caller: the
-paper's tables (``repro.experiments``) and the differential tests hand
-it a rewriting as written, as the reference; ``Plan.execute`` hands it
-the rewriting already specialised to the data's nonempty signature
-(:meth:`repro.rewriting.plan.Plan.specialised`).
+Its callers are the paper's tables and the differential tests, which
+hand it a rewriting as written, and ``Plan.execute``, which hands it the
+rewriting specialised to the data's nonempty signature.
 
-Joins are left-deep hash joins ordered by bound-prefix selectivity,
-with eager projection of dead variables, and no step runs generic
-per-row Python.  The first atom is a scan: the stored relation itself
-when the clause keeps all of its columns in order, else a projection
-in C (``set(map(itemgetter, ...))``).  Every later atom is a join
-kernel (:func:`_kernel`): a straight-line loop compiled once per step
-shape (probe columns, repeated-variable checks, output columns) and
-shared by every clause, query and thread with that shape.
+A query is compiled once, on its first evaluation, into a program kept
+on the query: per stratum, per clause, the equality-free head and atoms
+and their join orders.  An order is a list of steps, each a scan (the
+stored relation itself, or a projection in C) or a join kernel
+(:func:`_kernel`, straight-line code compiled once per step shape), so
+no step runs generic per-row Python.  Joins are left-deep hash joins
+with eager projection of dead variables, ordered by bound-prefix
+selectivity (:func:`_fanout`) once per (database, size class of each
+relation), one step at a time as executes first reach it.
 
-Evaluation runs over a :class:`repro.engine.database.Database`:
-constants are interned to integers and EDB hash indexes are memoised on
-the database, so answering many queries over one instance (the
-Tables 3-5 workload) only loads and indexes the data once.  Use
-:func:`evaluate` for one-shot calls and :func:`evaluate_on` (or the
-higher-level :class:`repro.rewriting.api.AnswerSession`) to share a
-database across queries.
-
-The goal relation leaves :func:`evaluate_on` in the database's codes
+Evaluation runs over a :class:`repro.engine.database.Database`, whose
+interned constants and EDB hash indexes are shared by every query over
+it; IDB relations and their indexes live for one call.  Use
+:func:`evaluate` for one-shot calls and :func:`evaluate_on` (or
+:class:`repro.rewriting.api.AnswerSession`) to share a database.  The
+goal relation leaves :func:`evaluate_on` in the database's codes
 (:class:`CodedRows`), decoded on the first read of ``answers`` (a
-``decode-rows`` span) and not before.  The codes stay valid for good: a
-database only appends names and never reassigns a code.
+``decode-rows`` span); a database never reassigns a code.
 """
 
 from __future__ import annotations
@@ -39,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
 from operator import itemgetter
-from typing import (Callable, Dict, FrozenSet, List, Mapping, NamedTuple,
+from typing import (Callable, Dict, FrozenSet, Mapping, NamedTuple,
                     Optional, Sequence, Set, Tuple, Union)
 
 from ..data.abox import ABox
@@ -132,13 +127,10 @@ def evaluate(query: NDLQuery, abox: ABox,
 
     ``generated_tuples`` counts the materialised IDB facts (the paper's
     "number of generated tuples" columns).  ``extra_relations`` supplies
-    additional EDB relations of arbitrary arity (used by the OBDA
-    mapping layer for wide source schemas); their constants join the
-    active domain.
-
-    This one-shot form loads ``abox`` into a fresh
-    :class:`~repro.engine.database.Database` every call; amortise that
-    over many queries with :func:`evaluate_on`.
+    additional EDB relations of arbitrary arity (the OBDA mapping
+    layer's wide source schemas); their constants join the active
+    domain.  Each call loads a fresh :class:`~repro.engine.database.
+    Database`; :func:`evaluate_on` shares one.
     """
     from ..engine.database import Database
 
@@ -149,63 +141,46 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
     """Evaluate ``(Pi, G)`` over an already-loaded ``database``.
 
     The database's constants, relations and EDB indexes are reused
-    verbatim; only the IDB relations of this query are materialised
-    (and discarded afterwards), so repeated calls over one database
-    never re-load or re-index the data.
+    verbatim; only this query's IDB relations are materialised, and
+    they and their indexes live for this call alone.  The query's
+    compiled program (:func:`_program`) and its join orders outlive it.
     """
-    pool = _RelationPool(database)
-    sizes: Dict[str, int] = {}
-    for predicate, clauses in query.strata:
-        rows: IntRelation = set()
-        for clause in clauses:
-            rows |= _evaluate_clause(clause, pool)
-        pool.derived[predicate] = rows
-        sizes[predicate] = len(rows)
-    return EvaluationResult(database.coded(pool.relation(query.goal)),
+    from ..engine.database import build_index
+
+    derived: Dict[str, IntRelation] = {}
+    built: Dict[Tuple[str, Tuple[int, ...]], Dict] = {}
+
+    def relation(predicate: str) -> IntRelation:
+        rows = derived.get(predicate)
+        return database.relation(predicate) if rows is None else rows
+
+    def index(predicate: str, positions: Tuple[int, ...]) -> Dict:
+        if predicate not in derived:
+            return database.index(predicate, positions)
+        if (predicate, positions) not in built:  # IDB rows never change
+            built[predicate, positions] = build_index(derived[predicate],
+                                                      positions)
+        return built[predicate, positions]
+
+    for predicate, clauses in _program(query):
+        derived[predicate] = set().union(*[
+            clause.run(database.token, relation, index)
+            for clause in clauses])
+    sizes = {predicate: len(rows) for predicate, rows in derived.items()}
+    return EvaluationResult(database.coded(relation(query.goal)),
                             sum(sizes.values()), sizes)
 
 
-class _RelationPool:
-    """Resolves predicates to relations and hash indexes.
-
-    EDB lookups go to the shared :class:`Database` (whose indexes are
-    memoised across queries); IDB relations materialised by the current
-    evaluation shadow same-named EDB relations, with indexes cached for
-    this evaluation only — an IDB relation is written exactly once (in
-    dependence order), so its indexes never go stale.
-    """
-
-    def __init__(self, database):
-        self.database = database
-        self.derived: Dict[str, IntRelation] = {}
-        self._idb_indexes: Dict[Tuple[str, Tuple[int, ...]],
-                                Dict[IntRow, Tuple[IntRow, ...]]] = {}
-
-    def relation(self, predicate: str) -> IntRelation:
-        derived = self.derived.get(predicate)
-        if derived is not None:
-            return derived
-        return self.database.relation(predicate)
-
-    def size(self, predicate: str) -> int:
-        return len(self.relation(predicate))
-
-    def index(self, predicate: str, positions: Tuple[int, ...]
-              ) -> Dict[IntRow, Tuple[IntRow, ...]]:
-        if predicate not in self.derived:
-            return self.database.index(predicate, positions)
-        key = (predicate, positions)
-        index = self._idb_indexes.get(key)
-        if index is None:
-            from ..engine.database import build_index
-
-            index = build_index(self.derived[predicate], positions)
-            self._idb_indexes[key] = index
-        return index
-
-    def distinct_keys(self, predicate: str,
-                      positions: Tuple[int, ...]) -> int:
-        return len(self.index(predicate, positions))
+def _program(query: NDLQuery) -> tuple:
+    """``query.strata`` with each clause compiled (:class:`_Clause`),
+    kept in the query's ``__dict__`` beside them; ``setdefault`` makes
+    racing first calls keep one program."""
+    program = query.__dict__.get("_program")
+    if program is None:
+        program = query.__dict__.setdefault("_program", tuple(
+            (predicate, tuple(map(_Clause, clauses)))
+            for predicate, clauses in query.strata))
+    return program
 
 
 def _equality_mapping(clause: Clause) -> Dict[str, str]:
@@ -286,20 +261,18 @@ def _kernel(width: int, arity: int, probe: Tuple[int, ...],
 #: planner only resorts to one when no connected atom remains.
 _CROSS_PRODUCT_PENALTY = 1 << 20
 
+#: Join orders one clause keeps: one per (database, size classes) it
+#: has run under.
+_ORDERS_KEPT = 64
 
-def _fanout(atom: Literal, bound: Set[str],
-            pool: _RelationPool) -> Tuple[float, int]:
-    """Estimated number of matches per input row when joining ``atom``
-    next, given the variables in ``bound`` are already available.
 
-    The estimate is ``|R| / distinct-keys(R, bound positions)`` — the
-    average bucket size of the hash index the join would probe.  The
-    index is the same one the join then uses, so costing an atom and
-    executing it share one memoised structure.  Atoms with no bound
-    variable are cross products and are heavily penalised.  The
-    secondary component breaks ties towards smaller relations.
-    """
-    size = pool.size(atom.predicate)
+def _fanout(atom: Literal, bound: Set[str], relation: Callable,
+            index: Callable) -> Tuple[float, int]:
+    """Estimated matches per input row when joining ``atom`` next with
+    the variables ``bound``: ``|R| / distinct-keys(R, bound positions)``,
+    the average bucket of the very index the join then probes.  Cross
+    products are heavily penalised; ties go to smaller relations."""
+    size = len(relation(atom.predicate))
     if size == 0:
         # an empty relation empties the join: take it immediately
         return (-1.0, 0)
@@ -307,67 +280,111 @@ def _fanout(atom: Literal, bound: Set[str],
                             if arg in bound)
     if not bound_positions:
         return (float(size) * _CROSS_PRODUCT_PENALTY, size)
-    distinct = pool.distinct_keys(atom.predicate, bound_positions)
-    return (size / max(distinct, 1), size)
+    return (size / max(len(index(atom.predicate, bound_positions)), 1), size)
 
 
-def _evaluate_clause(clause: Clause, pool: _RelationPool) -> IntRelation:
-    """The clause's head rows; possibly a stored relation itself (see
-    :func:`_scan`), so callers union it and never write to it."""
-    mapping = _equality_mapping(clause)
-    head = clause.head.rename(mapping)
-    atoms = [atom.rename(mapping) for atom in clause.body_literals]
-    if not atoms:
-        # a fact: only possible for nullary heads (range restriction
-        # would have added __adom__ atoms otherwise)
-        return {()} if not head.args else set()
+class _Step(NamedTuple):
+    """One join step: body atom number ``atom``, over ``predicate``,
+    scanned, or probed on its index on ``positions`` by
+    ``_kernel(*shape)``; its rows carry the variables ``schema``."""
 
-    remaining = list(atoms)
-    schema: List[str] = []
-    rows: IntRelation = {()}
-    while remaining:
+    atom: int
+    predicate: str
+    scan: bool
+    positions: Tuple[int, ...]
+    shape: tuple
+    schema: Tuple[str, ...]
+
+
+class _Clause:
+    """A clause compiled once: equalities folded into ``head`` and
+    ``atoms``, and ``orders``, the join orders planned so far.
+
+    An order is keyed by (database token, the size class
+    ``len(R).bit_length()`` of each body atom's relation), so it is
+    re-costed only when a size class moves and never shared between
+    databases.  It grows one step when an execute first reaches that
+    step, and is published whole as a new tuple, without a lock: racing
+    executes may plan a step twice or drop an entry, but a reader always
+    sees one thread's complete prefix, never a torn one.
+    """
+
+    __slots__ = ("head", "atoms", "orders")
+
+    def __init__(self, clause: Clause):
+        mapping = _equality_mapping(clause)
+        self.head = clause.head.rename(mapping).args
+        self.atoms = tuple(atom.rename(mapping)
+                           for atom in clause.body_literals)
+        self.orders: Dict[tuple, Tuple[_Step, ...]] = {}
+
+    def run(self, token: object, relation: Callable,
+            index: Callable) -> IntRelation:
+        """The clause's head rows; possibly a stored relation itself
+        (see :func:`_scan`), so callers must never write to them."""
+        if not self.atoms:
+            # a fact: only possible for nullary heads (range restriction
+            # would have added __adom__ atoms otherwise)
+            return {()} if not self.head else set()
+        key = (token, tuple(len(relation(atom.predicate)).bit_length()
+                            for atom in self.atoms))
+        steps = self.orders.get(key, ())
+        rows: IntRelation = {()}
+        for i in range(len(self.atoms)):
+            if i == len(steps):
+                steps += (self._plan(steps, relation, index),)
+                if len(self.orders) >= _ORDERS_KEPT and key not in self.orders:
+                    self.orders.clear()
+                self.orders[key] = steps
+            step = steps[i]
+            stored = relation(step.predicate)
+            if not stored:
+                return set()
+            if step.scan:  # rows is {()}
+                rows = _scan(stored, step.shape[1], step.shape[4])
+            else:
+                get = (index(step.predicate, step.positions).get
+                       if step.positions else {(): stored}.get)
+                out: IntRelation = set()
+                _kernel(*step.shape)(rows, get, out.add)
+                rows = out
+            if not rows:
+                return set()
+        return rows
+
+    def _plan(self, steps: Tuple[_Step, ...], relation: Callable,
+              index: Callable) -> _Step:
+        """The step after ``steps``: the remaining atom of least
+        :func:`_fanout` over the relations as they are now."""
+        schema = steps[-1].schema if steps else ()
+        remaining = sorted({*range(len(self.atoms))} - {s.atom for s in steps})
         bound = set(schema)
-        atom = min(remaining, key=lambda a: _fanout(a, bound, pool))
-        remaining.remove(atom)
-        relation = pool.relation(atom.predicate)
-        if not relation:
-            return set()
+        chosen = min(remaining, key=lambda i: _fanout(
+            self.atoms[i], bound, relation, index))
+        remaining.remove(chosen)
+        args = self.atoms[chosen].args
         positions = {v: i for i, v in enumerate(schema)}
         first_seen: Dict[str, int] = {}
-        for i, arg in enumerate(atom.args):
+        for i, arg in enumerate(args):
             first_seen.setdefault(arg, i)
-        bound_positions = tuple(i for i, arg in enumerate(atom.args)
+        bound_positions = tuple(i for i, arg in enumerate(args)
                                 if arg in positions)
         # a repeated free variable, e.g. P(x, x), filters the matches (a
         # repeated bound one already agrees through the probe key)
-        repeats = tuple((i, first_seen[arg])
-                        for i, arg in enumerate(atom.args)
+        repeats = tuple((i, first_seen[arg]) for i, arg in enumerate(args)
                         if first_seen[arg] != i and arg not in positions)
+        out_schema = self.head  # the last step emits the head
         if remaining:
             # project away variables that neither the head nor any
             # remaining body atom will ever look at again
-            keep = set(head.args)
-            for later in remaining:
-                keep.update(later.args)
+            keep = set(self.head).union(
+                *(self.atoms[later].args for later in remaining))
             new_vars = [v for v in first_seen if v not in positions]
-            out_schema = [v for v in schema + new_vars if v in keep]
-        else:
-            out_schema = list(head.args)  # the last step emits the head
+            out_schema = tuple(v for v in (*schema, *new_vars) if v in keep)
         width = len(schema)
         picks = tuple(positions[v] if v in positions
                       else width + first_seen[v] for v in out_schema)
-        if not schema and not repeats:
-            # rows is {()}: the step is a scan of the relation
-            rows = _scan(relation, len(atom.args), picks)
-        else:
-            get = (pool.index(atom.predicate, bound_positions).get
-                   if bound_positions else {(): relation}.get)
-            probe = tuple(positions[atom.args[i]] for i in bound_positions)
-            out: IntRelation = set()
-            _kernel(width, len(atom.args), probe, repeats, picks)(
-                rows, get, out.add)
-            rows = out
-        schema = out_schema
-        if not rows:
-            return set()
-    return rows
+        probe = tuple(positions[args[i]] for i in bound_positions)
+        return _Step(chosen, self.atoms[chosen].predicate,
+                     not schema and not repeats, bound_positions,
+                     (width, len(args), probe, repeats, picks), out_schema)

@@ -1,7 +1,5 @@
 """Unified evaluation layer: load data once, answer many queries.
 
-The subsystem has two halves:
-
 * :class:`~repro.engine.database.Database` — a data instance loaded
   once: constants interned to dense integers, per-predicate hash
   indexes memoised by bound-argument positions and shared across
@@ -10,9 +8,8 @@ The subsystem has two halves:
   native Python evaluator and the two SQLite modes, built via
   :func:`~repro.engine.backends.create_engine`.
 
-:class:`repro.rewriting.api.AnswerSession` sits on top of this layer
-and adds the rewriting pipeline (completion, rewriters, the
-per-execute specialisation to the data's nonempty signature).
+:class:`repro.rewriting.api.AnswerSession` adds the rewriting pipeline
+on top (completion, rewriters, per-execute specialisation).
 """
 
 from .database import Database, build_index

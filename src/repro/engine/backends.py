@@ -2,21 +2,18 @@
 
 Section 6 compares a materialise-everything datalog engine (the RDFox
 stand-in) with running the rewritings as views in a standard DBMS.
-:func:`create_engine` hides the choice behind a single :class:`Engine`
-protocol — build one per data instance, then call
-:meth:`Engine.evaluate` for every rewriting; all backends keep the
-loaded data across calls and return identical answer sets (the parity
-tests in ``tests/test_engine.py`` enforce this).
+:func:`create_engine` hides the choice behind one :class:`Engine`
+protocol: build one per data instance, then :meth:`Engine.evaluate`
+every rewriting.  All backends keep the loaded data across calls and
+return identical answer sets (``tests/test_engine.py``).
 
-``evaluate`` runs exactly the program it is given.  The answering
-pipeline does not hand it the paper's rewriting as is:
-``Plan.execute`` first asks :meth:`Engine.nonempty` which of the
-rewriting's EDB predicates hold a fact right now and evaluates the
-rewriting specialised to that signature (see
-:meth:`repro.rewriting.plan.Plan.specialised`).
-
-:data:`ENGINES` is the closed registry of names; every entry is
-constructible everywhere (SQLite is in the standard library).
+``evaluate`` runs exactly the program it is given; ``Plan.execute``
+gives it the rewriting specialised to the signature
+:meth:`Engine.nonempty` reports (:meth:`repro.rewriting.plan.Plan.
+specialised`).  The python backend keeps each program's join orders
+on the program, per database and size class, so a warm execute plans
+nothing (:mod:`repro.datalog.evaluate`).  :data:`ENGINES` is the closed
+registry of names; every entry is constructible everywhere.
 """
 
 from __future__ import annotations

@@ -16,12 +16,9 @@ from operator import itemgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..data.abox import ABox
-from ..datalog.evaluate import CodedRows
+from ..datalog.evaluate import CodedRows, IntRelation, IntRow
 from ..datalog.program import ADOM
 
-#: A stored fact: constants interned to dense integer codes.
-IntRow = Tuple[int, ...]
-IntRelation = Set[IntRow]
 #: Hash index of a relation on argument positions.  Keys are the bare
 #: integer code for a single position and a tuple of codes otherwise
 #: (probes must build their keys the same way).
@@ -51,20 +48,19 @@ def build_index(relation: Iterable[IntRow],
 class Database:
     """A data instance loaded once: interned constants plus indexes.
 
-    Construction interns every constant of ``abox`` (and of the
-    optional ``extra_relations``, which may have arbitrary arity and
-    override same-named ABox predicates, as in
-    :func:`repro.datalog.evaluate.evaluate`) and materialises the EDB
-    relations over integer codes, including the active-domain relation
-    ``__adom__``.  :meth:`index` memoises one hash index per
-    ``(predicate, bound positions)`` pair for the lifetime of the
-    database, which is what makes repeated evaluation over the same
-    instance cheap.
+    Construction interns every constant of ``abox`` and of the optional
+    ``extra_relations`` (any arity; they override same-named ABox
+    predicates) and stores the EDB relations, ``__adom__`` included,
+    over integer codes.  :meth:`index` memoises one hash index per
+    ``(predicate, bound positions)`` for the database's lifetime.
     """
 
     def __init__(self, abox: ABox,
                  extra_relations: Optional[
                      Mapping[str, Iterable[Tuple[str, ...]]]] = None):
+        #: identifies this database, and no other now or after it is
+        #: collected, in the join-order memos of compiled clauses
+        self.token = object()
         self._codes: Dict[str, int] = {}
         self._names: List[str] = []
         self._relations: Dict[str, IntRelation] = {}
@@ -125,17 +121,10 @@ class Database:
         """The stored facts of ``predicate`` (empty if unknown)."""
         return self._relations.get(predicate, _EMPTY_RELATION)
 
-    def size(self, predicate: str) -> int:
-        return len(self._relations.get(predicate, _EMPTY_RELATION))
-
     def index(self, predicate: str, positions: Tuple[int, ...]) -> Index:
-        """The hash index of ``predicate`` on ``positions``, memoised.
-
-        A join that has bound the arguments at ``positions`` probes this
-        index instead of scanning the relation; the same index also
-        yields the bound-prefix selectivity used by the join planner
-        (:meth:`distinct_keys`).
-        """
+        """The hash index of ``predicate`` on ``positions``, memoised:
+        what a join that has bound those arguments probes, and whose
+        key count the join planner costs it by."""
         key = (predicate, positions)
         index = self._indexes.get(key)
         if index is None:

@@ -126,9 +126,6 @@ class Trace:
     def spans(self) -> List[Span]:
         return list(self._roots)
 
-    def span_total(self) -> float:
-        return sum(entry.seconds for entry in self._roots)
-
     def elapsed(self) -> float:
         return time.perf_counter() - self._started
 

@@ -28,10 +28,6 @@ class Role:
         """The inverse role ``rho-``."""
         return Role(self.name, not self.inverted)
 
-    @property
-    def is_inverse(self) -> bool:
-        return self.inverted
-
     def __str__(self) -> str:
         return self.name + ("-" if self.inverted else "")
 

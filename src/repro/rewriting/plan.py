@@ -450,7 +450,10 @@ class Plan:
         Built once per nonempty signature and memoised on the plan: a
         data update that flips no predicate's emptiness costs the
         signature lookup, one that does re-specialises — so a plan
-        held across updates never answers from a stale pruning.
+        held across updates never answers from a stale pruning.  The
+        python engine keeps its compiled program, join orders
+        included, on the returned query, so every execute of one
+        signature shares them (:mod:`repro.datalog.evaluate`).
         """
         signature = backend.nonempty(self.ndl.program.edb_predicates)
         ndl = self._specialisations.get(signature)

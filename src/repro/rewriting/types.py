@@ -11,8 +11,7 @@ atoms over the data.
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..datalog.program import Equality, Literal
 from ..ontology.depth import EPSILON, Word, successor_graph
@@ -138,15 +137,6 @@ def _dedupe(body: List[object]) -> List[object]:
         if atom not in seen:
             seen.append(atom)
     return seen
-
-
-def product_types(variables: Sequence[Variable],
-                  candidates: Dict[Variable, List[Word]]) -> Iterator[Type]:
-    """All total types over ``variables`` drawn from per-variable
-    candidate words."""
-    pools = [candidates[var] for var in variables]
-    for combo in itertools.product(*pools):
-        yield dict(zip(variables, combo))
 
 
 def type_key(assignment: Type) -> Tuple:

@@ -23,7 +23,7 @@ construction everywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 #: The renderable dialects, keyed by :attr:`Dialect.name`.
 DIALECT_NAMES = ("sqlite",)
@@ -307,8 +307,3 @@ def get_dialect(name: str) -> Dialect:
     except KeyError:
         raise ValueError(f"unknown SQL dialect {name!r}; expected one "
                          f"of {DIALECT_NAMES}") from None
-
-
-def referenced_relations(select: Select) -> Iterable[str]:
-    """The relation names a select scans."""
-    return (table.relation for table in select.tables)

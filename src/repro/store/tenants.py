@@ -280,10 +280,6 @@ class TenantManager:
 
     # -- stats ---------------------------------------------------------------
 
-    def tenant_names(self) -> tuple:
-        with self._lock:
-            return tuple(sorted(self._tenants))
-
     def stats(self) -> Dict[str, object]:
         """The ``"tenants"`` block of ``/stats``: live usage counters
         per tenant plus the configured quota."""
