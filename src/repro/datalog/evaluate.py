@@ -16,11 +16,14 @@ stored relation itself, or a projection in C) or a join kernel
 no step runs generic per-row Python.  Joins are left-deep hash joins
 with eager projection of dead variables, ordered by bound-prefix
 selectivity (:func:`_fanout`) once per (database, size class of each
-relation), one step at a time as executes first reach it.
+relation), one step at a time as executes first reach it.  A *seeded*
+run scans a small relation first, in place of one body atom or of the
+head: the delta clauses of :mod:`repro.standing.maintain`.
 
 Evaluation runs over a :class:`repro.engine.database.Database`, whose
 interned constants and EDB hash indexes are shared by every query over
-it; IDB relations and their indexes live for one call.  Use
+it; IDB relations (:func:`materialise`) and their indexes live for one
+call.  Use
 :func:`evaluate` for one-shot calls and :func:`evaluate_on` (or
 :class:`repro.rewriting.api.AnswerSession`) to share a database.  The
 goal relation leaves :func:`evaluate_on` in the database's codes
@@ -141,14 +144,39 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
     """Evaluate ``(Pi, G)`` over an already-loaded ``database``.
 
     The database's constants, relations and EDB indexes are reused
-    verbatim; only this query's IDB relations are materialised, and
-    they and their indexes live for this call alone.  The query's
-    compiled program (:func:`_program`) and its join orders outlive it.
+    verbatim; only this query's IDB relations are materialised
+    (:func:`materialise`), and they and their indexes live for this
+    call alone.  The query's compiled program (:func:`_program`) and
+    its join orders outlive it.
     """
-    from ..engine.database import build_index
+    derived = materialise(query, database)
+    goal = derived.get(query.goal, database.relation(query.goal))
+    sizes = {predicate: len(rows) for predicate, rows in derived.items()}
+    return EvaluationResult(database.coded(goal), sum(sizes.values()),
+                            sizes)
 
+
+def materialise(query: NDLQuery, database) -> Dict[str, IntRelation]:
+    """Every IDB relation of ``query`` over ``database``, goal included,
+    dependencies first, in the database's codes: fresh sets the caller
+    may keep and change."""
     derived: Dict[str, IntRelation] = {}
-    built: Dict[Tuple[str, Tuple[int, ...]], Dict] = {}
+    relation, index = lookups(database, derived, {})
+    for predicate, clauses in _program(query):
+        derived[predicate] = set().union(*[
+            clause.run(database.token, relation, index)
+            for clause in clauses])
+    return derived
+
+
+def lookups(database, derived: Mapping[str, IntRelation],
+            indexes: Dict[Tuple[str, Tuple[int, ...]], Dict]
+            ) -> Tuple[Callable, Callable]:
+    """The ``relation(predicate)`` and ``index(predicate, positions)`` a
+    clause run reads: the IDB relations ``derived``, their indexes built
+    on first use into ``indexes`` (patched by whoever changes them),
+    else the database's own."""
+    from ..engine.database import build_index
 
     def relation(predicate: str) -> IntRelation:
         rows = derived.get(predicate)
@@ -157,18 +185,13 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
     def index(predicate: str, positions: Tuple[int, ...]) -> Dict:
         if predicate not in derived:
             return database.index(predicate, positions)
-        if (predicate, positions) not in built:  # IDB rows never change
-            built[predicate, positions] = build_index(derived[predicate],
-                                                      positions)
-        return built[predicate, positions]
+        built = indexes.get((predicate, positions))
+        if built is None:
+            built = indexes[predicate, positions] = build_index(
+                derived[predicate], positions)
+        return built
 
-    for predicate, clauses in _program(query):
-        derived[predicate] = set().union(*[
-            clause.run(database.token, relation, index)
-            for clause in clauses])
-    sizes = {predicate: len(rows) for predicate, rows in derived.items()}
-    return EvaluationResult(database.coded(relation(query.goal)),
-                            sum(sizes.values()), sizes)
+    return relation, index
 
 
 def _program(query: NDLQuery) -> tuple:
@@ -261,9 +284,12 @@ def _kernel(width: int, arity: int, probe: Tuple[int, ...],
 #: planner only resorts to one when no connected atom remains.
 _CROSS_PRODUCT_PENALTY = 1 << 20
 
-#: Join orders one clause keeps: one per (database, size classes) it
-#: has run under.
+#: Join orders one clause keeps: one per (database, size classes,
+#: seed position) it has run under.
 _ORDERS_KEPT = 64
+
+#: The seed position of a rederive check (:meth:`_Clause.run`).
+HEAD = -1
 
 
 def _fanout(atom: Literal, bound: Set[str], relation: Callable,
@@ -284,12 +310,13 @@ def _fanout(atom: Literal, bound: Set[str], relation: Callable,
 
 
 class _Step(NamedTuple):
-    """One join step: body atom number ``atom``, over ``predicate``,
-    scanned, or probed on its index on ``positions`` by
-    ``_kernel(*shape)``; its rows carry the variables ``schema``."""
+    """One join step: body atom number ``atom`` (or the head's seed,
+    :data:`HEAD`), over ``predicate``, scanned, or probed on its index
+    on ``positions`` by ``_kernel(*shape)``; its rows carry the
+    variables ``schema``."""
 
     atom: int
-    predicate: str
+    predicate: Optional[str]
     scan: bool
     positions: Tuple[int, ...]
     shape: tuple
@@ -298,46 +325,58 @@ class _Step(NamedTuple):
 
 class _Clause:
     """A clause compiled once: equalities folded into ``head`` and
-    ``atoms``, and ``orders``, the join orders planned so far.
+    ``atoms`` (an atom twice in the body is kept once), and ``orders``,
+    the join orders planned so far.
 
     An order is keyed by (database token, the size class
-    ``len(R).bit_length()`` of each body atom's relation), so it is
-    re-costed only when a size class moves and never shared between
-    databases.  It grows one step when an execute first reaches that
-    step, and is published whole as a new tuple, without a lock: racing
-    executes may plan a step twice or drop an entry, but a reader always
-    sees one thread's complete prefix, never a torn one.
+    ``len(R).bit_length()`` of each body atom's relation, and for a
+    seeded run the seed's position), so it is re-costed only when a
+    size class moves and never shared between databases.  It grows one
+    step when an execute first reaches that step, and is published
+    whole as a new tuple, without a lock: racing executes may plan a
+    step twice or drop an entry, but a reader always sees one thread's
+    complete prefix, never a torn one.
     """
 
-    __slots__ = ("head", "atoms", "orders")
+    __slots__ = ("head", "atoms", "predicates", "orders")
 
     def __init__(self, clause: Clause):
         mapping = _equality_mapping(clause)
         self.head = clause.head.rename(mapping).args
-        self.atoms = tuple(atom.rename(mapping)
-                           for atom in clause.body_literals)
+        self.atoms = tuple(dict.fromkeys(
+            atom.rename(mapping) for atom in clause.body_literals))
+        self.predicates = tuple(atom.predicate for atom in self.atoms)
         self.orders: Dict[tuple, Tuple[_Step, ...]] = {}
 
-    def run(self, token: object, relation: Callable,
-            index: Callable) -> IntRelation:
+    def run(self, token: object, relation: Callable, index: Callable,
+            seed: Optional[IntRelation] = None,
+            at: Optional[int] = None) -> IntRelation:
         """The clause's head rows; possibly a stored relation itself
-        (see :func:`_scan`), so callers must never write to them."""
+        (see :func:`_scan`), so callers must never write to them.
+
+        A ``seed`` is scanned first: at body atom number ``at``, in
+        place of that atom's relation (a delta term); at :data:`HEAD`,
+        as head rows, of which those the body derives come back.
+        """
         if not self.atoms:
             # a fact: only possible for nullary heads (range restriction
             # would have added __adom__ atoms otherwise)
-            return {()} if not self.head else set()
-        key = (token, tuple(len(relation(atom.predicate)).bit_length()
-                            for atom in self.atoms))
+            rows = {()} if not self.head else set()
+            return rows & set(seed) if at == HEAD else rows
+        classes = tuple([len(relation(predicate)).bit_length()
+                         for predicate in self.predicates])
+        key = (token, classes) if seed is None else (token, classes, at)
         steps = self.orders.get(key, ())
         rows: IntRelation = {()}
-        for i in range(len(self.atoms)):
+        for i in range(len(self.atoms) + (at == HEAD)):
             if i == len(steps):
-                steps += (self._plan(steps, relation, index),)
+                steps += (self._plan(steps, relation, index, at),)
                 if len(self.orders) >= _ORDERS_KEPT and key not in self.orders:
                     self.orders.clear()
                 self.orders[key] = steps
             step = steps[i]
-            stored = relation(step.predicate)
+            stored = (seed if i == 0 and seed is not None
+                      else relation(step.predicate))
             if not stored:
                 return set()
             if step.scan:  # rows is {()}
@@ -353,16 +392,21 @@ class _Clause:
         return rows
 
     def _plan(self, steps: Tuple[_Step, ...], relation: Callable,
-              index: Callable) -> _Step:
-        """The step after ``steps``: the remaining atom of least
-        :func:`_fanout` over the relations as they are now."""
+              index: Callable, at: Optional[int] = None) -> _Step:
+        """The step after ``steps``: the seed's position ``at`` first,
+        then the remaining atom of least :func:`_fanout` over the
+        relations as they are now."""
         schema = steps[-1].schema if steps else ()
         remaining = sorted({*range(len(self.atoms))} - {s.atom for s in steps})
         bound = set(schema)
-        chosen = min(remaining, key=lambda i: _fanout(
-            self.atoms[i], bound, relation, index))
-        remaining.remove(chosen)
-        args = self.atoms[chosen].args
+        chosen = at if at is not None and not steps else min(
+            remaining, key=lambda i: _fanout(
+                self.atoms[i], bound, relation, index))
+        args, predicate = self.head, None
+        if chosen != HEAD:
+            remaining.remove(chosen)
+            atom = self.atoms[chosen]
+            args, predicate = atom.args, atom.predicate
         positions = {v: i for i, v in enumerate(schema)}
         first_seen: Dict[str, int] = {}
         for i, arg in enumerate(args):
@@ -385,6 +429,6 @@ class _Clause:
         picks = tuple(positions[v] if v in positions
                       else width + first_seen[v] for v in out_schema)
         probe = tuple(positions[args[i]] for i in bound_positions)
-        return _Step(chosen, self.atoms[chosen].predicate,
-                     not schema and not repeats, bound_positions,
+        return _Step(chosen, predicate, not schema and not repeats,
+                     bound_positions,
                      (width, len(args), probe, repeats, picks), out_schema)

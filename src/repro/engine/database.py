@@ -45,6 +45,27 @@ def build_index(relation: Iterable[IntRow],
     return {key: tuple(rows) for key, rows in buckets.items()}
 
 
+def patch_index(index: Index, positions: Tuple[int, ...],
+                rows: Iterable[IntRow], removed: bool = False) -> None:
+    """Add distinct ``rows`` to (``removed``: take them out of) their
+    buckets of ``index`` on ``positions``, nothing rebuilt: each touched
+    bucket is replaced by one new tuple, an emptied one loses its key.
+    """
+    grouped: Dict[object, List[IntRow]] = {}
+    key_of = itemgetter(*positions) if positions else lambda row: ()
+    for row in rows:
+        grouped.setdefault(key_of(row), []).append(row)
+    for key, changed in grouped.items():
+        bucket = index.get(key, ())
+        if not removed:
+            index[key] = bucket + tuple(changed)
+        elif len(bucket) == len(changed):  # distinct rows: all of it
+            del index[key]
+        else:
+            gone = set(changed)
+            index[key] = tuple(row for row in bucket if row not in gone)
+
+
 class Database:
     """A data instance loaded once: interned constants plus indexes.
 
@@ -53,6 +74,13 @@ class Database:
     predicates) and stores the EDB relations, ``__adom__`` included,
     over integer codes.  :meth:`index` memoises one hash index per
     ``(predicate, bound positions)`` for the database's lifetime.
+
+    :attr:`version` counts the :meth:`insert_facts` and
+    :meth:`delete_facts` calls that changed the data; :attr:`journal`
+    holds the rows the last one :attr:`inserted` (else removed), per
+    predicate, ``__adom__`` included.  A reader that saw version ``v``
+    catches up from the journal at ``v + 1``, and knows it missed an
+    update past that.
     """
 
     def __init__(self, abox: ABox,
@@ -65,6 +93,8 @@ class Database:
         self._names: List[str] = []
         self._relations: Dict[str, IntRelation] = {}
         self._indexes: Dict[Tuple[str, Tuple[int, ...]], Index] = {}
+        self.version, self.inserted = 0, True
+        self.journal: Dict[str, IntRelation] = {}
         intern = self.intern
         for predicate in abox.unary_predicates:
             self._relations[predicate] = {
@@ -148,30 +178,30 @@ class Database:
         the memoised indexes are patched (:meth:`_patch_indexes`).
         """
         intern = self.intern
-        added = 0
+        journal: Dict[str, IntRelation] = {}
         new_adom: Set[int] = set()
         adom = self._relations.setdefault(ADOM, set())
         for predicate, rows in facts.items():
             relation = self._relations.get(predicate)
             if relation is None:
                 relation = self._relations[predicate] = set()
-            fresh = []
+            fresh = set()
             for row in rows:
                 coded = tuple(intern(c) for c in row)
                 if coded not in relation:
                     relation.add(coded)
-                    fresh.append(coded)
+                    fresh.add(coded)
                     for code in coded:
                         if (code,) not in adom:
                             new_adom.add(code)
             if fresh:
-                added += len(fresh)
+                journal[predicate] = fresh
                 self._patch_indexes(predicate, fresh)
         if new_adom:
-            adom_rows = [(code,) for code in new_adom]
+            adom_rows = journal[ADOM] = {(code,) for code in new_adom}
             adom.update(adom_rows)
             self._patch_indexes(ADOM, adom_rows)
-        return added
+        return self._record(True, journal)
 
     def delete_facts(self, facts: Mapping[str, Iterable[Tuple[str, ...]]],
                      removed_constants: Iterable[str] = ()) -> int:
@@ -183,12 +213,12 @@ class Database:
         which is unobservable through the relations).
         """
         codes = self._codes
-        removed = 0
+        journal: Dict[str, IntRelation] = {}
         for predicate, rows in facts.items():
             relation = self._relations.get(predicate)
             if not relation:
                 continue
-            gone = []
+            gone = set()
             for row in rows:
                 try:
                     coded = tuple(codes[c] for c in row)
@@ -196,47 +226,36 @@ class Database:
                     continue
                 if coded in relation:
                     relation.discard(coded)
-                    gone.append(coded)
+                    gone.add(coded)
             if gone:
-                removed += len(gone)
+                journal[predicate] = gone
                 self._patch_indexes(predicate, gone, removed=True)
         adom = self._relations.setdefault(ADOM, set())
-        gone = [(codes[c],) for c in removed_constants
-                if c in codes and (codes[c],) in adom]
+        gone = {(codes[c],) for c in removed_constants
+                if c in codes and (codes[c],) in adom}
         if gone:
+            journal[ADOM] = gone
             adom.difference_update(gone)
             self._patch_indexes(ADOM, gone, removed=True)
-        return removed
+        return self._record(False, journal)
 
-    def _patch_indexes(self, predicate: str, rows: Iterable[IntRow],
+    def _record(self, inserted: bool,
+                journal: Dict[str, IntRelation]) -> int:
+        """Journal one call's effective rows (a call that changed
+        nothing keeps the version); the number of facts it changed."""
+        if journal:
+            self.version += 1
+            self.inserted, self.journal = inserted, journal
+        return sum(len(rows) for name, rows in journal.items()
+                   if name != ADOM)
+
+    def _patch_indexes(self, predicate: str, rows: IntRelation,
                        removed: bool = False) -> None:
-        """Add ``rows`` to (``removed``: take them out of) their buckets
-        in every memoised index of ``predicate``; nothing is rebuilt.
-
-        Rows are grouped per key first, so each touched bucket is
-        replaced by one new tuple, and an emptied bucket loses its key
-        (:meth:`distinct_keys` stays exact).
-        """
-        rows = tuple(rows)
+        """:func:`patch_index` over every memoised index of
+        ``predicate`` (:meth:`distinct_keys` stays exact)."""
         for (name, positions), index in self._indexes.items():
-            if name != predicate:
-                continue
-            grouped: Dict[object, List[IntRow]] = {}
-            for row in rows:
-                key = (row[positions[0]] if len(positions) == 1
-                       else tuple(row[p] for p in positions))
-                grouped.setdefault(key, []).append(row)
-            for key, changed in grouped.items():
-                if removed:
-                    gone = set(changed)
-                    bucket = tuple(row for row in index[key]
-                                   if row not in gone)
-                else:
-                    bucket = index.get(key, ()) + tuple(changed)
-                if bucket:
-                    index[key] = bucket
-                else:
-                    del index[key]
+            if name == predicate:
+                patch_index(index, positions, rows, removed)
 
     def __repr__(self) -> str:
         facts = sum(len(rows) for name, rows in self._relations.items()

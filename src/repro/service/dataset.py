@@ -19,7 +19,7 @@ from __future__ import annotations
 import logging
 import threading
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
 
@@ -27,6 +27,7 @@ from ..data.abox import ABox, GroundAtom
 from ..obs.trace import span
 from ..rewriting.api import AnswerSession
 from ..standing.maintain import (
+    View,
     full_reexecute,
     refresh,
     variant_changed_predicates,
@@ -166,6 +167,10 @@ class Dataset:
         self._pool_capacity = pool_capacity
         self._pools: Dict[str, SessionPool] = {}
         self._pool_lock = threading.Lock()
+        #: (plan fingerprint, engine) -> the group's retained view,
+        #: touched under the write lock only: refreshed by
+        #: :meth:`_standing`, dropped with the group's last member
+        self._views: Dict[Tuple[str, str], View] = {}
         self.requests = 0
         self.updates = 0
         #: Bumped under the write lock on every update attempt; the
@@ -295,16 +300,20 @@ class Dataset:
     def _standing(self, update: Optional[_Update]) -> None:
         """Bring the subscriptions to the current epoch and commit
         their deltas before the lock drops (sessions are quiescent and
-        already patched).  After an update the ones it can have moved
-        are refreshed and diffed and the rest just advance; with
-        ``None`` (recovery) each is re-executed and sent a ``resync``
-        carrying its full answer set.
+        already patched).  Subscriptions sharing a plan fingerprint and
+        an engine are a group with one view (:mod:`repro.standing
+        .maintain`); one session per engine serves the pass.  After an
+        update each group it can have moved is refreshed once (a child
+        span named for the route) and commits to its members, the rest
+        just advance; with ``None`` (recovery) each group is
+        re-executed and its members sent a ``resync``.
 
         Never raises — it also runs on :meth:`apply`'s exception path.
-        A failed refresh costs its subscription's freshness: it is
-        marked ``stale``, which poll and snapshot bodies expose so the
-        consumer knows to re-subscribe or retry, until a later pass
-        succeeds for it.  A pass that fails as a whole marks them all.
+        A failed refresh costs its group's view and freshness: the
+        members are marked ``stale``, which poll and snapshot bodies
+        expose so the consumer knows to re-subscribe or retry, until a
+        later pass succeeds for them.  A pass that fails as a whole
+        marks them all.
         """
         subs = self._subscriptions()
         if not subs:
@@ -313,49 +322,44 @@ class Dataset:
         epoch = self.epoch
         started = time.perf_counter()
         try:
-            # map the delta into each data variant once, not per sub
-            changed: Dict[object, FrozenSet[str]] = {}
-            if delta is None:
-                affected = subs
-            else:
-                for sub in subs:
-                    key = sub.variant_key()
+            groups: Dict[Tuple[str, str], List[StandingQuery]] = {}
+            for sub in subs:
+                groups.setdefault((sub.plan.fingerprint, sub.engine),
+                                  []).append(sub)
+            if delta is not None:
+                # map the delta into each data variant once
+                changed: Dict[object, FrozenSet[str]] = {}
+                for members in groups.values():
+                    key = members[0].variant_key
                     if key not in changed:
                         changed[key] = variant_changed_predicates(
-                            sub.plan._variant_tbox(), delta)
+                            members[0].plan._variant_tbox(), delta)
                 moved = {sub.subscription_id for sub in
                          self._registry.affected(self.name, changed)}
-                affected = [sub for sub in subs
-                            if sub.subscription_id in moved]
-                for sub in subs:
-                    if sub.subscription_id not in moved:
-                        self._registry.advance(sub, epoch)
-            # shared across this pass's subscriptions: N subscribers of
-            # one plan cost one execution
-            memo: Dict = {}
-            for sub in affected:
-                try:
-                    with self.session(sub.engine) as session:
-                        if delta is None:
-                            answers = full_reexecute(sub, session)
-                            step = AnswerDelta(epoch=epoch, resync=True,
-                                               answers=answers)
-                            self._registry.record_resync()
-                        else:
-                            answers = refresh(
-                                sub, session, delta,
-                                changed[sub.variant_key()], memo)
-                            step = AnswerDelta(
-                                epoch=epoch,
-                                added=frozenset(answers - sub.answers),
-                                removed=frozenset(sub.answers - answers))
-                    self._registry.commit(sub, step, answers)
-                    sub.stale = False
-                except Exception as error:
-                    log.error("standing refresh failed for %s (%s: %s); "
-                              "marked stale", sub.subscription_id,
-                              type(error).__name__, error)
-                    sub.stale = True
+            with ExitStack() as held:
+                sessions: Dict[str, object] = {}
+                for key, members in groups.items():
+                    if delta is not None and moved.isdisjoint(
+                            sub.subscription_id for sub in members):
+                        if key in self._views:  # nothing it reads moved
+                            self._views[key].skip()
+                        for sub in members:
+                            self._registry.advance(sub, epoch)
+                        continue
+                    try:
+                        engine = members[0].engine
+                        if engine not in sessions:
+                            sessions[engine] = held.enter_context(
+                                self.session(engine))
+                        self._refresh(key, members, sessions[engine],
+                                      epoch, delta is None)
+                    except Exception as error:
+                        self._views.pop(key, None)
+                        log.error("standing refresh failed for %s (%r); "
+                                  "marked stale", [sub.subscription_id
+                                                   for sub in members], error)
+                        for sub in members:
+                            sub.stale = True
         except Exception as error:
             log.error("standing pass failed for %r (%s: %s); its "
                       "subscriptions are marked stale", self.name,
@@ -364,6 +368,43 @@ class Dataset:
         finally:
             self._registry.record_maintenance(
                 time.perf_counter() - started)
+
+    def _refresh(self, key: Tuple[str, str], members: List[StandingQuery],
+                 session, epoch: int, resync: bool) -> None:
+        """Refresh one group's view and commit: the group's delta to
+        the members that held the view's answers, a diff of their own
+        to the others (new or stale ones), the answers when
+        ``resync``."""
+        view = self._views.setdefault(key, View())
+        before = view.answers
+        if resync:
+            with span("resync"):
+                view.query = None  # the next update materialises
+                view.answers = full_reexecute(members[0], session)
+            shared = AnswerDelta(epoch=epoch, resync=True,
+                                 answers=view.answers)
+            self._registry.record_resync(len(members))
+        else:
+            added, removed = refresh(view, members[0], session)
+            shared = AnswerDelta(epoch=epoch, added=added, removed=removed)
+        answers = view.answers
+        self._registry.commit(
+            [sub for sub in members if resync or sub.answers is before],
+            shared, answers)
+        for sub in members:
+            if not resync and sub.answers is not answers:
+                self._registry.commit([sub], AnswerDelta(
+                    epoch=epoch, added=answers - sub.answers,
+                    removed=sub.answers - answers), answers)
+            sub.stale = False
+
+    def release(self, sub: StandingQuery) -> None:
+        """Drop ``sub``'s group view once no subscription is left in it."""
+        key = (sub.plan.fingerprint, sub.engine)
+        with self.lock.writing():
+            if not any((other.plan.fingerprint, other.engine) == key
+                       for other in self._subscriptions()):
+                self._views.pop(key, None)
 
     def _recover(self) -> None:
         """What a failed update costs.  The ABox is the truth and may

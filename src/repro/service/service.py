@@ -544,7 +544,8 @@ class OMQService:
         """Drop a subscription; blocked pollers wake with a
         closed-subscription error."""
         self._owned_subscription(subscription_id, tenant)
-        self.standing.remove(subscription_id)
+        sub = self.standing.remove(subscription_id)
+        sub.owner.release(sub)
         self.tenants.release_subscription(tenant)
         self._store_write(
             f"unsubscribe {subscription_id!r}",

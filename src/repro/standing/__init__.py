@@ -25,23 +25,24 @@ Architecture (two modules, wired through the service layer):
 * :mod:`repro.standing.maintain` — the math.  After an update, each
   subscription whose rewriting mentions a changed predicate — mapped
   through the plan's data variant: raw, completed (exact delta or
-  per-atom-closure over-approximation), plus ``__adom__`` — has its
-  plan re-executed through :meth:`Plan.execute
-  <repro.rewriting.plan.Plan.execute>`, the route that serves
-  ``/answer``, specialised to the live data's nonempty signature.
-  One pass executes a plan once
-  however many subscribers share it, and the new answers are diffed
-  against the materialization, so inserts and deletes need no separate
-  cases.
+  per-atom-closure over-approximation), plus ``__adom__`` — is
+  refreshed with its plan group, the subscriptions sharing a plan and
+  an engine.  A group keeps one view: the answers and (python engine)
+  the IDB relations of the plan specialised to the live data's
+  nonempty signature, which follow the update by delta clauses — the
+  evaluator's compiled clauses seeded by what the engine journalled —
+  so a pass costs the change, not the program, and yields the group's
+  exact delta for every member.  The SQLite engines refresh through
+  :meth:`Plan.execute <repro.rewriting.plan.Plan.execute>` and a diff.
 
 Maintenance is the ``standing`` stage of the update sequence
 (:meth:`repro.service.dataset.Dataset.apply`): it runs inside the
 dataset's writer-lock critical section — the same one that bumps the
 epoch — so a subscriber can never observe a torn epoch: every delta it
 receives corresponds to exactly one applied update.  That method also
-owns the failure story: a refresh that fails marks its subscription
-``stale``, a failed update resyncs every subscription to the data as
-it now is.
+owns the failure story: a refresh that fails marks its group's
+subscriptions ``stale`` and drops its view, a failed update resyncs
+every subscription to the data as it now is.
 """
 
 from .maintain import variant_changed_predicates

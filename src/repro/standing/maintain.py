@@ -1,31 +1,41 @@
-"""Maintenance of standing-query answers: re-execute, then diff.
+"""Maintenance of standing-query answers: one retained view per plan.
 
-A subscription's answers after an update are what
-:meth:`Plan.execute <repro.rewriting.plan.Plan.execute>` returns over
-the patched session — the same route, at the live data's nonempty
-signature, that serves ``/answer`` — and the caller diffs them against
-the materialization to get the exact
-:class:`~repro.standing.registry.AnswerDelta`.  What keeps a pass
-cheap sits around that call, not inside it: the registry only hands
-over the subscriptions whose rewriting mentions a changed predicate
-(:func:`variant_changed_predicates` maps the raw delta into each data
-variant: the raw predicates for arbitrary-instance rewritings, the
-exact or over-approximated completed predicates otherwise, plus the
-active-domain pseudo-predicate when individuals came or went), and one
-pass executes a plan once however many subscribers share it.
+Subscriptions sharing a plan fingerprint and an engine are a group
+with one :class:`View`: their answers and, on the python engine, every
+IDB relation of the specialised program behind them, in codes.  The
+rewritings are nonrecursive datalog, so a view follows what its
+backend journalled (``Database.journal``) with one pass of delta
+clauses over its strata (Gupta, Mumick & Subrahmanian, "Maintaining
+Views Incrementally", SIGMOD 1993): an insert runs each clause with
+one body atom seeded by the rows its relation gained; a delete
+over-deletes by the same runs over the rows that left, the other atoms
+read as they were, then keeps what a head-seeded run still derives
+(DRed).  The runs are the evaluator's compiled clauses
+(:mod:`repro.datalog.evaluate`); only goal rows that moved are decoded.
 
-:func:`refresh` is the one function a delta-rule evaluator would
-replace; :func:`full_reexecute` is then the oracle and the resync.
+A view is materialised afresh — whole program, then a diff — when it
+cannot follow: a new group, an emptiness flip (a new specialised
+program), a new database, a missed version (an update that both
+deleted and inserted journals twice).  Other engines refresh by
+:func:`full_reexecute` (the ``/answer`` route, also the oracle and the
+resync) and a diff.  The registry hands over only the groups whose
+rewriting mentions a changed predicate, as
+:func:`variant_changed_predicates` maps it into each data variant.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, FrozenSet, Tuple
 
 from ..data.abox import ABox
+from ..datalog.evaluate import HEAD, _program, lookups, materialise
 from ..datalog.program import ADOM
+from ..engine.database import build_index, patch_index
+from ..obs.trace import span
 
 Row = Tuple[str, ...]
+Rows = FrozenSet[Row]
 
 
 def variant_changed_predicates(tbox, delta) -> FrozenSet[str]:
@@ -52,7 +62,7 @@ def variant_changed_predicates(tbox, delta) -> FrozenSet[str]:
     return frozenset(changed)
 
 
-def full_reexecute(sub, session) -> FrozenSet[Row]:
+def full_reexecute(sub, session) -> Rows:
     """The subscription's answers over ``session`` as it is now, under
     the engine and options it subscribed with."""
     result = sub.plan.execute(session, engine=sub.engine,
@@ -66,20 +76,141 @@ def initialize(sub, session) -> None:
     sub.answers = full_reexecute(sub, session)
 
 
-def refresh(sub, session, delta, changed: FrozenSet[str],
-            memo: Dict) -> FrozenSet[Row]:
-    """The subscription's new full answer set after an update whose
-    variant-mapped changed predicates are ``changed``.
+class View:
+    """One plan group's retained state: its :attr:`answers`, and what a
+    delta needs to move them — the specialised ``query`` they were
+    computed for, over which ``database`` at which ``version``, and
+    its ``derived`` IDB relations (codes) with their memoised
+    ``indexes``.  ``query`` is ``None`` while there is nothing to move
+    from: the next :func:`refresh` materialises."""
 
-    ``memo`` is shared by the subscriptions of one pass and keyed by
-    plan fingerprint and engine: renamings of one query shape — whose
-    answer rows agree column for column, which is what lets the plan
-    cache serve them one plan — and an equal plan compiled twice cost
-    one execution.  ``delta`` and ``changed`` are what an incremental
-    evaluator would start from; re-execution needs neither.
-    """
-    key = (sub.plan.fingerprint, sub.engine)
-    answers = memo.get(key)
-    if answers is None:
-        answers = memo[key] = full_reexecute(sub, session)
-    return answers
+    __slots__ = ("answers", "query", "database", "version", "derived",
+                 "indexes")
+
+    def __init__(self):
+        self.answers: Rows = frozenset()
+        self.query = None
+
+    def skip(self) -> None:
+        """The update changed nothing this view reads: keep up."""
+        if self.query is not None:
+            self.version = self.database.version
+
+    def settle(self, answers: Rows) -> Tuple[Rows, Rows]:
+        """Take ``answers`` as the group's; the rows added and removed."""
+        added, removed = answers - self.answers, self.answers - answers
+        self.answers = answers
+        return added, removed
+
+
+def refresh(view: View, sub, session) -> Tuple[Rows, Rows]:
+    """Bring ``view`` to the data ``session`` holds now; the answer
+    rows that changed, added and removed.  ``sub`` is any member of
+    the group (they share plan, engine and data variant).  The route
+    taken is a span: ``delta``, ``materialise`` or ``reexecute``."""
+    if sub.engine == "python":
+        backend = session.backend(sub.engine, sub.plan._variant_tbox())
+        database, query = backend.database, sub.plan.specialised(backend)
+        if query is view.query and database is view.database:
+            if database.version == view.version:
+                return frozenset(), frozenset()
+            if database.version == view.version + 1:
+                with span("delta"):
+                    return _follow(view, database)
+        if len(query):
+            with span("materialise"):
+                view.query, view.database = query, database
+                view.version, view.indexes = database.version, {}
+                view.derived = materialise(query, database)
+                goal = view.derived.get(query.goal,
+                                        database.relation(query.goal))
+                return view.settle(database.decode_rows(goal))
+    # every clause pruned (or another engine): the answer route
+    view.query = None
+    with span("reexecute"):
+        return view.settle(full_reexecute(sub, session))
+
+
+def _follow(view: View, database) -> Tuple[Rows, Rows]:
+    """Move ``view`` by the database's journal, one call past it."""
+    view.version, inserted = database.version, database.inserted
+    if view.query.program.edb_predicates.isdisjoint(database.journal):
+        return frozenset(), frozenset()
+    # predicate -> rows gained or lost: EDB journalled, IDB as moved
+    changed = dict(database.journal)
+    derived, indexes, token = view.derived, view.indexes, database.token
+    relation, index = lookups(database, derived, indexes)
+    # a delete's delta terms read the other atoms as they were
+    read = ((relation, index) if inserted
+            else _before(relation, index, changed))
+    for predicate, clauses in _program(view.query):
+        found: set = set()
+        for clause in clauses:
+            for i, atom in enumerate(clause.atoms):
+                seed = changed.get(atom.predicate)
+                if seed:
+                    found |= clause.run(token, *read, seed, i)
+        if inserted:
+            found -= derived[predicate]
+        else:
+            # DRed: an over-deleted row stays if a clause rederives it
+            for clause in clauses:
+                if found:
+                    found -= clause.run(token, relation, index, found, HEAD)
+        if found:
+            rows = derived[predicate]
+            (rows.update if inserted else rows.difference_update)(found)
+            for (name, positions), built in indexes.items():
+                if name == predicate:
+                    patch_index(built, positions, found,
+                                removed=not inserted)
+            changed[predicate] = found
+    moved = changed.get(view.query.goal)
+    if not moved:
+        return frozenset(), frozenset()
+    rows = database.decode_rows(moved)
+    view.answers = view.answers | rows if inserted else view.answers - rows
+    return (rows, frozenset()) if inserted else (frozenset(), rows)
+
+
+class _Before:
+    """A relation or an index as it was before a delete: what it holds
+    ``now`` and what left it, ``gone`` (disjoint), read as one."""
+
+    __slots__ = ("now", "gone")
+
+    def __init__(self, now, gone):
+        self.now, self.gone = now, gone
+
+    def __len__(self) -> int:
+        return len(self.now) + len(self.gone)
+
+    def __iter__(self):
+        return chain(self.now, self.gone)
+
+    def get(self, key) -> tuple:
+        return self.now.get(key, ()) + self.gone.get(key, ())
+
+
+def _before(relation, index, gone: Dict[str, set]):
+    """``relation`` and ``index`` as they read before the rows
+    ``gone`` left (each predicate's set once its relation moved)."""
+    built: Dict[object, _Before] = {}
+
+    def before_relation(predicate: str):
+        if predicate not in gone:
+            return relation(predicate)
+        if predicate not in built:
+            built[predicate] = _Before(relation(predicate), gone[predicate])
+        return built[predicate]
+
+    def before_index(predicate: str, positions: Tuple[int, ...]):
+        if predicate not in gone:
+            return index(predicate, positions)
+        key = (predicate, positions)
+        if key not in built:
+            built[key] = _Before(index(predicate, positions),
+                                 build_index(gone[predicate], positions))
+        return built[key]
+
+    return before_relation, before_index

@@ -9,10 +9,11 @@ subscription's rewriting, so one update only ever touches the
 subscriptions whose answers could have changed.
 
 Maintenance (see :mod:`repro.standing.maintain`) runs inside the
-service's writer-lock update path and commits an
-:class:`AnswerDelta` per affected subscription; unaffected
-subscriptions just advance their watermark.  Consumers read the state
-through :meth:`StandingRegistry.poll` (long-poll with ``since_epoch``).
+service's writer-lock update path and commits one
+:class:`AnswerDelta` per affected plan group to its subscriptions;
+unaffected subscriptions just advance their watermark.  Consumers read
+the state through :meth:`StandingRegistry.poll` (long-poll with
+``since_epoch``).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import threading
 import uuid
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..obs import Observability
@@ -37,11 +39,11 @@ HISTORY_LIMIT = 256
 class AnswerDelta:
     """One maintenance step's effect on a subscription's answers.
 
-    ``added``/``removed`` are exact (diffed against the materialized
-    set, so an update that re-derives an existing answer emits
-    nothing).  A ``resync`` delta replaces the subscriber's state with
-    ``answers`` wholesale — emitted when a poll asked for epochs older
-    than the retained history.
+    ``added``/``removed`` are exact against the materialized set (an
+    update that re-derives an existing answer emits nothing).  A
+    ``resync`` delta replaces the subscriber's state with ``answers``
+    wholesale — emitted when a poll asked for epochs older than the
+    retained history.
     """
 
     epoch: int
@@ -85,9 +87,9 @@ class AnswerDelta:
 class StandingQuery:
     """One live subscription (mutable state guarded by ``condition``):
     the plan, the engine and options it subscribed with, and the
-    materialized :attr:`answers` as of :attr:`epoch` — all the state
-    maintenance keeps (:mod:`repro.standing.maintain` re-executes the
-    plan and the update path diffs)."""
+    materialized :attr:`answers` as of :attr:`epoch`, which the
+    subscriptions of one plan group share with their view
+    (:mod:`repro.standing.maintain`) until one of them falls behind."""
 
     subscription_id: str
     #: Tenant-scoped registry key (wire bodies carry :attr:`base_name`).
@@ -125,6 +127,7 @@ class StandingQuery:
         included iff the program uses it)."""
         return self.plan.ndl.program.edb_predicates
 
+    @cached_property
     def variant_key(self):
         """Identity of the data variant the plan evaluates over
         (``None`` = raw data, else the interned TBox's id)."""
@@ -279,8 +282,10 @@ class StandingRegistry:
             for key, changed in changed_by_variant.items():
                 for predicate in changed:
                     for sid in index.get(predicate, ()):
+                        if sid in ids:
+                            continue
                         sub = self._subs.get(sid)
-                        if sub is not None and sub.variant_key() == key:
+                        if sub is not None and sub.variant_key == key:
                             ids.add(sid)
             for sid in self._by_dataset.get(dataset, ()):
                 sub = self._subs.get(sid)
@@ -306,31 +311,34 @@ class StandingRegistry:
 
     # -- commits (called under the dataset write lock) -----------------------
 
-    def commit(self, sub: StandingQuery, delta: AnswerDelta,
+    def commit(self, subs: Sequence[StandingQuery], delta: AnswerDelta,
                new_answers: FrozenSet[Row]) -> None:
-        """Apply one maintenance outcome: update the materialization
-        and watermark, record the delta, wake pollers."""
-        with sub.condition:
-            sub.answers = new_answers
-            sub.epoch = delta.epoch
-            if not delta.empty:
-                sub.history.append(delta)
-                while len(sub.history) > self.history_limit:
-                    dropped = sub.history.popleft()
-                    sub.oldest_epoch = max(sub.oldest_epoch,
-                                           dropped.epoch)
-            sub.condition.notify_all()
-        if not delta.empty:
-            self._deltas_pushed.inc()
-            self._tuples_pushed.inc(len(delta.added) + len(delta.removed))
+        """Apply one maintenance outcome to each of ``subs``: update
+        materialization and watermark, record the delta, wake pollers."""
+        empty = delta.empty
+        for sub in subs:
+            with sub.condition:
+                sub.answers = new_answers
+                sub.epoch = delta.epoch
+                if not empty:
+                    sub.history.append(delta)
+                    while len(sub.history) > self.history_limit:
+                        dropped = sub.history.popleft()
+                        sub.oldest_epoch = max(sub.oldest_epoch,
+                                               dropped.epoch)
+                    sub.condition.notify_all()  # a poll waits for deltas
+        if not empty:
+            self._deltas_pushed.inc(len(subs))
+            self._tuples_pushed.inc(
+                (len(delta.added) + len(delta.removed)) * len(subs))
 
     def advance(self, sub: StandingQuery, epoch: int) -> None:
         """Move an unaffected subscription's watermark forward."""
         with sub.condition:
             sub.epoch = max(sub.epoch, epoch)
 
-    def record_resync(self) -> None:
-        self._resyncs.inc()
+    def record_resync(self, count: int = 1) -> None:
+        self._resyncs.inc(count)
 
     def record_maintenance(self, seconds: float) -> None:
         self._maintenance_seconds.inc(seconds)

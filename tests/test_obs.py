@@ -380,13 +380,12 @@ class TestUpdateTrace:
                         stage["seconds"] for stage in update["children"])
                         / update["seconds"])
                 assert covered >= 0.9
-                # maintenance is the answer route: each plan the update
-                # re-executed is an ``execute`` span under ``standing``,
-                # as it would be under an ``/answer``, then the decode of
-                # its rows for the diff
+                # each plan group the update moved is one span under
+                # ``standing``, named for its route: past the first
+                # update both views follow the journal by delta clauses
                 standing = update["children"][-1]
                 assert [child["name"] for child in standing["children"]] \
-                    == ["execute", "decode-rows"] * 2
+                    == ["delta"] * 2
 
                 self._traced_update(url, "small", 0)
                 quiet = self._fastest(url, "small", (1, 2, 3))

@@ -16,6 +16,7 @@ clients, plus the epoch in the update response and the parked-poll
 import asyncio
 import http.client
 import json
+import sys
 import threading
 import time
 from urllib.parse import urlparse
@@ -33,12 +34,16 @@ from repro import (
     certain_answers,
 )
 from repro.data import ABox
+from repro.datalog.evaluate import materialise
+from repro.datalog.program import ADOM
+from repro.engine.database import build_index
 from repro.ontology import TBox
 from repro.queries import CQ, chain_cq
 from repro.rewriting import AnswerSession
 from repro.rewriting.plan import Plan
 from repro.service import OMQService, serve_in_background
 from repro.standing import AnswerDelta
+from repro.standing import maintain
 
 from .helpers import (
     example11_tbox,
@@ -389,8 +394,9 @@ class TestFailedUpdateRecovery:
 
 
 class TestOneRoute:
-    """Maintenance is ``Plan.execute`` over the patched session — the
-    route that serves ``/answer`` — once per distinct plan per pass."""
+    """Maintenance refreshes each distinct plan once per pass; on the
+    SQLite engines that is ``Plan.execute`` over the patched session,
+    the route that serves ``/answer``."""
 
     @pytest.mark.parametrize("engine", ["sql", "sql-views"])
     def test_subscriber_options_reach_maintenance(self, engine,
@@ -421,13 +427,15 @@ class TestOneRoute:
 
     def test_one_execute_per_distinct_plan(self, monkeypatch):
         """Five renamings of one shape and one other shape: a watched
-        update runs two plans, not six subscriptions."""
-        executed = []
-        execute = Plan.execute
+        update refreshes two plan groups, not six subscriptions."""
+        from repro.service import dataset as dataset_module
 
-        def spy(plan, *args, **kwargs):
-            executed.append(plan.fingerprint)
-            return execute(plan, *args, **kwargs)
+        executed = []
+        refresh = dataset_module.refresh
+
+        def spy(view, sub, session):
+            executed.append(sub.plan.fingerprint)
+            return refresh(view, sub, session)
 
         with OMQService() as service:
             service.register_dataset("d", random_data(1))
@@ -436,7 +444,7 @@ class TestOneRoute:
                         answer_vars=[f"x{i}", f"z{i}"])))
                     for i in range(5)]
             subs.append(service.subscribe("d", OMQ(TBOX, chain_cq("SR"))))
-            monkeypatch.setattr(Plan, "execute", spy)
+            monkeypatch.setattr(dataset_module, "refresh", spy)
             service.update("d", inserts=[("R", ("o1", "o2")),
                                          ("S", ("o2", "o3")),
                                          ("R", ("o3", "o4"))])
@@ -478,6 +486,286 @@ class TestOneRoute:
                             for raw in body["deltas"]]
                 assert (delta.added, delta.removed) == (added, removed)
             assert sub.answers == frozenset()
+
+
+# ---------------------------------------------------------------------------
+# the retained views: delta clauses keep them exact
+
+
+@st.composite
+def delta_scripts(draw):
+    """Updates over a small universe that hands out fresh individuals
+    too: pure inserts, pure deletes and mixed steps, with atoms that
+    repeat inside a step and deletes of atoms that are not there."""
+    names = NAMES + ("f0", "f1")
+
+    def atom():
+        if draw(st.booleans()):
+            return (draw(st.sampled_from(BINARY)),
+                    (draw(st.sampled_from(names)),
+                     draw(st.sampled_from(names))))
+        return (draw(st.sampled_from(UNARY)), (draw(st.sampled_from(names)),))
+
+    steps = []
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("insert", "delete", "mixed")))
+        inserts = [atom() for _ in range(draw(st.integers(0, 3)))]
+        deletes = [atom() for _ in range(draw(st.integers(0, 3)))]
+        if inserts and draw(st.booleans()):
+            inserts.append(inserts[0])
+        if kind == "insert":
+            deletes = []
+        elif kind == "delete":
+            # what the last step inserted, mostly: effective deletes
+            deletes += list(steps[-1][0]) if steps else []
+            inserts = []
+        steps.append((tuple(inserts), tuple(deletes)))
+    return tuple(steps)
+
+
+#: an update that moves every plan of :data:`QUERIES`
+WARM = [("R", ("w0", "w1")), ("S", ("w1", "w2")), ("A_P", ("w2",))]
+
+
+def _views_exact(dataset):
+    """Every retained view holds what its specialised program derives
+    over its database from scratch, at that database's version, and
+    each index it patched is the one its relation would build now."""
+    for view in dataset._views.values():
+        if view.query is not None:
+            assert view.version == view.database.version
+            assert view.derived == materialise(view.query, view.database)
+            for (predicate, positions), index in view.indexes.items():
+                rebuilt = build_index(view.derived[predicate], positions)
+                assert {key: set(rows) for key, rows in index.items()} \
+                    == {key: set(rows) for key, rows in rebuilt.items()}
+
+
+class _FullRuns:
+    """Counts whole-program runs of maintenance: materialisations of a
+    view and ``Plan.execute`` calls."""
+
+    def __init__(self, monkeypatch):
+        self.plans = []
+        materialise_ = maintain.materialise
+        execute = Plan.execute
+
+        def counted_materialise(query, database):
+            self.plans.append(query)
+            return materialise_(query, database)
+
+        def counted_execute(plan, *args, **kwargs):
+            self.plans.append(plan)
+            return execute(plan, *args, **kwargs)
+
+        monkeypatch.setattr(maintain, "materialise", counted_materialise)
+        monkeypatch.setattr(Plan, "execute", counted_execute)
+
+    def during(self, call, *args, **kwargs) -> int:
+        self.plans.clear()
+        call(*args, **kwargs)
+        return len(self.plans)
+
+
+class TestDeltaMaintenance:
+    """One view per plan group, moved by seeded runs of its compiled
+    clauses (:mod:`repro.standing.maintain`): exact after every
+    update, and a whole program runs only when the view cannot follow
+    the journal."""
+
+    @SETTINGS
+    @given(script=delta_scripts(), seed=st.integers(0, 5),
+           method=st.sampled_from(METHODS))
+    def test_views_and_answers_stay_exact(self, script, seed, method):
+        with OMQService() as service:
+            service.register_dataset("d", random_data(seed, atoms=14))
+            subs = _subscribe_all(service, "d", method=method)
+            dataset = service._dataset("d")
+            # every group's view is built here; the script moves them
+            service.update("d", inserts=WARM)
+            assert len(dataset._views) == len(
+                {sub.plan.fingerprint for sub, _ in subs.values()})
+            for inserts, deletes in script:
+                service.update("d", inserts=inserts, deletes=deletes)
+                _views_exact(dataset)
+                for sub, query in subs.values():
+                    assert sub.answers == _oracle(dataset.abox, query), (
+                        f"+{inserts} -{deletes}")
+
+    def test_a_second_derivation_keeps_a_projected_answer(self):
+        tbox = TBox.parse("roles: R, S")
+        omq = OMQ(tbox, CQ.parse("R(x, y), S(y, z)", answer_vars=["x", "z"]))
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse(
+                "R(a, b), S(b, c), R(a, d), S(d, c), R(e, f)"))
+            sub = service.subscribe("d", omq)
+            service.update("d", inserts=[("S", ("f", "g"))])  # the view
+            assert sub.answers == {("a", "c"), ("e", "g")}
+            pushed = len(sub.history)
+            service.update("d", deletes=[("R", ("a", "b"))])
+            assert sub.answers == {("a", "c"), ("e", "g")}
+            assert len(sub.history) == pushed  # nothing moved
+            service.update("d", deletes=[("S", ("d", "c"))])
+            assert sub.answers == {("e", "g")}
+            assert sub.history[-1].removed == {("a", "c")}
+            _views_exact(service._dataset("d"))
+
+    def test_full_runs_only_when_the_signature_flips(self, monkeypatch):
+        """A pure insert or delete at a stable signature runs no whole
+        program; an emptiness flip runs one for the plan it moves."""
+        tbox = TBox.parse("roles: R, S\nB <= A")
+        flips = OMQ(tbox, CQ.parse("R(x, y), S(y, z)",
+                                   answer_vars=["x", "z"]))
+        stable = OMQ(tbox, CQ.parse("A(x), R(x, y)",
+                                    answer_vars=["x", "y"]))
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse(
+                "R(a, b), S(b, c), A(d)"))
+            subs = [service.subscribe("d", omq) for omq in (flips, stable)]
+            service.update("d", inserts=[("R", ("d", "e"))])  # the views
+            runs = _FullRuns(monkeypatch)
+            update = service.update
+            assert runs.during(update, "d", inserts=[("R", ("a", "f"))]) == 0
+            assert runs.during(update, "d", deletes=[("R", ("a", "f"))]) == 0
+            assert runs.during(update, "d", inserts=[("B", ("a",))]) == 0
+            assert runs.during(update, "d", deletes=[("B", ("a",))]) == 0
+            # S empties: only the plan over it re-specialises
+            assert runs.during(update, "d", deletes=[("S", ("b", "c"))]) == 1
+            assert runs.during(update, "d", inserts=[("S", ("b", "c"))]) == 1
+            assert runs.during(update, "d", inserts=[("S", ("e", "g"))]) == 0
+            monkeypatch.undo()
+            abox = service._dataset("d").abox
+            for omq, sub in zip((flips, stable), subs):
+                assert sub.answers == _fresh(abox, omq)
+            _views_exact(service._dataset("d"))
+
+    def test_the_last_unsubscribe_drops_the_view(self):
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            first, second = (service.subscribe("d", OMQ(TBOX, CQ.parse(
+                f"R(x{i}, y{i}), S(y{i}, z{i})",
+                answer_vars=[f"x{i}", f"z{i}"]))) for i in range(2))
+            service.update("d", inserts=[("R", ("o1", "o2"))])
+            dataset = service._dataset("d")
+            key = (first.plan.fingerprint, first.engine)
+            assert list(dataset._views) == [key]
+            service.unsubscribe(first.subscription_id)
+            assert list(dataset._views) == [key]
+            service.unsubscribe(second.subscription_id)
+            assert dataset._views == {}
+
+    def test_replace_and_recovery_rebuild_the_view(self, monkeypatch):
+        omq = OMQ(TBOX, chain_cq("RS"))
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            service.subscribe("d", omq)
+            service.update("d", inserts=[("R", ("o1", "o2"))])
+            service.register_dataset("d", random_data(2), replace=True)
+            sub = service.subscribe("d", omq)
+            dataset = service._dataset("d")
+            assert dataset._views == {}
+            service.update("d", inserts=[("S", ("o2", "o3"))])
+            (view,) = dataset._views.values()
+            _views_exact(dataset)
+
+            # a failed update drops the sessions: the view resyncs from
+            # the answer route, and rebuilds on the new database
+            patch = dataset._patch
+
+            def fail_after_patching(update):
+                patch(update)
+                raise RuntimeError("injected fault")
+
+            monkeypatch.setattr(dataset, "_patch", fail_after_patching)
+            with pytest.raises(RuntimeError):
+                service.update("d", inserts=[("R", ("o3", "o4"))])
+            monkeypatch.undo()
+            assert view.query is None and not sub.stale
+            assert sub.answers == _oracle(dataset.abox, omq.query)
+            service.update("d", deletes=[("R", ("o3", "o4"))])
+            (session,) = dataset.all_sessions()
+            backend = session.backend("python", sub.plan._variant_tbox())
+            assert view.database is backend.database
+            _views_exact(dataset)
+            assert sub.answers == _oracle(dataset.abox, omq.query)
+
+    def test_an_adom_plan_follows_individuals_in_and_out(self, monkeypatch):
+        """``lin`` ranges ``R(x, y)``'s answer over ``__adom__``: every
+        update below moves the active domain, and each is followed by
+        delta clauses."""
+        query = CQ.parse("R(x, y)", answer_vars=["x"])
+        with OMQService() as service:
+            service.register_dataset("d", random_data(3))
+            sub = service.subscribe("d", OMQ(TBOX, query), method="lin")
+            assert ADOM in sub.plan.ndl.program.edb_predicates
+            dataset = service._dataset("d")
+            service.update("d", inserts=[("R", ("n0", "n1"))])
+            runs = _FullRuns(monkeypatch)
+            for i in range(3):
+                for step in ({"inserts": [("R", (f"new{i}", "n1")),
+                                          ("P", ("n2", f"out{i}"))]},
+                             {"deletes": [("R", (f"new{i}", "n1")),
+                                          ("P", ("n2", f"out{i}"))]}):
+                    assert runs.during(service.update, "d", **step) == 0
+                    _views_exact(dataset)
+                    assert sub.answers == _fresh(dataset.abox,
+                                                 OMQ(TBOX, query),
+                                                 method="lin")
+
+    def test_unsubscribes_racing_updates(self):
+        """Two threads subscribe and unsubscribe while two update, with
+        a short switch interval: no deadlock, the churned views are
+        gone, and the one that stays is exact."""
+        with OMQService() as service:
+            service.register_dataset("d", random_data(2, atoms=30))
+            kept = service.subscribe("d", OMQ(TBOX, chain_cq("RS")))
+            errors = []
+
+            def churn(first):
+                for i in range(30):
+                    shape = "RS" if (first + i) % 2 else "SR"
+                    sub = service.subscribe("d", OMQ(TBOX, chain_cq(shape)))
+                    service.unsubscribe(sub.subscription_id)
+
+            def update(first):
+                for i in range(30):
+                    atoms = [("R", (f"u{first}{i}", "n1")),
+                             ("S", ("n1", f"v{first}{i}"))]
+                    service.update("d", inserts=atoms)
+                    service.update("d", deletes=atoms[:1])
+
+            def guarded(work, first):
+                try:
+                    work(first)
+                except Exception as error:  # reported below
+                    errors.append(error)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=guarded,
+                                            args=(work, first))
+                           for first in range(2) for work in (churn, update)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+            finally:
+                sys.setswitchinterval(interval)
+            assert errors == []
+            dataset = service._dataset("d")
+            assert list(dataset._views) == [(kept.plan.fingerprint,
+                                             kept.engine)]
+            _views_exact(dataset)
+            assert kept.answers == _oracle(dataset.abox, chain_cq("RS"))
+
+
+def _fresh(abox, omq, **options):
+    """``omq`` answered over a from-scratch session on a copy of
+    ``abox``."""
+    with AnswerSession(ABox(abox.atoms())) as session:
+        return session.answer(omq, **options).answers
 
 
 def _replay(before, deltas):
