@@ -23,8 +23,7 @@ head: the delta clauses of :mod:`repro.standing.maintain`.
 Evaluation runs over a :class:`repro.engine.database.Database`, whose
 interned constants and EDB hash indexes are shared by every query over
 it; IDB relations (:func:`materialise`) and their indexes live for one
-call.  Use
-:func:`evaluate` for one-shot calls and :func:`evaluate_on` (or
+call.  Use :func:`evaluate` for one-shot calls and :func:`evaluate_on` (or
 :class:`repro.rewriting.api.AnswerSession`) to share a database.  The
 goal relation leaves :func:`evaluate_on` in the database's codes
 (:class:`CodedRows`), decoded on the first read of ``answers`` (a
@@ -156,12 +155,14 @@ def evaluate_on(query: NDLQuery, database) -> EvaluationResult:
                             sizes)
 
 
-def materialise(query: NDLQuery, database) -> Dict[str, IntRelation]:
+def materialise(query: NDLQuery, database, indexes: Optional[Dict] = None
+                ) -> Dict[str, IntRelation]:
     """Every IDB relation of ``query`` over ``database``, goal included,
     dependencies first, in the database's codes: fresh sets the caller
-    may keep and change."""
+    may keep and change, their indexes built into ``indexes``."""
     derived: Dict[str, IntRelation] = {}
-    relation, index = lookups(database, derived, {})
+    relation, index = lookups(database, derived, {} if indexes is None
+                              else indexes)
     for predicate, clauses in _program(query):
         derived[predicate] = set().union(*[
             clause.run(database.token, relation, index)

@@ -75,12 +75,10 @@ class Database:
     over integer codes.  :meth:`index` memoises one hash index per
     ``(predicate, bound positions)`` for the database's lifetime.
 
-    :attr:`version` counts the :meth:`insert_facts` and
-    :meth:`delete_facts` calls that changed the data; :attr:`journal`
-    holds the rows the last one :attr:`inserted` (else removed), per
-    predicate, ``__adom__`` included.  A reader that saw version ``v``
-    catches up from the journal at ``v + 1``, and knows it missed an
-    update past that.
+    :attr:`version` counts the :meth:`insert_facts`/:meth:`delete_facts`
+    calls that changed the data; :attr:`journal` holds the rows the last
+    one :attr:`inserted` (else removed) per predicate, ``__adom__``
+    included: a reader at version ``v`` catches up from it at ``v + 1``.
     """
 
     def __init__(self, abox: ABox,

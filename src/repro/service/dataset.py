@@ -167,9 +167,8 @@ class Dataset:
         self._pool_capacity = pool_capacity
         self._pools: Dict[str, SessionPool] = {}
         self._pool_lock = threading.Lock()
-        #: (plan fingerprint, engine) -> the group's retained view,
-        #: touched under the write lock only: refreshed by
-        #: :meth:`_standing`, dropped with the group's last member
+        #: (plan fingerprint, engine) -> the group's view, touched under
+        #: the write lock only, dropped with the group's last member
         self._views: Dict[Tuple[str, str], View] = {}
         self.requests = 0
         self.updates = 0
@@ -300,13 +299,11 @@ class Dataset:
     def _standing(self, update: Optional[_Update]) -> None:
         """Bring the subscriptions to the current epoch and commit
         their deltas before the lock drops (sessions are quiescent and
-        already patched).  Subscriptions sharing a plan fingerprint and
-        an engine are a group with one view (:mod:`repro.standing
-        .maintain`); one session per engine serves the pass.  After an
-        update each group it can have moved is refreshed once (a child
-        span named for the route) and commits to its members, the rest
-        just advance; with ``None`` (recovery) each group is
-        re-executed and its members sent a ``resync``.
+        already patched), one plan group — one view, :mod:`repro
+        .standing.maintain` — at a time, one session per engine.  Each
+        group an update can have moved is refreshed once (a child span
+        named for its route), the rest just advance; with ``None``
+        (recovery) each group is re-executed and sent a ``resync``.
 
         Never raises — it also runs on :meth:`apply`'s exception path.
         A failed refresh costs its group's view and freshness: the
@@ -371,15 +368,14 @@ class Dataset:
 
     def _refresh(self, key: Tuple[str, str], members: List[StandingQuery],
                  session, epoch: int, resync: bool) -> None:
-        """Refresh one group's view and commit: the group's delta to
-        the members that held the view's answers, a diff of their own
-        to the others (new or stale ones), the answers when
-        ``resync``."""
+        """Refresh one group's view and commit its delta (on ``resync``,
+        its answers) to its members; one not on the view's answers (new
+        or stale) gets a diff of its own."""
         view = self._views.setdefault(key, View())
         before = view.answers
         if resync:
             with span("resync"):
-                view.query = None  # the next update materialises
+                view.reset()  # the next update materialises
                 view.answers = full_reexecute(members[0], session)
             shared = AnswerDelta(epoch=epoch, resync=True,
                                  answers=view.answers)
@@ -397,13 +393,17 @@ class Dataset:
                     epoch=epoch, added=answers - sub.answers,
                     removed=sub.answers - answers), answers)
             sub.stale = False
+        if all(sub.closed for sub in members):  # :meth:`release` raced
+            self._views.pop(key, None)
 
     def release(self, sub: StandingQuery) -> None:
-        """Drop ``sub``'s group view once no subscription is left in it."""
+        """Drop ``sub``'s group view once no subscription is left in it;
+        only that drop waits for the write lock."""
         key = (sub.plan.fingerprint, sub.engine)
-        with self.lock.writing():
-            if not any((other.plan.fingerprint, other.engine) == key
-                       for other in self._subscriptions()):
+        if key in self._views and all(
+                (other.plan.fingerprint, other.engine) != key
+                for other in self._subscriptions()):
+            with self.lock.writing():
                 self._views.pop(key, None)
 
     def _recover(self) -> None:

@@ -542,7 +542,8 @@ class OMQService:
     def unsubscribe(self, subscription_id: str,
                     tenant: str = DEFAULT_TENANT) -> None:
         """Drop a subscription; blocked pollers wake with a
-        closed-subscription error."""
+        closed-subscription error.  A plan group's last member waits
+        for the dataset's write lock to drop the group's view."""
         self._owned_subscription(subscription_id, tenant)
         sub = self.standing.remove(subscription_id)
         sub.owner.release(sub)

@@ -89,7 +89,11 @@ class View:
 
     def __init__(self):
         self.answers: Rows = frozenset()
-        self.query = None
+        self.reset()
+
+    def reset(self) -> None:
+        """Hold nothing to move from: the next refresh materialises."""
+        self.query = self.database = self.derived = self.indexes = None
 
     def skip(self) -> None:
         """The update changed nothing this view reads: keep up."""
@@ -121,12 +125,12 @@ def refresh(view: View, sub, session) -> Tuple[Rows, Rows]:
             with span("materialise"):
                 view.query, view.database = query, database
                 view.version, view.indexes = database.version, {}
-                view.derived = materialise(query, database)
+                view.derived = materialise(query, database, view.indexes)
                 goal = view.derived.get(query.goal,
                                         database.relation(query.goal))
                 return view.settle(database.decode_rows(goal))
     # every clause pruned (or another engine): the answer route
-    view.query = None
+    view.reset()
     with span("reexecute"):
         return view.settle(full_reexecute(sub, session))
 
@@ -149,7 +153,8 @@ def _follow(view: View, database) -> Tuple[Rows, Rows]:
             for i, atom in enumerate(clause.atoms):
                 seed = changed.get(atom.predicate)
                 if seed:
-                    found |= clause.run(token, *read, seed, i)
+                    # a run may hand back a stored _Before: not a set
+                    found.update(clause.run(token, *read, seed, i))
         if inserted:
             found -= derived[predicate]
         else:

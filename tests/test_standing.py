@@ -550,9 +550,9 @@ class _FullRuns:
         materialise_ = maintain.materialise
         execute = Plan.execute
 
-        def counted_materialise(query, database):
+        def counted_materialise(query, database, *args):
             self.plans.append(query)
-            return materialise_(query, database)
+            return materialise_(query, database, *args)
 
         def counted_execute(plan, *args, **kwargs):
             self.plans.append(plan)
@@ -610,6 +610,29 @@ class TestDeltaMaintenance:
             assert sub.history[-1].removed == {("a", "c")}
             _views_exact(service._dataset("d"))
 
+    @pytest.mark.parametrize("method", [None, "ucq", "log"])
+    def test_a_delete_across_disconnected_atoms(self, monkeypatch, method):
+        """``G(u, v) <- R(x, y) & S(u, v)``: seeded at ``R``, nothing of
+        ``R`` reaches the head, so the run's last step scans all of
+        ``S`` as it was before the delete; one delete that takes a row
+        of each is followed by delta clauses all the same."""
+        omq = OMQ(TBox.parse("roles: R, S"),
+                  CQ.parse("R(x, y), S(u, v)", answer_vars=["u", "v"]))
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse(
+                "R(a, b), R(c, d), S(e, f), S(g, h)"))
+            sub = service.subscribe("d", omq, method=method)
+            service.update("d", inserts=[("S", ("i", "j"))])  # the view
+            dataset = service._dataset("d")
+            runs = _FullRuns(monkeypatch)
+            assert runs.during(service.update, "d", deletes=[
+                ("R", ("a", "b")), ("S", ("e", "f"))]) == 0
+            assert not sub.stale
+            _views_exact(dataset)
+            assert sub.answers == _fresh(dataset.abox, omq, method=method) \
+                == {("g", "h"), ("i", "j")}
+            assert sub.history[-1].removed == {("e", "f")}
+
     def test_full_runs_only_when_the_signature_flips(self, monkeypatch):
         """A pure insert or delete at a stable signature runs no whole
         program; an emptiness flip runs one for the plan it moves."""
@@ -649,9 +672,22 @@ class TestDeltaMaintenance:
             dataset = service._dataset("d")
             key = (first.plan.fingerprint, first.engine)
             assert list(dataset._views) == [key]
-            service.unsubscribe(first.subscription_id)
-            assert list(dataset._views) == [key]
-            service.unsubscribe(second.subscription_id)
+            # a group that keeps a member keeps its view without the
+            # write lock; its last member waits for the reads running
+            with dataset.lock.reading():
+                early = threading.Thread(target=service.unsubscribe,
+                                         args=(first.subscription_id,))
+                early.start()
+                early.join(timeout=10)
+                assert not early.is_alive()
+                assert list(dataset._views) == [key]
+                last = threading.Thread(target=service.unsubscribe,
+                                        args=(second.subscription_id,))
+                last.start()
+                last.join(timeout=0.2)
+                assert last.is_alive()
+            last.join(timeout=10)
+            assert not last.is_alive()
             assert dataset._views == {}
 
     def test_replace_and_recovery_rebuild_the_view(self, monkeypatch):
@@ -681,6 +717,8 @@ class TestDeltaMaintenance:
                 service.update("d", inserts=[("R", ("o3", "o4"))])
             monkeypatch.undo()
             assert view.query is None and not sub.stale
+            # nothing of the dropped sessions is held
+            assert view.database is None and view.derived is None
             assert sub.answers == _oracle(dataset.abox, omq.query)
             service.update("d", deletes=[("R", ("o3", "o4"))])
             (session,) = dataset.all_sessions()
