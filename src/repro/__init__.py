@@ -23,8 +23,8 @@ The package implements the paper end to end:
 * the Section 6 optimisation layer: a unified evaluation layer with an
   interned, indexed in-memory database and session reuse
   (:mod:`repro.engine`, :class:`repro.rewriting.api.AnswerSession`),
-  a SQL backend running rewritings as
-  SQLite views/tables (:mod:`repro.sql`), an NDL optimiser with
+  a SQL backend materialising rewritings into
+  SQLite tables (:mod:`repro.sql`), an NDL optimiser with
   Tw*-style inlining and emptiness pruning
   (:mod:`repro.datalog.optimize`) that every ``Plan.execute`` applies
   for the nonempty signature of the data it runs over, and the
@@ -88,7 +88,6 @@ from .datalog import (
 )
 from .engine import (
     ENGINES,
-    SQL_ENGINES,
     Database,
     create_engine,
 )
@@ -139,7 +138,6 @@ __all__ = [
     "Subscription",
     "Database",
     "ENGINES",
-    "SQL_ENGINES",
     "METHODS",
     "NDLQuery",
     "OMQ",

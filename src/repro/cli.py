@@ -51,7 +51,6 @@ def _load_query(text: str, answers: Optional[str]) -> CQ:
 def _options(args, **extra) -> AnswerOptions:
     """One ``AnswerOptions`` from a parsed namespace's pipeline flags."""
     fields = {"method": getattr(args, "method", None),
-              "optimize_sql": getattr(args, "optimize_sql", None),
               "engine": getattr(args, "engine", None),
               "timeout": getattr(args, "timeout", None),
               "over": getattr(args, "over", None)}
@@ -161,13 +160,7 @@ def _cmd_sql(args) -> int:
     tbox = _load_tbox(args.tbox)
     query = _load_query(args.query, args.answers)
     plan = compile_omq(OMQ(tbox, query), _options(args))
-    compilation = compile_query(plan.ndl, materialised=args.materialised,
-                                optimize=args.optimize_sql)
-    for entry in compilation.passes:
-        mark = " *" if entry.get("changed") else ""
-        print(f"-- pass {entry['pass']}: {entry['before']} -> "
-              f"{entry['after']} nodes{mark}")
-    print(compilation.script())
+    print(compile_query(plan.ndl).script())
     return 0
 
 
@@ -238,8 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=("complete", "arbitrary"))
     rewrite_parser.set_defaults(func=_cmd_rewrite)
 
-    # no prefix matching on the two pipeline subcommands: the removed
-    # --optimize must be a usage error, not a spelling of --optimize-sql
+    # no prefix matching on the pipeline subcommands: a removed flag
+    # must be a usage error, not a spelling of a remaining one
     explain_parser = sub.add_parser(
         "explain", allow_abbrev=False,
         help="compile the OMQ and print the plan report "
@@ -252,11 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                                 choices=ENGINES,
                                 help="execution engine to record in the "
                                      "plan")
-    explain_parser.add_argument("--optimize-sql", action="store_true",
-                                dest="optimize_sql",
-                                help="run the SQL optimizer pass "
-                                     "pipeline (reported in the plan's "
-                                     "sql section)")
     explain_parser.add_argument("--timeout", type=float, default=None,
                                 help="soft evaluation budget (seconds) to "
                                      "record in the plan")
@@ -274,10 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     answer_parser.add_argument("--engine", default="python",
                                choices=ENGINES,
                                help="evaluation backend")
-    answer_parser.add_argument("--optimize-sql", action="store_true",
-                               dest="optimize_sql",
-                               help="run the SQL optimizer pass "
-                                    "pipeline on SQL engines")
     answer_parser.add_argument("--trace", action="store_true",
                                help="print a per-span timing breakdown "
                                     "(compile stages, cache lookups, "
@@ -285,15 +269,11 @@ def build_parser() -> argparse.ArgumentParser:
     answer_parser.set_defaults(func=_cmd_answer)
 
     sql_parser = sub.add_parser(
-        "sql", help="print the rewriting compiled to SQL (Section 6's "
-                    "'views in standard DBMSs')")
+        "sql", allow_abbrev=False,
+        help="print the SQL script the sql engine runs for the "
+             "rewriting (one table per IDB predicate, then the goal "
+             "select)")
     common(sql_parser)
-    sql_parser.add_argument("--materialised", action="store_true",
-                            help="CREATE TABLE statements instead of views")
-    sql_parser.add_argument("--optimize-sql", action="store_true",
-                            dest="optimize_sql",
-                            help="run the optimizer pass pipeline first "
-                                 "(pass log printed as -- comments)")
     sql_parser.set_defaults(func=_cmd_sql)
 
     classify_parser = sub.add_parser("classify",

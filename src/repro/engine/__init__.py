@@ -5,7 +5,8 @@
   indexes memoised by bound-argument positions and shared across
   queries (the native engine's storage);
 * :class:`~repro.engine.backends.Engine` — the common protocol over the
-  native Python evaluator and the two SQLite modes, built via
+  native Python evaluator and the SQLite one
+  (:class:`repro.sql.engine.SQLEngine`), built via
   :func:`~repro.engine.backends.create_engine`.
 
 :class:`repro.rewriting.api.AnswerSession` adds the rewriting pipeline
@@ -15,10 +16,8 @@ on top (completion, rewriters, per-execute specialisation).
 from .database import Database, build_index
 from .backends import (
     ENGINES,
-    SQL_ENGINES,
     Engine,
     PythonEngine,
-    SQLiteEngine,
     create_engine,
 )
 
@@ -27,8 +26,6 @@ __all__ = [
     "ENGINES",
     "Engine",
     "PythonEngine",
-    "SQL_ENGINES",
-    "SQLiteEngine",
     "build_index",
     "create_engine",
 ]

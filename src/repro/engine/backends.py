@@ -1,11 +1,14 @@
 """One interface over the Python and SQLite evaluators.
 
-Section 6 compares a materialise-everything datalog engine (the RDFox
-stand-in) with running the rewritings as views in a standard DBMS.
-:func:`create_engine` hides the choice behind one :class:`Engine`
-protocol: build one per data instance, then :meth:`Engine.evaluate`
-every rewriting.  All backends keep the loaded data across calls and
-return identical answer sets (``tests/test_engine.py``).
+Section 6 asks whether the rewritings run well in a standard DBMS;
+Appendix D.4 evaluates them by materialising every IDB predicate (the
+RDFox strategy).  :func:`create_engine` hides the choice of evaluator
+behind one :class:`Engine` protocol: build one per data instance, then
+:meth:`Engine.evaluate` every rewriting.  ``python`` is the interned
+hash-join evaluator; ``sql`` is :class:`repro.sql.engine.SQLEngine`,
+which materialises each IDB predicate into a SQLite table.  Both keep
+the loaded data across calls and return identical answer sets
+(``tests/test_engine.py``).
 
 ``evaluate`` runs exactly the program it is given; ``Plan.execute``
 gives it the rewriting specialised to the signature
@@ -26,11 +29,7 @@ from ..datalog.program import NDLQuery
 from .database import Database
 
 #: The evaluation backends, in the order of Appendix D.4's comparison.
-ENGINES = ("python", "sql", "sql-views")
-
-#: The backends that evaluate by compiling to SQL (and hence accept the
-#: ``optimize_sql`` knob meaningfully).
-SQL_ENGINES = ("sql", "sql-views")
+ENGINES = ("python", "sql")
 
 ExtraRelations = Optional[Mapping[str, Iterable[Tuple[str, ...]]]]
 
@@ -46,11 +45,8 @@ class Engine:
     #: The :data:`ENGINES` name this backend answers to.
     name: str = "?"
 
-    def evaluate(self, query: NDLQuery,
-                 optimize_sql: bool = False) -> EvaluationResult:
-        """Evaluate one query.  ``optimize_sql`` asks SQL-compiling
-        backends to run the :mod:`repro.sql.optimize` pass pipeline;
-        non-SQL backends ignore it."""
+    def evaluate(self, query: NDLQuery) -> EvaluationResult:
+        """Evaluate one query."""
         raise NotImplementedError
 
     def nonempty(self, predicates: Iterable[str]) -> FrozenSet[str]:
@@ -97,8 +93,7 @@ class PythonEngine(Engine):
     def __init__(self, abox: ABox, extra_relations: ExtraRelations = None):
         self.database = Database(abox, extra_relations)
 
-    def evaluate(self, query: NDLQuery,
-                 optimize_sql: bool = False) -> EvaluationResult:
+    def evaluate(self, query: NDLQuery) -> EvaluationResult:
         return evaluate_on(query, self.database)
 
     def nonempty(self, predicates):
@@ -111,45 +106,18 @@ class PythonEngine(Engine):
         self.database.insert_facts(inserts)
 
 
-class SQLiteEngine(Engine):
-    """The SQL backend: materialised tables or planner-driven views."""
-
-    def __init__(self, abox: ABox, extra_relations: ExtraRelations = None,
-                 materialised: bool = True):
-        from ..sql.engine import SQLEngine
-
-        self.materialised = materialised
-        self.name = "sql" if materialised else "sql-views"
-        self._engine = SQLEngine(abox, extra_relations)
-
-    def evaluate(self, query: NDLQuery,
-                 optimize_sql: bool = False) -> EvaluationResult:
-        return self._engine.evaluate(query,
-                                     materialised=self.materialised,
-                                     optimize_sql=optimize_sql)
-
-    def nonempty(self, predicates):
-        return self._engine.nonempty(predicates)
-
-    def apply_delta(self, inserts, deletes, adom_add=(), adom_remove=()):
-        self._engine.apply_delta(inserts, deletes, adom_add, adom_remove)
-
-    def close(self) -> None:
-        self._engine.close()
-
-
 def create_engine(name: str, abox: ABox,
                   extra_relations: ExtraRelations = None) -> Engine:
     """Load ``abox`` into the backend called ``name``.
 
     ``name`` is one of :data:`ENGINES`: ``"python"`` (interned hash-join
-    engine), ``"sql"`` (SQLite, bottom-up materialisation) or
-    ``"sql-views"`` (SQLite, one view per IDB predicate).
+    engine) or ``"sql"`` (SQLite, bottom-up materialisation; imported
+    on first use).
     """
     if name == "python":
         return PythonEngine(abox, extra_relations)
     if name == "sql":
-        return SQLiteEngine(abox, extra_relations, materialised=True)
-    if name == "sql-views":
-        return SQLiteEngine(abox, extra_relations, materialised=False)
+        from ..sql.engine import SQLEngine
+
+        return SQLEngine(abox, extra_relations)
     raise ValueError(f"unknown engine {name!r}; expected one of {ENGINES}")

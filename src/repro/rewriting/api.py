@@ -342,9 +342,8 @@ def answer(omq: OMQ, abox: ABox, options=None, **overrides) -> "Answers":
     * ``method`` picks the rewriter; ``"adaptive"`` picks the cheapest
       of the Section 3 rewriters for this data via the Section 6 cost
       model;
-    * ``engine`` selects the evaluator: the native Python engine, SQL
-      with full materialisation (``"sql"``) or SQL views
-      (``"sql-views"``).
+    * ``engine`` selects the evaluator: the native Python engine or
+      SQLite with full materialisation (``"sql"``).
 
     Whatever is chosen, the rewriting is evaluated specialised to the
     data's nonempty signature (Appendix D.4's emptiness pruning,

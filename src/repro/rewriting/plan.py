@@ -45,7 +45,7 @@ from ..data.abox import ABox
 from ..datalog.evaluate import CodedRows, EvaluationResult, RowsRecord
 from ..datalog.optimize import optimize
 from ..datalog.program import NDLQuery
-from ..engine import ENGINES, SQL_ENGINES, Engine
+from ..engine import ENGINES, Engine
 from ..obs import trace as _trace
 from .api import METHODS, OMQ, AnswerSession, resolve_method, rewrite
 
@@ -71,17 +71,12 @@ class AnswerOptions:
     runs to completion and the result is flagged
     :attr:`Answers.timed_out` when it overran (callers like the
     Tables 3-5 harness then skip larger instances).
-
-    ``optimize_sql`` runs the :mod:`repro.sql.optimize` pass pipeline
-    over the compiled SQL on SQL-compiling engines (``sql``,
-    ``sql-views``); the python engine ignores it.
     """
 
     method: str = "auto"
     engine: Optional[str] = None
     timeout: Optional[float] = None
     over: str = "complete"
-    optimize_sql: bool = False
 
     def __post_init__(self):
         if self.method not in OPTION_METHODS:
@@ -126,13 +121,9 @@ class AnswerOptions:
 
         ``engine`` and ``timeout`` are deliberately excluded: they do
         not change the compiled program, and including them would
-        fragment the cache (one compiled plan serves every engine).  ``optimize_sql``
-        *is* included: it does not change the NDL either, but a cached
-        plan's :meth:`Plan.explain` reports the SQL pass log, which
-        must reflect the knob the requester asked for — not the first
-        compiler's.
+        fragment the cache (one compiled plan serves every engine).
         """
-        return (self.method, self.over, bool(self.optimize_sql))
+        return (self.method, self.over)
 
     def as_dict(self) -> Dict[str, object]:
         return dataclasses.asdict(self)
@@ -303,8 +294,11 @@ class Plan:
         object.__setattr__(self, "timings",
                            MappingProxyType(dict(self.timings)))
         if not self.fingerprint:
+            # the trailing False is the retired ``optimize_sql`` option's
+            # place in the hashed tuple: kept, so a plan's digest (on
+            # answers, subscriptions and /explain) did not change with it
             text = (f"{self.omq.fingerprint()}\n"
-                    f"{self.options.rewrite_fingerprint()!r}")
+                    f"{(*self.options.rewrite_fingerprint(), False)!r}")
             object.__setattr__(self, "fingerprint",
                                hashlib.sha256(text.encode()).hexdigest())
 
@@ -323,31 +317,15 @@ class Plan:
     def depth(self) -> int:
         return self.ndl.depth()
 
-    def sql_report(self, engine: Optional[str] = None,
-                   optimize_sql: Optional[bool] = None) -> Dict[str, object]:
-        """The SQL the plan compiles to on a SQL engine: dialect,
-        optimizer pass log, statements and goal select.
-
-        ``engine`` defaults to the plan's own (or ``sql-views``);
-        ``optimize_sql`` to the plan's knob.  JSON-serialisable.
-        """
+    def sql_report(self) -> Dict[str, object]:
+        """The SQL the ``sql`` engine runs for the plan's rewriting:
+        one ``CREATE TABLE ... AS`` statement per IDB predicate, in
+        dependence order, and the goal select.  JSON-serialisable."""
         from ..sql.compile import compile_query
 
-        name = engine or self.options.engine or "sql-views"
-        if name not in SQL_ENGINES:
-            raise ValueError(f"sql_report needs a SQL engine "
-                             f"(one of {SQL_ENGINES}), got {name!r}")
-        if optimize_sql is None:
-            optimize_sql = self.options.optimize_sql
-        compilation = compile_query(
-            self.ndl, materialised=(name == "sql"),
-            optimize=bool(optimize_sql))
+        compilation = compile_query(self.ndl)
         return {
-            "engine": name,
-            "dialect": compilation.dialect,
-            "materialised": compilation.materialised,
-            "optimize_sql": bool(optimize_sql),
-            "passes": [dict(entry) for entry in compilation.passes],
+            "engine": "sql",
             "statements": list(compilation.statements),
             "goal_select": compilation.goal_select,
         }
@@ -358,12 +336,11 @@ class Plan:
 
         JSON-serialisable — the CLI ``explain`` subcommand and the HTTP
         ``/explain`` endpoint return exactly this dict.  When the
-        plan's engine compiles to SQL, the report carries a ``"sql"``
-        section (see :meth:`sql_report`) with the optimizer pass log
-        and the final SQL.  With a loaded ``backend`` it also carries
-        ``"specialised"``: the nonempty signature of that data and the
-        size of the program :meth:`execute` would run over it, next to
-        the rewriting's.
+        plan's engine is ``sql``, the report carries a ``"sql"``
+        section with the SQL it runs (see :meth:`sql_report`).  With a
+        loaded ``backend`` it also carries ``"specialised"``: the
+        nonempty signature of that data and the size of the program
+        :meth:`execute` would run over it, next to the rewriting's.
         """
         report = {
             "fingerprint": self.fingerprint,
@@ -389,7 +366,7 @@ class Plan:
                     backend.nonempty(self.ndl.program.edb_predicates)),
                 "rules": len(ndl), "width": ndl.width(),
                 "depth": ndl.depth()}
-        if self.options.engine in SQL_ENGINES:
+        if self.options.engine == "sql":
             report["sql"] = self.sql_report()
         active = _trace.current_trace()
         if active is not None:
@@ -471,8 +448,7 @@ class Plan:
             exec_span.attrs["engine"] = engine_name
             ndl = self.specialised(backend)
             if len(ndl) or not self.rules:
-                result = backend.evaluate(
-                    ndl, optimize_sql=options.optimize_sql)
+                result = backend.evaluate(ndl)
             else:
                 # every goal clause was pruned: provably no answer, and
                 # the engine must not be asked — with no clause left
@@ -547,10 +523,9 @@ def format_explain(report: Mapping[str, object]) -> str:
     """Render a :meth:`Plan.explain` report as aligned text (the CLI's
     non-JSON output)."""
     lines = []
-    order = ("omq_class", "method_requested", "method", "optimize_sql",
-             "over", "engine", "timeout", "data_bound", "goal",
-             "answer_vars", "rules", "width", "depth", "compile_seconds",
-             "fingerprint")
+    order = ("omq_class", "method_requested", "method", "over", "engine",
+             "timeout", "data_bound", "goal", "answer_vars", "rules",
+             "width", "depth", "compile_seconds", "fingerprint")
     for key in order:
         if key not in report:
             continue
@@ -568,13 +543,4 @@ def format_explain(report: Mapping[str, object]) -> str:
     stages = report.get("stages") or {}
     for stage, seconds in stages.items():
         lines.append(f"{'  stage ' + stage:17} {seconds}s")
-    sql = report.get("sql") or {}
-    if sql:
-        lines.append(f"{'sql dialect':17} {sql['dialect']}"
-                     f" ({'tables' if sql['materialised'] else 'views'})")
-        for entry in sql.get("passes", ()):
-            suffix = "  *" if entry.get("changed") else ""
-            lines.append(f"  pass {entry['pass']:16} "
-                         f"{entry['before']:>4} -> {entry['after']:<4}"
-                         f"{suffix}")
     return "\n".join(lines)

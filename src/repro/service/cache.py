@@ -13,7 +13,7 @@ evaluation returns constant tuples positioned by the answer tuple,
 which renaming does not move.
 
 Keys take an :class:`~repro.rewriting.plan.AnswerOptions` and use only
-its compile-relevant subset (method, over, optimize_sql) — the
+its compile-relevant subset (method, over) — the
 execution knobs (engine, timeout) never partition the cache, so the
 hit-rate is independent of how clients evaluate.  Cached plans are
 data-independent (each execute specialises the plan to the data it

@@ -187,7 +187,7 @@ class Dataset:
             if pool is None:
                 # one session is enough for the Python engine: its
                 # backends share one interned Database and evaluation
-                # is GIL-bound anyway.  The SQLite engines pool up to
+                # is GIL-bound anyway.  The SQLite engine pools up to
                 # ``pool_capacity`` independent connections.
                 capacity = 1 if engine == "python" else self._pool_capacity
                 pool = SessionPool(

@@ -45,8 +45,12 @@ MAX_POLL_TIMEOUT = 30.0
 
 #: Option keys that belong inside a request's ``"options"`` object;
 #: beside it they are a 400 (see :func:`decode_options`).
-FLAT_OPTION_KEYS = frozenset({"method", "engine", "optimize_sql",
-                              "timeout"})
+FLAT_OPTION_KEYS = frozenset({"method", "engine", "timeout"})
+
+#: Keys that were answer options once: a 400 naming them beside the
+#: ``"options"`` object too (inside it, ``AnswerOptions`` rejects them),
+#: rather than a setting silently ignored.
+RETIRED_OPTION_KEYS = frozenset({"optimize_sql"})
 
 #: The keys a ``POST /datasets`` body may carry; any other is a 400
 #: rather than a setting silently ignored.
@@ -340,6 +344,10 @@ def decode_options(payload: Dict) -> AnswerOptions:
     """The request's :class:`AnswerOptions`: its ``"options"`` object.
     An option key beside it is rejected, not ignored — the request
     would run under another method or engine than it asked for."""
+    retired = RETIRED_OPTION_KEYS.intersection(payload)
+    if retired:
+        raise ProtocolError(
+            f"unknown answer option(s): {sorted(retired)}")
     flat = FLAT_OPTION_KEYS.intersection(payload)
     if flat:
         raise ProtocolError(

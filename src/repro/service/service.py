@@ -608,10 +608,11 @@ class OMQService:
         from ..queries import CQ
 
         # a store written by an earlier version may carry settings this
-        # one no longer has (option keys, a dataset's shard count); the
-        # store is not outside input (a typo cannot arrive through it),
-        # so they are dropped here, with one warning, rather than
-        # failing every standing query in ``coerce``
+        # one no longer has (option keys, a dataset's shard count, the
+        # ``sql-views`` engine, which restores on ``sql``); the store is
+        # not outside input (a typo cannot arrive through it), so they
+        # are dropped here, with one warning, rather than failing every
+        # standing query in ``coerce``
         known = {f.name for f in dataclasses.fields(AnswerOptions)}
         retired = set()
         for tenant, snap in sorted(self.store.load_all().items()):
@@ -641,11 +642,15 @@ class OMQService:
                               CQ.parse(stored.query,
                                        answer_vars=stored.answer_vars))
                     retired.update(set(stored.options) - known)
+                    options = {key: value
+                               for key, value in stored.options.items()
+                               if key in known}
+                    if "sql-views" in (stored.engine,
+                                       options.get("engine")):
+                        retired.add("sql-views")
+                        options["engine"] = "sql"
                     self.subscribe(
-                        stored.dataset, omq,
-                        options={key: value
-                                 for key, value in stored.options.items()
-                                 if key in known},
+                        stored.dataset, omq, options=options,
                         tenant=tenant,
                         subscription_id=stored.subscription_id,
                         _persist=False)

@@ -1,21 +1,20 @@
 """Relational (SQL) backend for NDL rewritings.
 
 Section 6 of the paper asks "whether our rewritings can be efficiently
-implemented using views in standard DBMSs".  This subpackage answers
-affirmatively for SQLite (the standard-library DBMS): an ABox is
-loaded into a relational schema (:mod:`repro.sql.schema`), an NDL query is compiled into a structured
-relational IR (:mod:`repro.sql.ir`: selects, unions, definitions, with
-identifier quoting and literal escaping in exactly one place), the
-optional optimizer pass pipeline rewrites redundancy out of it
-(:mod:`repro.sql.optimize`: branch dedup, subsumption pruning,
-OR→IN merging, common-subquery hoisting, DISTINCT elision — each pass
-logged with before/after node counts), the dialect renderer turns it
-into text — one view or materialised table per IDB predicate —
-(:mod:`repro.sql.compile`), and :func:`repro.sql.engine.evaluate_sql`
-runs the whole pipeline, returning the same
+implemented using views in standard DBMSs".  This subpackage runs them
+on SQLite (the standard-library DBMS): an ABox is loaded into a
+relational schema (:mod:`repro.sql.schema`), an NDL query is compiled
+into a structured relational IR (:mod:`repro.sql.ir`: selects, unions,
+definitions, with identifier quoting and literal escaping in exactly
+one place) and rendered to one ``CREATE TABLE ... AS`` statement per
+IDB predicate (:mod:`repro.sql.compile`), and
+:class:`~repro.sql.engine.SQLEngine` — the ``sql`` engine — runs them
+bottom-up, returning the same
 :class:`~repro.datalog.evaluate.EvaluationResult` as the native Python
 engine so the backends are interchangeable and can be compared
-(``benchmarks/bench_ablation_engines.py``).
+(``benchmarks/bench_ablation_engines.py``).  The same program as one
+``WITH``-query, for registering as a single view elsewhere, is
+:meth:`~repro.sql.compile.SQLCompilation.cte_query`.
 """
 
 from .compile import (
@@ -26,13 +25,10 @@ from .compile import (
     compile_query_ir,
 )
 from .engine import SQLEngine, evaluate_sql
-from .ir import DIALECT_NAMES, QueryIR, get_dialect
-from .optimize import PASSES, optimize_ir
-from .schema import create_schema, load_abox, quote_identifier, table_name
+from .ir import QueryIR, quote_identifier, quote_literal
+from .schema import create_schema, load_abox, table_name
 
 __all__ = [
-    "DIALECT_NAMES",
-    "PASSES",
     "QueryIR",
     "SQLCompilation",
     "SQLEngine",
@@ -42,9 +38,8 @@ __all__ = [
     "compile_query_ir",
     "create_schema",
     "evaluate_sql",
-    "get_dialect",
     "load_abox",
-    "optimize_ir",
     "quote_identifier",
+    "quote_literal",
     "table_name",
 ]

@@ -1,20 +1,12 @@
-"""Evaluating NDL queries on a SQL engine (SQLite).
+"""Evaluating NDL queries on SQLite: the ``sql`` engine.
 
-:func:`evaluate_sql` is a drop-in alternative to
-:func:`repro.datalog.evaluate.evaluate`: same inputs, same
-:class:`~repro.datalog.evaluate.EvaluationResult` outputs.  Two modes:
-
-* ``materialised=True`` computes every IDB predicate bottom-up into a
-  table (the RDFox strategy of Appendix D.4) and reports the exact
-  per-predicate relation sizes;
-* ``materialised=False`` installs views and lets the DBMS's planner
-  evaluate the goal lazily (the "views in standard DBMSs" suggestion of
-  Section 6) — ``generated_tuples`` then counts only the goal relation,
-  as nothing else is materialised.
-
-:class:`SQLEngine` runs on the stdlib SQLite and accepts
-``optimize_sql=True`` to run the :mod:`repro.sql.optimize` pass
-pipeline before rendering.
+:class:`SQLEngine` is the :class:`~repro.engine.backends.Engine` that
+:func:`repro.engine.create_engine` builds for ``"sql"``: it loads the
+data into a stdlib SQLite database once, computes every IDB predicate
+of a query bottom-up into a table (the RDFox strategy of Appendix D.4)
+and reports the exact per-predicate relation sizes, so its
+:class:`~repro.datalog.evaluate.EvaluationResult` is the python
+engine's.  :func:`evaluate_sql` is the one-shot form.
 """
 
 from __future__ import annotations
@@ -27,6 +19,7 @@ from ..data.abox import ABox
 from ..datalog.evaluate import EvaluationResult
 from ..datalog.optimize import nonempty_signature
 from ..datalog.program import ADOM, NDLQuery
+from ..engine.backends import Engine
 from ..obs.trace import span as _span
 from .compile import SQLCompilation, compile_query
 from .schema import (
@@ -40,19 +33,19 @@ from .schema import (
 _COMPILATION_CACHE_SIZE = 64
 
 
-class SQLEngine:
+class SQLEngine(Engine):
     """A loaded SQLite database ready to evaluate NDL queries.
 
     Reusable across queries over the same data: the EDB schema is
-    loaded once and per-query views/tables are dropped after each
-    evaluation.  Compilations are memoised per (query, mode), so
-    re-evaluating the same plan (the session/service hot path) skips
-    compilation and the optimizer entirely.
+    loaded once and per-query tables are dropped after each
+    evaluation.  Compilations are memoised per query, so re-evaluating
+    the same plan (the session/service hot path) skips compilation.
     """
 
+    name = "sql"
+
     def __init__(self, abox: ABox,
-                 extra_relations: Optional[Mapping[str, Iterable[Tuple[str, ...]]]] = None,
-                 edb_arities: Optional[Mapping[str, int]] = None):
+                 extra_relations: Optional[Mapping[str, Iterable[Tuple[str, ...]]]] = None):
         # check_same_thread=False lets a service session pool hand the
         # engine from one worker thread to another; access is still
         # serialised by the pool (SQLite objects are never used from
@@ -62,33 +55,25 @@ class SQLEngine:
         self._abox = abox
         self._extra = extra_relations
         self._loaded: Dict[str, int] = {}
-        self._compilations: "OrderedDict[tuple, SQLCompilation]" = \
+        self._compilations: "OrderedDict[NDLQuery, SQLCompilation]" = \
             OrderedDict()
-        if edb_arities:
-            self._ensure_loaded(dict(edb_arities))
 
     def close(self) -> None:
         self.connection.close()
-
-    def __enter__(self) -> "SQLEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # -- loading ------------------------------------------------------------
 
     def _ensure_loaded(self, arities: Dict[str, int]) -> None:
         """Create and fill the EDB tables that are not present yet."""
-        missing = {predicate: arity
-                   for predicate, arity in arities.items()
-                   if predicate not in self._loaded}
-        for predicate, arity in missing.items():
+        for predicate, arity in arities.items():
             known = self._loaded.get(predicate)
             if known is not None and known != arity:
                 raise ValueError(
                     f"predicate {predicate!r} already loaded with arity "
                     f"{known}, requested {arity}")
+        missing = {predicate: arity
+                   for predicate, arity in arities.items()
+                   if predicate not in self._loaded}
         if not missing:
             return
         create_schema(self.connection, missing)
@@ -136,10 +121,10 @@ class SQLEngine:
                             f"predicate {predicate!r} loaded with arity "
                             f"{arity}, got row of length {len(row)}")
                 if phase == "insert":
-                    # keep base tables duplicate-free (the optimizer's
-                    # DISTINCT elision relies on it): dedupe the batch
-                    # and make each insert idempotent by deleting any
-                    # existing copy first
+                    # keep base tables sets, as the loader does, so
+                    # generated_tuples and answers match the python
+                    # engine's: dedupe the batch and make each insert
+                    # idempotent by deleting any existing copy first
                     rows = list(dict.fromkeys(rows))
                 plan.append((phase, predicate, arity, rows))
         cursor = self.connection.cursor()
@@ -170,49 +155,36 @@ class SQLEngine:
 
     # -- evaluation ----------------------------------------------------------
 
-    def _compile(self, query: NDLQuery, materialised: bool,
-                 optimize_sql: bool) -> SQLCompilation:
-        key = (query, materialised, optimize_sql)
-        cached = self._compilations.get(key)
+    def _compile(self, query: NDLQuery) -> SQLCompilation:
+        cached = self._compilations.get(query)
         if cached is not None:
-            self._compilations.move_to_end(key)
+            self._compilations.move_to_end(query)
             return cached
         with _span("sql-compile"):
-            compilation = compile_query(query, materialised=materialised,
-                                        optimize=optimize_sql)
-        self._compilations[key] = compilation
+            compilation = compile_query(query)
+        self._compilations[query] = compilation
         while len(self._compilations) > _COMPILATION_CACHE_SIZE:
             self._compilations.popitem(last=False)
         return compilation
 
-    def evaluate(self, query: NDLQuery, materialised: bool = True,
-                 optimize_sql: bool = False) -> EvaluationResult:
-        """Evaluate one NDL query and drop its IDB objects afterwards."""
+    def evaluate(self, query: NDLQuery) -> EvaluationResult:
+        """Evaluate one NDL query and drop its IDB tables afterwards."""
         arities = merged_arities(query, self._abox, self._extra)
         idb = query.program.idb_predicates
         self._ensure_loaded({predicate: arity
                              for predicate, arity in arities.items()
                              if predicate not in idb})
-        compilation = self._compile(query, materialised, optimize_sql)
+        compilation = self._compile(query)
         cursor = self.connection.cursor()
         sizes: Dict[str, int] = {}
         try:
-            for definition, statement in zip(compilation.ir.definitions,
-                                             compilation.statements):
+            for predicate, statement in zip(compilation.idb_order,
+                                            compilation.statements):
                 cursor.execute(statement)
-                if materialised and not definition.synthetic:
-                    # synthetic (hoisted) relations are an evaluation
-                    # artefact, not program predicates: keep the
-                    # generated_tuples metric comparable across
-                    # optimized and unoptimized runs
-                    count = cursor.execute(
-                        "SELECT COUNT(*) FROM "
-                        f"{table_name(definition.predicate)}"
-                    ).fetchone()[0]
-                    sizes[definition.predicate] = count
+                sizes[predicate] = cursor.execute(
+                    f"SELECT COUNT(*) FROM {table_name(predicate)}"
+                ).fetchone()[0]
             answers = self._goal_rows(cursor, compilation, query)
-            if not materialised:
-                sizes[query.goal] = len(answers)
         finally:
             self._drop(cursor, compilation)
         return EvaluationResult(frozenset(answers),
@@ -235,17 +207,14 @@ class SQLEngine:
         return {tuple(row) for row in rows}
 
     def _drop(self, cursor, compilation: SQLCompilation) -> None:
-        kind = "TABLE" if compilation.materialised else "VIEW"
         for predicate in reversed(compilation.idb_order):
-            cursor.execute(
-                f"DROP {kind} IF EXISTS {table_name(predicate)}")
+            cursor.execute(f"DROP TABLE IF EXISTS {table_name(predicate)}")
         self.connection.commit()
 
 
 def evaluate_sql(query: NDLQuery, abox: ABox,
-                 extra_relations: Optional[Mapping[str, Iterable[Tuple[str, ...]]]] = None,
-                 materialised: bool = True,
-                 optimize_sql: bool = False) -> EvaluationResult:
+                 extra_relations: Optional[Mapping[str, Iterable[Tuple[str, ...]]]] = None
+                 ) -> EvaluationResult:
     """One-shot SQL evaluation of ``(Pi, G)`` over ``abox``.
 
     Semantically identical to :func:`repro.datalog.evaluate.evaluate`
@@ -253,5 +222,4 @@ def evaluate_sql(query: NDLQuery, abox: ABox,
     amortise data loading across many queries.
     """
     with SQLEngine(abox, extra_relations) as engine:
-        return engine.evaluate(query, materialised=materialised,
-                               optimize_sql=optimize_sql)
+        return engine.evaluate(query)

@@ -14,14 +14,10 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..data.abox import ABox
 from ..datalog.program import ADOM, Literal, NDLQuery
+from .ir import quote_identifier
 
 #: Prefix of every predicate table (avoids clashes with SQLite keywords).
 TABLE_PREFIX = "p_"
-
-
-def quote_identifier(name: str) -> str:
-    """Quote an arbitrary string as a SQL identifier."""
-    return '"' + name.replace('"', '""') + '"'
 
 
 def table_name(predicate: str) -> str:
@@ -104,8 +100,7 @@ def load_abox(connection: sqlite3.Connection, abox: ABox,
     if extra_relations:
         for predicate in sorted(extra_relations):
             # dedupe: relations are sets (the ABox sides already are),
-            # and the optimizer's DISTINCT elision relies on base
-            # tables being duplicate-free
+            # so generated_tuples and answers match the python engine's
             rows = list(dict.fromkeys(
                 tuple(row) for row in extra_relations[predicate]))
             insert(predicate, rows)

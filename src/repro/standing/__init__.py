@@ -32,7 +32,7 @@ Architecture (two modules, wired through the service layer):
   nonempty signature, which follow the update by delta clauses — the
   evaluator's compiled clauses seeded by what the engine journalled —
   so a pass costs the change, not the program, and yields the group's
-  exact delta for every member.  The SQLite engines refresh through
+  exact delta for every member.  The SQLite engine refreshes through
   :meth:`Plan.execute <repro.rewriting.plan.Plan.execute>` and a diff.
 
 Maintenance is the ``standing`` stage of the update sequence

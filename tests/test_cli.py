@@ -80,20 +80,14 @@ class TestLandscape:
 
 
 class TestSqlCommand:
-    def test_prints_view_script(self, onto_file, capsys):
+    def test_prints_table_script(self, onto_file, capsys):
         assert main(["sql", "--tbox", onto_file,
                      "--query", "R(x,y), S(y,z)", "--answers", "x",
                      "--method", "tw"]) == 0
         out = capsys.readouterr().out
-        assert "CREATE VIEW" in out
-        assert "SELECT DISTINCT" in out
-
-    def test_materialised_flag(self, onto_file, capsys):
-        assert main(["sql", "--tbox", onto_file,
-                     "--query", "R(x,y)", "--answers", "x,y",
-                     "--method", "lin", "--materialised"]) == 0
-        out = capsys.readouterr().out
         assert "CREATE TABLE" in out
+        assert "CREATE VIEW" not in out
+        assert "SELECT DISTINCT" in out
 
 
 class TestAnswerPipelineFlags:
@@ -114,7 +108,13 @@ class TestAnswerPipelineFlags:
                               ("answer", ["--start-method", "spawn"]),
                               ("explain", ["--magic"]),
                               ("explain", ["--optimize"]),
-                              ("sql", ["--dialect", "sqlite"])):
+                              ("sql", ["--dialect", "sqlite"]),
+                              ("answer", ["--engine", "sql-views"]),
+                              ("explain", ["--engine", "sql-views"]),
+                              ("answer", ["--optimize-sql"]),
+                              ("explain", ["--optimize-sql"]),
+                              ("sql", ["--optimize-sql"]),
+                              ("sql", ["--materialised"])):
             data = ["--data", data_file] if command == "answer" else []
             with pytest.raises(SystemExit) as excinfo:
                 main([command, *base, *data, *flag])

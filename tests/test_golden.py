@@ -3,7 +3,7 @@
 Each case is a (TBox, ABox, queries) triple drawn from the suite's
 example ontologies; its sorted certain answers are snapshotted in
 ``tests/golden/<case>.json``.  The tests assert that every engine
-(``python``, ``sql``, ``sql-views``) reproduces the snapshots
+(``python``, ``sql``) reproduces the snapshots
 byte-for-byte — the broadest cheap tripwire against a rewriting or
 evaluation regression.
 

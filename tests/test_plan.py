@@ -59,7 +59,7 @@ class TestAnswerOptions:
         assert options.engine is None and options.timeout is None
         assert options.over == "complete"
         assert [f.name for f in dataclasses.fields(AnswerOptions)] == [
-            "method", "engine", "timeout", "over", "optimize_sql"]
+            "method", "engine", "timeout", "over"]
 
     def test_validation(self):
         with pytest.raises(ValueError, match="method"):
@@ -216,7 +216,7 @@ class TestCompileExecuteParity:
 
     @pytest.mark.parametrize("overrides", [
         {}, {"method": "lin"}, {"method": "log"}, {"method": "tw"},
-        {"method": "adaptive"}, {"engine": "sql"}, {"engine": "sql-views"}],
+        {"method": "adaptive"}, {"engine": "sql"}],
         ids=lambda o: ",".join(
             f"{key}={value}" for key, value in o.items()) or "defaults")
     def test_every_way_in_returns_the_same_answers(self, setting, served,

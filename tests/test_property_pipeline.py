@@ -51,14 +51,6 @@ class TestSqlBackendAgainstOracle:
         assert (evaluate_sql(ndl, completed).answers
                 == _oracle(tbox, query, abox))
 
-    @SETTINGS
-    @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
-    def test_sql_views(self, tbox, query, abox):
-        ndl = tw_rewrite(tbox, query)
-        completed = abox.complete(tbox)
-        assert (evaluate_sql(ndl, completed, materialised=False).answers
-                == _oracle(tbox, query, abox))
-
 
 @st.composite
 def update_sequences(draw):
@@ -129,5 +121,5 @@ class TestFacadeAgainstOracle:
     @given(tbox=tboxes(), query=tree_queries(), abox=aboxes())
     def test_full_pipeline(self, tbox, query, abox):
         result = answer(OMQ(tbox, query), abox, method="tw",
-                        engine="sql-views")
+                        engine="sql")
         assert result.answers == _oracle(tbox, query, abox)

@@ -7,7 +7,7 @@ maintenance (indexes, interning, ``__adom__``),
 patching), and the property-style random-sequence test over
 :class:`OMQService` demanded by the PR issue — random insert/delete
 sequences, answers compared against a fresh session on the final ABox,
-across all three engines.  Hypothesis properties hold the incremental
+across both engines.  Hypothesis properties hold the incremental
 structures underneath (``ABox.around``, the patched ``Database``
 indexes, the narrowed delete delta) to from-scratch references.
 """

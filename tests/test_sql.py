@@ -1,9 +1,9 @@
-"""Tests for the SQL backend (repro.sql): the Section 6 suggestion of
-running NDL rewritings as views in a standard DBMS.
+"""Tests for the SQL backend (repro.sql): the Section 6 question of
+running NDL rewritings in a standard DBMS.
 
 The central property is engine interchangeability: for every program
-and data instance, ``evaluate_sql`` (both view and materialised modes)
-agrees with the native Python engine ``repro.datalog.evaluate``.
+and data instance, ``evaluate_sql`` agrees with the native Python
+engine ``repro.datalog.evaluate``.
 """
 
 import sqlite3
@@ -132,15 +132,6 @@ class TestCompileQuery:
         assert list(compilation.idb_order).index("Q") < \
             list(compilation.idb_order).index("G")
 
-    def test_view_vs_table_mode(self):
-        query = _query(
-            [Clause(Literal("G", ("x",)), (Literal("A", ("x",)),))],
-            "G", ("x",))
-        views = compile_query(query, materialised=False)
-        tables = compile_query(query, materialised=True)
-        assert views.statements[0].startswith("CREATE VIEW")
-        assert tables.statements[0].startswith("CREATE TABLE")
-
     def test_script_is_runnable(self):
         query = _query(
             [Clause(Literal("G", ("x",)), (Literal("A", ("x",)),))],
@@ -231,18 +222,9 @@ class TestEvaluateSql:
              Clause(Literal("Q", ("x",)), (Literal("A", ("x",)),))],
             "G", ("x",))
         abox = ABox.parse("A(a), A(b)")
-        result = evaluate_sql(query, abox, materialised=True)
+        result = evaluate_sql(query, abox)
         assert result.relation_sizes == {"G": 2, "Q": 2}
         assert result.generated_tuples == 4
-
-    def test_view_mode_counts_only_goal(self):
-        query = _query(
-            [Clause(Literal("G", ("x",)), (Literal("Q", ("x",)),)),
-             Clause(Literal("Q", ("x",)), (Literal("A", ("x",)),))],
-            "G", ("x",))
-        abox = ABox.parse("A(a), A(b)")
-        result = evaluate_sql(query, abox, materialised=False)
-        assert result.generated_tuples == 2
 
     def test_goal_is_edb_predicate(self):
         query = NDLQuery(Program([]), "A", ("x",))
@@ -273,8 +255,22 @@ class TestEngineReuse:
             engine.evaluate(query)
             # would raise "table p_G already exists" if not dropped
             engine.evaluate(query)
-            engine.evaluate(query, materialised=False)
-            engine.evaluate(query, materialised=False)
+
+    def test_edb_arity_clash_across_queries_names_the_predicate(self):
+        """An EDB predicate the data lacks is loaded empty at the arity
+        the first query gives it; a later query using it at another
+        arity is refused by name, not left to SQLite."""
+        with SQLEngine(ABox.parse("R(a,b)")) as engine:
+            unary = _query(
+                [Clause(Literal("G", ("x",)), (Literal("Q", ("x",)),))],
+                "G", ("x",))
+            binary = _query(
+                [Clause(Literal("G", ("x", "y")),
+                        (Literal("Q", ("x", "y")),))],
+                "G", ("x", "y"))
+            assert engine.evaluate(unary).answers == frozenset()
+            with pytest.raises(ValueError, match="'Q'.*arity 1"):
+                engine.evaluate(binary)
 
 
 #: All rewriters exercised by the differential tests.
@@ -297,7 +293,6 @@ class TestDifferentialAgainstPythonEngine:
         ndl = rewrite(OMQ(tbox, query), method=method)
         expected = evaluate(ndl, abox).answers
         assert evaluate_sql(ndl, abox).answers == expected
-        assert evaluate_sql(ndl, abox, materialised=False).answers == expected
 
     @pytest.mark.parametrize("method", ("lin", "tw"))
     def test_arbitrary_instance_rewriting_agrees(self, setting, method):
@@ -409,10 +404,3 @@ class TestPropertyEngineEquivalence:
         for predicate in fresh.predicates:
             assert (database.decode_rows(database.relation(predicate))
                     == fresh.decode_rows(fresh.relation(predicate)))
-
-    @settings(max_examples=25, deadline=None)
-    @given(query=_random_query(), abox=_random_abox())
-    def test_view_mode_agrees_with_materialised(self, query, abox):
-        materialised = evaluate_sql(query, abox, materialised=True).answers
-        lazy = evaluate_sql(query, abox, materialised=False).answers
-        assert materialised == lazy

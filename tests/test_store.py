@@ -229,6 +229,47 @@ class TestWarmRestart:
             == [(0,)]
         raw.close()
 
+    def test_restart_moves_sql_views_subscriptions_to_sql(
+            self, tmp_path, caplog):
+        """Subscriptions an earlier version stored on the retired
+        ``sql-views`` engine (as an option, or as the default engine
+        they ran on) and with the retired ``optimize_sql`` option come
+        back on ``sql``, under the one restore warning."""
+        service = OMQService(max_workers=2, data_dir=str(tmp_path))
+        service.register_dataset("d", random_data(1))
+        omq = OMQ(TBOX, chain_cq("RS"))
+        subs = [service.subscribe("d", omq, engine="sql"),
+                service.subscribe("d", omq)]
+        expected = set(subs[0].answers)
+        service.close()
+        with DatasetStore(str(tmp_path)) as store:
+            pinned, default = store.load_tenant("").subscriptions
+            for stored, changes in (
+                    (pinned, {"options": {**pinned.options,
+                                          "engine": "sql-views",
+                                          "optimize_sql": True}}),
+                    (default, {"options": {**default.options,
+                                           "optimize_sql": False},
+                               "engine": "sql-views"})):
+                store.delete_subscription("", stored.subscription_id)
+                store.save_subscription(
+                    "", dataclasses.replace(stored, **changes))
+
+        restarted = OMQService(max_workers=2, data_dir=str(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            counts = restarted.restore()
+        try:
+            assert counts["subscriptions"] == 2
+            assert [record.getMessage() for record in caplog.records] == [
+                "restore dropped stored setting(s) this version no "
+                "longer has: ['optimize_sql', 'sql-views']"]
+            for sub in subs:
+                restored = restarted.standing.get(sub.subscription_id)
+                assert restored.engine == "sql"
+                assert set(restored.answers) == expected
+        finally:
+            restarted.close()
+
     def test_restart_is_idempotent(self, tmp_path):
         """close() checkpoints; a second restart round-trips the same
         state again (restore → close → restore is a fixed point)."""
