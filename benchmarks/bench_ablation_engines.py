@@ -1,4 +1,4 @@
-"""Ablation: the SQL backend vs the native Python engine, and the SQL
+"""Ablation: the SQL backend vs the native Python engine, and the NDL
 optimiser passes one by one.
 
 Section 6 asks "whether our rewritings can be efficiently implemented
@@ -8,24 +8,34 @@ unified :mod:`repro.engine` layer, each backend loading the data once,
 and prints times and answer counts for each; all must agree on the
 answers.
 
-Run as a script, the module is the leave-one-out ablation of a
-``repro.sql.optimize`` pass pipeline (a tree that still has one; pass
-its ``src`` directory)::
+Run as a script, the module is the leave-one-out ablation of the NDL
+optimiser passes ``Plan.execute`` runs on every plan
+(``repro.datalog.optimize.optimize``; pass the ``src`` directory of the
+tree to ablate)::
 
     python3 benchmarks/bench_ablation_engines.py --src <checkout>/src \\
-        --pairs 10 --out benchmarks/sql_pass_ablation.json
+        --out benchmarks/datalog_pass_ablation.json
 
-Over the ``eval-tables`` benchmark's 48 cells (four loaded datasets x
-twelve lin/log/tw plans, each specialised to its dataset's signature
-as ``Plan.execute`` does) it times, per pair, one warm ``sql`` round
-under every configuration: all passes, none, and all but each pass,
-in an order that reverses on every other pair.  A round is the summed
-``process_time`` of the 48 evaluations with the compiled SQL already
-memoised; compile time (the 48 ``compile_query`` calls) is timed
-apart.  Every configuration's answers are held to the python engine's.
-The verdict per pass is the keep rule: removing it must lose in at
-least 9 of the pairs by more than the all-passes rounds' quartile
-spread.
+Each configuration — all passes, none, and all but each pass — is run
+on two inputs:
+
+* the ``eval-tables`` benchmark's 48 cells (four loaded datasets x
+  twelve lin/log/tw plans), each specialised to its dataset's nonempty
+  signature as ``Plan.specialised`` does and evaluated once on the
+  ``python`` engine: clauses, generated tuples and answer rows, with
+  every cell's answers held to the unoptimised rewriting's;
+* the PerfectRef rewritings of every Section 6 chain of up to
+  ``--perfectref-atoms`` atoms, specialised to data holding all of
+  their predicates: clauses.
+
+Counts come first, because they decide: a pass whose removal raises a
+count on some input is kept.  Specialisation time (the 48 ``optimize``
+calls, median of ``--repeat`` readings) and the one cold round of
+evaluation are reported apart.  Only a pass that the counts do not
+decide gets timed pairs: ``--pairs`` warm rounds of the 48 cells with
+and without it, in an order that reverses on every other pair, kept
+when removing it loses in at least all but one pair by more than the
+all-passes rounds' quartile spread.
 """
 
 from __future__ import annotations
@@ -101,13 +111,19 @@ def test_engine_ablation(paper_data, benchmark):
 
 # -- the pass ablation (script mode) ---------------------------------------
 
+#: The passes of ``optimize``, in the order it runs them.
+PASSES = ("prune_empty_predicates", "remove_duplicate_clauses",
+          "inline_single_definition")
+
+
 def _quartile_spread(values):
     q1, _, q3 = statistics.quantiles(values, n=4)
     return q3 - q1
 
 
 def _cells():
-    """The eval-tables cells: ``(dataset, completed ABox, plan)``."""
+    """The eval-tables cells: ``{dataset: completed ABox}`` and the
+    twelve plans."""
     import inputs
     import repro
     from repro import OMQ, TBox, chain_cq
@@ -125,100 +141,137 @@ def _cells():
         plans
 
 
-def ablate_sql_passes(pairs: int) -> dict:
-    """Time every configuration ``pairs`` times; see the module doc."""
+def _perfectref_chains(atoms: int):
+    """``{label: PerfectRef rewriting}`` of every Section 6 chain of up
+    to ``atoms`` atoms."""
+    import inputs
+    from repro import OMQ, TBox, chain_cq, rewrite
+
+    tbox = TBox.parse(inputs.EXAMPLE11)
+    return {f"{sequence}[:{length}]": rewrite(
+        OMQ(tbox, chain_cq(labels[:length])), method="perfectref")
+        for sequence, labels in inputs.SEQUENCES.items()
+        for length in range(1, atoms + 1)}
+
+
+def ablate_datalog_passes(perfectref_atoms: int, repeat: int,
+                          pairs: int) -> dict:
+    """Count, then time where counts do not decide; see the module
+    doc."""
+    import importlib
+
     from repro import create_engine
-    from repro.sql import compile as sql_compile
-    from repro.sql import optimize
 
-    passes = tuple(name for name, _ in optimize.PASSES)
-    configs = {"all": passes, "none": ()}
-    for name in passes:
-        configs[f"all-but-{name}"] = tuple(p for p in passes if p != name)
-    active = {"passes": passes}
-    by_name = dict(optimize.PASSES)
-    original = optimize.optimize_ir
+    module = importlib.import_module("repro.datalog.optimize")
+    originals = {name: getattr(module, name) for name in PASSES}
+    configs = {"all": PASSES, "none": ()}
+    for name in PASSES:
+        configs[f"all-but-{name}"] = tuple(p for p in PASSES if p != name)
 
-    def selected(ir, passes=None):
-        return original(ir, tuple((name, by_name[name])
-                                  for name in active["passes"]))
-
-    sql_compile.optimize_ir = selected
+    def select(config):
+        for name, function in originals.items():
+            setattr(module, name, function if name in configs[config]
+                    else lambda query, *_, **__: query)
 
     completed, plans = _cells()
-    engines = {name: create_engine("sql", abox)
+    engines = {name: create_engine("python", abox)
                for name, abox in completed.items()}
-    reference = {}
-    cells = []
-    for name, abox in completed.items():
-        with create_engine("python", abox) as python:
-            for index, plan in enumerate(plans):
-                reference[name, index] = plan.execute(python).answers
-                cells.append((name, index,
-                              plan.specialised(engines[name])))
+    chains = _perfectref_chains(perfectref_atoms)
 
-    rounds = {config: [] for config in configs}
-    compiles = {config: [] for config in configs}
-    per_dataset = {config: {name: [] for name in completed}
-                   for config in configs}
-    order = list(configs)
+    def specialise(config):
+        select(config)
+        return [(name, index, module.optimize(
+            plan.ndl, nonempty=engine.nonempty(
+                plan.ndl.program.edb_predicates)))
+            for name, engine in engines.items()
+            for index, plan in enumerate(plans)]
+
+    def evaluate_round(cells):
+        start = time.process_time()
+        results = [engines[name].evaluate(ndl) for name, _, ndl in cells]
+        return results, time.process_time() - start
+
+    counts, specialise_ms, cold_round_s, programs = {}, {}, {}, {}
     try:
-        for pair in range(pairs):
-            for config in (order if pair % 2 == 0 else order[::-1]):
-                active["passes"] = configs[config]
+        reference = {(name, index): engine.evaluate(plan.ndl).answers
+                     for name, engine in engines.items()
+                     for index, plan in enumerate(plans)}
+        for config in configs:
+            readings = []
+            for _ in range(repeat):
                 start = time.process_time()
-                for _, _, ndl in cells:
-                    sql_compile.compile_query(ndl, materialised=True,
-                                              optimize=True)
-                compiles[config].append(
-                    (time.process_time() - start) * 1e3)
-                for engine in engines.values():
-                    engine._engine._compilations.clear()
-                for name, index, ndl in cells:  # compile and warm
-                    engines[name].evaluate(ndl, optimize_sql=True)
-                spent = dict.fromkeys(completed, 0.0)
-                for name, index, ndl in cells:
-                    start = time.process_time()
-                    result = engines[name].evaluate(ndl, optimize_sql=True)
-                    spent[name] += time.process_time() - start
-                    if result.answers != reference[name, index]:
-                        raise AssertionError(
-                            f"{config}: wrong answers on {name} "
-                            f"plan {index}")
-                for name, seconds in spent.items():
-                    per_dataset[config][name].append(seconds * 1e3)
-                rounds[config].append(sum(spent.values()) * 1e3)
-            print(f"pair {pair + 1}/{pairs}: " + ", ".join(
-                f"{config} {rounds[config][-1]:.0f}" for config in order),
-                file=sys.stderr)
+                cells = specialise(config)
+                readings.append((time.process_time() - start) * 1e3)
+            specialise_ms[config] = statistics.median(readings)
+            programs[config] = cells
+            results, seconds = evaluate_round(cells)
+            cold_round_s[config] = seconds
+            for (name, index, _), result in zip(cells, results):
+                if result.answers != reference[name, index]:
+                    raise AssertionError(
+                        f"{config}: wrong answers on {name} plan {index}")
+            counts[config] = {
+                "clauses": sum(len(ndl.program) for _, _, ndl in cells),
+                "generated_tuples": sum(r.generated_tuples
+                                        for r in results),
+                "answer_rows": sum(len(r.answers) for r in results),
+                "perfectref_clauses": {
+                    label: len(module.optimize(
+                        ndl, nonempty=ndl.program.edb_predicates).program)
+                    for label, ndl in chains.items()},
+            }
+            print(f"{config}: {counts[config]['clauses']} clauses, "
+                  f"{counts[config]['generated_tuples']} tuples, "
+                  f"specialised in {specialise_ms[config]:.0f} ms",
+                  file=sys.stderr)
+
+        verdicts, timed = {}, {}
+        for name in PASSES:
+            without, full = counts[f"all-but-{name}"], counts["all"]
+            raised = [key for key in ("clauses", "generated_tuples")
+                      if without[key] > full[key]]
+            chains_raised = sorted(
+                label for label, clauses
+                in without["perfectref_clauses"].items()
+                if clauses > full["perfectref_clauses"][label])
+            if chains_raised:
+                raised.append("perfectref_clauses")
+            verdicts[name] = {"raised_when_removed": raised,
+                              "perfectref_chains_raised": chains_raised,
+                              "decided_by": "counts" if raised else "time",
+                              "keep": bool(raised)}
+            if raised:
+                continue
+            rounds = {"all": [], f"all-but-{name}": []}
+            order = list(rounds)
+            for pair in range(pairs):
+                for config in (order if pair % 2 == 0 else order[::-1]):
+                    rounds[config].append(
+                        evaluate_round(programs[config])[1] * 1e3)
+            spread = _quartile_spread(rounds["all"])
+            losses = sum(1 for off, on in zip(rounds[order[1]],
+                                              rounds["all"])
+                         if off - on > spread)
+            timed[name] = {"round_ms": rounds,
+                           "all_passes_quartile_spread_ms": spread,
+                           "losses_when_removed": losses}
+            verdicts[name]["keep"] = losses >= max(pairs - 1, 1)
     finally:
+        select("all")
         for engine in engines.values():
             engine.close()
 
-    spread = _quartile_spread(rounds["all"])
-    verdicts = {}
-    for name in passes:
-        without = rounds[f"all-but-{name}"]
-        losses = sum(1 for off, on in zip(without, rounds["all"])
-                     if off - on > spread)
-        verdicts[name] = {
-            "losses_when_removed": losses,
-            "median_round_ms_without": statistics.median(without),
-            "keep": losses >= max(pairs - 1, 1),
-        }
     return {
-        "passes": list(passes),
-        "pairs": pairs,
+        "passes": list(PASSES),
+        "inputs": {"cells": len(reference),
+                   "perfectref_chains": len(chains),
+                   "perfectref_atoms": perfectref_atoms},
         "clock": "time.process_time",
-        "round_ms": rounds,
-        "round_ms_by_dataset": per_dataset,
-        "compile_ms": compiles,
-        "median_round_ms": {c: statistics.median(v)
-                            for c, v in rounds.items()},
-        "median_compile_ms": {c: statistics.median(v)
-                              for c, v in compiles.items()},
-        "all_passes_quartile_spread_ms": spread,
+        "counts": counts,
+        "specialise_ms": specialise_ms,
+        "cold_round_s": cold_round_s,
         "verdicts": verdicts,
+        "timed_pairs": timed,
     }
 
 
@@ -226,17 +279,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", default=os.path.join(ROOT, "src"),
                         help="the src directory whose repro is ablated")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--perfectref-atoms", type=int, default=8)
+    parser.add_argument("--repeat", type=int, default=5,
+                        help="readings of the specialisation time")
+    parser.add_argument("--pairs", type=int, default=10,
+                        help="timed pairs for a pass counts do not decide")
     parser.add_argument("--out", help="write the JSON report here")
     args = parser.parse_args(argv)
     sys.path[:0] = [os.path.abspath(args.src),
                     os.path.join(ROOT, "benchmarks", "omq")]
-    try:
-        import repro.sql.optimize  # noqa: F401
-    except ImportError:
-        print("this tree has no SQL pass pipeline to ablate",
-              file=sys.stderr)
-        return 1
     commit = subprocess.run(
         ["git", "-C", args.src, "rev-parse", "HEAD"],
         capture_output=True, text=True).stdout.strip()
@@ -245,9 +296,9 @@ def main(argv=None) -> int:
         "host": {"machine": platform.machine(),
                  "processor": platform.processor(),
                  "cpus": os.cpu_count(),
-                 "python": platform.python_version(),
-                 "sqlite": __import__("sqlite3").sqlite_version},
-        **ablate_sql_passes(args.pairs),
+                 "python": platform.python_version()},
+        **ablate_datalog_passes(args.perfectref_atoms, args.repeat,
+                                args.pairs),
     }
     text = json.dumps(report, indent=1)
     if args.out:

@@ -7,15 +7,26 @@ Tw rewriting into ``Tw*`` by inlining predicates "defined by a single
 rule and [occurring] not more than twice in the bodies of the rules",
 noting that "this substitution could be done automatically by a clever
 NDL engine, but [is] not performed by RDFox".  This module is that
-clever layer:
+clever layer, and the one place a definition is substituted into its
+calls (two selection policies share the substitution):
 
 * :func:`prune_empty_predicates` — emptiness-aware pruning: clauses
   using a predicate that is provably empty for a given data signature
   are dropped (the [59] optimisation);
 * :func:`remove_duplicate_clauses` — syntactic duplicates modulo
   variable renaming and body reordering;
+* :func:`inline_edb_leaves` — the Appendix A.6 display step the
+  rewriters apply to their output;
 * :func:`inline_single_definition` — the generalised Tw* inlining;
-* :func:`optimize` — the full pipeline.
+* :func:`optimize` — the pipeline ``Plan.execute`` runs on every plan.
+
+Each pass of :func:`optimize` is kept by a count, from the
+leave-one-out in ``benchmarks/datalog_pass_ablation.json`` over the
+48 ``eval-tables`` cells (241 clauses, 286,209 generated tuples with
+all passes) and the 24 PerfectRef chains of up to 8 atoms: without
+pruning the cells generate 580,236 tuples, without inlining 1,339,090;
+without deduplication the cells are unchanged but 15 of the 24
+PerfectRef chains keep more clauses (sequence1[:7]: 9,915, not 6,789).
 
 All transformations preserve the answers over every data instance
 (checked by differential property tests in ``tests/test_optimize.py``);
@@ -26,14 +37,14 @@ All transformations preserve the answers over every data instance
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from ..data.abox import ABox
-from .program import ADOM, Clause, Literal, NDLQuery, Program
+from .program import ADOM, Clause, Equality, Literal, NDLQuery, Program
 
 
-def nonempty_signature(abox: ABox, include_adom: bool = True
-                       ) -> FrozenSet[str]:
+def nonempty_signature(abox: ABox) -> FrozenSet[str]:
     """The predicates with at least one fact in ``abox``.
 
     ``__adom__`` is included whenever the data has any individual at
@@ -41,7 +52,7 @@ def nonempty_signature(abox: ABox, include_adom: bool = True
     program.
     """
     names: Set[str] = set(abox.unary_predicates) | set(abox.binary_predicates)
-    if include_adom and names:
+    if names:
         names.add(ADOM)
     return frozenset(names)
 
@@ -130,115 +141,117 @@ def remove_duplicate_clauses(query: NDLQuery) -> NDLQuery:
     return NDLQuery(Program(kept), query.goal, query.answer_vars)
 
 
-# -- Tw*-style inlining -----------------------------------------------------
+# -- substitution: the A.6 display step and Tw* ------------------------------
 
 
-def _usage_counts(program: Program) -> Dict[str, int]:
-    counts: Dict[str, int] = {}
-    for clause in program.clauses:
-        for atom in clause.body_literals:
-            counts[atom.predicate] = counts.get(atom.predicate, 0) + 1
-    return counts
+def _substitute(query: NDLQuery, definitions: Dict[str, Clause],
+                tag: str) -> NDLQuery:
+    """``query`` without the clauses in ``definitions`` and with every
+    call of one of their predicates replaced by its body: head
+    variables bound to the call's arguments, the others freshened with
+    ``_<tag><n>``, ``n`` counting the expansions.  A head variable
+    that repeats equates the arguments it meets.  A definition that
+    calls another one expands recursively, which ends because the
+    program is nonrecursive."""
+    counter = itertools.count()
+
+    def expand(body: Iterable[object]) -> List[object]:
+        expanded: List[object] = []
+        for atom in body:
+            if not (isinstance(atom, Literal)
+                    and atom.predicate in definitions):
+                expanded.append(atom)
+                continue
+            definition = definitions[atom.predicate]
+            mapping: Dict[str, str] = {}
+            equalities = []
+            for parameter, argument in zip(definition.head.args,
+                                           atom.args):
+                bound = mapping.setdefault(parameter, argument)
+                if bound != argument:
+                    equalities.append(Equality(bound, argument))
+            suffix = f"_{tag}{next(counter)}"
+            expanded.extend(expand([
+                part.rename({variable: mapping.get(variable,
+                                                   variable + suffix)
+                             for variable in part.variables})
+                for part in definition.body]))
+            expanded.extend(equalities)
+        return expanded
+
+    clauses = [Clause(clause.head, tuple(expand(clause.body)))
+               for clause in query.program.clauses
+               if clause.head.predicate not in definitions]
+    return NDLQuery(Program(clauses), query.goal, query.answer_vars)
 
 
-def _inline_body(inlinable: Dict[str, Clause], call: Literal,
-                 counter: "itertools.count") -> List[object]:
-    """The definition body with head variables bound to the call's
-    arguments and all other variables freshened.
+def _single_definitions(query: NDLQuery) -> Dict[str, Clause]:
+    """Each IDB predicate but the goal that one clause defines, with
+    that clause."""
+    program = query.program
+    return {predicate: program.clauses_for(predicate)[0]
+            for predicate in program.idb_predicates
+            if predicate != query.goal
+            and len(program.clauses_for(predicate)) == 1}
 
-    Atoms of the substituted body that reference another inlinable
-    predicate are expanded recursively — their definitions are about to
-    be removed, so every call site must be resolved now.  Recursion
-    terminates because the program is nonrecursive.
+
+def inline_edb_leaves(query: NDLQuery) -> NDLQuery:
+    """The Appendix A.6 display simplification: a predicate defined by
+    a single clause over EDB predicates only is substituted into its
+    callers (e.g. ``G_q(x) <- q(x)`` base cases of the Tw rewriter and
+    leaf bags of the Log rewriter).
+
+    One pass, no cascading, so the structure of the rewriting stays.
     """
-    definition = inlinable[call.predicate]
-    mapping: Dict[str, str] = dict(zip(definition.head.args, call.args))
-    suffix = f"_i{next(counter)}"
-    body: List[object] = []
-    for atom in definition.body:
-        renamed = atom.rename({
-            variable: mapping.get(variable, variable + suffix)
-            for variable in atom.variables})
-        if isinstance(renamed, Literal) and renamed.predicate in inlinable:
-            body.extend(_inline_body(inlinable, renamed, counter))
-        else:
-            body.append(renamed)
-    return body
+    idb = query.program.idb_predicates
+    leaves = {predicate: clause
+              for predicate, clause in _single_definitions(query).items()
+              if not any(atom.predicate in idb
+                         for atom in clause.body_literals)}
+    return _substitute(query, leaves, "l") if leaves else query
 
 
-def inline_single_definition(query: NDLQuery, max_uses: int = 2,
-                             max_passes: int = 10) -> NDLQuery:
-    """The Appendix D.4 ``Tw*`` optimisation, generalised.
+#: Appendix D.4's bound: ``Tw*`` inlines a single-clause predicate
+#: occurring "not more than twice in the bodies of the rules".
+TW_STAR_USES = 2
 
-    Every IDB predicate (other than the goal) that is defined by a
-    single clause and occurs at most ``max_uses`` times in clause
-    bodies is substituted into its callers; passes repeat until a
-    fixpoint (or ``max_passes``), so chains of single-use predicates
-    collapse completely.  Unlike
-    :func:`repro.datalog.transform.inline_edb_leaves`, definitions may
-    themselves call IDB predicates.
+
+def inline_single_definition(query: NDLQuery) -> NDLQuery:
+    """The Appendix D.4 ``Tw*`` optimisation, generalised to any NDL
+    query.
+
+    Every predicate but the goal defined by a single clause and
+    occurring at most :data:`TW_STAR_USES` times in clause bodies is
+    substituted into its callers, until none is left: each pass
+    removes at least one IDB predicate, so chains of such predicates
+    collapse completely.  Unlike :func:`inline_edb_leaves`, a
+    definition may itself call IDB predicates.
     """
-    current = query
-    for _ in range(max_passes):
-        program = current.program
-        counts = _usage_counts(program)
-        inlinable: Dict[str, Clause] = {}
-        for predicate in program.idb_predicates:
-            if predicate == current.goal:
-                continue
-            defining = program.clauses_for(predicate)
-            if len(defining) != 1:
-                continue
-            if counts.get(predicate, 0) > max_uses:
-                continue
-            # do not inline a definition into itself (cannot happen in
-            # an NDL program, but keep the guard local and obvious)
-            if any(atom.predicate == predicate
-                   for atom in defining[0].body_literals):
-                continue
-            inlinable[predicate] = defining[0]
+    while True:
+        uses = Counter(atom.predicate for clause in query.program.clauses
+                       for atom in clause.body_literals)
+        inlinable = {predicate: clause for predicate, clause
+                     in _single_definitions(query).items()
+                     if uses[predicate] <= TW_STAR_USES}
         if not inlinable:
-            return current
-        counter = itertools.count()
-        clauses: List[Clause] = []
-        for clause in program.clauses:
-            if clause.head.predicate in inlinable:
-                continue
-            body: List[object] = []
-            for atom in clause.body:
-                if isinstance(atom, Literal) and atom.predicate in inlinable:
-                    body.extend(_inline_body(inlinable, atom, counter))
-                else:
-                    body.append(atom)
-            clauses.append(Clause(clause.head, tuple(body)))
-        current = NDLQuery(Program(clauses), current.goal,
-                           current.answer_vars)
-    return current
+            return query
+        query = _substitute(query, inlinable, "i")
 
 
 # -- the pipeline -------------------------------------------------------------
 
 
-def optimize(query: NDLQuery, abox: Optional[ABox] = None,
-             inline: bool = True, max_uses: int = 2,
-             nonempty: Optional[Iterable[str]] = None) -> NDLQuery:
-    """The full optimisation pipeline.
+def optimize(query: NDLQuery, nonempty: Iterable[str]) -> NDLQuery:
+    """The program ``Plan.execute`` runs over data whose nonempty
+    predicates are among ``nonempty`` (:func:`nonempty_signature`):
 
     1. restrict to the clauses reachable from the goal;
-    2. with ``abox`` (or its ``nonempty`` signature, when the caller
-       already holds it), prune clauses over predicates empty in the
-       data (answers are then only guaranteed for instances over the
-       same nonempty signature — ``Plan.execute`` re-specialises when
-       the signature changes);
+    2. prune clauses over predicates empty in the data (answers are
+       then only guaranteed over the same nonempty signature —
+       ``Plan.execute`` re-specialises when the signature changes);
     3. drop duplicate clauses;
-    4. with ``inline``, apply the generalised Tw* inlining.
+    4. apply the ``Tw*`` inlining.
     """
-    current = _restrict(query)
-    if abox is not None:
-        nonempty = nonempty_signature(abox)
-    if nonempty is not None:
-        current = prune_empty_predicates(current, nonempty)
-    current = remove_duplicate_clauses(current)
-    if inline:
-        current = inline_single_definition(current, max_uses=max_uses)
+    current = prune_empty_predicates(_restrict(query), nonempty)
+    current = inline_single_definition(remove_duplicate_clauses(current))
     return _restrict(current)

@@ -172,60 +172,6 @@ def linear_star_transform(query: NDLQuery, tbox) -> NDLQuery:
     return NDLQuery(Program(new_clauses), query.goal, query.answer_vars)
 
 
-def inline_edb_leaves(query: NDLQuery) -> NDLQuery:
-    """The Appendix A.6 display simplification: an IDB predicate defined
-    by a *single* clause whose body mentions no IDB predicates is
-    substituted into its callers (e.g. ``G_q(x) <- q(x)`` base cases of
-    the Tw rewriter and leaf bags of the Log rewriter).
-
-    A single pass over the original program — no cascading — so the
-    structure of the rewriting is preserved.
-    """
-    program = query.program
-    idb = program.idb_predicates
-    inlinable: Dict[str, Clause] = {}
-    for predicate in idb:
-        if predicate == query.goal:
-            continue
-        defining = program.clauses_for(predicate)
-        if len(defining) != 1:
-            continue
-        clause = defining[0]
-        if any(atom.predicate in idb for atom in clause.body_literals):
-            continue
-        inlinable[predicate] = clause
-    if not inlinable:
-        return query
-    counter = itertools.count()
-    new_clauses: List[Clause] = []
-    for clause in program.clauses:
-        if clause.head.predicate in inlinable:
-            continue
-        body: List[object] = []
-        for atom in clause.body:
-            if isinstance(atom, Literal) and atom.predicate in inlinable:
-                body.extend(_inline_call(inlinable[atom.predicate], atom,
-                                         counter))
-            else:
-                body.append(atom)
-        new_clauses.append(Clause(clause.head, tuple(body)))
-    return NDLQuery(Program(new_clauses), query.goal, query.answer_vars)
-
-
-def _inline_call(definition: Clause, call: Literal,
-                 counter: "itertools.count") -> List[object]:
-    """The body of ``definition`` with head variables bound to the call
-    arguments and local variables freshened."""
-    mapping: Dict[str, str] = dict(zip(definition.head.args, call.args))
-    suffix = f"_l{next(counter)}"
-    body: List[object] = []
-    for atom in definition.body:
-        body.append(atom.rename({
-            var: mapping.get(var, var + suffix)
-            for var in atom.variables}))
-    return body
-
-
 # -- Lemma 5: skinny transformation -------------------------------------
 
 

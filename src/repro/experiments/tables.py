@@ -13,8 +13,9 @@ paper's setting, where the data sits in RDFox/a DBMS once and only the
 rewritings change — so the recorded times are pure evaluation, not
 re-loading.  The cells time ``Engine.evaluate(plan.ndl)``, the
 rewriting exactly as written: ``Plan.execute`` would run the
-data-specialised program, under which ``tw`` and ``tw_star`` coincide
-and the blow-ups these tables exist to show disappear.
+data-specialised program, which prunes and ``Tw*``-inlines every
+plan, ``tw``'s included, so the blow-ups these tables exist to show
+disappear.
 """
 
 from __future__ import annotations
@@ -30,8 +31,10 @@ from ..rewriting.api import OMQ
 from ..rewriting.plan import compile_omq
 from .figure2 import SEQUENCES, example11_tbox
 
-#: The engines compared in Tables 3-5 (tw_star is the Tw* column of
-#: Appendix D.4).
+#: The engines compared in Tables 3-5.  ``tw_star`` is the Tw* column
+#: of Appendix D.4: the raw Tw build after
+#: :func:`~repro.datalog.optimize.inline_single_definition`, the same
+#: inliner ``Plan.execute`` runs on every plan.
 EVAL_ALGORITHMS = ("tw", "tw_star", "lin", "log", "ucq", "presto")
 
 

@@ -102,13 +102,3 @@ def configure_logging(level: str = "info", json_output: bool = False,
 def get_logger(area: str) -> logging.Logger:
     """The ``repro.<area>`` logger (pure convenience/consistency)."""
     return logging.getLogger(f"repro.{area}")
-
-
-def _reset_for_tests() -> None:
-    """Remove our handler and restore propagation (test hygiene)."""
-    logger = logging.getLogger("repro")
-    for existing in list(logger.handlers):
-        if existing.get_name() == "repro-obs":
-            logger.removeHandler(existing)
-    logger.propagate = True
-    logger.setLevel(logging.NOTSET)

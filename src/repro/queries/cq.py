@@ -113,12 +113,6 @@ class CQ:
     def binary_atoms(self) -> List[Atom]:
         return [atom for atom in self.atoms if atom.is_binary]
 
-    def atoms_between(self, first: Variable, second: Variable) -> List[Atom]:
-        """Binary atoms over exactly the (unordered) pair of variables."""
-        pair = {first, second}
-        return [atom for atom in self.binary_atoms()
-                if set(atom.args) == pair]
-
     def loop_atoms(self, var: Variable) -> List[Atom]:
         """Binary atoms ``P(z, z)`` at ``var``."""
         return [atom for atom in self.binary_atoms()

@@ -30,7 +30,7 @@ from .plan import (
 )
 from .presto import presto_rewrite
 from .tree_witness import TreeWitness, tree_witnesses
-from .tw import inline_single_use, splitting_vertex, tw_rewrite
+from .tw import splitting_vertex, tw_rewrite
 from .ucq import ucq_rewrite
 
 __all__ = [
@@ -51,7 +51,6 @@ __all__ = [
     "estimate_cost",
     "format_explain",
     "resolve_method",
-    "inline_single_use",
     "lin_rewrite",
     "log_rewrite",
     "pe_rewrite",

@@ -16,14 +16,15 @@ This module implements exactly that loop:
   IDB cardinalities are estimated bottom-up, clause joins are costed
   with the same greedy fanout heuristic the engine itself uses;
 * :func:`adaptive_rewrite` — produce the candidate rewritings (Lin,
-  Log, Tw, Tw*, optionally data-optimised variants), cost each, return
-  the cheapest.
+  Log, Tw, Tw*), optimise each for the data as ``Plan.execute`` would,
+  cost each, return the cheapest.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (Dict, FrozenSet, Iterable, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..data.abox import ABox
 from ..datalog.evaluate import EvaluationResult, evaluate
@@ -86,6 +87,13 @@ class DataStatistics:
 
     def __contains__(self, name: str) -> bool:
         return name in self._predicates
+
+    @property
+    def nonempty(self) -> FrozenSet[str]:
+        """The predicates holding at least one fact, ``__adom__``
+        whenever any does: ``nonempty_signature`` of the data."""
+        return frozenset(name for name, info in self._predicates.items()
+                         if info.size)
 
 
 def _estimate_clause(clause: Clause, stats: Dict[str, PredicateStatistics],
@@ -194,22 +202,18 @@ class AdaptiveChoice:
 
 def adaptive_rewrite(omq: OMQ, data: ABox | DataStatistics,
                      candidates: Iterable[str] = DEFAULT_CANDIDATES,
-                     optimize_programs: bool = True,
                      over: str = "complete") -> AdaptiveChoice:
     """Pick the cheapest rewriting for the given data distribution.
 
     ``data`` may be an ABox (statistics are computed from it — use the
     *completed* ABox the query will actually run on) or precomputed
-    :class:`DataStatistics`.  With ``optimize_programs`` each candidate
-    is also passed through the Appendix D.4 optimiser before costing,
-    so the choice reflects what would really be executed.
+    :class:`DataStatistics`.  Each candidate is costed as the program
+    ``Plan.execute`` would run on that data: optimised for the
+    statistics' nonempty predicates
+    (:func:`repro.datalog.optimize.optimize`).
     """
-    if isinstance(data, DataStatistics):
-        statistics = data
-        abox = None
-    else:
-        statistics = DataStatistics.from_abox(data)
-        abox = data
+    statistics = (data if isinstance(data, DataStatistics)
+                  else DataStatistics.from_abox(data))
     best: Optional[AdaptiveChoice] = None
     costs: Dict[str, float] = {}
     skipped: Dict[str, str] = {}
@@ -219,8 +223,7 @@ def adaptive_rewrite(omq: OMQ, data: ABox | DataStatistics,
         except ValueError as error:
             skipped[method] = str(error)
             continue
-        candidate = (optimize(rewriting, abox) if optimize_programs
-                     else rewriting)
+        candidate = optimize(rewriting, statistics.nonempty)
         cost = estimate_cost(candidate, statistics)
         costs[method] = cost
         if best is None or cost < best.cost:

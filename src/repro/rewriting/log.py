@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..datalog.optimize import inline_edb_leaves
 from ..datalog.program import Clause, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.depth import chase_depth
@@ -57,8 +58,6 @@ def log_rewrite(tbox, query: CQ,
     builder = _LogBuilder(tbox, query, decomposition, int(depth))
     result = builder.build()
     if simplify:
-        from ..datalog.transform import inline_edb_leaves
-
         result = inline_edb_leaves(result)
     if over == "arbitrary":
         result = star_transform(result, tbox)

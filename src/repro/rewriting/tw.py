@@ -18,6 +18,7 @@ import networkx as nx
 
 from ..chase.certain import BooleanMatcher, canonical_model_for
 from ..data.abox import ABox
+from ..datalog.optimize import inline_edb_leaves, inline_single_definition
 from ..datalog.program import Clause, Equality, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.tbox import surrogate_name
@@ -31,9 +32,13 @@ def tw_rewrite(tbox, query: CQ, over: str = "complete",
 
     ``simplify`` applies the Appendix A.6.4 display simplification
     (base-case predicates ``G_q(x) <- q(x)`` are substituted into their
-    callers); ``inline=True`` additionally applies the stronger ``Tw*``
-    post-processing of Appendix D.4 (single-clause predicates used at
-    most twice are substituted away).
+    callers); ``inline=True`` applies the stronger ``Tw*``
+    post-processing of Appendix D.4 to the raw build instead
+    (:func:`~repro.datalog.optimize.inline_single_definition`:
+    single-clause predicates used at most twice are substituted away
+    until none is left), before the ``*`` transform.  Both are
+    selection policies over the one substitution of
+    :mod:`repro.datalog.optimize`.
     """
     if not query.is_tree_shaped:
         raise ValueError("the Tw rewriter needs a tree-shaped CQ")
@@ -41,12 +46,10 @@ def tw_rewrite(tbox, query: CQ, over: str = "complete",
         raise ValueError("the Tw rewriter needs a connected CQ")
     builder = _TwBuilder(tbox, query)
     result = builder.build()
-    if simplify and not inline:
-        from ..datalog.transform import inline_edb_leaves
-
-        result = inline_edb_leaves(result)
     if inline:
-        result = inline_single_use(result)
+        result = inline_single_definition(result)
+    elif simplify:
+        result = inline_edb_leaves(result)
     if over == "arbitrary":
         result = star_transform(result, tbox)
     return result
@@ -192,56 +195,3 @@ class _TwBuilder:
                                                  self.query)):
                 self.clauses.append(
                     Clause(Literal(goal, ()), (Literal(name, ("x",)),)))
-
-
-def inline_single_use(query: NDLQuery) -> NDLQuery:
-    """The ``Tw*`` optimisation of Appendix D.4: substitute away IDB
-    predicates that are defined by a single clause and occur at most
-    twice in rule bodies."""
-    program = query.program
-    while True:
-        uses: Dict[str, int] = {}
-        for clause in program.clauses:
-            for atom in clause.body_literals:
-                if atom.predicate in program.idb_predicates:
-                    uses[atom.predicate] = uses.get(atom.predicate, 0) + 1
-        target = None
-        for predicate in sorted(program.idb_predicates):
-            if predicate == query.goal:
-                continue
-            if (len(program.clauses_for(predicate)) == 1
-                    and uses.get(predicate, 0) <= 2):
-                target = predicate
-                break
-        if target is None:
-            return NDLQuery(program, query.goal, query.answer_vars)
-        definition = program.clauses_for(target)[0]
-        new_clauses: List[Clause] = []
-        counter = [0]
-        for clause in program.clauses:
-            if clause.head.predicate == target:
-                continue
-            body: List[object] = []
-            for atom in clause.body:
-                if isinstance(atom, Literal) and atom.predicate == target:
-                    body.extend(_instantiate(definition, atom, counter))
-                else:
-                    body.append(atom)
-            new_clauses.append(Clause(clause.head, tuple(body)))
-        program = Program(new_clauses)
-
-
-def _instantiate(definition: Clause, call: Literal,
-                 counter: List[int]) -> List[object]:
-    """The body of ``definition`` with head args bound to the call args
-    and local variables freshened."""
-    mapping: Dict[str, str] = dict(zip(definition.head.args, call.args))
-    counter[0] += 1
-    suffix = f"_i{counter[0]}"
-    renamed: List[object] = []
-    for atom in definition.body:
-        new_atom = atom.rename({
-            var: mapping.get(var, var + suffix)
-            for var in atom.variables})
-        renamed.append(new_atom)
-    return renamed

@@ -19,7 +19,6 @@ engine so the backends are interchangeable and can be compared
 
 from .compile import (
     SQLCompilation,
-    compile_clause,
     compile_clause_ir,
     compile_query,
     compile_query_ir,
@@ -32,7 +31,6 @@ __all__ = [
     "QueryIR",
     "SQLCompilation",
     "SQLEngine",
-    "compile_clause",
     "compile_clause_ir",
     "compile_query",
     "compile_query_ir",

@@ -78,16 +78,6 @@ def compile_clause_ir(clause: Clause) -> Select:
     return Select(columns=output, tables=tuple(tables), where=tuple(where))
 
 
-def compile_clause(clause: Clause, idb: frozenset) -> str:
-    """The ``SELECT`` statement computing one clause.
-
-    ``idb`` is unused for the statement itself (both IDB and EDB atoms
-    read from their predicate's table) but kept for symmetry with
-    callers that split bodies.
-    """
-    return render_select(compile_clause_ir(clause))
-
-
 def compile_query_ir(query: NDLQuery) -> QueryIR:
     """Compile ``(Pi, G)`` into a structured :class:`QueryIR`."""
     definitions = []

@@ -125,8 +125,10 @@ class TestAdaptiveRewrite:
         completed = erdos_renyi_abox(60, 0.05, 0.05, seed=2).complete(
             omq.tbox)
         stats = DataStatistics.from_abox(completed)
-        choice = adaptive_rewrite(omq, stats, optimize_programs=False)
+        choice = adaptive_rewrite(omq, stats)
         assert choice.costs
+        # statistics and the ABox they came from cost the same programs
+        assert choice.costs == adaptive_rewrite(omq, completed).costs
 
     def test_inapplicable_methods_are_skipped(self):
         # a 4-cycle CQ is not tree-shaped: Lin and Tw must be skipped,

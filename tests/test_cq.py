@@ -80,10 +80,6 @@ class TestHelpers:
         distances = query.distances_from("x0")
         assert distances == {"x0": 0, "x1": 1, "x2": 2, "x3": 3}
 
-    def test_atoms_between(self):
-        query = CQ.parse("R(x, y), S(y, x), A(x)")
-        assert len(query.atoms_between("x", "y")) == 2
-
     def test_loop_atoms(self):
         query = CQ.parse("P(x, x), R(x, y)")
         assert query.loop_atoms("x") == [Atom("P", ("x", "x"))]

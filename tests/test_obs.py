@@ -26,7 +26,6 @@ import pytest
 from repro import OMQ, Client, ServiceError
 from repro.obs import (configure_logging, get_logger,
                        parse_prometheus_families)
-from repro.obs import logs as obs_logs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import _NULL_SPAN, Trace, span, tracing
 from repro.queries import CQ, chain_cq
@@ -512,7 +511,14 @@ class TestOverheadGuard:
 
 class TestLogging:
     def teardown_method(self):
-        obs_logs._reset_for_tests()
+        # remove the handler configure_logging installed and restore
+        # propagation, so later tests log as if it never ran
+        logger = logging.getLogger("repro")
+        for existing in list(logger.handlers):
+            if existing.get_name() == "repro-obs":
+                logger.removeHandler(existing)
+        logger.propagate = True
+        logger.setLevel(logging.NOTSET)
 
     def test_json_lines_with_trace_id(self):
         stream = io.StringIO()

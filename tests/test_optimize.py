@@ -2,12 +2,16 @@
 pruning [59], duplicate removal and the generalised Tw* inlining of
 Appendix D.4.  Every transformation must preserve answers."""
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 
 from repro import ABox, OMQ, chain_cq, rewrite
 from repro.datalog.evaluate import evaluate
 from repro.datalog.optimize import (
+    TW_STAR_USES,
+    inline_edb_leaves,
     inline_single_definition,
     nonempty_signature,
     optimize,
@@ -165,10 +169,8 @@ class TestInlining:
             Clause(Literal("Q", ("x",)), (Literal("A", ("x",)),)),
         ]
         query = _query(clauses, "G", ("x",))
-        kept = inline_single_definition(query, max_uses=2)
+        kept = inline_single_definition(query)
         assert "Q" in kept.program.idb_predicates
-        gone = inline_single_definition(query, max_uses=3)
-        assert "Q" not in gone.program.idb_predicates
 
     def test_local_variables_are_freshened(self):
         query = _query(
@@ -184,6 +186,48 @@ class TestInlining:
         assert len(witnesses) == 2
         abox = ABox.parse("R(a, b), R(c, d)")
         assert evaluate(inlined, abox).answers == evaluate(query, abox).answers
+
+    def test_one_call_reaches_the_fixpoint(self):
+        # the loop runs until no predicate qualifies, so nothing in the
+        # result is inlinable.  In the handcrafted program that takes
+        # two passes: Q is used three times until the unused H goes.
+        handcrafted = _query(
+            [Clause(Literal("G", ("x",)),
+                    (Literal("Q", ("x",)), Literal("B", ("x",)))),
+             Clause(Literal("G", ("x",)),
+                    (Literal("Q", ("x",)), Literal("C", ("x",)))),
+             Clause(Literal("H", ("x",)), (Literal("Q", ("x",)),)),
+             Clause(Literal("Q", ("x",)), (Literal("A", ("x",)),))],
+            "G", ("x",))
+        omq = OMQ(example11_tbox(), chain_cq("RSRRSRRSRRS"))
+        queries = [handcrafted] + [rewrite(omq, method=method)
+                                   for method in ("lin", "log", "tw")]
+        for query in queries:
+            inlined = inline_single_definition(query)
+            program = inlined.program
+            uses = Counter(atom.predicate for clause in program.clauses
+                           for atom in clause.body_literals)
+            assert not [predicate for predicate in program.idb_predicates
+                        if predicate != inlined.goal
+                        and len(program.clauses_for(predicate)) == 1
+                        and uses[predicate] <= TW_STAR_USES]
+            assert str(inline_single_definition(inlined)) == str(inlined)
+        assert inline_single_definition(handcrafted).program.idb_predicates \
+            == {"G"}
+
+    def test_repeated_head_variable_equates_the_call_arguments(self):
+        # Q(z, z) only holds on the diagonal: inlining it into
+        # G(x, y) <- Q(x, y) must keep x = y, not drop it
+        query = _query(
+            [Clause(Literal("G", ("x", "y")), (Literal("Q", ("x", "y")),)),
+             Clause(Literal("Q", ("z", "z")), (Literal("A", ("z",)),))],
+            "G", ("x", "y"))
+        abox = ABox.parse("A(a), A(b)")
+        for inline in (inline_single_definition, inline_edb_leaves):
+            inlined = inline(query)
+            assert "Q" not in inlined.program.idb_predicates
+            assert evaluate(inlined, abox).answers == \
+                evaluate(query, abox).answers == {("a", "a"), ("b", "b")}
 
     def test_answers_preserved_on_rewriter_output(self):
         tbox = example11_tbox()
@@ -205,7 +249,7 @@ class TestPipeline:
             "R(a,b), S(b,c), R(c,d), R(d,e), S(e,f), R(f,g), R(g,h), "
             "A_P(c), A_P-(f)").complete(tbox)
         ndl = rewrite(OMQ(tbox, query), method=method)
-        optimized = optimize(ndl, abox)
+        optimized = optimize(ndl, nonempty_signature(abox))
         assert evaluate(optimized, abox).answers == evaluate(ndl, abox).answers
 
     def test_optimize_shrinks_on_sparse_data(self):
@@ -214,14 +258,14 @@ class TestPipeline:
         # no S edges at all, as in the paper's generated datasets
         abox = ABox.parse("R(a,b), R(b,c), R(c,d), A_P(b)").complete(tbox)
         ndl = rewrite(OMQ(tbox, query), method="lin")
-        optimized = optimize(ndl, abox)
+        optimized = optimize(ndl, nonempty_signature(abox))
         assert len(optimized.program) < len(ndl.program)
         assert evaluate(optimized, abox).answers == evaluate(ndl, abox).answers
 
     @settings(max_examples=40, deadline=None)
     @given(query=_random_query(), abox=_random_abox())
     def test_property_optimize_preserves_answers(self, query, abox):
-        optimized = optimize(query, abox)
+        optimized = optimize(query, nonempty_signature(abox))
         assert evaluate(optimized, abox).answers == \
             evaluate(query, abox).answers
 

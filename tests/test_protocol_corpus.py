@@ -20,7 +20,8 @@ values that are now structured 400s); those are checked against their
 new expectation instead.
 
 ``pytest tests/test_protocol_corpus.py --update-golden`` re-records the
-file from the current server.
+file from the current server, splicing the stored :data:`DELIBERATE`
+entries back unchanged.
 """
 
 from __future__ import annotations
@@ -333,12 +334,29 @@ def record() -> List[Dict[str, object]]:
 def replayed(request):
     entries = record()
     if request.config.getoption("--update-golden"):
-        CORPUS.write_text(json.dumps(entries, indent=1) + "\n")
+        stored = _recorded()
+        rerecorded = _keep_deliberate(entries, stored)
+        assert _deliberate(rerecorded) == _deliberate(stored)
+        CORPUS.write_text(json.dumps(rerecorded, indent=1) + "\n")
     return entries
 
 
 def _recorded() -> List[Dict[str, object]]:
     return json.loads(CORPUS.read_text())
+
+
+def _deliberate(entries: List[Dict[str, object]]) -> List[Dict[str, object]]:
+    return [entry for entry in entries if entry["name"] in DELIBERATE]
+
+
+def _keep_deliberate(entries: List[Dict[str, object]],
+                     stored: List[Dict[str, object]]
+                     ) -> List[Dict[str, object]]:
+    """``entries`` with each :data:`DELIBERATE` exchange spliced back
+    from ``stored`` unchanged: those keep the old response on purpose,
+    and a re-recording must not erase it."""
+    kept = {entry["name"]: entry for entry in _deliberate(stored)}
+    return [kept.get(entry["name"], entry) for entry in entries]
 
 
 def test_corpus_covers_every_route_and_error():
@@ -353,6 +371,15 @@ def test_corpus_covers_every_route_and_error():
     assert {entry["status"] for entry in recorded} >= {
         200, 201, 400, 403, 404, 429, 431}
     assert set(DELIBERATE) <= {entry["name"] for entry in recorded}
+
+
+def test_re_recording_keeps_the_deliberate_exchanges(replayed):
+    stored = _recorded()
+    rerecorded = _keep_deliberate(replayed, stored)
+    assert _deliberate(rerecorded) == _deliberate(stored)
+    assert len(_deliberate(stored)) == len(DELIBERATE)
+    assert [entry for entry in rerecorded if entry["name"] not in DELIBERATE] \
+        == [entry for entry in replayed if entry["name"] not in DELIBERATE]
 
 
 def test_the_replay_sends_the_recorded_requests(replayed):

@@ -18,12 +18,13 @@ from repro.datalog.program import ADOM, Clause, Equality, Literal, NDLQuery, Pro
 from repro.engine.database import Database
 from repro.sql import (
     SQLEngine,
-    compile_clause,
+    compile_clause_ir,
     compile_query,
     evaluate_sql,
     quote_identifier,
     table_name,
 )
+from repro.sql.ir import render_select
 from repro.sql.schema import (
     abox_arities,
     merged_arities,
@@ -93,32 +94,32 @@ class TestArities:
 class TestCompileClause:
     def test_single_atom(self):
         clause = Clause(Literal("G", ("x",)), (Literal("A", ("x",)),))
-        sql = compile_clause(clause, frozenset())
+        sql = render_select(compile_clause_ir(clause))
         assert 'FROM "p_A" AS t0' in sql
         assert sql.startswith("SELECT DISTINCT t0.c0 AS c0")
 
     def test_join_condition_for_shared_variable(self):
         clause = Clause(Literal("G", ("x", "z")),
                         (Literal("R", ("x", "y")), Literal("S", ("y", "z"))))
-        sql = compile_clause(clause, frozenset())
+        sql = render_select(compile_clause_ir(clause))
         assert "WHERE t0.c1 = t1.c0" in sql
 
     def test_repeated_variable_in_one_atom(self):
         clause = Clause(Literal("G", ("x",)), (Literal("R", ("x", "x")),))
-        sql = compile_clause(clause, frozenset())
+        sql = render_select(compile_clause_ir(clause))
         assert "WHERE t0.c0 = t0.c1" in sql
 
     def test_equality_binds_head_variable(self):
         clause = Clause(Literal("G", ("y",)),
                         (Equality("y", "z"), Literal("A", ("z",))))
-        sql = compile_clause(clause, frozenset())
+        sql = render_select(compile_clause_ir(clause))
         # y is renamed to the bound representative; no unbound reference
         assert "c0" in sql
         assert "=" not in sql.split("FROM")[0]  # no equality in SELECT
 
     def test_nullary_head_emits_marker(self):
         clause = Clause(Literal("G", ()), (Literal("A", ("x",)),))
-        sql = compile_clause(clause, frozenset())
+        sql = render_select(compile_clause_ir(clause))
         assert sql.startswith("SELECT DISTINCT '1' AS c0")
 
 
