@@ -4,9 +4,9 @@
 #   docker build -t repro-serve .
 #   docker run -p 8080:8080 -v repro-data:/data repro-serve
 #
-# The package is installed from its own metadata, which pulls in its
-# one runtime dependency (networkx, declared in pyproject.toml); the
-# build therefore needs access to a package index.
+# The package is installed from its own metadata; it has no runtime
+# dependencies, so the install needs only setuptools from the base
+# image's pip (build isolation still fetches it from a package index).
 
 FROM python:3.12-slim
 

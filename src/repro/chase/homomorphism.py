@@ -25,7 +25,7 @@ def _variable_order(query: CQ,
     while len(placed) < len(query.variables):
         index = 0
         while index < len(frontier):
-            for neighbour in sorted(graph.neighbors(frontier[index])):
+            for neighbour in sorted(graph[frontier[index]]):
                 if neighbour not in placed:
                     placed.add(neighbour)
                     order.append(neighbour)

@@ -32,6 +32,9 @@ goal relation leaves :func:`evaluate_on` in the database's codes
 
 from __future__ import annotations
 
+import gc
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import count
@@ -163,11 +166,41 @@ def materialise(query: NDLQuery, database, indexes: Optional[Dict] = None
     derived: Dict[str, IntRelation] = {}
     relation, index = lookups(database, derived, {} if indexes is None
                               else indexes)
-    for predicate, clauses in _program(query):
-        derived[predicate] = set().union(*[
-            clause.run(database.token, relation, index)
-            for clause in clauses])
+    with _cycle_collection_paused():
+        for predicate, clauses in _program(query):
+            derived[predicate] = set().union(*[
+                clause.run(database.token, relation, index)
+                for clause in clauses])
     return derived
+
+
+_gc_lock = threading.Lock()
+_gc_holders = 0
+
+
+@contextmanager
+def _cycle_collection_paused():
+    """Hold the cyclic garbage collector off while IDB relations are
+    built.  They are sets of int tuples, which form no cycles, but
+    their allocations trigger collections that traverse every live
+    object, the loaded data included, and those that land in the
+    heaviest evaluations set ``eval-tables``' p95.  Concurrent and
+    nested holders share one pause; a collector the caller disabled
+    stays disabled."""
+    global _gc_holders
+    with _gc_lock:
+        paused = _gc_holders > 0 or gc.isenabled()
+        if paused:
+            _gc_holders += 1
+            gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            with _gc_lock:
+                _gc_holders -= 1
+                if not _gc_holders:
+                    gc.enable()
 
 
 def lookups(database, derived: Mapping[str, IntRelation],

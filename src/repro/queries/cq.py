@@ -5,19 +5,24 @@ over variables (the paper assumes, w.l.o.g., no constants in queries).
 The *Gaifman graph* has the variables as vertices and an edge ``{u, v}``
 for every binary atom ``P(u, v)``; a CQ is *tree-shaped* when this graph
 is a tree and *linear* when it is a tree with at most two leaves.
+
+Graphs here are plain adjacency dicts, vertex -> set of neighbours
+(no self-loops); :func:`components` and :func:`is_tree` are the graph
+algorithms the rewriters need besides breadth-first search.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
-
-import networkx as nx
+from typing import (AbstractSet, Dict, FrozenSet, Hashable, Iterable, List,
+                    Mapping, Optional, Sequence, Tuple)
 
 from ..ontology.terms import Role
 
 Variable = str
+#: An undirected graph as vertex -> neighbours, symmetric, loop-free.
+Graph = Mapping[Hashable, AbstractSet[Hashable]]
 
 
 @dataclass(frozen=True, order=True)
@@ -87,7 +92,7 @@ class CQ:
                 f"answer variables {sorted(missing)} do not occur in the "
                 "query body")
         self._variables = frozenset(all_vars)
-        self._gaifman: Optional[nx.Graph] = None
+        self._gaifman: Optional[Dict[Variable, FrozenSet[Variable]]] = None
 
     # -- vocabulary -----------------------------------------------------
 
@@ -120,39 +125,28 @@ class CQ:
 
     # -- Gaifman graph and shape ------------------------------------------
 
-    def gaifman(self) -> nx.Graph:
-        """The Gaifman graph of the query (self-loops are ignored, as the
-        paper's graph has edges only between distinct variables); built
-        once per CQ and frozen."""
+    def gaifman(self) -> Dict[Variable, FrozenSet[Variable]]:
+        """The Gaifman graph of the query, variable -> neighbours in
+        sorted variable order (self-loops are ignored, as the paper's
+        graph has edges only between distinct variables); built once
+        per CQ and shared, so callers must not change it."""
         if self._gaifman is None:
-            graph = nx.Graph()
-            graph.add_nodes_from(self._variables)
-            for atom in self.binary_atoms():
-                first, second = atom.args
-                if first != second:
-                    graph.add_edge(first, second)
-            self._gaifman = nx.freeze(graph)
+            self._gaifman = gaifman_graph(self.atoms)
         return self._gaifman
 
     @property
     def is_connected(self) -> bool:
-        graph = self.gaifman()
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_connected(graph)
+        return len(components(self.gaifman())) <= 1
 
     @property
     def is_tree_shaped(self) -> bool:
         """True when the Gaifman graph is a tree (acyclic and connected)."""
-        graph = self.gaifman()
-        if graph.number_of_nodes() == 0:
-            return True
-        return nx.is_tree(graph)
+        return is_tree(self.gaifman())
 
     def leaves(self) -> List[Variable]:
         """Degree-<=1 vertices of the Gaifman graph (for tree-shaped CQs)."""
-        graph = self.gaifman()
-        return sorted(v for v in graph.nodes if graph.degree(v) <= 1)
+        return [var for var, neighbours in self.gaifman().items()
+                if len(neighbours) <= 1]
 
     @property
     def number_of_leaves(self) -> int:
@@ -173,8 +167,14 @@ class CQ:
 
     def distances_from(self, root: Variable) -> Dict[Variable, int]:
         """Graph distance of every variable from ``root``."""
-        graph = self.gaifman()
-        return dict(nx.single_source_shortest_path_length(graph, root))
+        graph, found = self.gaifman(), {root: 0}
+        frontier = [root]
+        for var in frontier:  # grows while it is read: a BFS
+            for neighbour in graph[var]:
+                if neighbour not in found:
+                    found[neighbour] = found[var] + 1
+                    frontier.append(neighbour)
+        return found
 
     def restrict_to(self, variables: Iterable[Variable],
                     answer_vars: Sequence[Variable]) -> "CQ":
@@ -184,9 +184,7 @@ class CQ:
         return CQ(atoms, answer_vars)
 
     def connected_components(self) -> List[FrozenSet[Variable]]:
-        graph = self.gaifman()
-        return [frozenset(component)
-                for component in nx.connected_components(graph)]
+        return components(self.gaifman())
 
     # -- parsing and display ------------------------------------------------
 
@@ -231,6 +229,50 @@ class CQ:
 
     def __repr__(self) -> str:
         return f"CQ({self})"
+
+
+def gaifman_graph(atoms: Sequence[Atom]
+                  ) -> Dict[Variable, FrozenSet[Variable]]:
+    """The Gaifman graph of some atoms, in sorted variable order."""
+    adjacent = {var: set() for var in sorted({var for atom in atoms
+                                              for var in atom.args})}
+    for atom in atoms:
+        first, second = atom.args[0], atom.args[-1]  # z, z for A(z)
+        if first != second:
+            adjacent[first].add(second)
+            adjacent[second].add(first)
+    return {var: frozenset(others) for var, others in adjacent.items()}
+
+
+def components(graph: Graph, within: Optional[Iterable] = None
+               ) -> List[FrozenSet]:
+    """The connected components of ``graph``, or of its subgraph
+    induced by the vertices ``within``; each is found from its first
+    vertex in the iteration order of ``within`` (default: of
+    ``graph``)."""
+    keep = graph if within is None else within
+    seen = set()
+    found: List[FrozenSet] = []
+    for start in keep:
+        if start in seen:
+            continue
+        seen.add(start)
+        component = [start]
+        for vertex in component:  # grows while it is read: a BFS
+            for neighbour in graph[vertex]:
+                if neighbour not in seen and neighbour in keep:
+                    seen.add(neighbour)
+                    component.append(neighbour)
+        found.append(frozenset(component))
+    return found
+
+
+def is_tree(graph: Graph) -> bool:
+    """Connected and acyclic: ``n - 1`` edges in one component (the
+    empty graph counts as a tree)."""
+    edges = sum(len(neighbours) for neighbours in graph.values()) // 2
+    return not graph or (edges == len(graph) - 1
+                         and len(components(graph)) == 1)
 
 
 def chain_cq(labels: Sequence[str], prefix: str = "x",

@@ -2,43 +2,39 @@
 
 For tree-shaped CQs we build the natural width-1 decomposition whose
 bags are the edges of the Gaifman graph (Example 8); for arbitrary CQs
-we fall back on the min-fill-in heuristic from networkx, which is exact
-on trees and a good upper bound in general.
+we eliminate vertices by the min-fill-in heuristic and join the
+elimination bags into a junction tree, which is exact on trees and a
+good upper bound in general.  Both trees are adjacency dicts over bag
+numbers ``0 .. n-1``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_fill_in
-
-from .cq import CQ, Variable
+from .cq import CQ, Graph, Variable, components, is_tree
 
 
 class TreeDecomposition:
-    """A pair ``(T, lambda)``: a tree with a bag of variables per node."""
+    """A pair ``(T, lambda)``: a tree with a bag of variables per node;
+    ``tree`` maps every node to its neighbours, in node order."""
 
-    def __init__(self, tree: nx.Graph, bags: Dict[int, FrozenSet[Variable]]):
-        self.tree = tree
+    def __init__(self, bags: Dict[int, FrozenSet[Variable]],
+                 edges: Iterable[Tuple[int, int]] = ()):
         self.bags = dict(bags)
-        if set(tree.nodes) != set(self.bags):
-            raise ValueError("every tree node needs a bag")
+        self.tree: Dict[int, Set[int]] = {node: set()
+                                          for node in sorted(self.bags)}
+        for first, second in edges:
+            self.tree[first].add(second)
+            self.tree[second].add(first)
 
     @property
     def width(self) -> int:
         """``max |bag| - 1``."""
         return max((len(bag) for bag in self.bags.values()), default=0) - 1
 
-    @property
-    def nodes(self) -> List[int]:
-        return sorted(self.tree.nodes)
-
-    def bag(self, node: int) -> FrozenSet[Variable]:
-        return self.bags[node]
-
     def neighbours(self, node: int) -> List[int]:
-        return sorted(self.tree.neighbors(node))
+        return sorted(self.tree[node])
 
     def validate(self, query: CQ) -> None:
         """Check the three tree-decomposition conditions for ``query``.
@@ -46,7 +42,7 @@ class TreeDecomposition:
         Raises ``ValueError`` on violation; used in tests and as a safety
         net in the Log rewriter.
         """
-        if self.tree.number_of_nodes() and not nx.is_tree(self.tree):
+        if not is_tree(self.tree):
             raise ValueError("decomposition graph is not a tree")
         covered = set()
         for bag in self.bags.values():
@@ -58,15 +54,14 @@ class TreeDecomposition:
             if not any(pair <= bag for bag in self.bags.values()):
                 raise ValueError(f"edge of atom {atom} is in no bag")
         for variable in query.variables:
-            nodes = [node for node, bag in self.bags.items()
-                     if variable in bag]
-            subtree = self.tree.subgraph(nodes)
-            if nodes and not nx.is_connected(subtree):
+            nodes = {node for node, bag in self.bags.items()
+                     if variable in bag}
+            if len(components(self.tree, nodes)) > 1:
                 raise ValueError(
                     f"bags containing {variable} are not connected")
 
     def __repr__(self) -> str:
-        return (f"TreeDecomposition({self.tree.number_of_nodes()} nodes, "
+        return (f"TreeDecomposition({len(self.tree)} nodes, "
                 f"width={self.width})")
 
 
@@ -74,80 +69,94 @@ def tree_decomposition(query: CQ) -> TreeDecomposition:
     """A tree decomposition of the Gaifman graph of ``query``.
 
     Width 1 (the natural edge decomposition) for tree-shaped queries;
-    min-fill-in heuristic otherwise.
+    min-fill-in elimination otherwise.
     """
     graph = query.gaifman()
-    if graph.number_of_nodes() == 0:
-        tree = nx.Graph()
-        tree.add_node(0)
-        return TreeDecomposition(tree, {0: frozenset()})
-    if nx.is_tree(graph):
-        return _edge_decomposition(graph)
-    width, junction = treewidth_min_fill_in(graph)
-    tree = nx.Graph()
-    bags: Dict[int, FrozenSet[Variable]] = {}
-    index = {bag: i for i, bag in enumerate(junction.nodes)}
-    for bag, i in index.items():
-        tree.add_node(i)
-        bags[i] = frozenset(bag)
-    for first, second in junction.edges:
-        tree.add_edge(index[first], index[second])
-    # a disconnected Gaifman graph yields a junction *forest*; chaining the
-    # components preserves all three decomposition conditions
-    components = [sorted(component)
-                  for component in nx.connected_components(tree)]
-    for previous, current in zip(components, components[1:]):
-        tree.add_edge(previous[0], current[0])
-    decomposition = TreeDecomposition(tree, bags)
+    if len(graph) <= 1:
+        return TreeDecomposition({0: frozenset(graph)})
+    if is_tree(graph):
+        return _edge_decomposition(query)
+    decomposition = _min_fill_decomposition(graph)
     decomposition.validate(query)
     return decomposition
 
 
-def _edge_decomposition(graph: nx.Graph) -> TreeDecomposition:
-    """One bag per edge of a tree graph, chained along the tree, matching
-    the chain of bags in Example 8 for linear queries."""
-    tree = nx.Graph()
+def _edge_decomposition(query: CQ) -> TreeDecomposition:
+    """One bag per edge of a tree-shaped query, in breadth-first order
+    from its least variable (neighbours in the order their atoms come),
+    chained along the tree: the chain of bags in Example 8 for linear
+    queries."""
+    adjacent: Dict[Variable, Dict[Variable, None]] = {
+        var: {} for var in query.gaifman()}
+    for atom in query.binary_atoms():
+        first, second = atom.args
+        if first != second:
+            adjacent[first][second] = adjacent[second][first] = None
+    root = next(iter(adjacent))
     bags: Dict[int, FrozenSet[Variable]] = {}
-    if graph.number_of_edges() == 0:
-        for i, node in enumerate(sorted(graph.nodes)):
-            tree.add_node(i)
-            bags[i] = frozenset({node})
-            if i:
-                tree.add_edge(i - 1, i)
-        return TreeDecomposition(tree, bags)
-    root = min(graph.nodes)
+    edges = []
     anchor_bag: Dict[Variable, int] = {}
-    counter = 0
-    for parent, child in nx.bfs_edges(graph, root):
-        node_id = counter
-        counter += 1
-        tree.add_node(node_id)
-        bags[node_id] = frozenset({parent, child})
-        if parent in anchor_bag:
-            tree.add_edge(anchor_bag[parent], node_id)
-        else:
+    frontier = [root]
+    for parent in frontier:
+        for child in adjacent[parent]:
+            if child == root or child in anchor_bag:  # seen
+                continue
+            node = len(bags)
+            bags[node] = frozenset({parent, child})
             # the first bag containing the BFS root anchors it
-            anchor_bag[parent] = node_id
-        anchor_bag[child] = node_id
-    # vertices of degree 0 inside a connected tree cannot occur, but a
-    # disconnected Gaifman graph (forest) is chained component by component
-    isolated = [node for node in graph.nodes if graph.degree(node) == 0]
-    previous = 0 if counter else None
-    for node in sorted(isolated):
-        node_id = counter
-        counter += 1
-        tree.add_node(node_id)
-        bags[node_id] = frozenset({node})
-        if previous is not None:
-            tree.add_edge(previous, node_id)
-        previous = node_id
-    return TreeDecomposition(tree, bags)
+            if parent in anchor_bag:
+                edges.append((anchor_bag[parent], node))
+            else:
+                anchor_bag[parent] = node
+            anchor_bag[child] = node
+            frontier.append(child)
+    return TreeDecomposition(bags, edges)
 
 
-def subtree_components(tree: nx.Graph, nodes: FrozenSet[int],
+def _min_fill_decomposition(graph: Graph) -> TreeDecomposition:
+    """The junction tree of min-fill-in elimination.
+
+    While the graph is not a clique, eliminate a vertex whose
+    neighbourhood needs the fewest fill edges to become one (on ties,
+    the least degree, then graph order) and join its neighbours.  The
+    vertices left form bag 0; then, last eliminated first, a vertex
+    ``v`` with the neighbours ``N`` it had at elimination becomes the
+    next bag ``N + {v}``, under the first bag so far that contains ``N``.
+    """
+    adjacent = {vertex: set(others) for vertex, others in graph.items()}
+    eliminated = []
+    while (vertex := _min_fill_vertex(adjacent)) is not None:
+        neighbours = adjacent.pop(vertex)
+        for other in neighbours:
+            adjacent[other] |= neighbours
+            adjacent[other] -= {other, vertex}
+        eliminated.append((vertex, neighbours))
+    bags = [frozenset(adjacent)]
+    edges = []
+    for vertex, neighbours in reversed(eliminated):
+        edges.append((next((node for node, bag in enumerate(bags)
+                            if neighbours <= bag), 0), len(bags)))
+        bags.append(frozenset(neighbours | {vertex}))
+    return TreeDecomposition(dict(enumerate(bags)), edges)
+
+
+def _min_fill_vertex(adjacent: Dict[Variable, Set[Variable]]
+                     ) -> Optional[Variable]:
+    """The next vertex to eliminate, ``None`` once the graph is a
+    clique (or empty)."""
+    by_degree = sorted(adjacent, key=lambda vertex: len(adjacent[vertex]))
+    if not by_degree or len(adjacent[by_degree[0]]) == len(adjacent) - 1:
+        return None
+    # twice the fill: per neighbour, the other neighbours it misses
+    return min(by_degree, key=lambda vertex: sum(
+        len(adjacent[vertex] - adjacent[other]) - 1
+        for other in adjacent[vertex]))
+
+
+def subtree_components(tree: Graph, nodes: FrozenSet[int],
                        split: int) -> List[FrozenSet[int]]:
     """The components of the subtree induced by ``nodes`` after removing
-    ``split`` (the subtrees ``D_1, ..., D_k`` of Section 3.2)."""
-    subgraph = tree.subgraph(nodes - {split})
-    return [frozenset(component)
-            for component in nx.connected_components(subgraph)]
+    ``split`` (the subtrees ``D_1, ..., D_k`` of Section 3.2), found in
+    the iteration order of ``nodes - {split}``: the order the Log
+    rewriter names its predicates in."""
+    return components(tree, nodes - {split})

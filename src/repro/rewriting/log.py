@@ -84,7 +84,7 @@ class _LogBuilder:
         tree = self.decomposition.tree
         return sum(
             1 for node in subtree
-            if any(neigh not in subtree for neigh in tree.neighbors(node)))
+            if any(neigh not in subtree for neigh in tree[node]))
 
     def _split(self, subtree: Subtree) -> Tuple[int, List[Subtree]]:
         """A node satisfying Lemma 10 for ``subtree`` and the resulting
@@ -133,7 +133,7 @@ class _LogBuilder:
         bags = self.decomposition.bags
         shared: Set[Variable] = set()
         for node in subtree:
-            for neigh in tree.neighbors(node):
+            for neigh in tree[node]:
                 if neigh not in subtree:
                     shared |= bags[node] & bags[neigh]
         return tuple(sorted(shared))
@@ -168,7 +168,7 @@ class _LogBuilder:
     # -- recursive construction ------------------------------------------------
 
     def build(self) -> NDLQuery:
-        root: Subtree = frozenset(self.decomposition.tree.nodes)
+        root: Subtree = frozenset(self.decomposition.tree)
         if self._construct(root, {}):
             goal_literal = self._predicate(root, {})
         else:

@@ -14,14 +14,12 @@ Table 1.
 from __future__ import annotations
 
 import itertools
-from typing import FrozenSet, List, Set, Tuple
-
-import networkx as nx
+from typing import Dict, FrozenSet, List, Set, Tuple
 
 from ..datalog.program import Clause, Equality, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.tbox import surrogate_name
-from ..queries.cq import CQ, Atom
+from ..queries.cq import CQ, Atom, components
 from .tree_witness import TreeWitness, conflict, independent_subsets, tree_witnesses
 
 
@@ -81,15 +79,14 @@ def presto_rewrite(tbox, query: CQ, over: str = "complete") -> NDLQuery:
 
 def _clusters(witnesses: List[TreeWitness]) -> List[List[TreeWitness]]:
     """Connected components of the conflict graph on tree witnesses."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(len(witnesses)))
+    graph: Dict[int, Set[int]] = {i: set() for i in range(len(witnesses))}
     for i in range(len(witnesses)):
         for j in range(i + 1, len(witnesses)):
             if conflict(witnesses[i], witnesses[j]):
-                graph.add_edge(i, j)
+                graph[i].add(j)
+                graph[j].add(i)
     return [[witnesses[i] for i in sorted(component)]
-            for component in sorted(nx.connected_components(graph),
-                                    key=sorted)]
+            for component in sorted(components(graph), key=sorted)]
 
 
 def _interface_vars(query: CQ, region: FrozenSet[Atom]) -> Tuple[str, ...]:

@@ -62,7 +62,7 @@ def _connected_existential_subsets(
     while stack:
         subset = stack.pop()
         yield subset
-        neighbours = {n for v in subset for n in graph.neighbors(v)}
+        neighbours = {n for v in subset for n in graph[v]}
         for cand in sorted(neighbours - subset):
             if cand in query.existential_vars:
                 extended = subset | {cand}
@@ -215,7 +215,7 @@ class WitnessSearch:
         witnesses: List[TreeWitness] = []
         for interior in _connected_existential_subsets(query, containing):
             roots = frozenset(
-                {n for v in interior for n in graph.neighbors(v)} - interior)
+                {n for v in interior for n in graph[v]} - interior)
             if require_rooted and not roots:
                 continue
             generators = kernel.generators(roots, interior)

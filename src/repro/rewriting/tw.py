@@ -14,16 +14,15 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-import networkx as nx
-
-from ..chase.certain import BooleanMatcher, canonical_model_for
 from ..data.abox import ABox
+from ..datalog.evaluate import evaluate
 from ..datalog.optimize import inline_edb_leaves, inline_single_definition
 from ..datalog.program import Clause, Equality, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.tbox import surrogate_name
-from ..queries.cq import CQ, Atom, Variable
-from .tree_witness import TreeWitness, WitnessSearch
+from ..ontology.terms import TOP, Atomic
+from ..queries.cq import CQ, Atom, Variable, components, gaifman_graph
+from .tree_witness import WitnessSearch
 
 
 def tw_rewrite(tbox, query: CQ, over: str = "complete",
@@ -66,8 +65,7 @@ def splitting_vertex(query: CQ) -> Variable:
     size = len(variables)
     best, best_cost = None, None
     for var in variables:
-        rest = graph.subgraph(set(variables) - {var})
-        worst = max((len(c) for c in nx.connected_components(rest)),
+        worst = max((len(c) for c in components(graph, graph.keys() - {var})),
                     default=0)
         if best_cost is None or worst < best_cost:
             best, best_cost = var, worst
@@ -126,72 +124,83 @@ class _TwBuilder:
                               for atom in query.atoms
                               if set(atom.args) <= {split}]
         answers = set(query.answer_vars) | {split}
-        rest = graph.subgraph(set(query.variables) - {split})
-        for component in sorted(nx.connected_components(rest), key=sorted):
-            branch_vars = set(component) | {split}
+        for component in sorted(components(graph, graph.keys() - {split}),
+                                key=sorted):
             atoms = [atom for atom in query.atoms
-                     if set(atom.args) <= branch_vars
-                     and set(atom.args) & set(component)]
-            if not atoms:
-                continue
-            occurring = {var for atom in atoms for var in atom.args}
-            branch_answers = tuple(sorted(occurring & answers))
-            branch = CQ(atoms, branch_answers)
-            body.append(Literal(self._define(branch), branch_answers))
+                     if set(atom.args) <= component | {split}
+                     and set(atom.args) & component]
+            body.append(self._part(atoms, answers))
         self.clauses.append(Clause(head, tuple(body)))
 
     def _witness_clauses(self, query: CQ, head: Literal,
                          split: Variable) -> None:
         """One clause per tree witness ``t`` with ``z_q`` interior and
         ``tr`` nonempty, per generating role:
-        ``G_q(x) <- A_rho(z_0) & (z = z_0) & G_{q^t_1} & ...``."""
+        ``G_q(x) <- A_rho(z_0) & (z = z_0) & G_{q^t_1} & ...``, with a
+        ``G_{q^t_i}`` per connected component of ``q`` without ``q_t``."""
         for witness in self.search.witnesses(query, require_rooted=True,
                                              containing=split):
             anchor = min(witness.roots)
             remaining = [atom for atom in query.atoms
                          if atom not in witness.atoms]
-            component_literals = self._witness_components(
-                query, witness, remaining)
+            answers = set(query.answer_vars) | witness.roots
+            parts = [self._part([atom for atom in remaining
+                                 if set(atom.args) <= component], answers)
+                     for component in sorted(
+                         components(gaifman_graph(remaining)), key=sorted)]
             for role in witness.generators:
                 body: List[object] = [
                     Literal(surrogate_name(role), (anchor,))]
                 body.extend(Equality(var, anchor)
                             for var in sorted(witness.roots - {anchor}))
-                body.extend(component_literals)
+                body.extend(parts)
                 self.clauses.append(Clause(head, tuple(body)))
 
-    def _witness_components(self, query: CQ, witness: TreeWitness,
-                            remaining: List[Atom]) -> List[Literal]:
-        """``G_{q^t_i}`` literals for the connected components of
-        ``q`` without ``q_t``."""
-        if not remaining:
-            return []
-        graph = nx.Graph()
-        for atom in remaining:
-            for var in atom.args:
-                graph.add_node(var)
-            if atom.is_binary and atom.args[0] != atom.args[1]:
-                graph.add_edge(*atom.args)
-        answers = set(query.answer_vars) | set(witness.roots)
-        literals: List[Literal] = []
-        for component in sorted(nx.connected_components(graph), key=sorted):
-            atoms = [atom for atom in remaining
-                     if set(atom.args) <= set(component)]
-            occurring = {var for atom in atoms for var in atom.args}
-            component_answers = tuple(sorted(occurring & answers))
-            sub = CQ(atoms, component_answers)
-            literals.append(Literal(self._define(sub), component_answers))
-        return literals
+    def _part(self, atoms: List[Atom], answers: Set[Variable]) -> Literal:
+        """``G_p(y)`` for the subquery ``p`` of ``atoms`` whose answer
+        variables are those of ``answers`` it mentions."""
+        occurring = {var for atom in atoms for var in atom.args}
+        part_answers = tuple(sorted(occurring & answers))
+        return Literal(self._define(CQ(atoms, part_answers)), part_answers)
 
     def _boolean_root_clauses(self, goal: str) -> None:
         """``G_{q_0} <- A(x)`` for every unary predicate ``A`` with
-        ``T, {A(a)} |= q_0`` (matches entirely in the anonymous part)."""
+        ``T, {A(a)} |= q_0``, decided for every ``A`` (the TBox's concept
+        names, surrogates included, and the query's unary predicates) in
+        one evaluation over ``{A(A) : A}``, with no canonical model.  No
+        binary fact joins two individuals, so a match of the connected
+        ``q_0`` lies in the model of one ``{A(a)}``, and either
+
+        (a) touches ``a``: the clauses built so far find these.  Each
+            goal clause binds its first body variable to ``a`` (the
+            split variable, or the witness anchor), so with that
+            variable as the goal's argument one evaluation answers
+            every such ``A``; or
+        (b) lies among the nulls, below a topmost one ``a.w.rho``.  It
+            satisfies ``A_{rho-}``, and the model of ``{A_{rho-}(s)}``
+            maps into its subtree and back, so ``A`` holds iff
+            ``A_{rho-}`` does for a first letter ``rho`` forced at
+            ``A``: the least fixpoint of that rule over (a).
+        """
         names = set(self.tbox.atomic_concept_names)
         names.update(atom.predicate for atom in self.query.unary_atoms())
-        matcher = BooleanMatcher(self.tbox, self.query)
-        for name in sorted(names):
-            abox = ABox([(name, ("a",))])
-            if matcher.holds(canonical_model_for(self.tbox, abox,
-                                                 self.query)):
-                self.clauses.append(
-                    Clause(Literal(goal, ()), (Literal(name, ("x",)),)))
+        anchored = [clause if clause.head.predicate != goal else Clause(
+            Literal(goal, (clause.body_literals[0].args[0],)), clause.body)
+            for clause in self.clauses]
+        data = ABox([(name, (name,)) for name in names]).complete(self.tbox)
+        holds = {row[0] for row in evaluate(
+            NDLQuery(Program(anchored), goal, ("x",)), data).answers}
+        initial = self.tbox.witnesses.initial
+        forced = {name: initial.get(Atomic(name), initial.get(TOP, ()))
+                  for name in names}
+        grown = True
+        while grown:
+            grown = False
+            for name in sorted(names - holds):
+                if any(surrogate_name(role.inverse()) in holds
+                       for role in forced[name]):
+                    holds.add(name)
+                    grown = True
+        for name in sorted(holds):
+            self.clauses.append(
+                Clause(Literal(goal, ()), (Literal(name, ("x",)),)))

@@ -259,7 +259,7 @@ def brute_tree_witnesses(tbox, query, require_rooted=False):
     found = set()
     while stack:
         interior = stack.pop()
-        border = {n for v in interior for n in graph.neighbors(v)} - interior
+        border = {n for v in interior for n in graph[v]} - interior
         for var in border & query.existential_vars:
             if interior | {var} not in seen:
                 seen.add(interior | {var})

@@ -1,5 +1,6 @@
 """Tests for repro.datalog.evaluate (the bottom-up engine)."""
 
+import gc
 import importlib
 import sys
 import threading
@@ -78,6 +79,55 @@ class TestBasicEvaluation:
                              Literal("Zzz", ("x",)))],
                      "G", ("x",), "A(a)")
         assert result.answers == frozenset()
+
+
+class TestCollectorPause:
+    """Materialisation pauses the cyclic garbage collector and leaves
+    its state as it found it."""
+
+    QUERY = NDLQuery(Program([Clause(Literal("G", ("x",)),
+                                     (Literal("A", ("x",)),))]), "G", ("x",))
+
+    def test_paused_inside_and_restored(self, monkeypatch):
+        module = sys.modules[evaluate_on.__module__]
+        seen = []
+        original = module._program
+
+        def spying(query):
+            seen.append(gc.isenabled())
+            return original(query)
+
+        monkeypatch.setattr(module, "_program", spying)
+        assert gc.isenabled()
+        evaluate(self.QUERY, ABox.parse("A(a)"))
+        assert seen == [False] and gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self):
+        gc.disable()
+        try:
+            evaluate(self.QUERY, ABox.parse("A(a)"))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_concurrent_holders_share_one_pause(self):
+        module = sys.modules[evaluate_on.__module__]
+        inside, release = threading.Barrier(2), threading.Event()
+
+        def hold():
+            with module._cycle_collection_paused():
+                inside.wait()
+                release.wait()
+
+        worker = threading.Thread(target=hold)
+        worker.start()
+        with module._cycle_collection_paused():
+            inside.wait()
+        # the other holder is still inside: the pause must outlast us
+        assert not gc.isenabled()
+        release.set()
+        worker.join()
+        assert gc.isenabled()
 
 
 class TestEqualities:

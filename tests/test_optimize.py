@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import ABox, OMQ, chain_cq, rewrite
 from repro.datalog.evaluate import evaluate
@@ -21,7 +22,7 @@ from repro.datalog.optimize import (
 from repro.datalog.program import ADOM, Clause, Equality, Literal, NDLQuery, Program
 
 from .helpers import example11_tbox
-from .test_sql import _random_abox, _random_query
+from .test_sql import _random_abox, _random_body, _random_query
 
 
 def _query(clauses, goal, answer_vars=()):
@@ -228,6 +229,22 @@ class TestInlining:
             assert "Q" not in inlined.program.idb_predicates
             assert evaluate(inlined, abox).answers == \
                 evaluate(query, abox).answers == {("a", "a"), ("b", "b")}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), abox=_random_abox())
+    def test_property_repeated_head_variable_on_random_bodies(self, data,
+                                                              abox):
+        # the case above with Q's body drawn at random
+        body = _random_body(data.draw)
+        diagonal = data.draw(st.sampled_from(sorted(
+            {var for atom in body for var in atom.variables})))
+        query = _query(
+            [Clause(Literal("G", ("x", "y")), (Literal("Q", ("x", "y")),)),
+             Clause(Literal("Q", (diagonal, diagonal)), tuple(body))],
+            "G", ("x", "y"))
+        for inline in (inline_single_definition, inline_edb_leaves):
+            assert evaluate(inline(query), abox).answers == \
+                evaluate(query, abox).answers
 
     def test_answers_preserved_on_rewriter_output(self):
         tbox = example11_tbox()

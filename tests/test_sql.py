@@ -332,10 +332,13 @@ def _random_body(draw):
     return atoms
 
 
-def _head_vars(draw, body, nullary_ok=False):
+def _head_vars(draw, body, nullary_ok=False, repeat_ok=False):
     variables = sorted({v for a in body for v in a.variables})
     if nullary_ok and draw(st.booleans()):
         return ()
+    if repeat_ok and variables and draw(st.integers(0, 3)) == 0:
+        # Q(z, z): a call inlined from it must equate its arguments
+        return (variables[0], variables[0])
     return tuple(variables[:2]) or ("x",)
 
 
@@ -350,14 +353,16 @@ def _random_query(draw):
     # a three-stratum NDL program: Q_i over EDBs; P over the Q_i alone,
     # so an IDB relation is the atom a join starts from; G over P, the
     # Q_i and EDBs, possibly nullary, sometimes a union of two clauses.
-    # Atoms that share no variable make cross products.
+    # Atoms that share no variable make cross products; a Q_i or P head
+    # sometimes repeats a variable.
     layer = []
     for i in range(draw(st.integers(min_value=1, max_value=2))):
         body = _random_body(draw)
-        layer.append(Clause(Literal(f"Q{i}", _head_vars(draw, body)),
+        layer.append(Clause(Literal(f"Q{i}", _head_vars(draw, body,
+                                                        repeat_ok=True)),
                             tuple(body)))
     middle = [_idb_atom(draw, clause) for clause in layer]
-    layer.append(Clause(Literal("P", _head_vars(draw, middle, True)),
+    layer.append(Clause(Literal("P", _head_vars(draw, middle, True, True)),
                         tuple(middle)))
     goal_body = _random_body(draw) + [
         _idb_atom(draw, clause) for clause in layer

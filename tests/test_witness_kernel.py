@@ -9,9 +9,11 @@ enumeration to them, and count-based guards pin *how* the kernel gets
 there (no wall clock).
 """
 
+import ast
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -31,6 +33,7 @@ from repro.ontology import TBox, depth
 from repro.ontology.axioms import ConceptInclusion, Reflexivity, RoleInclusion
 from repro.ontology.terms import Atomic, Exists, Role
 from repro.queries import CQ, Atom, chain_cq
+from repro import rewriting
 from repro.rewriting import tree_witnesses, tw_rewrite
 from repro.rewriting.tree_witness import WitnessSearch
 from repro.rewriting.tw import _TwBuilder
@@ -436,6 +439,36 @@ class TestHowTheKernelWorks:
         monkeypatch.setattr(WitnessSearch, "witnesses", witnesses)
         tw_rewrite(*pinned_omq(label))
         assert searches and built == Counter()
+
+    @pytest.mark.parametrize("label", sorted(GADGETS))
+    def test_whole_rewrite_builds_no_model_and_no_search(self, label,
+                                                         monkeypatch):
+        # the Boolean root clauses included: one evaluation decides them
+        built = Counter()
+
+        def counting(cls):
+            original = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built[cls.__name__] += 1
+                original(self, *args, **kwargs)
+            return init
+
+        for cls in (CanonicalModel, SearchPlan):
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        tbox, query = GADGETS[label][0]()
+        assert query.is_boolean
+        tw_rewrite(tbox, query)
+        assert built == Counter()
+
+    def test_rewriters_import_nothing_from_the_chase(self):
+        package = Path(rewriting.__file__).parent
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.ImportFrom):
+                    module = "." * node.level + (node.module or "")
+                    assert not module.startswith(("..chase", "repro.chase")), \
+                        f"{path.name} imports {module}"
 
     def test_table_is_per_tbox(self):
         first, second = dagger_tbox(), dagger_tbox()
