@@ -8,25 +8,23 @@ type ``w`` threads the slices in a linear chain.  Only *productive*
 types (those that can be extended to a full match, cf. the "dead ends"
 discussion of Appendix A.6.3) get predicates, keeping the program at
 most ``|q| * |T|^(2 d l)`` large.
+
+One call decides each binary condition once (in one
+:class:`~.types.TypeSpace`) and each step from slice ``n`` once per
+type of its parent variables; the backward pass records the successors
+it finds for the forward pass and the emission to read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..datalog.program import Clause, Literal, NDLQuery, Program
 from ..datalog.transform import linear_star_transform
 from ..ontology.depth import chase_depth
 from ..queries.cq import CQ, Atom, Variable
-from .types import (
-    Type,
-    at_atoms,
-    candidate_words,
-    enumerate_words,
-    pair_compatible,
-    type_key,
-)
+from .types import Type, TypeSpace, at_atoms, type_key
 
 
 def lin_rewrite(tbox, query: CQ, root: Optional[Variable] = None,
@@ -55,39 +53,43 @@ def lin_rewrite(tbox, query: CQ, root: Optional[Variable] = None,
                 else min(query.variables))
 
     slices = _slices(query, root)
-    words = enumerate_words(tbox, int(depth))
-    candidates: Dict[Variable, List] = {
-        var: candidate_words(tbox, query, var, words)
-        for var in query.variables}
+    space = TypeSpace(tbox, query, int(depth))
 
     # answer variables occurring in q_n (the atoms at distance >= n)
     answer_per_slice = _answer_vars_per_slice(query, slices)
 
-    local_types: List[List[Type]] = [
-        _local_types(tbox, query, slice_vars, candidates)
-        for slice_vars in slices]
+    # slices of a rooted tree have no internal edges, so a slice's types
+    # are the product of its variables' candidate words
+    local_types: List[List[Type]] = [space.types(slice_vars)
+                                     for slice_vars in slices]
 
     last = len(slices) - 1
-    # backward pass: keep types that can be extended down to slice M
-    productive: List[Dict[Tuple, Type]] = [dict() for _ in slices]
-    for assignment in local_types[last]:
-        productive[last][type_key(assignment)] = assignment
+    # backward pass: keep types that can be extended down to slice M;
+    # successors[n][i]: the kept types of slice n + 1 that type i steps
+    # to, found once per type of the parents (ends of crossing atoms)
+    productive: List[List[int]] = [[] for _ in slices]
+    productive[last] = list(range(len(local_types[last])))
+    successors: List[Dict[int, List[int]]] = [{} for _ in slices]
     for n in range(last - 1, -1, -1):
-        for assignment in local_types[n]:
-            if any(_pair_ok(tbox, query, slices[n], slices[n + 1],
-                            assignment, succ)
-                   for succ in productive[n + 1].values()):
-                productive[n][type_key(assignment)] = assignment
+        crossing = _crossing(query, slices[n], slices[n + 1])
+        parents = sorted({upper for _, upper, _, _ in crossing})
+        decided: Dict[Tuple, List[int]] = {}
+        for i, current in enumerate(local_types[n]):
+            key = tuple(current[var] for var in parents)
+            if key not in decided:
+                decided[key] = [
+                    j for j in productive[n + 1]
+                    if _step_ok(space, crossing, current,
+                                local_types[n + 1][j])]
+            if decided[key]:
+                successors[n][i] = decided[key]
+                productive[n].append(i)
     # forward pass: keep types reachable from slice 0 (prunes the
     # "dead ends" of Appendix A.6.3 in the other direction)
     for n in range(1, last + 1):
-        reachable = {
-            key: assignment
-            for key, assignment in productive[n].items()
-            if any(_pair_ok(tbox, query, slices[n - 1], slices[n],
-                            prev, assignment)
-                   for prev in productive[n - 1].values())}
-        productive[n] = reachable
+        reachable = {j for i in productive[n - 1]
+                     for j in successors[n - 1][i]}
+        productive[n] = [j for j in productive[n] if j in reachable]
 
     clauses: List[Clause] = []
     names: Dict[Tuple[int, Tuple], str] = {}
@@ -100,25 +102,26 @@ def lin_rewrite(tbox, query: CQ, root: Optional[Variable] = None,
         return Literal(names[key], existential + answer_per_slice[n])
 
     for n in range(last):
-        crossing = _atoms_touching(query, slices[n], slices[n + 1])
-        for current in productive[n].values():
-            for succ in productive[n + 1].values():
-                if not _pair_ok(tbox, query, slices[n], slices[n + 1],
-                                current, succ):
+        crossing_atoms = _atoms_touching(query, slices[n], slices[n + 1])
+        kept = set(productive[n + 1])
+        for i in productive[n]:
+            current = local_types[n][i]
+            for j in successors[n][i]:
+                if j not in kept:
                     continue
-                union = dict(current)
-                union.update(succ)
-                body = at_atoms(tbox, crossing, union)
+                succ = local_types[n + 1][j]
+                body = at_atoms(tbox, crossing_atoms, {**current, **succ})
                 body.append(predicate(n + 1, succ))
                 clauses.append(Clause(predicate(n, current), tuple(body)))
     final_atoms = _atoms_touching(query, slices[last], slices[last])
-    for assignment in productive[last].values():
+    for j in productive[last]:
+        assignment = local_types[last][j]
         body = at_atoms(tbox, final_atoms, assignment)
         clauses.append(Clause(predicate(last, assignment), tuple(body)))
 
     goal = Literal("G", tuple(query.answer_vars))
-    for assignment in productive[0].values():
-        clauses.append(Clause(goal, (predicate(0, assignment),)))
+    for i in productive[0]:
+        clauses.append(Clause(goal, (predicate(0, local_types[0][i]),)))
 
     result = NDLQuery(Program(clauses), "G", tuple(query.answer_vars))
     if over == "arbitrary":
@@ -132,9 +135,8 @@ def _slices(query: CQ, root: Variable) -> List[Tuple[Variable, ...]]:
     if set(distances) != query.variables:
         raise ValueError("query must be connected to be sliced")
     deepest = max(distances.values())
-    slices = [tuple(sorted(v for v, d in distances.items() if d == n))
-              for n in range(deepest + 1)]
-    return slices
+    return [tuple(sorted(v for v, d in distances.items() if d == n))
+            for n in range(deepest + 1)]
 
 
 def _answer_vars_per_slice(query: CQ, slices) -> List[Tuple[Variable, ...]]:
@@ -142,40 +144,35 @@ def _answer_vars_per_slice(query: CQ, slices) -> List[Tuple[Variable, ...]]:
     of the atoms whose variables all sit at distance >= n."""
     result = []
     for n in range(len(slices)):
-        allowed: Set[Variable] = set()
-        for far in slices[n:]:
-            allowed.update(far)
+        allowed = {var for far in slices[n:] for var in far}
         occurring = {var for atom in query.atoms
                      if set(atom.args) <= allowed for var in atom.args}
         result.append(tuple(v for v in query.answer_vars if v in occurring))
     return result
 
 
-def _local_types(tbox, query: CQ, slice_vars, candidates) -> List[Type]:
-    """All locally compatible types for a slice (the per-variable
-    conditions; slices of a rooted tree have no internal edges)."""
-    types: List[Type] = [{}]
-    for var in slice_vars:
-        types = [dict(assignment, **{var: word})
-                 for assignment in types
-                 for word in candidates[var]]
-    return types
-
-
-def _pair_ok(tbox, query: CQ, current_slice, next_slice,
-             current: Type, succ: Type) -> bool:
-    """Compatibility of ``(w, s)`` with ``(z^n, z^{n+1})``: the crossing
-    binary atoms must satisfy the three-way condition."""
-    next_set = set(next_slice)
-    current_set = set(current_slice)
+def _crossing(query: CQ, upper_slice, lower_slice) -> List[Tuple]:
+    """The binary atoms between ``z^n`` and ``z^{n+1}``, each as
+    ``(atom, its end in z^n, its end in z^{n+1}, whether P(z^n, z^{n+1}))``."""
+    upper, lower = set(upper_slice), set(lower_slice)
+    crossing = []
     for atom in query.binary_atoms():
         first, second = atom.args
-        if first in current_set and second in next_set:
-            if not pair_compatible(tbox, atom, current[first], succ[second]):
-                return False
-        elif second in current_set and first in next_set:
-            if not pair_compatible(tbox, atom, succ[first], current[second]):
-                return False
+        if first in upper and second in lower:
+            crossing.append((atom, first, second, True))
+        elif second in upper and first in lower:
+            crossing.append((atom, second, first, False))
+    return crossing
+
+
+def _step_ok(space: TypeSpace, crossing, current: Type, succ: Type) -> bool:
+    """Compatibility of ``(w, s)`` with ``(z^n, z^{n+1})``: the crossing
+    binary atoms must satisfy the three-way condition."""
+    for atom, upper, lower, downward in crossing:
+        words = ((current[upper], succ[lower]) if downward
+                 else (succ[lower], current[upper]))
+        if not space.compatible(atom, *words):
+            return False
     return True
 
 

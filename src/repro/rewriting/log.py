@@ -8,12 +8,17 @@ boundary type ``w`` yields a predicate ``G^w_D`` defined from the types
 ``s`` of the splitting bag compatible with ``w``.  The resulting query
 has width <= 3(t+1) and logarithmic skinny depth, so it falls in the
 LOGCFL fragment of Section 3.1.
+
+One build decides each thing once: a subtree's Lemma 10 split,
+boundary and predicate arguments, a bag's atoms, a splitting bag's
+types per boundary type, and each binary condition (in one
+:class:`~.types.TypeSpace`).  The memos live on the one-call builder.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..datalog.optimize import inline_edb_leaves
 from ..datalog.program import Clause, Literal, NDLQuery, Program
@@ -25,14 +30,7 @@ from ..queries.treedecomp import (
     subtree_components,
     tree_decomposition,
 )
-from .types import (
-    Type,
-    at_atoms,
-    candidate_words,
-    enumerate_words,
-    type_compatible_with_atoms,
-    type_key,
-)
+from .types import Type, TypeSpace, at_atoms, type_key
 
 Subtree = FrozenSet[int]
 
@@ -70,13 +68,17 @@ class _LogBuilder:
         self.tbox = tbox
         self.query = query
         self.decomposition = decomposition
-        self.words = enumerate_words(tbox, depth)
-        self.candidates: Dict[Variable, List] = {
-            var: candidate_words(tbox, query, var, self.words)
-            for var in query.variables}
+        self.space = TypeSpace(tbox, query, depth)
         self.clauses: List[Clause] = []
         self.names: Dict[Tuple, str] = {}
         self.memo: Dict[Tuple, bool] = {}
+        # per subtree: its split, dD and its predicate's arguments; per
+        # (split, boundary type on the bag): the bag's types
+        self.splits, self.boundaries, self.arguments, self.bag_types = (
+            {}, {}, {}, {})
+        self.bag_atoms: Dict[int, List[Atom]] = {
+            node: [atom for atom in query.atoms if set(atom.args) <= bag]
+            for node, bag in decomposition.bags.items()}
 
     # -- Lemma 10 splitting -------------------------------------------------
 
@@ -124,46 +126,37 @@ class _LogBuilder:
                 "violated")
         return best
 
-    # -- boundary and atoms --------------------------------------------------
+    # -- boundary, atoms and predicates ----------------------------------------
 
     def _boundary_vars(self, subtree: Subtree) -> Tuple[Variable, ...]:
         """``dD``: the variables shared between boundary bags of ``D`` and
         their outside neighbours."""
-        tree = self.decomposition.tree
-        bags = self.decomposition.bags
-        shared: Set[Variable] = set()
-        for node in subtree:
-            for neigh in tree[node]:
-                if neigh not in subtree:
-                    shared |= bags[node] & bags[neigh]
-        return tuple(sorted(shared))
-
-    def _atoms_of(self, subtree: Subtree) -> List[Atom]:
-        """``q_D``: the atoms contained in some bag of ``D``."""
-        bags = [self.decomposition.bags[node] for node in subtree]
-        return [atom for atom in self.query.atoms
-                if any(set(atom.args) <= bag for bag in bags)]
-
-    def _answer_vars_of(self, subtree: Subtree) -> Tuple[Variable, ...]:
-        occurring = {var for atom in self._atoms_of(subtree)
-                     for var in atom.args}
-        return tuple(v for v in self.query.answer_vars if v in occurring)
-
-    def _bag_atoms(self, node: int) -> List[Atom]:
-        bag = self.decomposition.bags[node]
-        return [atom for atom in self.query.atoms
-                if set(atom.args) <= bag]
-
-    # -- predicates -----------------------------------------------------------
+        if subtree not in self.boundaries:
+            tree = self.decomposition.tree
+            bags = self.decomposition.bags
+            shared: Set[Variable] = set()
+            for node in subtree:
+                for neigh in tree[node]:
+                    if neigh not in subtree:
+                        shared |= bags[node] & bags[neigh]
+            self.boundaries[subtree] = tuple(sorted(shared))
+        return self.boundaries[subtree]
 
     def _predicate(self, subtree: Subtree, boundary_type: Type) -> Literal:
+        """``G^w_D`` over ``dD`` and the answer variables of ``q_D`` (the
+        atoms contained in some bag of ``D``)."""
         key = (subtree, type_key(boundary_type))
         if key not in self.names:
             self.names[key] = f"D{len(self.names)}"
-        boundary = self._boundary_vars(subtree)
-        answers = self._answer_vars_of(subtree)
-        args = boundary + tuple(v for v in answers if v not in boundary)
-        return Literal(self.names[key], args)
+        if subtree not in self.arguments:
+            boundary = self._boundary_vars(subtree)
+            occurring = {var for node in subtree
+                         for atom in self.bag_atoms[node]
+                         for var in atom.args}
+            self.arguments[subtree] = boundary + tuple(
+                v for v in self.query.answer_vars
+                if v in occurring and v not in boundary)
+        return Literal(self.names[key], self.arguments[subtree])
 
     # -- recursive construction ------------------------------------------------
 
@@ -185,44 +178,45 @@ class _LogBuilder:
         if key in self.memo:
             return self.memo[key]
         self.memo[key] = False  # guards against re-entry; overwritten below
-        split, components = self._split(subtree)
-        bag = tuple(sorted(self.decomposition.bags[split]))
-        bag_atoms = self._bag_atoms(split)
+        if subtree not in self.splits:
+            self.splits[subtree] = self._split(subtree)
+        split, components = self.splits[subtree]
         productive = False
-        for bag_type in self._bag_types(bag, boundary_type, bag_atoms):
-            merged = dict(boundary_type)
-            merged.update(bag_type)
-            body: List[object] = list(at_atoms(self.tbox, bag_atoms,
-                                               bag_type))
-            children_ok = True
+        for bag_type, bag_body in self._bag_types(split, boundary_type):
+            merged = {**boundary_type, **bag_type}
+            body: List[object] = list(bag_body)
             for part in components:
-                child_boundary = self._boundary_vars(part)
-                child_type = {var: merged[var] for var in child_boundary}
+                child_type = {var: merged[var]
+                              for var in self._boundary_vars(part)}
                 if not self._construct(part, child_type):
-                    children_ok = False
                     break
                 body.append(self._predicate(part, child_type))
-            if not children_ok:
-                continue
-            productive = True
-            self.clauses.append(
-                Clause(self._predicate(subtree, boundary_type), tuple(body)))
+            else:
+                productive = True
+                self.clauses.append(Clause(
+                    self._predicate(subtree, boundary_type), tuple(body)))
         self.memo[key] = productive
         return productive
 
-    def _bag_types(self, bag: Sequence[Variable], boundary_type: Type,
-                   bag_atoms: List[Atom]):
-        """Types ``s`` on the splitting bag compatible with the bag and
-        agreeing with the boundary type ``w`` on the common domain."""
-        assignments: List[Type] = [{}]
-        for var in bag:
-            if var in boundary_type:
-                options = [boundary_type[var]]
-            else:
-                options = self.candidates[var]
-            assignments = [dict(assignment, **{var: word})
-                           for assignment in assignments
-                           for word in options]
-        for assignment in assignments:
-            if type_compatible_with_atoms(self.tbox, bag_atoms, assignment):
-                yield assignment
+    def _bag_types(self, split: int, boundary_type: Type
+                   ) -> List[Tuple[Type, List[object]]]:
+        """Types ``s`` on the splitting bag compatible with the bag's
+        atoms and agreeing with the boundary type ``w`` on the common
+        domain, each with its ``At^s`` body atoms.
+
+        Memoised per ``(split, w restricted to the bag)``, and that key
+        is exact: a bag variable outside ``dom(w)`` ranges over its
+        candidate words whatever ``w`` is, a bag variable inside it is
+        fixed to its word in ``w``, and the bag's atoms mention no other
+        variable, so ``w`` beyond the bag changes neither the types nor
+        their ``At`` atoms.
+        """
+        bag = tuple(sorted(self.decomposition.bags[split]))
+        key = (split, tuple((var, boundary_type[var]) for var in bag
+                            if var in boundary_type))
+        if key not in self.bag_types:
+            atoms = self.bag_atoms[split]
+            self.bag_types[key] = [
+                (bag_type, at_atoms(self.tbox, atoms, bag_type))
+                for bag_type in self.space.types(bag, atoms, boundary_type)]
+        return self.bag_types[key]

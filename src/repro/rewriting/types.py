@@ -7,15 +7,21 @@ A type ``w`` records how variables are mapped into the canonical model:
 ``w(z) = word`` that it goes to a labelled null ``a . word``.  The
 ``At`` atoms (a)-(c) of Section 3.2 translate a type into NDL body
 atoms over the data.
+
+A :class:`TypeSpace` holds what one rewrite asks again and again.  Each
+rewrite call builds its own and drops it on return: its memos are keyed
+by predicate names and words, which mean something only for the TBox it
+was built from, so nothing is shared between calls, even on equal TBoxes.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..datalog.program import Equality, Literal
 from ..ontology.depth import EPSILON, Word, successor_graph
-from ..ontology.terms import Atomic, Exists
+from ..ontology.tbox import surrogate_name
+from ..ontology.terms import Atomic, Exists, Role
 from ..queries.cq import CQ, Atom, Variable
 
 #: A type: a mapping from (some) variables to words of ``W_T``.
@@ -35,31 +41,79 @@ def enumerate_words(tbox, max_length: int) -> List[Word]:
     return words
 
 
-def candidate_words(tbox, query: CQ, var: Variable,
-                    words: Sequence[Word]) -> List[Word]:
-    """The words usable as ``w(var)``: the *local* compatibility
-    conditions of Sections 3.2-3.3 that mention only ``var``."""
-    if var in query.answer_vars:
-        return [EPSILON]
-    result: List[Word] = []
-    for word in words:
-        if word:
-            last = word[-1]
-            if not all(tbox.entails_concept(Exists(last.inverse()),
-                                            Atomic(atom.predicate))
-                       for atom in query.unary_atoms(var)):
-                continue
-            if any(not tbox.is_reflexive(_as_role(tbox, atom.predicate))
-                   for atom in query.loop_atoms(var)):
-                continue
-        result.append(word)
-    return result
+class TypeSpace:
+    """The types of one rewrite of ``(T, q)``, over the words of ``W_T``
+    up to ``depth``.  ``candidates[z]`` are the words usable as ``w(z)``
+    (the *local* conditions of Sections 3.2-3.3, on ``z``'s unary atoms
+    and loops); :meth:`compatible` decides the binary ones."""
 
+    def __init__(self, tbox, query: CQ, depth: int):
+        self.tbox = tbox
+        self.words = enumerate_words(tbox, depth)
+        concepts = {var: [] for var in query.variables}
+        loops = {var: [] for var in query.variables}
+        for atom in query.atoms:
+            if atom.is_unary:
+                concepts[atom.args[0]].append(Atomic(atom.predicate))
+            elif atom.args[0] == atom.args[1]:
+                loops[atom.args[0]].append(Role(atom.predicate))
+        self.candidates: Dict[Variable, List[Word]] = {
+            var: ([EPSILON] if var in query.answer_vars
+                  else self._candidates(concepts[var], loops[var]))
+            for var in query.variables}
+        self._pairs: Dict[Tuple[str, Word, Word], bool] = {}
 
-def _as_role(tbox, predicate: str):
-    from ..ontology.terms import Role
+    def _candidates(self, concepts: List[Atomic],
+                    loops: List[Role]) -> List[Word]:
+        if not all(map(self.tbox.is_reflexive, loops)):
+            return [EPSILON]
+        # A(z) holds at a null a . w . rho iff T |= exists rho- <= A
+        fits = {letter: all(self.tbox.entails_concept(
+                    Exists(letter.inverse()), concept) for concept in concepts)
+                for letter in {word[-1] for word in self.words if word}}
+        return [word for word in self.words if not word or fits[word[-1]]]
 
-    return Role(predicate)
+    def compatible(self, atom: Atom, first_word: Word,
+                   second_word: Word) -> bool:
+        """:func:`pair_compatible`, decided once per key."""
+        key = (atom.predicate, first_word, second_word)
+        known = self._pairs.get(key)
+        if known is None:
+            known = self._pairs[key] = pair_compatible(
+                self.tbox, atom, first_word, second_word)
+        return known
+
+    def types(self, variables: Sequence[Variable], atoms: Iterable[Atom] = (),
+              fixed: Optional[Type] = None) -> List[Type]:
+        """The types on ``variables`` that agree with ``fixed``, take
+        candidate words elsewhere and satisfy the binary ``atoms`` (over
+        ``variables``), in the order of the full product (first variable
+        slowest).  Depth-first: an atom is checked once both ends are set.
+        """
+        fixed = fixed or {}
+        options = [[fixed[var]] if var in fixed else self.candidates[var]
+                   for var in variables]
+        position = {var: index for index, var in enumerate(variables)}
+        checks: List[List[Tuple[Atom, int, int]]] = [[] for _ in variables]
+        for atom in atoms:
+            if atom.is_binary:
+                first, second = (position[var] for var in atom.args)
+                checks[max(first, second)].append((atom, first, second))
+        found: List[Type] = []
+        words: List[Word] = [EPSILON] * len(variables)
+
+        def extend(index: int) -> None:
+            if index == len(variables):
+                found.append(dict(zip(variables, words)))
+                return
+            for word in options[index]:
+                words[index] = word
+                if all(self.compatible(atom, words[first], words[second])
+                       for atom, first, second in checks[index]):
+                    extend(index + 1)
+
+        extend(0)
+        return found
 
 
 def pair_compatible(tbox, atom: Atom, first_word: Word,
@@ -71,8 +125,6 @@ def pair_compatible(tbox, atom: Atom, first_word: Word,
     (iii) one word extends the other by a letter entailing ``P`` in the
     appropriate direction.
     """
-    from ..ontology.terms import Role
-
     role = Role(atom.predicate)
     if first_word == EPSILON and second_word == EPSILON:
         return True
@@ -89,19 +141,6 @@ def pair_compatible(tbox, atom: Atom, first_word: Word,
     return False
 
 
-def type_compatible_with_atoms(tbox, atoms: Iterable[Atom],
-                               assignment: Type) -> bool:
-    """Joint (binary-atom) compatibility of a type over a set of atoms
-    whose variables all lie in ``dom(assignment)``."""
-    for atom in atoms:
-        if atom.is_binary:
-            first, second = atom.args
-            if not pair_compatible(tbox, atom, assignment[first],
-                                   assignment[second]):
-                return False
-    return True
-
-
 def at_atoms(tbox, atoms: Iterable[Atom], assignment: Type) -> List[object]:
     """The conjunction ``At^w`` of Section 3.2 for the given query atoms.
 
@@ -109,8 +148,6 @@ def at_atoms(tbox, atoms: Iterable[Atom], assignment: Type) -> List[object]:
     anchors of binary atoms with a non-``eps`` end, (c) surrogate atoms
     ``A_rho(z)`` asserting the existence of the witness ``z . rho ...``.
     """
-    from ..ontology.tbox import surrogate_name
-
     body: List[object] = []
     for atom in atoms:
         if atom.is_unary:
@@ -128,15 +165,7 @@ def at_atoms(tbox, atoms: Iterable[Atom], assignment: Type) -> List[object]:
         word = assignment[var]
         if word != EPSILON:
             body.append(Literal(surrogate_name(word[0]), (var,)))
-    return _dedupe(body)
-
-
-def _dedupe(body: List[object]) -> List[object]:
-    seen = []
-    for atom in body:
-        if atom not in seen:
-            seen.append(atom)
-    return seen
+    return list(dict.fromkeys(body))
 
 
 def type_key(assignment: Type) -> Tuple:
