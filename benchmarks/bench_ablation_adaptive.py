@@ -13,7 +13,7 @@ from repro.experiments import SEQUENCES, example11_tbox, print_table
 from repro.queries import chain_cq
 from repro.rewriting import OMQ, adaptive_rewrite, rewrite
 
-FIXED = ("lin", "log", "tw", "tw_star")
+FIXED = ("lin", "log", "tw")
 
 
 def _run_dataset(tbox, name, abox, query):

@@ -23,4 +23,4 @@ def test_splitting_ablation(paper_data, benchmark):
           f"{p.seconds:.3f}", p.generated_tuples] for p in points])
     # no single variant should win every cell (the paper's observation);
     # at minimum, all variants terminate and agree structurally
-    assert {p.variant for p in points} == {"lin", "log", "tw", "tw_star"}
+    assert {p.variant for p in points} == {"lin", "log", "tw", "tw*"}

@@ -25,9 +25,10 @@ The package implements the paper end to end:
   (:mod:`repro.engine`, :class:`repro.rewriting.api.AnswerSession`),
   a SQL backend materialising rewritings into
   SQLite tables (:mod:`repro.sql`), an NDL optimiser with
-  Tw*-style inlining and emptiness pruning
+  Appendix D.4's Tw* inlining and emptiness pruning
   (:mod:`repro.datalog.optimize`) that every ``Plan.execute`` applies
-  for the nonempty signature of the data it runs over, and the
+  for the nonempty signature of the data it runs over (so ``Tw*`` is
+  the ``tw`` plan's specialised program, not a rewriter), and the
   cost-based adaptive splitting strategy
   (:mod:`repro.rewriting.adaptive`);
 * a serving layer (:mod:`repro.service`): a concurrent

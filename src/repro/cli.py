@@ -35,7 +35,8 @@ from .ontology import TBox
 from .queries import CQ
 from .engine import ENGINES, create_engine
 from .rewriting import OMQ, AnswerSession
-from .rewriting.plan import AnswerOptions, compile_omq, format_explain
+from .rewriting.plan import (OPTION_METHODS, AnswerOptions, compile_omq,
+                            format_explain)
 
 
 def _load_tbox(path: str) -> TBox:
@@ -221,8 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         if with_data:
             p.add_argument("--data", required=True,
                            help="path to the data file")
-        p.add_argument("--method", default="auto",
-                       help="auto|lin|log|tw|tw_star|ucq|perfectref|presto")
+        p.add_argument("--method", default="auto", choices=OPTION_METHODS)
 
     rewrite_parser = sub.add_parser("rewrite",
                                     help="print the NDL rewriting")

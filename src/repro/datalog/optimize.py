@@ -250,8 +250,13 @@ def optimize(query: NDLQuery, nonempty: Iterable[str]) -> NDLQuery:
        then only guaranteed over the same nonempty signature —
        ``Plan.execute`` re-specialises when the signature changes);
     3. drop duplicate clauses;
-    4. apply the ``Tw*`` inlining.
+    4. apply the ``Tw*`` inlining;
+    5. keep each body atom of a clause once: inlining can repeat one,
+       and a repeat only adds a self-join.
     """
     current = prune_empty_predicates(_restrict(query), nonempty)
     current = inline_single_definition(remove_duplicate_clauses(current))
-    return _restrict(current)
+    clauses = [Clause(clause.head, tuple(dict.fromkeys(clause.body)))
+               for clause in current.program.clauses]
+    return _restrict(NDLQuery(Program(clauses), current.goal,
+                              current.answer_vars))

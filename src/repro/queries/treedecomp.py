@@ -156,7 +156,7 @@ def _min_fill_vertex(adjacent: Dict[Variable, Set[Variable]]
 def subtree_components(tree: Graph, nodes: FrozenSet[int],
                        split: int) -> List[FrozenSet[int]]:
     """The components of the subtree induced by ``nodes`` after removing
-    ``split`` (the subtrees ``D_1, ..., D_k`` of Section 3.2), found in
-    the iteration order of ``nodes - {split}``: the order the Log
-    rewriter names its predicates in."""
-    return components(tree, nodes - {split})
+    ``split`` (the subtrees ``D_1, ..., D_k`` of Section 3.2), ordered
+    by least bag number: the order the Log rewriter names its
+    predicates in, so it must not follow a set's iteration order."""
+    return sorted(components(tree, nodes - {split}), key=min)

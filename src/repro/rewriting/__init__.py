@@ -1,5 +1,7 @@
 """Query rewriting: the three optimal NDL rewriters, the baselines and
-the cost-based adaptive strategy of Section 6."""
+the cost-based adaptive strategy of Section 6.  Appendix D.4's ``Tw*``
+is no rewriter of its own: it is what a ``tw`` plan runs once
+specialised to the data (:meth:`Plan.specialised`)."""
 
 from .adaptive import (
     AdaptiveChoice,

@@ -16,7 +16,7 @@ This module implements exactly that loop:
   IDB cardinalities are estimated bottom-up, clause joins are costed
   with the same greedy fanout heuristic the engine itself uses;
 * :func:`adaptive_rewrite` — produce the candidate rewritings (Lin,
-  Log, Tw, Tw*), optimise each for the data as ``Plan.execute`` would,
+  Log, Tw), optimise each for the data as ``Plan.execute`` would,
   cost each, return the cheapest.
 """
 
@@ -32,9 +32,9 @@ from ..datalog.optimize import optimize
 from ..datalog.program import ADOM, Clause, Literal, NDLQuery
 from .api import OMQ, rewrite
 
-#: Candidate methods tried by default (the three optimal splitting
-#: strategies of Section 3 plus the Appendix D.4 inlined Tw variant).
-DEFAULT_CANDIDATES = ("lin", "log", "tw", "tw_star")
+#: Candidate methods tried by default: the three optimal splitting
+#: strategies of Section 3.
+DEFAULT_CANDIDATES = ("lin", "log", "tw")
 
 
 @dataclass(frozen=True)

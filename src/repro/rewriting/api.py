@@ -48,7 +48,7 @@ from .tw import tw_rewrite
 from .ucq import ucq_rewrite
 
 #: The rewriters compared in Section 6 / Appendix D.
-METHODS = ("lin", "log", "tw", "tw_star", "ucq", "perfectref", "presto")
+METHODS = ("lin", "log", "tw", "ucq", "perfectref", "presto")
 
 
 @dataclass(frozen=True)
@@ -123,30 +123,22 @@ def rewrite(omq: OMQ, method: str = "auto",
             over: str = "complete") -> NDLQuery:
     """Rewrite an OMQ into an NDL query.
 
-    ``method`` is one of ``auto``, ``lin``, ``log``, ``tw``, ``tw_star``,
-    ``ucq``, ``perfectref``, ``presto``; ``auto`` picks the optimal
+    ``method`` is one of ``auto``, ``lin``, ``log``, ``tw``, ``ucq``,
+    ``perfectref``, ``presto``; ``auto`` picks the optimal
     rewriter for the OMQ's tractable class (see
     :func:`resolve_method`).  ``over`` selects complete vs arbitrary
     data instances (``perfectref`` is always over arbitrary instances).
     """
     tbox, query = omq.tbox, omq.query
     method = resolve_method(omq, method)
-    if method == "lin":
-        return lin_rewrite(tbox, query, over=over)
-    if method == "log":
-        return log_rewrite(tbox, query, over=over)
-    if method == "tw":
-        return tw_rewrite(tbox, query, over=over)
-    if method == "tw_star":
-        return tw_rewrite(tbox, query, over=over, inline=True)
-    if method == "ucq":
-        return ucq_rewrite(tbox, query, over=over)
-    if method == "presto":
-        return presto_rewrite(tbox, query, over=over)
     if method == "perfectref":
         return perfectref_rewrite(tbox, query)
-    raise ValueError(f"unknown rewriting method {method!r}; "
-                     f"expected one of {('auto',) + METHODS}")
+    rewriters = {"lin": lin_rewrite, "log": log_rewrite, "tw": tw_rewrite,
+                 "ucq": ucq_rewrite, "presto": presto_rewrite}
+    if method not in rewriters:
+        raise ValueError(f"unknown rewriting method {method!r}; "
+                         f"expected one of {('auto',) + METHODS}")
+    return rewriters[method](tbox, query, over=over)
 
 
 class AnswerSession:

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 
 from ..data.abox import ABox
 from ..datalog.evaluate import evaluate
-from ..datalog.optimize import inline_edb_leaves, inline_single_definition
+from ..datalog.optimize import inline_edb_leaves
 from ..datalog.program import Clause, Equality, Literal, NDLQuery, Program
 from ..datalog.transform import star_transform
 from ..ontology.tbox import surrogate_name
@@ -26,18 +26,14 @@ from .tree_witness import WitnessSearch
 
 
 def tw_rewrite(tbox, query: CQ, over: str = "complete",
-               inline: bool = False, simplify: bool = True) -> NDLQuery:
+               simplify: bool = True) -> NDLQuery:
     """The tree-witness NDL-rewriting of ``(T, q)`` of Theorem 13.
 
     ``simplify`` applies the Appendix A.6.4 display simplification
     (base-case predicates ``G_q(x) <- q(x)`` are substituted into their
-    callers); ``inline=True`` applies the stronger ``Tw*``
-    post-processing of Appendix D.4 to the raw build instead
-    (:func:`~repro.datalog.optimize.inline_single_definition`:
-    single-clause predicates used at most twice are substituted away
-    until none is left), before the ``*`` transform.  Both are
-    selection policies over the one substitution of
-    :mod:`repro.datalog.optimize`.
+    callers).  Appendix D.4's ``Tw*`` is this program after the
+    stronger inlining ``Plan.execute`` runs on every plan
+    (:func:`repro.datalog.optimize.optimize`).
     """
     if not query.is_tree_shaped:
         raise ValueError("the Tw rewriter needs a tree-shaped CQ")
@@ -45,9 +41,7 @@ def tw_rewrite(tbox, query: CQ, over: str = "complete",
         raise ValueError("the Tw rewriter needs a connected CQ")
     builder = _TwBuilder(tbox, query)
     result = builder.build()
-    if inline:
-        result = inline_single_definition(result)
-    elif simplify:
+    if simplify:
         result = inline_edb_leaves(result)
     if over == "arbitrary":
         result = star_transform(result, tbox)

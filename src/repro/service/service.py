@@ -609,7 +609,8 @@ class OMQService:
 
         # a store written by an earlier version may carry settings this
         # one no longer has (option keys, a dataset's shard count, the
-        # ``sql-views`` engine, which restores on ``sql``); the store is
+        # ``sql-views`` engine, which restores on ``sql``, and the
+        # ``tw_star`` method, which restores on ``tw``); the store is
         # not outside input (a typo cannot arrive through it), so they
         # are dropped here, with one warning, rather than failing every
         # standing query in ``coerce``
@@ -649,6 +650,9 @@ class OMQService:
                                        options.get("engine")):
                         retired.add("sql-views")
                         options["engine"] = "sql"
+                    if options.get("method") == "tw_star":
+                        retired.add("tw_star")
+                        options["method"] = "tw"
                     self.subscribe(
                         stored.dataset, omq, options=options,
                         tenant=tenant,

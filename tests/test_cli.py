@@ -114,7 +114,11 @@ class TestAnswerPipelineFlags:
                               ("answer", ["--optimize-sql"]),
                               ("explain", ["--optimize-sql"]),
                               ("sql", ["--optimize-sql"]),
-                              ("sql", ["--materialised"])):
+                              ("sql", ["--materialised"]),
+                              *((command, ["--method", method])
+                                for command in ("rewrite", "explain",
+                                                "answer")
+                                for method in ("bogus", "tw_star"))):
             data = ["--data", data_file] if command == "answer" else []
             with pytest.raises(SystemExit) as excinfo:
                 main([command, *base, *data, *flag])

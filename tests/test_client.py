@@ -152,7 +152,7 @@ class TestHTTPClient:
         http_client.register_dataset("demo", abox)
         with Client.local() as local:
             local.register_dataset("demo", ABox(abox.atoms()))
-            for options in ({"method": "lin"}, {"method": "tw_star"},
+            for options in ({"method": "lin"}, {"method": "tw"},
                             {"method": "log", "over": "arbitrary"}):
                 assert (http_client.answer("demo", omq, options).answers
                         == local.answer("demo", omq, options).answers)

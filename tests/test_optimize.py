@@ -20,6 +20,7 @@ from repro.datalog.optimize import (
     remove_duplicate_clauses,
 )
 from repro.datalog.program import ADOM, Clause, Equality, Literal, NDLQuery, Program
+from repro.experiments import SEQUENCES
 
 from .helpers import example11_tbox
 from .test_sql import _random_abox, _random_body, _random_query
@@ -278,6 +279,27 @@ class TestPipeline:
         optimized = optimize(ndl, nonempty_signature(abox))
         assert len(optimized.program) < len(ndl.program)
         assert evaluate(optimized, abox).answers == evaluate(ndl, abox).answers
+
+    @settings(max_examples=40, deadline=None)
+    @given(query=_random_query(), abox=_random_abox())
+    def test_property_no_clause_repeats_a_body_atom(self, query, abox):
+        optimized = optimize(query, nonempty_signature(abox))
+        for clause in optimized.program.clauses:
+            assert len(set(clause.body)) == len(clause.body), str(clause)
+
+    def test_no_clause_repeats_a_body_atom_on_the_section6_chains(self):
+        """Inlining repeats atoms on these chains (406 of 1,474 clauses
+        did before repeats were dropped)."""
+        tbox = example11_tbox()
+        for labels in SEQUENCES.values():
+            for size in range(1, len(labels) + 1):
+                omq = OMQ(tbox, chain_cq(labels[:size]))
+                for method in ("lin", "log", "tw"):
+                    ndl = rewrite(omq, method=method)
+                    optimized = optimize(ndl, ndl.program.edb_predicates)
+                    for clause in optimized.program.clauses:
+                        assert len(set(clause.body)) == len(clause.body), \
+                            (method, size, str(clause))
 
     @settings(max_examples=40, deadline=None)
     @given(query=_random_query(), abox=_random_abox())

@@ -38,7 +38,7 @@ from repro.hardness import (
 from repro.rewriting import lin_rewrite, log_rewrite, types
 from repro.rewriting.log import _LogBuilder
 
-from .helpers import example11_tbox
+from .helpers import canonical_program, example11_tbox
 
 #: label -> (rules, first 16 hex digits of sha256(str(plan.ndl)))
 PINNED = {
@@ -46,7 +46,7 @@ PINNED = {
     "sequence1[:5]/log": (8, "6e6314a85bd66556"),
     "sequence1[:5]/tw": (7, "23cbc27e18d9eedf"),
     "sequence1[:9]/lin": (23, "b0c1677e2bac5752"),
-    "sequence1[:9]/log": (19, "d82e4aab0d4d0ce7"),
+    "sequence1[:9]/log": (19, "3e026cf181137474"),
     "sequence1[:9]/tw": (21, "acb95f5f388475cd"),
     "sequence1[:15]/lin": (37, "52235d5cf07793ef"),
     "sequence1[:15]/log": (28, "731f9abe22405382"),
@@ -55,7 +55,7 @@ PINNED = {
     "sequence2[:5]/log": (4, "6c9cbbaa99fe7cc8"),
     "sequence2[:5]/tw": (5, "fcb92dd6dfd3b85c"),
     "sequence2[:9]/lin": (19, "d6583698fbbc806d"),
-    "sequence2[:9]/log": (10, "468a0280f8df5509"),
+    "sequence2[:9]/log": (10, "d92b35683876921e"),
     "sequence2[:9]/tw": (12, "fee913073c907ba5"),
     "sequence2[:15]/lin": (27, "d2a186f5382ba277"),
     "sequence2[:15]/log": (16, "a5dfb376d0e5c57a"),
@@ -64,7 +64,7 @@ PINNED = {
     "sequence3[:5]/log": (6, "84b32c8f218fb7ad"),
     "sequence3[:5]/tw": (6, "f1aeced68258ec36"),
     "sequence3[:9]/lin": (23, "e7e5d4f9eeddd53d"),
-    "sequence3[:9]/log": (14, "991c3a7389d1caef"),
+    "sequence3[:9]/log": (14, "b7a9b7582c09d729"),
     "sequence3[:9]/tw": (14, "875eec6a45d9ee50"),
     "sequence3[:15]/lin": (37, "28d972c9f49c9086"),
     "sequence3[:15]/log": (32, "a8447b6e16cef52c"),
@@ -250,7 +250,7 @@ CORPUS_PINS = {
     "tree10/lin": (12, "700503abfba42b35"),
     "tree10/log": (5, "913f9c161aadca5f"),
     "tree11/lin": (15, "b229e14213c032bb"),
-    "tree11/log": (10, "5a5e7411217fff0f"),
+    "tree11/log": (10, "742626f967ee317c"),
     "tree12/lin": (23, "bb208afa2683aeb1"),
     "tree12/log": (10, "8795a0ebd21b172e"),
     "tree13/lin": (4, "cfd671d257775116"),
@@ -262,7 +262,7 @@ CORPUS_PINS = {
     "tree16/lin": (16, "222fd9954e607e98"),
     "tree16/log": (8, "5e2de9769ee2651f"),
     "tree17/lin": (9, "5fbbadc2add4decd"),
-    "tree17/log": (10, "76abb23023d67e57"),
+    "tree17/log": (10, "7e325e513c6461dd"),
     "tree18/lin": (16, "48c02dbe3ae84696"),
     "tree18/log": (9, "de01796bce2e8a18"),
     "tree19/lin": (5, "95c90035c1dd1db8"),
@@ -288,7 +288,7 @@ CORPUS_PINS = {
     "tree29/lin": (6, "3e75aae821b030c0"),
     "tree29/log": (2, "5e659cb7716973cc"),
     "tree30/lin": (56, "ced56f4958c96a8e"),
-    "tree30/log": (16, "9a537b1635204498"),
+    "tree30/log": (16, "d1216e526dcdf17f"),
     "tree31/lin": (8, "ea8f9b7d64920255"),
     "tree31/log": (4, "bc2bd3b9fba4d4f6"),
     "tree32/lin": (12, "7e241658cd28b341"),
@@ -351,6 +351,33 @@ def test_corpus_text_is_pinned(label):
     plan = repro.compile(omq, method=method.rstrip("*"), over=over)
     digest = hashlib.sha256(str(plan.ndl).encode()).hexdigest()[:16]
     assert (plan.rules, digest) == CORPUS_PINS[label]
+
+
+#: The Log plans whose text moved when ``subtree_components`` stopped
+#: following a frozenset's iteration order (it wrapped at bag 8) and
+#: started ordering by least bag number -> ``canonical_program`` as
+#: recorded before that change: the programs are equal up to predicate
+#: names and clause order.
+REORDERED = {
+    "sequence1[:9]/log": "d8aac4a01cbda983",
+    "sequence2[:9]/log": "0ef7f4e5708d4b93",
+    "sequence3[:9]/log": "fc0ac888fbef6d91",
+    "tree11/log": "6a3ab51c1b3ee4f1",
+    "tree17/log": "a7ac641963b4d82f",
+    "tree30/log": "2af58e320babb954",
+}
+
+
+@pytest.mark.parametrize("label", list(REORDERED))
+def test_reordered_log_plans_are_the_same_program(label):
+    source, method = label.split("/")
+    if source in CORPUS:
+        tbox, answers, body = CORPUS[source]
+        omq = OMQ(TBox.parse(TBOXES[tbox]), CQ.parse(body, answers))
+    else:
+        omq, method = _omq(label)
+    plan = repro.compile(omq, method=method)
+    assert canonical_program(plan.ndl) == REORDERED[label]
 
 
 class TestEachDecisionOnce:

@@ -139,6 +139,31 @@ class TestDatasetsRoute:
             assert service.datasets() == ()
 
 
+class TestRetiredMethod:
+    """``tw_star`` is no method any more: Appendix D.4's ``Tw*`` is the
+    program every ``tw`` plan runs once specialised to the data."""
+
+    def test_tw_star_is_a_400_naming_it(self):
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        body = {"dataset": "demo", "query": str(omq.query),
+                "answers": list(omq.query.answer_vars),
+                "tbox_text": tbox_to_text(omq.tbox),
+                "options": {"method": "tw_star"}}
+        with OMQService() as service:
+            service.register_dataset("demo", ABox.parse("R(a,b), S(b,c)"))
+            router = Router(service)
+            for path, payload in (("/answer", body), ("/explain", body),
+                                  ("/subscribe", body),
+                                  ("/batch", {"requests": [body]})):
+                with pytest.raises(ValueError) as excinfo:
+                    router.handle("POST", path, payload)
+                status, error, _ = error_payload(excinfo.value)
+                assert (status, error["error_type"]) == (
+                    400, "bad_request"), path
+                assert "'tw_star'" in error["error"], path
+            assert service.stats()["standing"]["subscriptions"] == 0
+
+
 class TestBatch:
     def test_batch_matches_individual_answers(self, service):
         tbox = example11_tbox()

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from repro import ABox, OMQ, chain_cq, rewrite
 from repro.datalog.evaluate import evaluate, evaluate_on
+from repro.datalog.optimize import optimize
 from repro.datalog.program import ADOM, Clause, Equality, Literal, NDLQuery, Program
 from repro.engine.database import Database
 from repro.sql import (
@@ -158,6 +159,18 @@ class TestCompileQuery:
         rows = connection.execute(compilation.cte_query()).fetchall()
         assert rows == [("a",)]
 
+    def test_specialised_clause_joins_a_repeated_atom_once(self):
+        """Inlining can repeat a body atom, as in ``sequence1[:3]``'s
+        ``lin``: ``G1_0(x1, x3) <- x1 = x2, A_P-(x2), x2 = x3,
+        A_P-(x2)``.  The specialised program keeps it once, so its
+        SELECT reads ``A_P-`` without a self-join."""
+        ndl = rewrite(OMQ(example11_tbox(), chain_cq("RRS")), method="lin")
+        specialised = optimize(ndl, ndl.program.edb_predicates)
+        (clause,) = [clause for clause in specialised.program.clauses
+                     if any(atom.predicate == "A_P-"
+                            for atom in clause.body_literals)]
+        assert len(compile_clause_ir(clause).tables) == 1
+
     def test_unreachable_predicates_are_dropped(self):
         query = _query(
             [Clause(Literal("G", ("x",)), (Literal("A", ("x",)),)),
@@ -275,7 +288,7 @@ class TestEngineReuse:
 
 
 #: All rewriters exercised by the differential tests.
-REWRITERS = ("lin", "log", "tw", "tw_star", "ucq", "presto")
+REWRITERS = ("lin", "log", "tw", "ucq", "presto")
 
 
 class TestDifferentialAgainstPythonEngine:

@@ -270,6 +270,38 @@ class TestWarmRestart:
         finally:
             restarted.close()
 
+    def test_restart_moves_tw_star_subscriptions_to_tw(
+            self, tmp_path, caplog):
+        """A subscription an earlier version stored on the retired
+        ``tw_star`` method comes back on ``tw``, whose specialised
+        program is that method's ``Tw*``, under the one restore
+        warning."""
+        service = OMQService(max_workers=2, data_dir=str(tmp_path))
+        service.register_dataset("d", random_data(1))
+        sub = service.subscribe("d", OMQ(TBOX, chain_cq("RS")),
+                                method="tw")
+        expected = set(sub.answers)
+        service.close()
+        with DatasetStore(str(tmp_path)) as store:
+            (stored,) = store.load_tenant("").subscriptions
+            store.delete_subscription("", stored.subscription_id)
+            store.save_subscription("", dataclasses.replace(
+                stored, options={**stored.options, "method": "tw_star"}))
+
+        restarted = OMQService(max_workers=2, data_dir=str(tmp_path))
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            counts = restarted.restore()
+        try:
+            assert counts["subscriptions"] == 1
+            assert [record.getMessage() for record in caplog.records] == [
+                "restore dropped stored setting(s) this version no "
+                "longer has: ['tw_star']"]
+            restored = restarted.standing.get(sub.subscription_id)
+            assert restored.plan.method == "tw"
+            assert set(restored.answers) == expected
+        finally:
+            restarted.close()
+
     def test_restart_is_idempotent(self, tmp_path):
         """close() checkpoints; a second restart round-trips the same
         state again (restore → close → restore is a fixed point)."""

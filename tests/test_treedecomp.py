@@ -81,6 +81,16 @@ class TestSubtreeComponents:
         parts = subtree_components(tree, frozenset({0, 1, 2}), 1)
         assert sorted(sorted(p) for p in parts) == [[0], [2]]
 
+    def test_ordered_by_least_bag_past_a_wrapping_set(self):
+        """Bag 8 hashes to slot 0 of a four-element set's table, so
+        ``frozenset({5, 6, 7, 8})`` iterates 8 first; the components
+        still come out by least bag number (the Log rewriter names its
+        predicates in this order)."""
+        tree = path_graph(9)
+        subtree = frozenset({5, 6, 7, 8})
+        for split, expected in ((6, [{5}, {7, 8}]), (7, [{5, 6}, {8}])):
+            assert subtree_components(tree, subtree, split) == expected
+
 
 def _cycle(size):
     return ", ".join(f"R(x{i}, x{(i + 1) % size})" for i in range(size))
