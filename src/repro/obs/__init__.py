@@ -200,10 +200,10 @@ class Observability:
         if trace is not None:
             entry["trace_id"] = trace.trace_id
             extra["trace_id"] = trace.trace_id
-            fingerprint = trace.annotations.get("plan_fingerprint")
-            if fingerprint:
-                entry["plan_fingerprint"] = fingerprint
-                extra["plan_fingerprint"] = fingerprint
+            for key in ("plan_fingerprint", "answer_route"):
+                value = trace.annotations.get(key)
+                if value:
+                    entry[key] = extra[key] = value
             entry["spans"] = trace.flat_spans()
             extra["spans"] = entry["spans"]
         with self._slow_lock:

@@ -14,16 +14,20 @@ same evolving data.
 """
 
 import asyncio
+import http.client
+import importlib
 import json
 import logging
 import socket
 import threading
+import time
 
 import pytest
 
 from repro import OMQ, AsyncClient, Client, ServiceError
 from repro.client import cq_to_text, tbox_to_text
 from repro.queries import CQ, chain_cq
+from repro.obs.trace import Trace, tracing
 from repro.service import OMQService, serve_in_background
 from repro.service.aserve import MAX_HEADERS, AsyncServiceServer
 from repro.service.protocol import ProtocolError
@@ -581,3 +585,253 @@ class TestLifecycle:
         captured = capsys.readouterr()
         assert "Task was destroyed" not in captured.err
         assert "Event loop is closed" not in captured.err
+
+
+# -- the inline route ---------------------------------------------------------
+
+LOOP_THREAD = "repro-aserve-loop"  # BackgroundAsyncServer's loop thread
+
+
+def _answer_body(query, dataset="demo", **fields) -> bytes:
+    return json.dumps({"dataset": dataset, "tbox_text": tbox_to_text(TBOX),
+                       "query": cq_to_text(query),
+                       "answers": list(query.answer_vars),
+                       **fields}).encode()
+
+
+def _post(conn, body: bytes):
+    """One ``POST /answer`` on a kept-alive connection: status, JSON."""
+    conn.request("POST", "/answer", body=body,
+                 headers={"Content-Type": "application/json"})
+    reply = conn.getresponse()
+    return reply.status, json.loads(reply.read())
+
+
+def _route(body) -> str:
+    return body["trace"]["annotations"]["answer_route"]
+
+
+class TestInlineRoute:
+    """On an idle server a lone ``/answer`` whose plan is cached runs on
+    the event loop, with no pool hop; every other ``/answer`` keeps the
+    coalescing and micro-batch path.  Each reply's trace names the
+    route it took."""
+
+    @pytest.fixture
+    def served(self):
+        """The server, and the thread every ``answer_batch`` ran on."""
+        service = OMQService(max_workers=2)
+        service.register_dataset("demo", _fresh_data())
+        threads = []
+        answer_batch = service.answer_batch
+
+        def noted(requests):
+            threads.append(threading.current_thread().name)
+            return answer_batch(requests)
+
+        service.answer_batch = noted
+        with serve_in_background(service) as handle:
+            conn = http.client.HTTPConnection(*handle.address, timeout=30)
+            try:
+                yield service, handle, conn, threads
+            finally:
+                conn.close()
+        service.close()
+
+    def test_a_lone_cached_answer_runs_on_the_loop(self, served):
+        service, handle, conn, threads = served
+        jobs = []
+        submit = handle.server._executor.submit
+
+        def counted(*args, **kwargs):
+            jobs.append(args)
+            return submit(*args, **kwargs)
+
+        service.obs.slow_query_ms = 0.0  # log every request
+        cold = _post(conn, _answer_body(chain_cq("RS"), trace=True))
+        handle.server._executor.submit = counted
+        warm = _post(conn, _answer_body(chain_cq("RS", prefix="w_"),
+                                        trace=True))
+        handle.server._executor.submit = submit
+        assert cold[0] == warm[0] == 200
+        assert (_route(cold[1]), _route(warm[1])) == ("batch", "inline")
+        assert warm[1]["answers"] == cold[1]["answers"]
+        assert not warm[1]["coalesced"] and warm[1]["cached_rewriting"]
+        assert threads[0] != LOOP_THREAD and threads[1:] == [LOOP_THREAD]
+        assert jobs == []
+        # the execution's spans land on the inline request's own trace
+        assert "execute" in [span["name"]
+                             for span in warm[1]["trace"]["spans"]]
+        # counted as a batch of one, so batches still cover every answer
+        with Client.connect(handle.url) as client:
+            serving = client.stats()["async_serving"]
+        assert (serving["batches"], serving["batched_requests"],
+                serving["coalesced"]) == (2, 2, 0)
+        # the route reaches the slow-query log (it is written once the
+        # reply is out, so it can trail the client's read by a beat)
+        deadline = time.perf_counter() + 10.0
+        routes = []
+        while len(routes) < 2 and time.perf_counter() < deadline:
+            routes = [entry.get("answer_route")
+                      for entry in service.obs.slow_query_log()
+                      if entry["route"] == "/answer"]
+            time.sleep(0.005)
+        service.obs.slow_query_ms = None
+        assert routes == ["batch", "inline"]
+
+    def test_a_cold_plan_compiles_on_the_pool(self, served, monkeypatch):
+        _, _, conn, threads = served
+        plan = importlib.import_module("repro.rewriting.plan")
+        compiled, compile_ = [], plan._compile
+
+        def noted(*args):
+            compiled.append(threading.current_thread().name)
+            return compile_(*args)
+
+        monkeypatch.setattr(plan, "_compile", noted)
+        status, body = _post(conn, _answer_body(chain_cq("RSR"), trace=True))
+        assert status == 200 and _route(body) == "batch"
+        assert compiled and LOOP_THREAD not in compiled + threads
+
+    def test_an_answer_beside_an_update_waits_on_the_pool(self, served):
+        """``/update`` carries no admission cost, so only the pool-call
+        count sees it: an answer sent while it runs must not read on
+        the loop (it would wait there behind the write lock)."""
+        service, handle, conn, threads = served
+        omq = OMQ(TBOX, chain_cq("RS"))
+        assert _post(conn, _answer_body(omq.query))[0] == 200  # warm
+        patching, answering = threading.Event(), threading.Event()
+        dataset = service._dataset("demo")
+        patch, answer_batch = dataset._patch, service.answer_batch
+
+        def held(update):
+            patching.set()
+            assert answering.wait(timeout=30), "no answer arrived"
+            return patch(update)
+
+        def noted(requests):
+            answering.set()
+            return answer_batch(requests)
+
+        dataset._patch, service.answer_batch = held, noted
+        with Client.connect(handle.url) as client:
+            updating = threading.Thread(target=client.update, args=("demo",),
+                                        kwargs={"inserts": [
+                                            ("R", ("zz1", "zz2")),
+                                            ("S", ("zz2", "zz3"))]})
+            updating.start()
+            try:
+                assert patching.wait(timeout=30)
+                status, body = _post(conn, _answer_body(omq.query,
+                                                        trace=True))
+            finally:
+                answering.set()
+                updating.join(timeout=30)
+        assert status == 200 and _route(body) == "batch"
+        assert threads[-1] != LOOP_THREAD
+        assert ["zz1", "zz3"] in body["answers"]
+
+    def test_the_pool_call_count_alone_sees_an_update(self):
+        """Driven through ``_dispatch`` on the server's own loop, no
+        HTTP count is kept: the count of calls on the pool must still
+        keep the answer off the loop while an update runs there."""
+        service = OMQService(max_workers=2)
+        service.register_dataset("demo", _fresh_data())
+        dataset = service._dataset("demo")
+        patching, answering = threading.Event(), threading.Event()
+        patch, answer_batch = dataset._patch, service.answer_batch
+
+        def held(update):
+            patching.set()
+            assert answering.wait(timeout=30), "no answer arrived"
+            return patch(update)
+
+        def noted(requests):
+            answering.set()
+            return answer_batch(requests)
+
+        body = _answer_body(chain_cq("RS"))
+        update = json.dumps({"dataset": "demo",
+                             "insert": ["R(zz1,zz2)", "S(zz2,zz3)"]})
+
+        async def main():
+            server = AsyncServiceServer(service, port=0)
+            await server.start()
+            try:
+                await server._dispatch("POST", "/answer", body)  # warm
+                dataset._patch, service.answer_batch = held, noted
+                updating = asyncio.ensure_future(server._dispatch(
+                    "POST", "/update", update.encode()))
+                await asyncio.to_thread(patching.wait, 30)
+                trace = Trace()
+                with tracing(trace):
+                    _, answered = await server._dispatch(
+                        "POST", "/answer", body, {}, trace)
+                await updating
+                return trace.annotations["answer_route"], answered
+            finally:
+                answering.set()
+                await server.stop()
+
+        try:
+            route, answered = asyncio.run(main())
+        finally:
+            service.close()
+        assert route == "batch"
+        assert ["zz1", "zz3"] in answered["answers"]
+
+    def test_twins_on_the_wire_coalesce(self, served):
+        """Twins that arrive together all register before any of them
+        decides: one leader goes to the pool, the rest join it, and
+        every one of them is answered."""
+        _, handle, _, _ = served
+        conns = [http.client.HTTPConnection(*handle.address, timeout=30)
+                 for _ in range(6)]
+        held, release = threading.Event(), threading.Event()
+
+        def hold():  # keeps the loop from reading while the twins go out
+            held.set()
+            release.wait(timeout=30)
+
+        try:
+            for index, conn in enumerate(conns):  # open them, warm the plan
+                body = _answer_body(chain_cq("RS", prefix=f"o{index}_"))
+                assert _post(conn, body)[0] == 200
+            handle._loop.call_soon_threadsafe(hold)
+            assert held.wait(timeout=30)
+            for index, conn in enumerate(conns):
+                conn.request("POST", "/answer", body=_answer_body(
+                    chain_cq("RS", prefix=f"t{index}_"), trace=True),
+                    headers={"Content-Type": "application/json"})
+            release.set()
+            replies = []
+            for conn in conns:
+                reply = conn.getresponse()
+                replies.append((reply.status, json.loads(reply.read())))
+        finally:
+            release.set()
+            for conn in conns:
+                conn.close()
+        assert [status for status, _ in replies] == [200] * len(conns)
+        assert sorted(_route(body) for _, body in replies) == (
+            ["batch"] + ["coalesced"] * (len(conns) - 1))
+        assert len({json.dumps(body["answers"]) for _, body in replies}) == 1
+
+    def test_an_inline_failure_answers_like_the_pool(self, served):
+        service, _, conn, threads = served
+        good = _answer_body(chain_cq("RS"))
+        typo = _answer_body(chain_cq("RS"), dataset="typo")
+        assert _post(conn, good)[0] == 200  # warms the plan
+        wire = conn.sock
+        inline = _post(conn, typo)
+        after = _post(conn, good)
+        assert conn.sock is wire  # the same kept-alive connection
+        service.cache.clear()  # a cold plan: the same request, pooled
+        pooled = _post(conn, typo)
+        assert threads[1:3] == [LOOP_THREAD] * 2
+        assert threads[3] != LOOP_THREAD
+        for _, body in (inline, pooled):
+            body.pop("trace_id")
+        assert inline == pooled
+        assert inline[0] == 400 and "unknown dataset" in inline[1]["error"]
+        assert after[0] == 200
