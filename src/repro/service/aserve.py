@@ -21,8 +21,9 @@ streams and buys throughput three ways:
   completes, sharing read locks and in-batch deduplication.  The
   running batches *are* the gathering window: an idle server adds no
   wait, a loaded one batches exactly as much as it is behind.  On an
-  idle server a lone ``/answer`` whose plan is cached skips the pool
-  and runs on the loop itself (a batch of one, without the hop).
+  idle server a lone ``/answer`` whose plan is cached and whose last
+  execution on its data was measured short skips the pool and runs on
+  the loop itself (a batch of one, without the hop).
 * **Admission control** — once ``max_pending`` requests are queued or
   executing, new work is rejected with ``429`` and a ``Retry-After``
   header instead of growing an unbounded queue.  Joining an in-flight
@@ -36,11 +37,12 @@ polls are rejected with 429.
 
 Counters for all three (plus queue depth high-water marks) are served
 under ``"async_serving"`` in ``GET /stats`` and as ``repro_async_*``
-families on ``GET /metrics``.  Every response echoes the request's
-trace ID as ``X-Repro-Trace-Id``; an ``/answer``'s trace notes its
-``answer_route`` (``inline``, ``batch`` or ``coalesced``).  Start it
-with ``python -m repro serve`` or embed it via
-:func:`serve_in_background`.
+families on ``GET /metrics`` (Prometheus text format).  Every response
+echoes the request's trace ID as ``X-Repro-Trace-Id``; an ``/answer``'s
+trace notes its ``answer_route`` (``inline``, ``batch`` or
+``coalesced``).  Start it with
+``python -m repro serve`` (:mod:`repro.service.serve`) or embed it in
+tests via :func:`serve_in_background`.
 
 The request head is bounded: a request or header line past the stream
 reader's 64 KiB limit, or more than :data:`MAX_HEADERS` header lines,
@@ -53,10 +55,10 @@ import asyncio
 import contextvars
 import dataclasses
 import functools
+import math
 import threading
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
-from http import HTTPStatus
+from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs.trace import Trace, annotate, mint_trace_id, tracing
@@ -87,6 +89,8 @@ from .service import OMQService
 
 #: Cap on the header lines of one request.
 MAX_HEADERS = 100
+#: Cap on the execution times :class:`AsyncServiceServer` remembers.
+MAX_MEASURED = 4096
 
 
 class AsyncServiceServer:
@@ -95,19 +99,26 @@ class AsyncServiceServer:
     All mutable coordination state (the in-flight map, the pending
     micro-batch, the counters) is confined to the event loop thread,
     so no locks are needed here.  ``OMQService`` calls run on the
-    worker pool, except a lone cached-plan ``/answer`` on an idle
+    worker pool, except a lone short cached-plan ``/answer`` on an idle
     server, which runs on the loop (see :meth:`_alone`).
     """
+
+    #: The longest execution, in seconds, last measured for an
+    #: ``/answer``'s work that lets it run on the loop: the loop reads
+    #: no other request meanwhile, so only answers about as short as
+    #: the pool hop they save qualify.
+    INLINE_SECONDS = 0.001
 
     def __init__(self, service: OMQService, host: str = "127.0.0.1",
                  port: int = 8081, *, workers: int = 4,
                  max_pending: int = 128, max_batch: int = 16,
                  max_polls: int = 64, verbose: bool = False):
-        for name, value in (("max_pending", max_pending),
-                            ("max_batch", max_batch),
-                            ("max_polls", max_polls)):
-            if value < 1:
-                raise ValueError(f"{name} must be >= 1")
+        if max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
+        if max_polls < 1:
+            raise ValueError("max_polls must be >= 1")
         self.service = service
         self.host = host
         self.port = port
@@ -120,15 +131,21 @@ class AsyncServiceServer:
         self._server: Optional[asyncio.base_events.Server] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
-        # event-loop-confined serving state: the in-flight map, the
-        # gathering batch, the requests executing, the micro-batches
-        # and other calls on the pool (an update has no admission
-        # cost, so ``_executing`` misses it), the requests read off
-        # the wire and not yet answered, and the parked polls
+        # event-loop-confined serving state
         self._inflight: Dict[Tuple, asyncio.Future] = {}
         self._pending: List[Tuple[Tuple, BatchRequest]] = []
-        self._executing = self._running_batches = self._pool_calls = 0
-        self._handling = self._active_polls = 0
+        self._executing = 0
+        #: Micro-batches currently on the worker pool.
+        self._running_batches = 0
+        #: Other calls on the worker pool (an ``/update`` has no
+        #: admission cost, so ``_executing`` does not see it).
+        self._pool_calls = 0
+        #: Requests read off the wire and not yet answered.
+        self._handling = 0
+        self._active_polls = 0
+        #: Coalescing key -> seconds its cached plan last took to run
+        #: (bounded; :meth:`_alone` reads it).
+        self._measured: Dict[Tuple, float] = {}
         #: ``(tenant, dataset)`` -> coalescing epoch.
         self._epochs: Dict[Tuple[str, str], int] = {}
         self._connections: set = set()
@@ -160,6 +177,11 @@ class AsyncServiceServer:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
+    async def serve_forever(self) -> None:
+        if self._server is None:
+            await self.start()
+        await self._server.serve_forever()
+
     async def stop(self) -> None:
         """Stop accepting, close open connections, fail queued work,
         release the worker pool."""
@@ -167,8 +189,9 @@ class AsyncServiceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-        # idle keep-alive handlers park in a readline: cancel and
-        # await them before the caller tears the loop down under them
+        # idle keep-alive connections park their handler tasks in a
+        # readline; they must be cancelled and awaited before the
+        # caller tears the event loop down under them
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -233,24 +256,45 @@ class AsyncServiceServer:
         return not (self._running_batches or self._pool_calls
                     or self._pending or self._inflight)
 
-    async def _alone(self, key: Tuple) -> bool:
-        """Whether an ``/answer`` may run on the loop: its plan is
-        cached (the loop never compiles), the pool runs nothing (or the
-        loop could block behind an update's write lock), nothing is
-        queued or in flight, and, after one yield that lets requests
-        already on the wire register (so twins coalesce), it is the
-        only request in hand; a parked poll holds no lock or worker."""
-        if not (self._quiet() and self.service.cache.contains(key[-1])):
+    async def _alone(self, key: Tuple, request: BatchRequest) -> bool:
+        """Whether an ``/answer`` may run on the loop.
+
+        Its cost must be bounded: its plan is cached (the loop never
+        compiles), its work last ran in under :attr:`INLINE_SECONDS`
+        on this data version, and its dataset has a built session free
+        for its engine (the loop builds no session or backend).  The
+        server must be idle: the pool runs nothing (or the loop could
+        wait behind an update's write lock) and nothing is queued or
+        in flight.  After one yield it must still be the only request
+        in hand (a parked poll holds no lock or worker, so polls do
+        not count).  The yield lets handlers woken in the same loop
+        turn register, so twins that arrive together coalesce; a twin
+        whose bytes have not been read yet waits for the inline answer.
+        """
+        if not (self._quiet()
+                and self._measured.get(key, math.inf) < self.INLINE_SECONDS
+                and self.service.cache.contains(key[-1])
+                and self.service.ready(request.dataset, key[2],
+                                       request.tenant)):
             return False
         await asyncio.sleep(0)
         return self._quiet() and self._handling - self._active_polls <= 1
+
+    def _measure(self, key: Tuple, result) -> None:
+        """Note how long ``key``'s cached plan took to run (a run that
+        compiled it timed the compilation too, so it is not noted)."""
+        if result.cached_rewriting:
+            self._measured.pop(key, None)  # the newest goes last
+            self._measured[key] = result.seconds
+            if len(self._measured) > MAX_MEASURED:
+                del self._measured[next(iter(self._measured))]
 
     async def _handle_answer(self, request: BatchRequest, units: int,
                              trace: Optional[Trace] = None,
                              coded: bool = False) -> Union[Dict, bytes]:
         key = self._coalesce_key(request)
-        inline = await self._alone(key)
-        # read after the yield: a twin may have registered meanwhile
+        inline = await self._alone(key, request)
+        # read after _alone's yield: a twin may have registered meanwhile
         future = None if inline else self._inflight.get(key)
         coalesced = future is not None
         annotate("answer_route", "inline" if inline else
@@ -261,27 +305,29 @@ class AsyncServiceServer:
             self._obs.async_batches.inc()
             self._obs.async_batched_requests.inc()
             result = self.service.answer_batch([request])[0]
+        elif coalesced:
+            # joining in-flight identical work is free: no admission.
+            # The joiner's trace stays shallow (decode + encode only);
+            # the execution spans belong to the leader's trace.
+            self._obs.async_coalesced.inc()
         else:
-            if coalesced:
-                # joining in-flight identical work is free: no
-                # admission.  The joiner's trace stays shallow (decode
-                # + encode); the execution spans are the leader's.
-                self._obs.async_coalesced.inc()
-            else:
-                self._admit(units)
-                # the worker running the micro-batch activates this
-                # trace around the leader's job, so its execute/cache
-                # spans and annotations land on the originating request
-                if trace is not None:
-                    request = dataclasses.replace(request, trace=trace)
-                future = self._loop.create_future()
-                self._inflight[key] = future
-                self._pending.append((key, request))
-                self._note_depth()
-                if (self._running_batches < self.workers
-                        or len(self._pending) >= self.max_batch):
-                    self._flush()
+            self._admit(units)
+            # the worker thread that runs the micro-batch activates
+            # this trace around the leader's job, so execute/cache
+            # spans and plan-fingerprint annotations land on the
+            # originating request
+            if trace is not None:
+                request = dataclasses.replace(request, trace=trace)
+            future = self._loop.create_future()
+            self._inflight[key] = future
+            self._pending.append((key, request))
+            self._note_depth()
+            if (self._running_batches < self.workers
+                    or len(self._pending) >= self.max_batch):
+                self._flush()
+        if not inline:
             result = await asyncio.shield(future)
+        self._measure(key, result)
         if coded:  # the request's Accept named ROWS_TYPE
             return encode_body({"coalesced": coalesced}, trace, result.wire)
         body = self.router.result_payload(result)
@@ -331,27 +377,36 @@ class AsyncServiceServer:
                 continue
             try:
                 result = await self._loop.run_in_executor(
-                    self._executor, functools.partial(
-                        self.service.answer, request.dataset, request.omq,
-                        options=request.options, tenant=request.tenant))
+                    self._executor, self._answer_one, request)
             except Exception as error:
                 future.set_exception(error)
             else:
                 future.set_result(result)
 
+    def _answer_one(self, request: BatchRequest):
+        return self.service.answer(request.dataset, request.omq,
+                                   options=request.options,
+                                   tenant=request.tenant)
+
     # -- other routes --------------------------------------------------------
 
     def _counters_payload(self) -> Dict[str, object]:
-        """The ``repro_async_*`` counters, then the loop's gauges."""
-        counters = {name: int(getattr(self._obs, f"async_{name}").value)
-                    for name in ("requests", "coalesced", "batches",
-                                 "batched_requests", "rejected")}
-        counters.update(
-            pending=self._queue_depth(), peak_pending=self._peak_pending,
-            max_pending=self.max_pending, parked_polls=self._active_polls,
-            peak_parked_polls=self._peak_polls, max_polls=self.max_polls,
-            max_batch=self.max_batch, workers=self.workers)
-        return {"async_serving": counters}
+        obs = self._obs
+        return {"async_serving": {
+            "requests": int(obs.async_requests.value),
+            "coalesced": int(obs.async_coalesced.value),
+            "batches": int(obs.async_batches.value),
+            "batched_requests": int(obs.async_batched_requests.value),
+            "rejected": int(obs.async_rejected.value),
+            "pending": self._queue_depth(),
+            "peak_pending": self._peak_pending,
+            "max_pending": self.max_pending,
+            "parked_polls": self._active_polls,
+            "peak_parked_polls": self._peak_polls,
+            "max_polls": self.max_polls,
+            "max_batch": self.max_batch,
+            "workers": self.workers,
+        }}
 
     def _traced(self, fn):
         """Bind the current context (the request's active trace) to
@@ -394,10 +449,12 @@ class AsyncServiceServer:
         run = self._traced(functools.partial(self._run, endpoint, payload,
                                              tenant, request))
         if endpoint.runs == PARKED:
-            # a long-poll may park for up to MAX_POLL_TIMEOUT seconds:
-            # a thread of its own keeps the worker pool free.  Each
-            # costs an OS thread, so past max_polls (a cap apart from
-            # max_pending) new ones get 429
+            # a long-poll may park for up to MAX_POLL_TIMEOUT seconds;
+            # a thread of its own keeps the bounded worker pool free
+            # for answer/update work.  Parked polls have their own
+            # (generous) cap separate from max_pending — each costs an
+            # OS thread, so past max_polls new ones get 429 instead of
+            # growing the thread count without bound
             if self._active_polls >= self.max_polls:
                 self._obs.async_rejected.inc()
                 raise overloaded_error(self._active_polls, self.max_polls)
@@ -428,10 +485,8 @@ class AsyncServiceServer:
             self._note_depth()
         if counters is not None:
             response = {**response, **counters}
-        if endpoint.bumps:  # the data changed: no later request may
-            # join an execution that read it before
-            scoped = (tenant, str(request.dataset))
-            self._epochs[scoped] = self._epochs.get(scoped, 0) + 1
+        if endpoint.bumps:
+            self._bump_epoch((tenant, str(request.dataset)))
         return endpoint.status, response
 
     def _run(self, endpoint: Endpoint, payload: Dict, tenant: str,
@@ -448,21 +503,39 @@ class AsyncServiceServer:
         self._active_polls -= 1
         self._obs.async_parked_polls.set(self._active_polls)
 
+    def _bump_epoch(self, scoped: Tuple[str, str]) -> None:
+        """Invalidate coalescing for a ``(tenant, dataset)`` whose
+        data changed."""
+        self._epochs[scoped] = self._epochs.get(scoped, 0) + 1
+
     def _call_in_thread(self, fn) -> asyncio.Future:
         """Run ``fn`` on a fresh daemon thread, resolving an asyncio
         future on the loop — for calls that may block far longer than
         a bounded pool slot should be held."""
-        outcome: Future = Future()
+        future = self._loop.create_future()
+        loop = self._loop
+
+        def settle(resolve) -> None:
+            if not future.done():
+                resolve()
 
         def work() -> None:
+            # partial() binds the outcome by value: a closure over the
+            # ``except ... as error`` name would read its cell after
+            # the implicit del at block exit — a NameError race that
+            # leaves the future unresolved and the poller hanging
             try:
-                outcome.set_result(fn())
+                result = fn()
             except BaseException as error:  # delivered to the awaiter
-                outcome.set_exception(error)
+                loop.call_soon_threadsafe(
+                    settle, functools.partial(future.set_exception, error))
+            else:
+                loop.call_soon_threadsafe(
+                    settle, functools.partial(future.set_result, result))
 
         threading.Thread(target=work, name="repro-aserve-poll",
                          daemon=True).start()
-        return asyncio.wrap_future(outcome, loop=self._loop)
+        return future
 
     # -- HTTP plumbing -------------------------------------------------------
 
@@ -566,11 +639,17 @@ class AsyncServiceServer:
                                     time.perf_counter() - started, trace)
         return keep_alive
 
+    _REASONS = {200: "OK", 201: "Created", 400: "Bad Request",
+                403: "Forbidden", 404: "Not Found", 414: "URI Too Long",
+                429: "Too Many Requests",
+                431: "Request Header Fields Too Large",
+                500: "Internal Server Error", 503: "Service Unavailable"}
+
     def _respond(self, writer: asyncio.StreamWriter, status: int,
                  body: bytes, content_type: str = "application/json",
                  headers: Optional[Dict[str, str]] = None) -> None:
         """Write one framed response, head and body in a single write."""
-        head = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+        head = [f"HTTP/1.1 {status} {self._REASONS.get(status, 'OK')}",
                 f"Content-Type: {content_type}",
                 f"Content-Length: {len(body)}"]
         head.extend(f"{name}: {value}"

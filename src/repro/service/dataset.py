@@ -118,6 +118,13 @@ class SessionPool:
         with self._condition:
             return tuple(self._all)
 
+    @property
+    def idle(self) -> bool:
+        """Whether a built session is checked in: taking one now
+        builds nothing and waits for nothing."""
+        with self._condition:
+            return bool(self._free)
+
     def close(self) -> None:
         with self._condition:
             for session in self._all:
@@ -198,6 +205,12 @@ class Dataset:
                     capacity)
                 self._pools[engine] = pool
         return pool.session()
+
+    def session_idle(self, engine: str) -> bool:
+        """Whether an ``engine`` session is built and checked in."""
+        with self._pool_lock:
+            pool = self._pools.get(engine)
+        return pool is not None and pool.idle
 
     def all_sessions(self) -> List[AnswerSession]:
         with self._pool_lock:

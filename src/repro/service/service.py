@@ -258,6 +258,15 @@ class OMQService:
             except KeyError:
                 raise ValueError(f"unknown dataset {name!r}") from None
 
+    def ready(self, dataset: str, engine: str,
+              tenant: str = DEFAULT_TENANT) -> bool:
+        """Whether ``dataset`` is registered and holds a built, free
+        ``engine`` session, so that answering there from a cached plan
+        builds no session and waits for none."""
+        with self._lock:
+            state = self._datasets.get(TenantManager.scope(tenant, dataset))
+        return state is not None and state.session_idle(engine)
+
     @contextmanager
     def _acquire(self, name: str, write: bool = False
                  ) -> Iterator[Dataset]:

@@ -612,16 +612,18 @@ def _route(body) -> str:
 
 
 class TestInlineRoute:
-    """On an idle server a lone ``/answer`` whose plan is cached runs on
-    the event loop, with no pool hop; every other ``/answer`` keeps the
-    coalescing and micro-batch path.  Each reply's trace names the
-    route it took."""
+    """On an idle server a lone ``/answer`` whose plan is cached, whose
+    last run on the same data was measured short, and whose dataset has
+    a free session runs on the event loop, with no pool hop; every
+    other ``/answer`` keeps the coalescing and micro-batch path.  Each
+    reply's trace names the route it took."""
 
     @pytest.fixture
     def served(self):
         """The server, and the thread every ``answer_batch`` ran on."""
         service = OMQService(max_workers=2)
         service.register_dataset("demo", _fresh_data())
+        service.register_dataset("other", _fresh_data())
         threads = []
         answer_batch = service.answer_batch
 
@@ -648,16 +650,21 @@ class TestInlineRoute:
             return submit(*args, **kwargs)
 
         service.obs.slow_query_ms = 0.0  # log every request
+        # the first run compiles, so only the second is timed alone
         cold = _post(conn, _answer_body(chain_cq("RS"), trace=True))
+        timed = _post(conn, _answer_body(chain_cq("RS", prefix="m_"),
+                                         trace=True))
         handle.server._executor.submit = counted
         warm = _post(conn, _answer_body(chain_cq("RS", prefix="w_"),
                                         trace=True))
         handle.server._executor.submit = submit
-        assert cold[0] == warm[0] == 200
-        assert (_route(cold[1]), _route(warm[1])) == ("batch", "inline")
+        assert cold[0] == timed[0] == warm[0] == 200
+        assert [_route(body) for _, body in (cold, timed, warm)] == [
+            "batch", "batch", "inline"]
         assert warm[1]["answers"] == cold[1]["answers"]
         assert not warm[1]["coalesced"] and warm[1]["cached_rewriting"]
-        assert threads[0] != LOOP_THREAD and threads[1:] == [LOOP_THREAD]
+        assert LOOP_THREAD not in threads[:2]
+        assert threads[2:] == [LOOP_THREAD]
         assert jobs == []
         # the execution's spans land on the inline request's own trace
         assert "execute" in [span["name"]
@@ -666,18 +673,60 @@ class TestInlineRoute:
         with Client.connect(handle.url) as client:
             serving = client.stats()["async_serving"]
         assert (serving["batches"], serving["batched_requests"],
-                serving["coalesced"]) == (2, 2, 0)
+                serving["coalesced"]) == (3, 3, 0)
         # the route reaches the slow-query log (it is written once the
         # reply is out, so it can trail the client's read by a beat)
         deadline = time.perf_counter() + 10.0
         routes = []
-        while len(routes) < 2 and time.perf_counter() < deadline:
+        while len(routes) < 3 and time.perf_counter() < deadline:
             routes = [entry.get("answer_route")
                       for entry in service.obs.slow_query_log()
                       if entry["route"] == "/answer"]
             time.sleep(0.005)
         service.obs.slow_query_ms = None
+        assert routes == ["batch", "batch", "inline"]
+
+    def test_another_dataset_builds_its_session_on_the_pool(self, served):
+        """The plan cache is not keyed by dataset: a plan warm on one
+        dataset must not build another's session, completion and
+        backend on the loop; once that first run has been timed, the
+        next one may run there."""
+        service, _, conn, threads = served
+        for prefix in ("a_", "b_", "c_"):
+            assert _post(conn, _answer_body(chain_cq("RS", prefix=prefix)))[
+                0] == 200
+        assert threads[2] == LOOP_THREAD
+        assert service.stats()["datasets"]["other"]["sessions"] == {}
+        routes = [_route(_post(conn, _answer_body(
+            chain_cq("RS", prefix=prefix), dataset="other", trace=True))[1])
+            for prefix in ("d_", "e_")]
         assert routes == ["batch", "inline"]
+        assert threads[3] != LOOP_THREAD and threads[4] == LOOP_THREAD
+        assert service.stats()["datasets"]["other"]["sessions"] == {
+            "python": 1}
+
+    def test_a_replaced_dataset_builds_its_session_on_the_pool(self, served):
+        """Replaced in process, a dataset keeps its coalescing epoch
+        (only HTTP calls bump it) but loses its sessions: the session
+        probe, not the timing, keeps the rebuild off the loop."""
+        service, _, conn, threads = served
+        for prefix in ("a_", "b_", "c_"):
+            assert _post(conn, _answer_body(chain_cq("RS", prefix=prefix)))[
+                0] == 200
+        service.register_dataset("demo", _fresh_data(), replace=True)
+        status, body = _post(conn, _answer_body(
+            chain_cq("RS", prefix="d_"), trace=True))
+        assert status == 200 and _route(body) == "batch"
+        assert threads[2] == LOOP_THREAD and threads[3] != LOOP_THREAD
+
+    def test_a_long_answer_stays_on_the_pool(self, served):
+        _, handle, conn, threads = served
+        handle.server.INLINE_SECONDS = 0.0  # every run measures longer
+        routes = [_route(_post(conn, _answer_body(
+            chain_cq("RS", prefix=prefix), trace=True))[1])
+            for prefix in ("a_", "b_", "c_", "d_")]
+        assert routes == ["batch"] * 4
+        assert LOOP_THREAD not in threads
 
     def test_a_cold_plan_compiles_on_the_pool(self, served, monkeypatch):
         _, _, conn, threads = served
@@ -699,7 +748,8 @@ class TestInlineRoute:
         the loop (it would wait there behind the write lock)."""
         service, handle, conn, threads = served
         omq = OMQ(TBOX, chain_cq("RS"))
-        assert _post(conn, _answer_body(omq.query))[0] == 200  # warm
+        for _ in range(2):  # compile, then time the plan alone
+            assert _post(conn, _answer_body(omq.query))[0] == 200
         patching, answering = threading.Event(), threading.Event()
         dataset = service._dataset("demo")
         patch, answer_batch = dataset._patch, service.answer_batch
@@ -758,7 +808,8 @@ class TestInlineRoute:
             server = AsyncServiceServer(service, port=0)
             await server.start()
             try:
-                await server._dispatch("POST", "/answer", body)  # warm
+                for _ in range(2):  # compile, then time the plan alone
+                    await server._dispatch("POST", "/answer", body)
                 dataset._patch, service.answer_batch = held, noted
                 updating = asyncio.ensure_future(server._dispatch(
                     "POST", "/update", update.encode()))
@@ -781,9 +832,9 @@ class TestInlineRoute:
         assert ["zz1", "zz3"] in answered["answers"]
 
     def test_twins_on_the_wire_coalesce(self, served):
-        """Twins that arrive together all register before any of them
-        decides: one leader goes to the pool, the rest join it, and
-        every one of them is answered."""
+        """Twins whose handlers wake in the same loop turn all register
+        before any of them decides: one leader goes to the pool, the
+        rest join it, and every one of them is answered."""
         _, handle, _, _ = served
         conns = [http.client.HTTPConnection(*handle.address, timeout=30)
                  for _ in range(6)]
@@ -820,18 +871,35 @@ class TestInlineRoute:
     def test_an_inline_failure_answers_like_the_pool(self, served):
         service, _, conn, threads = served
         good = _answer_body(chain_cq("RS"))
-        typo = _answer_body(chain_cq("RS"), dataset="typo")
-        assert _post(conn, good)[0] == 200  # warms the plan
+        for _ in range(2):  # compile, then time the plan alone
+            assert _post(conn, good)[0] == 200
+        answer_locked = service._answer_locked
+
+        def failing(*args):
+            raise ValueError("the engine refused")
+
+        service._answer_locked = failing
         wire = conn.sock
-        inline = _post(conn, typo)
+        inline = _post(conn, good)
+        service._answer_locked = answer_locked
         after = _post(conn, good)
         assert conn.sock is wire  # the same kept-alive connection
         service.cache.clear()  # a cold plan: the same request, pooled
-        pooled = _post(conn, typo)
-        assert threads[1:3] == [LOOP_THREAD] * 2
-        assert threads[3] != LOOP_THREAD
+        service._answer_locked = failing
+        pooled = _post(conn, good)
+        service._answer_locked = answer_locked
+        assert threads[2:4] == [LOOP_THREAD] * 2
+        assert threads[4] != LOOP_THREAD
         for _, body in (inline, pooled):
             body.pop("trace_id")
         assert inline == pooled
-        assert inline[0] == 400 and "unknown dataset" in inline[1]["error"]
+        assert inline[0] == 400 and "the engine refused" in inline[1]["error"]
         assert after[0] == 200
+
+    def test_an_unknown_dataset_answers_on_the_pool(self, served):
+        _, _, conn, threads = served
+        assert _post(conn, _answer_body(chain_cq("RS")))[0] == 200
+        status, body = _post(conn, _answer_body(chain_cq("RS"),
+                                                dataset="typo", trace=True))
+        assert status == 400 and "unknown dataset" in body["error"]
+        assert LOOP_THREAD not in threads

@@ -177,8 +177,8 @@ def _coalesced(service, url, payload, monkeypatch):
     monkeypatch.setattr(service, "answer_batch", held)
     monkeypatch.setattr(service.obs.async_coalesced, "inc", join)
     # a cold plan sends the leader to the worker pool: a cached one
-    # would run on the idle server's loop, and holding it there would
-    # keep the joiners from ever being read
+    # measured short would run on the idle server's loop, and holding
+    # it there would keep the joiners from ever being read
     service.cache.clear()
     with ThreadPoolExecutor(3) as pool:
         leader = pool.submit(_raw_answer, url, payload, True)
