@@ -225,13 +225,13 @@ class AnswerSession:
 
     # -- answering ---------------------------------------------------------
 
-    def compile(self, omq: OMQ, options=None, **overrides):
+    def compile(self, omq: OMQ, options=None, *, key=None, **overrides):
         """Compile ``omq`` into a :class:`~repro.rewriting.plan.Plan`.
 
         Plans go through the session's injected rewriting cache (when
-        set); only ``method="adaptive"`` looks at data — it costs its
-        candidates against this session's completion and bypasses the
-        cache.
+        set; ``key``, if given, is the plan-cache key of ``omq``); only
+        ``method="adaptive"`` looks at data — it costs its candidates
+        against this session's completion and bypasses the cache.
         """
         from .plan import AnswerOptions, compile_omq
 
@@ -239,7 +239,7 @@ class AnswerSession:
         data = (self.completion(omq.tbox) if options.data_dependent
                 else None)
         return compile_omq(omq, options, data=data,
-                           cache=self.rewriting_cache)
+                           cache=self.rewriting_cache, key=key)
 
     def answer(self, omq: OMQ, options=None, **overrides) -> "Answers":
         """Certain answers to ``omq``; same pipeline as :func:`answer`.

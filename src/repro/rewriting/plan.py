@@ -471,7 +471,7 @@ class Plan:
 
 
 def compile_omq(omq: OMQ, options=None, *, data=None, cache=None,
-                **overrides) -> Plan:
+                key=None, **overrides) -> Plan:
     """Compile an OMQ into a reusable :class:`Plan`.
 
     The prepare half of the pipeline: rewrite per ``options.method``.
@@ -486,13 +486,14 @@ def compile_omq(omq: OMQ, options=None, *, data=None, cache=None,
 
     ``cache`` is an optional :class:`~repro.service.cache.RewritingCache`;
     plans are fetched from / stored into it keyed by canonical
-    ``(tbox, cq, options)`` fingerprints.  ``adaptive`` plans bypass it
+    ``(tbox, cq, options)`` fingerprints (``key``, when the caller
+    computed it already).  ``adaptive`` plans bypass it
     (the method they resolve to depends on one instance).
     """
     options = AnswerOptions.coerce(options, **overrides)
     if cache is not None and not options.data_dependent:
         return cache.get_or_compute(
-            cache.key(omq, options),
+            key or cache.key(omq, options),
             lambda: _compile(omq, options, data))
     return _compile(omq, options, data)
 

@@ -293,6 +293,7 @@ class AsyncServiceServer:
                              trace: Optional[Trace] = None,
                              coded: bool = False) -> Union[Dict, bytes]:
         key = self._coalesce_key(request)
+        request = dataclasses.replace(request, plan_key=key[-1])
         inline = await self._alone(key, request)
         # read after _alone's yield: a twin may have registered meanwhile
         future = None if inline else self._inflight.get(key)

@@ -21,19 +21,15 @@ import threading
 import time
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..data.abox import ABox, GroundAtom
 from ..obs.trace import span
 from ..rewriting.api import AnswerSession
-from ..standing.maintain import (
-    View,
-    full_reexecute,
-    refresh,
-    variant_changed_predicates,
-)
+from ..standing.maintain import View, full_reexecute, refresh
 from ..standing.registry import (
     AnswerDelta,
+    GroupLog,
     StandingQuery,
     StandingRegistry,
 )
@@ -166,8 +162,8 @@ class Dataset:
         #: Shared by every pooled session so the per-TBox completion is
         #: computed once per dataset and patched once per update.
         self.completions: Dict[int, Tuple[object, ABox]] = {}
-        #: The service's registry (this dataset's subscriptions are
-        #: :meth:`_subscriptions`) and its failure-absorbing store writer.
+        #: The service's registry (it files this object's plan groups)
+        #: and its failure-absorbing store writer.
         self._registry = standing
         self._store_write = store_write
         self._cache = cache
@@ -300,124 +296,91 @@ class Dataset:
                     deletes=update.deletes, epoch=self.epoch)):
             self.save("fallback save")
 
-    def _subscriptions(self) -> List[StandingQuery]:
-        """The subscriptions materialized against *this* object.  The
-        registry files them under the name, which after a
-        ``register_dataset(replace=True)`` is the replacement's too:
-        an update still running here must not evaluate the
-        replacement's subscribers on this data."""
-        return [sub for sub in self._registry.for_dataset(self.name)
-                if sub.owner is self]
-
     def _standing(self, update: Optional[_Update]) -> None:
-        """Bring the subscriptions to the current epoch and commit
-        their deltas before the lock drops (sessions are quiescent and
-        already patched), one plan group — one view, :mod:`repro
-        .standing.maintain` — at a time, one session per engine.  Each
-        group an update can have moved is refreshed once (a child span
-        named for its route), the rest just advance; with ``None``
-        (recovery) each group is re-executed and sent a ``resync``.
+        """Bring this dataset object's plan groups to the current epoch
+        and commit their deltas before the lock drops (sessions are
+        quiescent and already patched), one group — one view,
+        :mod:`repro.standing.maintain`, and one log — at a time, one
+        session per engine.  A group whose rewriting reads a predicate
+        the update changed in its data variant, or a stale one, is
+        refreshed once (a child span named for its route); the rest
+        just move their epoch.  With ``None`` (recovery) each group is
+        re-executed and sent a ``resync``.  Groups are filed by this
+        object: after a ``register_dataset(replace=True)`` an update
+        still running here does not reach the replacement's
+        subscribers.
 
         Never raises — it also runs on :meth:`apply`'s exception path.
         A failed refresh costs its group's view and freshness: the
-        members are marked ``stale``, which poll and snapshot bodies
-        expose so the consumer knows to re-subscribe or retry, until a
-        later pass succeeds for them.  A pass that fails as a whole
-        marks them all.
+        group is marked ``stale``, which its members' poll and
+        snapshot bodies expose so the consumer knows to re-subscribe
+        or retry, until a later pass succeeds for it.  A pass that
+        fails as a whole marks every group.
         """
-        subs = self._subscriptions()
-        if not subs:
+        groups = self._registry.groups(self)
+        if not groups:
             return
         delta = update.result.delta if update is not None else None
         epoch = self.epoch
         started = time.perf_counter()
         try:
-            groups: Dict[Tuple[str, str], List[StandingQuery]] = {}
-            for sub in subs:
-                groups.setdefault((sub.plan.fingerprint, sub.engine),
-                                  []).append(sub)
-            if delta is not None:
-                # map the delta into each data variant once
-                changed: Dict[object, FrozenSet[str]] = {}
-                for members in groups.values():
-                    key = members[0].variant_key
-                    if key not in changed:
-                        changed[key] = variant_changed_predicates(
-                            members[0].plan._variant_tbox(), delta)
-                moved = {sub.subscription_id for sub in
-                         self._registry.affected(self.name, changed)}
+            moved = self._registry.affected(groups, delta)
             with ExitStack() as held:
                 sessions: Dict[str, object] = {}
-                for key, members in groups.items():
-                    if delta is not None and moved.isdisjoint(
-                            sub.subscription_id for sub in members):
-                        if key in self._views:  # nothing it reads moved
-                            self._views[key].skip()
-                        for sub in members:
-                            self._registry.advance(sub, epoch)
+                for group in groups:
+                    if group not in moved:
+                        if group.key in self._views:  # nothing it reads moved
+                            self._views[group.key].skip()
+                        group.epoch = epoch  # no delta: nobody to wake
                         continue
                     try:
-                        engine = members[0].engine
+                        engine = group.founder.engine
                         if engine not in sessions:
                             sessions[engine] = held.enter_context(
                                 self.session(engine))
-                        self._refresh(key, members, sessions[engine],
-                                      epoch, delta is None)
+                        self._refresh(group, sessions[engine], epoch,
+                                      delta is None)
                     except Exception as error:
-                        self._views.pop(key, None)
+                        self._views.pop(group.key, None)
                         log.error("standing refresh failed for %s (%r); "
                                   "marked stale", [sub.subscription_id
-                                                   for sub in members], error)
-                        for sub in members:
-                            sub.stale = True
+                                                   for sub in group.members],
+                                  error)
+                        group.stale = True
         except Exception as error:
             log.error("standing pass failed for %r (%s: %s); its "
                       "subscriptions are marked stale", self.name,
                       type(error).__name__, error)
-            self._registry.invalidate(subs)
+            for group in groups:
+                group.stale = True
         finally:
             self._registry.record_maintenance(
                 time.perf_counter() - started)
 
-    def _refresh(self, key: Tuple[str, str], members: List[StandingQuery],
-                 session, epoch: int, resync: bool) -> None:
-        """Refresh one group's view and commit its delta (on ``resync``,
-        its answers) to its members; one not on the view's answers (new
-        or stale) gets a diff of its own."""
-        view = self._views.setdefault(key, View())
-        before = view.answers
+    def _refresh(self, group: GroupLog, session, epoch: int,
+                 resync: bool) -> None:
+        """Refresh one group's view and commit its delta (on
+        ``resync``, its answers) to the group's log, once."""
+        view = self._views.setdefault(group.key, View())
         if resync:
             with span("resync"):
                 view.reset()  # the next update materialises
-                view.answers = full_reexecute(members[0], session)
-            shared = AnswerDelta(epoch=epoch, resync=True,
-                                 answers=view.answers)
-            self._registry.record_resync(len(members))
+                answers = full_reexecute(group.founder, session)
+            delta = AnswerDelta(epoch=epoch, resync=True, answers=answers)
+            self._registry.record_resync(len(group.members))
         else:
-            added, removed = refresh(view, members[0], session)
-            shared = AnswerDelta(epoch=epoch, added=added, removed=removed)
-        answers = view.answers
-        self._registry.commit(
-            [sub for sub in members if resync or sub.answers is before],
-            shared, answers)
-        for sub in members:
-            if not resync and sub.answers is not answers:
-                self._registry.commit([sub], AnswerDelta(
-                    epoch=epoch, added=answers - sub.answers,
-                    removed=sub.answers - answers), answers)
-            sub.stale = False
-        if all(sub.closed for sub in members):  # :meth:`release` raced
-            self._views.pop(key, None)
+            added, removed = refresh(view, group.founder, session)
+            delta = AnswerDelta(epoch=epoch, added=added, removed=removed)
+        group.commit(delta)
+        if not group.members:  # :meth:`release` raced
+            self._views.pop(group.key, None)
 
     def release(self, sub: StandingQuery) -> None:
-        """Drop ``sub``'s group view once no subscription is left in it;
+        """Drop ``sub``'s group view once its group has no member left;
         only that drop waits for the write lock."""
-        key = (sub.plan.fingerprint, sub.engine)
-        if key in self._views and all(
-                (other.plan.fingerprint, other.engine) != key
-                for other in self._subscriptions()):
+        if sub.key in self._views and not sub.log.members:
             with self.lock.writing():
-                self._views.pop(key, None)
+                self._views.pop(sub.key, None)
 
     def _recover(self) -> None:
         """What a failed update costs.  The ABox is the truth and may
@@ -426,11 +389,11 @@ class Dataset:
         and the next answer rebuilds them.  Then the data is versioned,
         every subscription re-materialized against whatever it now
         holds — subscribers are not left on answers from before the
-        partial application until a next update that may never come —
-        and the store rows rewritten wholesale to mirror it."""
+        partial application until a next update that may never come;
+        a group whose resync fails stays ``stale`` — and the store rows
+        rewritten wholesale to mirror it."""
         self.close()
         self.completions.clear()
         self.epoch += 1
-        self._registry.invalidate(self._subscriptions())
         self._standing(None)
         self.save("post-failure save")

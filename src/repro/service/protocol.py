@@ -459,6 +459,10 @@ class BatchRequest:
     #: it; identity only, so it never partitions the dedup).  A client
     #: sets one to ask for the trace.
     trace: Optional[object] = field(default=None, compare=False)
+    #: The plan-cache key, when the server computed it already; never
+    #: on the wire.
+    plan_key: Optional[Tuple] = field(default=None, compare=False,
+                                      repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "options",

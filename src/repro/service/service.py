@@ -192,7 +192,7 @@ class OMQService:
         by owner, so one to the replacement is not."""
         with dataset.lock.writing():
             dataset.close()
-            dropped = self.standing.drop_dataset(dataset.name, dataset)
+            dropped = self.standing.drop_dataset(dataset)
         for sub in dropped:
             self.tenants.release_subscription(sub.tenant)
             self._store_write(
@@ -323,14 +323,19 @@ class OMQService:
             return self._answer_locked(state, omq, options)
 
     def _answer_locked(self, state: Dataset, omq: OMQ,
-                       options: AnswerOptions) -> Answers:
+                       options: AnswerOptions, key=None) -> Answers:
+        """``omq`` answered on ``state``; ``key`` is its plan-cache key
+        when the caller holds it (computed once per answer)."""
         omq = self._canonical_omq(omq)
         engine_name = options.engine or self.default_engine
-        was_cached = (not options.data_dependent
-                      and self.cache.contains(self.cache.key(omq, options)))
+        key = key or self.cache.key(omq, options)
+        was_cached = not options.data_dependent and self.cache.contains(key)
         with state.session(engine_name) as session:
             start = time.perf_counter()
-            result = session.answer(omq, options)
+            # session.answer with the key in hand: this request's
+            # options run, never the (shared) plan's
+            result = session.compile(omq, options, key=key).execute(
+                session, options=options)
             elapsed = time.perf_counter() - start
         self._requests.inc()
         self.obs.answer_seconds.labels(engine=engine_name).observe(elapsed)
@@ -370,7 +375,7 @@ class OMQService:
             # partition the dedup (never the plan cache)
             key = (scoped[position],
                    options.engine or self.default_engine, options.timeout,
-                   self.cache.key(omq, options))
+                   request.plan_key or self.cache.key(omq, options))
             unique.setdefault(key, []).append(position)
 
         jobs = list(unique.items())
@@ -389,7 +394,7 @@ class OMQService:
                                     or _trace.current_trace()):
                     return self._answer_locked(states[scoped[first]],
                                                canonical[first],
-                                               request.options)
+                                               request.options, job[0][-1])
 
             if len(jobs) == 1:
                 outcomes = [run(jobs[0])]
@@ -489,9 +494,10 @@ class OMQService:
                   subscription_id: Optional[str] = None,
                   _persist: bool = True,
                   **overrides) -> StandingQuery:
-        """Register a standing query: compile, materialize the current
-        answers, and keep them delta-maintained by every subsequent
-        :meth:`update`.
+        """Register a standing query: compile, join the plan group's
+        log (materializing its answers unless the group is current,
+        :func:`~repro.standing.maintain.initialize`), and keep them
+        delta-maintained by every subsequent :meth:`update`.
 
         Returns the live :class:`~repro.standing.registry.StandingQuery`
         — consume it via :meth:`poll` (or the server's ``POST /poll``)
@@ -516,8 +522,8 @@ class OMQService:
                                          or self.standing.new_id()),
                         dataset=scoped, plan=plan, options=options,
                         engine=engine_name, tenant=tenant,
-                        epoch=state.epoch, oldest_epoch=state.epoch,
-                        owner=state)
+                        joined=state.epoch, owner=state)
+                    self.standing.attach(sub)
                     initialize(sub, session)
                 self.standing.add(sub)
                 if _persist:

@@ -1,8 +1,8 @@
 """Maintenance of standing-query answers: one retained view per plan.
 
 Subscriptions sharing a plan fingerprint and an engine are a group
-with one :class:`View`: their answers and, on the python engine, every
-IDB relation of the specialised program behind them, in codes.  The
+with one :class:`View`: on the python engine, every IDB relation of
+the specialised program behind the group's answers, in codes.  The
 rewritings are nonrecursive datalog, so a view follows what its
 backend journalled (``Database.journal``) with one pass of delta
 clauses over its strata (Gupta, Mumick & Subrahmanian, "Maintaining
@@ -13,14 +13,17 @@ read as they were, then keeps what a head-seeded run still derives
 (DRed).  The runs are the evaluator's compiled clauses
 (:mod:`repro.datalog.evaluate`); only goal rows that moved are decoded.
 
-A view is materialised afresh — whole program, then a diff — when it
-cannot follow: a new group, an emptiness flip (a new specialised
-program), a new database, a missed version (an update that both
-deleted and inserted journals twice).  Other engines refresh by
-:func:`full_reexecute` (the ``/answer`` route, also the oracle and the
-resync) and a diff.  The registry hands over only the groups whose
-rewriting mentions a changed predicate, as
-:func:`variant_changed_predicates` maps it into each data variant.
+A view is materialised afresh — whole program, then a diff against the
+group's answers — when it cannot follow: a new group, an emptiness
+flip (a new specialised program), a new database, a missed version (an
+update that both deleted and inserted journals twice).  Other engines
+refresh by :func:`full_reexecute` (the ``/answer`` route, also the
+oracle and the resync) and a diff.  The view keeps no answers of its
+own: a refresh returns the rows the group's answers gain and lose,
+and the group's log (:mod:`repro.standing.registry`) commits them.
+The registry hands over only the groups whose rewriting mentions a
+changed predicate, as :func:`variant_changed_predicates` maps it into
+each data variant.
 """
 
 from __future__ import annotations
@@ -71,24 +74,38 @@ def full_reexecute(sub, session) -> Rows:
 
 
 def initialize(sub, session) -> None:
-    """Materialize a fresh subscription's answers against ``session``
-    (which must hold the current data)."""
-    sub.answers = full_reexecute(sub, session)
+    """Give a new subscription, attached to its group's log, the
+    group's answers at its join epoch (``session`` holds the data as
+    it is then, under the dataset's read lock).  A current group — not
+    stale, at that epoch — is taken as it is, with no execution.  Any
+    other runs the answer route: a new group starts from its result,
+    and a stale one is healed by it, its members getting one catch-up
+    delta at the join epoch.  The healed group's view needs no reset:
+    a group goes stale only when its refresh failed (the view is
+    dropped) or a pass or a recovery failed (the view is behind its
+    database, or holds another one), so its next refresh
+    materialises, or follows a database that did not move."""
+    from .registry import AnswerDelta
+
+    group = sub.log
+    if group.stale or group.epoch != sub.joined:
+        answers = full_reexecute(sub, session)
+        with group.condition:
+            group.commit(AnswerDelta(sub.joined,
+                                     *_diff(group.answers, answers)))
 
 
 class View:
-    """One plan group's retained state: its :attr:`answers`, and what a
-    delta needs to move them — the specialised ``query`` they were
-    computed for, over which ``database`` at which ``version``, and
-    its ``derived`` IDB relations (codes) with their memoised
-    ``indexes``.  ``query`` is ``None`` while there is nothing to move
-    from: the next :func:`refresh` materialises."""
+    """What a delta needs to move one plan group's answers: the
+    specialised ``query`` they were computed for, over which
+    ``database`` at which ``version``, and its ``derived`` IDB
+    relations (codes) with their memoised ``indexes``.  ``query`` is
+    ``None`` while there is nothing to move from: the next
+    :func:`refresh` materialises."""
 
-    __slots__ = ("answers", "query", "database", "version", "derived",
-                 "indexes")
+    __slots__ = ("query", "database", "version", "derived", "indexes")
 
     def __init__(self):
-        self.answers: Rows = frozenset()
         self.reset()
 
     def reset(self) -> None:
@@ -100,18 +117,18 @@ class View:
         if self.query is not None:
             self.version = self.database.version
 
-    def settle(self, answers: Rows) -> Tuple[Rows, Rows]:
-        """Take ``answers`` as the group's; the rows added and removed."""
-        added, removed = answers - self.answers, self.answers - answers
-        self.answers = answers
-        return added, removed
+
+def _diff(before: Rows, after: Rows) -> Tuple[Rows, Rows]:
+    """The rows ``after`` added to ``before``, and those it removed."""
+    return after - before, before - after
 
 
 def refresh(view: View, sub, session) -> Tuple[Rows, Rows]:
-    """Bring ``view`` to the data ``session`` holds now; the answer
-    rows that changed, added and removed.  ``sub`` is any member of
-    the group (they share plan, engine and data variant).  The route
-    taken is a span: ``delta``, ``materialise`` or ``reexecute``."""
+    """Bring ``view`` to the data ``session`` holds now; the rows the
+    group's answers (``sub.answers``) gain and lose.  ``sub`` is any
+    member of the group (they share plan, engine and data variant).
+    The route taken is a span: ``delta``, ``materialise`` or
+    ``reexecute``."""
     if sub.engine == "python":
         backend = session.backend(sub.engine, sub.plan._variant_tbox())
         database, query = backend.database, sub.plan.specialised(backend)
@@ -128,11 +145,11 @@ def refresh(view: View, sub, session) -> Tuple[Rows, Rows]:
                 view.derived = materialise(query, database, view.indexes)
                 goal = view.derived.get(query.goal,
                                         database.relation(query.goal))
-                return view.settle(database.decode_rows(goal))
+                return _diff(sub.answers, database.decode_rows(goal))
     # every clause pruned (or another engine): the answer route
     view.reset()
     with span("reexecute"):
-        return view.settle(full_reexecute(sub, session))
+        return _diff(sub.answers, full_reexecute(sub, session))
 
 
 def _follow(view: View, database) -> Tuple[Rows, Rows]:
@@ -174,7 +191,6 @@ def _follow(view: View, database) -> Tuple[Rows, Rows]:
     if not moved:
         return frozenset(), frozenset()
     rows = database.decode_rows(moved)
-    view.answers = view.answers | rows if inserted else view.answers - rows
     return (rows, frozenset()) if inserted else (frozenset(), rows)
 
 

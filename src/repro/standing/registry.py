@@ -1,18 +1,20 @@
-"""Standing-query state: subscriptions, deltas, and their registry.
+"""Standing-query state: subscriptions, their group logs, the registry.
 
 A :class:`StandingQuery` is one live subscription: the compiled
 :class:`~repro.rewriting.plan.Plan`, its execution options and engine,
-the materialized answer set, and an epoch watermark (the dataset epoch
-the materialization reflects).  The :class:`StandingRegistry` owns
-every subscription, indexed per dataset *and* per EDB predicate of the
-subscription's rewriting, so one update only ever touches the
-subscriptions whose answers could have changed.
+and the epoch it joined at.  Subscriptions of one dataset object that
+share a plan fingerprint and an engine are one plan group, and the
+group keeps one :class:`GroupLog`: the materialized answers, the epoch
+they reflect, and one bounded :class:`AnswerDelta` history.  A member
+holds nothing else of the group's state: it reads the log from its
+join epoch on.  The :class:`StandingRegistry` owns every subscription
+and every group log.
 
 Maintenance (see :mod:`repro.standing.maintain`) runs inside the
 service's writer-lock update path and commits one
-:class:`AnswerDelta` per affected plan group to its subscriptions;
-unaffected subscriptions just advance their watermark.  Consumers read
-the state through :meth:`StandingRegistry.poll` (long-poll with
+:class:`AnswerDelta` per affected group, once, to the group's log;
+unaffected groups just move their epoch.  Consumers read the state
+through :meth:`StandingRegistry.poll` (long-poll with
 ``since_epoch``).
 """
 
@@ -21,17 +23,17 @@ from __future__ import annotations
 import itertools
 import threading
 import uuid
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import Observability
 from ..store.tenants import TenantManager
+from .maintain import variant_changed_predicates
 
 Row = Tuple[str, ...]
 
-#: Default per-subscription delta history (polls further back resync).
+#: Default per-group delta history (polls further back resync).
 HISTORY_LIMIT = 256
 
 
@@ -85,11 +87,12 @@ class AnswerDelta:
 
 @dataclass
 class StandingQuery:
-    """One live subscription (mutable state guarded by ``condition``):
-    the plan, the engine and options it subscribed with, and the
-    materialized :attr:`answers` as of :attr:`epoch`, which the
-    subscriptions of one plan group share with their view
-    (:mod:`repro.standing.maintain`) until one of them falls behind."""
+    """One live subscription: the plan, the engine and options it
+    subscribed with, the epoch it :attr:`joined` at, and the
+    :attr:`log` of its plan group.  Its :attr:`answers`,
+    :attr:`epoch`, :attr:`stale` and :attr:`history` are read-only
+    views of that log; the history shows only the deltas after the
+    join."""
 
     subscription_id: str
     #: Tenant-scoped registry key (wire bodies carry :attr:`base_name`).
@@ -100,39 +103,42 @@ class StandingQuery:
     #: Owning tenant (see :mod:`repro.store.tenants`): poll and
     #: unsubscribe reject callers presenting another tenant's id.
     tenant: str = ""
-    answers: FrozenSet[Row] = frozenset()
-    #: Dataset epoch the materialization reflects.
-    epoch: int = 0
-    #: Epoch at/below which deltas are no longer retained in history.
-    oldest_epoch: int = 0
+    #: Dataset epoch of the answers it started from: deltas at or
+    #: below it are not its own, polls from before it resync.
+    joined: int = 0
     #: The ``Dataset`` object the answers were materialized against.
     #: :attr:`dataset` names whatever is registered now; an update
     #: still running on a replaced dataset must not reach the
-    #: replacement's subscribers, so the update path checks identity.
+    #: replacement's subscribers, so groups are keyed by this object.
     #: Never on the wire.
     owner: object = field(default=None, repr=False, compare=False)
-    #: Set when an update failed partway: the materialization may not
-    #: reflect the data, so the next update must refresh regardless of
-    #: which predicates it touches.
-    stale: bool = False
     closed: bool = False
-    condition: threading.Condition = field(
-        default_factory=threading.Condition)
-    history: Deque[AnswerDelta] = field(default_factory=deque)
+    log: Optional[GroupLog] = field(default=None, repr=False,
+                                    compare=False)
 
     @property
-    def predicates(self) -> FrozenSet[str]:
-        """EDB predicates of the rewriting — the only relations whose
-        change can move this subscription's answers (``__adom__``
-        included iff the program uses it)."""
-        return self.plan.ndl.program.edb_predicates
+    def key(self) -> Tuple[str, str]:
+        """The plan group within its dataset: (fingerprint, engine)."""
+        return self.plan.fingerprint, self.engine
 
-    @cached_property
-    def variant_key(self):
-        """Identity of the data variant the plan evaluates over
-        (``None`` = raw data, else the interned TBox's id)."""
-        tbox = self.plan._variant_tbox()
-        return None if tbox is None else id(tbox)
+    @property
+    def answers(self) -> FrozenSet[Row]:
+        return self.log.answers
+
+    @property
+    def epoch(self) -> int:
+        """Dataset epoch the group's answers reflect."""
+        return self.log.epoch
+
+    @property
+    def stale(self) -> bool:
+        return self.log.stale
+
+    @property
+    def history(self) -> List[AnswerDelta]:
+        with self.log.condition:
+            return [delta for delta in self.log.history
+                    if delta.epoch > self.joined]
 
     @property
     def base_name(self) -> str:
@@ -142,7 +148,8 @@ class StandingQuery:
 
     def snapshot_payload(self) -> Dict[str, object]:
         """The JSON shape of ``POST /subscribe`` responses and resyncs
-        (caller holds ``condition`` or tolerates a racy read)."""
+        (caller holds the log's ``condition`` or tolerates a racy
+        read)."""
         return {"subscription": self.subscription_id,
                 "dataset": self.base_name,
                 "epoch": self.epoch,
@@ -154,13 +161,55 @@ class StandingQuery:
                 "engine": self.engine}
 
 
+class GroupLog:
+    """One plan group's state, shared by its members (guarded by
+    ``condition``): the :attr:`answers` as of :attr:`epoch`, ``stale``
+    while they may not reflect the data (new, or a refresh failed),
+    and one bounded history of the group's deltas, which no longer
+    holds those at or below :attr:`oldest_epoch`.  Maintenance runs
+    the plan of its :attr:`founder`, the member that created it."""
+
+    def __init__(self, registry: StandingRegistry, founder: StandingQuery):
+        self.registry, self.founder = registry, founder
+        self.key = founder.key
+        self.answers: FrozenSet[Row] = frozenset()
+        self.epoch = self.oldest_epoch = founder.joined
+        self.stale = True
+        self.condition = threading.Condition()
+        self.history: Deque[AnswerDelta] = deque()
+        #: replaced whole under the registry lock, so read without it
+        self.members: Tuple[StandingQuery, ...] = ()
+
+    def commit(self, delta: AnswerDelta) -> None:
+        """Move the group to ``delta``: its epoch, and for a nonempty
+        delta its answers, one history entry and one wake-up of its
+        pollers.  Each member counts as pushed the delta; a group with
+        no member keeps no history (no later member can ask for it)."""
+        with self.condition:
+            self.epoch, self.stale = delta.epoch, False
+            if delta.empty:
+                return
+            self.answers = (delta.answers if delta.resync else
+                            (self.answers - delta.removed) | delta.added)
+            if not self.members:
+                return
+            self.history.append(delta)
+            while len(self.history) > self.registry.history_limit:
+                self.oldest_epoch = self.history.popleft().epoch
+            self.condition.notify_all()
+        members = len(self.members)
+        self.registry._deltas_pushed.inc(members)
+        self.registry._tuples_pushed.inc(
+            (len(delta.added) + len(delta.removed)) * members)
+
+
 class StandingRegistry:
-    """Thread-safe home of every subscription, with per-dataset and
-    per-predicate indexes.
+    """Thread-safe home of every subscription and every group log,
+    the logs filed per dataset object.
 
     The registry never touches dataset locks: maintenance (running
     under a dataset's write lock) and pollers (holding no dataset
-    lock) only meet on the registry lock and per-subscription
+    lock) only meet on the registry lock and the group logs'
     conditions, so there is no lock-order cycle.
     """
 
@@ -169,9 +218,8 @@ class StandingRegistry:
         self.history_limit = max(1, history_limit)
         self._lock = threading.RLock()
         self._subs: Dict[str, StandingQuery] = {}
-        self._by_dataset: Dict[str, Set[str]] = {}
-        #: dataset -> predicate -> subscription ids
-        self._index: Dict[str, Dict[str, Set[str]]] = {}
+        #: dataset object -> (fingerprint, engine) -> its group's log
+        self._groups: Dict[object, Dict[Tuple[str, str], GroupLog]] = {}
         self._counter = itertools.count(1)
         # counters (served under "standing" in /stats and as
         # ``repro_standing_*`` metric families)
@@ -188,14 +236,23 @@ class StandingRegistry:
     def new_id(self) -> str:
         return f"sub-{next(self._counter)}-{uuid.uuid4().hex[:8]}"
 
-    def add(self, sub: StandingQuery) -> None:
+    def attach(self, sub: StandingQuery) -> None:
+        """Point a new subscription at its group's log: the one filed,
+        else a new, ``stale`` one that :meth:`add` files."""
         with self._lock:
+            group = self._groups.get(sub.owner, {}).get(sub.key)
+        sub.log = group or GroupLog(self, sub)
+
+    def add(self, sub: StandingQuery) -> None:
+        """File an attached, initialized subscription in its group.  A
+        first subscriber to the group racing this one may have filed
+        its own new log: both were initialized under the dataset's
+        read lock, at one epoch, so this one joins the filed log."""
+        with self._lock:
+            group = self._groups.setdefault(sub.owner, {}).setdefault(
+                sub.key, sub.log)
+            sub.log, group.members = group, group.members + (sub,)
             self._subs[sub.subscription_id] = sub
-            self._by_dataset.setdefault(sub.dataset, set()).add(
-                sub.subscription_id)
-            index = self._index.setdefault(sub.dataset, {})
-            for predicate in sub.predicates:
-                index.setdefault(predicate, set()).add(sub.subscription_id)
             self._subscribed_total.inc()
 
     def get(self, subscription_id: str) -> StandingQuery:
@@ -212,21 +269,27 @@ class StandingRegistry:
             if sub is None:
                 raise ValueError(
                     f"unknown subscription {subscription_id!r}")
-            self._unindex(sub)
+            group = sub.log
+            group.members = tuple(member for member in group.members
+                                  if member is not sub)
+            groups = self._groups.get(sub.owner, {})
+            if not group.members and groups.get(sub.key) is group:
+                del groups[sub.key]
+                if not groups:
+                    del self._groups[sub.owner]
         self._close(sub)
         return sub
 
-    def drop_dataset(self, dataset: str, owner) -> List[StandingQuery]:
-        """Remove (and close) every subscription ``owner`` holds under
-        ``dataset`` — called when that dataset object is unregistered
-        or replaced wholesale.  A subscription to the replacement,
-        filed under the same name, is not its to drop."""
+    def drop_dataset(self, owner) -> List[StandingQuery]:
+        """Remove (and close) every subscription to the dataset object
+        ``owner`` — called when it is unregistered or replaced
+        wholesale.  A subscription to the replacement, filed under the
+        same name, is not its to drop."""
         with self._lock:
-            dropped = [sub for sub in self.for_dataset(dataset)
-                       if sub.owner is owner]
+            dropped = [sub for group in self._groups.pop(owner, {}).values()
+                       for sub in group.members]
             for sub in dropped:
                 del self._subs[sub.subscription_id]
-                self._unindex(sub)
         for sub in dropped:
             self._close(sub)
         return dropped
@@ -235,107 +298,43 @@ class StandingRegistry:
         with self._lock:
             subs = list(self._subs.values())
             self._subs.clear()
-            self._by_dataset.clear()
-            self._index.clear()
+            self._groups.clear()
         for sub in subs:
             self._close(sub)
 
-    def _unindex(self, sub: StandingQuery) -> None:
-        ids = self._by_dataset.get(sub.dataset)
-        if ids is not None:
-            ids.discard(sub.subscription_id)
-            if not ids:
-                self._by_dataset.pop(sub.dataset, None)
-        index = self._index.get(sub.dataset)
-        if index is not None:
-            for predicate in sub.predicates:
-                members = index.get(predicate)
-                if members is not None:
-                    members.discard(sub.subscription_id)
-                    if not members:
-                        index.pop(predicate, None)
-            if not index:
-                self._index.pop(sub.dataset, None)
-
     @staticmethod
     def _close(sub: StandingQuery) -> None:
-        with sub.condition:
+        with sub.log.condition:
             sub.closed = True
-            sub.condition.notify_all()
+            sub.log.condition.notify_all()
 
-    def for_dataset(self, dataset: str) -> List[StandingQuery]:
+    def groups(self, owner) -> List[GroupLog]:
+        """The group logs of the dataset object ``owner``."""
         with self._lock:
-            ids = self._by_dataset.get(dataset, set())
-            return [self._subs[sid] for sid in sorted(ids)
-                    if sid in self._subs]
+            return list(self._groups.get(owner, {}).values())
 
-    def affected(self, dataset: str,
-                 changed_by_variant: Dict[object, FrozenSet[str]]
-                 ) -> List[StandingQuery]:
-        """Subscriptions one update may have moved: looked up through
-        the per-predicate index with each data variant's own changed
-        set, plus any ``stale`` subscription (its materialization is
-        behind regardless of predicates)."""
-        with self._lock:
-            index = self._index.get(dataset, {})
-            ids: Set[str] = set()
-            for key, changed in changed_by_variant.items():
-                for predicate in changed:
-                    for sid in index.get(predicate, ()):
-                        if sid in ids:
-                            continue
-                        sub = self._subs.get(sid)
-                        if sub is not None and sub.variant_key == key:
-                            ids.add(sid)
-            for sid in self._by_dataset.get(dataset, ()):
-                sub = self._subs.get(sid)
-                if sub is not None and sub.stale:
-                    ids.add(sid)
-            return [self._subs[sid] for sid in sorted(ids)
-                    if sid in self._subs]
-
-    @staticmethod
-    def invalidate(subs: Sequence[StandingQuery]) -> None:
-        """Mark subscriptions stale (an update failed partway).  The
-        dataset follows up with a proactive resync; any subscription
-        that resists it stays stale — surfaced in poll/snapshot
-        bodies — until a later update's maintenance pass succeeds for
-        it."""
-        for sub in subs:
-            with sub.condition:
-                sub.stale = True
+    def affected(self, groups: List[GroupLog], delta) -> Set[GroupLog]:
+        """The ``groups`` one update may have moved: all of them on
+        recovery (``delta`` is ``None``), else each ``stale`` one and
+        each whose rewriting reads a predicate the update changed, as
+        mapped into the group's data variant (once per variant)."""
+        if delta is None:
+            return set(groups)
+        changed: Dict[int, FrozenSet[str]] = {}
+        moved = set()
+        for group in groups:
+            plan = group.founder.plan
+            tbox = plan._variant_tbox()
+            if id(tbox) not in changed:
+                changed[id(tbox)] = variant_changed_predicates(tbox, delta)
+            if group.stale or not plan.ndl.program.edb_predicates.isdisjoint(
+                    changed[id(tbox)]):
+                moved.add(group)
+        return moved
 
     def count(self) -> int:
         with self._lock:
             return len(self._subs)
-
-    # -- commits (called under the dataset write lock) -----------------------
-
-    def commit(self, subs: Sequence[StandingQuery], delta: AnswerDelta,
-               new_answers: FrozenSet[Row]) -> None:
-        """Apply one maintenance outcome to each of ``subs``: update
-        materialization and watermark, record the delta, wake pollers."""
-        empty = delta.empty
-        for sub in subs:
-            with sub.condition:
-                sub.answers = new_answers
-                sub.epoch = delta.epoch
-                if not empty:
-                    sub.history.append(delta)
-                    while len(sub.history) > self.history_limit:
-                        dropped = sub.history.popleft()
-                        sub.oldest_epoch = max(sub.oldest_epoch,
-                                               dropped.epoch)
-                    sub.condition.notify_all()  # a poll waits for deltas
-        if not empty:
-            self._deltas_pushed.inc(len(subs))
-            self._tuples_pushed.inc(
-                (len(delta.added) + len(delta.removed)) * len(subs))
-
-    def advance(self, sub: StandingQuery, epoch: int) -> None:
-        """Move an unaffected subscription's watermark forward."""
-        with sub.condition:
-            sub.epoch = max(sub.epoch, epoch)
 
     def record_resync(self, count: int = 1) -> None:
         self._resyncs.inc(count)
@@ -347,56 +346,57 @@ class StandingRegistry:
 
     def snapshot(self, subscription_id: str) -> Dict[str, object]:
         sub = self.get(subscription_id)
-        with sub.condition:
+        with sub.log.condition:
             return sub.snapshot_payload()
 
     def poll(self, subscription_id: str,
              since_epoch: Optional[int] = None,
              timeout: float = 0.0) -> Dict[str, object]:
-        """Deltas newer than ``since_epoch`` (default: the watermark —
-        only future changes), blocking up to ``timeout`` seconds for
-        one to arrive.  A ``since_epoch`` older than the retained
-        history returns a full-snapshot resync instead."""
+        """The group's deltas newer than ``since_epoch`` (default: the
+        watermark — only future changes), blocking up to ``timeout``
+        seconds for one to arrive.  A ``since_epoch`` from before the
+        retained history or before the subscription joined returns a
+        full-snapshot resync instead."""
         import time
 
         sub = self.get(subscription_id)
+        group = sub.log
         self._polls.inc()
         deadline = time.monotonic() + max(0.0, timeout)
-        with sub.condition:
+        with group.condition:
             if since_epoch is None:
-                since_epoch = sub.epoch
+                since_epoch = group.epoch
             while True:
                 if sub.closed:
                     raise ValueError(
                         f"subscription {subscription_id!r} is closed")
-                if since_epoch < sub.oldest_epoch:
+                if since_epoch < max(group.oldest_epoch, sub.joined):
                     body = sub.snapshot_payload()
                     body["resync"] = True
                     body["deltas"] = []
                     self.record_resync()
                     return body
-                deltas = [delta for delta in sub.history
+                deltas = [delta for delta in group.history
                           if delta.epoch > since_epoch]
                 remaining = deadline - time.monotonic()
                 if deltas or remaining <= 0:
                     return {"subscription": sub.subscription_id,
                             "dataset": sub.base_name,
-                            "epoch": sub.epoch,
+                            "epoch": group.epoch,
                             "resync": False,
-                            "stale": sub.stale,
+                            "stale": group.stale,
                             "deltas": [delta.payload()
                                        for delta in deltas]}
-                sub.condition.wait(remaining)
+                group.condition.wait(remaining)
 
     # -- stats ---------------------------------------------------------------
 
     def stats(self) -> Dict[str, object]:
         with self._lock:
-            per_dataset = {dataset: len(ids) for dataset, ids
-                           in sorted(self._by_dataset.items())}
+            per_dataset = Counter(sub.dataset for sub in self._subs.values())
             return {"subscriptions": len(self._subs),
                     "subscribed_total": int(self._subscribed_total.value),
-                    "per_dataset": per_dataset,
+                    "per_dataset": dict(sorted(per_dataset.items())),
                     "deltas_pushed": int(self._deltas_pushed.value),
                     "tuples_pushed": int(self._tuples_pushed.value),
                     "resyncs": int(self._resyncs.value),

@@ -30,6 +30,7 @@ from repro.queries import CQ, chain_cq
 from repro.obs.trace import Trace, tracing
 from repro.service import OMQService, serve_in_background
 from repro.service.aserve import MAX_HEADERS, AsyncServiceServer
+from repro.service.cache import RewritingCache
 from repro.service.protocol import ProtocolError
 
 from .helpers import example11_tbox, random_data
@@ -903,3 +904,28 @@ class TestInlineRoute:
                                                 dataset="typo", trace=True))
         assert status == 400 and "unknown dataset" in body["error"]
         assert LOOP_THREAD not in threads
+
+    def test_one_plan_key_per_cached_answer(self, served, monkeypatch):
+        """The server computes a cached ``/answer``'s plan-cache key
+        once, to coalesce, and hands it down: the batch, the
+        cached-plan probe and the compile reuse it on either route; an
+        embedded answer computes it once too."""
+        service, _, conn, _ = served
+        keys, key = [], RewritingCache.key
+
+        def counted(cache, omq, options):
+            keys.append(omq.query)
+            return key(cache, omq, options)
+
+        assert _post(conn, _answer_body(chain_cq("RS")))[0] == 200  # compiles
+        monkeypatch.setattr(RewritingCache, "key", counted)
+        seen = []
+        for prefix in ("a_", "b_"):
+            status, body = _post(conn, _answer_body(
+                chain_cq("RS", prefix=prefix), trace=True))
+            assert status == 200 and body["cached_rewriting"]
+            seen.append((_route(body), len(keys)))
+        assert seen == [("batch", 1), ("inline", 2)]
+        assert service.answer("demo", OMQ(TBOX, chain_cq("RS", prefix="c_"))
+                              ).cached_rewriting
+        assert len(keys) == 3

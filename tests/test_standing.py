@@ -815,6 +815,157 @@ def _replay(before, deltas):
     return answers
 
 
+def _renamings(count):
+    """``count`` renamings of one query: one plan, so one group."""
+    return [OMQ(TBOX, CQ.parse(f"R(x{i}, y{i}), S(y{i}, z{i})",
+                               answer_vars=[f"x{i}", f"z{i}"]))
+            for i in range(count)]
+
+
+def _moving(i):
+    """An insert that adds the answer ``(h{i}, k{i})`` to the
+    renamings of :func:`_renamings`."""
+    return {"inserts": [("R", (f"h{i}", f"m{i}")), ("S", (f"m{i}", f"k{i}"))]}
+
+
+class TestGroupLog:
+    """The subscriptions of one plan group share one log: the answers,
+    the epoch and one bounded delta history.  A member keeps only the
+    epoch it joined at and reads the log from there."""
+
+    def test_renamings_share_one_log_and_one_delta(self):
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            subs = [service.subscribe("d", omq) for omq in _renamings(5)]
+            (group,) = service.standing.groups(service._dataset("d"))
+            assert all(sub.log is group for sub in subs)
+            for sub in subs:  # no state of the group's of its own
+                assert {"answers", "history", "oldest_epoch", "stale",
+                        "condition"}.isdisjoint(vars(sub))
+            pushed = service.stats()["standing"]["deltas_pushed"]
+            service.update("d", **_moving(0))
+            (delta,) = group.history
+            assert ("h0", "k0") in delta.added and delta.epoch == 1
+            assert all(sub.history == [delta] and sub.history[0] is delta
+                       for sub in subs)
+            # each member still counts as pushed the delta
+            assert service.stats()["standing"]["deltas_pushed"] == pushed + 5
+
+    def test_a_member_sees_no_delta_from_before_it_joined(self, monkeypatch):
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            first_omq, second_omq = _renamings(2)
+            first = service.subscribe("d", first_omq)
+            service.update("d", **_moving(0))
+            # the group is current: joining it runs nothing
+            runs = _FullRuns(monkeypatch)
+            second = service.subscribe("d", second_omq)
+            assert runs.plans == []
+            monkeypatch.undo()
+            assert second.log is first.log and second.joined == 1
+            assert second.answers == first.answers
+            assert second.history == [] and len(first.history) == 1
+            service.update("d", **_moving(1))
+            assert [delta.epoch for delta in second.history] == [2]
+            body = service.poll(second.subscription_id, since_epoch=1)
+            assert [raw["epoch"] for raw in body["deltas"]] == [2]
+            assert service.poll(second.subscription_id, since_epoch=0)[
+                "resync"]
+            assert not service.poll(first.subscription_id, since_epoch=0)[
+                "resync"]
+
+    def test_past_the_history_only_older_polls_resync(self):
+        with OMQService() as service:
+            service.standing.history_limit = 2
+            service.register_dataset("d", random_data(1))
+            early_omq, late_omq = _renamings(2)
+            early = service.subscribe("d", early_omq)
+            for i in range(2):
+                service.update("d", **_moving(i))
+            late = service.subscribe("d", late_omq)
+            for i in range(2, 4):
+                service.update("d", **_moving(i))
+            assert early.log.oldest_epoch == 2
+            resyncs = service.stats()["standing"]["resyncs"]
+            for sub, since in ((early, 2), (late, 2), (late, 3)):
+                body = service.poll(sub.subscription_id, since_epoch=since)
+                assert not body["resync"]
+                assert [raw["epoch"] for raw in body["deltas"]] == list(
+                    range(since + 1, 5))
+            assert service.stats()["standing"]["resyncs"] == resyncs
+            body = service.poll(early.subscription_id, since_epoch=1)
+            assert body["resync"] and body["epoch"] == 4
+            assert service.stats()["standing"]["resyncs"] == resyncs + 1
+
+    def test_unsubscribing_wakes_only_that_members_poll(self):
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            subs = [service.subscribe("d", omq) for omq in _renamings(3)]
+            outcomes = {}
+
+            def park(sub):
+                try:
+                    outcomes[sub.subscription_id] = service.poll(
+                        sub.subscription_id, timeout=30.0)
+                except ValueError as error:
+                    outcomes[sub.subscription_id] = error
+
+            threads = [threading.Thread(target=park, args=(sub,))
+                       for sub in subs]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while (service.stats()["standing"]["polls"] < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            time.sleep(0.1)
+            service.unsubscribe(subs[0].subscription_id)
+            threads[0].join(timeout=5)
+            assert not threads[0].is_alive()
+            assert "closed" in str(outcomes[subs[0].subscription_id])
+            time.sleep(0.1)
+            assert all(thread.is_alive() for thread in threads[1:])
+            assert len(outcomes) == 1
+            service.update("d", **_moving(0))
+            for thread in threads[1:]:
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            for sub in subs[1:]:
+                (raw,) = outcomes[sub.subscription_id]["deltas"]
+                assert ["h0", "k0"] in raw["added"]
+
+    def test_a_subscriber_to_a_stale_group_starts_current(self, monkeypatch):
+        """A failed refresh leaves the group stale and behind the data;
+        a new member heals it: it starts from the answers as they are,
+        and the older member catches up by one delta."""
+        from repro.service import dataset as dataset_module
+
+        def fail(*args):
+            raise RuntimeError("injected fault")
+
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            first_omq, second_omq = _renamings(2)
+            first = service.subscribe("d", first_omq)
+            monkeypatch.setattr(dataset_module, "refresh", fail)
+            service.update("d", **_moving(0))
+            monkeypatch.undo()
+            assert first.stale and ("h0", "k0") not in first.answers
+            second = service.subscribe("d", second_omq)
+            abox = service._dataset("d").abox
+            assert second.log is first.log
+            assert second.answers == _oracle(abox, second_omq.query)
+            assert not second.stale and second.epoch == 1
+            assert second.history == []
+            body = service.poll(first.subscription_id, since_epoch=0)
+            assert not body["resync"] and not body["stale"]
+            (raw,) = body["deltas"]
+            assert raw["epoch"] == 1 and ["h0", "k0"] in raw["added"]
+            service.update("d", **_moving(1))
+            assert first.answers == _oracle(abox, first_omq.query)
+            _views_exact(service._dataset("d"))
+
+
 class TestAsyncServing:
     """Long-poll over both HTTP clients, checked differentially
     against an embedded client over the same updates (the style of
