@@ -229,7 +229,8 @@ class AnswerSession:
         """Compile ``omq`` into a :class:`~repro.rewriting.plan.Plan`.
 
         Plans go through the session's injected rewriting cache (when
-        set; ``key``, if given, is the plan-cache key of ``omq``); only
+        set; ``key``, if given, is ``omq``'s key in it under
+        ``options``, trusted unchecked); only
         ``method="adaptive"`` looks at data — it costs its candidates
         against this session's completion and bypasses the cache.
         """
@@ -241,11 +242,13 @@ class AnswerSession:
         return compile_omq(omq, options, data=data,
                            cache=self.rewriting_cache, key=key)
 
-    def answer(self, omq: OMQ, options=None, **overrides) -> "Answers":
+    def answer(self, omq: OMQ, options=None, *, key=None,
+               **overrides) -> "Answers":
         """Certain answers to ``omq``; same pipeline as :func:`answer`.
 
         A thin wrapper over :meth:`compile` + ``Plan.execute``, taking
-        ``options`` / ``overrides`` exactly as :meth:`compile` does.
+        ``options`` / ``overrides`` (and ``key``) exactly as
+        :meth:`compile` does.
         ``engine=`` overrides the session default for this call only —
         every engine keeps its own loaded copy of the data, so
         cross-engine comparisons also amortise.
@@ -253,7 +256,7 @@ class AnswerSession:
         from .plan import AnswerOptions
 
         options = AnswerOptions.coerce(options, **overrides)
-        plan = self.compile(omq, options)
+        plan = self.compile(omq, options, key=key)
         # this request's options, not the (possibly cache-shared)
         # plan's: execution knobs must never leak between requests
         return plan.execute(self, options=options)

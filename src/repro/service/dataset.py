@@ -26,7 +26,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from ..data.abox import ABox, GroundAtom
 from ..obs.trace import span
 from ..rewriting.api import AnswerSession
-from ..standing.maintain import View, full_reexecute, refresh
+from ..standing.maintain import (View, full_reexecute, refresh,
+                                 variant_changed_predicates)
 from ..standing.registry import (
     AnswerDelta,
     GroupLog,
@@ -314,8 +315,8 @@ class Dataset:
         A failed refresh costs its group's view and freshness: the
         group is marked ``stale``, which its members' poll and
         snapshot bodies expose so the consumer knows to re-subscribe
-        or retry, until a later pass succeeds for it.  A pass that
-        fails as a whole marks every group.
+        or retry, until a later pass or a new member heals it.  A pass
+        that fails as a whole costs every group's.
         """
         groups = self._registry.groups(self)
         if not groups:
@@ -324,7 +325,15 @@ class Dataset:
         epoch = self.epoch
         started = time.perf_counter()
         try:
-            moved = self._registry.affected(groups, delta)
+            changed = None
+            if delta is not None:  # mapped into each data variant once
+                changed = {}
+                for group in groups:
+                    tbox = group.founder.plan._variant_tbox()
+                    if id(tbox) not in changed:
+                        changed[id(tbox)] = variant_changed_predicates(
+                            tbox, delta)
+            moved = self._registry.affected(groups, changed)
             with ExitStack() as held:
                 sessions: Dict[str, object] = {}
                 for group in groups:
@@ -352,6 +361,7 @@ class Dataset:
                       "subscriptions are marked stale", self.name,
                       type(error).__name__, error)
             for group in groups:
+                self._views.pop(group.key, None)
                 group.stale = True
         finally:
             self._registry.record_maintenance(

@@ -459,8 +459,8 @@ class BatchRequest:
     #: it; identity only, so it never partitions the dedup).  A client
     #: sets one to ask for the trace.
     trace: Optional[object] = field(default=None, compare=False)
-    #: The plan-cache key, when the server computed it already; never
-    #: on the wire.
+    #: ``RewritingCache.key(omq, options)``, when the server computed
+    #: it already; never on the wire, and trusted unchecked.
     plan_key: Optional[Tuple] = field(default=None, compare=False,
                                       repr=False)
 

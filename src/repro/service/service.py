@@ -328,14 +328,12 @@ class OMQService:
         when the caller holds it (computed once per answer)."""
         omq = self._canonical_omq(omq)
         engine_name = options.engine or self.default_engine
-        key = key or self.cache.key(omq, options)
+        if key is None and not options.data_dependent:
+            key = self.cache.key(omq, options)
         was_cached = not options.data_dependent and self.cache.contains(key)
         with state.session(engine_name) as session:
             start = time.perf_counter()
-            # session.answer with the key in hand: this request's
-            # options run, never the (shared) plan's
-            result = session.compile(omq, options, key=key).execute(
-                session, options=options)
+            result = session.answer(omq, options, key=key)
             elapsed = time.perf_counter() - start
         self._requests.inc()
         self.obs.answer_seconds.labels(engine=engine_name).observe(elapsed)

@@ -21,7 +21,7 @@ refresh by :func:`full_reexecute` (the ``/answer`` route, also the
 oracle and the resync) and a diff.  The view keeps no answers of its
 own: a refresh returns the rows the group's answers gain and lose,
 and the group's log (:mod:`repro.standing.registry`) commits them.
-The registry hands over only the groups whose rewriting mentions a
+The dataset hands over only the groups whose rewriting mentions a
 changed predicate, as :func:`variant_changed_predicates` maps it into
 each data variant.
 """
@@ -36,6 +36,7 @@ from ..datalog.evaluate import HEAD, _program, lookups, materialise
 from ..datalog.program import ADOM
 from ..engine.database import build_index, patch_index
 from ..obs.trace import span
+from .registry import AnswerDelta
 
 Row = Tuple[str, ...]
 Rows = FrozenSet[Row]
@@ -81,12 +82,9 @@ def initialize(sub, session) -> None:
     other runs the answer route: a new group starts from its result,
     and a stale one is healed by it, its members getting one catch-up
     delta at the join epoch.  The healed group's view needs no reset:
-    a group goes stale only when its refresh failed (the view is
-    dropped) or a pass or a recovery failed (the view is behind its
-    database, or holds another one), so its next refresh
-    materialises, or follows a database that did not move."""
-    from .registry import AnswerDelta
-
+    a group is stale only when it is new (it has no view) or its
+    refresh or the whole pass failed, and ``Dataset._standing`` drops
+    its view then, so its next refresh materialises."""
     group = sub.log
     if group.stale or group.epoch != sub.joined:
         answers = full_reexecute(sub, session)

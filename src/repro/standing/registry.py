@@ -29,7 +29,6 @@ from typing import Deque, Dict, FrozenSet, List, Optional, Set, Tuple
 
 from ..obs import Observability
 from ..store.tenants import TenantManager
-from .maintain import variant_changed_predicates
 
 Row = Tuple[str, ...]
 
@@ -313,24 +312,19 @@ class StandingRegistry:
         with self._lock:
             return list(self._groups.get(owner, {}).values())
 
-    def affected(self, groups: List[GroupLog], delta) -> Set[GroupLog]:
+    def affected(self, groups: List[GroupLog],
+                 changed: Optional[Dict[int, FrozenSet[str]]]
+                 ) -> Set[GroupLog]:
         """The ``groups`` one update may have moved: all of them on
-        recovery (``delta`` is ``None``), else each ``stale`` one and
-        each whose rewriting reads a predicate the update changed, as
-        mapped into the group's data variant (once per variant)."""
-        if delta is None:
+        recovery (``changed`` is ``None``), else each ``stale`` one and
+        each whose rewriting reads a predicate the update changed in
+        its data variant (``changed`` maps the ``id`` of the variant's
+        TBox to that set)."""
+        if changed is None:
             return set(groups)
-        changed: Dict[int, FrozenSet[str]] = {}
-        moved = set()
-        for group in groups:
-            plan = group.founder.plan
-            tbox = plan._variant_tbox()
-            if id(tbox) not in changed:
-                changed[id(tbox)] = variant_changed_predicates(tbox, delta)
-            if group.stale or not plan.ndl.program.edb_predicates.isdisjoint(
-                    changed[id(tbox)]):
-                moved.add(group)
-        return moved
+        return {group for group in groups if group.stale or not
+                group.founder.plan.ndl.program.edb_predicates.isdisjoint(
+                    changed[id(group.founder.plan._variant_tbox())])}
 
     def count(self) -> int:
         with self._lock:

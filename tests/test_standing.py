@@ -965,6 +965,42 @@ class TestGroupLog:
             assert first.answers == _oracle(abox, first_omq.query)
             _views_exact(service._dataset("d"))
 
+    def test_a_healed_group_never_follows_a_view_left_behind(
+            self, monkeypatch):
+        """A pass that fails as a whole leaves every group stale and its
+        view a version behind.  A new member heals the group; an update
+        that moves nothing the group reads must not pass that old view
+        off as current, or the next moving update follows it from the
+        wrong relations."""
+        with OMQService() as service:
+            service.register_dataset("d", random_data(1))
+            dataset = service._dataset("d")
+            first_omq, second_omq = _renamings(2)
+            first = service.subscribe("d", first_omq)
+            service.update("d", **_moving(0))  # the view is built
+            affected, calls = service.standing.affected, []
+
+            def fails_once(*args):
+                calls.append(args)
+                if len(calls) == 1:
+                    raise RuntimeError("injected fault")
+                return affected(*args)
+
+            monkeypatch.setattr(service.standing, "affected", fails_once)
+            service.update("d", deletes=[("R", ("h0", "m0"))])
+            monkeypatch.undo()
+            assert first.stale
+            second = service.subscribe("d", second_omq)  # heals it
+            assert not first.stale
+            # a predicate no rewriting of the group reads
+            service.update("d", inserts=[("Q", ("q0",))])
+            _views_exact(dataset)
+            service.update("d", **_moving(1))
+            _views_exact(dataset)
+            expected = _oracle(dataset.abox, first_omq.query)
+            assert first.answers == second.answers == expected
+            assert ("h0", "k0") not in expected
+
 
 class TestAsyncServing:
     """Long-poll over both HTTP clients, checked differentially
