@@ -317,39 +317,48 @@ class Plan:
     def depth(self) -> int:
         return self.ndl.depth()
 
-    def sql_report(self) -> Dict[str, object]:
-        """The SQL the ``sql`` engine runs for the plan's rewriting:
-        one ``CREATE TABLE ... AS`` statement per IDB predicate, in
-        dependence order, and the goal select.  JSON-serialisable."""
+    def sql_report(self, backend: Optional[Engine] = None
+                   ) -> Dict[str, object]:
+        """The SQL the ``sql`` engine runs for the plan: one ``CREATE
+        TABLE ... AS`` statement per IDB predicate, in dependence
+        order, and the goal select.  Over ``backend`` that is the
+        program :meth:`execute` runs there (:meth:`specialised`),
+        without one the rewriting's.  JSON-serialisable."""
         from ..sql.compile import compile_query
 
-        compilation = compile_query(self.ndl)
+        compilation = compile_query(
+            self.ndl if backend is None else self.specialised(backend))
         return {
             "engine": "sql",
             "statements": list(compilation.statements),
             "goal_select": compilation.goal_select,
         }
 
-    def explain(self, backend: Optional[Engine] = None
+    def explain(self, backend: Optional[Engine] = None,
+                options: Optional[AnswerOptions] = None
                 ) -> Dict[str, object]:
         """The plan report: what was compiled, how, and how big it is.
 
         JSON-serialisable — the CLI ``explain`` subcommand and the HTTP
-        ``/explain`` endpoint return exactly this dict.  When the
-        plan's engine is ``sql``, the report carries a ``"sql"``
-        section with the SQL it runs (see :meth:`sql_report`).  With a
-        loaded ``backend`` it also carries ``"specialised"``: the
-        nonempty signature of that data and the size of the program
-        :meth:`execute` would run over it, next to the rewriting's.
+        ``/explain`` endpoint return exactly this dict.  ``options``
+        are the request's, as for :meth:`execute`: a plan out of a
+        shared cache reports the asking request's engine and timeout,
+        not its first compiler's.  When the engine is ``sql``, the
+        report carries a ``"sql"`` section with the SQL it runs (see
+        :meth:`sql_report`).  With a loaded ``backend`` it also carries
+        ``"specialised"``: the nonempty signature of that data and the
+        size of the program :meth:`execute` would run over it, next to
+        the rewriting's; the ``"sql"`` section is then that program's.
         """
+        options = self.options if options is None else options
         report = {
             "fingerprint": self.fingerprint,
             "omq_class": self.omq.omq_class(),
-            "method_requested": self.options.method,
+            "method_requested": options.method,
             # every option as asked for; ``method`` as resolved
-            **self.options.as_dict(),
+            **options.as_dict(),
             "method": self.method,
-            "data_bound": self.options.data_dependent,
+            "data_bound": options.data_dependent,
             "goal": self.ndl.goal,
             "answer_vars": list(self.ndl.answer_vars),
             "rules": self.rules,
@@ -366,8 +375,8 @@ class Plan:
                     backend.nonempty(self.ndl.program.edb_predicates)),
                 "rules": len(ndl), "width": ndl.width(),
                 "depth": ndl.depth()}
-        if self.options.engine == "sql":
-            report["sql"] = self.sql_report()
+        if options.engine == "sql":
+            report["sql"] = self.sql_report(backend)
         active = _trace.current_trace()
         if active is not None:
             report["trace"] = active.payload()

@@ -429,13 +429,15 @@ class OMQService:
                 raise ValueError(
                     f"options {options.rewrite_fingerprint()} are "
                     "data-dependent: explain needs a dataset")
-            return compile_omq(omq, options, cache=self.cache).explain()
+            return compile_omq(omq, options, cache=self.cache).explain(
+                options=options)
         with self._acquire(TenantManager.scope(tenant, dataset)) as state:
             engine_name = options.engine or self.default_engine
             with state.session(engine_name) as session:
                 plan = session.compile(omq, options)
                 return plan.explain(
-                    session.backend(engine_name, plan._variant_tbox()))
+                    session.backend(engine_name, plan._variant_tbox()),
+                    options)
 
     def _pool(self) -> ThreadPoolExecutor:
         with self._lock:

@@ -4,10 +4,9 @@ Section 6 of the paper asks "whether our rewritings can be efficiently
 implemented using views in standard DBMSs".  This subpackage runs them
 on SQLite (the standard-library DBMS): an ABox is loaded into a
 relational schema (:mod:`repro.sql.schema`), an NDL query is compiled
-into a structured relational IR (:mod:`repro.sql.ir`: selects, unions,
-definitions, with identifier quoting and literal escaping in exactly
-one place) and rendered to one ``CREATE TABLE ... AS`` statement per
-IDB predicate (:mod:`repro.sql.compile`), and
+straight to SQLite text, one ``CREATE TABLE ... AS`` statement per IDB
+predicate, with identifier quoting and literal escaping in exactly one
+place each (:mod:`repro.sql.compile`), and
 :class:`~repro.sql.engine.SQLEngine` — the ``sql`` engine — runs them
 bottom-up, returning the same
 :class:`~repro.datalog.evaluate.EvaluationResult` as the native Python
@@ -19,21 +18,20 @@ engine so the backends are interchangeable and can be compared
 
 from .compile import (
     SQLCompilation,
-    compile_clause_ir,
+    compile_clause,
     compile_query,
-    compile_query_ir,
+    quote_identifier,
+    quote_literal,
+    table_name,
 )
 from .engine import SQLEngine, evaluate_sql
-from .ir import QueryIR, quote_identifier, quote_literal
-from .schema import create_schema, load_abox, table_name
+from .schema import create_schema, load_abox
 
 __all__ = [
-    "QueryIR",
     "SQLCompilation",
     "SQLEngine",
-    "compile_clause_ir",
+    "compile_clause",
     "compile_query",
-    "compile_query_ir",
     "create_schema",
     "evaluate_sql",
     "load_abox",

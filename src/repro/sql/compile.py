@@ -9,9 +9,11 @@ join order.  :meth:`SQLCompilation.cte_query` gives the same program
 as one ``WITH``-query, the form one registers as a single view in
 another DBMS.
 
-The compiler builds a structured :class:`~repro.sql.ir.QueryIR`
-(:func:`compile_query_ir`) and only then renders text
-(:mod:`repro.sql.ir`), so nothing operates on SQL strings.
+The compiler writes SQLite text directly.  Every identifier passes
+through :func:`quote_identifier` and every string literal through
+:func:`quote_literal`, and nothing else quotes, so hostile predicate
+names (embedded quotes, ``" AS\\n"`` substrings, SQL keywords) are
+safe everywhere; no text is ever re-parsed.
 """
 
 from __future__ import annotations
@@ -21,47 +23,54 @@ from typing import Dict, List, Tuple
 
 from ..datalog.evaluate import _equality_mapping
 from ..datalog.program import Clause, NDLQuery
-from .ir import (
-    ColumnRef,
-    Definition,
-    Comparison,
-    OutputColumn,
-    QueryIR,
-    Select,
-    SQLLiteral,
-    TableRef,
-    Union,
-    render_cte_query,
-    render_definition,
-    render_select,
-)
-from .schema import TABLE_PREFIX, column_names
+
+#: Prefix of every predicate table (avoids clashes with SQLite keywords).
+TABLE_PREFIX = "p_"
 
 #: Value stored in the dummy column of nullary predicates.
 NULLARY_MARK = "1"
 
 
-def compile_clause_ir(clause: Clause) -> Select:
-    """The :class:`~repro.sql.ir.Select` computing one clause."""
+def quote_identifier(name: str) -> str:
+    """Quote an arbitrary string as a SQL identifier."""
+    return '"' + name.replace('"', '""') + '"'
+
+
+def quote_literal(value: str) -> str:
+    """Quote an arbitrary string as a SQL string literal."""
+    return "'" + value.replace("'", "''") + "'"
+
+
+def table_name(predicate: str) -> str:
+    """The (quoted) table name used for a predicate."""
+    return quote_identifier(TABLE_PREFIX + predicate)
+
+
+def column_names(arity: int) -> Tuple[str, ...]:
+    """Positional column names ``c0 .. c{arity-1}``."""
+    return tuple(f"c{i}" for i in range(arity))
+
+
+def compile_clause(clause: Clause) -> str:
+    """The ``SELECT DISTINCT`` computing one clause: a join of its body
+    atoms (aliases ``t0``, ``t1``, ...) filtered by one equality per
+    repeated variable."""
     # fold equalities into a variable renaming first (an equality may be
     # the only thing binding a head variable, cf. the Lin/Log clauses
     # with ``x = y`` conjuncts); after renaming every remaining variable
     # occurs in some body literal
     mapping = _equality_mapping(clause)
     head = clause.head.rename(mapping)
-    body = [atom.rename(mapping) for atom in clause.body_literals]
-
-    bindings: Dict[str, ColumnRef] = {}
-    tables: List[TableRef] = []
-    where: List[Comparison] = []
-    for index, atom in enumerate(body):
-        alias = f"t{index}"
-        tables.append(TableRef(TABLE_PREFIX + atom.predicate, alias))
-        columns = column_names(len(atom.args))
-        for position, variable in enumerate(atom.args):
-            reference = ColumnRef(alias, columns[position])
+    bindings: Dict[str, str] = {}
+    tables: List[str] = []
+    where: List[str] = []
+    for index, atom in enumerate(clause.body_literals):
+        atom = atom.rename(mapping)
+        tables.append(f"{table_name(atom.predicate)} AS t{index}")
+        for column, variable in zip(column_names(len(atom.args)), atom.args):
+            reference = f"t{index}.{column}"
             if variable in bindings:
-                where.append(Comparison(bindings[variable], "=", reference))
+                where.append(f"{bindings[variable]} = {reference}")
             else:
                 bindings[variable] = reference
     for variable in head.args:
@@ -69,29 +78,17 @@ def compile_clause_ir(clause: Clause) -> Select:
             raise ValueError(
                 f"unbound head variable {variable!r} in clause {clause}")
 
-    head_columns = column_names(max(len(head.args), 1))
     if head.args:
-        output = tuple(OutputColumn(bindings[variable], head_columns[i])
-                       for i, variable in enumerate(head.args))
+        columns = [f"{bindings[variable]} AS {column}" for variable, column
+                   in zip(head.args, column_names(len(head.args)))]
     else:
-        output = (OutputColumn(SQLLiteral(NULLARY_MARK), head_columns[0]),)
-    return Select(columns=output, tables=tuple(tables), where=tuple(where))
-
-
-def compile_query_ir(query: NDLQuery) -> QueryIR:
-    """Compile ``(Pi, G)`` into a structured :class:`QueryIR`."""
-    definitions = []
-    for predicate, clauses in query.strata:
-        selects = tuple(compile_clause_ir(clause) for clause in clauses)
-        definitions.append(Definition(predicate=predicate,
-                                      relation=TABLE_PREFIX + predicate,
-                                      union=Union(selects)))
-    goal_columns = column_names(max(len(query.answer_vars), 1))
-    goal = Select(
-        columns=tuple(OutputColumn(ColumnRef(None, name), name)
-                      for name in goal_columns),
-        tables=(TableRef(TABLE_PREFIX + query.goal, None),))
-    return QueryIR(tuple(definitions), goal)
+        columns = [f"{quote_literal(NULLARY_MARK)} AS c0"]
+    statement = "SELECT DISTINCT " + ", ".join(columns)
+    if tables:
+        statement += " FROM " + ", ".join(tables)
+    if where:
+        statement += " WHERE " + " AND ".join(where)
+    return statement
 
 
 @dataclass(frozen=True)
@@ -107,14 +104,15 @@ class SQLCompilation:
         the final ``SELECT`` reading the goal relation.
     idb_order:
         the defined predicates in the order their statements appear.
-    ir:
-        the structured :class:`QueryIR` the text was rendered from.
+    unions:
+        each defined predicate's ``UNION`` of clause selects, in
+        ``idb_order``: the body of its statement and of its CTE.
     """
 
     statements: Tuple[str, ...]
     goal_select: str
     idb_order: Tuple[str, ...]
-    ir: QueryIR
+    unions: Tuple[str, ...]
 
     def script(self) -> str:
         """The full SQL script (statements plus the goal query)."""
@@ -125,19 +123,27 @@ class SQLCompilation:
     def cte_query(self) -> str:
         """The whole query as a single ``WITH``-query (one CTE per
         defined relation) — the form one would register as a single
-        view.  Rendered from the IR, never re-parsed from statement
-        text."""
-        return render_cte_query(self.ir)
+        view."""
+        if not self.idb_order:
+            return self.goal_select
+        ctes = ",\n".join(f"{table_name(predicate)} AS (\n{union}\n)"
+                          for predicate, union
+                          in zip(self.idb_order, self.unions))
+        return f"WITH {ctes}\n{self.goal_select}"
 
 
 def compile_query(query: NDLQuery) -> SQLCompilation:
     """Compile ``(Pi, G)`` into per-predicate SQL statements: each IDB
     predicate becomes a table computed bottom-up, mirroring the
     materialise-everything strategy of Appendix D.4."""
-    ir = compile_query_ir(query)
+    idb_order = tuple(predicate for predicate, _ in query.strata)
+    unions = tuple("\nUNION\n".join(map(compile_clause, clauses))
+                   for _, clauses in query.strata)
+    columns = column_names(max(len(query.answer_vars), 1))
     return SQLCompilation(
-        statements=tuple(map(render_definition, ir.definitions)),
-        goal_select=render_select(ir.goal),
-        idb_order=tuple(definition.predicate
-                        for definition in ir.definitions),
-        ir=ir)
+        statements=tuple(f"CREATE TABLE {table_name(predicate)} AS\n{union}"
+                         for predicate, union in zip(idb_order, unions)),
+        goal_select=(f"SELECT DISTINCT {', '.join(columns)} "
+                     f"FROM {table_name(query.goal)}"),
+        idb_order=idb_order,
+        unions=unions)

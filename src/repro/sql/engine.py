@@ -12,7 +12,6 @@ engine's.  :func:`evaluate_sql` is the one-shot form.
 from __future__ import annotations
 
 import sqlite3
-from collections import OrderedDict
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from ..data.abox import ABox
@@ -21,16 +20,8 @@ from ..datalog.optimize import nonempty_signature
 from ..datalog.program import ADOM, NDLQuery
 from ..engine.backends import Engine
 from ..obs.trace import span as _span
-from .compile import SQLCompilation, compile_query
-from .schema import (
-    create_schema,
-    load_abox,
-    merged_arities,
-    table_name,
-)
-
-#: Entries kept in each engine's compiled-SQL memo.
-_COMPILATION_CACHE_SIZE = 64
+from .compile import SQLCompilation, compile_query, table_name
+from .schema import create_schema, load_abox, merged_arities
 
 
 class SQLEngine(Engine):
@@ -38,8 +29,9 @@ class SQLEngine(Engine):
 
     Reusable across queries over the same data: the EDB schema is
     loaded once and per-query tables are dropped after each
-    evaluation.  Compilations are memoised per query, so re-evaluating
-    the same plan (the session/service hot path) skips compilation.
+    evaluation.  A query's SQL is compiled once and kept on the query
+    (:func:`_compilation`), so every engine that evaluates it, every
+    pooled session included, shares one compilation.
     """
 
     name = "sql"
@@ -55,8 +47,6 @@ class SQLEngine(Engine):
         self._abox = abox
         self._extra = extra_relations
         self._loaded: Dict[str, int] = {}
-        self._compilations: "OrderedDict[NDLQuery, SQLCompilation]" = \
-            OrderedDict()
 
     def close(self) -> None:
         self.connection.close()
@@ -155,18 +145,6 @@ class SQLEngine(Engine):
 
     # -- evaluation ----------------------------------------------------------
 
-    def _compile(self, query: NDLQuery) -> SQLCompilation:
-        cached = self._compilations.get(query)
-        if cached is not None:
-            self._compilations.move_to_end(query)
-            return cached
-        with _span("sql-compile"):
-            compilation = compile_query(query)
-        self._compilations[query] = compilation
-        while len(self._compilations) > _COMPILATION_CACHE_SIZE:
-            self._compilations.popitem(last=False)
-        return compilation
-
     def evaluate(self, query: NDLQuery) -> EvaluationResult:
         """Evaluate one NDL query and drop its IDB tables afterwards."""
         arities = merged_arities(query, self._abox, self._extra)
@@ -174,7 +152,7 @@ class SQLEngine(Engine):
         self._ensure_loaded({predicate: arity
                              for predicate, arity in arities.items()
                              if predicate not in idb})
-        compilation = self._compile(query)
+        compilation = _compilation(query)
         cursor = self.connection.cursor()
         sizes: Dict[str, int] = {}
         try:
@@ -210,6 +188,19 @@ class SQLEngine(Engine):
         for predicate in reversed(compilation.idb_order):
             cursor.execute(f"DROP TABLE IF EXISTS {table_name(predicate)}")
         self.connection.commit()
+
+
+def _compilation(query: NDLQuery) -> SQLCompilation:
+    """``query``'s SQL, compiled on first use and kept in its
+    ``__dict__``, as the python engine keeps its compiled program
+    (:func:`repro.datalog.evaluate._program`); ``setdefault`` makes
+    racing first calls keep one compilation."""
+    compilation = query.__dict__.get("_sql")
+    if compilation is None:
+        with _span("sql-compile"):
+            compilation = query.__dict__.setdefault(
+                "_sql", compile_query(query))
+    return compilation
 
 
 def evaluate_sql(query: NDLQuery, abox: ABox,

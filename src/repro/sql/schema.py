@@ -4,7 +4,9 @@ Every predicate becomes one table with positional columns ``c0``,
 ``c1``, ... (one per argument).  Predicate names may contain characters
 that are not valid SQL identifiers (surrogates like ``A_P-``, internal
 predicates like ``_sk0`` or ``__adom__``), so table names are derived
-by escaping and always double-quoted.
+by escaping and always double-quoted
+(:func:`repro.sql.compile.table_name`, which the compiler names its
+relations with too).
 """
 
 from __future__ import annotations
@@ -14,20 +16,7 @@ from typing import Dict, Iterable, Mapping, Optional, Set, Tuple
 
 from ..data.abox import ABox
 from ..datalog.program import ADOM, Literal, NDLQuery
-from .ir import quote_identifier
-
-#: Prefix of every predicate table (avoids clashes with SQLite keywords).
-TABLE_PREFIX = "p_"
-
-
-def table_name(predicate: str) -> str:
-    """The (quoted) table name used for a predicate."""
-    return quote_identifier(TABLE_PREFIX + predicate)
-
-
-def column_names(arity: int) -> Tuple[str, ...]:
-    """Positional column names ``c0 .. c{arity-1}``."""
-    return tuple(f"c{i}" for i in range(arity))
+from .compile import column_names, table_name
 
 
 def predicate_arities(query: NDLQuery) -> Dict[str, int]:

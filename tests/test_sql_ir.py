@@ -1,4 +1,4 @@
-"""Tests for the structured SQL IR, its SQLite renderer, and how the
+"""Tests for the SQLite text the compiler writes, and how the
 ``sql`` engine is reached through plans, options and the service.
 
 Every SQL compilation runs one way: no optimiser pass, no views, one
@@ -22,9 +22,8 @@ from repro.rewriting.plan import AnswerOptions, compile_omq
 from repro.client import tbox_to_text
 from repro.service import OMQService
 from repro.service.protocol import ProtocolError, Router, error_payload
-from repro.sql.compile import compile_query
+from repro.sql.compile import compile_query, quote_literal
 from repro.sql.engine import SQLEngine, evaluate_sql
-from repro.sql.ir import quote_literal
 
 from .helpers import example11_tbox
 
@@ -91,6 +90,42 @@ class TestOptionThreading:
     def test_explain_has_no_sql_section_for_python_engine(self):
         omq = OMQ(example11_tbox(), chain_cq("RS"))
         assert "sql" not in compile_omq(omq, engine="python").explain()
+
+    def test_explain_reports_the_requests_options(self):
+        """Plan-cache keys ignore ``engine`` and ``timeout``: a cached
+        plan's report shows the asking request's, not the first
+        compiler's."""
+        omq = OMQ(example11_tbox(), chain_cq("RS"))
+        with OMQService() as service:
+            service.register_dataset("d", ABox.parse("R(a,b), S(b,c)"))
+            for dataset in (None, "d"):
+                first = service.explain(omq, engine="python",
+                                        dataset=dataset)
+                assert (first["engine"], "sql" in first) == (
+                    "python", False)
+                report = service.explain(omq, engine="sql", timeout=5.0,
+                                         dataset=dataset)
+                assert report["fingerprint"] == first["fingerprint"]
+                assert (report["engine"], report["timeout"]) == ("sql", 5.0)
+                assert "sql" in report
+
+    def test_explain_sql_is_the_specialised_program(self):
+        """With a backend, the ``"sql"`` section is the SQL
+        :meth:`Plan.execute` runs there: the program its
+        ``"specialised"`` block describes."""
+        tbox = example11_tbox()
+        plan = compile_omq(OMQ(tbox, chain_cq("RSR")), method="lin",
+                           engine="sql")
+        # no P fact: every clause over A_P / A_P- is pruned
+        with SQLEngine(ABox.parse("R(a,b), S(b,c), R(c,d)")
+                       .complete(tbox)) as backend:
+            report = plan.explain(backend)
+            specialised = compile_query(plan.specialised(backend))
+        assert report["specialised"]["rules"] < plan.rules
+        assert report["sql"]["statements"] == list(specialised.statements)
+        assert report["sql"]["goal_select"] == specialised.goal_select
+        assert plan.explain()["sql"]["statements"] == list(
+            compile_query(plan.ndl).statements)
 
     def test_protocol_decodes_flat_optimize_sql_key(self):
         """``optimize_sql`` is no option any more: beside the
